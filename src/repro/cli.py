@@ -17,13 +17,11 @@ Commands
     anchored element).  ``tag`` may be ``*`` for the wildcard.
 
 ``explain <dir> <start> <tag> [--config ...] [--max-distance D]
-          [--limit K] [--exact-order] [--planner] [--json]``
+          [--limit K] [--exact-order] [--json]``
     Print the :class:`~repro.core.planner.QueryPlan` for ``start//tag``
     without running it: chosen probe order, per-probe cost estimates,
     statically pruned meta documents, planner provenance (see
-    ``docs/PLANNING.md``).  ``--planner`` builds with the cost-based
-    probe planner enabled so the plan shows the planned order rather
-    than the fixed discipline.
+    ``docs/PLANNING.md``).
 
 ``relaxed <dir> <query> [--top-k K]``
     Evaluate a relaxed path query (e.g. ``'//~movie//actor'``) with the
@@ -204,12 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--limit", type=int, default=None)
     explain.add_argument("--max-distance", type=int, default=None)
     explain.add_argument("--exact-order", action="store_true")
-    explain.add_argument(
-        "--planner",
-        action="store_true",
-        help="build with the cost-based probe planner enabled "
-        "(equivalent to FLIX_PLANNER=1)",
-    )
     explain.add_argument(
         "--index-dir",
         default=None,
@@ -529,10 +521,6 @@ def _cmd_explain(args) -> int:
 
     collection = load_collection(args.directory)
     config = _make_config(args.config, args.partition_size)
-    if args.planner:
-        if config is None:
-            config = FlixConfig.recommend_for(collection, args.partition_size)
-        config = config.with_planner()
     index_dir = getattr(args, "index_dir", None)
     if index_dir and (Path(index_dir) / "manifest.json").is_file():
         flix = Flix.load(collection, index_dir)
@@ -557,7 +545,7 @@ def _cmd_explain(args) -> int:
         return 0
     print(
         f"plan: kind={plan.kind} mode={plan.mode} order={plan.order} "
-        f"prune={plan.prune} generation={plan.generation}"
+        f"generation={plan.generation}"
     )
     if plan.source_metas:
         print(

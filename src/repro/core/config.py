@@ -166,36 +166,29 @@ class CacheConfig:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
-#: probe orderings the planner understands: ``fifo`` keeps the paper's
-#: fixed discipline (pruning only), ``cost`` reorders same-distance probes
+#: probe orderings the planner understands: ``fifo`` pops same-distance
+#: entries in discovery order (the paper's order), ``cost`` reorders them
 #: by estimated selectivity where provably safe
 PLANNER_ORDERS = ("fifo", "cost")
 
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    """Cost-based probe-planner knobs (see ``docs/PLANNING.md``).
+    """Probe-ordering knobs (see ``docs/PLANNING.md``).
 
-    Attached to a configuration via :attr:`FlixConfig.planner` (or
-    :meth:`FlixConfig.with_planner`); ``None`` there means the PEE runs
-    the paper's fixed Figure-4 discipline untouched.  The planner never
-    changes a query's *result set* — only the expansion order and the
-    amount of provably-covered work it skips (``docs/PLANNING.md``
-    carries the safety argument).
+    Every configuration carries one (:attr:`FlixConfig.planner`, changed
+    via :meth:`FlixConfig.with_planner`).  Ordering never changes a
+    query's *result set* (``docs/PLANNING.md`` carries the safety
+    argument); the loop's duplicate pruning is not an option and has no
+    knob here.
     """
 
-    #: skip probes whose contribution is provably covered before they are
-    #: expanded (duplicate heap entries for an already-popped node, and
-    #: re-pushes at no-better priority); byte-identical result streams
-    prune: bool = True
-    #: probe ordering: ``"fifo"`` preserves the fixed discipline's exact
-    #: result order; ``"cost"`` additionally rank-orders same-distance
-    #: probes by the per-meta selectivity statistics where that cannot
-    #: change the result set (unbounded-distance searches only)
+    #: probe ordering: ``"fifo"`` keeps the paper's exact result order;
+    #: ``"cost"`` rank-orders same-distance probes by the per-meta
+    #: selectivity statistics where that cannot change the result set
+    #: (unbounded-distance searches only), and persists those statistics
+    #: as the ``planner_stats.json`` sidecar
     order: str = "fifo"
-    #: collect and persist per-meta selectivity statistics (the planner's
-    #: sidecar, ``planner_stats.json``); off = prune-only planning
-    statistics: bool = True
     #: rounds for the Cohen TC-size estimator over the meta link graph
     rounds: int = 8
 
@@ -261,11 +254,8 @@ class FlixConfig:
     #: with generation-based invalidation, see ``docs/SERVING.md``);
     #: ``None`` disables caching — the classic zero-memory behaviour
     cache: Optional[CacheConfig] = None
-    #: cost-based probe planner for the PEE (probe ordering + covered-
-    #: probe pruning driven by per-meta selectivity statistics, see
-    #: ``docs/PLANNING.md``); ``None`` keeps the paper's fixed Figure-4
-    #: discipline — the classic behaviour
-    planner: Optional[PlannerConfig] = None
+    #: probe ordering for the PEE's Figure-4 loop (``docs/PLANNING.md``)
+    planner: PlannerConfig = PlannerConfig()
     #: serve probes from the flat columnar index layout
     #: (``repro.indexes.packed``, see ``docs/DATA_LAYOUT.md``): indexes
     #: are compiled to FLXPACK blobs after every build/rebuild, saves
@@ -360,25 +350,15 @@ class FlixConfig:
     def with_planner(
         self, planner: Optional[PlannerConfig] = None, **overrides
     ) -> "FlixConfig":
-        """This configuration with the cost-based probe planner enabled.
-
-        With no arguments the defaults apply; keyword overrides build a
-        custom :class:`PlannerConfig` (``with_planner(order="cost")``);
-        use :meth:`without_planner` to restore the fixed discipline.
-        """
+        """This configuration with different probe-ordering knobs:
+        keyword overrides build the :class:`PlannerConfig`
+        (``with_planner(order="cost")``); no arguments restore the
+        defaults."""
         from dataclasses import replace
 
         if planner is None:
-            planner = (
-                PlannerConfig(**overrides) if overrides else PlannerConfig()
-            )
+            planner = PlannerConfig(**overrides)
         return replace(self, planner=planner)
-
-    def without_planner(self) -> "FlixConfig":
-        """This configuration with the probe planner disabled."""
-        from dataclasses import replace
-
-        return replace(self, planner=None)
 
     # ------------------------------------------------------------------
     # the paper's predefined configurations
@@ -482,27 +462,3 @@ class FlixConfig:
             partition_size=partition_size,
             intra_link_fraction=stats.intra_link_fraction,
         )
-
-
-def apply_planner_env(config: FlixConfig) -> FlixConfig:
-    """Apply the ``FLIX_PLANNER`` environment override to ``config``.
-
-    ``FLIX_PLANNER=0`` forces the probe planner off, any other non-empty
-    value forces the default :class:`PlannerConfig` on, and unset/empty
-    leaves the configuration untouched — the same pattern as
-    ``FLIX_PACKED``/``FLIX_FAULT_PLAN``, so CI parity jobs can flip the
-    knob without editing call sites.  Honoured by ``Flix.build`` and
-    ``Flix.load``.
-    """
-    import os
-
-    value = os.environ.get("FLIX_PLANNER", "")
-    if value == "":
-        return config
-    if value == "0":
-        if config.planner is not None:
-            return config.without_planner()
-        return config
-    if config.planner is None:
-        return config.with_planner()
-    return config

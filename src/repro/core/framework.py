@@ -52,6 +52,7 @@ from repro.core.pee import (
     QueryBudget,
     QueryResult,
     QueryStats,
+    evaluate_path,
 )
 from repro.core.results import StreamedList
 from repro.core.selftune import QueryLoadMonitor, TuningAdvice, with_compaction_advice
@@ -190,6 +191,7 @@ class Flix:
         keeps the classic zero-overhead behaviour)."""
         from repro.core.fallback import FallbackContext
         from repro.core.pee import QueryBudget
+        from repro.core.planner import ProbePlanner
 
         resilience = getattr(self.config, "resilience", None)
         budget = QueryBudget.from_resilience(resilience)
@@ -205,32 +207,18 @@ class Flix:
             budget=budget,
             fallback=fallback,
             generation=generation,
-            planner=self._make_planner(),
+            # statistics stay uncollected until cost order ranks with
+            # them or EXPLAIN asks for them
+            planner=ProbePlanner(
+                self.config.planner, statistics=self.planner_statistics
+            ),
         )
-
-    def _make_planner(self):
-        """The configured :class:`repro.core.planner.ProbePlanner`, or
-        ``None`` when ``config.planner`` is unset (the classic fixed
-        probe discipline with zero per-query overhead)."""
-        planner_config = getattr(self.config, "planner", None)
-        if planner_config is None:
-            return None
-        from repro.core.planner import ProbePlanner
-
-        if planner_config.statistics:
-            provider = self.planner_statistics
-        else:
-            provider = None
-        return ProbePlanner(planner_config, statistics=provider)
 
     def planner_statistics(self, refresh: bool = False):
         """Per-meta selectivity statistics for the probe planner's cost
         model (:class:`repro.core.planner.LayoutStatistics`), collected
         lazily over the *current* layout snapshot and memoized per
-        generation.  ``refresh=True`` discards the memo first.  Works with
-        the planner unconfigured (EXPLAIN on a fixed-discipline instance
-        still shows cost estimates)."""
-        from repro.core.config import PlannerConfig as _PlannerConfig
+        generation.  ``refresh=True`` discards the memo first."""
         from repro.core.planner import collect_layout_statistics
 
         layout = self._layout
@@ -241,13 +229,12 @@ class Flix:
             and cached[0] == layout.generation
         ):
             return cached[1]
-        cfg = getattr(self.config, "planner", None) or _PlannerConfig()
         stats = collect_layout_statistics(
             layout.slots,
             layout.meta_of,
             self.collection.tag,
             layout.generation,
-            rounds=cfg.rounds,
+            rounds=self.config.planner.rounds,
         )
         self._planner_stats = (layout.generation, stats)
         return stats
@@ -362,11 +349,6 @@ class Flix:
             # FLIX_FAULT_PLAN forces a fault plan
             config = config.with_packed()
 
-        from repro.core.config import apply_planner_env
-
-        # FLIX_PLANNER=0 / =1: CI's planner-parity job flips the probe
-        # planner without editing call sites (same pattern as FLIX_PACKED)
-        config = apply_planner_env(config)
         if workload is not None:
             config = workload.bias(config)
 
@@ -597,24 +579,13 @@ class Flix:
         """The probe planner's static :class:`repro.core.planner.QueryPlan`
         for ``request`` — the EXPLAIN surface — without evaluating it.
 
-        With ``config.planner`` set, the plan's ``mode`` is ``"planned"``
-        and describes the order and pruning the evaluator will actually
-        apply; unconfigured, ``mode="fixed"`` reports the same cost
-        estimates against the classic fixed probe discipline.  Kinds that
-        never enter the Figure-4 loop (children / connections / cost) come
-        back ``mode="direct"``.  ``layout`` pins the snapshot explained
-        (defaults to the current one).
+        ``mode="planned"`` plans describe the probe order the evaluator
+        applies; kinds that never enter the Figure-4 loop (children /
+        connections / cost) come back ``mode="direct"``.  ``layout`` pins
+        the snapshot explained (defaults to the current one).
         """
-        from repro.core.planner import ProbePlanner
-
         if layout is None:
             layout = self._layout
-        planner_config = getattr(self.config, "planner", None)
-        planner = layout.pee.planner if hasattr(layout.pee, "planner") else None
-        if planner is None:
-            planner = ProbePlanner(
-                planner_config, statistics=self.planner_statistics
-            )
         seeds = None
         if request.kind == "descendants" and request.source_tag is not None:
             seeds = [
@@ -626,12 +597,7 @@ class Flix:
             "pee.plan", kind=request.kind, generation=layout.generation
         )
         try:
-            return planner.plan(
-                request,
-                layout,
-                seeds=seeds,
-                configured=planner_config is not None,
-            )
+            return layout.pee.planner.plan(request, layout, seeds=seeds)
         finally:
             trace.finish()
 
@@ -733,7 +699,13 @@ class Flix:
                     children.append(QueryResult(successor, 1, meta_id))
             return children, QueryStats(results_returned=len(children))
         if kind == "path":
-            return self._evaluate_path(request, budget, layout)
+            return evaluate_path(
+                lambda node, tag: layout.pee.find_descendants(
+                    node, tag, request.max_distance, budget=budget
+                ),
+                request.source,
+                request.path,
+            )
         if kind == "cost":
             from repro.core.connections import ConnectionEvaluator
 
@@ -758,39 +730,6 @@ class Flix:
                 )
             return value, stats.snapshot()
         raise ValueError(f"unknown query kind {kind!r}")  # pragma: no cover
-
-    def _evaluate_path(
-        self,
-        request: QueryRequest,
-        budget: Optional[QueryBudget],
-        layout: Optional[IndexLayout] = None,
-    ) -> Tuple[List[Tuple[NodeId, int]], QueryStats]:
-        """Multi-step ``start//t1//…//tn``: one descendant query per
-        frontier element and step, frontiers deduplicated by best
-        distance (the unscored counterpart of the relaxed engine)."""
-        if layout is None:
-            layout = self._layout
-        aggregate = QueryStats()
-        frontier: Dict[NodeId, int] = {request.source: 0}
-        for tag in request.path:
-            next_frontier: Dict[NodeId, int] = {}
-            for node, distance in sorted(
-                frontier.items(), key=lambda kv: kv[1]
-            ):
-                stream = layout.pee.find_descendants(
-                    node, tag, request.max_distance, budget=budget
-                )
-                for result in stream:
-                    total = distance + result.distance
-                    current = next_frontier.get(result.node)
-                    if current is None or total < current:
-                        next_frontier[result.node] = total
-                aggregate.merge(stream.stats)
-            if not next_frontier:
-                return [], aggregate
-            frontier = next_frontier
-        pairs = sorted(frontier.items(), key=lambda kv: (kv[1], kv[0]))
-        return pairs, aggregate
 
     def _replay(
         self, request: QueryRequest, entry: Tuple[Any, QueryStats],

@@ -13,7 +13,17 @@ document index lookups with run-time traversal of residual links:
    points visited so far: a new entry covered by an earlier one is dropped
    outright, and individual results are suppressed when they are descendants
    of an earlier entry point — all checked through the local index, with no
-   per-result hash of the output.
+   per-result hash of the output.  The exact-duplicate share of that work
+   (a node popped or enqueued before) is proven away by the loop's
+   :class:`~repro.core.planner.ProbeFrontier` without touching an index.
+
+The algorithm exists once, as :func:`figure4_search`, parameterised by an
+*expander* that does one popped entry's index work: this module's
+:class:`PathExpressionEvaluator` expands against the local indexes,
+``repro.shard.distributed`` expands by RPC to the owning shard.  The
+connection test (:func:`first_connection`), the bidirectional test
+(:func:`meet_in_the_middle`) and multi-step paths (:func:`evaluate_path`)
+are drivers over that same loop.
 
 Results therefore stream in *approximately* ascending distance: within one
 meta document they are exact, across meta documents the block-wise delivery
@@ -62,6 +72,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.meta_document import MetaDocument
+from repro.core.planner import ProbeFrontier, ProbePlanner
 from repro.indexes.base import NodeId
 from repro.obs import OBS_OFF, Observability
 from repro.storage.errors import PermanentStorageError, StorageError
@@ -138,7 +149,10 @@ class QueryStats:
     #: meta documents whose local index was actually probed (entries that
     #: survived duplicate elimination)
     meta_document_visits: int = 0
-    #: residual links followed across meta-document boundaries
+    #: residual links followed across meta-document boundaries: pushes
+    #: the frontier *admitted* to the queue (pruned ones are counted in
+    #: ``planner_pruned_pushes`` instead) — what ``max_link_hops`` budgets
+    #: and the self-tuning monitor's link-traversal threshold read
     link_traversals: int = 0
     #: popped entry elements dropped because an earlier entry of the same
     #: meta document already covered them (section 5.1)
@@ -153,12 +167,12 @@ class QueryStats:
     covered_probes: int = 0
     #: priority-queue pops, covered or not (total queue traffic)
     queue_pops: int = 0
-    #: enqueues the probe planner's frontier pruned as provably covered
-    #: (never counted in ``link_traversals``; see repro.core.planner)
+    #: enqueues the loop's frontier pruned as provably covered (never
+    #: counted in ``link_traversals``; see repro.core.planner)
     planner_pruned_pushes: int = 0
     #: pops the frontier pruned without index probes (these still count
-    #: in ``queue_pops`` and ``entries_dropped`` — the fixed discipline
-    #: would have popped and dropped them too, just more expensively)
+    #: in ``queue_pops`` and ``entries_dropped`` — the §5.1 coverage
+    #: check would have dropped them too, just more expensively)
     planner_pruned_pops: int = 0
     #: how trustworthy the result set is: ``complete`` (everything the
     #: index knows), ``truncated`` (a query budget stopped the search
@@ -194,7 +208,7 @@ class QueryStats:
     def absorb_expansion(self, delta: "QueryStats") -> None:
         """Fold one remote expansion's counter deltas into this query.
 
-        The sharded coordinator owns the search loop (queue pops, link
+        The loop owns the loop-level counters (queue pops, link
         traversals, visits, results); a shard worker running one
         ``expand_entry``/``connection_probe`` on its behalf only touches
         the expansion-local counters — those are shipped back as a delta
@@ -279,6 +293,250 @@ class QueryStream:
         self.close()
 
 
+class ExpansionLost(RuntimeError):
+    """An expander could not expand its entry at all: every replica of
+    the owning shard is down.  The loop drops the entry — and the subtree
+    it would have discovered — and flags the stream ``truncated``."""
+
+    def __init__(self, shard_id: int) -> None:
+        super().__init__(f"no live replica can expand shard {shard_id}")
+        self.shard_id = shard_id
+
+
+#: ``expand(meta_id, entry, priority, previous)``: one popped entry's
+#: index work.  Returns ``None`` when §5.1 coverage drops the entry
+#: (``previous`` lists the meta document's earlier entry points, read
+#: only), else ``(results_to_emit, link_pushes)`` with ``link_pushes`` as
+#: ``(local_distance, neighbour)`` pairs; raises :class:`ExpansionLost`.
+Expander = Callable[
+    [int, NodeId, int, List[NodeId]],
+    Optional[Tuple[Sequence, Sequence[Tuple[int, NodeId]]]],
+]
+
+
+def figure4_search(
+    seeds: Sequence[NodeId],
+    meta_of: Callable[[NodeId], int],
+    expand: Expander,
+    stats: QueryStats,
+    max_distance: Optional[int] = None,
+    exact_order: bool = False,
+    budget: Optional[QueryBudget] = None,
+    rank_map: Optional[Dict[int, int]] = None,
+) -> Iterator:
+    """Figure 4: the one priority-queue loop every evaluation runs.
+
+    The loop owns the queue, the per-meta entry-point lists, the
+    :class:`~repro.core.planner.ProbeFrontier`, the exact-order buffer,
+    the budget and every loop-level counter of ``stats``; all index access
+    is the *expander*'s — a local index probe
+    (:class:`PathExpressionEvaluator`) or an RPC to the shard owning the
+    entry (:class:`repro.shard.distributed.DistributedEvaluator`).  Both
+    deployments therefore produce the same stream with the same stats by
+    construction.  ``rank_map`` (cost order) breaks equal-priority ties
+    toward high-yield meta documents; without it ties pop FIFO.
+    """
+    frontier = ProbeFrontier()
+    # entry points already expanded, per meta document
+    entries: Dict[int, List[NodeId]] = {}
+    # (priority, rank, counter, node); rank stays 0 under FIFO order
+    heap: List[Tuple[int, int, int, NodeId]] = []
+    default_rank = len(rank_map) if rank_map is not None else 0
+    for order, seed in enumerate(seeds):
+        try:
+            meta_id = meta_of(seed)
+        except KeyError:
+            raise KeyError(
+                f"node {seed} is not part of the collection"
+            ) from None
+        if not frontier.admit_push(seed, 0):
+            continue  # duplicate seed
+        rank = 0 if rank_map is None else rank_map.get(meta_id, default_rank)
+        heapq.heappush(heap, (0, rank, order, seed))
+    counter = len(seeds)
+    # exact-order buffering: (distance, tiebreak, result)
+    buffer: List[Tuple[int, int, object]] = []
+    deadline = None
+    if budget is not None and budget.deadline_seconds is not None:
+        deadline = time.monotonic() + budget.deadline_seconds
+
+    while heap:
+        if budget is not None and _budget_exhausted(budget, deadline, stats):
+            stats.mark_truncated()
+            break
+        priority, _, _, entry = heapq.heappop(heap)
+        stats.queue_pops += 1
+        if exact_order:
+            # Every later result is found through an entry of priority
+            # >= this one and local distances are non-negative, so the
+            # buffered results below the current priority are final.
+            while buffer and buffer[0][0] < priority:
+                yield heapq.heappop(buffer)[2]
+        if max_distance is not None and priority > max_distance:
+            break  # queue head beyond the client's threshold
+        if not frontier.admit_pop(entry):
+            # an earlier pop of this node provably covers it (§5.1,
+            # descendants-or-self) — skip the index probes the coverage
+            # check would spend proving that
+            stats.entries_dropped += 1
+            stats.planner_pruned_pops += 1
+            continue
+        meta_id = meta_of(entry)
+        previous = entries.setdefault(meta_id, [])
+        try:
+            outcome = expand(meta_id, entry, priority, previous)
+        except ExpansionLost:
+            # the subtree behind this entry is unreachable: keep going on
+            # the surviving shards, flag the stream truncated
+            stats.mark_truncated()
+            continue
+        if outcome is None:
+            stats.entries_dropped += 1
+            continue
+        stats.meta_document_visits += 1
+        emit, link_pushes = outcome
+
+        for result in emit:
+            stats.results_returned += 1
+            if exact_order:
+                counter += 1
+                heapq.heappush(buffer, (result.distance, counter, result))
+            else:
+                yield result
+
+        previous.append(entry)
+        for local_distance, neighbour in link_pushes:
+            push_priority = priority + local_distance + 1
+            if not frontier.admit_push(neighbour, push_priority):
+                stats.planner_pruned_pushes += 1
+                continue
+            stats.link_traversals += 1
+            counter += 1
+            rank = (
+                0 if rank_map is None
+                else rank_map.get(meta_of(neighbour), default_rank)
+            )
+            heapq.heappush(heap, (push_priority, rank, counter, neighbour))
+
+    while buffer:
+        yield heapq.heappop(buffer)[2]
+
+
+def _budget_exhausted(
+    budget: QueryBudget, deadline: Optional[float], stats: QueryStats
+) -> bool:
+    if (
+        budget.max_queue_pops is not None
+        and stats.queue_pops >= budget.max_queue_pops
+    ):
+        return True
+    if (
+        budget.max_link_hops is not None
+        and stats.link_traversals >= budget.max_link_hops
+    ):
+        return True
+    return deadline is not None and time.monotonic() >= deadline
+
+
+def first_connection(
+    source: NodeId,
+    meta_of: Callable[[NodeId], int],
+    probe: Callable,
+    stats: QueryStats,
+    max_distance: Optional[int] = None,
+    budget: Optional[QueryBudget] = None,
+) -> Optional[int]:
+    """Connection test (section 5.2): the Figure-4 loop from ``source``,
+    stopped at its first yield.
+
+    ``probe(meta_id, entry, priority, previous)`` is the connection-test
+    expander: ``None`` when the entry is covered, else ``(found,
+    link_pushes)`` where ``found`` is the distance to the target once the
+    target's meta document reaches it.  Ties stay FIFO — reordering would
+    change *which* path is reported.
+    """
+
+    def expand(meta_id, entry, priority, previous):
+        outcome = probe(meta_id, entry, priority, previous)
+        if outcome is None:
+            return None
+        found, link_pushes = outcome
+        return (() if found is None else (found,)), link_pushes
+
+    search = figure4_search(
+        [source], meta_of, expand, stats, max_distance, budget=budget
+    )
+    try:
+        return next(search, None)
+    finally:
+        search.close()
+
+
+def meet_in_the_middle(
+    forward: QueryStream, backward: QueryStream, max_distance: Optional[int]
+) -> Optional[int]:
+    """The optimization sketched in section 5.2: alternate steps of a
+    descendants search from the source and an ancestors search from the
+    target and stop at the first meeting element.  Depending on the data's
+    shape either direction may win, so alternation bounds the work by
+    twice the cheaper side.  Closes both streams."""
+    try:
+        seen_forward: Dict[NodeId, int] = {}
+        seen_backward: Dict[NodeId, int] = {}
+        streams = [(forward, seen_forward, seen_backward),
+                   (backward, seen_backward, seen_forward)]
+        active = [True, True]
+        while any(active):
+            for side, (stream, mine, theirs) in enumerate(streams):
+                if not active[side]:
+                    continue
+                try:
+                    result = next(stream)
+                except StopIteration:
+                    active[side] = False
+                    continue
+                node, distance = result.node, result.distance
+                if node not in mine or distance < mine[node]:
+                    mine[node] = distance
+                if node in theirs:
+                    candidate = distance + theirs[node]
+                    if max_distance is None or candidate <= max_distance:
+                        return candidate
+        return None
+    finally:
+        forward.close()
+        backward.close()
+
+
+def evaluate_path(
+    descend: Callable[[NodeId, str], QueryStream],
+    source: NodeId,
+    path: Sequence[str],
+) -> Tuple[List[Tuple[NodeId, int]], QueryStats]:
+    """Multi-step ``source//t1//…//tn``: one descendants search
+    (``descend(node, tag)``) per frontier element and step, frontiers
+    deduplicated by best distance (the unscored counterpart of the
+    relaxed engine).  Returns the final step's ``(node, distance)`` pairs,
+    ascending, and the sub-searches' merged stats."""
+    aggregate = QueryStats()
+    frontier: Dict[NodeId, int] = {source: 0}
+    for tag in path:
+        next_frontier: Dict[NodeId, int] = {}
+        for node, distance in sorted(frontier.items(), key=lambda kv: kv[1]):
+            stream = descend(node, tag)
+            for result in stream:
+                total = distance + result.distance
+                current = next_frontier.get(result.node)
+                if current is None or total < current:
+                    next_frontier[result.node] = total
+            aggregate.merge(stream.stats)
+        if not next_frontier:
+            return [], aggregate
+        frontier = next_frontier
+    pairs = sorted(frontier.items(), key=lambda kv: (kv[1], kv[0]))
+    return pairs, aggregate
+
+
 class PathExpressionEvaluator:
     """Figure 4's algorithm over a set of built meta documents."""
 
@@ -290,7 +548,7 @@ class PathExpressionEvaluator:
         budget: Optional[QueryBudget] = None,
         fallback: Optional["FallbackContext"] = None,
         generation: int = 0,
-        planner: Optional["ProbePlanner"] = None,
+        planner: Optional[ProbePlanner] = None,
     ) -> None:
         # ``meta_documents`` is positionally indexed by meta id; removed
         # or compacted ids appear as ``None`` slots (never dereferenced:
@@ -309,9 +567,9 @@ class PathExpressionEvaluator:
         #: index is missing or failing (None = degradation disabled: such
         #: a meta document raises instead)
         self._fallback_ctx = fallback
-        #: the cost-based probe planner (repro.core.planner); ``None``
-        #: keeps the paper's fixed expansion discipline exactly
-        self._planner = planner
+        #: probe ordering and the EXPLAIN surface (repro.core.planner); a
+        #: bare evaluator gets the default FIFO planner
+        self._planner = planner if planner is not None else ProbePlanner()
         #: activated fallbacks, per meta id (sticky for this evaluator)
         self._fallbacks: Dict[int, object] = {}
         # per-query instruments, bound lazily on the first publish
@@ -324,9 +582,8 @@ class PathExpressionEvaluator:
         self.last_stats = QueryStats()
 
     @property
-    def planner(self):
-        """The attached :class:`repro.core.planner.ProbePlanner` (or
-        ``None`` — the paper's fixed probe discipline)."""
+    def planner(self) -> ProbePlanner:
+        """The attached :class:`repro.core.planner.ProbePlanner`."""
         return self._planner
 
     # ------------------------------------------------------------------
@@ -416,7 +673,7 @@ class PathExpressionEvaluator:
         )
 
     # ------------------------------------------------------------------
-    # the core loop
+    # the local driver of the Figure-4 loop
     # ------------------------------------------------------------------
     def _search(
         self,
@@ -436,25 +693,22 @@ class PathExpressionEvaluator:
         ``budget`` overrides the evaluator's configured default for this
         query only (per-request deadlines from the serving layer)."""
         budget = self._effective_budget(budget)
-        planner = self._planner
-        frontier = planner.frontier() if planner is not None else None
         rank_map = None
         if (
-            planner is not None
-            and planner.reorders
-            and axis is not None
+            axis is not None
             and max_distance is None
             and budget is None
             and not exact_order
         ):
-            # Cost-ordered expansion is only applied where it provably
-            # preserves the result *set*: an unbudgeted, unbounded search
-            # visits the whole reachable set in any order and §5.1's
-            # coverage suppresses re-emissions, but reported distances
-            # (first-reached upper bounds) may differ — so exact_order,
-            # max_distance thresholds, budgets, and internal sub-searches
-            # (axis=None, e.g. bidirectional tests) keep FIFO ties.
-            rank_map = planner.rank_map(tag, forward)
+            # Cost-ordered expansion (``order="cost"``; ``None`` under
+            # FIFO) is only applied where it provably preserves the result
+            # *set*: an unbudgeted, unbounded search visits the whole
+            # reachable set in any order and §5.1's coverage suppresses
+            # re-emissions, but reported distances (first-reached upper
+            # bounds) may differ — so exact_order, max_distance
+            # thresholds, budgets, and internal sub-searches (axis=None,
+            # e.g. bidirectional tests) keep FIFO ties.
+            rank_map = self._planner.rank_map(tag, forward)
         obs = self._obs
         trace = None
         started = 0.0
@@ -468,12 +722,20 @@ class PathExpressionEvaluator:
                 generation=self.generation,
             )
         finalize = self._make_finalizer(stats, axis, trace, started)
+        metas = self._meta_documents
+        skip = set(skip_nodes)
+
+        def expand(meta_id, entry, priority, previous):
+            return self._expand_entry(
+                metas[meta_id], entry, priority, tag, forward, skip,
+                max_distance, previous, stats, trace,
+            )
 
         def run() -> Iterator[QueryResult]:
             try:
-                yield from self._search_inner(
-                    seeds, tag, max_distance, forward, skip_nodes, stats,
-                    exact_order, trace, budget, frontier, rank_map,
+                yield from figure4_search(
+                    seeds, self._meta_of.__getitem__, expand, stats,
+                    max_distance, exact_order, budget, rank_map,
                 )
             finally:
                 finalize()
@@ -515,141 +777,6 @@ class PathExpressionEvaluator:
                 self._publish(stats, axis, time.perf_counter() - started)
 
         return finalize
-
-    def _search_inner(
-        self,
-        seeds: Sequence[NodeId],
-        tag: Optional[str],
-        max_distance: Optional[int],
-        forward: bool,
-        skip_nodes: Tuple[NodeId, ...],
-        stats: QueryStats,
-        exact_order: bool,
-        trace=None,
-        budget: Optional[QueryBudget] = None,
-        frontier: Optional["ProbeFrontier"] = None,
-        rank_map: Optional[Dict[int, int]] = None,
-    ) -> Iterator[QueryResult]:
-        # entry points already expanded, per meta document
-        entries: Dict[int, List[NodeId]] = {}
-        # Heap entries are (priority, counter, node) in FIFO mode and
-        # (priority, rank, counter, node) under the planner's cost order
-        # (rank breaks equal-priority ties toward high-yield metas); the
-        # loop reads only item[0] and item[-1], so both shapes share it.
-        heap: List[tuple] = []
-        default_rank = len(rank_map) if rank_map is not None else 0
-        for order, seed in enumerate(seeds):
-            if seed not in self._meta_of:
-                raise KeyError(f"node {seed} is not part of the collection")
-            if frontier is not None and not frontier.admit_push(seed, 0):
-                continue  # duplicate seed: the fixed loop drops it as covered
-            if rank_map is None:
-                heapq.heappush(heap, (0, order, seed))
-            else:
-                heapq.heappush(
-                    heap,
-                    (
-                        0,
-                        rank_map.get(self._meta_of[seed], default_rank),
-                        order,
-                        seed,
-                    ),
-                )
-        counter = len(seeds)
-        skip = set(skip_nodes)
-        # exact-order buffering: (distance, tiebreak, result)
-        buffer: List[Tuple[int, int, QueryResult]] = []
-        deadline = None
-        if budget is not None and budget.deadline_seconds is not None:
-            deadline = time.monotonic() + budget.deadline_seconds
-
-        while heap:
-            if budget is not None and self._budget_exhausted(
-                budget, deadline, stats
-            ):
-                stats.mark_truncated()
-                break
-            item = heapq.heappop(heap)
-            priority, entry = item[0], item[-1]
-            stats.queue_pops += 1
-            if exact_order:
-                # Every later result is found through an entry of priority
-                # >= this one and local distances are non-negative, so the
-                # buffered results below the current priority are final.
-                while buffer and buffer[0][0] < priority:
-                    yield heapq.heappop(buffer)[2]
-            if max_distance is not None and priority > max_distance:
-                break  # queue head beyond the client's threshold
-            if frontier is not None and not frontier.admit_pop(entry):
-                # an earlier pop of this node provably covers it (§5.1,
-                # descendants-or-self) — skip the index probes the
-                # coverage check would spend proving that
-                stats.entries_dropped += 1
-                stats.planner_pruned_pops += 1
-                continue
-            meta = self._meta_documents[self._meta_of[entry]]
-            previous = entries.setdefault(meta.meta_id, [])
-            outcome = self._expand_entry(
-                meta, entry, priority, tag, forward, skip, max_distance,
-                previous, stats, trace,
-            )
-            if outcome is None:
-                stats.entries_dropped += 1
-                continue
-            stats.meta_document_visits += 1
-            emit, link_pushes = outcome
-
-            for result in emit:
-                stats.results_returned += 1
-                if exact_order:
-                    counter += 1
-                    heapq.heappush(buffer, (result.distance, counter, result))
-                else:
-                    yield result
-
-            previous.append(entry)
-            for local_distance, neighbour in link_pushes:
-                push_priority = priority + local_distance + 1
-                if frontier is not None and not frontier.admit_push(
-                    neighbour, push_priority
-                ):
-                    stats.planner_pruned_pushes += 1
-                    continue
-                stats.link_traversals += 1
-                counter += 1
-                if rank_map is None:
-                    heapq.heappush(heap, (push_priority, counter, neighbour))
-                else:
-                    heapq.heappush(
-                        heap,
-                        (
-                            push_priority,
-                            rank_map.get(
-                                self._meta_of[neighbour], default_rank
-                            ),
-                            counter,
-                            neighbour,
-                        ),
-                    )
-
-        while buffer:
-            yield heapq.heappop(buffer)[2]
-
-    @staticmethod
-    def _budget_exhausted(
-        budget: QueryBudget, deadline: Optional[float], stats: QueryStats
-    ) -> bool:
-        if (
-            budget.max_queue_pops is not None
-            and stats.queue_pops >= budget.max_queue_pops
-        ):
-            return True
-        if (
-            budget.max_link_hops is not None
-            and stats.link_traversals >= budget.max_link_hops
-        ):
-            return True
-        return deadline is not None and time.monotonic() >= deadline
 
     # ------------------------------------------------------------------
     # per-entry expansion (all index access happens here)
@@ -827,13 +954,12 @@ class PathExpressionEvaluator:
     ):
         """Expand one entry of ``meta_id`` on behalf of a remote caller.
 
-        This is the seam the sharded coordinator's distributed search is
-        built on: :meth:`_search_inner`'s per-pop expansion is a pure
+        This is the seam the sharded coordinator's remote expander is
+        built on: :func:`figure4_search`'s per-pop expansion is a pure
         function of ``(meta, entry, priority, tag, forward, skip,
-        max_distance, previous)``, so a coordinator that owns the priority
-        queue and the per-meta ``previous`` lists can ship each expansion
-        to the shard worker owning the entry's meta document and still
-        produce the byte-identical result stream.  Returns ``None`` when
+        max_distance, previous)``, so a coordinator running the loop can
+        ship each expansion to the shard worker owning the entry's meta
+        document and still produce the byte-identical result stream.  Returns ``None`` when
         the entry is covered, else ``(results_to_emit, link_pushes)``;
         counters the expansion touches (``covered_probes``,
         ``results_suppressed``, ``fallback_meta_documents``, completeness)
@@ -1048,9 +1174,20 @@ class PathExpressionEvaluator:
         stats = stats if stats is not None else QueryStats()
         started = time.perf_counter() if self._obs.enabled else 0.0
         try:
-            return self._connection_test(
-                source, target, max_distance, stats,
-                self._effective_budget(budget),
+            if source not in self._meta_of or target not in self._meta_of:
+                raise KeyError("both endpoints must belong to the collection")
+            target_meta = self._meta_of[target]
+            metas = self._meta_documents
+
+            def probe(meta_id, entry, priority, previous):
+                return self._connection_probe(
+                    metas[meta_id], entry, priority, target, target_meta,
+                    max_distance, previous, stats,
+                )
+
+            return first_connection(
+                source, self._meta_of.__getitem__, probe, stats,
+                max_distance, self._effective_budget(budget),
             )
         finally:
             self.last_stats = stats.snapshot()
@@ -1058,74 +1195,6 @@ class PathExpressionEvaluator:
                 self._publish(
                     stats, "connection", time.perf_counter() - started
                 )
-
-    def _connection_test(
-        self,
-        source: NodeId,
-        target: NodeId,
-        max_distance: Optional[int],
-        stats: QueryStats,
-        budget: Optional[QueryBudget] = None,
-    ) -> Optional[int]:
-        entries: Dict[int, List[NodeId]] = {}
-        heap: List[Tuple[int, int, NodeId]] = [(0, 0, source)]
-        counter = 1
-        if source not in self._meta_of or target not in self._meta_of:
-            raise KeyError("both endpoints must belong to the collection")
-        # frontier pruning only — connection tests stop at the first hit,
-        # so reordering would change *which* path is reported
-        frontier = (
-            self._planner.frontier() if self._planner is not None else None
-        )
-        if frontier is not None:
-            frontier.admit_push(source, 0)
-        target_meta = self._meta_of[target]
-        deadline = None
-        if budget is not None and budget.deadline_seconds is not None:
-            deadline = time.monotonic() + budget.deadline_seconds
-
-        while heap:
-            if budget is not None and self._budget_exhausted(
-                budget, deadline, stats
-            ):
-                stats.mark_truncated()
-                return None
-            priority, _, entry = heapq.heappop(heap)
-            stats.queue_pops += 1
-            if max_distance is not None and priority > max_distance:
-                return None
-            if frontier is not None and not frontier.admit_pop(entry):
-                stats.entries_dropped += 1
-                stats.planner_pruned_pops += 1
-                continue
-            meta = self._meta_documents[self._meta_of[entry]]
-            previous = entries.setdefault(meta.meta_id, [])
-            outcome = self._connection_probe(
-                meta, entry, priority, target, target_meta, max_distance,
-                previous, stats,
-            )
-            if outcome is None:
-                stats.entries_dropped += 1
-                continue
-            stats.meta_document_visits += 1
-            found, link_pushes = outcome
-            if found is not None:
-                stats.results_returned = 1
-                return found
-            previous.append(entry)
-            for local_distance, out_target in link_pushes:
-                push_priority = priority + local_distance + 1
-                if frontier is not None and not frontier.admit_push(
-                    out_target, push_priority
-                ):
-                    stats.planner_pruned_pushes += 1
-                    continue
-                stats.link_traversals += 1
-                counter += 1
-                heapq.heappush(
-                    heap, (push_priority, counter, out_target)
-                )
-        return None
 
     def _connection_probe(
         self,
@@ -1191,15 +1260,13 @@ class PathExpressionEvaluator:
         stats: Optional[QueryStats] = None,
         budget: Optional[QueryBudget] = None,
     ) -> Optional[int]:
-        """The optimization sketched in section 5.2: run a descendants
-        search from ``source`` and an ancestors search from ``target``
-        simultaneously, alternating steps, and stop at the first meeting
-        element.  Depending on the data's shape either direction may win, so
-        alternation bounds the work by twice the cheaper side."""
+        """The optimization sketched in section 5.2 (see
+        :func:`meet_in_the_middle`), over a descendants search from
+        ``source`` and an ancestors search from ``target``."""
         stats = stats if stats is not None else QueryStats()
         started = time.perf_counter() if self._obs.enabled else 0.0
         # The two sub-searches share this query's stats and publish
-        # nothing themselves (axis=None) — the single registry/trace
+        # nothing themselves (axis=None) — the single registry
         # publication below covers the whole bidirectional run.
         forward = self._search(
             seeds=[source], tag=None, max_distance=max_distance,
@@ -1210,35 +1277,8 @@ class PathExpressionEvaluator:
             forward=False, skip_nodes=(), stats=stats, budget=budget,
         )
         try:
-            seen_forward: Dict[NodeId, int] = {}
-            seen_backward: Dict[NodeId, int] = {}
-            streams = [(forward, seen_forward, seen_backward),
-                       (backward, seen_backward, seen_forward)]
-            active = [True, True]
-            best: Optional[int] = None
-            while any(active):
-                for side, (stream, mine, theirs) in enumerate(streams):
-                    if not active[side]:
-                        continue
-                    try:
-                        result = next(stream)
-                    except StopIteration:
-                        active[side] = False
-                        continue
-                    node, distance = result.node, result.distance
-                    if node not in mine or distance < mine[node]:
-                        mine[node] = distance
-                    if node in theirs:
-                        candidate = distance + theirs[node]
-                        if max_distance is None or candidate <= max_distance:
-                            if best is None or candidate < best:
-                                best = candidate
-                                return best
-            return best
+            return meet_in_the_middle(forward, backward, max_distance)
         finally:
-            # finalize both sub-streams (their finalizers are idempotent)
-            forward.close()
-            backward.close()
             if self._obs.enabled:
                 self._publish(
                     stats, "connection", time.perf_counter() - started

@@ -209,9 +209,7 @@ def save_flix(flix: Flix, directory) -> Path:
             "cache": (
                 flix.config.cache.to_dict() if flix.config.cache else None
             ),
-            "planner": (
-                flix.config.planner.to_dict() if flix.config.planner else None
-            ),
+            "planner": flix.config.planner.to_dict(),
         },
         "integrity": {
             "algorithm": "sha256-table-content",
@@ -269,15 +267,14 @@ def _save_planner_statistics(flix: Flix, root: Path) -> None:
     integrity map: repair cannot rebuild it (the Cohen estimates are
     randomized only over the layout, but the sidecar is a cache, not
     index content), and a damaged or stale sidecar must degrade to
-    re-collection at first use, never fail a load.  Written only when a
-    statistics-using planner is configured; a save from an unconfigured
-    instance removes any stale sidecar.
+    re-collection at first use, never fail a load.  Written only for
+    ``order="cost"`` — the one consumer that reads statistics on the
+    query path; any other save removes a stale sidecar.
     """
     from repro.core.planner import STATISTICS_FILENAME
 
     path = root / STATISTICS_FILENAME
-    planner_config = getattr(flix.config, "planner", None)
-    if planner_config is None or not planner_config.statistics:
+    if flix.config.planner.order != "cost":
         path.unlink(missing_ok=True)
         return
     try:
@@ -578,9 +575,7 @@ def load_flix(collection: XmlCollection, directory, verify: bool = True) -> Flix
         if damaged:
             raise IntegrityError(root, damaged)
 
-    from repro.core.config import apply_planner_env
-
-    config = apply_planner_env(_config_from_manifest(manifest["config"]))
+    config = _config_from_manifest(manifest["config"])
 
     tags = {node: collection.tag(node) for node in collection.node_ids()}
     loaders = _loaders()
@@ -754,11 +749,8 @@ def _config_from_manifest(config_data: dict) -> FlixConfig:
             if config_data.get("cache")
             else None
         ),
-        planner=(
-            PlannerConfig.from_dict(config_data["planner"])
-            if config_data.get("planner")
-            else None
-        ),
+        # saves predating the always-on loop wrote ``null`` here
+        planner=PlannerConfig.from_dict(config_data.get("planner") or {}),
     )
 
 

@@ -1,42 +1,42 @@
-"""Cost-based probe planning for the Path Expression Evaluator.
+"""Probe pruning, ordering and EXPLAIN for the Path Expression Evaluator.
 
-ROADMAP's top open item, in the spirit of the path-summary/statistics
-work surveyed by Mahboubi & Darmont and DescribeX's extent summaries
-(see ``PAPERS.md``): order and prune the PEE's probes per query using
-estimated result sizes, per-meta index selectivity, and residual-link
-fan-out — instead of the paper's fixed expansion discipline.
+In the spirit of the path-summary/statistics work surveyed by Mahboubi &
+Darmont and DescribeX's extent summaries (see ``PAPERS.md``): prune the
+PEE's probes per query, and optionally order them using estimated result
+sizes, per-meta index selectivity, and residual-link fan-out.
 
 Three cooperating pieces live here (``docs/PLANNING.md`` has the full
 cost model):
 
-* :class:`ProbeFrontier` — per-query duplicate-pruning state.  Figure 4's
-  loop re-discovers entry elements through converging residual links and
-  only drops them after popping them and paying ``index.reachable`` probes
-  to prove coverage (§5.1).  The frontier proves the *exact-duplicate*
-  case for free: a node popped once is always covered on a later pop
-  (descendants-or-self — every entry reaches itself), and a node already
-  enqueued at priority ``p`` covers any later enqueue at priority
-  ``>= p`` (the earlier copy pops first and its coverage persists).
-  Pruning those pops and pushes changes **no** emitted result and no
-  completeness: the surviving pop sequence is exactly the fixed
-  discipline's, minus pops that would have been dropped as covered
-  anyway.  This is the planner's default, byte-identical mode.
+* :class:`ProbeFrontier` — per-query duplicate-pruning state, part of the
+  Figure-4 loop itself (:func:`repro.core.pee.figure4_search`).  The loop
+  re-discovers entry elements through converging residual links; §5.1
+  alone only drops them after popping them and paying
+  ``index.reachable`` probes to prove coverage.  The frontier proves the
+  *exact-duplicate* case for free: a node popped once is always covered
+  on a later pop (descendants-or-self — every entry reaches itself), and
+  a node already enqueued at priority ``p`` covers any later enqueue at
+  priority ``>= p`` (the earlier copy pops first and its coverage
+  persists).  Pruning those pops and pushes changes **no** emitted result
+  and no completeness: the surviving pop sequence is exactly the one
+  §5.1 alone would expand, minus pops it would have dropped as covered
+  anyway.
 
 * :class:`LayoutStatistics` / :class:`MetaStatistics` — per-meta
-  selectivity statistics collected at build/compact/save time and
-  persisted next to the manifest as ``planner_stats.json``: node and
-  per-tag counts (index selectivity), residual-link fan-out/fan-in, and
-  a Cohen-estimator transitive-closure size over the *meta-level* link
-  graph (:func:`repro.graph.estimation.estimate_meta_reach`) — how many
+  selectivity statistics, collected lazily (when cost order ranks or
+  EXPLAIN asks) and, for ``order="cost"`` deployments, persisted next to
+  the manifest as ``planner_stats.json``: node and per-tag counts (index
+  selectivity), residual-link fan-out/fan-in, and a Cohen-estimator
+  transitive-closure size over the *meta-level* link graph
+  (:func:`repro.graph.estimation.estimate_meta_reach`) — how many
   downstream meta documents a probe of this meta can pull in.
 
 * :class:`ProbePlanner` — combines a :class:`~repro.core.config
-  .PlannerConfig` with (lazily collected) statistics.  It hands the
-  evaluator a fresh frontier per query, an optional per-meta rank map
-  for the opt-in ``order="cost"`` mode (heap ties break toward metas
-  with higher estimated yield; result *sets* stay identical, reported
-  distances may differ), and builds the static :class:`QueryPlan` the
-  EXPLAIN surface returns.
+  .PlannerConfig` with the lazily collected statistics.  It hands the
+  evaluator a per-meta rank map for the ``order="cost"`` mode (heap ties
+  break toward metas with higher estimated yield; result *sets* stay
+  identical, reported distances may differ), and builds the static
+  :class:`QueryPlan` the EXPLAIN surface returns.
 
 The statistics are strictly advisory: damaged or stale statistics can
 only cost performance, never correctness, which is why the sidecar is
@@ -83,9 +83,9 @@ class ProbeFrontier:
 
     Correctness argument (why pruning is byte-identical):
 
-    * ``admit_pop`` refuses a node popped before.  In the fixed
-      discipline that second pop always reaches the §5.1 coverage check
-      and is dropped: after the first pop the node is either in its
+    * ``admit_pop`` refuses a node popped before.  Left to §5.1 alone
+      that second pop always reaches the coverage check and is
+      dropped: after the first pop the node is either in its
       meta's ``previous`` list (and ``reachable(node, node)`` holds —
       descendants-or-self) or was itself dropped because some earlier
       entry covers it, and that cover persists.  A dropped pop emits
@@ -351,10 +351,9 @@ class ProbePlanEntry:
 class QueryPlan:
     """The static plan EXPLAIN returns for one :class:`QueryRequest`.
 
-    ``mode`` is ``"planned"`` (a configured planner drives the loop),
-    ``"fixed"`` (planner off — the plan still shows what it *would* do),
-    or ``"direct"`` (the kind runs on the element graph / child axis and
-    never enters the Figure-4 loop).  ``pruned_metas`` are the live meta
+    ``mode`` is ``"planned"`` (the kind runs the Figure-4 loop) or
+    ``"direct"`` (the kind runs on the element graph / child axis and
+    never enters the loop).  ``pruned_metas`` are the live meta
     documents provably unable to contribute: no residual-link path from
     any source meta reaches them, so the loop can never probe them.
     """
@@ -362,7 +361,6 @@ class QueryPlan:
     kind: str
     mode: str
     order: str
-    prune: bool
     generation: int
     source_metas: Tuple[int, ...] = ()
     probes: Tuple[ProbePlanEntry, ...] = ()
@@ -374,7 +372,6 @@ class QueryPlan:
             "kind": self.kind,
             "mode": self.mode,
             "order": self.order,
-            "prune": self.prune,
             "generation": self.generation,
             "source_metas": list(self.source_metas),
             "probes": [probe.to_dict() for probe in self.probes],
@@ -388,7 +385,6 @@ class QueryPlan:
             kind=str(data["kind"]),
             mode=str(data["mode"]),
             order=str(data["order"]),
-            prune=bool(data["prune"]),
             generation=int(data["generation"]),
             source_metas=tuple(int(m) for m in data.get("source_metas", ())),
             probes=tuple(
@@ -408,10 +404,9 @@ class ProbePlanner:
 
     ``statistics`` is either a :class:`LayoutStatistics` instance or a
     zero-argument callable returning one lazily (``Flix`` passes its
-    memoized per-generation collector) — ``None`` disables statistics-
-    based ranking while keeping frontier pruning.  All methods are
-    thread-safe; per-query state lives in the :class:`ProbeFrontier`
-    handed out per search.
+    memoized per-generation collector) — ``None`` (a bare evaluator, the
+    sharded coordinator) leaves ranking off and EXPLAIN on layout-only
+    estimates.  All methods are thread-safe.
     """
 
     def __init__(
@@ -432,22 +427,13 @@ class ProbePlanner:
         return self._config
 
     @property
-    def prunes(self) -> bool:
-        return self._config.prune
-
-    @property
     def reorders(self) -> bool:
         return self._config.order == "cost"
 
-    def frontier(self) -> Optional[ProbeFrontier]:
-        """A fresh per-query frontier, or ``None`` when pruning is off."""
-        return ProbeFrontier() if self._config.prune else None
-
     def statistics(self) -> Optional[LayoutStatistics]:
-        """The current statistics, or ``None`` (disabled, or collection
-        failed — statistics are advisory and must never fail a query)."""
-        if not self._config.statistics:
-            return None
+        """The current statistics, collecting them if need be, or ``None``
+        (no provider, or collection failed — statistics are advisory and
+        must never fail a query)."""
         try:
             return self._provider()
         except Exception:
@@ -496,20 +482,16 @@ class ProbePlanner:
         request: Any,
         layout: Any,
         seeds: Optional[Sequence[NodeId]] = None,
-        configured: bool = True,
     ) -> QueryPlan:
         """The static :class:`QueryPlan` for ``request`` over ``layout``.
 
         ``seeds`` are the resolved seed nodes for the type-query form
-        (the caller owns tag-table access); ``configured`` records
-        whether a planner actually drives this instance's queries
-        (``mode="fixed"`` otherwise).
+        (the caller owns tag-table access).
         """
         cfg = self._config
         stats = self.statistics()
         provenance: Dict[str, Any] = {
             "planner": cfg.to_dict(),
-            "configured": configured,
             "layout_generation": layout.generation,
             "statistics_generation": (
                 stats.generation if stats is not None else None
@@ -524,7 +506,6 @@ class ProbePlanner:
                 kind=kind,
                 mode="direct",
                 order=cfg.order,
-                prune=cfg.prune,
                 generation=layout.generation,
                 provenance=provenance,
             )
@@ -591,12 +572,10 @@ class ProbePlanner:
                 scored
             )
         )
-        mode = "planned" if configured else "fixed"
         return QueryPlan(
             kind=kind,
-            mode=mode,
+            mode="planned",
             order=cfg.order,
-            prune=cfg.prune,
             generation=layout.generation,
             source_metas=tuple(source_metas),
             probes=probes,

@@ -12,11 +12,7 @@ rebuild is warranted and recommends the next configuration.
 The workload-driven retuning loop (APEX-style; ``docs/PLANNING.md``)
 closes over the same window: :meth:`QueryLoadMonitor.profile` condenses
 it into a :class:`WorkloadProfile` that ``Flix.build(workload=...)`` /
-``Flix.rebuild(workload=...)`` feed into the Indexing Strategy Selector,
-and :meth:`advice` additionally recommends *re-planning* — enabling the
-cost-based probe planner (:mod:`repro.core.planner`) — when the observed
-duplicate-work ratio says the fixed probe discipline is re-expanding
-covered entries.
+``Flix.rebuild(workload=...)`` feed into the Indexing Strategy Selector.
 """
 
 from __future__ import annotations
@@ -37,12 +33,8 @@ class TuningAdvice:
     cheaper remedy than a rebuild: incremental growth has piled up enough
     singleton meta documents (``compaction_candidates``) that merging
     them in place would cut residual-link traffic without rebuild
-    downtime.  ``should_replan`` flags a runtime remedy cheaper still:
-    enabling the cost-based probe planner
-    (``flix.config.with_planner()``, no rebuild at all) because the
-    observed load re-expands provably covered entries.  All flags can be
-    set at once; re-planning is the cheapest step, compaction next, a
-    rebuild the thorough one.
+    downtime.  Both flags can be set at once; compaction is the cheaper
+    step, a rebuild the thorough one.
     """
 
     should_rebuild: bool
@@ -50,8 +42,6 @@ class TuningAdvice:
     recommended_config: Optional[FlixConfig] = None
     should_compact: bool = False
     compaction_candidates: Tuple[int, ...] = ()
-    should_replan: bool = False
-    replan_reason: str = ""
 
 
 def with_compaction_advice(
@@ -91,8 +81,8 @@ class WorkloadProfile:
     into the build phase (``Flix.build(workload=...)``).
 
     ``duplicate_ratio`` is the fraction of priority-queue pops that were
-    dropped as already covered — the §5.1 duplicate-elimination work the
-    probe planner's frontier can prune.  ``descendants_heavy`` is true
+    dropped as already covered (§5.1 duplicate elimination, by index
+    probes or by the loop's frontier).  ``descendants_heavy`` is true
     when the load is dominated by long-range reachability (many queue
     pops and link traversals per query), the regime HOPI-style
     distance-aware indexes are built for.
@@ -140,7 +130,7 @@ class QueryLoadMonitor:
         # A truncated row with zero counters never touched the index: it
         # was refused before evaluation (queue-expired admission in
         # repro.serve builds such rows).  Recording it would dilute every
-        # mean the planner and the tuning advice feed on, so it is
+        # mean the workload profile and the tuning advice feed on, so it is
         # skipped; genuinely truncated evaluations (budget ran out
         # mid-search) carry nonzero counters and are recorded normally.
         if (
@@ -200,8 +190,7 @@ class QueryLoadMonitor:
     @property
     def duplicate_ratio(self) -> float:
         """Dropped pops / total pops over the window: the share of
-        Figure-4 loop iterations §5.1 coverage discarded — exactly the
-        work the probe planner's frontier prunes without a heap pass."""
+        Figure-4 loop iterations §5.1 coverage discarded."""
         with self._lock:
             pops = sum(s.queue_pops for s in self._stats)
             dropped = sum(s.entries_dropped for s in self._stats)
@@ -226,7 +215,6 @@ class QueryLoadMonitor:
         current_config: FlixConfig,
         link_traversal_threshold: float = 8.0,
         min_queries: int = 20,
-        duplicate_ratio_threshold: float = 0.25,
     ) -> TuningAdvice:
         """Should the build phase run again, and with what configuration?
 
@@ -236,13 +224,6 @@ class QueryLoadMonitor:
         and a configuration with larger / link-absorbing meta documents
         (Unconnected HOPI with a bigger partition budget) should amortize
         the traversals into index lookups.
-
-        Independently, *re-planning* is recommended when the duplicate-
-        work ratio exceeds ``duplicate_ratio_threshold`` on an instance
-        without a configured probe planner: enabling the planner
-        (``config.with_planner()`` + rebuilding the evaluator, or simply
-        restarting with the new config) prunes that work at run time with
-        no index change at all.
         """
         if self.query_count < min_queries:
             return TuningAdvice(
@@ -250,45 +231,20 @@ class QueryLoadMonitor:
                 f"only {self.query_count} queries observed "
                 f"(need {min_queries}); keep collecting",
             )
-        advice = None
         mean_links = self.mean_link_traversals
         if mean_links <= link_traversal_threshold:
-            advice = TuningAdvice(
+            return TuningAdvice(
                 False,
                 f"mean {mean_links:.1f} link traversals/query is within the "
                 f"threshold of {link_traversal_threshold}",
             )
-        else:
-            recommended = FlixConfig.unconnected_hopi(
-                partition_size=max(current_config.partition_size * 4, 5000)
-            )
-            advice = TuningAdvice(
-                True,
-                f"mean {mean_links:.1f} link traversals/query exceeds "
-                f"{link_traversal_threshold}; larger meta documents would "
-                "absorb them into index lookups",
-                recommended,
-            )
-        ratio = self.duplicate_ratio
-        if (
-            ratio > duplicate_ratio_threshold
-            and getattr(current_config, "planner", None) is None
-        ):
-            replan_reason = (
-                f"{ratio:.0%} of queue pops are dropped as already covered "
-                f"(threshold {duplicate_ratio_threshold:.0%}); enabling the "
-                "probe planner (config.with_planner()) would prune them"
-            )
-            recommended = (
-                advice.recommended_config
-                if advice.recommended_config is not None
-                else current_config
-            ).with_planner()
-            advice = replace(
-                advice,
-                should_replan=True,
-                replan_reason=replan_reason,
-                reason=f"{advice.reason}; {replan_reason}",
-                recommended_config=recommended,
-            )
-        return advice
+        recommended = FlixConfig.unconnected_hopi(
+            partition_size=max(current_config.partition_size * 4, 5000)
+        )
+        return TuningAdvice(
+            True,
+            f"mean {mean_links:.1f} link traversals/query exceeds "
+            f"{link_traversal_threshold}; larger meta documents would "
+            "absorb them into index lookups",
+            recommended,
+        )

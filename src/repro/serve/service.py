@@ -333,7 +333,7 @@ class FlixService:
         # An all-zero truncated row: the query never touched the index.
         # QueryLoadMonitor.record skips rows of exactly this shape so
         # queue-expired admissions cannot dilute the workload statistics
-        # the probe planner and tuning advice are driven by.
+        # the workload profile and tuning advice are driven by.
         stats = QueryStats()
         stats._mark("truncated")
         return QueryResponse(

@@ -12,8 +12,9 @@ same partitioning one level up (``docs/SHARDING.md``):
   workers) and serves framed requests over loopback TCP
   (:mod:`repro.shard.protocol`);
 * :class:`ShardCoordinator` routes each request to its owning shard,
-  runs the PEE's priority-queue merge over per-entry expansion RPCs for
-  multi-shard closures (:class:`DistributedEvaluator`), caches results
+  runs the PEE's one priority-queue loop with per-entry expansions
+  shipped as RPCs for multi-shard closures (the remote expander,
+  :class:`DistributedEvaluator`), caches results
   in a :class:`~repro.serve.cache.ShardedLRUCache`, and degrades
   (failover → ``truncated`` → ``degraded``) instead of failing;
 * :class:`FrontDoor` exposes ``/query``, ``/health``, and ``/metrics``

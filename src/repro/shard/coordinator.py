@@ -13,12 +13,13 @@ page-cache locality; see ``docs/SHARDING.md``).  Collection-graph kinds
 cross-shard closure is a single shard always delegate.
 
 **Distributed evaluation** (``cross_shard="distributed"``): requests
-whose residual-link closure spans several shards run the PEE's priority-
-queue loop *here*, shipping each per-entry expansion to the owning shard
-(:class:`~repro.shard.distributed.DistributedEvaluator`).  This is the
-faithful cluster-scale protocol — no worker needs more than its own
-shard's pages — and still byte-identical to serial evaluation, because
-the merge *is* the serial algorithm.
+whose residual-link closure spans several shards run the PEE's one
+priority-queue loop (:func:`repro.core.pee.figure4_search`) *here*,
+with a remote expander shipping each per-entry expansion to the owning
+shard (:class:`~repro.shard.distributed.DistributedEvaluator`).  This
+is the faithful cluster-scale protocol — no worker needs more than its
+own shard's pages — and still byte-identical to serial evaluation,
+because the merge *is* the serial algorithm.
 
 Degradation ladder (completeness flags of PR 3 reused verbatim):
 
@@ -39,6 +40,7 @@ are stored; limited requests slice the cached superset.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import socket
 import threading
@@ -47,7 +49,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.api import QueryRequest, QueryResponse
 from repro.core.config import CacheConfig
-from repro.core.pee import QueryBudget, QueryStats
+from repro.core.pee import QueryBudget, QueryStats, evaluate_path
 from repro.indexes.base import NodeId
 from repro.obs import Observability
 from repro.obs.export import render
@@ -160,7 +162,6 @@ class ShardCoordinator:
         observability: Optional[Observability] = None,
         role: str = "primary",
         replication=None,
-        planner=None,
     ) -> None:
         if len(clients) != shard_map.shards:
             raise ValueError(
@@ -191,13 +192,10 @@ class ShardCoordinator:
         self._healthy = [True] * shard_map.shards
         self._health_lock = threading.Lock()
         self._round_robin = itertools.count()
-        # ``planner`` is the same ProbePlanner the workers' serial
-        # evaluators run (repro.core.planner) — the distributed loop then
-        # prunes identically, keeping sharded answers byte-identical to
-        # serial ones with the planner on or off.  ``connect`` derives it
-        # from the saved deployment's manifest.
         self._distributed = DistributedEvaluator(
-            shard_map, self._expand_rpc, self._probe_rpc, planner=planner
+            shard_map,
+            functools.partial(self._expansion_rpc, "expand"),
+            functools.partial(self._expansion_rpc, "connection_probe"),
         )
         registry = self._obs.registry
         self._m_requests = registry.counter(
@@ -242,19 +240,12 @@ class ShardCoordinator:
         **kwargs,
     ) -> "ShardCoordinator":
         """Coordinator over already-running workers at ``endpoints``
-        (ordered by shard id), using the shard map saved in ``index_dir``.
-
-        The probe planner the deployment's saved configuration implies
-        (manifest ``config.planner``, overridable via ``FLIX_PLANNER``
-        exactly as in ``Flix.load``) is attached to the distributed loop
-        unless an explicit ``planner=`` is passed."""
+        (ordered by shard id), using the shard map saved in ``index_dir``."""
         shard_map = load_shard_map(index_dir)
         clients = [
             ShardClient(shard_id, host, port)
             for shard_id, (host, port) in enumerate(endpoints)
         ]
-        if "planner" not in kwargs:
-            kwargs["planner"] = _planner_for_deployment(index_dir)
         return cls(shard_map, clients, **kwargs)
 
     # ------------------------------------------------------------------
@@ -481,7 +472,14 @@ class ShardCoordinator:
                     stats, budget=budget,
                 )
         elif kind == "path":
-            results, stats = self._distributed_path(request, budget)
+            results, stats = evaluate_path(
+                lambda node, tag: self._distributed.search(
+                    [node], tag, request.max_distance, True, (node,),
+                    budget=budget,
+                ),
+                request.source,
+                request.path,
+            )
         else:
             if request.source_tag is not None:
                 seeds = self._type_seeds(request.source_tag)
@@ -512,33 +510,6 @@ class ShardCoordinator:
         )
         return results, response
 
-    def _distributed_path(
-        self, request: QueryRequest, budget: Optional[QueryBudget]
-    ) -> Tuple[List[Tuple[NodeId, int]], QueryStats]:
-        """Mirror of ``Flix._evaluate_path`` over distributed searches."""
-        aggregate = QueryStats()
-        frontier: Dict[NodeId, int] = {request.source: 0}
-        for tag in request.path:
-            next_frontier: Dict[NodeId, int] = {}
-            for node, distance in sorted(
-                frontier.items(), key=lambda kv: kv[1]
-            ):
-                sub_stats = QueryStats()
-                for result in self._distributed.search(
-                    [node], tag, request.max_distance, True, (node,),
-                    sub_stats, budget=budget,
-                ):
-                    total = distance + result.distance
-                    current = next_frontier.get(result.node)
-                    if current is None or total < current:
-                        next_frontier[result.node] = total
-                aggregate.merge(sub_stats)
-            if not next_frontier:
-                return [], aggregate
-            frontier = next_frontier
-        pairs = sorted(frontier.items(), key=lambda kv: (kv[1], kv[0]))
-        return pairs, aggregate
-
     def _type_seeds(self, source_tag: str) -> List[NodeId]:
         for shard_id in self._failover_order(0):
             try:
@@ -552,26 +523,13 @@ class ShardCoordinator:
             return reply["seeds"]
         return []
 
-    def _expand_rpc(self, meta_id: int, payload: dict):
+    def _expansion_rpc(self, verb: str, meta_id: int, payload: dict):
+        """One remote expansion (``expand`` or ``connection_probe``) on
+        the owning shard, failing over across its replicas."""
         owner = self._map.shard_of_meta[meta_id]
         for shard_id in self._failover_order(owner):
             try:
-                _, reply = self._clients[shard_id].call("expand", payload)
-            except ShardUnavailable:
-                self._mark_health(shard_id, False)
-                continue
-            self._mark_health(shard_id, True)
-            self._m_expand_rpcs.inc(shard=str(shard_id))
-            return reply["outcome"], reply["stats"]
-        raise ExpansionLost(owner)
-
-    def _probe_rpc(self, meta_id: int, payload: dict):
-        owner = self._map.shard_of_meta[meta_id]
-        for shard_id in self._failover_order(owner):
-            try:
-                _, reply = self._clients[shard_id].call(
-                    "connection_probe", payload
-                )
+                _, reply = self._clients[shard_id].call(verb, payload)
             except ShardUnavailable:
                 self._mark_health(shard_id, False)
                 continue
@@ -657,43 +615,6 @@ class ShardCoordinator:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _planner_for_deployment(index_dir):
-    """The :class:`~repro.core.planner.ProbePlanner` a saved deployment's
-    manifest configuration implies, honouring the ``FLIX_PLANNER``
-    environment override exactly as ``Flix.load`` does.  ``None`` when no
-    planner is configured (the classic fixed discipline), or when the
-    manifest is missing/unreadable (advisory — a coordinator must come up
-    regardless).
-
-    The coordinator holds no index layout, so the planner runs without
-    statistics: frontier pruning (the default mode) needs none, and
-    cost-order ranking simply stays off here — either way the result
-    stream is byte-identical to the workers' serial evaluation.
-    """
-    import json as _json
-    import os as _os
-    from pathlib import Path as _Path
-
-    from repro.core.config import PlannerConfig
-    from repro.core.planner import ProbePlanner
-
-    override = _os.environ.get("FLIX_PLANNER", "")
-    if override == "0":
-        return None
-    data = None
-    try:
-        manifest = _json.loads(
-            (_Path(index_dir) / "manifest.json").read_text(encoding="utf-8")
-        )
-        data = manifest.get("config", {}).get("planner")
-    except Exception:
-        data = None
-    if data is None and override == "":
-        return None
-    config = PlannerConfig.from_dict(data) if data else PlannerConfig()
-    return ProbePlanner(config)
 
 
 __all__ = ["ShardClient", "ShardCoordinator"]

@@ -1,72 +1,86 @@
-"""Coordinator-side distributed evaluation: the PEE loop over RPCs.
+"""Coordinator-side distributed evaluation: the remote expander.
 
-:class:`DistributedEvaluator` mirrors
-:meth:`repro.core.pee.PathExpressionEvaluator._search_inner` *exactly* —
-same priority queue, same pop order, same duplicate-elimination state,
-same budget checks — but ships each per-entry expansion to the shard
-worker owning that entry's meta document
+:func:`repro.core.pee.figure4_search` is the one Figure-4 loop; its
+per-entry index work is done by an *expander*.  :class:`DistributedEvaluator`
+supplies the remote one: it ships each popped entry to the shard worker
+owning that entry's meta document
 (:meth:`~repro.core.pee.PathExpressionEvaluator.expand_entry` is a pure
-function of the shipped arguments).  Because the control loop and all
-its state live here and only the side-effect-free expansions run
-remotely, the merged stream is **byte-identical** to serial evaluation:
-the same results in the same order with the same stats — this *is* the
-PEE's priority-queue merge applied to the shards' distance-ordered
-expansion streams.
+function of the shipped arguments) and folds the expansion's counter
+deltas back into the query's stats.  Because the control loop is the very
+code serial evaluation runs and only the side-effect-free expansions
+travel, the merged stream is **byte-identical** to serial evaluation:
+the same results in the same order with the same stats.
 
 Failure model: when every replica of an expansion's owning shard is
-unreachable, the expansion — and the whole subtree it would have
-discovered — is lost.  The search continues on the surviving shards and
-the response is flagged ``truncated`` (the same completeness flag a
-budget stop raises): everything returned is correct, but the stream
-stopped short of the full answer.
+unreachable the RPC raises :class:`~repro.core.pee.ExpansionLost`, and
+the loop drops that entry — and the whole subtree it would have
+discovered.  The search continues on the surviving shards and the
+response is flagged ``truncated`` (the same completeness flag a budget
+stop raises): everything returned is correct, but the stream stopped
+short of the full answer.
 """
 
 from __future__ import annotations
 
-import heapq
-import time
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.core.pee import QueryBudget, QueryResult, QueryStats
+from repro.core.pee import (
+    ExpansionLost,
+    Expander,
+    QueryBudget,
+    QueryStats,
+    QueryStream,
+    figure4_search,
+    first_connection,
+    meet_in_the_middle,
+)
 from repro.indexes.base import NodeId
 from repro.shard.plan import ShardMap
 
-
-class ExpansionLost(RuntimeError):
-    """Every replica of an expansion's owning shard is down."""
-
-    def __init__(self, shard_id: int) -> None:
-        super().__init__(f"no live replica can expand shard {shard_id}")
-        self.shard_id = shard_id
-
-
-#: remote ``expand_entry``: ``(meta_id, payload) -> (outcome, stats_delta)``
-ExpandRpc = Callable[[int, Dict], Tuple[Optional[tuple], QueryStats]]
-#: remote ``connection_probe`` with the same shape
-ProbeRpc = Callable[[int, Dict], Tuple[Optional[tuple], QueryStats]]
+#: one remote expansion: ``(meta_id, payload) -> (outcome, stats_delta)``;
+#: raises :class:`ExpansionLost` when no replica answers
+ExpansionRpc = Callable[[int, Dict], Tuple[Optional[tuple], QueryStats]]
 
 
 class DistributedEvaluator:
-    """Figure 4's loop with remote expansions (see module docstring)."""
+    """Figure 4's loop over remote expansions (see module docstring).
+
+    ``expand_rpc`` carries the ``expand`` verb (descendants / ancestors /
+    type queries), ``probe_rpc`` the ``connection_probe`` verb.
+    """
 
     def __init__(
         self,
         shard_map: ShardMap,
-        expand_rpc: ExpandRpc,
-        probe_rpc: ProbeRpc,
-        planner=None,
+        expand_rpc: ExpansionRpc,
+        probe_rpc: ExpansionRpc,
     ) -> None:
         self._map = shard_map
         self._expand_rpc = expand_rpc
         self._probe_rpc = probe_rpc
-        # the same ProbePlanner (repro.core.planner) the serial evaluator
-        # uses — identical frontier rules keep distributed evaluation
-        # byte-identical to serial with the planner on or off
-        self._planner = planner
 
-    # ------------------------------------------------------------------
-    # descendants / ancestors / type queries
-    # ------------------------------------------------------------------
+    def _expander(
+        self, rpc: ExpansionRpc, stats: QueryStats, **query
+    ) -> Expander:
+        """The remote expander for one query: ``query`` holds the payload
+        fields every expansion of this query shares."""
+
+        def expand(meta_id, entry, priority, previous):
+            outcome, delta = rpc(
+                meta_id,
+                {
+                    "meta_id": meta_id,
+                    "entry": entry,
+                    "priority": priority,
+                    "previous": list(previous),
+                    **query,
+                },
+            )
+            stats.absorb_expansion(delta)
+            return outcome
+
+        return expand
+
     def search(
         self,
         seeds: Sequence[NodeId],
@@ -74,137 +88,27 @@ class DistributedEvaluator:
         max_distance: Optional[int],
         forward: bool,
         skip_nodes: Tuple[NodeId, ...],
-        stats: QueryStats,
+        stats: Optional[QueryStats] = None,
         exact_order: bool = False,
         budget: Optional[QueryBudget] = None,
-        tag_rankable: bool = True,
-    ) -> Iterator[QueryResult]:
-        """The distributed ``_search_inner`` (same locals, same order).
+    ) -> QueryStream:
+        """Descendants (``forward``), ancestors, or — with many seeds —
+        type queries.  ``stats`` lets sub-searches of one query share
+        their counters; ties pop FIFO (the coordinator holds no
+        statistics to rank by)."""
+        stats = stats if stats is not None else QueryStats()
+        expand = self._expander(
+            self._expand_rpc, stats, tag=tag, forward=forward,
+            skip=tuple(skip_nodes), max_distance=max_distance,
+        )
+        return QueryStream(
+            figure4_search(
+                seeds, self._map.meta_of, expand, stats, max_distance,
+                exact_order, budget,
+            ),
+            stats,
+        )
 
-        ``tag_rankable=False`` marks an internal sub-search (the serial
-        evaluator's ``axis=None``) whose cost-order reordering must stay
-        off even with a reordering planner configured."""
-        planner = self._planner
-        frontier = planner.frontier() if planner is not None else None
-        rank_map = None
-        if (
-            planner is not None
-            and planner.reorders
-            and tag_rankable
-            and max_distance is None
-            and budget is None
-            and not exact_order
-        ):
-            # same gating as the serial evaluator: cost order only where
-            # the result *set* is provably preserved
-            rank_map = planner.rank_map(tag, forward)
-        entries: Dict[int, List[NodeId]] = {}
-        # (priority, counter, node), or (priority, rank, counter, node)
-        # under cost order — the loop reads item[0] and item[-1] only
-        heap: List[tuple] = []
-        default_rank = len(rank_map) if rank_map is not None else 0
-        for order, seed in enumerate(seeds):
-            meta_id = self._map.meta_of(seed)  # KeyError as serial
-            if frontier is not None and not frontier.admit_push(seed, 0):
-                continue
-            if rank_map is None:
-                heapq.heappush(heap, (0, order, seed))
-            else:
-                heapq.heappush(
-                    heap,
-                    (0, rank_map.get(meta_id, default_rank), order, seed),
-                )
-        counter = len(seeds)
-        skip = tuple(skip_nodes)
-        buffer: List[Tuple[int, int, QueryResult]] = []
-        deadline = None
-        if budget is not None and budget.deadline_seconds is not None:
-            deadline = time.monotonic() + budget.deadline_seconds
-
-        while heap:
-            if budget is not None and _budget_exhausted(budget, deadline, stats):
-                stats.mark_truncated()
-                break
-            item = heapq.heappop(heap)
-            priority, entry = item[0], item[-1]
-            stats.queue_pops += 1
-            if exact_order:
-                while buffer and buffer[0][0] < priority:
-                    yield heapq.heappop(buffer)[2]
-            if max_distance is not None and priority > max_distance:
-                break
-            if frontier is not None and not frontier.admit_pop(entry):
-                # provably covered by an earlier pop (see the serial loop)
-                stats.entries_dropped += 1
-                stats.planner_pruned_pops += 1
-                continue
-            meta_id = self._map.meta_of(entry)
-            previous = entries.setdefault(meta_id, [])
-            try:
-                outcome, delta = self._expand_rpc(
-                    meta_id,
-                    {
-                        "meta_id": meta_id,
-                        "entry": entry,
-                        "priority": priority,
-                        "tag": tag,
-                        "forward": forward,
-                        "skip": skip,
-                        "max_distance": max_distance,
-                        "previous": list(previous),
-                    },
-                )
-            except ExpansionLost:
-                # the subtree behind this entry is unreachable: keep going
-                # on the surviving shards, flag the stream truncated
-                stats.mark_truncated()
-                continue
-            stats.absorb_expansion(delta)
-            if outcome is None:
-                stats.entries_dropped += 1
-                continue
-            stats.meta_document_visits += 1
-            emit, link_pushes = outcome
-
-            for result in emit:
-                stats.results_returned += 1
-                if exact_order:
-                    counter += 1
-                    heapq.heappush(buffer, (result.distance, counter, result))
-                else:
-                    yield result
-
-            previous.append(entry)
-            for local_distance, neighbour in link_pushes:
-                push_priority = priority + local_distance + 1
-                if frontier is not None and not frontier.admit_push(
-                    neighbour, push_priority
-                ):
-                    stats.planner_pruned_pushes += 1
-                    continue
-                stats.link_traversals += 1
-                counter += 1
-                if rank_map is None:
-                    heapq.heappush(heap, (push_priority, counter, neighbour))
-                else:
-                    heapq.heappush(
-                        heap,
-                        (
-                            push_priority,
-                            rank_map.get(
-                                self._map.meta_of(neighbour), default_rank
-                            ),
-                            counter,
-                            neighbour,
-                        ),
-                    )
-
-        while buffer:
-            yield heapq.heappop(buffer)[2]
-
-    # ------------------------------------------------------------------
-    # connection tests
-    # ------------------------------------------------------------------
     def connection_test(
         self,
         source: NodeId,
@@ -213,74 +117,13 @@ class DistributedEvaluator:
         stats: QueryStats,
         budget: Optional[QueryBudget] = None,
     ) -> Optional[int]:
-        """The distributed ``_connection_test`` (same traversal order)."""
-        entries: Dict[int, List[NodeId]] = {}
-        heap: List[Tuple[int, int, NodeId]] = [(0, 0, source)]
-        counter = 1
-        self._map.meta_of(source)
-        frontier = (
-            self._planner.frontier() if self._planner is not None else None
+        probe = self._expander(
+            self._probe_rpc, stats, target=target,
+            target_meta=self._map.meta_of(target), max_distance=max_distance,
         )
-        if frontier is not None:
-            frontier.admit_push(source, 0)
-        target_meta = self._map.meta_of(target)
-        deadline = None
-        if budget is not None and budget.deadline_seconds is not None:
-            deadline = time.monotonic() + budget.deadline_seconds
-
-        while heap:
-            if budget is not None and _budget_exhausted(budget, deadline, stats):
-                stats.mark_truncated()
-                return None
-            priority, _, entry = heapq.heappop(heap)
-            stats.queue_pops += 1
-            if max_distance is not None and priority > max_distance:
-                return None
-            if frontier is not None and not frontier.admit_pop(entry):
-                stats.entries_dropped += 1
-                stats.planner_pruned_pops += 1
-                continue
-            meta_id = self._map.meta_of(entry)
-            previous = entries.setdefault(meta_id, [])
-            try:
-                outcome, delta = self._probe_rpc(
-                    meta_id,
-                    {
-                        "meta_id": meta_id,
-                        "entry": entry,
-                        "priority": priority,
-                        "target": target,
-                        "target_meta": target_meta,
-                        "max_distance": max_distance,
-                        "previous": list(previous),
-                    },
-                )
-            except ExpansionLost:
-                stats.mark_truncated()
-                continue
-            stats.absorb_expansion(delta)
-            if outcome is None:
-                stats.entries_dropped += 1
-                continue
-            stats.meta_document_visits += 1
-            found, link_pushes = outcome
-            if found is not None:
-                stats.results_returned = 1
-                return found
-            previous.append(entry)
-            for local_distance, out_target in link_pushes:
-                push_priority = priority + local_distance + 1
-                if frontier is not None and not frontier.admit_push(
-                    out_target, push_priority
-                ):
-                    stats.planner_pruned_pushes += 1
-                    continue
-                stats.link_traversals += 1
-                counter += 1
-                heapq.heappush(
-                    heap, (push_priority, counter, out_target)
-                )
-        return None
+        return first_connection(
+            source, self._map.meta_of, probe, stats, max_distance, budget
+        )
 
     def connection_test_bidirectional(
         self,
@@ -290,62 +133,16 @@ class DistributedEvaluator:
         stats: QueryStats,
         budget: Optional[QueryBudget] = None,
     ) -> Optional[int]:
-        """Alternating forward/backward search, as the serial §5.2
-        optimization — both sub-searches share this query's stats."""
-        forward = self.search(
-            [source], None, max_distance, True, (), stats, budget=budget,
-            tag_rankable=False,
+        """Both sub-searches share this query's stats."""
+        return meet_in_the_middle(
+            self.search(
+                [source], None, max_distance, True, (), stats, budget=budget
+            ),
+            self.search(
+                [target], None, max_distance, False, (), stats, budget=budget
+            ),
+            max_distance,
         )
-        backward = self.search(
-            [target], None, max_distance, False, (), stats, budget=budget,
-            tag_rankable=False,
-        )
-        try:
-            seen_forward: Dict[NodeId, int] = {}
-            seen_backward: Dict[NodeId, int] = {}
-            streams = [(forward, seen_forward, seen_backward),
-                       (backward, seen_backward, seen_forward)]
-            active = [True, True]
-            best: Optional[int] = None
-            while any(active):
-                for side, (stream, mine, theirs) in enumerate(streams):
-                    if not active[side]:
-                        continue
-                    try:
-                        result = next(stream)
-                    except StopIteration:
-                        active[side] = False
-                        continue
-                    node, distance = result.node, result.distance
-                    if node not in mine or distance < mine[node]:
-                        mine[node] = distance
-                    if node in theirs:
-                        candidate = distance + theirs[node]
-                        if max_distance is None or candidate <= max_distance:
-                            if best is None or candidate < best:
-                                best = candidate
-                                return best
-            return best
-        finally:
-            forward.close()
-            backward.close()
-
-
-def _budget_exhausted(
-    budget: QueryBudget, deadline: Optional[float], stats: QueryStats
-) -> bool:
-    """Same predicate as the serial evaluator's budget check."""
-    if (
-        budget.max_queue_pops is not None
-        and stats.queue_pops >= budget.max_queue_pops
-    ):
-        return True
-    if (
-        budget.max_link_hops is not None
-        and stats.link_traversals >= budget.max_link_hops
-    ):
-        return True
-    return deadline is not None and time.monotonic() >= deadline
 
 
 __all__ = ["DistributedEvaluator", "ExpansionLost"]

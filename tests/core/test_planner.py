@@ -1,10 +1,10 @@
-"""Cost-based probe planner (``repro.core.planner``, ``docs/PLANNING.md``).
+"""Probe pruning, ordering and EXPLAIN (``repro.core.planner``,
+``docs/PLANNING.md``).
 
-The headline invariant: for every query kind, the planner-driven loop
-returns *byte-identical* responses to the paper's fixed probe discipline
-— same results in the same order, same value, completeness stays
-``complete`` — while pruning provably covered work.  The opt-in
-``order="cost"`` mode relaxes only the stream order (node-set identity).
+The Figure-4 loop always prunes exact duplicates through its
+``ProbeFrontier`` (that its answers equal plain BFS is the property in
+``tests/core/test_pee_properties.py``); the one option, ``order="cost"``,
+relaxes only the stream order (node-set identity).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import warnings
 import pytest
 
 from repro.core.api import QueryRequest
-from repro.core.config import FlixConfig, PlannerConfig, apply_planner_env
+from repro.core.config import FlixConfig, PlannerConfig
 from repro.core.framework import Flix
 from repro.core.planner import (
     LayoutStatistics,
@@ -30,8 +30,8 @@ from repro.datasets.dblp import DblpSpec, generate_dblp
 def linked():
     """A citation-heavy DBLP collection under the naive configuration:
     one meta document per document, so queries cross many residual links
-    and §5.1 coverage drops plenty of duplicate heap entries — exactly
-    the work the planner's frontier must prune without changing a byte.
+    and converging links re-discover plenty of entries — exactly the
+    work the loop's frontier must prune without changing a byte.
     """
     collection = generate_dblp(
         DblpSpec(documents=40, mean_citations=6.0, citation_skew=0.9, seed=11)
@@ -43,8 +43,7 @@ def linked():
 
     fx = Fixture()
     fx.collection = collection
-    fx.off = Flix.build(collection, base)
-    fx.on = Flix.build(collection, base.with_planner())
+    fx.on = Flix.build(collection, base)
     fx.cost = Flix.build(
         collection, base.with_planner(PlannerConfig(order="cost"))
     )
@@ -114,8 +113,19 @@ class TestProbeFrontier:
 
 class TestPlannerConfig:
     def test_round_trip(self):
-        config = PlannerConfig(prune=False, order="cost", rounds=4)
+        config = PlannerConfig(order="cost", rounds=4)
         assert PlannerConfig.from_dict(config.to_dict()) == config
+
+    def test_retired_keys_ignored(self):
+        # manifests written before pruning became the loop carry these
+        old = {"prune": False, "order": "cost", "statistics": False, "rounds": 4}
+        assert PlannerConfig.from_dict(old) == PlannerConfig("cost", 4)
+
+    def test_every_config_carries_one(self):
+        base = FlixConfig.naive()
+        assert base.planner == PlannerConfig()
+        assert base.with_planner(order="cost").planner.order == "cost"
+        assert base.with_planner(order="cost").with_planner() == base
 
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError):
@@ -124,29 +134,6 @@ class TestPlannerConfig:
     def test_rounds_validated(self):
         with pytest.raises(ValueError):
             PlannerConfig(rounds=0)
-
-    def test_with_without_planner(self):
-        base = FlixConfig.naive()
-        assert base.planner is None
-        on = base.with_planner()
-        assert on.planner == PlannerConfig()
-        assert on.without_planner().planner is None
-
-    def test_env_override(self, monkeypatch):
-        base = FlixConfig.naive()
-        monkeypatch.delenv("FLIX_PLANNER", raising=False)
-        assert apply_planner_env(base).planner is None
-        monkeypatch.setenv("FLIX_PLANNER", "1")
-        assert apply_planner_env(base).planner is not None
-        assert apply_planner_env(base.with_planner()).planner is not None
-        monkeypatch.setenv("FLIX_PLANNER", "0")
-        assert apply_planner_env(base.with_planner()).planner is None
-        assert apply_planner_env(base).planner is None
-
-    def test_env_applies_to_build(self, monkeypatch, linked):
-        monkeypatch.setenv("FLIX_PLANNER", "0")
-        flix = Flix.build(linked.collection, FlixConfig.naive().with_planner())
-        assert flix.config.planner is None
 
 
 class TestStatistics:
@@ -177,65 +164,52 @@ class TestStatistics:
             assert 0.0 <= meta.estimated_matches(tag) <= float(meta.nodes)
         assert meta.estimated_matches("no-such-tag") >= 0.0
 
-    def test_available_with_planner_off(self, linked):
-        # EXPLAIN on an unconfigured instance still needs the estimates
-        stats = linked.off.planner_statistics()
-        assert stats is not None and stats.metas
+    def test_collected_only_when_something_reads_them(self, linked):
+        start = linked.collection.document_root(
+            sorted(linked.collection.documents)[0]
+        )
+        request = QueryRequest.descendants(start, tag="author")
+        fifo = Flix.build(linked.collection, FlixConfig.naive())
+        fifo.query(request)
+        assert fifo._planner_stats is None  # FIFO queries never rank
+        fifo.explain(request)
+        assert fifo._planner_stats is not None  # EXPLAIN asked
+        cost = Flix.build(
+            linked.collection, FlixConfig.naive().with_planner(order="cost")
+        )
+        assert cost._planner_stats is None  # nothing at build time
+        cost.query(request)
+        assert cost._planner_stats is not None  # cost order ranked
 
 
-class TestParity:
-    def test_all_kinds_byte_identical(self, linked):
-        for name, request in _all_kind_requests(linked.collection):
-            off = linked.off.query(request)
-            on = linked.on.query(request)
-            assert _signature(off) == _signature(on), name
-            assert on.stats.completeness == "complete", name
-
+class TestOrdering:
     def test_cost_order_same_node_sets(self, linked):
         for name, request in _all_kind_requests(linked.collection):
-            off = linked.off.query(request)
+            fifo = linked.on.query(request)
             cost = linked.cost.query(request)
-            assert _node_set(off) == _node_set(cost), name
+            assert _node_set(fifo) == _node_set(cost), name
             assert cost.stats.completeness == "complete", name
-            assert off.value == cost.value, name
+            assert fifo.value == cost.value, name
 
     def test_exact_order_never_reordered(self, linked):
         start = linked.collection.document_root(
             sorted(linked.collection.documents)[0]
         )
         request = QueryRequest.descendants(start, exact_order=True)
-        assert _signature(linked.off.query(request)) == _signature(
+        assert _signature(linked.on.query(request)) == _signature(
             linked.cost.query(request)
         )
 
     def test_pruning_fires_on_linked_layout(self, linked):
         author = sorted(linked.collection.nodes_with_tag("author"))[0]
-        off = linked.off.query(QueryRequest.ancestors(author))
-        on = linked.on.query(QueryRequest.ancestors(author))
-        pruned = (
-            on.stats.planner_pruned_pops + on.stats.planner_pruned_pushes
-        )
-        assert pruned > 0
-        assert on.stats.queue_pops < off.stats.queue_pops
-        assert off.stats.planner_pruned_pops == 0
-        assert off.stats.planner_pruned_pushes == 0
+        stats = linked.on.query(QueryRequest.ancestors(author)).stats
+        assert stats.planner_pruned_pops + stats.planner_pruned_pushes > 0
+        assert stats.planner_pruned_pops <= stats.entries_dropped
 
     def test_index_fingerprints_identical(self, linked):
-        # the planner is a query-time layer: the built indexes, and so
-        # the fingerprint, must not depend on it
-        assert linked.off.index_fingerprint() == linked.on.index_fingerprint()
-
-    def test_limits_and_budgets_keep_parity(self, linked):
-        start = linked.collection.document_root(
-            sorted(linked.collection.documents)[0]
-        )
-        for request in (
-            QueryRequest.descendants(start, limit=5),
-            QueryRequest.descendants(start, max_distance=2),
-        ):
-            assert _signature(linked.off.query(request)) == _signature(
-                linked.on.query(request)
-            )
+        # ordering is a query-time layer: the built indexes, and so the
+        # fingerprint, must not depend on it
+        assert linked.on.index_fingerprint() == linked.cost.index_fingerprint()
 
 
 class TestExplain:
@@ -250,13 +224,6 @@ class TestExplain:
         assert plan.probes
         ranks = [probe.rank for probe in plan.probes]
         assert ranks == sorted(ranks)
-
-    def test_fixed_mode_when_planner_off(self, linked):
-        start = linked.collection.document_root(
-            sorted(linked.collection.documents)[0]
-        )
-        plan = linked.off.explain(QueryRequest.descendants(start))
-        assert plan.mode == "fixed"
 
     def test_direct_mode_for_graph_kinds(self, linked):
         start = linked.collection.document_root(
@@ -320,11 +287,11 @@ class TestExplain:
 class TestSidecarPersistence:
     def test_sidecar_saved_and_loaded(self, linked, tmp_path):
         index_dir = tmp_path / "index"
-        linked.on.save(index_dir)
+        linked.cost.save(index_dir)
         sidecar = index_dir / "planner_stats.json"
         assert sidecar.is_file()
         loaded = Flix.load(linked.collection, index_dir)
-        assert loaded.config.planner is not None
+        assert loaded.config.planner == PlannerConfig(order="cost")
         # the sidecar primed the memo: no recollection on first use
         assert loaded._planner_stats is not None
         assert loaded._planner_stats[0] == loaded.layout_generation
@@ -333,17 +300,20 @@ class TestSidecarPersistence:
         )
         request = QueryRequest.descendants(start)
         assert _signature(loaded.query(request)) == _signature(
-            linked.off.query(request)
+            linked.cost.query(request)
         )
 
-    def test_no_sidecar_without_planner(self, linked, tmp_path):
+    def test_no_sidecar_unless_cost_order(self, linked, tmp_path):
         index_dir = tmp_path / "index"
-        linked.off.save(index_dir)
+        linked.cost.save(index_dir)
+        assert (index_dir / "planner_stats.json").is_file()
+        # a FIFO save over it removes the now-stale sidecar
+        linked.on.save(index_dir)
         assert not (index_dir / "planner_stats.json").is_file()
 
     def test_stale_sidecar_ignored(self, linked, tmp_path):
         index_dir = tmp_path / "index"
-        linked.on.save(index_dir)
+        linked.cost.save(index_dir)
         sidecar = index_dir / "planner_stats.json"
         stats = LayoutStatistics.from_json(sidecar.read_text())
         import dataclasses
@@ -355,15 +325,15 @@ class TestSidecarPersistence:
 
     def test_corrupt_sidecar_is_advisory(self, linked, tmp_path):
         index_dir = tmp_path / "index"
-        linked.on.save(index_dir)
+        linked.cost.save(index_dir)
         (index_dir / "planner_stats.json").write_text("{not json")
         loaded = Flix.load(linked.collection, index_dir)
-        assert loaded.config.planner is not None
         start = linked.collection.document_root(
             sorted(linked.collection.documents)[0]
         )
-        assert _signature(loaded.query(QueryRequest.descendants(start))) == (
-            _signature(linked.off.query(QueryRequest.descendants(start)))
+        request = QueryRequest.descendants(start)
+        assert _node_set(loaded.query(request)) == _node_set(
+            linked.on.query(request)
         )
 
     def test_manifest_round_trips_planner_config(self, linked, tmp_path):
@@ -371,6 +341,30 @@ class TestSidecarPersistence:
         linked.cost.save(index_dir)
         loaded = Flix.load(linked.collection, index_dir)
         assert loaded.config.planner == PlannerConfig(order="cost")
+
+    @pytest.mark.parametrize(
+        "saved", [None, {"prune": False, "statistics": True, "order": "fifo"}]
+    )
+    def test_manifests_of_retired_planner_states_load(
+        self, linked, tmp_path, saved
+    ):
+        import json
+
+        index_dir = tmp_path / "index"
+        linked.on.save(index_dir)
+        manifest_path = index_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["planner"] = saved
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = Flix.load(linked.collection, index_dir)
+        assert loaded.config.planner == PlannerConfig()
+        start = linked.collection.document_root(
+            sorted(linked.collection.documents)[0]
+        )
+        request = QueryRequest.descendants(start)
+        assert _signature(loaded.query(request)) == _signature(
+            linked.on.query(request)
+        )
 
 
 class TestPlannerObject:
@@ -380,22 +374,15 @@ class TestPlannerObject:
 
         planner = ProbePlanner(PlannerConfig(), statistics=exploding)
         assert planner.statistics() is None
-        assert planner.prunes
 
     def test_fifo_planner_does_not_reorder(self):
-        planner = ProbePlanner(PlannerConfig())
-        assert planner.prunes and not planner.reorders
+        assert not ProbePlanner(PlannerConfig()).reorders
         assert ProbePlanner(PlannerConfig(order="cost")).reorders
-
-    def test_frontier_disabled_without_prune(self):
-        planner = ProbePlanner(PlannerConfig(prune=False))
-        assert planner.frontier() is None
-        assert ProbePlanner(PlannerConfig()).frontier() is not None
 
 
 class TestDeprecatedShims:
     def test_all_legacy_shims_warn(self, linked):
-        flix = linked.off
+        flix = linked.on
         collection = linked.collection
         start = collection.document_root(sorted(collection.documents)[0])
         title = sorted(collection.nodes_with_tag("title"))[0]
@@ -419,7 +406,7 @@ class TestDeprecatedShims:
 
     def test_shim_results_match_query(self, linked):
         # deprecated does not mean broken: the shims stay thin wrappers
-        flix = linked.off
+        flix = linked.on
         start = linked.collection.document_root(
             sorted(linked.collection.documents)[0]
         )

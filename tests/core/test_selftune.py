@@ -171,55 +171,3 @@ class TestWorkloadProfile:
             biased._config.hopi_pairs_per_node_budget
             == config.hopi_pairs_per_node_budget * 2
         )
-
-
-class TestReplanAdvice:
-    def make_monitor(self, dropped, pops=20):
-        monitor = QueryLoadMonitor()
-        for _ in range(30):
-            monitor.record(
-                QueryStats(
-                    meta_document_visits=1,
-                    queue_pops=pops,
-                    entries_dropped=dropped,
-                    results_returned=1,
-                )
-            )
-        return monitor
-
-    def test_duplicate_heavy_load_recommends_planner(self):
-        monitor = self.make_monitor(dropped=10)
-        advice = monitor.advice(FlixConfig.naive())
-        assert advice.should_replan
-        assert "with_planner" in advice.replan_reason
-        assert advice.recommended_config is not None
-        assert advice.recommended_config.planner is not None
-
-    def test_no_replan_when_planner_already_on(self):
-        monitor = self.make_monitor(dropped=10)
-        advice = monitor.advice(FlixConfig.naive().with_planner())
-        assert not advice.should_replan
-
-    def test_no_replan_below_threshold(self):
-        monitor = self.make_monitor(dropped=2)
-        advice = monitor.advice(FlixConfig.naive())
-        assert not advice.should_replan
-        assert advice.replan_reason == ""
-
-    def test_replan_composes_with_rebuild_advice(self):
-        monitor = QueryLoadMonitor()
-        for _ in range(30):
-            monitor.record(
-                QueryStats(
-                    meta_document_visits=1,
-                    link_traversals=50,
-                    queue_pops=20,
-                    entries_dropped=10,
-                    results_returned=1,
-                )
-            )
-        advice = monitor.advice(FlixConfig.unconnected_hopi(1000))
-        assert advice.should_rebuild and advice.should_replan
-        # the replanned recommendation layers onto the rebuild one
-        assert advice.recommended_config.planner is not None
-        assert advice.recommended_config.partition_size >= 4000

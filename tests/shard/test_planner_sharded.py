@@ -1,53 +1,21 @@
-"""Planner parity across the sharded deployment (``docs/PLANNING.md``).
+"""Pruning and EXPLAIN across the sharded deployment (``docs/PLANNING.md``).
 
-The serial invariant carries over unchanged: a coordinator answering
-over a planner-enabled saved index must stay byte-identical to the
-planner-*off* serial baseline for every query kind, in both
-``delegate`` and ``distributed`` cross-shard modes.  The CI chaos job
-re-runs this file under ``FAULT_PLAN=moderate``, which is exactly the
-ISSUE's chaos-parity requirement (transient faults are retried by the
-resilient backend, so determinism holds).
+Byte-identity of sharded answers to serial ones is
+``test_coordinator.py``'s subject; this file checks that the loop's
+frontier does prune when its expansions are remote, and the EXPLAIN
+surface over the coordinator and the HTTP front door.
 """
 
 from __future__ import annotations
 
 import json
 import urllib.request
-from types import SimpleNamespace
 
-import pytest
-
-from repro.collection.io import save_collection
 from repro.core.api import QueryRequest
-from repro.core.config import FlixConfig
-from repro.core.framework import Flix
 from repro.core.planner import QueryPlan
-from repro.datasets.dblp import DblpSpec, generate_dblp
 from repro.shard.http import FrontDoor
 
 from tests.shard.conftest import in_process_cluster
-
-
-@pytest.fixture(scope="module")
-def planned_deployment(tmp_path_factory):
-    """A saved packed + planner-enabled index, and the planner-off
-    serial baseline built over the same collection."""
-    base = tmp_path_factory.mktemp("planner-deployment")
-    collection = generate_dblp(DblpSpec(documents=6, seed=7))
-    config = FlixConfig.naive().with_packed()
-    baseline = Flix.build(collection, config)
-    flix = Flix.build(collection, config.with_planner())
-    collection_dir = base / "collection"
-    index_dir = base / "index"
-    save_collection(collection, collection_dir)
-    flix.save(index_dir)
-    return SimpleNamespace(
-        collection=collection,
-        flix=flix,
-        baseline=baseline,
-        collection_dir=collection_dir,
-        index_dir=index_dir,
-    )
 
 
 def _all_kind_requests(collection):
@@ -67,39 +35,13 @@ def _all_kind_requests(collection):
     ]
 
 
-def _signature(response):
-    return (
-        [repr(row) for row in response.results],
-        response.value,
-        response.stats.completeness,
-    )
-
-
-class TestShardedParity:
-    @pytest.mark.parametrize("mode", ["delegate", "distributed"])
-    def test_all_kinds_identical_to_unplanned_serial(
-        self, planned_deployment, mode
-    ):
-        requests = _all_kind_requests(planned_deployment.collection)
-        serial = {
-            name: planned_deployment.baseline.query(request)
-            for name, request in requests
-        }
+class TestShardedPruning:
+    def test_distributed_loop_prunes(self, deployment):
+        # the coordinator runs the same loop, so the same frontier; on a
+        # linked layout it must report pruned work in the stats
+        requests = _all_kind_requests(deployment.collection)
         with in_process_cluster(
-            planned_deployment, 3, cross_shard=mode
-        ) as (coordinator, _workers):
-            for name, request in requests:
-                response = coordinator.query(request)
-                assert _signature(response) == _signature(serial[name]), (
-                    mode, name,
-                )
-
-    def test_distributed_loop_prunes(self, planned_deployment):
-        # the coordinator-side Figure-4 loop runs the same frontier; on
-        # a linked layout it must report pruned work in the stats
-        requests = _all_kind_requests(planned_deployment.collection)
-        with in_process_cluster(
-            planned_deployment, 3, cross_shard="distributed"
+            deployment, 3, cross_shard="distributed"
         ) as (coordinator, _workers):
             pruned = 0
             for _name, request in requests:
@@ -111,11 +53,11 @@ class TestShardedParity:
 
 
 class TestShardedExplain:
-    def test_coordinator_explain(self, planned_deployment):
-        start = planned_deployment.collection.document_root(
-            sorted(planned_deployment.collection.documents)[0]
+    def test_coordinator_explain(self, deployment):
+        start = deployment.collection.document_root(
+            sorted(deployment.collection.documents)[0]
         )
-        with in_process_cluster(planned_deployment, 2) as (coordinator, _):
+        with in_process_cluster(deployment, 2) as (coordinator, _):
             plan = coordinator.explain(
                 QueryRequest.descendants(start, tag="author")
             )
@@ -123,22 +65,22 @@ class TestShardedExplain:
             assert plan.mode == "planned"
             assert plan.probes
 
-    def test_query_with_explain_stamps_plan(self, planned_deployment):
-        start = planned_deployment.collection.document_root(
-            sorted(planned_deployment.collection.documents)[0]
+    def test_query_with_explain_stamps_plan(self, deployment):
+        start = deployment.collection.document_root(
+            sorted(deployment.collection.documents)[0]
         )
-        with in_process_cluster(planned_deployment, 2) as (coordinator, _):
+        with in_process_cluster(deployment, 2) as (coordinator, _):
             response = coordinator.query(
                 QueryRequest.descendants(start).with_explain()
             )
             assert response.plan is not None
             assert response.plan.kind == "descendants"
 
-    def test_http_explain_route(self, planned_deployment):
-        start = planned_deployment.collection.document_root(
-            sorted(planned_deployment.collection.documents)[0]
+    def test_http_explain_route(self, deployment):
+        start = deployment.collection.document_root(
+            sorted(deployment.collection.documents)[0]
         )
-        with in_process_cluster(planned_deployment, 2) as (coordinator, _):
+        with in_process_cluster(deployment, 2) as (coordinator, _):
             with FrontDoor(coordinator) as door:
                 host, port = door.start()
                 body = json.dumps(
@@ -154,11 +96,11 @@ class TestShardedExplain:
                 plan = QueryPlan.from_dict(payload)
                 assert plan.mode == "planned"
 
-    def test_http_query_with_explain_flag(self, planned_deployment):
-        start = planned_deployment.collection.document_root(
-            sorted(planned_deployment.collection.documents)[0]
+    def test_http_query_with_explain_flag(self, deployment):
+        start = deployment.collection.document_root(
+            sorted(deployment.collection.documents)[0]
         )
-        with in_process_cluster(planned_deployment, 2) as (coordinator, _):
+        with in_process_cluster(deployment, 2) as (coordinator, _):
             with FrontDoor(coordinator) as door:
                 host, port = door.start()
                 body = json.dumps(
@@ -174,15 +116,3 @@ class TestShardedExplain:
                 assert payload["plan"] is not None
                 assert payload["plan"]["kind"] == "descendants"
                 assert payload["completeness"] == "complete"
-
-    def test_env_override_disables_coordinator_planner(
-        self, planned_deployment, monkeypatch
-    ):
-        monkeypatch.setenv("FLIX_PLANNER", "0")
-        start = planned_deployment.collection.document_root(
-            sorted(planned_deployment.collection.documents)[0]
-        )
-        with in_process_cluster(planned_deployment, 2) as (coordinator, _):
-            plan = coordinator.explain(QueryRequest.descendants(start))
-            assert plan is not None
-            assert plan.mode == "fixed"

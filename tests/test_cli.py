@@ -341,22 +341,17 @@ class TestDurabilityCommands:
 class TestExplain:
     def test_table_output(self, movie_dir, capsys):
         assert main(
-            ["explain", movie_dir, "matrix3.xml", "actor", "--planner"]
+            ["explain", movie_dir, "matrix3.xml", "actor"]
         ) == 0
         out = capsys.readouterr().out
         assert "mode=planned" in out
         assert "est.matches" in out
 
-    def test_fixed_mode_without_planner(self, movie_dir, capsys):
-        assert main(["explain", movie_dir, "matrix3.xml", "actor"]) == 0
-        out = capsys.readouterr().out
-        assert "mode=fixed" in out
-
     def test_json_output(self, movie_dir, capsys):
         import json
 
         assert main(
-            ["explain", movie_dir, "matrix3.xml", "*", "--planner", "--json"]
+            ["explain", movie_dir, "matrix3.xml", "*", "--json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "planned"
@@ -367,7 +362,7 @@ class TestExplain:
         index_dir = str(tmp_path / "index")
         assert main(
             ["explain", movie_dir, "matrix3.xml", "actor",
-             "--planner", "--index-dir", index_dir]
+             "--index-dir", index_dir]
         ) == 0
         assert "built and saved" in capsys.readouterr().out
         assert main(
@@ -376,5 +371,4 @@ class TestExplain:
         ) == 0
         out = capsys.readouterr().out
         assert "loaded persisted index" in out
-        # the saved manifest carries the planner config
         assert "mode=planned" in out

@@ -25,17 +25,6 @@ The payload kind is detected from its keys:
 * ``fsync_batching_speedup``  >= 0.8  (group commit never regresses
   below per-record fsync beyond measurement noise)
 
-``BENCH_planner.json`` (``benchmarks/bench_planner.py``):
-
-* ``workloads.skewed.p95_ratio``   <= 0.9  (the planner must cut p95 by
-  at least 10% on the Zipf hub-heavy workload it exists for)
-* ``workloads.uniform.p95_ratio``  <= 1.1  (its bookkeeping may not
-  regress a uniform workload beyond measurement noise)
-* ``workloads.*.parity``  true  and  ``fingerprint_match``  true
-  (planned answers and built indexes are identical to the fixed
-  discipline's — a faster wrong answer is a bug, not a win)
-* ``workloads.skewed.planned.pruned_probes``  > 0
-
 Run from the repository root::
 
     python tools/check_bench_regression.py [path/to/BENCH_file.json ...]
@@ -54,8 +43,6 @@ COLD_ATTACH_FLOOR = 10.0
 PER_OP_FLOOR = 0.8
 REPLAY_RATE_FLOOR = 50.0
 BATCHING_FLOOR = 0.8
-SKEWED_P95_RATIO_CEILING = 0.9
-UNIFORM_P95_RATIO_CEILING = 1.1
 
 
 def check(payload: dict) -> list:
@@ -134,52 +121,6 @@ def check_durability(payload: dict) -> list:
     return failures
 
 
-def check_planner(payload: dict) -> list:
-    """The floor violations in a probe-planner payload."""
-    failures = []
-
-    def require(condition: bool, message: str) -> None:
-        if not condition:
-            failures.append(message)
-
-    workloads = payload.get("workloads", {})
-    skewed = workloads.get("skewed", {})
-    uniform = workloads.get("uniform", {})
-    for name, workload in (("skewed", skewed), ("uniform", uniform)):
-        require(
-            workload.get("parity") is True,
-            f"workloads.{name}.parity must be true (planned answers must "
-            "be byte-identical to the fixed discipline's)",
-        )
-    require(
-        payload.get("fingerprint_match") is True,
-        "fingerprint_match must be true (the planner is a query-time "
-        "layer; the built indexes may not differ)",
-    )
-    skewed_ratio = skewed.get("p95_ratio")
-    require(
-        isinstance(skewed_ratio, (int, float))
-        and skewed_ratio <= SKEWED_P95_RATIO_CEILING,
-        f"workloads.skewed.p95_ratio {skewed_ratio!r} > "
-        f"{SKEWED_P95_RATIO_CEILING} (the planner must cut skewed p95 "
-        "by at least 10%)",
-    )
-    uniform_ratio = uniform.get("p95_ratio")
-    require(
-        isinstance(uniform_ratio, (int, float))
-        and uniform_ratio <= UNIFORM_P95_RATIO_CEILING,
-        f"workloads.uniform.p95_ratio {uniform_ratio!r} > "
-        f"{UNIFORM_P95_RATIO_CEILING} (planner bookkeeping regressed a "
-        "uniform workload)",
-    )
-    pruned = skewed.get("planned", {}).get("pruned_probes")
-    require(
-        isinstance(pruned, int) and pruned > 0,
-        f"workloads.skewed.planned.pruned_probes {pruned!r} must be > 0",
-    )
-    return failures
-
-
 def _check_file(path: Path) -> int:
     if not path.is_file():
         print(f"check_bench_regression: {path} not found", file=sys.stderr)
@@ -189,17 +130,7 @@ def _check_file(path: Path) -> int:
     except ValueError as exc:
         print(f"check_bench_regression: {path} is not JSON: {exc}", file=sys.stderr)
         return 1
-    if "planner" in payload and "workloads" in payload:
-        failures = check_planner(payload)
-        workloads = payload.get("workloads", {})
-        summary = (
-            f"{path.name}: skewed p95 ratio "
-            f"{workloads.get('skewed', {}).get('p95_ratio', float('nan')):.2f}, "
-            f"uniform "
-            f"{workloads.get('uniform', {}).get('p95_ratio', float('nan')):.2f}, "
-            f"parity {workloads.get('skewed', {}).get('parity')}"
-        )
-    elif "recovery" in payload and "fsync_policies" in payload:
+    if "recovery" in payload and "fsync_policies" in payload:
         failures = check_durability(payload)
         summary = (
             f"{path.name}: replay "
@@ -234,7 +165,6 @@ def main(argv: list) -> int:
         else [
             REPO_ROOT / "BENCH_microops.json",
             REPO_ROOT / "BENCH_durability.json",
-            REPO_ROOT / "BENCH_planner.json",
         ]
     )
     status = 0
