@@ -20,6 +20,7 @@ import pytest
 
 from repro.bench.reporting import BenchTable
 from repro.collection.stats import collect_statistics
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.datasets.synthetic import SyntheticSpec, generate_synthetic_collection
@@ -56,7 +57,7 @@ def test_config_on_density(benchmark, config_name, density):
     start = collection.document_root(sorted(collection.documents)[0])
 
     def run():
-        return list(flix.find_descendants(start))
+        return list(flix.query_stream(QueryRequest.descendants(start)))
 
     results = benchmark.pedantic(run, rounds=3, iterations=1)
     _RESULTS[(config_name, density)] = {

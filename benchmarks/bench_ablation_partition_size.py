@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.reporting import BenchTable
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 
@@ -28,7 +29,7 @@ def test_partition_size(benchmark, dblp_collection, fig5, fraction):
     start, tag = fig5
 
     def run():
-        return list(flix.find_descendants(start, tag=tag))
+        return list(flix.query_stream(QueryRequest.descendants(start, tag=tag)))
 
     results = benchmark.pedantic(run, rounds=3, iterations=1)
     assert results

@@ -15,6 +15,7 @@ import pytest
 
 from repro.bench.reporting import BenchTable
 from repro.collection.builder import build_collection
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.core.subcollections import build_auto_partitioned
@@ -49,7 +50,7 @@ def probe(heterogeneous_collection):
 
 def _measure(benchmark, name, flix, probe):
     def run():
-        return list(flix.find_descendants(probe))
+        return list(flix.query_stream(QueryRequest.descendants(probe)))
 
     benchmark.pedantic(run, rounds=3, iterations=1)
     _RESULTS[name] = {

@@ -16,6 +16,7 @@ import pytest
 
 from repro.bench.reporting import BenchTable
 from repro.bench.workloads import connection_pairs
+from repro.core.api import QueryRequest
 
 _COSTS = {}
 
@@ -32,7 +33,9 @@ def test_connection_tests(benchmark, systems, oracle, pairs, index):
     def run():
         answers = []
         for source, target, _expected in pairs:
-            answers.append(system.flix.connection_test(source, target, max_distance=50))
+            answers.append(system.flix.query(
+                QueryRequest.test(source, target, max_distance=50)
+            ).value)
         return answers
 
     answers = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -57,7 +60,7 @@ def test_connection_tests_cheaper_than_enumeration(benchmark, systems, fig5):
     hopi = next(s for s in systems if s.name == "HOPI").flix
 
     def full_enumeration():
-        return list(hopi.find_descendants(start, tag=tag))
+        return list(hopi.query_stream(QueryRequest.descendants(start, tag=tag)))
 
     began = time.perf_counter()
     full_enumeration()
@@ -75,8 +78,11 @@ def test_bidirectional_connection_tests(benchmark, systems, oracle, pairs):
         answers = []
         for source, target, _expected in pairs:
             answers.append(
-                flix.connection_test(source, target, max_distance=50,
-                                     bidirectional=True)
+                flix.query(
+                    QueryRequest.test(
+                        source, target, max_distance=50, bidirectional=True
+                    )
+                ).value
             )
         return answers
 

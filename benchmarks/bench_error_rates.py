@@ -18,6 +18,7 @@ import pytest
 from repro.bench.harness import order_error_rate
 from repro.bench.reporting import BenchTable
 from repro.bench.workloads import random_descendant_queries
+from repro.core.api import QueryRequest
 
 PAPER_RATES = {"HOPI-5000": 0.082, "HOPI-20000": 0.104, "MaximalPPO": 0.133}
 
@@ -35,7 +36,9 @@ def test_error_rate(benchmark, systems, oracle, dblp_collection, fig5, index):
     def measure():
         rates = []
         for q_start, q_tag in queries:
-            results = list(system.flix.find_descendants(q_start, tag=q_tag))
+            results = list(system.flix.query_stream(
+                QueryRequest.descendants(q_start, tag=q_tag)
+            ))
             if results:
                 rates.append(order_error_rate(results, oracle, q_start))
         return sum(rates) / len(rates)

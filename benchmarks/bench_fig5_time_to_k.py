@@ -22,6 +22,7 @@ import pytest
 from repro.bench.harness import time_to_k
 from repro.bench.reporting import format_series
 from repro.bench.workloads import random_descendant_queries
+from repro.core.api import QueryRequest
 
 CHECKPOINTS = [1, 2, 5, 10, 20, 50, 100]
 
@@ -38,13 +39,13 @@ def test_fig5_query(benchmark, systems, fig5, index):
     system = systems[index]
     start, tag = fig5
 
+    request = QueryRequest.descendants(start, tag=tag)
+
     def run():
-        return list(system.flix.find_descendants(start, tag=tag))
+        return list(system.flix.query_stream(request))
 
     results = benchmark.pedantic(run, rounds=3, iterations=1)
-    timings = time_to_k(
-        lambda: system.flix.find_descendants(start, tag=tag), CHECKPOINTS
-    )
+    timings = time_to_k(lambda: system.flix.query_stream(request), CHECKPOINTS)
     _SERIES[system.name] = timings
     benchmark.extra_info["results"] = len(results)
     benchmark.extra_info["time_to_first_ms"] = timings[1] * 1000
@@ -90,9 +91,10 @@ def test_fig5_sweep_other_start_elements(benchmark, systems, dblp_collection):
     def run_all():
         totals = {"HOPI": 0.0, "FliX": 0.0, "FliX_first": 0.0, "HOPI_first": 0.0}
         for start, tag in queries:
-            t_hopi = time_to_k(lambda: hopi.find_descendants(start, tag=tag), [1, 50])
+            request = QueryRequest.descendants(start, tag=tag)
+            t_hopi = time_to_k(lambda: hopi.query_stream(request), [1, 50])
             t_flix = time_to_k(
-                lambda: partitioned.find_descendants(start, tag=tag), [1, 50]
+                lambda: partitioned.query_stream(request), [1, 50]
             )
             totals["HOPI"] += t_hopi[50]
             totals["FliX"] += t_flix[50]

@@ -19,7 +19,8 @@ import time
 import pytest
 
 from repro.bench.harness import order_error_rate, time_to_k
-from repro.core.config import FlixConfig
+from repro.core.api import QueryRequest
+from repro.core.config import CacheConfig, FlixConfig
 from repro.core.framework import Flix
 from repro.datasets.dblp import DblpSpec, generate_dblp, generate_dblp_documents
 from repro.indexes.hopi import HopiIndex
@@ -30,23 +31,22 @@ def test_exact_order_tradeoff(benchmark, dblp_collection, oracle, fig5):
     flix = Flix.build(dblp_collection, FlixConfig.unconnected_hopi(300))
     start, tag = fig5
 
+    approx = QueryRequest.descendants(start, tag=tag)
+    exact = QueryRequest.descendants(start, tag=tag, exact_order=True)
+
     def run_exact():
-        return list(flix.find_descendants(start, tag=tag, exact_order=True))
+        return list(flix.query_stream(exact))
 
     exact_results = benchmark.pedantic(run_exact, rounds=3, iterations=1)
-    approx_results = list(flix.find_descendants(start, tag=tag))
+    approx_results = list(flix.query_stream(approx))
 
     # same answers, zero inversions in the exact stream
     assert {r.node for r in exact_results} == {r.node for r in approx_results}
     distances = [r.distance for r in exact_results]
     assert distances == sorted(distances)
 
-    exact_first = time_to_k(
-        lambda: flix.find_descendants(start, tag=tag, exact_order=True), [1]
-    )[1]
-    approx_first = time_to_k(
-        lambda: flix.find_descendants(start, tag=tag), [1]
-    )[1]
+    exact_first = time_to_k(lambda: flix.query_stream(exact), [1])[1]
+    approx_first = time_to_k(lambda: flix.query_stream(approx), [1])[1]
     benchmark.extra_info["exact_first_ms"] = round(exact_first * 1000, 3)
     benchmark.extra_info["approx_first_ms"] = round(approx_first * 1000, 3)
     # the ordering guarantee costs the early-first-results advantage
@@ -60,15 +60,15 @@ def test_exact_order_tradeoff(benchmark, dblp_collection, oracle, fig5):
 
 def test_cache_effectiveness(benchmark, dblp_collection, fig5):
     flix = Flix.build(dblp_collection, FlixConfig.unconnected_hopi(300))
-    flix.enable_cache(maxsize=64)
+    flix.configure_cache(CacheConfig(maxsize=64, shards=1))
     start, tag = fig5
 
     cold_started = time.perf_counter()
-    cold = list(flix.find_descendants(start, tag=tag))
+    cold = list(flix.query_stream(QueryRequest.descendants(start, tag=tag)))
     cold_seconds = time.perf_counter() - cold_started
 
     def warm():
-        return list(flix.find_descendants(start, tag=tag))
+        return list(flix.query_stream(QueryRequest.descendants(start, tag=tag)))
 
     warm_results = benchmark.pedantic(warm, rounds=5, iterations=1)
     assert warm_results == cold
@@ -126,8 +126,9 @@ def test_persisted_load_vs_rebuild(benchmark, dblp_collection, tmp_path_factory)
     from repro.datasets.dblp import find_aries
 
     aries = find_aries(dblp_collection)
-    assert [r.node for r in loaded.find_descendants(aries, tag="article")] == [
-        r.node for r in flix.find_descendants(aries, tag="article")
+    request = QueryRequest.descendants(aries, tag="article")
+    assert [r.node for r in loaded.query_stream(request)] == [
+        r.node for r in flix.query_stream(request)
     ]
 
 

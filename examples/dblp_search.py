@@ -12,6 +12,7 @@ Run with::
 
 import sys
 
+from repro import QueryRequest
 from repro.bench import (
     build_all_systems,
     figure5_query,
@@ -48,9 +49,10 @@ def main() -> None:
     print(f"Figure 5 query: descendants of {title!r} with tag {tag!r}")
     checkpoints = [1, 5, 10, 50, 100]
     series = {}
+    request = QueryRequest.descendants(start, tag=tag)
     for system in systems:
         series[system.name] = time_to_k(
-            lambda: system.flix.find_descendants(start, tag=tag), checkpoints
+            lambda: system.flix.query_stream(request), checkpoints
         )
     print()
     print(format_series("seconds to k results", checkpoints, series))
@@ -59,7 +61,7 @@ def main() -> None:
     # stream the first 10 results from the best-to-first-result system
     flix = min(systems, key=lambda s: series[s.name][1]).flix
     print(f"first results from {min(series, key=lambda n: series[n][1])}:")
-    for result in flix.find_descendants(start, tag=tag, limit=10):
+    for result in flix.query_stream(QueryRequest.descendants(start, tag=tag, limit=10)):
         record = collection.element(result.node)
         record_title = record.find("title")
         print(
@@ -70,7 +72,7 @@ def main() -> None:
 
     # self-tuning: after a query burst, does FliX want a rebuild?
     for _ in range(25):
-        list(flix.find_descendants(start, tag=tag, limit=20))
+        list(flix.query_stream(QueryRequest.descendants(start, tag=tag, limit=20)))
     advice = flix.tuning_advice()
     print(f"self-tuning: rebuild={advice.should_rebuild} — {advice.reason}")
 

@@ -14,7 +14,7 @@ Run with::
 
 import time
 
-from repro import Flix, FlixConfig, XmlDocument, build_collection
+from repro import CacheConfig, QueryRequest, XmlDocument, build_collection
 from repro.core.connections import ConnectionEvaluator, ConnectionModel
 from repro.core.subcollections import build_auto_partitioned
 from repro.datasets.dblp import DblpSpec, generate_dblp_documents
@@ -44,20 +44,27 @@ def main() -> None:
     # ------------------------------------------------------------------
     heading("2. exactly sorted result streaming")
     start = collection.document_root(sorted(collection.documents)[-1])
-    approx = [r.distance for r in flix.find_descendants(start)]
-    exact = [r.distance for r in flix.find_descendants(start, exact_order=True)]
+    approx = [
+        r.distance for r in flix.query_stream(QueryRequest.descendants(start))
+    ]
+    exact = [
+        r.distance
+        for r in flix.query_stream(
+            QueryRequest.descendants(start, exact_order=True)
+        )
+    ]
     print(f"  approximate stream distances: {approx[:12]} ...")
     print(f"  exact-order stream distances: {exact[:12]} ...")
     assert exact == sorted(exact)
 
     # ------------------------------------------------------------------
     heading("3. result caching")
-    flix.enable_cache(maxsize=32)
+    flix.configure_cache(CacheConfig(maxsize=32, shards=1))
     began = time.perf_counter()
-    list(flix.find_descendants(start))
+    list(flix.query_stream(QueryRequest.descendants(start)))
     cold = time.perf_counter() - began
     began = time.perf_counter()
-    list(flix.find_descendants(start))
+    list(flix.query_stream(QueryRequest.descendants(start)))
     warm = time.perf_counter() - began
     print(f"  cold query: {cold * 1000:.3f} ms, cached repeat: {warm * 1000:.3f} ms "
           f"(hits={flix.cache_hits})")
@@ -75,8 +82,8 @@ def main() -> None:
     print(f"  added latest.xml as meta document {meta.meta_id} "
           f"({meta.strategy}) in {elapsed * 1000:.2f} ms — no rebuild")
     root = collection.document_root("latest.xml")
-    print(f"  its descendants now include "
-          f"{sum(1 for _ in flix.find_descendants(root))} elements")
+    grown = flix.query(QueryRequest.descendants(root))
+    print(f"  its descendants now include {len(grown)} elements")
 
     # ------------------------------------------------------------------
     heading("5. generalized connection models")

@@ -14,7 +14,7 @@ Run with::
 
 import time
 
-from repro import Flix, FlixConfig, collect_statistics
+from repro import Flix, FlixConfig, QueryRequest, collect_statistics
 from repro.datasets.synthetic import generate_figure1_collection
 
 
@@ -67,7 +67,7 @@ def main() -> None:
     for name in sorted(collection.documents):
         root = collection.document_root(name)
         for _ in range(3):
-            list(bad.find_descendants(root))
+            list(bad.query_stream(QueryRequest.descendants(root)))
     advice = bad.tuning_advice(link_traversal_threshold=8.0)
     print(f"self-tuning on 25-node partitions: rebuild={advice.should_rebuild}")
     print(f"  reason: {advice.reason}")

@@ -5,7 +5,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import Flix, FlixConfig, XmlDocument, build_collection
+from repro import Flix, FlixConfig, QueryRequest, XmlDocument, build_collection
 
 
 def main() -> None:
@@ -63,19 +63,19 @@ def main() -> None:
     #    (approximately) ascending distance.
     start = collection.document_root("index.xml")
     print("titles reachable from the site root:")
-    for result in flix.find_descendants(start, tag="title"):
+    for result in flix.query_stream(QueryRequest.descendants(start, tag="title")):
         text = collection.text(result.node)
         print(f"  distance {result.distance}: {text!r}")
     print()
 
     # 4. Connection test: is the site root connected to the team element?
     (team,) = collection.nodes_with_tag("team")
-    distance = flix.connection_test(start, team)
+    distance = flix.query(QueryRequest.test(start, team)).value
     print(f"site root -> team: connected at distance {distance}")
 
     # 5. Ancestors: which elements can reach the team?
     print("elements that reach the team element:")
-    for result in flix.find_ancestors(team, tag="article"):
+    for result in flix.query_stream(QueryRequest.ancestors(team, tag="article")):
         print(f"  article at distance {result.distance}")
 
 

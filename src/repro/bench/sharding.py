@@ -75,8 +75,7 @@ def build_request_mix(collection) -> List[QueryRequest]:
 
 
 def parity_requests(collection) -> List[Tuple[str, QueryRequest]]:
-    """One request per ``QueryRequest`` kind/form — the eight legacy entry
-    points the unified API absorbed."""
+    """One request per ``QueryRequest`` kind/form."""
     roots = [
         collection.document_root(name) for name in sorted(collection.documents)
     ]
@@ -123,7 +122,7 @@ def profile_sharded_queries(
     base = Path(scratch.name if scratch is not None else work_dir)
     try:
         collection = generate_dblp(DblpSpec(documents=documents, seed=7))
-        flix = Flix.build(collection, FlixConfig.naive().with_packed())
+        flix = Flix.build(collection, FlixConfig.naive())
         collection_dir = base / "collection"
         index_dir = base / "index"
         save_collection(collection, collection_dir)

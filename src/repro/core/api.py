@@ -1,12 +1,11 @@
 """The unified query API: one request type, one response type.
 
-FliX grew eight query entry points (``find_descendants``,
-``find_ancestors``, ``find_children``, ``evaluate_type_query``,
-``find_path``, ``find_connections``, ``connection_cost``,
-``connection_test``), each with its own signature.  That shape cannot be
-queued, cached, retried, or shipped to a worker pool uniformly — the
-serving layer needs *one* value that fully describes a query and *one*
-value that fully describes its answer.
+FliX understands eight query shapes (descendants, ancestors, children,
+type queries, multi-step paths, connections, connection cost, connection
+test).  One method per shape cannot be queued, cached, retried, or
+shipped to a worker pool uniformly — the serving layer needs *one* value
+that fully describes a query and *one* value that fully describes its
+answer.
 
 :class:`QueryRequest` is that description: a frozen, hashable dataclass
 naming the query ``kind`` plus every knob the kind understands.
@@ -14,10 +13,10 @@ naming the query ``kind`` plus every knob the kind understands.
 scalar ``value`` for connection cost/test kinds), the query's private
 :class:`~repro.core.pee.QueryStats`, and the completeness flag.
 
-``Flix.query(request)`` evaluates one request synchronously;
+``Flix.query(request)`` evaluates one request synchronously
+(``Flix.query_stream`` lazily, for the streaming kinds);
 ``FlixService.submit(request)`` (:mod:`repro.serve`) queues it onto a
-worker pool.  The legacy ``find_*``/``connection_*`` methods survive as
-thin shims building a :class:`QueryRequest` internally.
+worker pool.
 """
 
 from __future__ import annotations
@@ -139,7 +138,7 @@ class QueryRequest:
             raise ValueError("bidirectional only applies to the test kind")
 
     # ------------------------------------------------------------------
-    # named constructors (the eight legacy signatures, normalized)
+    # named constructors (one per query shape)
     # ------------------------------------------------------------------
     @classmethod
     def descendants(

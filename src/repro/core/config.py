@@ -256,12 +256,6 @@ class FlixConfig:
     cache: Optional[CacheConfig] = None
     #: probe ordering for the PEE's Figure-4 loop (``docs/PLANNING.md``)
     planner: PlannerConfig = PlannerConfig()
-    #: serve probes from the flat columnar index layout
-    #: (``repro.indexes.packed``, see ``docs/DATA_LAYOUT.md``): indexes
-    #: are compiled to FLXPACK blobs after every build/rebuild, saves
-    #: write mmap-able ``.pack`` files, and loads attach them lazily.
-    #: Answers are byte-identical to the object layout either way.
-    packed: bool = False
 
     def __post_init__(self) -> None:
         if self.mdb_strategy not in MDB_STRATEGIES:
@@ -320,11 +314,12 @@ class FlixConfig:
 
         return replace(self, resilience=None)
 
-    def with_packed(self, packed: bool = True) -> "FlixConfig":
-        """This configuration with the packed index layout on (or off)."""
-        from dataclasses import replace
-
-        return replace(self, packed=packed)
+    def with_packed(self) -> "FlixConfig":
+        """This configuration, unchanged: every served index is packed
+        (``docs/DATA_LAYOUT.md``) and the layout is not a choice.  Kept
+        only because ``benchmarks/spine/workloads.py`` calls it; delete
+        it together with those calls."""
+        return self
 
     def with_cache(
         self, cache: Optional[CacheConfig] = None, **overrides

@@ -13,9 +13,8 @@ Typical use::
 
 The unified entry points are :meth:`Flix.query` (materialized
 :class:`~repro.core.api.QueryResponse`) and :meth:`Flix.query_stream`
-(lazy iteration for the streaming kinds); the classic ``find_*`` /
-``connection_*`` methods remain as thin compatibility shims over them.
-For concurrent serving, :meth:`Flix.serve` wraps the instance in a
+(lazy iteration for the streaming kinds).  For concurrent serving,
+:meth:`Flix.serve` wraps the instance in a
 :class:`repro.serve.FlixService` worker pool.
 """
 
@@ -24,7 +23,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-import warnings
 from typing import (
     Any,
     Callable,
@@ -59,6 +57,28 @@ from repro.core.selftune import QueryLoadMonitor, TuningAdvice, with_compaction_
 from repro.obs import MetricsRegistry, Observability, Trace, render
 from repro.storage.memory import MemoryBackend
 from repro.storage.table import StorageBackend
+
+
+def _packed(index):
+    """The one pack step: the FLXPACK twin (``docs/DATA_LAYOUT.md``) of a
+    built index — what every published layout serves.  An index that is
+    already packed, or whose strategy has no packed form
+    (``transitive_closure``), is returned as is."""
+    from repro.indexes.packed import packed_clone
+
+    packed = packed_clone(index)
+    return index if packed is None else packed
+
+
+def _pack_built(meta_documents: Iterable[MetaDocument]) -> None:
+    """Swap the Index Builder's object indexes — the build-time
+    intermediate — for their packed twins before a layout serves them,
+    handing each new index its meta document's ``L_i`` again.  (The
+    object tables stay reachable through the packed backend for
+    persistence and fingerprinting.)"""
+    for meta in meta_documents:
+        meta.index = _packed(meta.index)
+        meta.finalize_links()
 
 
 class Flix:
@@ -118,13 +138,13 @@ class Flix:
         self._raw_backend_factory: Callable[[], StorageBackend] = MemoryBackend
         #: the shared result/connection cache (sharded LRU, generation-
         #: invalidated); configured through ``config.cache``, or later via
-        #: the deprecated ``enable_cache`` shim
+        #: :meth:`configure_cache`
         cache_config = getattr(config, "cache", None)
         self._result_cache = (
             cache_config.build() if cache_config is not None else None
         )
-        # counters retired from a cache dropped by disable_cache(), so the
-        # cache_hits / cache_misses totals survive a disable
+        # counters retired from a cache replaced by configure_cache(), so
+        # the cache_hits / cache_misses totals survive the replacement
         self._retired_hits = 0
         self._retired_misses = 0
         if self.obs.enabled:
@@ -340,15 +360,6 @@ class Flix:
             config = FlixConfig.recommend_for(collection)
         raw_backend_factory = backend_factory
 
-        import os as _os
-
-        if _os.environ.get("FLIX_PACKED", "") not in ("", "0") and not getattr(
-            config, "packed", False
-        ):
-            # CI's packed-parity job: force the packed layout the same way
-            # FLIX_FAULT_PLAN forces a fault plan
-            config = config.with_packed()
-
         if workload is not None:
             config = workload.bias(config)
 
@@ -377,17 +388,7 @@ class Flix:
         specs = MetaDocumentBuilder(collection, config).build_specs()
         builder = IndexBuilder(collection, config, backend_factory, obs=obs)
         meta_documents, meta_of, report = builder.build(specs, jobs=jobs)
-        if getattr(config, "packed", False):
-            # Compile each built index to its flat columnar twin before the
-            # layout is published; the object graph remains reachable via
-            # the packed backend for persistence and fingerprinting.
-            from repro.indexes.packed import packed_clone
-
-            for meta in meta_documents:
-                packed = packed_clone(meta.index)
-                if packed is not None:
-                    meta.index = packed
-                    meta.finalize_links()
+        _pack_built(meta_documents)
         flix = cls(collection, config, meta_documents, meta_of, report, obs=obs)
         flix._builder = builder
         flix._backend_factory = backend_factory
@@ -423,7 +424,7 @@ class Flix:
         spec = MetaDocumentSpec(0, nodes, list(collection.graph.edges()))
         graph = spec.build_graph()
         tags = {node: collection.tag(node) for node in nodes}
-        index = build_index(strategy, graph, tags, backend_factory())
+        index = _packed(build_index(strategy, graph, tags, backend_factory()))
         meta = MetaDocument(
             meta_id=0, nodes=frozenset(nodes), index=index, strategy=strategy
         )
@@ -460,8 +461,7 @@ class Flix:
         """Evaluate one :class:`~repro.core.api.QueryRequest`, materialized.
 
         This is the primary query entry point: every kind the framework
-        understands goes through here (the legacy ``find_*`` /
-        ``connection_*`` methods are shims over it or over
+        understands goes through here (or, lazily, through
         :meth:`query_stream`).  The shared result cache — when configured —
         is consulted first and fed afterwards; the response carries the
         query's private stats and its completeness flag.
@@ -761,192 +761,6 @@ class Flix:
         )
 
     # ------------------------------------------------------------------
-    # compatibility shims (the pre-unified-API query surface)
-    # ------------------------------------------------------------------
-    def find_descendants(
-        self,
-        start: NodeId,
-        tag: Optional[str] = None,
-        max_distance: Optional[int] = None,
-        limit: Optional[int] = None,
-        include_self: bool = False,
-        exact_order: bool = False,
-    ) -> Iterator[QueryResult]:
-        """Deprecated: use ``query_stream(QueryRequest.descendants(...))``.
-
-        ``a//b`` (or ``a//*`` with ``tag=None``), streamed.  ``limit``
-        implements the top-k early stop of section 3.1; ``exact_order``
-        buffers results so the stream is sorted by the reported distance
-        (section 7's first future-work item).
-        """
-        warnings.warn(
-            "Flix.find_descendants is deprecated; use "
-            "query_stream(QueryRequest.descendants(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query_stream(
-            QueryRequest.descendants(
-                start, tag, max_distance, limit, include_self, exact_order
-            )
-        )
-
-    def find_ancestors(
-        self,
-        start: NodeId,
-        tag: Optional[str] = None,
-        max_distance: Optional[int] = None,
-        limit: Optional[int] = None,
-        include_self: bool = False,
-        exact_order: bool = False,
-    ) -> Iterator[QueryResult]:
-        """Deprecated: use ``query_stream(QueryRequest.ancestors(...))``.
-
-        Reverse axis: ancestors of ``start``."""
-        warnings.warn(
-            "Flix.find_ancestors is deprecated; use "
-            "query_stream(QueryRequest.ancestors(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query_stream(
-            QueryRequest.ancestors(
-                start, tag, max_distance, limit, include_self, exact_order
-            )
-        )
-
-    def find_children(
-        self,
-        node: NodeId,
-        tag: Optional[str] = None,
-    ) -> List[QueryResult]:
-        """Deprecated: use ``query(QueryRequest.children(...))``.
-
-        The child axis (``a/b``), section 5's "other cases".  In the
-        linked data model, children are the direct successors in the union
-        graph — sub-elements and immediate link targets alike, which is
-        exactly how the paper treats referenced elements ("similarly to
-        normal child elements").
-        """
-        warnings.warn(
-            "Flix.find_children is deprecated; use "
-            "query(QueryRequest.children(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(QueryRequest.children(node, tag)).results
-
-    def evaluate_type_query(
-        self,
-        source_tag: str,
-        target_tag: Optional[str],
-        max_distance: Optional[int] = None,
-        limit: Optional[int] = None,
-    ) -> Iterator[QueryResult]:
-        """Deprecated: use ``query_stream(QueryRequest.type_query(...))``.
-
-        ``A//B``: descendants of *any* element with tag ``source_tag``."""
-        warnings.warn(
-            "Flix.evaluate_type_query is deprecated; use "
-            "query_stream(QueryRequest.type_query(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query_stream(
-            QueryRequest.type_query(source_tag, target_tag, max_distance, limit)
-        )
-
-    def find_path(
-        self,
-        start: NodeId,
-        tags: Sequence[str],
-        max_distance_per_step: Optional[int] = None,
-    ) -> List[Tuple[NodeId, int]]:
-        """Deprecated: use ``query(QueryRequest.find_path(...))``.
-
-        Evaluate a multi-step path ``start//t1//t2//...//tn``.  Returns
-        the distinct elements matching the final step with the smallest
-        accumulated distance found, ascending.
-        """
-        warnings.warn(
-            "Flix.find_path is deprecated; use "
-            "query(QueryRequest.find_path(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(
-            QueryRequest.find_path(start, tags, max_distance_per_step)
-        ).results
-
-    def find_connections(
-        self,
-        start: NodeId,
-        tag: Optional[str] = None,
-        model=None,
-        max_cost: Optional[float] = None,
-    ):
-        """Deprecated: use ``query_stream(QueryRequest.connections(...))``.
-
-        Generalized connection search (sections 1.1 / 7).  ``model`` is a
-        :class:`repro.core.connections.ConnectionModel` assigning costs to
-        tree/link traversals and their reversals; results stream in
-        exactly ascending cost.  Runs on the element graph directly (typed
-        edge costs defeat uniform-hop indexes).
-        """
-        warnings.warn(
-            "Flix.find_connections is deprecated; use "
-            "query_stream(QueryRequest.connections(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query_stream(
-            QueryRequest.connections(start, tag, model, max_cost)
-        )
-
-    def connection_cost(
-        self,
-        source: NodeId,
-        target: NodeId,
-        model=None,
-        max_cost: Optional[float] = None,
-    ) -> Optional[float]:
-        """Deprecated: use ``query(QueryRequest.cost(...))``.
-
-        Cheapest generalized-connection cost between two elements —
-        repeated hot pairs are answered from the shared cache."""
-        warnings.warn(
-            "Flix.connection_cost is deprecated; use "
-            "query(QueryRequest.cost(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(
-            QueryRequest.cost(source, target, model, max_cost)
-        ).value
-
-    def connection_test(
-        self,
-        source: NodeId,
-        target: NodeId,
-        max_distance: Optional[int] = None,
-        bidirectional: bool = False,
-    ) -> Optional[int]:
-        """Deprecated: use ``query(QueryRequest.test(...))``.
-
-        Is ``target`` reachable from ``source``?  Approximate distance or
-        ``None`` — repeated hot pairs are answered from the shared
-        cache."""
-        warnings.warn(
-            "Flix.connection_test is deprecated; use "
-            "query(QueryRequest.test(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(
-            QueryRequest.test(source, target, max_distance, bidirectional)
-        ).value
-
-    # ------------------------------------------------------------------
     # result caching (section 7: "caching results of frequent
     # (sub-)queries") — a sharded LRU shared by every worker thread
     # ------------------------------------------------------------------
@@ -996,38 +810,6 @@ class Flix:
         by every index-layout mutation (``add_document``)."""
         if self._result_cache is not None:
             self._result_cache.invalidate_all()
-
-    def enable_cache(self, maxsize: int = 128) -> None:
-        """Deprecated: configure caching via ``FlixConfig.cache``
-        (:class:`CacheConfig`) or :meth:`configure_cache` instead.
-
-        Installs a single-shard cache, preserving the historical exact
-        global LRU eviction order; hit/miss counters restart at zero as
-        they always did.
-        """
-        warnings.warn(
-            "Flix.enable_cache is deprecated; set FlixConfig.cache = "
-            "CacheConfig(maxsize=..., shards=...) or call "
-            "Flix.configure_cache(CacheConfig(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if maxsize < 1:
-            raise ValueError("maxsize must be positive")
-        self._result_cache = CacheConfig(maxsize=maxsize, shards=1).build()
-        self._retired_hits = 0
-        self._retired_misses = 0
-
-    def disable_cache(self) -> None:
-        """Deprecated: use ``configure_cache(None)`` (or build with a
-        cache-less config)."""
-        warnings.warn(
-            "Flix.disable_cache is deprecated; call "
-            "Flix.configure_cache(None) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.configure_cache(None)
 
     def _cache_get(self, cache, key: tuple, kind: str):
         boxed = cache.get(key)
@@ -1229,65 +1011,16 @@ class Flix:
                 "maintenance"
             )
 
-    def _pack_index_if_configured(self, index):
-        """The packed twin of a freshly built index when the configuration
-        asks for the packed layout (otherwise, or when the strategy has no
-        packed form, the index unchanged)."""
-        if not getattr(self.config, "packed", False):
-            return index
-        from repro.indexes.packed import packed_clone
+    def _build_index(self, strategy: str, graph: Digraph):
+        """Index one meta-document graph for a maintenance verb: a fresh
+        (observed) backend, the strategy's object build, the pack step."""
+        from repro.indexes.registry import build_index
 
-        packed = packed_clone(index)
-        return index if packed is None else packed
-
-    def pack(self) -> int:
-        """Compile every live meta document's index to the packed layout.
-
-        Each object-graph index is serialized to a FLXPACK blob
-        (:mod:`repro.indexes.packed`) and replaced by an attached packed
-        index sharing the same storage backend, so persistence and
-        :meth:`index_fingerprint` are unaffected; every query answers
-        byte-identically.  Published as one atomic layout swap that keeps
-        the generation — packing changes representation, not content.
-        Returns the number of meta documents repacked (already-packed and
-        unpackable strategies are left alone).
-        """
-        from repro.indexes.packed import packed_clone
-
-        with self._mutation_lock:
-            layout = self._layout
-            slots: List[Optional[MetaDocument]] = list(layout.slots)
-            repacked = 0
-            for meta_id, meta in enumerate(slots):
-                if meta is None:
-                    continue
-                packed = packed_clone(meta.index)
-                if packed is None:
-                    continue
-                clone = meta.copy_links()
-                clone.index = packed
-                clone.finalize_links()
-                slots[meta_id] = clone
-                repacked += 1
-            if not repacked:
-                return 0
-            new_layout = IndexLayout(
-                slots=tuple(slots),
-                meta_of=layout.meta_of,
-                pee=None,
-                generation=layout.generation,
-                tombstones=layout.tombstones,
-                incremental_meta_ids=layout.incremental_meta_ids,
-            )
-            new_layout = new_layout.with_pee(
-                self._build_evaluator(
-                    new_layout.slots, layout.meta_of, new_layout.generation
-                )
-            )
-            self._publish_layout(new_layout, verb="pack")
-            if self.obs.enabled:
-                self._attach_storage_observers()
-            return repacked
+        tags = {node: self.collection.tag(node) for node in graph.nodes()}
+        backend = self._backend_factory()
+        if self.obs.enabled:
+            backend.attach_observer(self.obs.storage_instruments(backend))
+        return _packed(build_index(strategy, graph, tags, backend))
 
     # ------------------------------------------------------------------
     # durability: the write-ahead mutation log (docs/DURABILITY.md)
@@ -1377,7 +1110,6 @@ class Flix:
         from repro.collection.builder import register_document
         from repro.core.ib import MetaDocumentReport
         from repro.core.iss import IndexingStrategySelector
-        from repro.indexes.registry import build_index
 
         import time as _time
 
@@ -1434,17 +1166,7 @@ class Flix:
                     choice = IndexingStrategySelector(self.config).choose(
                         graph
                     )
-                    tags = {
-                        node: collection.tag(node) for node in nodes
-                    }
-                    backend = self._backend_factory()
-                    if self.obs.enabled:
-                        backend.attach_observer(
-                            self.obs.storage_instruments(backend)
-                        )
-                    index = self._pack_index_if_configured(
-                        build_index(choice.strategy, graph, tags, backend)
-                    )
+                    index = self._build_index(choice.strategy, graph)
                     meta = MetaDocument(
                         meta_id=next_id + len(new_metas),
                         nodes=frozenset(nodes),
@@ -1687,7 +1409,6 @@ class Flix:
         removed.
         """
         from repro.core.iss import IndexingStrategySelector
-        from repro.indexes.registry import build_index
 
         collection = self.collection
         residual_pairs = {
@@ -1703,13 +1424,7 @@ class Flix:
                 if v in remaining and (u, v) not in residual_pairs:
                     graph.add_edge(u, v)
         choice = IndexingStrategySelector(self.config).choose(graph)
-        tags = {node: collection.tag(node) for node in remaining}
-        backend = self._backend_factory()
-        if self.obs.enabled:
-            backend.attach_observer(self.obs.storage_instruments(backend))
-        index = self._pack_index_if_configured(
-            build_index(choice.strategy, graph, tags, backend)
-        )
+        index = self._build_index(choice.strategy, graph)
         rebuilt = MetaDocument(
             meta_id=meta.meta_id,
             nodes=frozenset(remaining),
@@ -1752,7 +1467,6 @@ class Flix:
         self._require_builder()
         from repro.core.ib import MetaDocumentReport
         from repro.core.iss import IndexingStrategySelector
-        from repro.indexes.registry import build_index
 
         import time as _time
 
@@ -1803,17 +1517,7 @@ class Flix:
                 choice = IndexingStrategySelector(self.config).choose(graph)
 
             with trace.span("index", strategy=choice.strategy):
-                tags = {
-                    node: collection.tag(node) for node in merged_nodes
-                }
-                backend = self._backend_factory()
-                if self.obs.enabled:
-                    backend.attach_observer(
-                        self.obs.storage_instruments(backend)
-                    )
-                index = self._pack_index_if_configured(
-                    build_index(choice.strategy, graph, tags, backend)
-                )
+                index = self._build_index(choice.strategy, graph)
 
             new_id = layout.next_meta_id
             # Carry over the merged metas' residual links, minus pairs the

@@ -6,16 +6,19 @@ Layout on disk::
       manifest.json        configuration + meta-document registry
       framework.sqlite     the residual-link table
       meta_0000.sqlite     index tables of meta document 0
-      meta_0000.pack       FLXPACK blob of meta document 0 (packed saves)
+      meta_0000.pack       FLXPACK blob of meta document 0
       meta_0001.sqlite     ...
 
-Saves of a packed index (``FlixConfig.packed`` / ``Flix.pack()`` — see
-``docs/DATA_LAYOUT.md``) additionally write one ``meta_NNNN.pack`` FLXPACK
-blob per packed meta document.  Loading such a save ``mmap``-attaches the
-blobs instead of deserializing the SQLite tables — a cold attach parses
-one 64-byte header and checksums the payload, nothing more — while the
-sibling ``.sqlite`` file stays on disk as the table source of truth
-(materialized lazily only if something asks for tables).
+Every served index is packed (``docs/DATA_LAYOUT.md``), so a save writes
+one ``meta_NNNN.pack`` FLXPACK blob per meta document whose strategy has a
+packed form (all but ``transitive_closure``).  Loading ``mmap``-attaches
+the blobs instead of deserializing the SQLite tables — a cold attach
+parses one 64-byte header and checksums the payload, nothing more — while
+the sibling ``.sqlite`` file stays on disk as the table source of truth
+(materialized lazily only if something asks for tables).  A save from
+before packing was universal (no ``.pack`` file, ``"packed": false`` in
+the manifest entry) still loads: its tables are deserialized and packed in
+memory, and the next save writes the blob.
 
 Every index strategy persists itself through the storage layer already;
 saving copies those tables into one SQLite file per meta document (whatever
@@ -65,7 +68,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.collection.collection import XmlCollection
 from repro.core.config import CacheConfig, FlixConfig, ResilienceConfig
-from repro.core.framework import Flix
+from repro.core.framework import Flix, _packed
 from repro.core.ib import (
     _LINKS_SCHEMA,
     BuildReport,
@@ -204,7 +207,6 @@ def save_flix(flix: Flix, directory) -> Path:
             "jobs": flix.config.jobs,
             "build_executor": flix.config.build_executor,
             "observability": flix.config.observability,
-            "packed": flix.config.packed,
             "resilience": resilience.to_dict() if resilience else None,
             "cache": (
                 flix.config.cache.to_dict() if flix.config.cache else None
@@ -250,7 +252,7 @@ def save_flix(flix: Flix, directory) -> Path:
         os.replace(root / (filename + TMP_SUFFIX), root / filename)
     fsync_directory(root)
     # Phase 4 — clean: drop files referenced by neither manifest — meta
-    # documents removed/compacted/unpacked since the previous save, and
+    # documents removed/compacted since the previous save, and
     # any orphaned stage files a crashed save left behind.
     for pattern in ("meta_*.sqlite", "meta_*.pack", "*" + TMP_SUFFIX):
         for stale in root.glob(pattern):
@@ -356,7 +358,9 @@ def _file_fingerprint(path: Path) -> Optional[str]:
     """
     if not path.is_file():
         return None
-    if path.suffix == ".pack":
+    # a staged ``meta_NNNN.pack.tmp`` is still a blob: classify by the
+    # final name, or a crashed save's packs could never roll forward
+    if path.name.removesuffix(TMP_SUFFIX).endswith(".pack"):
         from repro.indexes.packed import PackedBlob
 
         try:
@@ -633,8 +637,10 @@ def load_flix(collection: XmlCollection, directory, verify: bool = True) -> Flix
                 fingerprint=recorded_files.get(sqlite_path.name),
             )
         else:
+            # no blob on disk (``transitive_closure``, or a save older
+            # than universal packing): deserialize, then pack in memory
             backend = SqliteBackend.attach(str(sqlite_path))
-            index = loaders[strategy](backend, tags)
+            index = _packed(loaders[strategy](backend, tags))
         meta = MetaDocument(
             meta_id=meta_id,
             nodes=index._node_set(),
@@ -738,7 +744,6 @@ def _config_from_manifest(config_data: dict) -> FlixConfig:
         jobs=config_data.get("jobs", 1),
         build_executor=config_data.get("build_executor", "auto"),
         observability=config_data.get("observability", True),
-        packed=config_data.get("packed", False),
         resilience=(
             ResilienceConfig.from_dict(resilience_data)
             if resilience_data

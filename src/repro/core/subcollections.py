@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.collection.collection import XmlCollection
 from repro.collection.stats import CollectionStats, collect_statistics
 from repro.core.config import FlixConfig
-from repro.core.framework import Flix
+from repro.core.framework import Flix, _pack_built
 from repro.core.ib import IndexBuilder
 from repro.core.mdb import MetaDocumentBuilder
 from repro.storage.memory import MemoryBackend
@@ -187,6 +187,7 @@ def build_auto_partitioned(
     )
     builder = IndexBuilder(collection, merged_config, backend_factory)
     meta_documents, meta_of, report = builder.build(specs)
+    _pack_built(meta_documents)
     flix = Flix(collection, merged_config, meta_documents, meta_of, report)
     flix._builder = builder
     flix._backend_factory = backend_factory

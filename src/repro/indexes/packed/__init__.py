@@ -1,18 +1,20 @@
 """``repro.indexes.packed`` — flat columnar hot-path index layouts.
 
 The object-graph indexes (:mod:`repro.indexes.ppo`, ``hopi``, the summary
-family) stay the *build-time* representation; this package compiles a
-built index into an immutable FLXPACK blob (:mod:`.blob`) of int64
-columns and serves every :class:`repro.indexes.base.PathIndex` probe
-straight off those columns — byte-identically to the object layout, with
-the same backend fingerprint (see :mod:`.backend`).
+family) are the *build-time* representation and the tests' reference;
+this package compiles a built index into an immutable FLXPACK blob
+(:mod:`.blob`) of int64 columns and serves every
+:class:`repro.indexes.base.PathIndex` probe straight off those columns —
+byte-identically to the object form, with the same backend fingerprint
+(see :mod:`.backend`).  Every index a :class:`repro.core.framework.Flix`
+serves is one of these (``docs/DATA_LAYOUT.md``).
 
 Entry points:
 
 * :func:`pack_index` — blob bytes for a built index (``None`` when the
   strategy has no packed form, e.g. ``transitive_closure``);
 * :func:`packed_clone` — an in-memory packed twin of a built index,
-  sharing its storage backend (what ``Flix.pack()`` swaps in);
+  sharing its storage backend (the framework's one pack step);
 * :func:`attach_packed_file` / :func:`attach_packed_blob` — mmap (or
   wrap) a blob and return the matching packed index, for millisecond
   cold starts out of a save directory.

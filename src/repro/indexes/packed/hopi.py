@@ -19,6 +19,7 @@ identical to the object dict implementation.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, Optional
 
 from repro.indexes.base import NodeId, PathIndex, ScoredNode, sort_scored
@@ -117,6 +118,7 @@ class PackedHopiIndex(PathIndex):
     def __init__(self, backend, blob: Optional[PackedBlob] = None) -> None:
         super().__init__(backend)
         self._blob = blob if blob is not None else backend.blob
+        self._promotion = threading.Lock()
 
     @property
     def blob(self) -> PackedBlob:
@@ -135,7 +137,12 @@ class PackedHopiIndex(PathIndex):
     def _pos_lookup(self) -> Dict[NodeId, int]:
         pos = self._pos
         if pos is None:
-            pos = self._hot()
+            # serving threads that race the first probe wait for one
+            # promotion instead of each repeating it
+            with self._promotion:
+                pos = self._pos
+                if pos is None:
+                    pos = self._hot()
         return pos
 
     def _tag_lookup(self) -> Dict[str, int]:
@@ -175,7 +182,7 @@ class PackedHopiIndex(PathIndex):
         self._ha_off = blob.column_list("hub_anc_offsets")
         self._ha_nodes = blob.column_list("hub_anc_nodes")
         self._ha_dists = blob.column_list("hub_anc_dists")
-        pos = self._pos = {node: i for i, node in enumerate(node_col)}
+        pos = {node: i for i, node in enumerate(node_col)}
         pos_get = pos.get
 
         # Probe accelerators, all derived from the sorted runs:
@@ -263,6 +270,11 @@ class PackedHopiIndex(PathIndex):
 
         self.distance = distance  # type: ignore[method-assign]
         self.reachable = reachable  # type: ignore[method-assign]
+        # published last: ``_pos`` is what ``_pos_lookup`` tests without
+        # the lock, so a thread that sees it set also sees the closures
+        # (it would otherwise recurse through the class-level
+        # ``distance`` / ``reachable`` until they appear)
+        self._pos = pos
         return pos
 
     def _inverted_maps(self, forward: bool) -> Dict[int, Dict[NodeId, int]]:

@@ -21,6 +21,7 @@ asserts byte-identical answers across both layouts.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
@@ -91,6 +92,7 @@ class PackedPpoIndex(PathIndex):
     def __init__(self, backend, blob: Optional[PackedBlob] = None) -> None:
         super().__init__(backend)
         self._blob = blob if blob is not None else backend.blob
+        self._promotion = threading.Lock()
 
     @property
     def blob(self) -> PackedBlob:
@@ -109,7 +111,12 @@ class PackedPpoIndex(PathIndex):
     def _pre_lookup(self) -> Dict[NodeId, int]:
         pre_of = self._pre_of
         if pre_of is None:
-            pre_of = self._hot()
+            # serving threads that race the first probe wait for one
+            # promotion instead of each repeating it
+            with self._promotion:
+                pre_of = self._pre_of
+                if pre_of is None:
+                    pre_of = self._hot()
         return pre_of
 
     def _tag_lookup(self) -> Dict[str, int]:
@@ -140,7 +147,7 @@ class PackedPpoIndex(PathIndex):
         self._tag_off = blob.column_list("tag_offsets")
         self._tag_pres = blob.column_list("tag_pres")
         self._tree_starts = blob.column_list("tree_starts")
-        pre_of = self._pre_of = {node: i for i, node in enumerate(node_col)}
+        pre_of = {node: i for i, node in enumerate(node_col)}
         # subtree end per pre rank, precomputed so the probe does one
         # list load instead of a load plus an add
         end_col = [i + size for i, size in enumerate(size_col)]
@@ -204,6 +211,11 @@ class PackedPpoIndex(PathIndex):
 
         self.reachable = reachable  # type: ignore[method-assign]
         self.distance = distance  # type: ignore[method-assign]
+        # published last: ``_pre_of`` is what ``_pre_lookup`` tests
+        # without the lock, so a thread that sees it set also sees the
+        # closures (it would otherwise recurse through the class-level
+        # ``reachable`` / ``distance`` until they appear)
+        self._pre_of = pre_of
         return pre_of
 
     def _node_set(self) -> frozenset:

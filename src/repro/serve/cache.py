@@ -138,8 +138,7 @@ class ShardedLRUCache:
       holds under any key distribution — memory stays bounded under
       churn at the price of slightly under-filling when keys skew.
     * ``shards=1`` degenerates to a classic single-lock LRU with exact
-      global eviction order (what the deprecated ``Flix.enable_cache``
-      shim uses, preserving its documented semantics bit for bit).
+      global eviction order.
     * ``generation`` makes invalidation O(1): see the module docstring.
     """
 

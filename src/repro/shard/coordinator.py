@@ -324,17 +324,13 @@ class ShardCoordinator:
         as delegation (every worker holds the whole index, so any healthy
         shard's plan is authoritative).  ``None`` when no shard answers.
         """
-        for shard_id in self._failover_order(self._route(request)):
-            try:
-                _, reply = self._clients[shard_id].call(
-                    "explain", {"request": request}
-                )
-            except ShardUnavailable:
-                self._mark_health(shard_id, False)
-                continue
-            self._mark_health(shard_id, True)
-            return reply["plan"]
-        return None
+        try:
+            _, reply = self._call(
+                self._route(request), "explain", {"request": request}
+            )
+        except ShardUnavailable:
+            return None
+        return reply["plan"]
 
     # ------------------------------------------------------------------
     # routing
@@ -412,6 +408,24 @@ class ShardCoordinator:
         yield from (sid for sid in ring if healthy[sid])
         yield from (sid for sid in ring if not healthy[sid])
 
+    def _call(self, owner: int, verb: str, payload: dict) -> Tuple[int, dict]:
+        """One RPC with replica failover — the coordinator's only failover
+        loop.  Tries :meth:`_failover_order`; a shard that cannot be
+        reached is marked unhealthy and skipped, the one that answers is
+        marked healthy.  Returns ``(shard_id, reply)``; raises
+        :class:`ShardUnavailable` when no replica answers (what that
+        means — no plan, a degraded answer, no seeds, a lost expansion —
+        is the caller's to say)."""
+        for shard_id in self._failover_order(owner):
+            try:
+                _, reply = self._clients[shard_id].call(verb, payload)
+            except ShardUnavailable:
+                self._mark_health(shard_id, False)
+                continue
+            self._mark_health(shard_id, True)
+            return shard_id, reply
+        raise ShardUnavailable(owner, "no replica answered")
+
     def _delegate(
         self,
         owner: int,
@@ -419,19 +433,15 @@ class ShardCoordinator:
         budget: Optional[QueryBudget],
         started: float,
     ) -> QueryResponse:
-        for shard_id in self._failover_order(owner):
-            try:
-                _, reply = self._clients[shard_id].call(
-                    "query", {"request": request, "budget": budget}
-                )
-            except ShardUnavailable:
-                self._mark_health(shard_id, False)
-                continue
-            self._mark_health(shard_id, True)
-            if shard_id != owner:
-                self._m_failovers.inc(shard=str(owner))
-            return reply["response"]
-        return self._degraded_response(request, started)
+        try:
+            shard_id, reply = self._call(
+                owner, "query", {"request": request, "budget": budget}
+            )
+        except ShardUnavailable:
+            return self._degraded_response(request, started)
+        if shard_id != owner:
+            self._m_failovers.inc(shard=str(owner))
+        return reply["response"]
 
     def _degraded_response(
         self, request: QueryRequest, started: float
@@ -511,32 +521,22 @@ class ShardCoordinator:
         return results, response
 
     def _type_seeds(self, source_tag: str) -> List[NodeId]:
-        for shard_id in self._failover_order(0):
-            try:
-                _, reply = self._clients[shard_id].call(
-                    "type_seeds", {"source_tag": source_tag}
-                )
-            except ShardUnavailable:
-                self._mark_health(shard_id, False)
-                continue
-            self._mark_health(shard_id, True)
-            return reply["seeds"]
-        return []
+        try:
+            _, reply = self._call(0, "type_seeds", {"source_tag": source_tag})
+        except ShardUnavailable:
+            return []
+        return reply["seeds"]
 
     def _expansion_rpc(self, verb: str, meta_id: int, payload: dict):
         """One remote expansion (``expand`` or ``connection_probe``) on
         the owning shard, failing over across its replicas."""
         owner = self._map.shard_of_meta[meta_id]
-        for shard_id in self._failover_order(owner):
-            try:
-                _, reply = self._clients[shard_id].call(verb, payload)
-            except ShardUnavailable:
-                self._mark_health(shard_id, False)
-                continue
-            self._mark_health(shard_id, True)
-            self._m_expand_rpcs.inc(shard=str(shard_id))
-            return reply["outcome"], reply["stats"]
-        raise ExpansionLost(owner)
+        try:
+            shard_id, reply = self._call(owner, verb, payload)
+        except ShardUnavailable:
+            raise ExpansionLost(owner) from None
+        self._m_expand_rpcs.inc(shard=str(shard_id))
+        return reply["outcome"], reply["stats"]
 
     # ------------------------------------------------------------------
     # health / metrics / lifecycle

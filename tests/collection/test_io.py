@@ -7,6 +7,7 @@ from repro.collection.io import (
     load_collection,
     save_collection,
 )
+from repro.core.api import QueryRequest
 from repro.datasets.movies import generate_movie_collection
 
 
@@ -31,7 +32,7 @@ class TestSaveLoadRoundTrip:
         flix = Flix.build(loaded, FlixConfig.naive())
         (title,) = loaded.find_by_text("title", "Matrix: Revolutions")
         root = loaded.node_id_of(loaded.element(title).parent)
-        results = list(flix.find_descendants(root, tag="actor"))
+        results = list(flix.query_stream(QueryRequest.descendants(root, tag="actor")))
         assert results
 
     def test_files_have_declarations(self, tmp_path):

@@ -86,22 +86,6 @@ xml_text = st.text(
 )
 
 
-@pytest.fixture()
-def object_layout(monkeypatch):
-    """Pin a test to the plain object index layout.
-
-    CI's packed-parity job exports ``FLIX_PACKED=1`` (forcing every
-    ``Flix.build`` onto the packed layout) and the chaos job exports
-    ``FAULT_PLAN=moderate`` (wrapping every backend in a
-    ``ResilientBackend``); tests that assert raw object-layout
-    *internals* — backend class names, build-report byte accounting —
-    opt out of both overrides through this fixture.
-    """
-    monkeypatch.delenv("FLIX_PACKED", raising=False)
-    monkeypatch.delenv("FLIX_FAULT_PLAN", raising=False)
-    monkeypatch.delenv("FAULT_PLAN", raising=False)
-
-
 # ----------------------------------------------------------------------
 # collection fixtures
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ import pytest
 
 from repro.collection.builder import build_collection, register_document
 from repro.collection.document import XmlDocument
-from repro.core.config import FlixConfig
+from repro.core.api import QueryRequest
+from repro.core.config import CacheConfig, FlixConfig
 from repro.core.framework import Flix
 from repro.graph.closure import transitive_closure
 
@@ -137,9 +138,19 @@ class TestAddDocumentRollback:
         flix.self_check()
 
 
+def table_storage(index):
+    """The backend a served (packed) index's tables were built on, under
+    whatever resilience / fault wrappers the environment's fault plan
+    (CI's chaos job) put around it."""
+    backend = index.backend._source
+    while hasattr(backend, "_inner"):
+        backend = backend._inner
+    return backend
+
+
 class TestRebuildBackendFactory:
     def test_rebuild_defaults_to_original_factory(
-        self, base_collection, tmp_path, object_layout
+        self, base_collection, tmp_path
     ):
         """A sqlite-backed index must not silently migrate to memory
         backends on ``rebuild()``."""
@@ -150,19 +161,19 @@ class TestRebuildBackendFactory:
         loaded = Flix.load(base_collection, tmp_path)
         rebuilt = loaded.rebuild()
         backends = {
-            type(meta.index.backend).__name__
+            type(table_storage(meta.index)).__name__
             for meta in rebuilt.meta_documents
         }
         assert backends == {"SqliteBackend"}
         assert rebuilt._raw_backend_factory is SqliteBackend
 
-    def test_explicit_factory_still_wins(self, base_collection, object_layout):
+    def test_explicit_factory_still_wins(self, base_collection):
         from repro.storage.memory import MemoryBackend
 
         flix = Flix.build(base_collection, FlixConfig.naive())
         rebuilt = flix.rebuild(backend_factory=MemoryBackend)
         backends = {
-            type(meta.index.backend).__name__
+            type(table_storage(meta.index)).__name__
             for meta in rebuilt.meta_documents
         }
         assert backends == {"MemoryBackend"}
@@ -177,7 +188,7 @@ class TestFlixAddDocument:
         start = base_collection.document_root("d.xml")
         texts = {
             base_collection.text(r.node)
-            for r in flix.find_descendants(start, tag="p")
+            for r in flix.query_stream(QueryRequest.descendants(start, tag="p"))
         }
         assert texts == {"alpha", "beta", "delta"}
 
@@ -191,7 +202,7 @@ class TestFlixAddDocument:
         oracle = transitive_closure(base_collection.graph)
         for name in base_collection.documents:
             start = base_collection.document_root(name)
-            got = {r.node for r in flix.find_descendants(start)}
+            got = {r.node for r in flix.query_stream(QueryRequest.descendants(start))}
             assert got == set(oracle.descendants(start)) - {start}
 
     def test_old_documents_can_reach_new_one(self, base_collection):
@@ -201,7 +212,7 @@ class TestFlixAddDocument:
         start = base_collection.document_root("c.xml")
         texts = {
             base_collection.text(r.node)
-            for r in flix.find_descendants(start, tag="p")
+            for r in flix.query_stream(QueryRequest.descendants(start, tag="p"))
         }
         assert "future" in texts
 
@@ -221,20 +232,29 @@ class TestFlixAddDocument:
         )
         assert meta.strategy == "ppo"
         start = base_collection.document_root("d.xml")
-        got = {r.node for r in flix.find_descendants(start, tag="p")}
+        got = {
+            r.node
+            for r in flix.query_stream(QueryRequest.descendants(start, tag="p"))
+        }
         assert len(got) == 1  # intra link followed at run time
 
     def test_cache_invalidated(self, base_collection):
         flix = Flix.build(base_collection, FlixConfig.naive())
-        flix.enable_cache()
+        flix.configure_cache(CacheConfig(maxsize=128, shards=1))
         start = base_collection.document_root("a.xml")
-        before = {r.node for r in flix.find_descendants(start, tag="p")}
+        before = {
+            r.node
+            for r in flix.query_stream(QueryRequest.descendants(start, tag="p"))
+        }
         flix.add_document(
             doc("d.xml", "<doc><p>delta</p></doc>")
         )
         # b.xml gained no links, a.xml unchanged -> same answer, but the
         # cache must have been dropped rather than serving stale objects
-        after = {r.node for r in flix.find_descendants(start, tag="p")}
+        after = {
+            r.node
+            for r in flix.query_stream(QueryRequest.descendants(start, tag="p"))
+        }
         assert after == before
         assert flix.cache_hits == 0
 
@@ -255,7 +275,10 @@ class TestFlixAddDocument:
             )
         oracle = transitive_closure(collection.graph)
         start = collection.document_root("d011.xml")
-        got = {r.node for r in flix.find_descendants(start, tag="p")}
+        got = {
+            r.node
+            for r in flix.query_stream(QueryRequest.descendants(start, tag="p"))
+        }
         expected = {
             v
             for v in oracle.descendants(start)

@@ -1,9 +1,18 @@
 """Concurrency stress tests for the multithreaded delivery path."""
 
+import sys
 import threading
 
+import pytest
+
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
+from repro.indexes.hopi import HopiIndex
+from repro.indexes.packed import packed_clone
+from repro.indexes.ppo import PpoIndex
+from repro.storage.memory import MemoryBackend
+from tests.conftest import random_tags, random_tree
 
 
 class TestParallelStreams:
@@ -14,7 +23,11 @@ class TestParallelStreams:
             for name in sorted(figure1_collection.documents)
         ][:8]
         expected = {
-            root: [r.node for r in flix.find_descendants(root)] for root in roots
+            root: [
+                r.node
+                for r in flix.query_stream(QueryRequest.descendants(root))
+            ]
+            for root in roots
         }
         streams = {root: flix.find_descendants_streamed(root) for root in roots}
         collected = {}
@@ -46,7 +59,11 @@ class TestParallelStreams:
             for name in sorted(figure1_collection.documents)
         ]
         expected = {
-            root: {r.node for r in flix.find_descendants(root)} for root in roots
+            root: {
+                r.node
+                for r in flix.query_stream(QueryRequest.descendants(root))
+            }
+            for root in roots
         }
         failures = []
 
@@ -85,3 +102,44 @@ class TestParallelStreams:
         for stream in streams[:2]:
             list(stream)
             assert stream.closed
+
+
+class TestPackedPromotionRace:
+    """Serving threads that race a packed index's first-probe promotion
+    must all get an answer: whoever sees the promotion's gate set must
+    also see the probe closures it installs."""
+
+    @pytest.mark.parametrize("build", [PpoIndex.build, HopiIndex.build])
+    def test_first_probes_from_many_threads(self, build):
+        graph = random_tree(7, 40)
+        built = build(graph, random_tags(7, 40), MemoryBackend())
+        expected = built.distance(0, 39)
+        workers = 8
+        errors = []
+
+        def probe(index, barrier):
+            try:
+                barrier.wait(timeout=10)
+                assert index.distance(0, 39) == expected
+                assert index.reachable(0, 39) == (expected is not None)
+            except BaseException as error:  # RecursionError at the parent
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(25):
+                index = packed_clone(built)  # fresh: nothing promoted yet
+                barrier = threading.Barrier(workers)
+                threads = [
+                    threading.Thread(target=probe, args=(index, barrier))
+                    for _ in range(workers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[:1]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.connections import ConnectionEvaluator, ConnectionModel
 from repro.core.framework import Flix
@@ -122,7 +123,7 @@ class TestFacadeIntegration:
     def test_find_connections_via_flix(self, figure1_collection):
         flix = Flix.build(figure1_collection, FlixConfig.naive())
         start = figure1_collection.document_root("d05.xml")
-        pairs = list(flix.find_connections(start, tag="item"))
+        pairs = list(flix.query_stream(QueryRequest.connections(start, tag="item")))
         assert pairs
         for node, cost in pairs:
             assert figure1_collection.tag(node) == "item"
@@ -132,6 +133,6 @@ class TestFacadeIntegration:
         flix = Flix.build(figure1_collection, FlixConfig.naive())
         a = figure1_collection.document_root("d01.xml")
         b = figure1_collection.document_root("d02.xml")
-        cost = flix.connection_cost(a, b)
+        cost = flix.query(QueryRequest.cost(a, b)).value
         assert cost is not None
-        assert flix.connection_test(a, b) >= 1
+        assert flix.query(QueryRequest.test(a, b)).value >= 1

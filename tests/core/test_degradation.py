@@ -8,6 +8,7 @@ of an exception, and budget-limited queries stop early flagged
 
 import pytest
 
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.core.pee import QueryBudget
@@ -124,11 +125,11 @@ class TestFailingIndexFallback:
         )
         if target is None:
             pytest.skip("document root has no descendants")
-        assert resilient_flix.connection_test(start, target) is not None
+        assert resilient_flix.query(QueryRequest.test(start, target)).value is not None
         for meta in resilient_flix.meta_documents:
             meta.index = FaultyIndex(meta.index, FaultPlan.hard_failure())
         resilient_flix.pee._fallbacks.clear()
-        assert resilient_flix.connection_test(start, target) is not None
+        assert resilient_flix.query(QueryRequest.test(start, target)).value is not None
 
 
 class TestQueryBudgets:

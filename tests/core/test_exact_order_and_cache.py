@@ -3,7 +3,8 @@ caching, and the child axis."""
 
 import pytest
 
-from repro.core.config import FlixConfig
+from repro.core.api import QueryRequest
+from repro.core.config import CacheConfig, FlixConfig
 from repro.core.framework import Flix
 from repro.graph.closure import transitive_closure
 
@@ -22,37 +23,51 @@ class TestExactOrder:
     def test_stream_sorted_by_reported_distance(self, flix, figure1_collection):
         for name in ("d01.xml", "d05.xml", "d08.xml"):
             start = figure1_collection.document_root(name)
-            results = list(flix.find_descendants(start, exact_order=True))
+            results = list(flix.query_stream(
+                QueryRequest.descendants(start, exact_order=True)
+            ))
             distances = [r.distance for r in results]
             assert distances == sorted(distances)
 
     def test_same_result_set_as_approximate(self, flix, figure1_collection):
         start = figure1_collection.document_root("d05.xml")
-        exact = {r.node for r in flix.find_descendants(start, exact_order=True)}
-        approx = {r.node for r in flix.find_descendants(start)}
+        exact = {
+            r.node
+            for r in flix.query_stream(
+                QueryRequest.descendants(start, exact_order=True)
+            )
+        }
+        approx = {r.node for r in flix.query_stream(QueryRequest.descendants(start))}
         assert exact == approx
 
     def test_exact_order_reduces_error_rate(self, flix, figure1_collection, oracle):
         from repro.bench.harness import order_error_rate
 
         start = figure1_collection.document_root("d05.xml")
-        approx = list(flix.find_descendants(start, include_self=True))
-        exact = list(flix.find_descendants(start, include_self=True,
-                                           exact_order=True))
+        approx = list(flix.query_stream(
+            QueryRequest.descendants(start, include_self=True)
+        ))
+        exact = list(flix.query_stream(
+            QueryRequest.descendants(start, include_self=True, exact_order=True)
+        ))
         assert order_error_rate(exact, oracle, start) <= order_error_rate(
             approx, oracle, start
         )
 
     def test_exact_order_ancestors(self, flix, figure1_collection):
         node = figure1_collection.document_nodes("d04.xml")[-1]
-        results = list(flix.find_ancestors(node, exact_order=True))
+        results = list(flix.query_stream(
+            QueryRequest.ancestors(node, exact_order=True)
+        ))
         distances = [r.distance for r in results]
         assert distances == sorted(distances)
 
     def test_exact_order_with_threshold(self, flix, figure1_collection):
         start = figure1_collection.document_root("d01.xml")
         results = list(
-            flix.find_descendants(start, max_distance=4, exact_order=True)
+            flix.query_stream(
+                QueryRequest.descendants(start, max_distance=4, exact_order=True)
+            )
         )
         distances = [r.distance for r in results]
         assert distances == sorted(distances)
@@ -66,7 +81,9 @@ class TestExactOrder:
         meta documents (within one meta the local index orders for free)."""
         for name in ("d01.xml", "d05.xml", "d08.xml"):
             start = figure1_collection.document_root(name)
-            results = list(flix.find_descendants(start, exact_order=True))
+            results = list(flix.query_stream(
+                QueryRequest.descendants(start, exact_order=True)
+            ))
             metas_spanned = {flix.meta_of[r.node] for r in results}
             assert len(metas_spanned) >= 2, (
                 f"query from {name} stayed inside one meta document; "
@@ -80,72 +97,72 @@ class TestResultCache:
     def test_cache_disabled_by_default(self, figure1_collection):
         flix = Flix.build(figure1_collection, FlixConfig.naive())
         start = figure1_collection.document_root("d01.xml")
-        list(flix.find_descendants(start))
-        list(flix.find_descendants(start))
+        list(flix.query_stream(QueryRequest.descendants(start)))
+        list(flix.query_stream(QueryRequest.descendants(start)))
         assert flix.cache_hits == 0
 
     def test_cache_hit_on_repeat(self, figure1_collection):
         flix = Flix.build(figure1_collection, FlixConfig.naive())
-        flix.enable_cache()
+        flix.configure_cache(CacheConfig(maxsize=128, shards=1))
         start = figure1_collection.document_root("d01.xml")
-        first = list(flix.find_descendants(start, tag="item"))
-        second = list(flix.find_descendants(start, tag="item"))
+        first = list(flix.query_stream(QueryRequest.descendants(start, tag="item")))
+        second = list(flix.query_stream(QueryRequest.descendants(start, tag="item")))
         assert flix.cache_hits == 1
         assert first == second
 
     def test_cached_results_equal_fresh(self, figure1_collection):
         plain = Flix.build(figure1_collection, FlixConfig.hybrid(60))
         cached = Flix.build(figure1_collection, FlixConfig.hybrid(60))
-        cached.enable_cache()
+        cached.configure_cache(CacheConfig(maxsize=128, shards=1))
         start = figure1_collection.document_root("d05.xml")
         for _ in range(3):
-            assert list(cached.find_descendants(start)) == list(
-                plain.find_descendants(start)
+            assert list(cached.query_stream(QueryRequest.descendants(start))) == list(
+                plain.query_stream(QueryRequest.descendants(start))
             )
 
     def test_limited_query_served_from_cached_superset(self, figure1_collection):
         flix = Flix.build(figure1_collection, FlixConfig.naive())
-        flix.enable_cache()
+        flix.configure_cache(CacheConfig(maxsize=128, shards=1))
         start = figure1_collection.document_root("d01.xml")
-        full = list(flix.find_descendants(start))
-        limited = list(flix.find_descendants(start, limit=3))
+        full = list(flix.query_stream(QueryRequest.descendants(start)))
+        limited = list(flix.query_stream(QueryRequest.descendants(start, limit=3)))
         assert limited == full[:3]
         assert flix.cache_hits == 1
 
     def test_limited_queries_not_cached_as_full(self, figure1_collection):
         flix = Flix.build(figure1_collection, FlixConfig.naive())
-        flix.enable_cache()
+        flix.configure_cache(CacheConfig(maxsize=128, shards=1))
         start = figure1_collection.document_root("d01.xml")
-        list(flix.find_descendants(start, limit=2))
-        full = list(flix.find_descendants(start))
+        list(flix.query_stream(QueryRequest.descendants(start, limit=2)))
+        full = list(flix.query_stream(QueryRequest.descendants(start)))
         assert len(full) > 2
 
     def test_lru_eviction(self, figure1_collection):
         flix = Flix.build(figure1_collection, FlixConfig.naive())
-        flix.enable_cache(maxsize=2)
+        flix.configure_cache(CacheConfig(maxsize=2, shards=1))
         roots = [
             figure1_collection.document_root(name)
             for name in ("d01.xml", "d02.xml", "d03.xml")
         ]
         for root in roots:
-            list(flix.find_descendants(root))
-        list(flix.find_descendants(roots[0]))  # evicted -> miss
+            list(flix.query_stream(QueryRequest.descendants(root)))
+        list(flix.query_stream(QueryRequest.descendants(roots[0])))  # evicted -> miss
         assert flix.cache_hits == 0
         assert flix.cache_misses >= 4
 
     def test_invalid_maxsize(self, figure1_collection):
         flix = Flix.build(figure1_collection, FlixConfig.naive())
         with pytest.raises(ValueError):
-            flix.enable_cache(maxsize=0)
+            flix.configure_cache(CacheConfig(maxsize=0, shards=1))
 
-    def test_disable_cache(self, figure1_collection):
+    def test_removing_the_cache(self, figure1_collection):
         flix = Flix.build(figure1_collection, FlixConfig.naive())
-        flix.enable_cache()
+        flix.configure_cache(CacheConfig(maxsize=128, shards=1))
         start = figure1_collection.document_root("d01.xml")
-        list(flix.find_descendants(start))
-        flix.disable_cache()
+        list(flix.query_stream(QueryRequest.descendants(start)))
+        flix.configure_cache(None)
         hits_before = flix.cache_hits
-        list(flix.find_descendants(start))
+        list(flix.query_stream(QueryRequest.descendants(start)))
         assert flix.cache_hits == hits_before
 
     def test_add_document_invalidates_cached_results(self):
@@ -163,10 +180,10 @@ class TestResultCache:
             ]
         )
         flix = Flix.build(collection, FlixConfig.naive())
-        flix.enable_cache()
+        flix.configure_cache(CacheConfig(maxsize=128, shards=1))
         start = collection.document_root("a.xml")
-        before = list(flix.find_descendants(start, tag="p"))
-        list(flix.find_descendants(start, tag="p"))
+        before = list(flix.query_stream(QueryRequest.descendants(start, tag="p")))
+        list(flix.query_stream(QueryRequest.descendants(start, tag="p")))
         assert flix.cache_hits == 1
 
         flix.add_document(
@@ -175,7 +192,7 @@ class TestResultCache:
             )
         )
         # the cache was cleared: same query is a miss, not a stale hit
-        after = list(flix.find_descendants(start, tag="p"))
+        after = list(flix.query_stream(QueryRequest.descendants(start, tag="p")))
         assert flix.cache_hits == 1
         assert flix.cache_misses >= 2
         assert {r.node for r in after} == {r.node for r in before}
@@ -189,22 +206,22 @@ class TestResultCache:
         start_d = collection.document_root("d.xml")
         texts = {
             collection.text(r.node)
-            for r in flix.find_descendants(start_d, tag="p")
+            for r in flix.query_stream(QueryRequest.descendants(start_d, tag="p"))
         }
         assert texts == {"alpha", "beta", "delta"}
 
     def test_rebuild_starts_with_cold_cache(self, figure1_collection):
         flix = Flix.build(figure1_collection, FlixConfig.hybrid(60))
-        flix.enable_cache()
+        flix.configure_cache(CacheConfig(maxsize=128, shards=1))
         start = figure1_collection.document_root("d05.xml")
-        original = list(flix.find_descendants(start))
-        list(flix.find_descendants(start))
+        original = list(flix.query_stream(QueryRequest.descendants(start)))
+        list(flix.query_stream(QueryRequest.descendants(start)))
         assert flix.cache_hits == 1
 
         rebuilt = flix.rebuild()
         assert rebuilt is not flix
         assert rebuilt.cache_hits == 0 and rebuilt.cache_misses == 0
-        fresh = list(rebuilt.find_descendants(start))
+        fresh = list(rebuilt.query_stream(QueryRequest.descendants(start)))
         assert rebuilt.cache_hits == 0  # caching is opt-in per instance
         assert [r.node for r in fresh] == [r.node for r in original]
 
@@ -212,14 +229,14 @@ class TestResultCache:
 class TestChildAxis:
     def test_children_are_direct_successors(self, flix, figure1_collection):
         start = figure1_collection.document_root("d01.xml")
-        children = flix.find_children(start)
+        children = flix.query(QueryRequest.children(start)).results
         expected = sorted(figure1_collection.graph.successors(start))
         assert [c.node for c in children] == expected
         assert all(c.distance == 1 for c in children)
 
     def test_children_tag_filter(self, flix, figure1_collection):
         start = figure1_collection.document_root("d01.xml")
-        for child in flix.find_children(start, tag="item"):
+        for child in flix.query(QueryRequest.children(start, tag="item")).results:
             assert figure1_collection.tag(child.node) == "item"
 
     def test_link_targets_count_as_children(self, flix, figure1_collection):
@@ -227,7 +244,7 @@ class TestChildAxis:
         similarly to normal child elements' (section 1.1)."""
         link_sources = {u for u, _v in figure1_collection.link_edges}
         source = next(iter(link_sources))
-        children = {c.node for c in flix.find_children(source)}
+        children = {c.node for c in flix.query(QueryRequest.children(source)).results}
         targets = {
             v for u, v in figure1_collection.link_edges if u == source
         }

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.graph.traversal import bfs_distances
@@ -17,10 +18,10 @@ class TestFindPath:
         from repro.datasets.dblp import find_aries
 
         aries = find_aries(dblp_collection)
-        via_path = flix.find_path(aries, ["article"])
+        via_path = flix.query(QueryRequest.find_path(aries, ["article"])).results
         direct = {
             r.node: r.distance
-            for r in flix.find_descendants(aries, tag="article")
+            for r in flix.query_stream(QueryRequest.descendants(aries, tag="article"))
         }
         assert dict(via_path) == direct
 
@@ -29,7 +30,9 @@ class TestFindPath:
 
         aries = find_aries(dblp_collection)
         # aries//article//author: authors of transitively cited articles
-        results = flix.find_path(aries, ["article", "author"])
+        results = flix.query(
+            QueryRequest.find_path(aries, ["article", "author"])
+        ).results
         assert results
         for node, _distance in results:
             assert dblp_collection.tag(node) == "author"
@@ -50,7 +53,9 @@ class TestFindPath:
         from repro.datasets.dblp import find_aries
 
         aries = find_aries(dblp_collection)
-        results = flix.find_path(aries, ["inproceedings", "cite"])
+        results = flix.query(
+            QueryRequest.find_path(aries, ["inproceedings", "cite"])
+        ).results
         distances = [d for _n, d in results]
         assert distances == sorted(distances)
 
@@ -58,21 +63,27 @@ class TestFindPath:
         from repro.datasets.dblp import find_aries
 
         aries = find_aries(dblp_collection)
-        assert flix.find_path(aries, ["article", "nosuchtag"]) == []
-        assert flix.find_path(aries, ["nosuchtag", "article"]) == []
+        assert flix.query(
+            QueryRequest.find_path(aries, ["article", "nosuchtag"])
+        ).results == []
+        assert flix.query(
+            QueryRequest.find_path(aries, ["nosuchtag", "article"])
+        ).results == []
 
     def test_empty_tags_rejected(self, flix, dblp_collection):
         from repro.datasets.dblp import find_aries
 
         with pytest.raises(ValueError):
-            flix.find_path(find_aries(dblp_collection), [])
+            flix.query(QueryRequest.find_path(find_aries(dblp_collection), [])).results
 
     def test_distances_accumulate(self, flix, dblp_collection):
         from repro.datasets.dblp import find_aries
 
         aries = find_aries(dblp_collection)
-        one_step = dict(flix.find_path(aries, ["article"]))
-        two_step = dict(flix.find_path(aries, ["article", "title"]))
+        one_step = dict(flix.query(QueryRequest.find_path(aries, ["article"])).results)
+        two_step = dict(flix.query(
+            QueryRequest.find_path(aries, ["article", "title"])
+        ).results)
         for node, distance in two_step.items():
             # every final title is at least one hop beyond some article
             assert distance >= min(one_step.values()) + 1

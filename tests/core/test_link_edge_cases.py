@@ -12,6 +12,7 @@ import pytest
 
 from repro.collection.builder import build_collection
 from repro.collection.document import XmlDocument
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 
@@ -146,5 +147,5 @@ class TestResidualCycles:
         flix = self.cycle_flix(cycle_collection)
         a = cycle_collection.document_root("a.xml")
         c = cycle_collection.document_root("c.xml")
-        assert flix.connection_test(a, c) is not None
-        assert flix.connection_test(c, a) is not None  # around the cycle
+        assert flix.query(QueryRequest.test(a, c)).value is not None
+        assert flix.query(QueryRequest.test(c, a)).value is not None  # around the cycle

@@ -29,7 +29,7 @@ def flix():
 
 
 def descendant_nodes(flix, start):
-    return {r.node for r in flix.find_descendants(start)}
+    return {r.node for r in flix.query_stream(QueryRequest.descendants(start))}
 
 
 def oracle_descendants(collection, start):
@@ -85,7 +85,7 @@ class TestRemoveDocument:
         target = flix.collection.document_root("b.xml")
         flix.remove_document("b.xml")
         with pytest.raises(KeyError):
-            list(flix.find_descendants(target))
+            list(flix.query_stream(QueryRequest.descendants(target)))
 
     def test_links_into_removed_document_redangle(self, flix):
         collection = flix.collection
@@ -98,7 +98,7 @@ class TestRemoveDocument:
         start = collection.document_root("a.xml")
         texts = {
             collection.text(r.node)
-            for r in flix.find_descendants(start, tag="p")
+            for r in flix.query_stream(QueryRequest.descendants(start, tag="p"))
         }
         assert texts == {"alpha", "beta2"}
 
@@ -151,7 +151,7 @@ class TestUpdateDocument:
         start = collection.document_root("a.xml")
         texts = {
             collection.text(r.node)
-            for r in flix.find_descendants(start, tag="p")
+            for r in flix.query_stream(QueryRequest.descendants(start, tag="p"))
         }
         # a -> b (re-resolved) -> c (the new outgoing link)
         assert texts == {"alpha", "beta2", "gamma"}
@@ -175,7 +175,7 @@ class TestAddDocumentsBatch:
         start = collection.document_root("d.xml")
         texts = {
             collection.text(r.node)
-            for r in flix.find_descendants(start, tag="p")
+            for r in flix.query_stream(QueryRequest.descendants(start, tag="p"))
         }
         assert texts == {"dd", "ee"}
         flix.self_check()

@@ -12,6 +12,7 @@ import pytest
 
 from repro.collection.builder import build_collection
 from repro.collection.document import XmlDocument
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 
@@ -42,7 +43,7 @@ class TestCrossMetaTracing:
         flix = _build(linked_pair)
         assert len(flix.meta_documents) == 2
         start = linked_pair.document_root("a.xml")
-        results = list(flix.find_descendants(start))
+        results = list(flix.query_stream(QueryRequest.descendants(start)))
         # the query must have crossed into b.xml through the residual link
         metas_seen = {r.meta_id for r in results}
         assert len(metas_seen) == 2
@@ -64,7 +65,7 @@ class TestCrossMetaTracing:
     def test_query_metrics_published_on_completion(self, linked_pair):
         flix = _build(linked_pair)
         start = linked_pair.document_root("a.xml")
-        list(flix.find_descendants(start))
+        list(flix.query_stream(QueryRequest.descendants(start)))
         reg = flix.metrics()
         assert reg.get("flix_queries_total").value(axis="descendants") == 1
         assert reg.get("flix_pee_link_hops_total").total() >= 1
@@ -116,7 +117,7 @@ class TestDisabledObservability:
     def test_disabled_emits_nothing(self, linked_pair):
         flix = _build(linked_pair, observability=False)
         start = linked_pair.document_root("a.xml")
-        results = list(flix.find_descendants(start))
+        results = list(flix.query_stream(QueryRequest.descendants(start)))
         assert results  # queries still work
         assert flix.metrics().metrics() == []
         assert flix.trace_last_query() is None
@@ -146,7 +147,7 @@ class TestFlixObservabilitySurface:
     def test_export_formats(self, linked_pair):
         flix = _build(linked_pair)
         start = linked_pair.document_root("a.xml")
-        list(flix.find_descendants(start))
+        list(flix.query_stream(QueryRequest.descendants(start)))
         prom = flix.export_metrics("prom")
         assert "# TYPE flix_queries_total counter" in prom
         payload = json.loads(flix.export_metrics("json"))
@@ -170,7 +171,7 @@ class TestFlixObservabilitySurface:
         # the link lands on b.xml's <sec id="t">, so the <p> inside it is
         # reachable from a.xml's root across the residual link
         target = linked_pair.nodes_with_tag("p")[0]
-        assert flix.connection_test(start, target) is not None
+        assert flix.query(QueryRequest.test(start, target)).value is not None
         reg = flix.metrics()
         assert reg.get("flix_queries_total").value(axis="connection") == 1
 

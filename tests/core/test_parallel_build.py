@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.core.ib import BuildProfile, IndexBuilder, _available_cpus
@@ -71,8 +72,8 @@ class TestParity:
     def test_query_results_identical(self, sequential, parallel, figure1_collection):
         for name in sorted(figure1_collection.documents):
             start = figure1_collection.document_root(name)
-            assert list(parallel.find_descendants(start)) == list(
-                sequential.find_descendants(start)
+            assert list(parallel.query_stream(QueryRequest.descendants(start))) == list(
+                sequential.query_stream(QueryRequest.descendants(start))
             )
 
     def test_report_records_jobs_and_executor(self, parallel):

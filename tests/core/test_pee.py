@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.graph.closure import transitive_closure
@@ -27,23 +28,26 @@ class TestDescendants:
     def test_result_set_matches_oracle(self, flix, figure1_collection, oracle):
         for name in list(figure1_collection.documents)[:4]:
             start = figure1_collection.document_root(name)
-            got = {r.node for r in flix.find_descendants(start)}
+            got = {r.node for r in flix.query_stream(QueryRequest.descendants(start))}
             expected = set(oracle.descendants(start)) - {start}
             assert got == expected
 
     def test_no_duplicates(self, flix, figure1_collection):
         start = figure1_collection.document_root("d01.xml")
-        results = list(flix.find_descendants(start))
+        results = list(flix.query_stream(QueryRequest.descendants(start)))
         assert len(results) == len({r.node for r in results})
 
     def test_distances_are_upper_bounds(self, flix, figure1_collection, oracle):
         start = figure1_collection.document_root("d05.xml")
-        for result in flix.find_descendants(start):
+        for result in flix.query_stream(QueryRequest.descendants(start)):
             assert result.distance >= oracle.distance(start, result.node)
 
     def test_tag_filter(self, flix, figure1_collection, oracle):
         start = figure1_collection.document_root("d01.xml")
-        got = {r.node for r in flix.find_descendants(start, tag="item")}
+        got = {
+            r.node
+            for r in flix.query_stream(QueryRequest.descendants(start, tag="item"))
+        }
         expected = {
             v
             for v in oracle.descendants(start)
@@ -53,34 +57,46 @@ class TestDescendants:
 
     def test_include_self(self, flix, figure1_collection):
         start = figure1_collection.document_root("d01.xml")
-        with_self = {r.node for r in flix.find_descendants(start, include_self=True)}
-        without = {r.node for r in flix.find_descendants(start)}
+        with_self = {
+            r.node
+            for r in flix.query_stream(
+                QueryRequest.descendants(start, include_self=True)
+            )
+        }
+        without = {r.node for r in flix.query_stream(QueryRequest.descendants(start))}
         assert with_self - without == {start}
 
     def test_max_distance_threshold(self, flix, figure1_collection, oracle):
         start = figure1_collection.document_root("d01.xml")
-        results = list(flix.find_descendants(start, max_distance=3))
-        full = {r.node for r in flix.find_descendants(start)}
+        results = list(flix.query_stream(
+            QueryRequest.descendants(start, max_distance=3)
+        ))
+        full = {r.node for r in flix.query_stream(QueryRequest.descendants(start))}
         for result in results:
             assert result.distance <= 3
         # thresholded results are a subset of the unthresholded answer
         assert {r.node for r in results} <= full
         # a threshold beyond the diameter changes nothing
-        wide = {r.node for r in flix.find_descendants(start, max_distance=10**6)}
+        wide = {
+            r.node
+            for r in flix.query_stream(
+                QueryRequest.descendants(start, max_distance=10**6)
+            )
+        }
         assert wide == full
 
     def test_limit_stops_early(self, flix, figure1_collection):
         start = figure1_collection.document_root("d01.xml")
-        results = list(flix.find_descendants(start, limit=5))
+        results = list(flix.query_stream(QueryRequest.descendants(start, limit=5)))
         assert len(results) == 5
 
     def test_unknown_start_raises(self, flix):
         with pytest.raises(KeyError):
-            list(flix.find_descendants(10**9))
+            list(flix.query_stream(QueryRequest.descendants(10**9)))
 
     def test_meta_id_points_to_owning_meta_document(self, flix, figure1_collection):
         start = figure1_collection.document_root("d01.xml")
-        for result in flix.find_descendants(start):
+        for result in flix.query_stream(QueryRequest.descendants(start)):
             assert result.node in flix.meta_documents[result.meta_id]
 
 
@@ -88,7 +104,7 @@ class TestAncestors:
     def test_matches_oracle(self, flix, figure1_collection, oracle):
         nodes = list(figure1_collection.node_ids())
         for node in nodes[:: max(1, len(nodes) // 15)]:
-            got = {r.node for r in flix.find_ancestors(node)}
+            got = {r.node for r in flix.query_stream(QueryRequest.ancestors(node))}
             expected = {
                 u for u in nodes if oracle.reachable(u, node) and u != node
             }
@@ -96,7 +112,7 @@ class TestAncestors:
 
     def test_ancestor_distances_are_upper_bounds(self, flix, figure1_collection, oracle):
         node = figure1_collection.document_nodes("d04.xml")[-1]
-        for result in flix.find_ancestors(node):
+        for result in flix.query_stream(QueryRequest.ancestors(node)):
             assert result.distance >= oracle.distance(result.node, node)
 
 
@@ -107,7 +123,7 @@ class TestConnectionTest:
         for u in nodes[::7]:
             for v in nodes[::11]:
                 expected = oracle.distance(u, v)
-                got = flix.connection_test(u, v)
+                got = flix.query(QueryRequest.test(u, v)).value
                 assert (got is None) == (expected is None)
                 if got is not None:
                     assert got >= expected
@@ -119,7 +135,7 @@ class TestConnectionTest:
         for u in nodes[::13]:
             for v in nodes[::17]:
                 expected = oracle.reachable(u, v)
-                got = flix.connection_test(u, v, bidirectional=True)
+                got = flix.query(QueryRequest.test(u, v, bidirectional=True)).value
                 assert (got is not None) == expected
 
     def test_threshold_cuts_off(self, flix, figure1_collection, oracle):
@@ -127,7 +143,7 @@ class TestConnectionTest:
         for u in nodes[::9]:
             for v in nodes[::15]:
                 true = oracle.distance(u, v)
-                got = flix.connection_test(u, v, max_distance=2)
+                got = flix.query(QueryRequest.test(u, v, max_distance=2)).value
                 if got is not None:
                     assert got <= 2
                 if true is not None and true > 8:
@@ -137,12 +153,15 @@ class TestConnectionTest:
 
     def test_self_connection(self, flix, figure1_collection):
         node = figure1_collection.document_root("d01.xml")
-        assert flix.connection_test(node, node) == 0
+        assert flix.query(QueryRequest.test(node, node)).value == 0
 
 
 class TestTypeQuery:
     def test_a_slash_slash_b(self, flix, figure1_collection, oracle):
-        got = {r.node for r in flix.evaluate_type_query("doc", "note")}
+        got = {
+            r.node
+            for r in flix.query_stream(QueryRequest.type_query("doc", "note"))
+        }
         expected = set()
         for seed in figure1_collection.nodes_with_tag("doc"):
             for v, _d in oracle.descendants(seed).items():
@@ -151,14 +170,14 @@ class TestTypeQuery:
         assert got == expected
 
     def test_results_unique(self, flix):
-        results = list(flix.evaluate_type_query("doc", "item"))
+        results = list(flix.query_stream(QueryRequest.type_query("doc", "item")))
         assert len(results) == len({r.node for r in results})
 
 
 class TestStats:
     def test_stats_recorded(self, flix, figure1_collection):
         start = figure1_collection.document_root("d05.xml")
-        list(flix.find_descendants(start))
+        list(flix.query_stream(QueryRequest.descendants(start)))
         stats = flix.pee.last_stats
         assert stats.meta_document_visits >= 1
         assert stats.results_returned >= 1

@@ -10,6 +10,7 @@ equivalence suite.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.core.pee import ExpansionLost, QueryBudget, QueryStats
@@ -60,7 +61,7 @@ def test_descendant_sets_match_oracle_for_all_configs(params):
     for config in CONFIGS:
         flix = Flix.build(collection, config)
         for start in probes:
-            results = list(flix.find_descendants(start))
+            results = list(flix.query_stream(QueryRequest.descendants(start)))
             got = {r.node for r in results}
             expected = set(oracle.descendants(start)) - {start}
             assert got == expected, (config.name, start)
@@ -79,7 +80,7 @@ def test_ancestor_sets_match_oracle(params):
     for config in (FlixConfig.naive(), FlixConfig.hybrid(10)):
         flix = Flix.build(collection, config)
         for start in probes:
-            got = {r.node for r in flix.find_ancestors(start)}
+            got = {r.node for r in flix.query_stream(QueryRequest.ancestors(start))}
             expected = {
                 u for u in node_ids if oracle.reachable(u, start) and u != start
             }
@@ -95,7 +96,7 @@ def test_connection_test_agrees_with_oracle(params):
     flix = Flix.build(collection, FlixConfig.unconnected_hopi(10))
     for u in node_ids[::5]:
         for v in node_ids[::7]:
-            got = flix.connection_test(u, v)
+            got = flix.query(QueryRequest.test(u, v)).value
             expected = oracle.distance(u, v)
             assert (got is None) == (expected is None)
             if got is not None:
@@ -110,7 +111,7 @@ def test_auto_configuration_builds_and_answers(params):
     oracle = transitive_closure(collection.graph)
     flix = Flix.build(collection)  # automatic configuration
     start = next(iter(collection.node_ids()))
-    got = {r.node for r in flix.find_descendants(start)}
+    got = {r.node for r in flix.query_stream(QueryRequest.descendants(start))}
     assert got == set(oracle.descendants(start)) - {start}
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.core.persistence import PersistenceError
@@ -27,9 +28,13 @@ class TestSaveLoadRoundTrip:
         for name in sorted(figure1_collection.documents)[:5]:
             start = figure1_collection.document_root(name)
             assert [
-                (r.node, r.distance) for r in loaded.find_descendants(start)
+                (r.node, r.distance) for r in loaded.query_stream(
+                    QueryRequest.descendants(start)
+                )
             ] == [
-                (r.node, r.distance) for r in original.find_descendants(start)
+                (r.node, r.distance) for r in original.query_stream(
+                    QueryRequest.descendants(start)
+                )
             ]
 
     def test_loaded_index_passes_self_check(self, figure1_collection, tmp_path, config):
@@ -65,7 +70,7 @@ class TestSaveLoadBehaviour:
             )
         )
         start = collection.document_root("extra.xml")
-        results = list(loaded.find_descendants(start))
+        results = list(loaded.query_stream(QueryRequest.descendants(start)))
         assert collection.document_root("rec000000.xml") in {
             r.node for r in results
         }
@@ -86,7 +91,7 @@ class TestSaveLoadBehaviour:
         loaded = Flix.load(figure1_collection, tmp_path / "mono")
         oracle = transitive_closure(figure1_collection.graph)
         start = figure1_collection.document_root("d05.xml")
-        got = {r.node for r in loaded.find_descendants(start)}
+        got = {r.node for r in loaded.query_stream(QueryRequest.descendants(start))}
         assert got == set(oracle.descendants(start)) - {start}
 
     def test_dblp_round_trip_heavy(self, tmp_path):
@@ -97,6 +102,7 @@ class TestSaveLoadBehaviour:
         from repro.datasets.dblp import find_aries
 
         aries = find_aries(collection)
-        assert [r.node for r in loaded.find_descendants(aries, tag="article")] == [
-            r.node for r in original.find_descendants(aries, tag="article")
+        request = QueryRequest.descendants(aries, tag="article")
+        assert [r.node for r in loaded.query_stream(request)] == [
+            r.node for r in original.query_stream(request)
         ]

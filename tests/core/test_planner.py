@@ -9,8 +9,6 @@ relaxes only the stream order (node-set identity).
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.core.api import QueryRequest
@@ -378,40 +376,3 @@ class TestPlannerObject:
     def test_fifo_planner_does_not_reorder(self):
         assert not ProbePlanner(PlannerConfig()).reorders
         assert ProbePlanner(PlannerConfig(order="cost")).reorders
-
-
-class TestDeprecatedShims:
-    def test_all_legacy_shims_warn(self, linked):
-        flix = linked.on
-        collection = linked.collection
-        start = collection.document_root(sorted(collection.documents)[0])
-        title = sorted(collection.nodes_with_tag("title"))[0]
-        calls = [
-            lambda: list(flix.find_descendants(start, tag="author")),
-            lambda: list(flix.find_ancestors(title)),
-            lambda: list(flix.find_children(start)),
-            lambda: list(flix.evaluate_type_query("article", "author")),
-            lambda: flix.find_path(start, ["article", "author"]),
-            lambda: flix.find_connections(start, tag="title"),
-            lambda: flix.connection_cost(start, title),
-            lambda: flix.connection_test(start, title),
-        ]
-        for call in calls:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                call()
-            assert any(
-                issubclass(w.category, DeprecationWarning) for w in caught
-            ), call
-
-    def test_shim_results_match_query(self, linked):
-        # deprecated does not mean broken: the shims stay thin wrappers
-        flix = linked.on
-        start = linked.collection.document_root(
-            sorted(linked.collection.documents)[0]
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = list(flix.find_descendants(start))
-        modern = flix.query(QueryRequest.descendants(start)).results
-        assert [repr(r) for r in legacy] == [repr(r) for r in modern]

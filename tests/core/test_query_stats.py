@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.core.pee import QueryStats, QueryStream
@@ -83,7 +84,9 @@ class TestPerQueryStats:
         self-tuning monitor must be the merged counters of all steps, not
         just the final step's."""
         start = figure1_collection.document_root("d01.xml")
-        results = list(flix.find_path(start, ["item", "link"]))
+        results = list(flix.query(
+            QueryRequest.find_path(start, ["item", "link"])
+        ).results)
         assert results
         recorded = flix.monitor._stats[-1]
         assert recorded.results_returned >= len(results)

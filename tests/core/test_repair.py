@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.core.persistence import (
@@ -148,7 +149,10 @@ class TestRepair:
             for name in sorted(collection.documents)[:3]
         ]
         expected = {
-            s: [(r.node, r.distance) for r in original.find_descendants(s)]
+            s: [
+                (r.node, r.distance)
+                for r in original.query_stream(QueryRequest.descendants(s))
+            ]
             for s in starts
         }
         sorted(directory.glob("meta_*.sqlite"))[0].write_bytes(b"zap")
@@ -156,7 +160,9 @@ class TestRepair:
         repaired = load_flix(collection, directory)
         for s in starts:
             assert [
-                (r.node, r.distance) for r in repaired.find_descendants(s)
+                (r.node, r.distance) for r in repaired.query_stream(
+                    QueryRequest.descendants(s)
+                )
             ] == expected[s]
 
     def test_flix_repair_classmethod(self, saved):

@@ -63,8 +63,14 @@ def test_load_rolls_a_crashed_save_forward(crashed_save):
         loaded.index_fingerprint() == crashed_save.flix.index_fingerprint()
     )
     assert loaded.layout_generation == crashed_save.flix.layout_generation
-    # the roll-forward completed every pending rename
+    # the roll-forward completed every pending rename — the staged
+    # ``.pack.tmp`` blobs included
     assert not list(crashed_save.directory.glob("*" + TMP_SUFFIX))
+    named = crashed_save.manifest["integrity"]["files"]
+    packs = {name for name in named if name.endswith(".pack")}
+    assert packs and packs == {
+        path.name for path in crashed_save.directory.glob("*.pack")
+    }
 
 
 def test_verify_settles_then_reports_clean(crashed_save):

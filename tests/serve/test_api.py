@@ -1,4 +1,4 @@
-"""The unified QueryRequest/QueryResponse API and its legacy shims."""
+"""The unified QueryRequest/QueryResponse API."""
 
 from __future__ import annotations
 
@@ -69,58 +69,23 @@ class TestRequestValidation:
         assert built == set(QUERY_KINDS) - {"path"} | {"path"}
 
 
-class TestShimParity:
-    """The eight legacy methods must return exactly what query() does."""
+class TestQueryAndStream:
+    """``query`` materializes exactly what ``query_stream`` yields."""
 
-    def test_descendants(self, cached_flix, linked_collection):
+    def test_streaming_kinds_agree(self, cached_flix, linked_collection):
         start = linked_collection.document_root("a.xml")
-        unified = cached_flix.query(QueryRequest.descendants(start, tag="p"))
-        cached_flix.invalidate_caches()
-        legacy = list(cached_flix.find_descendants(start, tag="p"))
-        assert [r.node for r in legacy] == [r.node for r in unified.results]
-        assert len(unified.results) == 2  # alpha (local) + beta (via link)
-
-    def test_ancestors(self, cached_flix, linked_collection):
         target = linked_collection.document_root("b.xml")
-        unified = cached_flix.query(QueryRequest.ancestors(target))
-        cached_flix.invalidate_caches()
-        legacy = list(cached_flix.find_ancestors(target))
-        assert [r.node for r in legacy] == [r.node for r in unified.results]
-
-    def test_children(self, cached_flix, linked_collection):
-        start = linked_collection.document_root("a.xml")
-        unified = cached_flix.query(QueryRequest.children(start))
-        legacy = cached_flix.find_children(start)
-        assert [r.node for r in legacy] == [r.node for r in unified.results]
-
-    def test_type_query(self, cached_flix):
-        unified = cached_flix.query(QueryRequest.type_query("doc", "p"))
-        cached_flix.invalidate_caches()
-        legacy = list(cached_flix.evaluate_type_query("doc", "p"))
-        assert [r.node for r in legacy] == [r.node for r in unified.results]
-
-    def test_path(self, cached_flix, linked_collection):
-        start = linked_collection.document_root("a.xml")
-        unified = cached_flix.query(QueryRequest.find_path(start, ["p"]))
-        legacy = cached_flix.find_path(start, ["p"])
-        assert legacy == unified.results
-
-    def test_connections(self, cached_flix, linked_collection):
-        start = linked_collection.document_root("a.xml")
-        unified = cached_flix.query(QueryRequest.connections(start, tag="p"))
-        cached_flix.invalidate_caches()
-        legacy = list(cached_flix.find_connections(start, tag="p"))
-        assert legacy == unified.results
-
-    def test_scalars(self, cached_flix, linked_collection):
-        a = linked_collection.document_root("a.xml")
-        b = linked_collection.document_root("b.xml")
-        assert cached_flix.query(QueryRequest.test(a, b)).value == (
-            cached_flix.connection_test(a, b)
-        )
-        assert cached_flix.query(QueryRequest.cost(a, b)).value == (
-            cached_flix.connection_cost(a, b)
-        )
+        for request in (
+            QueryRequest.descendants(start, tag="p"),
+            QueryRequest.ancestors(target),
+            QueryRequest.type_query("doc", "p"),
+            QueryRequest.connections(start, tag="p"),
+        ):
+            materialized = cached_flix.query(request)
+            cached_flix.invalidate_caches()
+            assert list(cached_flix.query_stream(request)) == materialized.results
+        # alpha (local) + beta (via link)
+        assert len(cached_flix.query(QueryRequest.descendants(start, tag="p"))) == 2
 
     def test_response_shape(self, cached_flix, linked_collection):
         start = linked_collection.document_root("a.xml")
@@ -147,30 +112,6 @@ class TestShimParity:
             next(cached_flix.query_stream(QueryRequest.test(0, 1)))
 
 
-class TestDeprecations:
-    def test_enable_cache_warns_and_still_works(self, linked_collection):
-        flix = Flix.build(linked_collection, FlixConfig.naive())
-        with pytest.warns(DeprecationWarning, match="enable_cache"):
-            flix.enable_cache(maxsize=8)
-        start = linked_collection.document_root("a.xml")
-        list(flix.find_descendants(start, tag="p"))
-        list(flix.find_descendants(start, tag="p"))
-        assert flix.cache_hits == 1 and flix.cache_misses == 1
-
-    def test_disable_cache_warns(self, linked_collection):
-        flix = Flix.build(linked_collection, FlixConfig.naive())
-        with pytest.warns(DeprecationWarning):
-            flix.enable_cache()
-        with pytest.warns(DeprecationWarning, match="disable_cache"):
-            flix.disable_cache()
-        assert flix.cache is None
-
-    def test_config_cache_replaces_enable_cache(self, cached_flix):
-        # the new path warns nothing and feeds the same counters
-        assert cached_flix.cache is not None
-        assert cached_flix.cache_hits == 0
-
-
 class TestCacheConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -181,6 +122,10 @@ class TestCacheConfig:
     def test_roundtrip(self):
         config = CacheConfig(maxsize=128, shards=2)
         assert CacheConfig.from_dict(config.to_dict()) == config
+
+    def test_config_cache_is_installed_cold(self, cached_flix):
+        assert cached_flix.cache is not None
+        assert cached_flix.cache_hits == 0
 
     def test_with_cache_and_without_cache(self):
         config = FlixConfig.naive().with_cache()

@@ -27,7 +27,7 @@ def deployment(tmp_path_factory):
     """A saved packed index + collection directory, built once."""
     base = tmp_path_factory.mktemp("shard-deployment")
     collection = generate_dblp(DblpSpec(documents=6, seed=7))
-    flix = Flix.build(collection, FlixConfig.naive().with_packed())
+    flix = Flix.build(collection, FlixConfig.naive())
     collection_dir = base / "collection"
     index_dir = base / "index"
     save_collection(collection, collection_dir)

@@ -46,47 +46,3 @@ def test_every_doc_file_is_registered():
         assert registered == on_disk
     finally:
         sys.path.remove(str(REPO_ROOT / "tools"))
-
-
-def test_deprecated_mentions_must_be_flagged(tmp_path, monkeypatch):
-    sys.path.insert(0, str(REPO_ROOT / "tools"))
-    try:
-        import check_docs
-
-        doc = tmp_path / "STALE.md"
-        doc.write_text(
-            "Use `enable_cache(128)` to turn caching on.\n"
-            "`disable_cache()` is deprecated; prefer CacheConfig.\n"
-        )
-        monkeypatch.setattr(check_docs, "CHECKED_DOCS", (doc,))
-        errors = check_docs.check_deprecated_mentions()
-        assert len(errors) == 1  # line 2 is flagged, line 1 is not
-        assert "enable_cache" in errors[0]
-    finally:
-        sys.path.remove(str(REPO_ROOT / "tools"))
-
-
-def test_legacy_flix_query_methods_flagged_only_when_qualified(
-    tmp_path, monkeypatch
-):
-    sys.path.insert(0, str(REPO_ROOT / "tools"))
-    try:
-        import check_docs
-
-        doc = tmp_path / "STALE.md"
-        doc.write_text(
-            "Call `Flix.find_descendants(start)` for the axis.\n"
-            "Examples use `flix.find_path(a, tags)` directly.\n"
-            "`QueryRequest.find_path(...)` is the modern constructor.\n"
-            "`find_descendants_streamed` pages results out.\n"
-            "`Flix.find_ancestors` is deprecated; use `query_stream`.\n"
-        )
-        monkeypatch.setattr(check_docs, "CHECKED_DOCS", (doc,))
-        errors = check_docs.check_deprecated_mentions()
-        # lines 1 and 2 are unflagged shim references; 3 and 4 are live
-        # APIs sharing the name; 5 carries the deprecation mark
-        assert len(errors) == 2
-        assert ":1 " in errors[0] and "Flix.find_descendants" in errors[0]
-        assert ":2 " in errors[1] and "Flix.find_path" in errors[1]
-    finally:
-        sys.path.remove(str(REPO_ROOT / "tools"))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Flix, FlixConfig, XmlDocument, build_collection
+from repro import Flix, FlixConfig, QueryRequest, XmlDocument, build_collection
 from repro.collection.stats import collect_statistics
 from repro.storage.memory import MemoryBackend
 from repro.storage.table import StorageBackend, TableSchema
@@ -19,15 +19,17 @@ class TestEmptyAndMinimalCollections:
         collection = build_collection([])
         flix = Flix.build(collection, FlixConfig.naive())
         with pytest.raises(KeyError):
-            list(flix.find_descendants(0))
+            list(flix.query_stream(QueryRequest.descendants(0)))
 
     def test_single_element_document(self):
         collection = build_collection([XmlDocument.from_text("a.xml", "<a/>")])
         flix = Flix.build(collection, FlixConfig.naive())
         root = collection.document_root("a.xml")
-        assert list(flix.find_descendants(root)) == []
-        assert list(flix.find_descendants(root, include_self=True))[0].node == root
-        assert flix.connection_test(root, root) == 0
+        assert list(flix.query_stream(QueryRequest.descendants(root))) == []
+        assert list(flix.query_stream(
+            QueryRequest.descendants(root, include_self=True)
+        ))[0].node == root
+        assert flix.query(QueryRequest.test(root, root)).value == 0
 
     def test_empty_collection_statistics(self):
         stats = collect_statistics(build_collection([]))
@@ -42,7 +44,7 @@ class TestEmptyAndMinimalCollections:
         # the link targets the document's own root: a cycle root <-> link
         flix = Flix.build(collection, FlixConfig.naive())
         root = collection.document_root("a.xml")
-        results = {r.node for r in flix.find_descendants(root)}
+        results = {r.node for r in flix.query_stream(QueryRequest.descendants(root))}
         assert len(results) == 1  # the <l> element
 
 
@@ -131,7 +133,7 @@ class TestDeepDocuments:
         collection = build_collection([XmlDocument.from_text("deep.xml", text)])
         flix = Flix.build(collection, FlixConfig.naive())
         root = collection.document_root("deep.xml")
-        results = list(flix.find_descendants(root))
+        results = list(flix.query_stream(QueryRequest.descendants(root)))
         assert len(results) == depth - 1
         assert max(r.distance for r in results) == depth - 1
 
@@ -140,4 +142,4 @@ class TestDeepDocuments:
         collection = build_collection([XmlDocument.from_text("wide.xml", text)])
         flix = Flix.build(collection, FlixConfig.naive())
         root = collection.document_root("wide.xml")
-        assert len(list(flix.find_descendants(root, tag="leaf"))) == 2000
+        assert len(flix.query(QueryRequest.descendants(root, tag="leaf"))) == 2000

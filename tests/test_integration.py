@@ -5,6 +5,7 @@ import pytest
 from repro import (
     Flix,
     FlixConfig,
+    QueryRequest,
     XmlDocument,
     build_collection,
     collect_statistics,
@@ -43,7 +44,10 @@ class TestPaperPipeline:
         }
         flix = Flix.build(corpus, configs[config_name])
         aries = find_aries(corpus)
-        got = {r.node for r in flix.find_descendants(aries, tag="article")}
+        got = {
+            r.node
+            for r in flix.query_stream(QueryRequest.descendants(aries, tag="article"))
+        }
         expected = {
             v
             for v in oracle.descendants(aries)
@@ -55,7 +59,9 @@ class TestPaperPipeline:
         flix = Flix.build(corpus, FlixConfig.unconnected_hopi(100))
         aries = find_aries(corpus)
         ordered = list(
-            flix.find_descendants(aries, tag="article", exact_order=True)
+            flix.query_stream(
+                QueryRequest.descendants(aries, tag="article", exact_order=True)
+            )
         )
         distances = [r.distance for r in ordered]
         assert distances == sorted(distances)
@@ -77,7 +83,7 @@ class TestSqliteBackedBuild:
         )
         oracle = transitive_closure(figure1_collection.graph)
         start = figure1_collection.document_root("d05.xml")
-        got = {r.node for r in flix.find_descendants(start)}
+        got = {r.node for r in flix.query_stream(QueryRequest.descendants(start))}
         assert got == set(oracle.descendants(start)) - {start}
         assert flix.size_bytes() > 0
 
@@ -103,8 +109,10 @@ class TestDiskRoundTripPipeline:
         flix = Flix.build(loaded, FlixConfig.maximal_ppo())
         aries = find_aries(loaded)
         fresh = Flix.build(corpus, FlixConfig.maximal_ppo())
-        assert {r.node for r in flix.find_descendants(aries)} == {
-            r.node for r in fresh.find_descendants(find_aries(corpus))
+        assert {r.node for r in flix.query_stream(QueryRequest.descendants(aries))} == {
+            r.node for r in fresh.query_stream(
+                QueryRequest.descendants(find_aries(corpus))
+            )
         }
 
 
@@ -127,7 +135,7 @@ class TestHeterogeneousScenario:
         flix = Flix.build(figure1_collection, config)
         oracle = transitive_closure(figure1_collection.graph)
         start = figure1_collection.document_root("d01.xml")
-        got = {r.node for r in flix.find_descendants(start)}
+        got = {r.node for r in flix.query_stream(QueryRequest.descendants(start))}
         assert got == set(oracle.descendants(start)) - {start}
 
 
@@ -138,11 +146,11 @@ class TestSelfTuningLoop:
         bad = Flix.build(corpus, FlixConfig.unconnected_hopi(30))
         aries = find_aries(corpus)
         for _ in range(25):
-            list(bad.find_descendants(aries))
+            list(bad.query_stream(QueryRequest.descendants(aries)))
         advice = bad.tuning_advice(link_traversal_threshold=5.0)
         assert advice.should_rebuild
         better = bad.rebuild(advice.recommended_config)
-        list(better.find_descendants(aries))
+        list(better.query_stream(QueryRequest.descendants(aries)))
         assert (
             better.pee.last_stats.link_traversals
             < bad.pee.last_stats.link_traversals
@@ -183,5 +191,8 @@ class TestUnresolvedLinkResilience:
         assert len(collection.unresolved_links) == 2
         flix = Flix.build(collection, FlixConfig.naive())
         start = collection.document_root("b.xml")
-        results = {r.node for r in flix.find_descendants(start, tag="p")}
+        results = {
+            r.node
+            for r in flix.query_stream(QueryRequest.descendants(start, tag="p"))
+        }
         assert len(results) == 1

@@ -1,19 +1,11 @@
 #!/usr/bin/env python
 """Fail if a committed benchmark result violates its floors.
 
-The bench-regression guard re-checks committed ``BENCH_*.json`` files
-against the same acceptance floors the benches assert *without
-re-running them*, so CI (and a reviewer) can verify the committed
-numbers are in contract even on a machine too noisy to reproduce them.
-The payload kind is detected from its keys:
-
-``BENCH_microops.json`` (``benchmarks/bench_microops.py``):
-
-* ``median_probe_speedup``      >= 2.0   (packed probes, strategy mix)
-* ``cold_attach.speedup``       >= 10.0  (verified mmap attach vs
-                                          verified SQLite rehydration)
-* every per-op speedup          >= 0.8   (no single op regresses
-                                          beyond measurement noise)
+The bench-regression guard re-checks the committed
+``BENCH_durability.json`` against the same acceptance floors the bench
+asserts *without re-running it*, so CI (and a reviewer) can verify the
+committed numbers are in contract even on a machine too noisy to
+reproduce them.
 
 ``BENCH_durability.json`` (``benchmarks/bench_durability.py``):
 
@@ -38,46 +30,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-MEDIAN_PROBE_FLOOR = 2.0
-COLD_ATTACH_FLOOR = 10.0
-PER_OP_FLOOR = 0.8
 REPLAY_RATE_FLOOR = 50.0
 BATCHING_FLOOR = 0.8
-
-
-def check(payload: dict) -> list:
-    """The floor violations in a microops payload (empty = in contract)."""
-    failures = []
-
-    def require(condition: bool, message: str) -> None:
-        if not condition:
-            failures.append(message)
-
-    median = payload.get("median_probe_speedup")
-    require(
-        isinstance(median, (int, float)) and median >= MEDIAN_PROBE_FLOOR,
-        f"median_probe_speedup {median!r} < {MEDIAN_PROBE_FLOOR}",
-    )
-    attach = payload.get("cold_attach", {})
-    speedup = attach.get("speedup")
-    require(
-        isinstance(speedup, (int, float)) and speedup >= COLD_ATTACH_FLOOR,
-        f"cold_attach.speedup {speedup!r} < {COLD_ATTACH_FLOOR}",
-    )
-    require(
-        attach.get("verified") is True,
-        "cold_attach must time the *verified* attach path on both sides",
-    )
-    ops = payload.get("ops", {})
-    require(bool(ops), "payload has no per-op section")
-    for op, strategies in ops.items():
-        for strategy, entry in strategies.items():
-            per_op = entry.get("speedup")
-            require(
-                isinstance(per_op, (int, float)) and per_op >= PER_OP_FLOOR,
-                f"ops.{op}.{strategy}.speedup {per_op!r} < {PER_OP_FLOOR}",
-            )
-    return failures
 
 
 def check_durability(payload: dict) -> list:
@@ -130,23 +84,7 @@ def _check_file(path: Path) -> int:
     except ValueError as exc:
         print(f"check_bench_regression: {path} is not JSON: {exc}", file=sys.stderr)
         return 1
-    if "recovery" in payload and "fsync_policies" in payload:
-        failures = check_durability(payload)
-        summary = (
-            f"{path.name}: replay "
-            f"{payload['recovery']['records_per_second']:.0f} records/s, "
-            f"follower parity {payload['follower']['parity']}, "
-            f"lag {payload['follower']['final_lag']}"
-        )
-    else:
-        failures = check(payload)
-        summary = (
-            f"{path.name}: "
-            f"median probe {payload.get('median_probe_speedup')}x, "
-            f"cold attach {payload.get('cold_attach', {}).get('speedup')}x, "
-            f"{sum(len(s) for s in payload.get('ops', {}).values())} "
-            "per-op floors"
-        )
+    failures = check_durability(payload)
     if failures:
         for failure in failures:
             print(
@@ -154,7 +92,13 @@ def _check_file(path: Path) -> int:
                 file=sys.stderr,
             )
         return 1
-    print(f"check_bench_regression: {summary} OK")
+    recovery, follower = payload["recovery"], payload["follower"]
+    print(
+        f"check_bench_regression: {path.name}: replay "
+        f"{recovery['records_per_second']:.0f} records/s, "
+        f"follower parity {follower['parity']}, "
+        f"lag {follower['final_lag']} OK"
+    )
     return 0
 
 
@@ -162,10 +106,7 @@ def main(argv: list) -> int:
     paths = (
         [Path(arg) for arg in argv[1:]]
         if len(argv) > 1
-        else [
-            REPO_ROOT / "BENCH_microops.json",
-            REPO_ROOT / "BENCH_durability.json",
-        ]
+        else [REPO_ROOT / "BENCH_durability.json"]
     )
     status = 0
     for path in paths:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Fail if the documentation names symbols that do not exist.
 
-Four checks, run from the repository root (``python tools/check_docs.py``;
+Three checks, run from the repository root (``python tools/check_docs.py``;
 CI runs it on one Python version):
 
 1. every name in ``repro.obs.__all__`` must resolve to an attribute of
@@ -14,13 +14,7 @@ CI runs it on one Python version):
    only the dotted path is checked;
 3. every ``docs/*.md`` file must be registered in ``CHECKED_DOCS`` — a
    doc added without registering it here is a doc whose references
-   nobody verifies;
-4. any line mentioning a deprecated symbol (``DEPRECATED_SYMBOLS``, or
-   a ``Flix.``-qualified legacy query method from
-   ``DEPRECATED_FLIX_METHODS``) must say so: mention ``enable_cache``
-   or ``Flix.find_descendants`` without the word "deprecated" on the
-   same line and the check fails, so stale how-tos cannot resurface
-   retired APIs as the recommended path.
+   nobody verifies.
 """
 
 from __future__ import annotations
@@ -48,37 +42,6 @@ CHECKED_DOCS = (
     DOCS_DIR / "SERVING.md",
     DOCS_DIR / "SHARDING.md",
 )
-
-#: symbols kept only as deprecation shims: a doc line naming one must
-#: carry the word "deprecated" (any case/inflection) on the same line
-DEPRECATED_SYMBOLS = ("enable_cache", "disable_cache")
-
-#: the legacy per-kind ``Flix`` query methods, now shims over
-#: ``query``/``query_stream``.  Matched only when ``Flix.``-qualified:
-#: the same names stay live elsewhere (``QueryRequest.find_path`` is the
-#: modern constructor, ``PathExpressionEvaluator.find_descendants`` is
-#: the engine), and a trailing word boundary keeps live derivatives like
-#: ``find_descendants_streamed`` from tripping the check.
-DEPRECATED_FLIX_METHODS = (
-    "find_descendants",
-    "find_ancestors",
-    "find_children",
-    "evaluate_type_query",
-    "find_path",
-    "find_connections",
-    "connection_cost",
-    "connection_test",
-)
-
-_DEPRECATED_PATTERNS = tuple(
-    (symbol, re.compile(rf"\b{re.escape(symbol)}\b"))
-    for symbol in DEPRECATED_SYMBOLS
-) + tuple(
-    (f"Flix.{symbol}", re.compile(rf"\b[Ff]lix\.{re.escape(symbol)}\b"))
-    for symbol in DEPRECATED_FLIX_METHODS
-)
-
-_DEPRECATION_MARK = re.compile(r"deprecat", re.IGNORECASE)
 
 #: a backticked reference starting with ``repro.``: keep the leading
 #: dotted-identifier run, drop any call syntax or trailing prose
@@ -149,31 +112,12 @@ def check_all_docs_registered() -> list[str]:
     return errors
 
 
-def check_deprecated_mentions() -> list[str]:
-    errors = []
-    for doc in CHECKED_DOCS:
-        if not doc.is_file():
-            continue  # already reported by check_doc_references
-        label = _label(doc)
-        for number, line in enumerate(
-            doc.read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            for symbol, pattern in _DEPRECATED_PATTERNS:
-                if pattern.search(line) and not _DEPRECATION_MARK.search(line):
-                    errors.append(
-                        f"{label}:{number} mentions deprecated {symbol!r} "
-                        "without flagging it as deprecated"
-                    )
-    return errors
-
-
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     errors = (
         check_obs_exports()
         + check_doc_references()
         + check_all_docs_registered()
-        + check_deprecated_mentions()
     )
     for error in errors:
         print(f"ERROR: {error}", file=sys.stderr)
@@ -182,7 +126,7 @@ def main() -> int:
             str(doc.relative_to(REPO_ROOT)) for doc in CHECKED_DOCS
         )
         print(
-            "check_docs: repro.obs exports, deprecation flags, and "
+            "check_docs: repro.obs exports and "
             f"{checked} references OK"
         )
     return 1 if errors else 0
