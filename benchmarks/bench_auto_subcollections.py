@@ -18,7 +18,7 @@ from repro.collection.builder import build_collection
 from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
-from repro.core.subcollections import build_auto_partitioned
+from repro.core.subcollections import identify_subcollections
 from repro.datasets.dblp import DblpSpec, generate_dblp_documents
 from repro.datasets.synthetic import SyntheticSpec, generate_synthetic_documents
 
@@ -77,7 +77,11 @@ def test_fixed_configs(benchmark, heterogeneous_collection, probe, config_name):
 
 
 def test_auto_subcollections(benchmark, heterogeneous_collection, probe):
-    flix, subcollections = build_auto_partitioned(
+    flix = Flix.build(
+        heterogeneous_collection,
+        FlixConfig.auto_subcollections(partition_size=500),
+    )
+    subcollections = identify_subcollections(
         heterogeneous_collection, partition_size=500
     )
     print()

@@ -44,7 +44,7 @@ def test_build_scaling_graph_indexes(benchmark, corpora, strategy, documents):
     collection = corpora[documents]
 
     def build():
-        return Flix.build_monolithic(collection, strategy)
+        return Flix.build(collection, FlixConfig.monolithic(strategy))
 
     benchmark.pedantic(build, rounds=2, iterations=1)
     _TIMES[(strategy, documents)] = benchmark.stats.stats.mean

@@ -42,19 +42,25 @@ def test_build_transitive_closure(benchmark, dblp_collection, oracle_node_limit)
     _build_and_record(
         benchmark,
         "TransitiveClosure",
-        lambda: Flix.build_monolithic(dblp_collection, "transitive_closure"),
+        lambda: Flix.build(
+            dblp_collection, FlixConfig.monolithic("transitive_closure")
+        ),
     )
 
 
-def test_build_monolithic_hopi(benchmark, dblp_collection):
+def test_monolithic_hopi_build(benchmark, dblp_collection):
     _build_and_record(
-        benchmark, "HOPI", lambda: Flix.build_monolithic(dblp_collection, "hopi")
+        benchmark,
+        "HOPI",
+        lambda: Flix.build(dblp_collection, FlixConfig.monolithic("hopi")),
     )
 
 
-def test_build_monolithic_apex(benchmark, dblp_collection):
+def test_monolithic_apex_build(benchmark, dblp_collection):
     _build_and_record(
-        benchmark, "APEX", lambda: Flix.build_monolithic(dblp_collection, "apex")
+        benchmark,
+        "APEX",
+        lambda: Flix.build(dblp_collection, FlixConfig.monolithic("apex")),
     )
 
 

@@ -14,9 +14,16 @@ Run with::
 
 import time
 
-from repro import CacheConfig, QueryRequest, XmlDocument, build_collection
+from repro import (
+    CacheConfig,
+    Flix,
+    FlixConfig,
+    QueryRequest,
+    XmlDocument,
+    build_collection,
+)
 from repro.core.connections import ConnectionEvaluator, ConnectionModel
-from repro.core.subcollections import build_auto_partitioned
+from repro.core.subcollections import identify_subcollections
 from repro.datasets.dblp import DblpSpec, generate_dblp_documents
 from repro.datasets.movies import generate_movie_collection
 from repro.datasets.synthetic import SyntheticSpec, generate_synthetic_documents
@@ -36,8 +43,12 @@ def main() -> None:
                       intra_links_per_document=0.5, seed=5)
     )
     collection = build_collection(documents)
-    flix, subcollections = build_auto_partitioned(collection, partition_size=300)
-    for subcollection in subcollections:
+    flix = Flix.build(
+        collection, FlixConfig.auto_subcollections(partition_size=300)
+    )
+    for subcollection in identify_subcollections(
+        collection, partition_size=300
+    ):
         print(f"  {subcollection.summary()}")
     print(f"  -> {flix.report.summary()}")
 

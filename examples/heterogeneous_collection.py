@@ -14,7 +14,13 @@ Run with::
 
 import time
 
-from repro import Flix, FlixConfig, QueryRequest, collect_statistics
+from repro import (
+    Flix,
+    FlixConfig,
+    QueryRequest,
+    StreamedList,
+    collect_statistics,
+)
 from repro.datasets.synthetic import generate_figure1_collection
 
 
@@ -48,7 +54,9 @@ def main() -> None:
     # Streamed, multithreaded delivery (section 3.1): the client reads from
     # a list the framework fills, and may cancel at any time.
     start = collection.document_root("d05.xml")
-    stream = flix.find_descendants_streamed(start)
+    stream = StreamedList.feed(
+        flix.query_stream(QueryRequest.descendants(start))
+    )
     print("streaming descendants of d05's root (cancelling after 8):")
     consumed = 0
     for result in stream:

@@ -62,8 +62,12 @@ def build_all_systems(
     """Build the paper's full system lineup over ``collection``."""
     small, large = paper_partition_sizes(collection)
     systems = [
-        SystemUnderTest("HOPI", Flix.build_monolithic(collection, "hopi")),
-        SystemUnderTest("APEX", Flix.build_monolithic(collection, "apex")),
+        SystemUnderTest(
+            "HOPI", Flix.build(collection, FlixConfig.monolithic("hopi"))
+        ),
+        SystemUnderTest(
+            "APEX", Flix.build(collection, FlixConfig.monolithic("apex"))
+        ),
         SystemUnderTest("PPO-naive", Flix.build(collection, FlixConfig.naive())),
         SystemUnderTest(
             f"HOPI-{small}", Flix.build(collection, FlixConfig.unconnected_hopi(small))
@@ -80,7 +84,9 @@ def build_all_systems(
             0,
             SystemUnderTest(
                 "TransitiveClosure",
-                Flix.build_monolithic(collection, "transitive_closure"),
+                Flix.build(
+                    collection, FlixConfig.monolithic("transitive_closure")
+                ),
             ),
         )
     return systems

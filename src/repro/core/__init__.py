@@ -49,7 +49,6 @@ from repro.core.framework import Flix
 from repro.core.selftune import QueryLoadMonitor, TuningAdvice, WorkloadProfile
 from repro.core.subcollections import (
     Subcollection,
-    build_auto_partitioned,
     identify_subcollections,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "ConnectionEvaluator",
     "Subcollection",
     "identify_subcollections",
-    "build_auto_partitioned",
     "MetaDocument",
     "MetaDocumentSpec",
     "MetaDocumentBuilder",

@@ -17,15 +17,28 @@ scalar ``value`` for connection cost/test kinds), the query's private
 (``Flix.query_stream`` lazily, for the streaming kinds);
 ``FlixService.submit(request)`` (:mod:`repro.serve`) queues it onto a
 worker pool.
+
+What lies between a request and the Figure-4 loop exists once, here, for
+``Flix.query``, ``Flix.query_stream`` and ``ShardCoordinator.query``
+alike: :func:`open_request` dispatches the query kinds and
+:class:`CacheSlot` is the result-cache policy.
 """
 
 from __future__ import annotations
 
+import itertools
+import time
 from dataclasses import dataclass, field, replace
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.core.connections import ConnectionModel
-from repro.core.pee import QueryBudget, QueryStats
+from repro.core.connections import ConnectionEvaluator, ConnectionModel
+from repro.core.pee import (
+    QueryBudget,
+    QueryResult,
+    QueryStats,
+    QueryStream,
+    evaluate_path,
+)
 from repro.indexes.base import NodeId
 
 #: every query kind the unified API understands
@@ -342,10 +355,244 @@ class QueryResponse:
         return iter(self.results)
 
 
+# ----------------------------------------------------------------------
+# the one dispatcher
+# ----------------------------------------------------------------------
+def type_seeds(collection, meta_of, source_tag: str) -> List[NodeId]:
+    """Seeds of an ``A//B`` type query.  The tag table is live: elements
+    registered after the layout owning ``meta_of`` was pinned are
+    filtered, so the answer stays consistent with one generation."""
+    tagged = collection.nodes_with_tag(source_tag)
+    return [node for node in tagged if node in meta_of]
+
+
+def open_request(
+    request: QueryRequest,
+    budget: Optional[QueryBudget],
+    engine,
+    collection=None,
+    meta_of=None,
+    seeds_of: Optional[Callable[[str], Sequence[NodeId]]] = None,
+) -> Tuple[Any, Callable[[], QueryStats]]:
+    """Start evaluating ``request`` — the only place a query kind
+    selects an evaluation.  Returns ``(answer, finish)``.
+
+    ``engine`` offers the evaluator's five searches (``find_descendants``,
+    ``find_ancestors``, ``evaluate_type_query``, ``connection_test``,
+    ``connection_test_bidirectional``): a
+    :class:`~repro.core.pee.PathExpressionEvaluator` or the coordinator's
+    :class:`~repro.shard.distributed.DistributedEvaluator`.  The
+    collection-graph kinds (children / connections / cost) and
+    :func:`type_seeds` read ``collection`` and the pinned ``meta_of``; the
+    coordinator has neither, passes the ``type_seeds`` RPC as ``seeds_of``
+    and delegates those kinds before they get here.
+
+    ``answer`` is a lazy iterator stopping at ``request.limit`` for the
+    streaming kinds, else the finished payload (list or scalar).
+    ``finish()``, called once consumption stops, closes a stream that was
+    stopped early — so its stats are final — and returns the snapshot.
+    """
+    kind = request.kind
+    if kind in STREAMING_KINDS:
+        if kind == "connections":
+            stream = _counted(
+                ConnectionEvaluator(collection).find_connected(
+                    request.source, tag=request.tag, model=request.model,
+                    max_cost=request.max_cost,
+                )
+            )
+        elif kind == "descendants" and request.source_tag is not None:
+            seeds = (
+                type_seeds(collection, meta_of, request.source_tag)
+                if seeds_of is None else seeds_of(request.source_tag)
+            )
+            stream = engine.evaluate_type_query(
+                seeds, request.tag, request.max_distance, budget=budget
+            )
+        else:
+            search = (
+                engine.find_descendants if kind == "descendants"
+                else engine.find_ancestors
+            )
+            stream = search(
+                request.source, request.tag, request.max_distance,
+                request.include_self, request.exact_order, budget=budget,
+            )
+        answer = iter(stream)
+        if request.limit is not None:
+            answer = itertools.islice(answer, request.limit)
+
+        def finish() -> QueryStats:
+            stream.close()
+            return stream.stats.snapshot()
+
+        return answer, finish
+    if kind == "children":
+        payload: Any = []
+        for successor in sorted(collection.graph.successors(request.source)):
+            meta_id = meta_of.get(successor)
+            if meta_id is None:
+                # the successor postdates the pinned layout (racing add);
+                # skip it so the answer matches one generation
+                continue
+            if request.tag is None or collection.tag(successor) == request.tag:
+                payload.append(QueryResult(successor, 1, meta_id))
+        stats = QueryStats(results_returned=len(payload))
+    elif kind == "path":
+        payload, stats = evaluate_path(
+            lambda node, tag: engine.find_descendants(
+                node, tag, request.max_distance, budget=budget
+            ),
+            request.source,
+            request.path,
+        )
+    elif kind == "cost":
+        payload = ConnectionEvaluator(collection).connection_cost(
+            request.source, request.target, model=request.model,
+            max_cost=request.max_cost,
+        )
+        stats = QueryStats(results_returned=0 if payload is None else 1)
+    else:  # "test"; QueryRequest validated the kind
+        stats = QueryStats()
+        test = (
+            engine.connection_test_bidirectional if request.bidirectional
+            else engine.connection_test
+        )
+        payload = test(
+            request.source, request.target, request.max_distance,
+            stats=stats, budget=budget,
+        )
+        stats = stats.snapshot()
+    return payload, lambda: stats
+
+
+def _counted(pairs) -> QueryStream:
+    """``(node, cost)`` pairs of a connection search as a stream that
+    counts what it yields."""
+    stats = QueryStats()
+
+    def run():
+        for pair in pairs:
+            stats.results_returned += 1
+            yield pair
+
+    return QueryStream(run(), stats)
+
+
+def evaluate_request(
+    request: QueryRequest,
+    budget: Optional[QueryBudget],
+    engine,
+    started: float,
+    layout_generation: int,
+    collection=None,
+    meta_of=None,
+    seeds_of: Optional[Callable[[str], Sequence[NodeId]]] = None,
+) -> QueryResponse:
+    """:func:`open_request`, consumed: the materialized, uncached
+    response (``started`` is the caller's ``perf_counter`` reading)."""
+    answer, finish = open_request(
+        request, budget, engine, collection, meta_of, seeds_of
+    )
+    if request.kind in STREAMING_KINDS:
+        answer = list(answer)
+    stats = finish()
+    results, value = ([], answer) if request.is_scalar else (answer, None)
+    return QueryResponse(
+        request, results, value, stats, False,
+        time.perf_counter() - started,
+        layout_generation=layout_generation,
+    )
+
+
+# ----------------------------------------------------------------------
+# the one result-cache policy
+# ----------------------------------------------------------------------
+class CacheSlot:
+    """One request's pass through the result cache — the policy every
+    query surface shares (``Flix.query``, ``Flix.query_stream``,
+    ``ShardCoordinator.query``); the store itself is a
+    :class:`repro.serve.cache.ShardedLRUCache`.
+
+    * **Key**: :meth:`QueryRequest.cache_key` plus the generation of the
+      layout the caller pinned, so a hit can only replay an answer
+      computed on that very snapshot.  A request carrying its own
+      ``budget`` or ``explain=True`` has no key: it is neither looked up
+      nor stored.
+    * **Lookup**: a stored answer is complete, so it is served to any
+      caller — including one that passes a ``budget=`` argument (a budget
+      bounds work and a replay does none).  A ``limit`` is served by
+      slicing the stored full answer.
+    * **Store**: only an answer that was evaluated *without any budget*,
+      came back ``complete``, and is whole (scalar, or unlimited).  A
+      budget-evaluated answer is never stored, complete or not; a
+      truncated or degraded one must never be replayed to a later caller.
+    * **Staleness**: the store is stamped with the cache generation
+      captured here, *before* evaluation; a maintenance verb that
+      invalidated the cache meanwhile makes the store a no-op.
+    """
+
+    __slots__ = ("_cache", "_key", "_stamp", "_request", "_generation")
+
+    def __init__(self, cache, request: QueryRequest, layout_generation: int):
+        base = request.cache_key() if cache is not None else None
+        self._cache = cache
+        self._request = request
+        self._generation = layout_generation
+        self._key = None if base is None else base + (layout_generation,)
+        self._stamp = cache.generation if base is not None else 0
+
+    @property
+    def storable(self) -> bool:
+        """Could this request's answer be stored?  (A stream consumer
+        only collects results when it could.)"""
+        return self._key is not None and (
+            self._request.is_scalar or self._request.limit is None
+        )
+
+    def lookup(
+        self, started: float, count: Callable[[str, bool], None]
+    ) -> Optional[QueryResponse]:
+        """The replayed response on a hit (``from_cache``; its stats are
+        the original evaluation's), else ``None``.  ``count(kind, hit)``
+        is the calling surface's own hit/miss counter."""
+        if self._key is None:
+            return None
+        boxed = self._cache.get(self._key)
+        count(self._request.kind, boxed is not None)
+        if boxed is None:
+            return None
+        results, value, stats = boxed[0]
+        return QueryResponse(
+            self._request, results[: self._request.limit], value, stats,
+            True, time.perf_counter() - started,
+            layout_generation=self._generation,
+        )
+
+    def store(
+        self,
+        results: Sequence[Any],
+        value: Any,
+        stats: QueryStats,
+        budget: Optional[QueryBudget],
+    ) -> None:
+        """Store if the policy allows; ``budget`` is what the evaluation
+        ran under."""
+        if self.storable and budget is None and stats.is_complete:
+            self._cache.put(
+                self._key, (list(results), value, stats),
+                generation=self._stamp,
+            )
+
+
 __all__ = [
     "QUERY_KINDS",
     "SCALAR_KINDS",
     "STREAMING_KINDS",
     "QueryRequest",
     "QueryResponse",
+    "CacheSlot",
+    "evaluate_request",
+    "open_request",
+    "type_seeds",
 ]

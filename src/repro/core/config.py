@@ -23,8 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-#: meta-document building strategies the MDB understands
-MDB_STRATEGIES = ("naive", "maximal_ppo", "unconnected_hopi", "hybrid")
+#: meta-document building strategies the MDB understands (the paper's four,
+#: then the section 6 comparator layout and section 7's chooser)
+MDB_STRATEGIES = (
+    "naive", "maximal_ppo", "unconnected_hopi", "hybrid",
+    "monolithic", "auto_subcollections",
+)
 
 #: build-executor kinds the Index Builder understands
 BUILD_EXECUTORS = ("auto", "process", "thread", "serial")
@@ -227,6 +231,10 @@ class FlixConfig:
     partition_size: int = 5000
     #: maximal_ppo variant 1: a single forest meta document instead of partitions
     single_tree: bool = False
+    #: auto_subcollections: minimum cosine similarity of a document's
+    #: structural feature vector to a cluster leader's for it to join that
+    #: subcollection (``repro.core.subcollections``)
+    similarity_threshold: float = 0.75
     #: ISS budget: maximum estimated closure pairs per node before HOPI is
     #: considered too expensive and the selector falls back (section 2.2:
     #: "HOPI's size may grow large for large document sets")
@@ -265,6 +273,8 @@ class FlixConfig:
             )
         if self.partition_size < 1:
             raise ValueError("partition_size must be positive")
+        if not 0.0 < self.similarity_threshold <= 1.0:
+            raise ValueError("similarity_threshold must be in (0, 1]")
         if not self.allowed_strategies:
             raise ValueError("at least one index strategy must be allowed")
         if self.jobs < 1:
@@ -395,6 +405,34 @@ class FlixConfig:
             mdb_strategy="hybrid",
             allowed_strategies=("ppo", "hopi", "apex"),
             partition_size=partition_size,
+        )
+
+    @classmethod
+    def monolithic(cls, strategy: str) -> "FlixConfig":
+        """The whole collection as one meta document indexed with
+        ``strategy`` — how the paper's section 6 comparators are built:
+        "an extended version of HOPI that supports distance information
+        and a database-backed implementation of APEX, both applied to the
+        complete data collection"."""
+        return cls(
+            name=f"monolithic_{strategy}",
+            mdb_strategy="monolithic",
+            allowed_strategies=(strategy,),
+        )
+
+    @classmethod
+    def auto_subcollections(
+        cls, similarity_threshold: float = 0.75, partition_size: int = 5000
+    ) -> "FlixConfig":
+        """Section 7's future work: cluster the documents into homogeneous
+        subcollections and lay each out under the configuration
+        :meth:`recommend` derives from its own statistics."""
+        return cls(
+            name="auto_subcollections",
+            mdb_strategy="auto_subcollections",
+            allowed_strategies=("ppo", "hopi", "apex"),
+            partition_size=partition_size,
+            similarity_threshold=similarity_threshold,
         )
 
     # ------------------------------------------------------------------

@@ -20,7 +20,6 @@ The unified entry points are :meth:`Flix.query` (materialized
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from typing import (
@@ -38,21 +37,22 @@ from typing import (
 )
 
 from repro.collection.collection import NodeId, XmlCollection
-from repro.core.api import QueryRequest, QueryResponse, STREAMING_KINDS
+from repro.core.api import (
+    STREAMING_KINDS,
+    CacheSlot,
+    QueryRequest,
+    QueryResponse,
+    evaluate_request,
+    open_request,
+    type_seeds,
+)
 from repro.core.config import CacheConfig, FlixConfig
 from repro.graph.digraph import Digraph
 from repro.core.ib import BuildReport, IndexBuilder
 from repro.core.layout import IndexLayout
 from repro.core.mdb import MetaDocumentBuilder
 from repro.core.meta_document import MetaDocument
-from repro.core.pee import (
-    PathExpressionEvaluator,
-    QueryBudget,
-    QueryResult,
-    QueryStats,
-    evaluate_path,
-)
-from repro.core.results import StreamedList
+from repro.core.pee import PathExpressionEvaluator, QueryBudget
 from repro.core.selftune import QueryLoadMonitor, TuningAdvice, with_compaction_advice
 from repro.obs import MetricsRegistry, Observability, Trace, render
 from repro.storage.memory import MemoryBackend
@@ -68,17 +68,6 @@ def _packed(index):
 
     packed = packed_clone(index)
     return index if packed is None else packed
-
-
-def _pack_built(meta_documents: Iterable[MetaDocument]) -> None:
-    """Swap the Index Builder's object indexes — the build-time
-    intermediate — for their packed twins before a layout serves them,
-    handing each new index its meta document's ``L_i`` again.  (The
-    object tables stay reachable through the packed backend for
-    persistence and fingerprinting.)"""
-    for meta in meta_documents:
-        meta.index = _packed(meta.index)
-        meta.finalize_links()
 
 
 class Flix:
@@ -128,7 +117,8 @@ class Flix:
         # maintenance verb appends its record here *before* publishing
         # the layout swap, and save() truncates it at snapshot time
         self._wal = None
-        # set by Flix.build for incremental document addition
+        # set by Flix.build / load_flix: the maintenance verbs keep the
+        # framework tables (residual links) in its backend
         self._builder: Optional[IndexBuilder] = None
         self._backend_factory: Callable[[], StorageBackend] = MemoryBackend
         # the factory as originally passed to Flix.build, *before* fault/
@@ -259,14 +249,6 @@ class Flix:
         self._planner_stats = (layout.generation, stats)
         return stats
 
-    def _make_pee(self) -> PathExpressionEvaluator:
-        """A fresh evaluator over the current layout (compat helper; the
-        streamed-delivery path builds one per background query)."""
-        layout = self._layout
-        return self._build_evaluator(
-            layout.slots, layout.meta_of, layout.generation
-        )
-
     def _publish_layout(self, layout: IndexLayout, verb: str) -> None:
         """Atomically publish a new layout snapshot.
 
@@ -335,6 +317,13 @@ class Flix:
     ) -> "Flix":
         """Run the full build phase: MDB -> ISS -> IB.
 
+        The only build pipeline: how the collection is cut into meta
+        documents is the MDB's choice under ``config.mdb_strategy`` (the
+        paper's four configurations, ``FlixConfig.monolithic(strategy)``
+        for the section 6 comparators, ``FlixConfig.auto_subcollections()``
+        for section 7's per-subcollection layout); everything after the
+        specs is the same for all of them.
+
         ``config`` defaults to the automatic recommendation derived from the
         collection's statistics (the paper's future-work goal, section 4.1).
         ``jobs`` overrides ``config.jobs`` for this build only: with more
@@ -388,7 +377,13 @@ class Flix:
         specs = MetaDocumentBuilder(collection, config).build_specs()
         builder = IndexBuilder(collection, config, backend_factory, obs=obs)
         meta_documents, meta_of, report = builder.build(specs, jobs=jobs)
-        _pack_built(meta_documents)
+        # the Index Builder's object indexes are the build-time
+        # intermediate (still reachable through the packed backend for
+        # persistence and fingerprinting): swap in their packed twins,
+        # handing each new index its meta document's L_i again
+        for meta in meta_documents:
+            meta.index = _packed(meta.index)
+            meta.finalize_links()
         flix = cls(collection, config, meta_documents, meta_of, report, obs=obs)
         flix._builder = builder
         flix._backend_factory = backend_factory
@@ -397,58 +392,6 @@ class Flix:
             # rebind now that the builder (and its framework backend) is known
             flix._attach_storage_observers()
         return flix
-
-    @classmethod
-    def build_monolithic(
-        cls,
-        collection: XmlCollection,
-        strategy: str,
-        backend_factory: Callable[[], StorageBackend] = MemoryBackend,
-    ) -> "Flix":
-        """Index the whole collection with one strategy, no meta documents.
-
-        This is how the paper's section 6 comparators are built: "an
-        extended version of HOPI that supports distance information and a
-        database-backed implementation of APEX, both applied to the
-        complete data collection."  The result exposes the same query API
-        as a real FliX build, so benchmarks compare apples to apples.
-        """
-        import time as _time
-
-        from repro.core.ib import MetaDocumentReport
-        from repro.core.meta_document import MetaDocumentSpec
-        from repro.indexes.registry import build_index
-
-        started = _time.perf_counter()
-        nodes = set(collection.node_ids())
-        spec = MetaDocumentSpec(0, nodes, list(collection.graph.edges()))
-        graph = spec.build_graph()
-        tags = {node: collection.tag(node) for node in nodes}
-        index = _packed(build_index(strategy, graph, tags, backend_factory()))
-        meta = MetaDocument(
-            meta_id=0, nodes=frozenset(nodes), index=index, strategy=strategy
-        )
-        elapsed = _time.perf_counter() - started
-        report = BuildReport(config_name=f"monolithic_{strategy}")
-        report.meta_documents.append(
-            MetaDocumentReport(
-                meta_id=0,
-                node_count=len(nodes),
-                internal_edge_count=collection.graph.edge_count,
-                strategy=strategy,
-                rationale="monolithic comparator (whole collection, one index)",
-                index_bytes=index.size_bytes(),
-                build_seconds=elapsed,
-            )
-        )
-        report.total_seconds = elapsed
-        config = FlixConfig(
-            name=f"monolithic_{strategy}",
-            mdb_strategy="naive",
-            allowed_strategies=(strategy,),
-        )
-        meta_of = {node: 0 for node in nodes}
-        return cls(collection, config, [meta], meta_of, report)
 
     # ------------------------------------------------------------------
     # query phase — the unified API
@@ -463,76 +406,49 @@ class Flix:
         This is the primary query entry point: every kind the framework
         understands goes through here (or, lazily, through
         :meth:`query_stream`).  The shared result cache — when configured —
-        is consulted first and fed afterwards; the response carries the
+        is consulted first and fed afterwards, under the one policy stated
+        on :class:`repro.core.api.CacheSlot`; the response carries the
         query's private stats and its completeness flag.
 
         ``budget`` overrides ``request.budget`` for this call (the serving
-        layer uses it to charge queue wait against the deadline).  Any
-        budget — explicit or the evaluator's configured resilience default
-        — makes the answer uncacheable unless it came back ``complete``: a
-        truncated or degraded answer must never be replayed to a later
-        caller.
+        layer uses it to charge queue wait against the deadline).
         """
         started = time.perf_counter()
-        effective_budget = budget if budget is not None else request.budget
-        # Pin the layout snapshot, the cache object, and the cache
-        # generation *before* evaluating: a concurrent maintenance verb
-        # publishes a new layout + generation while we run, but this call
-        # keeps evaluating against exactly the snapshot it started on, and
-        # its store is stamped with the captured (now stale) generation so
-        # it can never be served as fresh.  The layout generation is part
-        # of the key, so even inside the swap-to-invalidate window a hit
-        # can only replay an answer computed on *this* snapshot.
+        # Pin the layout snapshot before anything else: a concurrent
+        # maintenance verb publishes a new layout + cache generation while
+        # we run, but this call keeps evaluating against exactly the
+        # snapshot it started on, and the slot stamps its store with the
+        # cache generation captured now, so it can never be served as fresh.
         layout = self._layout
-        cache = self._result_cache
-        base_key = request.cache_key() if cache is not None else None
-        key = (
-            base_key + (layout.generation,) if base_key is not None else None
+        slot = CacheSlot(self._result_cache, request, layout.generation)
+        response = slot.lookup(started, self._count_cache_lookup)
+        if response is not None:
+            return response
+        if budget is None:
+            budget = request.budget
+        response = evaluate_request(
+            request, budget, layout.pee, started, layout.generation,
+            self.collection, layout.meta_of,
         )
-        generation = cache.generation if cache is not None else 0
-        if key is not None:
-            # A complete cached answer is always servable, even to a
-            # budget-bearing call — the budget bounds *work*, and a replay
-            # does none.
-            boxed = self._cache_get(cache, key, request.kind)
-            if boxed is not None:
-                return self._replay(request, boxed[0], started, layout)
-        payload, stats = self._evaluate(request, effective_budget, layout)
-        self.monitor.record(stats)
-        if (
-            key is not None
-            and effective_budget is None
-            and stats.is_complete
-            and (request.is_scalar or request.limit is None)
-        ):
-            self._cache_put(cache, key, (payload, stats), generation)
-        plan = self.explain(request, layout=layout) if request.explain else None
-        if request.is_scalar:
-            return QueryResponse(
-                request, [], payload, stats, False,
-                time.perf_counter() - started,
-                layout_generation=layout.generation,
-                plan=plan,
-            )
-        results = list(payload)
-        return QueryResponse(
-            request, results, None, stats, False,
-            time.perf_counter() - started,
-            layout_generation=layout.generation,
-            plan=plan,
-        )
+        self.monitor.record(response.stats)
+        slot.store(response.results, response.value, response.stats, budget)
+        if request.explain:
+            response.plan = self.explain(request, layout=layout)
+        return response
 
     def query_stream(self, request: QueryRequest) -> Iterator[Any]:
         """Lazily evaluate a streaming-kind request (descendants,
         ancestors, type queries, connections), yielding results as the
         evaluator finds them — the classic FliX delivery of section 3.1.
+        (For the paper's "client thread reads from a list", hand the
+        stream to :meth:`repro.core.results.StreamedList.feed`.)
 
         The shared cache participates exactly as in :meth:`query`: a hit
-        replays the stored (full) result list, a fully-consumed unlimited
-        stream is stored on completion — but only when it finished
-        ``complete`` (a resilience default budget can truncate or degrade
-        it); an abandoned stream stores nothing.  Scalar and aggregate
-        kinds have nothing to stream — use :meth:`query` for those.
+        replays the stored result list, a fully-consumed unlimited stream
+        is stored on completion; a stream abandoned early is closed (its
+        evaluator-side stats are finalized) and stores nothing.  Scalar
+        and aggregate kinds have nothing to stream — use :meth:`query`
+        for those.
         """
         if request.kind not in STREAMING_KINDS:
             raise ValueError(
@@ -541,35 +457,26 @@ class Flix:
         # pinned once: the whole stream is answered by this one snapshot,
         # even if maintenance verbs publish new layouts mid-consumption
         layout = self._layout
-        cache = self._result_cache
-        base_key = request.cache_key() if cache is not None else None
-        key = (
-            base_key + (layout.generation,) if base_key is not None else None
+        slot = CacheSlot(self._result_cache, request, layout.generation)
+        hit = slot.lookup(time.perf_counter(), self._count_cache_lookup)
+        if hit is not None:
+            yield from hit.results
+            return
+        answer, finish = open_request(
+            request, request.budget, layout.pee, self.collection,
+            layout.meta_of,
         )
-        generation = cache.generation if cache is not None else 0
-        if key is not None:
-            boxed = self._cache_get(cache, key, request.kind)
-            if boxed is not None:
-                results, _ = boxed[0]
-                if request.limit is not None:
-                    results = results[: request.limit]
-                yield from results
-                return
-        stream, finish = self._raw_stream(request, layout=layout)
-        iterator: Iterator[Any] = iter(stream)
-        if request.limit is not None:
-            iterator = itertools.islice(iterator, request.limit)
-        collected: Optional[List[Any]] = (
-            [] if (key is not None and request.limit is None) else None
-        )
-        for item in iterator:
-            if collected is not None:
-                collected.append(item)
-            yield item
-        stats = finish()
+        collected: Optional[List[Any]] = [] if slot.storable else None
+        try:
+            for item in answer:
+                if collected is not None:
+                    collected.append(item)
+                yield item
+        finally:
+            stats = finish()
         self.monitor.record(stats)
-        if collected is not None and stats.is_complete:
-            self._cache_put(cache, key, (collected, stats), generation)
+        if collected is not None:
+            slot.store(collected, None, stats, request.budget)
 
     def explain(
         self,
@@ -588,11 +495,9 @@ class Flix:
             layout = self._layout
         seeds = None
         if request.kind == "descendants" and request.source_tag is not None:
-            seeds = [
-                node
-                for node in self.collection.nodes_with_tag(request.source_tag)
-                if node in layout.meta_of
-            ]
+            seeds = type_seeds(
+                self.collection, layout.meta_of, request.source_tag
+            )
         trace = self.obs.tracer.trace(
             "pee.plan", kind=request.kind, generation=layout.generation
         )
@@ -600,165 +505,6 @@ class Flix:
             return layout.pee.planner.plan(request, layout, seeds=seeds)
         finally:
             trace.finish()
-
-    # ------------------------------------------------------------------
-    # evaluation engine behind query()/query_stream()
-    # ------------------------------------------------------------------
-    def _raw_stream(
-        self,
-        request: QueryRequest,
-        budget: Optional[QueryBudget] = None,
-        layout: Optional[IndexLayout] = None,
-    ) -> Tuple[Iterator[Any], Callable[[], QueryStats]]:
-        """The uncached stream for a streaming-kind request, plus a
-        ``finish()`` callback returning the query's final stats snapshot
-        (call it only after consumption stops).  ``layout`` is the pinned
-        snapshot the whole stream evaluates against (defaults to the
-        current one)."""
-        if layout is None:
-            layout = self._layout
-        pee = layout.pee
-        budget = budget if budget is not None else request.budget
-        if request.kind == "descendants" and request.source_tag is not None:
-            # type-query seeding reads the live tag table; seeds that are
-            # not part of the pinned layout (added after it) are filtered
-            # so the answer stays consistent with one generation
-            seeds = [
-                node
-                for node in self.collection.nodes_with_tag(request.source_tag)
-                if node in layout.meta_of
-            ]
-            stream = pee.evaluate_type_query(
-                seeds, request.tag, request.max_distance, budget=budget
-            )
-            return stream, lambda: stream.stats.snapshot()
-        if request.kind == "descendants":
-            stream = pee.find_descendants(
-                request.source, request.tag, request.max_distance,
-                request.include_self, request.exact_order, budget=budget,
-            )
-            return stream, lambda: stream.stats.snapshot()
-        if request.kind == "ancestors":
-            stream = pee.find_ancestors(
-                request.source, request.tag, request.max_distance,
-                request.include_self, request.exact_order, budget=budget,
-            )
-            return stream, lambda: stream.stats.snapshot()
-        if request.kind == "connections":
-            from repro.core.connections import ConnectionEvaluator
-
-            stats = QueryStats()
-            inner = ConnectionEvaluator(self.collection).find_connected(
-                request.source, tag=request.tag, model=request.model,
-                max_cost=request.max_cost,
-            )
-
-            def counted() -> Iterator[Tuple[NodeId, float]]:
-                for pair in inner:
-                    stats.results_returned += 1
-                    yield pair
-
-            return counted(), lambda: stats.snapshot()
-        raise ValueError(f"kind {request.kind!r} is not a streaming kind")
-
-    def _evaluate(
-        self,
-        request: QueryRequest,
-        budget: Optional[QueryBudget],
-        layout: Optional[IndexLayout] = None,
-    ) -> Tuple[Any, QueryStats]:
-        """Evaluate without cache involvement: ``(payload, stats)`` where
-        the payload is the result list (list kinds) or the scalar value.
-        ``layout`` is the caller's pinned snapshot (defaults to current)."""
-        if layout is None:
-            layout = self._layout
-        kind = request.kind
-        if kind in STREAMING_KINDS:
-            stream, finish = self._raw_stream(request, budget, layout=layout)
-            iterator: Iterator[Any] = iter(stream)
-            if request.limit is not None:
-                iterator = itertools.islice(iterator, request.limit)
-            results = list(iterator)
-            close = getattr(stream, "close", None)
-            if close is not None:
-                close()  # finalize an early-stopped (limited) stream
-            return results, finish()
-        if kind == "children":
-            children = []
-            for successor in sorted(
-                self.collection.graph.successors(request.source)
-            ):
-                meta_id = layout.meta_of.get(successor)
-                if meta_id is None:
-                    # the successor postdates the pinned layout (racing
-                    # add); skip it so the answer matches one generation
-                    continue
-                if request.tag is None or (
-                    self.collection.tag(successor) == request.tag
-                ):
-                    children.append(QueryResult(successor, 1, meta_id))
-            return children, QueryStats(results_returned=len(children))
-        if kind == "path":
-            return evaluate_path(
-                lambda node, tag: layout.pee.find_descendants(
-                    node, tag, request.max_distance, budget=budget
-                ),
-                request.source,
-                request.path,
-            )
-        if kind == "cost":
-            from repro.core.connections import ConnectionEvaluator
-
-            value = ConnectionEvaluator(self.collection).connection_cost(
-                request.source, request.target, model=request.model,
-                max_cost=request.max_cost,
-            )
-            return value, QueryStats(
-                results_returned=0 if value is None else 1
-            )
-        if kind == "test":
-            stats = QueryStats()
-            if request.bidirectional:
-                value = layout.pee.connection_test_bidirectional(
-                    request.source, request.target, request.max_distance,
-                    stats=stats, budget=budget,
-                )
-            else:
-                value = layout.pee.connection_test(
-                    request.source, request.target, request.max_distance,
-                    stats=stats, budget=budget,
-                )
-            return value, stats.snapshot()
-        raise ValueError(f"unknown query kind {kind!r}")  # pragma: no cover
-
-    def _replay(
-        self, request: QueryRequest, entry: Tuple[Any, QueryStats],
-        started: float, layout: Optional[IndexLayout] = None,
-    ) -> QueryResponse:
-        """Build the response for a cache hit (stats are the original
-        evaluation's — the replay itself did no index work).  A hit can
-        only come from an entry stored under the current cache generation,
-        and every layout publish bumps that generation, so the entry
-        describes the caller's pinned layout."""
-        generation = (
-            layout.generation if layout is not None
-            else self._layout.generation
-        )
-        payload, stats = entry
-        if request.is_scalar:
-            return QueryResponse(
-                request, [], payload, stats, True,
-                time.perf_counter() - started,
-                layout_generation=generation,
-            )
-        results = list(payload)
-        if request.limit is not None:
-            results = results[: request.limit]
-        return QueryResponse(
-            request, results, None, stats, True,
-            time.perf_counter() - started,
-            layout_generation=generation,
-        )
 
     # ------------------------------------------------------------------
     # result caching (section 7: "caching results of frequent
@@ -811,10 +557,9 @@ class Flix:
         if self._result_cache is not None:
             self._result_cache.invalidate_all()
 
-    def _cache_get(self, cache, key: tuple, kind: str):
-        boxed = cache.get(key)
+    def _count_cache_lookup(self, kind: str, hit: bool) -> None:
         if self.obs.enabled:
-            if boxed is not None:
+            if hit:
                 self.obs.registry.counter(
                     "flix_cache_hits_total",
                     "Query-cache hits, by query kind.",
@@ -824,14 +569,6 @@ class Flix:
                     "flix_cache_misses_total",
                     "Query-cache misses, by query kind.",
                 ).inc(kind=kind)
-        return boxed
-
-    def _cache_put(self, cache, key: tuple, entry, generation: int) -> None:
-        """Store an entry in the cache pinned at lookup time, stamped with
-        the generation captured *before* evaluation — the store is dropped
-        (or stamped stale) if the index mutated underneath us."""
-        if cache is not None and key is not None:
-            cache.put(key, entry, generation=generation)
 
     # ------------------------------------------------------------------
     # concurrent serving
@@ -844,45 +581,6 @@ class Flix:
         from repro.serve import FlixService
 
         return FlixService(self, **kwargs)
-
-    # ------------------------------------------------------------------
-    # streamed (multithreaded) delivery, section 3.1
-    # ------------------------------------------------------------------
-    def find_descendants_streamed(
-        self,
-        start: NodeId,
-        tag: Optional[str] = None,
-        max_distance: Optional[int] = None,
-        limit: Optional[int] = None,
-    ) -> StreamedList:
-        """Run the query in a background thread; results appear on the
-        returned :class:`StreamedList` as soon as they are found."""
-        observe = None
-        if self.obs.enabled:
-            streamed = self.obs.registry.counter(
-                "flix_streamed_results_total",
-                "Results delivered through background StreamedLists.",
-            )
-            observe = streamed.inc
-        results: StreamedList[QueryResult] = StreamedList(observe=observe)
-        evaluator = self._make_pee()
-
-        def produce() -> None:
-            try:
-                delivered = 0
-                for item in evaluator.find_descendants(start, tag, max_distance):
-                    if results.cancelled:
-                        break
-                    results.append(item)
-                    delivered += 1
-                    if limit is not None and delivered >= limit:
-                        break
-            finally:
-                results.close()
-
-        thread = threading.Thread(target=produce, name="flix-pee", daemon=True)
-        thread.start()
-        return results
 
     # ------------------------------------------------------------------
     # observability
@@ -1003,14 +701,6 @@ class Flix:
     # ------------------------------------------------------------------
     # incremental maintenance (copy-on-write; see docs/MAINTENANCE.md)
     # ------------------------------------------------------------------
-    def _require_builder(self) -> None:
-        if self._builder is None:
-            raise RuntimeError(
-                "this Flix instance was not created by Flix.build; "
-                "monolithic comparators do not support incremental "
-                "maintenance"
-            )
-
     def _build_index(self, strategy: str, graph: Digraph):
         """Index one meta-document graph for a maintenance verb: a fresh
         (observed) backend, the strategy's object build, the pack step."""
@@ -1106,7 +796,6 @@ class Flix:
         edits and re-raises.  The commit is a copy-on-write rebuild of
         the layout tables followed by one atomic publish.
         """
-        self._require_builder()
         from repro.collection.builder import register_document
         from repro.core.ib import MetaDocumentReport
         from repro.core.iss import IndexingStrategySelector
@@ -1291,7 +980,6 @@ class Flix:
         re-resolve them.  Published as one atomic layout swap; returns
         the removed node ids.
         """
-        self._require_builder()
         from repro.collection.builder import unregister_document
 
         with self._mutation_lock:
@@ -1464,7 +1152,6 @@ class Flix:
         index (strategy permitting).  Returns the new meta document, or
         ``None`` when there are fewer than two candidates.
         """
-        self._require_builder()
         from repro.core.ib import MetaDocumentReport
         from repro.core.iss import IndexingStrategySelector
 

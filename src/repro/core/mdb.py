@@ -27,6 +27,17 @@ The four algorithms here are the paper's:
     Documents whose internal structure is already tree-shaped participate in
     the Maximal-PPO forest construction; documents with intra-document links
     are pooled and partitioned like Unconnected HOPI.
+
+Two further strategies make the MDB the only place a layout is chosen:
+
+``monolithic``
+    One meta document, every edge internal — the layout of section 6's
+    comparators ("applied to the complete data collection").
+
+``auto_subcollections``
+    Section 7's future work: each cluster found by :func:`repro.core
+    .subcollections.identify_subcollections` is laid out by the strategy
+    of the configuration recommended for it.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.collection.collection import NodeId, XmlCollection
 from repro.core.config import FlixConfig
 from repro.core.meta_document import Edge, MetaDocumentSpec
+from repro.core.subcollections import identify_subcollections
 from repro.graph.partition import partition_graph
 
 
@@ -79,9 +91,8 @@ class MetaDocumentBuilder:
         """Meta-document specs for ``documents`` (default: the whole
         collection), numbered from ``first_id``.
 
-        The subset form is what the automatic subcollection partitioner
-        (:mod:`repro.core.subcollections`) uses to apply a different
-        configuration to each homogeneous part of the collection.
+        The subset form is what ``auto_subcollections`` uses to apply a
+        different configuration to each homogeneous part of the collection.
         """
         if documents is None:
             documents = set(self._collection.documents)
@@ -98,6 +109,10 @@ class MetaDocumentBuilder:
             specs = self._unconnected_hopi(documents)
         elif strategy == "hybrid":
             specs = self._hybrid(documents)
+        elif strategy == "monolithic":
+            specs = self._specs_from_blocks([self._pool(documents)])
+        elif strategy == "auto_subcollections":
+            specs = self._auto_subcollections()
         else:
             raise AssertionError(f"unreachable MDB strategy {strategy!r}")
         if first_id:
@@ -216,15 +231,19 @@ class MetaDocumentBuilder:
     # ------------------------------------------------------------------
     # unconnected HOPI
     # ------------------------------------------------------------------
+    def _pool(self, documents: Set[str]) -> Set[NodeId]:
+        """Every element of ``documents``."""
+        pool: Set[NodeId] = set()
+        for name in documents:
+            pool.update(self._collection.document_nodes(name))
+        return pool
+
     def _unconnected_hopi(self, documents: Set[str]) -> List[MetaDocumentSpec]:
         collection = self._collection
         if documents == set(collection.documents):
             graph = collection.graph
         else:
-            pool: Set[NodeId] = set()
-            for name in documents:
-                pool.update(collection.document_nodes(name))
-            graph = collection.graph.subgraph(pool)
+            graph = collection.graph.subgraph(self._pool(documents))
         partitioning = partition_graph(graph, self._config.partition_size)
         return self._specs_from_blocks(partitioning.blocks)
 
@@ -300,12 +319,29 @@ class MetaDocumentBuilder:
                 specs.append(MetaDocumentSpec(len(specs), nodes, internal))
 
         if linked_docs:
-            pool: Set[NodeId] = set()
-            for name in linked_docs:
-                pool.update(collection.document_nodes(name))
-            sub = collection.graph.subgraph(pool)
+            sub = collection.graph.subgraph(self._pool(linked_docs))
             partitioning = partition_graph(sub, self._config.partition_size)
             specs.extend(
                 self._specs_from_blocks(partitioning.blocks, first_id=len(specs))
+            )
+        return specs
+
+    # ------------------------------------------------------------------
+    # automatic subcollections (section 7)
+    # ------------------------------------------------------------------
+    def _auto_subcollections(self) -> List[MetaDocumentSpec]:
+        specs: List[MetaDocumentSpec] = []
+        for subcollection in identify_subcollections(
+            self._collection,
+            self._config.similarity_threshold,
+            self._config.partition_size,
+        ):
+            specs.extend(
+                MetaDocumentBuilder(
+                    self._collection, subcollection.config
+                ).build_specs(
+                    documents=set(subcollection.documents),
+                    first_id=len(specs),
+                )
             )
         return specs

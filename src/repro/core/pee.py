@@ -537,58 +537,14 @@ def evaluate_path(
     return pairs, aggregate
 
 
-class PathExpressionEvaluator:
-    """Figure 4's algorithm over a set of built meta documents."""
+class SearchMethods:
+    """Every search that is seeds, direction and skip set of one
+    ``_search(seeds, tag, max_distance, forward, skip_nodes, stats,
+    exact_order, axis, budget)`` — written once for the local evaluator
+    and the sharded coordinator's remote one
+    (:class:`repro.shard.distributed.DistributedEvaluator`), so the two
+    cannot drift apart in signature or in how a query seeds the loop."""
 
-    def __init__(
-        self,
-        meta_documents: Sequence[MetaDocument],
-        meta_of: Dict[NodeId, int],
-        obs: Optional[Observability] = None,
-        budget: Optional[QueryBudget] = None,
-        fallback: Optional["FallbackContext"] = None,
-        generation: int = 0,
-        planner: Optional[ProbePlanner] = None,
-    ) -> None:
-        # ``meta_documents`` is positionally indexed by meta id; removed
-        # or compacted ids appear as ``None`` slots (never dereferenced:
-        # ``meta_of`` maps live nodes only)
-        self._meta_documents = list(meta_documents)
-        self._meta_of = dict(meta_of)
-        #: generation of the layout snapshot this evaluator answers for
-        #: (stamped into the ``pee.query`` trace; see docs/MAINTENANCE.md)
-        self.generation = generation
-        #: the observability bundle (metrics + tracing); disabled by default
-        #: for a bare evaluator, supplied by ``Flix`` when configured on
-        self._obs = obs if obs is not None else OBS_OFF
-        #: per-query work limits (None = unlimited, the classic behaviour)
-        self._budget = budget if budget is not None and not budget.is_noop else None
-        #: where BFS fallback indexes come from when a meta document's real
-        #: index is missing or failing (None = degradation disabled: such
-        #: a meta document raises instead)
-        self._fallback_ctx = fallback
-        #: probe ordering and the EXPLAIN surface (repro.core.planner); a
-        #: bare evaluator gets the default FIFO planner
-        self._planner = planner if planner is not None else ProbePlanner()
-        #: activated fallbacks, per meta id (sticky for this evaluator)
-        self._fallbacks: Dict[int, object] = {}
-        # per-query instruments, bound lazily on the first publish
-        self._instruments: Optional[Dict[str, object]] = None
-        # guards the two shared mutable structures above; the search loop
-        # itself keeps all its state in per-query locals and never takes it
-        self._state_lock = threading.Lock()
-        #: snapshot of the most recently *completed* query's counters; the
-        #: live per-query counters travel on the :class:`QueryStream`
-        self.last_stats = QueryStats()
-
-    @property
-    def planner(self) -> ProbePlanner:
-        """The attached :class:`repro.core.planner.ProbePlanner`."""
-        return self._planner
-
-    # ------------------------------------------------------------------
-    # descendants (a//b, a//*)
-    # ------------------------------------------------------------------
     def find_descendants(
         self,
         start: NodeId,
@@ -671,6 +627,90 @@ class PathExpressionEvaluator:
             axis="type",
             budget=budget,
         )
+
+    def connection_test_bidirectional(
+        self,
+        source: NodeId,
+        target: NodeId,
+        max_distance: Optional[int] = None,
+        stats: Optional[QueryStats] = None,
+        budget: Optional[QueryBudget] = None,
+    ) -> Optional[int]:
+        """The optimization sketched in section 5.2 (see
+        :func:`meet_in_the_middle`), over a descendants search from
+        ``source`` and an ancestors search from ``target``."""
+        stats = stats if stats is not None else QueryStats()
+        started = time.perf_counter()
+        # The two sub-searches share this query's stats and publish
+        # nothing themselves (axis=None) — the single publication below
+        # covers the whole bidirectional run.
+        forward = self._search(
+            seeds=[source], tag=None, max_distance=max_distance,
+            forward=True, skip_nodes=(), stats=stats, budget=budget,
+        )
+        backward = self._search(
+            seeds=[target], tag=None, max_distance=max_distance,
+            forward=False, skip_nodes=(), stats=stats, budget=budget,
+        )
+        try:
+            return meet_in_the_middle(forward, backward, max_distance)
+        finally:
+            self._connection_done(stats, started)
+
+    def _connection_done(self, stats: QueryStats, started: float) -> None:
+        """A connection test finished (``started``: its ``perf_counter``
+        reading); the local evaluator publishes it, the remote one has
+        nowhere to."""
+
+
+class PathExpressionEvaluator(SearchMethods):
+    """Figure 4's algorithm over a set of built meta documents."""
+
+    def __init__(
+        self,
+        meta_documents: Sequence[MetaDocument],
+        meta_of: Dict[NodeId, int],
+        obs: Optional[Observability] = None,
+        budget: Optional[QueryBudget] = None,
+        fallback: Optional["FallbackContext"] = None,
+        generation: int = 0,
+        planner: Optional[ProbePlanner] = None,
+    ) -> None:
+        # ``meta_documents`` is positionally indexed by meta id; removed
+        # or compacted ids appear as ``None`` slots (never dereferenced:
+        # ``meta_of`` maps live nodes only)
+        self._meta_documents = list(meta_documents)
+        self._meta_of = dict(meta_of)
+        #: generation of the layout snapshot this evaluator answers for
+        #: (stamped into the ``pee.query`` trace; see docs/MAINTENANCE.md)
+        self.generation = generation
+        #: the observability bundle (metrics + tracing); disabled by default
+        #: for a bare evaluator, supplied by ``Flix`` when configured on
+        self._obs = obs if obs is not None else OBS_OFF
+        #: per-query work limits (None = unlimited, the classic behaviour)
+        self._budget = budget if budget is not None and not budget.is_noop else None
+        #: where BFS fallback indexes come from when a meta document's real
+        #: index is missing or failing (None = degradation disabled: such
+        #: a meta document raises instead)
+        self._fallback_ctx = fallback
+        #: probe ordering and the EXPLAIN surface (repro.core.planner); a
+        #: bare evaluator gets the default FIFO planner
+        self._planner = planner if planner is not None else ProbePlanner()
+        #: activated fallbacks, per meta id (sticky for this evaluator)
+        self._fallbacks: Dict[int, object] = {}
+        # per-query instruments, bound lazily on the first publish
+        self._instruments: Optional[Dict[str, object]] = None
+        # guards the two shared mutable structures above; the search loop
+        # itself keeps all its state in per-query locals and never takes it
+        self._state_lock = threading.Lock()
+        #: snapshot of the most recently *completed* query's counters; the
+        #: live per-query counters travel on the :class:`QueryStream`
+        self.last_stats = QueryStats()
+
+    @property
+    def planner(self) -> ProbePlanner:
+        """The attached :class:`repro.core.planner.ProbePlanner`."""
+        return self._planner
 
     # ------------------------------------------------------------------
     # the local driver of the Figure-4 loop
@@ -1172,7 +1212,7 @@ class PathExpressionEvaluator:
         optional caller-owned counter sink (per-query, never shared).
         """
         stats = stats if stats is not None else QueryStats()
-        started = time.perf_counter() if self._obs.enabled else 0.0
+        started = time.perf_counter()
         try:
             if source not in self._meta_of or target not in self._meta_of:
                 raise KeyError("both endpoints must belong to the collection")
@@ -1191,10 +1231,11 @@ class PathExpressionEvaluator:
             )
         finally:
             self.last_stats = stats.snapshot()
-            if self._obs.enabled:
-                self._publish(
-                    stats, "connection", time.perf_counter() - started
-                )
+            self._connection_done(stats, started)
+
+    def _connection_done(self, stats: QueryStats, started: float) -> None:
+        if self._obs.enabled:
+            self._publish(stats, "connection", time.perf_counter() - started)
 
     def _connection_probe(
         self,
@@ -1251,35 +1292,3 @@ class PathExpressionEvaluator:
                 for out_target in meta.outgoing_links[element]:
                     link_pushes.append((local_distance, out_target))
         return found, link_pushes
-
-    def connection_test_bidirectional(
-        self,
-        source: NodeId,
-        target: NodeId,
-        max_distance: Optional[int] = None,
-        stats: Optional[QueryStats] = None,
-        budget: Optional[QueryBudget] = None,
-    ) -> Optional[int]:
-        """The optimization sketched in section 5.2 (see
-        :func:`meet_in_the_middle`), over a descendants search from
-        ``source`` and an ancestors search from ``target``."""
-        stats = stats if stats is not None else QueryStats()
-        started = time.perf_counter() if self._obs.enabled else 0.0
-        # The two sub-searches share this query's stats and publish
-        # nothing themselves (axis=None) — the single registry
-        # publication below covers the whole bidirectional run.
-        forward = self._search(
-            seeds=[source], tag=None, max_distance=max_distance,
-            forward=True, skip_nodes=(), stats=stats, budget=budget,
-        )
-        backward = self._search(
-            seeds=[target], tag=None, max_distance=max_distance,
-            forward=False, skip_nodes=(), stats=stats, budget=budget,
-        )
-        try:
-            return meet_in_the_middle(forward, backward, max_distance)
-        finally:
-            if self._obs.enabled:
-                self._publish(
-                    stats, "connection", time.perf_counter() - started
-                )

@@ -184,7 +184,8 @@ def save_flix(flix: Flix, directory) -> Path:
     if flix._builder is not None:
         _copy_tables(flix._builder.framework_backend, framework_target)
     else:
-        # monolithic builds carry no residual links; write an empty table
+        # a Flix assembled directly from meta documents (no build
+        # pipeline) carries no framework tables; write an empty one
         framework_target.create_table(_LINKS_SCHEMA)
     integrity["framework.sqlite"] = framework_target.fingerprint()
     framework_target.close()
@@ -202,6 +203,7 @@ def save_flix(flix: Flix, directory) -> Path:
             "allowed_strategies": list(flix.config.allowed_strategies),
             "partition_size": flix.config.partition_size,
             "single_tree": flix.config.single_tree,
+            "similarity_threshold": flix.config.similarity_threshold,
             "hopi_pairs_per_node_budget": flix.config.hopi_pairs_per_node_budget,
             "expect_long_paths": flix.config.expect_long_paths,
             "jobs": flix.config.jobs,
@@ -739,6 +741,7 @@ def _config_from_manifest(config_data: dict) -> FlixConfig:
         allowed_strategies=tuple(config_data["allowed_strategies"]),
         partition_size=config_data["partition_size"],
         single_tree=config_data["single_tree"],
+        similarity_threshold=config_data.get("similarity_threshold", 0.75),
         hopi_pairs_per_node_budget=config_data["hopi_pairs_per_node_budget"],
         expect_long_paths=config_data["expect_long_paths"],
         jobs=config_data.get("jobs", 1),

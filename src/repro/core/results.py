@@ -6,30 +6,57 @@ which FliX inserts the results."  :class:`StreamedList` is that list: a
 producer thread appends results as the PEE finds them; the client iterates,
 blocking until the next result (or the end of the stream) arrives, and may
 cancel the query at any point — "when the user decides to stop the query".
+:meth:`StreamedList.feed` is the producer: it drains any iterable — in
+practice ``flix.query_stream(request)`` — on a daemon thread.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Generic, Iterator, List, Optional, TypeVar
+from typing import Generic, Iterable, Iterator, List, Optional, TypeVar
 
 T = TypeVar("T")
 
 
 class StreamedList(Generic[T]):
-    """Thread-safe, append-only result list with blocking iteration.
+    """Thread-safe, append-only result list with blocking iteration."""
 
-    ``observe`` is an optional per-append callback (e.g. a metrics-counter
-    increment); it runs outside the lock, on the producer thread, so a
-    slow or reentrant observer can never stall consumers.
-    """
-
-    def __init__(self, observe: Optional[Callable[[], None]] = None) -> None:
+    def __init__(self) -> None:
         self._items: List[T] = []
         self._closed = False
         self._cancelled = False
         self._condition = threading.Condition()
-        self._observe = observe
+
+    @classmethod
+    def feed(cls, source: Iterable[T]) -> "StreamedList[T]":
+        """Drain ``source`` into a new list on a daemon thread; results
+        appear on the returned list as soon as ``source`` yields them.
+
+        ``StreamedList.feed(flix.query_stream(request))`` is the paper's
+        multithreaded delivery for every streaming query kind.  After
+        :meth:`cancel` the producer stops at its next result and closes
+        ``source`` (finalizing an abandoned query's stats) *before* it
+        closes the list, so a client that saw the list close knows the
+        query behind it is finished.
+        """
+        results: "StreamedList[T]" = cls()
+
+        def produce() -> None:
+            try:
+                for item in source:
+                    if results.cancelled:
+                        break
+                    results.append(item)
+            finally:
+                try:
+                    close = getattr(source, "close", None)
+                    if close is not None:
+                        close()
+                finally:
+                    results.close()
+
+        threading.Thread(target=produce, name="flix-pee", daemon=True).start()
+        return results
 
     # ------------------------------------------------------------------
     # producer side
@@ -40,8 +67,6 @@ class StreamedList(Generic[T]):
                 raise RuntimeError("cannot append to a closed StreamedList")
             self._items.append(item)
             self._condition.notify_all()
-        if self._observe is not None:
-            self._observe()
 
     def close(self) -> None:
         """Mark the stream complete; idempotent."""

@@ -14,26 +14,23 @@ This module implements that pipeline:
    vectors are cosine-similar into *subcollections*;
 3. each subcollection gets the configuration
    :meth:`repro.core.config.FlixConfig.recommend` derives from its own
-   statistics, and the Meta Document Builder runs per subcollection;
-4. the merged specs are indexed as usual, yielding one
-   :class:`~repro.core.framework.Flix` whose parts are each laid out by the
-   configuration best suited to their shape.
+   statistics.
+
+The Meta Document Builder's ``auto_subcollections`` strategy
+(``Flix.build(collection, FlixConfig.auto_subcollections())``) lays each
+subcollection out under its own configuration and hands the merged specs
+to the one build pipeline.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.collection.collection import XmlCollection
 from repro.collection.stats import CollectionStats, collect_statistics
 from repro.core.config import FlixConfig
-from repro.core.framework import Flix, _pack_built
-from repro.core.ib import IndexBuilder
-from repro.core.mdb import MetaDocumentBuilder
-from repro.storage.memory import MemoryBackend
-from repro.storage.table import StorageBackend
 
 
 @dataclass
@@ -147,48 +144,3 @@ def identify_subcollections(
         )
         subcollections.append(Subcollection(documents, stats, config))
     return subcollections
-
-
-# ----------------------------------------------------------------------
-# building FliX over subcollections
-# ----------------------------------------------------------------------
-def build_auto_partitioned(
-    collection: XmlCollection,
-    similarity_threshold: float = 0.75,
-    partition_size: int = 5000,
-    backend_factory: Callable[[], StorageBackend] = MemoryBackend,
-) -> Tuple[Flix, List[Subcollection]]:
-    """The full section 7 pipeline: cluster, configure, build.
-
-    Returns the built index plus the subcollection report.  The resulting
-    ``Flix`` carries a synthetic "auto" configuration whose allowed
-    strategies are the union of the per-subcollection ones (needed by the
-    ISS when ``add_document`` grows the index later).
-    """
-    subcollections = identify_subcollections(
-        collection, similarity_threshold, partition_size
-    )
-    specs = []
-    for subcollection in subcollections:
-        builder = MetaDocumentBuilder(collection, subcollection.config)
-        specs.extend(
-            builder.build_specs(
-                documents=set(subcollection.documents), first_id=len(specs)
-            )
-        )
-    allowed: Tuple[str, ...] = tuple(
-        sorted({s for sub in subcollections for s in sub.config.allowed_strategies})
-    )
-    merged_config = FlixConfig(
-        name="auto_subcollections",
-        mdb_strategy="naive",  # nominal; the specs were built above
-        allowed_strategies=allowed,
-        partition_size=partition_size,
-    )
-    builder = IndexBuilder(collection, merged_config, backend_factory)
-    meta_documents, meta_of, report = builder.build(specs)
-    _pack_built(meta_documents)
-    flix = Flix(collection, merged_config, meta_documents, meta_of, report)
-    flix._builder = builder
-    flix._backend_factory = backend_factory
-    return flix, subcollections

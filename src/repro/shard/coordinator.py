@@ -33,9 +33,9 @@ Degradation ladder (completeness flags of PR 3 reused verbatim):
    an exception.
 
 Results are cached in a coordinator-level
-:class:`~repro.serve.cache.ShardedLRUCache` under the same policy as
-``Flix.query``: only complete, unbudgeted, unlimited (or scalar) answers
-are stored; limited requests slice the cached superset.
+:class:`~repro.serve.cache.ShardedLRUCache` under the policy
+``Flix.query`` uses — not a copy of it, the same
+:class:`repro.core.api.CacheSlot`.
 """
 
 from __future__ import annotations
@@ -47,9 +47,14 @@ import threading
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.api import QueryRequest, QueryResponse
+from repro.core.api import (
+    CacheSlot,
+    QueryRequest,
+    QueryResponse,
+    evaluate_request,
+)
 from repro.core.config import CacheConfig
-from repro.core.pee import QueryBudget, QueryStats, evaluate_path
+from repro.core.pee import QueryBudget, QueryStats
 from repro.indexes.base import NodeId
 from repro.obs import Observability
 from repro.obs.export import render
@@ -260,25 +265,19 @@ class ShardCoordinator:
 
         Same contract as ``Flix.query``: the response carries the query's
         private stats and completeness; ``budget`` (or ``request.budget``,
-        or the coordinator's default) bounds the work; cache policy is
-        identical (complete, unbudgeted, unlimited-or-scalar answers only).
+        or the coordinator's default) bounds the work; the cache policy is
+        :class:`repro.core.api.CacheSlot`'s.
         """
         started = time.perf_counter()
-        effective_budget = budget if budget is not None else request.budget
-        if effective_budget is None:
-            effective_budget = self._default_budget
-        key = request.cache_key() if self._cache is not None else None
-        captured_generation = 0
-        if key is not None:
-            captured_generation = self._cache.generation
-            boxed = self._cache.get(key)
-            if boxed is not None:
-                self._m_cache_hits.inc(kind=request.kind)
-                return self._replay(request, boxed[0], started)
-            self._m_cache_misses.inc(kind=request.kind)
-        payload, response, mode, shard = self._evaluate(
-            request, effective_budget, started
-        )
+        slot = CacheSlot(self._cache, request, self._map.generation)
+        response = slot.lookup(started, self._count_cache_lookup)
+        if response is not None:
+            return response
+        if budget is None:
+            budget = request.budget
+        if budget is None:
+            budget = self._default_budget
+        response, mode, shard = self._evaluate(request, budget, started)
         if request.explain and response.plan is None:
             # delegated answers carry the worker's plan already; the
             # distributed path evaluates here and has no local layout, so
@@ -287,36 +286,11 @@ class ShardCoordinator:
         self._m_requests.inc(
             shard=str(shard), mode=mode, status=response.stats.completeness
         )
-        if (
-            key is not None
-            and effective_budget is None
-            and response.stats.is_complete
-            and (request.is_scalar or request.limit is None)
-        ):
-            self._cache.put(
-                key, (payload, response.stats),
-                generation=captured_generation,
-            )
+        slot.store(response.results, response.value, response.stats, budget)
         return response
 
-    def _replay(
-        self, request: QueryRequest, entry, started: float
-    ) -> QueryResponse:
-        payload, stats = entry
-        if request.is_scalar:
-            return QueryResponse(
-                request, [], payload, stats, True,
-                time.perf_counter() - started,
-                layout_generation=self._map.generation,
-            )
-        results = list(payload)
-        if request.limit is not None:
-            results = results[: request.limit]
-        return QueryResponse(
-            request, results, None, stats, True,
-            time.perf_counter() - started,
-            layout_generation=self._map.generation,
-        )
+    def _count_cache_lookup(self, kind: str, hit: bool) -> None:
+        (self._m_cache_hits if hit else self._m_cache_misses).inc(kind=kind)
 
     def explain(self, request: QueryRequest):
         """The static :class:`~repro.core.planner.QueryPlan` for
@@ -341,18 +315,18 @@ class ShardCoordinator:
         budget: Optional[QueryBudget],
         started: float,
     ):
-        """Returns ``(cacheable_payload, response, mode, shard_label)``."""
+        """Returns ``(response, mode, shard_label)``."""
         if self._cross_shard == "distributed":
             shards_needed = self._participating_shards(request)
             if shards_needed is not None and len(shards_needed) > 1:
-                payload, response = self._evaluate_distributed(
-                    request, budget, started
+                # the Figure-4 loop runs here, over the remote expander
+                response = evaluate_request(
+                    request, budget, self._distributed, started,
+                    self._map.generation, seeds_of=self._type_seeds,
                 )
-                return payload, response, "distributed", "*"
+                return response, "distributed", "*"
         shard = self._route(request)
-        response = self._delegate(shard, request, budget, started)
-        payload = response.value if request.is_scalar else response.results
-        return payload, response, "delegate", shard
+        return self._delegate(shard, request, budget, started), "delegate", shard
 
     def _participating_shards(
         self, request: QueryRequest
@@ -458,68 +432,8 @@ class ShardCoordinator:
         )
 
     # ------------------------------------------------------------------
-    # distributed evaluation (multi-shard closures)
+    # distributed evaluation (multi-shard closures): the two RPC kinds
     # ------------------------------------------------------------------
-    def _evaluate_distributed(
-        self,
-        request: QueryRequest,
-        budget: Optional[QueryBudget],
-        started: float,
-    ) -> Tuple[object, QueryResponse]:
-        kind = request.kind
-        stats = QueryStats()
-        value = None
-        results: List = []
-        if kind == "test":
-            if request.bidirectional:
-                value = self._distributed.connection_test_bidirectional(
-                    request.source, request.target, request.max_distance,
-                    stats, budget=budget,
-                )
-            else:
-                value = self._distributed.connection_test(
-                    request.source, request.target, request.max_distance,
-                    stats, budget=budget,
-                )
-        elif kind == "path":
-            results, stats = evaluate_path(
-                lambda node, tag: self._distributed.search(
-                    [node], tag, request.max_distance, True, (node,),
-                    budget=budget,
-                ),
-                request.source,
-                request.path,
-            )
-        else:
-            if request.source_tag is not None:
-                seeds = self._type_seeds(request.source_tag)
-                skip: Tuple[NodeId, ...] = ()
-            else:
-                seeds = [request.source]
-                skip = () if request.include_self else (request.source,)
-            stream = self._distributed.search(
-                seeds, request.tag, request.max_distance,
-                kind == "descendants", skip, stats,
-                exact_order=request.exact_order, budget=budget,
-            )
-            iterator: Iterator = stream
-            if request.limit is not None:
-                iterator = itertools.islice(iterator, request.limit)
-            results = list(iterator)
-            stream.close()
-        elapsed = time.perf_counter() - started
-        if request.is_scalar:
-            response = QueryResponse(
-                request, [], value, stats, False, elapsed,
-                layout_generation=self._map.generation,
-            )
-            return value, response
-        response = QueryResponse(
-            request, results, None, stats, False, elapsed,
-            layout_generation=self._map.generation,
-        )
-        return results, response
-
     def _type_seeds(self, source_tag: str) -> List[NodeId]:
         try:
             _, reply = self._call(0, "type_seeds", {"source_tag": source_tag})

@@ -30,9 +30,9 @@ from repro.core.pee import (
     QueryBudget,
     QueryStats,
     QueryStream,
+    SearchMethods,
     figure4_search,
     first_connection,
-    meet_in_the_middle,
 )
 from repro.indexes.base import NodeId
 from repro.shard.plan import ShardMap
@@ -42,8 +42,9 @@ from repro.shard.plan import ShardMap
 ExpansionRpc = Callable[[int, Dict], Tuple[Optional[tuple], QueryStats]]
 
 
-class DistributedEvaluator:
-    """Figure 4's loop over remote expansions (see module docstring).
+class DistributedEvaluator(SearchMethods):
+    """Figure 4's loop over remote expansions (see module docstring),
+    behind the same five search methods as the local evaluator.
 
     ``expand_rpc`` carries the ``expand`` verb (descendants / ancestors /
     type queries), ``probe_rpc`` the ``connection_probe`` verb.
@@ -109,39 +110,26 @@ class DistributedEvaluator:
             stats,
         )
 
+    def _search(self, axis=None, **search) -> QueryStream:
+        """What :class:`SearchMethods` builds the other searches on;
+        ``axis`` labels the local evaluator's metrics, nothing here."""
+        return self.search(**search)
+
     def connection_test(
         self,
         source: NodeId,
         target: NodeId,
-        max_distance: Optional[int],
-        stats: QueryStats,
+        max_distance: Optional[int] = None,
+        stats: Optional[QueryStats] = None,
         budget: Optional[QueryBudget] = None,
     ) -> Optional[int]:
+        stats = stats if stats is not None else QueryStats()
         probe = self._expander(
             self._probe_rpc, stats, target=target,
             target_meta=self._map.meta_of(target), max_distance=max_distance,
         )
         return first_connection(
             source, self._map.meta_of, probe, stats, max_distance, budget
-        )
-
-    def connection_test_bidirectional(
-        self,
-        source: NodeId,
-        target: NodeId,
-        max_distance: Optional[int],
-        stats: QueryStats,
-        budget: Optional[QueryBudget] = None,
-    ) -> Optional[int]:
-        """Both sub-searches share this query's stats."""
-        return meet_in_the_middle(
-            self.search(
-                [source], None, max_distance, True, (), stats, budget=budget
-            ),
-            self.search(
-                [target], None, max_distance, False, (), stats, budget=budget
-            ),
-            max_distance,
         )
 
 

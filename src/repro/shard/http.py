@@ -8,8 +8,9 @@ noted:
     :func:`request_from_json` for the accepted fields).  Response: the
     materialized :class:`~repro.core.api.QueryResponse` rendered by
     :func:`response_to_json` — results, scalar value, completeness,
-    stats, cache/layout provenance.  400 for malformed bodies, 404 for
-    unknown nodes.  Pass ``"explain": true`` to additionally get the
+    stats, cache/layout provenance.  400 for malformed bodies (or a
+    ``Content-Length`` that is not a non-negative integer), 413 for a
+    body over :data:`MAX_BODY_BYTES`, 404 for unknown nodes.  Pass ``"explain": true`` to additionally get the
     executed plan stamped under ``"plan"``.
 ``POST /explain``
     Same request body as ``/query`` but nothing is evaluated: the
@@ -44,6 +45,11 @@ from repro.core.api import QueryRequest, QueryResponse
 from repro.core.connections import ConnectionModel
 from repro.core.pee import QueryBudget, QueryResult
 from repro.shard.coordinator import ShardCoordinator
+
+
+#: largest request body the front door reads (a JSON ``QueryRequest`` is
+#: a few hundred bytes)
+MAX_BODY_BYTES = 1 << 20
 
 
 def request_from_json(payload: Dict) -> QueryRequest:
@@ -193,6 +199,21 @@ class _FrontDoorHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            # rejected before reading: rfile.read(-1) would block until
+            # the client hangs up, and the unread body makes the
+            # connection unusable for a next request
+            self.close_connection = True
+            if length < 0:
+                self._send_json(400, {"error": "invalid Content-Length"})
+            else:
+                self._send_json(
+                    413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
+                )
+            return
+        try:
             raw = self.rfile.read(length)
             payload = json.loads(raw) if raw else {}
             request = request_from_json(payload)

@@ -27,8 +27,8 @@ Verbs served:
     evaluating it (any worker's plan is authoritative — each holds the
     whole index).
 ``type_seeds``
-    Seed list for an ``A//B`` type query, computed the same way
-    ``Flix._raw_stream`` computes it.
+    Seed list for an ``A//B`` type query
+    (:func:`repro.core.api.type_seeds` over this worker's layout).
 ``wal_pull``
     Follower replication (``docs/DURABILITY.md``): serve the records of
     the ``wal.log`` beside the index newer than the caller's cursor
@@ -68,6 +68,7 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from repro.collection.io import load_collection
+from repro.core.api import type_seeds
 from repro.core.framework import Flix
 from repro.core.pee import QueryStats
 from repro.obs import Observability
@@ -315,14 +316,9 @@ class ShardWorker:
             # any shard's static plan is authoritative for the deployment
             return "plan", {"plan": self.flix.explain(payload["request"])}
         if verb == "type_seeds":
-            layout = self.flix.layout
-            seeds = [
-                node
-                for node in self.flix.collection.nodes_with_tag(
-                    payload["source_tag"]
-                )
-                if node in layout.meta_of
-            ]
+            seeds = type_seeds(
+                self.flix.collection, self.flix.meta_of, payload["source_tag"]
+            )
             return "seeds", {"seeds": seeds}
         if verb == "wal_pull":
             from repro.wal.log import read_wal

@@ -258,10 +258,24 @@ class TestFlixAddDocument:
         assert after == before
         assert flix.cache_hits == 0
 
-    def test_monolithic_rejects_add(self, base_collection):
-        flix = Flix.build_monolithic(base_collection, "hopi")
-        with pytest.raises(RuntimeError):
-            flix.add_document(doc("d.xml", "<doc/>"))
+    def test_monolithic_index_grows(self, base_collection):
+        """A monolithic comparator is built by the one pipeline, so the
+        maintenance verbs work on it like on any other index."""
+        config = FlixConfig.monolithic("hopi")
+        flix = Flix.build(base_collection, config)
+        flix.add_document(
+            doc("d.xml", '<doc><l xlink:href="a.xml"/><p>delta</p></doc>')
+        )
+        assert len(flix.meta_documents) == 2
+        fresh = Flix.build(base_collection, config)
+        assert len(fresh.meta_documents) == 1
+        for name in base_collection.documents:
+            request = QueryRequest.descendants(
+                base_collection.document_root(name)
+            )
+            assert {r.node for r in flix.query(request)} == {
+                r.node for r in fresh.query(request)
+            }
 
     def test_many_additions_stay_consistent(self):
         collection = build_collection([doc("d000.xml", "<doc><p>p0</p></doc>")])

@@ -8,11 +8,19 @@ import pytest
 from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
+from repro.core.results import StreamedList
 from repro.indexes.hopi import HopiIndex
 from repro.indexes.packed import packed_clone
 from repro.indexes.ppo import PpoIndex
 from repro.storage.memory import MemoryBackend
 from tests.conftest import random_tags, random_tree
+
+
+def _streamed(flix, start):
+    """Background-thread delivery of ``start``'s descendants."""
+    return StreamedList.feed(
+        flix.query_stream(QueryRequest.descendants(start))
+    )
 
 
 class TestParallelStreams:
@@ -29,7 +37,7 @@ class TestParallelStreams:
             ]
             for root in roots
         }
-        streams = {root: flix.find_descendants_streamed(root) for root in roots}
+        streams = {root: _streamed(flix, root) for root in roots}
         collected = {}
         errors = []
 
@@ -68,8 +76,7 @@ class TestParallelStreams:
         failures = []
 
         def worker(root):
-            # note: uses a private evaluator per call via the streamed API
-            stream = flix.find_descendants_streamed(root)
+            stream = _streamed(flix, root)
             got = {r.node for r in stream}
             if got != expected[root]:
                 failures.append(root)
@@ -90,9 +97,7 @@ class TestParallelStreams:
 
         flix = Flix.build(dblp_collection, FlixConfig.unconnected_hopi(100))
         aries = find_aries(dblp_collection)
-        streams = [
-            flix.find_descendants_streamed(aries) for _ in range(4)
-        ]
+        streams = [_streamed(flix, aries) for _ in range(4)]
         for stream in streams[:2]:
             stream.cancel()
         # non-cancelled streams complete fully

@@ -156,15 +156,6 @@ class TestFlixObservabilitySurface:
         with pytest.raises(ValueError):
             flix.export_metrics("yaml")
 
-    def test_streamed_results_counted(self, linked_pair):
-        flix = _build(linked_pair)
-        start = linked_pair.document_root("a.xml")
-        results = flix.find_descendants_streamed(start)
-        collected = list(results)
-        counter = flix.metrics().get("flix_streamed_results_total")
-        assert counter is not None
-        assert counter.total() == len(collected)
-
     def test_connection_test_publishes_connection_axis(self, linked_pair):
         flix = _build(linked_pair)
         start = linked_pair.document_root("a.xml")

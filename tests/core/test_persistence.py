@@ -86,7 +86,7 @@ class TestSaveLoadBehaviour:
             Flix.load(figure1_collection, tmp_path / "empty")
 
     def test_monolithic_round_trip(self, figure1_collection, tmp_path):
-        original = Flix.build_monolithic(figure1_collection, "hopi")
+        original = Flix.build(figure1_collection, FlixConfig.monolithic("hopi"))
         original.save(tmp_path / "mono")
         loaded = Flix.load(figure1_collection, tmp_path / "mono")
         oracle = transitive_closure(figure1_collection.graph)

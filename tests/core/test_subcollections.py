@@ -5,10 +5,9 @@ import pytest
 from repro.collection.builder import build_collection
 from repro.collection.document import XmlDocument
 from repro.core.api import QueryRequest
-from repro.core.subcollections import (
-    build_auto_partitioned,
-    identify_subcollections,
-)
+from repro.core.config import FlixConfig
+from repro.core.framework import Flix
+from repro.core.subcollections import identify_subcollections
 from repro.graph.closure import transitive_closure
 from repro.indexes.packed import PACKABLE_STRATEGIES, is_packed
 
@@ -91,8 +90,8 @@ class TestIdentify:
 class TestBuildAutoPartitioned:
     def test_answers_match_oracle(self):
         collection = mixed_collection()
-        flix, subcollections = build_auto_partitioned(collection)
-        assert len(subcollections) >= 2
+        flix = Flix.build(collection, FlixConfig.auto_subcollections())
+        assert len(identify_subcollections(collection)) >= 2
         oracle = transitive_closure(collection.graph)
         for name in collection.documents:
             start = collection.document_root(name)
@@ -101,7 +100,7 @@ class TestBuildAutoPartitioned:
 
     def test_mixed_strategies_in_one_index(self):
         collection = mixed_collection()
-        flix, _subcollections = build_auto_partitioned(collection)
+        flix = Flix.build(collection, FlixConfig.auto_subcollections())
         strategies = {m.strategy for m in flix.meta_documents}
         assert "ppo" in strategies  # the record family
         assert len(strategies) >= 1
@@ -111,7 +110,7 @@ class TestBuildAutoPartitioned:
 
     def test_incremental_growth_still_works(self):
         collection = mixed_collection()
-        flix, _ = build_auto_partitioned(collection)
+        flix = Flix.build(collection, FlixConfig.auto_subcollections())
         flix.add_document(
             XmlDocument.from_text(
                 "extra.xml", '<page><nav><link xlink:href="page0.xml"/></nav></page>'
@@ -122,7 +121,9 @@ class TestBuildAutoPartitioned:
         assert collection.document_root("page0.xml") in results
 
     def test_on_figure1(self, figure1_collection):
-        flix, subcollections = build_auto_partitioned(figure1_collection)
+        flix = Flix.build(
+            figure1_collection, FlixConfig.auto_subcollections()
+        )
         oracle = transitive_closure(figure1_collection.graph)
         start = figure1_collection.document_root("d05.xml")
         got = {r.node for r in flix.query_stream(QueryRequest.descendants(start))}

@@ -8,6 +8,7 @@ import pytest
 
 from repro.collection.document import XmlDocument
 from repro.core.api import QueryRequest
+from repro.core.pee import QueryStream
 from repro.serve.cache import ShardedLRUCache
 
 
@@ -238,28 +239,28 @@ class TestFlixCacheIntegration:
         the invalidation (the generation is captured at miss time)."""
         start = linked_collection.document_root("a.xml")
         request = QueryRequest.descendants(start, tag="p")
-        original_evaluate = cached_flix._evaluate
-        raced = []
+        inner = cached_flix.pee
 
-        def racing_evaluate(req, budget, layout=None):
-            # evaluate against the old index, then mutate it before the
-            # caller gets to store the result — the reviewed race, made
-            # deterministic
-            payload, stats = original_evaluate(req, budget, layout)
-            if not raced:
-                raced.append(True)
+        class RacingEvaluator:
+            """Evaluates against the old index, then mutates it before
+            the caller gets to store the result — the reviewed race, made
+            deterministic."""
+
+            def __getattr__(self, name):
+                return getattr(inner, name)
+
+            def find_descendants(self, *args, **kwargs):
+                stream = inner.find_descendants(*args, **kwargs)
+                results = list(stream)
                 cached_flix.add_document(
                     XmlDocument.from_text(
                         "c.xml", "<doc><p>gamma</p></doc>"
                     )
                 )
-            return payload, stats
+                return QueryStream((r for r in results), stream.stats)
 
-        cached_flix._evaluate = racing_evaluate
-        try:
-            cached_flix.query(request)
-        finally:
-            cached_flix._evaluate = original_evaluate
+        cached_flix.pee = RacingEvaluator()
+        assert not cached_flix.query(request).from_cache
         after = cached_flix.query(request)
         assert not after.from_cache  # the racy store must read as stale
 

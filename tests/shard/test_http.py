@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.core.api import QueryRequest
-from repro.shard.http import FrontDoor, request_from_json, response_to_json
+from repro.shard.http import (
+    MAX_BODY_BYTES,
+    FrontDoor,
+    request_from_json,
+    response_to_json,
+)
 
 from tests.shard.conftest import in_process_cluster
 
@@ -141,3 +147,31 @@ class TestRoutes:
         front, _ = door
         status, _, _ = _get(front, "/nope")
         assert status == 404
+
+
+class TestHostileContentLength:
+    """A Content-Length the door cannot honour is refused before the
+    body is read — never a handler thread parked in ``rfile.read``."""
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [("-1", 400), ("abc", 400), (str(2 * MAX_BODY_BYTES), 413)],
+    )
+    def test_refused_within_a_second(self, door, length, status):
+        front, deployment = door
+        with socket.create_connection(front.address, timeout=1.0) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: flix\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n"
+            )
+            reply = sock.recv(4096)  # socket.timeout = the door hung
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+        # the door keeps serving
+        start = deployment.collection.document_root(
+            sorted(deployment.collection.documents)[0]
+        )
+        ok, body = _post(
+            front, "/query", {"kind": "descendants", "source": start}
+        )
+        assert ok == 200 and body["results"]
