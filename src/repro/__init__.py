@@ -16,8 +16,9 @@ paper.  The package bundles:
   (:mod:`repro.query`),
 * dataset generators reproducing the paper's DBLP workload and the intro's
   movie scenario (:mod:`repro.datasets`), and
-* the benchmark harness regenerating the paper's evaluation
-  (:mod:`repro.bench`, driven by the suites under ``benchmarks/``), and
+* the support code of the paper-figure suites under ``benchmarks/``
+  (:mod:`repro.bench`: the section 6 system lineup, time-to-k, order
+  error rate; performance is measured by ``benchmarks/spine``), and
 * sharded multi-process serving — shard planning over the meta-document
   graph, mmap-attached worker processes, and a coordinator front door
   (:mod:`repro.shard`, ``docs/SHARDING.md``), and

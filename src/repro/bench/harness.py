@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.collection.collection import NodeId, XmlCollection
-from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.graph.closure import TransitiveClosure
@@ -90,287 +89,6 @@ def build_all_systems(
             ),
         )
     return systems
-
-
-def profile_build(
-    collection: XmlCollection,
-    config: FlixConfig,
-    jobs_options: Sequence[int] = (1, 4),
-    repeats: int = 3,
-) -> Dict:
-    """Build ``collection`` under each jobs setting; return a comparison.
-
-    Each setting is built ``repeats`` times and reported at its fastest
-    wall-clock sample (best-of-N suppresses scheduler noise, which on
-    small corpora easily exceeds the build itself).  The returned dict is
-    JSON-serializable — ``benchmarks/bench_build_time.py`` writes it to
-    ``BENCH_build_time.json``.
-
-    Every run's index fingerprint is included: identical fingerprints
-    across jobs settings are the determinism guarantee, so a speedup
-    never comes at the price of a different index.  ``speedup`` is
-    measured against the first jobs setting (the sequential baseline);
-    values above 1.0 require actual spare cores — ``effective_cpus``
-    records what the machine offered.
-    """
-    import os
-
-    runs: List[Dict] = []
-    for jobs in jobs_options:
-        samples: List[float] = []
-        flix: Optional[Flix] = None
-        for _ in range(max(1, repeats)):
-            started = time.perf_counter()
-            flix = Flix.build(collection, config, jobs=jobs)
-            samples.append(time.perf_counter() - started)
-        assert flix is not None
-        report = flix.report
-        runs.append(
-            {
-                "jobs": jobs,
-                "executor": report.executor,
-                "wall_seconds": round(min(samples), 6),
-                "samples": [round(s, 6) for s in samples],
-                "meta_documents": len(report.meta_documents),
-                "strategies": sorted(
-                    {m.strategy for m in report.meta_documents}
-                ),
-                "index_bytes": report.total_index_bytes,
-                "phase_totals": {
-                    phase: round(seconds, 6)
-                    for phase, seconds in report.phase_totals().items()
-                },
-                "fingerprint": flix.index_fingerprint(),
-            }
-        )
-    baseline = runs[0]["wall_seconds"]
-    for run in runs:
-        run["speedup"] = round(baseline / max(run["wall_seconds"], 1e-9), 4)
-    try:
-        effective_cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        effective_cpus = os.cpu_count() or 1
-    return {
-        "workload": {
-            "documents": collection.document_count,
-            "elements": collection.node_count,
-            "links": collection.link_edge_count,
-            "config": config.name,
-            "partition_size": config.partition_size,
-        },
-        "repeats": max(1, repeats),
-        "effective_cpus": effective_cpus,
-        "deterministic": len({run["fingerprint"] for run in runs}) == 1,
-        "runs": runs,
-    }
-
-
-def profile_query_overhead(
-    collection: XmlCollection,
-    config: FlixConfig,
-    queries: int = 20,
-    repeats: int = 5,
-) -> Dict:
-    """Measure query latency with observability on vs off.
-
-    Builds the same configuration twice — once with
-    ``observability=True``, once with ``observability=False`` — and runs
-    an identical wildcard-descendants workload (the first ``queries``
-    document roots, in sorted name order) against each, ``repeats``
-    times.  Per mode the fastest full-workload sample is reported
-    (best-of-N, as in :func:`profile_build`); samples alternate between
-    the modes after a warm-up pass so clock drift hits both equally.
-
-    Because the instrumented code path *is* the shipped code path, the
-    disabled-mode run doubles as the "no worse than the uninstrumented
-    seed" check: with the knob off every hot-loop branch reduces to a
-    single attribute test, so its latency is the seed's latency up to
-    measurement noise.  To make that noise visible the disabled mode is
-    sampled as two interleaved series and the spread between them is
-    reported as ``noise_pct`` — an overhead smaller than the noise floor
-    is indistinguishable from zero.  The returned dict is
-    JSON-serializable; ``benchmarks/bench_query_overhead.py`` writes it
-    to ``BENCH_query_overhead.json``.
-    """
-
-    def build(enabled: bool) -> Flix:
-        return Flix.build(collection, config.with_observability(enabled))
-
-    starts = [
-        collection.document_root(name)
-        for name in sorted(collection.documents)[: max(1, queries)]
-    ]
-
-    def one_pass(flix: Flix) -> Tuple[float, int]:
-        results = 0
-        started = time.perf_counter()
-        for start in starts:
-            for _result in flix.query_stream(QueryRequest.descendants(start)):
-                results += 1
-        return time.perf_counter() - started, results
-
-    flix_off = build(False)
-    flix_on = build(True)
-    # warm both systems, then sample them alternately: clock drift (CPU
-    # frequency scaling, background load) hits all modes equally instead
-    # of whichever mode happens to be measured last
-    one_pass(flix_off)
-    one_pass(flix_on)
-    off_samples: List[float] = []
-    off_again_samples: List[float] = []
-    on_samples: List[float] = []
-    off_results = on_results = 0
-    for _ in range(max(1, repeats)):
-        seconds, off_results = one_pass(flix_off)
-        off_samples.append(seconds)
-        seconds, on_results = one_pass(flix_on)
-        on_samples.append(seconds)
-        seconds, _ = one_pass(flix_off)
-        off_again_samples.append(seconds)
-    off_seconds = min(off_samples)
-    off_again_seconds = min(off_again_samples)
-    on_seconds = min(on_samples)
-    assert on_results == off_results, "observability changed query results"
-
-    base = max(min(off_seconds, off_again_seconds), 1e-9)
-    return {
-        "workload": {
-            "documents": collection.document_count,
-            "elements": collection.node_count,
-            "links": collection.link_edge_count,
-            "config": config.name,
-            "queries": len(starts),
-            "results_per_pass": off_results,
-        },
-        "repeats": max(1, repeats),
-        "method": (
-            "best-of-N wall clock over an identical wildcard-descendants "
-            "workload, modes sampled alternately after a warm-up pass; "
-            "observability=False is the seed-equivalent baseline (disabled "
-            "instrumentation reduces to attribute tests), and a second "
-            "interleaved disabled series bounds measurement noise"
-        ),
-        "disabled_seconds": round(off_seconds, 6),
-        "disabled_rerun_seconds": round(off_again_seconds, 6),
-        "enabled_seconds": round(on_seconds, 6),
-        "noise_pct": round(
-            abs(off_seconds - off_again_seconds) / base * 100.0, 3
-        ),
-        "disabled_regression_pct": round(
-            (off_seconds - off_again_seconds) / base * 100.0, 3
-        ),
-        "enabled_overhead_pct": round((on_seconds - base) / base * 100.0, 3),
-    }
-
-
-def profile_fault_overhead(
-    collection: XmlCollection,
-    config: FlixConfig,
-    queries: int = 20,
-    repeats: int = 5,
-) -> Dict:
-    """Measure the idle cost of the resilience machinery.
-
-    Builds the same configuration twice — once plain, once with a
-    resilience config attached (``with_resilience()``) but **no faults
-    injected** — and compares both build wall clock and an identical
-    wildcard-descendants query workload, sampled alternately after a
-    warm-up pass as in :func:`profile_query_overhead`.  The plain mode
-    is sampled as two interleaved series whose spread (``noise_pct``)
-    bounds measurement noise.
-
-    With no faults the resilient wrapper's only query-side costs are
-    attribute tests (budget checks against ``None`` limits, the
-    completeness bookkeeping); the storage wrapper sits on the build
-    path only.  Both builds must produce fingerprint-identical indexes —
-    asserted here, since transparency is the wrapper's core contract.
-    The returned dict is JSON-serializable;
-    ``benchmarks/bench_fault_overhead.py`` writes it to
-    ``BENCH_fault_overhead.json``.
-    """
-
-    def timed_build(resilient: bool) -> Tuple[Flix, float]:
-        cfg = config.with_resilience() if resilient else config
-        started = time.perf_counter()
-        flix = Flix.build(collection, cfg)
-        return flix, time.perf_counter() - started
-
-    plain, plain_build_seconds = timed_build(False)
-    guarded, guarded_build_seconds = timed_build(True)
-    assert plain.index_fingerprint() == guarded.index_fingerprint(), (
-        "resilience wrapper changed the built index"
-    )
-
-    starts = [
-        collection.document_root(name)
-        for name in sorted(collection.documents)[: max(1, queries)]
-    ]
-
-    def one_pass(flix: Flix) -> Tuple[float, int]:
-        results = 0
-        started = time.perf_counter()
-        for start in starts:
-            for _result in flix.pee.find_descendants(start):
-                results += 1
-        return time.perf_counter() - started, results
-
-    one_pass(plain)
-    one_pass(guarded)
-    plain_samples: List[float] = []
-    plain_again_samples: List[float] = []
-    guarded_samples: List[float] = []
-    plain_results = guarded_results = 0
-    for _ in range(max(1, repeats)):
-        seconds, plain_results = one_pass(plain)
-        plain_samples.append(seconds)
-        seconds, guarded_results = one_pass(guarded)
-        guarded_samples.append(seconds)
-        seconds, _ = one_pass(plain)
-        plain_again_samples.append(seconds)
-    plain_seconds = min(plain_samples)
-    plain_again_seconds = min(plain_again_samples)
-    guarded_seconds = min(guarded_samples)
-    assert guarded_results == plain_results, (
-        "resilience wrapper changed query results"
-    )
-
-    base = max(min(plain_seconds, plain_again_seconds), 1e-9)
-    build_base = max(plain_build_seconds, 1e-9)
-    return {
-        "workload": {
-            "documents": collection.document_count,
-            "elements": collection.node_count,
-            "links": collection.link_edge_count,
-            "config": config.name,
-            "queries": len(starts),
-            "results_per_pass": plain_results,
-        },
-        "repeats": max(1, repeats),
-        "method": (
-            "best-of-N wall clock over an identical wildcard-descendants "
-            "workload, plain vs resilience-enabled-but-idle (no injected "
-            "faults), modes sampled alternately after a warm-up pass; a "
-            "second interleaved plain series bounds measurement noise, "
-            "and both builds are asserted fingerprint-identical"
-        ),
-        "fingerprint_identical": True,
-        "plain_build_seconds": round(plain_build_seconds, 6),
-        "resilient_build_seconds": round(guarded_build_seconds, 6),
-        "build_overhead_pct": round(
-            (guarded_build_seconds - plain_build_seconds)
-            / build_base * 100.0,
-            3,
-        ),
-        "plain_seconds": round(plain_seconds, 6),
-        "plain_rerun_seconds": round(plain_again_seconds, 6),
-        "resilient_seconds": round(guarded_seconds, 6),
-        "noise_pct": round(
-            abs(plain_seconds - plain_again_seconds) / base * 100.0, 3
-        ),
-        "query_overhead_pct": round(
-            (guarded_seconds - base) / base * 100.0, 3
-        ),
-    }
 
 
 def time_to_k(

@@ -38,13 +38,6 @@ Commands
     chosen exporter format (see ``docs/OBSERVABILITY.md``).  ``--trace``
     additionally prints the last query's span tree.
 
-``serve-bench [--documents N] [--workers 1,2,4,8] [--latency-ms MS]
-              [--json]``
-    Profile the concurrent query-serving layer (``docs/SERVING.md``):
-    build a latency-bound synthetic DBLP collection, replay a repetitive
-    query mix through ``FlixService`` at each worker count, cold and warm
-    cache, and print throughput plus a result-integrity check.
-
 ``repair <dir> <index_dir> [--check]``
     Verify a persisted index's per-file checksums against its manifest
     and rebuild only the damaged files from the collection (see
@@ -77,18 +70,6 @@ Commands
 ``wal <index_dir> [--json]``
     Inspect a write-ahead log: base/tail generations, the logged verbs,
     and whether a torn tail is present.
-
-``durability-bench [--documents N] [--batch N] [--json] [--output FILE]``
-    Profile the durability layer: WAL append throughput per fsync
-    policy (commit/batch/none), crash-recovery replay throughput, and
-    follower catch-up lag (``BENCH_durability.json`` methodology).
-
-``shard-bench [--documents N] [--shards 2,4,8] [--latency-ms MS]
-              [--json] [--output FILE]``
-    Profile sharded multi-process serving: spawn each shard count as
-    real worker subprocesses, drive the repeat-free request mix through
-    a coordinator, and compare cold/warm throughput and byte-identity
-    to the serial baseline (``BENCH_sharded.json`` methodology).
 """
 
 from __future__ import annotations
@@ -252,35 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also print the last query's span tree",
     )
 
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="profile the concurrent query-serving layer "
-        "(workers x cold/warm cache)",
-    )
-    serve_bench.add_argument(
-        "--documents",
-        type=positive_int,
-        default=24,
-        help="synthetic DBLP documents to serve queries over (default 24)",
-    )
-    serve_bench.add_argument(
-        "--workers",
-        default="1,2,4,8",
-        help="comma-separated worker counts to profile (default 1,2,4,8)",
-    )
-    serve_bench.add_argument(
-        "--latency-ms",
-        type=float,
-        default=0.4,
-        help="injected storage read latency in milliseconds; the workload "
-        "is I/O-bound so threads overlap these stalls (default 0.4)",
-    )
-    serve_bench.add_argument(
-        "--json",
-        action="store_true",
-        help="print the raw profile as JSON instead of the table",
-    )
-
     repair = sub.add_parser(
         "repair", help="verify a persisted index and rebuild damaged files"
     )
@@ -380,53 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     wal.add_argument(
         "--json", action="store_true",
         help="print the inspection as JSON instead of the listing",
-    )
-
-    durability_bench = sub.add_parser(
-        "durability-bench",
-        help="profile WAL fsync policies, recovery replay, follower lag",
-    )
-    durability_bench.add_argument(
-        "--documents", type=positive_int, default=24,
-        help="synthetic DBLP documents in the base collection (default 24)",
-    )
-    durability_bench.add_argument(
-        "--mutations", type=positive_int, default=12,
-        help="maintenance verbs to log and replay (default 12)",
-    )
-    durability_bench.add_argument(
-        "--json", action="store_true",
-        help="print the raw profile as JSON instead of the table",
-    )
-    durability_bench.add_argument(
-        "--output", default=None,
-        help="also write the JSON profile to this file",
-    )
-
-    shard_bench = sub.add_parser(
-        "shard-bench",
-        help="profile sharded multi-process serving vs the serial baseline",
-    )
-    shard_bench.add_argument(
-        "--documents", type=positive_int, default=16,
-        help="synthetic DBLP documents to shard (default 16)",
-    )
-    shard_bench.add_argument(
-        "--shards", default="2,4,8",
-        help="comma-separated shard counts to profile (default 2,4,8)",
-    )
-    shard_bench.add_argument(
-        "--latency-ms", type=float, default=10.0,
-        help="injected storage latency per evaluator call, applied to "
-        "the serial baseline and every worker alike (default 10.0)",
-    )
-    shard_bench.add_argument(
-        "--json", action="store_true",
-        help="print the raw profile as JSON instead of the table",
-    )
-    shard_bench.add_argument(
-        "--output", default=None,
-        help="also write the JSON profile to this file",
     )
     return parser
 
@@ -647,31 +552,6 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _cmd_serve_bench(args) -> int:
-    import json
-
-    from repro.bench.serving import profile_concurrent_queries, render_profile
-
-    try:
-        worker_counts = tuple(
-            int(part) for part in args.workers.split(",") if part.strip()
-        )
-    except ValueError:
-        raise SystemExit(f"error: bad --workers list {args.workers!r}")
-    if not worker_counts or any(count < 1 for count in worker_counts):
-        raise SystemExit("error: --workers needs positive integers")
-    profile = profile_concurrent_queries(
-        documents=args.documents,
-        lookup_latency_seconds=args.latency_ms / 1000.0,
-        worker_counts=worker_counts,
-    )
-    if args.json:
-        print(json.dumps(profile, indent=2))
-    else:
-        print(render_profile(profile))
-    return 0
-
-
 def _cmd_repair(args) -> int:
     from repro.core.persistence import repair_flix, verify_flix
 
@@ -856,66 +736,6 @@ def _cmd_wal(args) -> int:
     return 0
 
 
-def _cmd_durability_bench(args) -> int:
-    import json
-
-    from repro.bench.durability import (
-        profile_durability,
-        render_durability_profile,
-    )
-
-    profile = profile_durability(
-        documents=args.documents, mutations=args.mutations
-    )
-    if args.json:
-        print(json.dumps(profile, indent=2))
-    else:
-        print(render_durability_profile(profile))
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(
-            json.dumps(profile, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"-> {args.output}")
-    return 0
-
-
-def _cmd_shard_bench(args) -> int:
-    import json
-
-    from repro.bench.sharding import (
-        profile_sharded_queries,
-        render_sharded_profile,
-    )
-
-    try:
-        shard_counts = tuple(
-            int(part) for part in args.shards.split(",") if part.strip()
-        )
-    except ValueError:
-        raise SystemExit(f"error: bad --shards list {args.shards!r}")
-    if not shard_counts or any(count < 1 for count in shard_counts):
-        raise SystemExit("error: --shards needs positive integers")
-    profile = profile_sharded_queries(
-        documents=args.documents,
-        lookup_latency_seconds=args.latency_ms / 1000.0,
-        shard_counts=shard_counts,
-    )
-    if args.json:
-        print(json.dumps(profile, indent=2))
-    else:
-        print(render_sharded_profile(profile))
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(
-            json.dumps(profile, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"-> {args.output}")
-    return 0
-
-
 _COMMANDS = {
     "stats": _cmd_stats,
     "build": _cmd_build,
@@ -924,15 +744,12 @@ _COMMANDS = {
     "relaxed": _cmd_relaxed,
     "demo-dblp": _cmd_demo_dblp,
     "metrics": _cmd_metrics,
-    "serve-bench": _cmd_serve_bench,
     "repair": _cmd_repair,
     "compact": _cmd_compact,
     "shard-plan": _cmd_shard_plan,
     "serve": _cmd_serve,
-    "shard-bench": _cmd_shard_bench,
     "recover": _cmd_recover,
     "wal": _cmd_wal,
-    "durability-bench": _cmd_durability_bench,
 }
 
 

@@ -984,7 +984,9 @@ class Flix:
 
         with self._mutation_lock:
             layout = self._layout
-            removed, _redangled = unregister_document(self.collection, name)
+            if name not in self.collection.documents:
+                raise KeyError(f"no document named {name!r}")
+            removed = set(self.collection.document_nodes(name))
 
             slots: List[Optional[MetaDocument]] = list(layout.slots)
             tombstones = set(layout.tombstones)
@@ -1004,6 +1006,9 @@ class Flix:
                     tombstones.add(meta_id)
                 else:
                     slots[meta_id] = self._rebuild_meta(meta, remaining)
+            # only now touch the collection: a failed re-index above (it
+            # reads just the surviving nodes) leaves everything in place
+            unregister_document(self.collection, name)
 
             # Prune residual-link map entries whose far endpoint vanished
             # (O(total residual links), clone-on-write per meta).

@@ -343,8 +343,8 @@ def _shared_process_pool(payload: bytes, workers: int, context):
     """A warm ``ProcessPoolExecutor`` for this (payload, workers) hand-off.
 
     Worker startup — fork, initializer pickle, gc tuning — used to be paid
-    on every build, which on small corpora rivals the build itself (the
-    BENCH_build_time regression).  Builds with an identical hand-off reuse
+    on every build, which on small corpora rivals the build itself.
+    Builds with an identical hand-off reuse
     the same forked workers; a different selector/factory/resilience or
     worker count retires the old pool and forks a fresh one.
     """

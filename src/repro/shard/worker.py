@@ -75,11 +75,6 @@ from repro.obs import Observability
 from repro.shard.plan import ShardMap, load_shard_map
 from repro.shard.protocol import read_frame, write_frame
 
-#: worker-side injected evaluator latency (seconds) — the sharded bench
-#: sets this so every worker pays the same storage stall the serial
-#: baseline pays (see docs/SHARDING.md, "Bench methodology")
-LATENCY_ENV = "FLIX_SHARD_LATENCY_MS"
-
 READY_PREFIX = "FLIX-SHARD-READY"
 
 #: hard cap on records per ``wal_pull`` reply frame — followers page
@@ -135,16 +130,13 @@ class ShardWorker:
         collection_dir,
         index_dir,
         shard_id: int,
-        latency_seconds: float = 0.0,
         verify: bool = True,
         role: str = "primary",
     ) -> "ShardWorker":
         """Cold-attach a saved collection + index + shard map.
 
-        ``latency_seconds`` wraps the evaluator in the benchmark's
-        GIL-releasing stall proxy (modeling a remote/disk index lookup);
-        0 disables it.  The ``wal.log`` beside the index (if any) is
-        served through ``wal_pull`` so followers can tail this worker.
+        The ``wal.log`` beside the index (if any) is served through
+        ``wal_pull`` so followers can tail this worker.
         """
         from repro.wal.recovery import wal_path_for
 
@@ -159,10 +151,6 @@ class ShardWorker:
                 "shard map was planned against a different index "
                 "(fingerprint mismatch); re-run the planner"
             )
-        if latency_seconds > 0:
-            from repro.bench.serving import LatencyEvaluator
-
-            flix.pee = LatencyEvaluator(flix.pee, latency_seconds)
         return cls(
             flix, shard_map, shard_id,
             wal_path=wal_path_for(index_dir), role=role,
@@ -395,7 +383,6 @@ def spawn_worker(
     collection_dir,
     index_dir,
     shard_id: int,
-    latency_seconds: float = 0.0,
     host: str = "127.0.0.1",
     startup_timeout: float = 60.0,
 ) -> WorkerProcess:
@@ -407,8 +394,6 @@ def spawn_worker(
         package_root if not existing
         else package_root + os.pathsep + existing
     )
-    if latency_seconds > 0:
-        env[LATENCY_ENV] = str(latency_seconds * 1000.0)
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro.shard.worker",
@@ -462,19 +447,12 @@ def main(argv=None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0)
     parser.add_argument(
-        "--latency-ms", type=float,
-        default=float(os.environ.get(LATENCY_ENV, "0") or 0),
-        help="injected evaluator stall per search call (bench use)",
-    )
-    parser.add_argument(
         "--role", choices=("primary", "follower"), default="primary",
         help="what this worker reports itself as on ping/health",
     )
     args = parser.parse_args(argv)
     worker = ShardWorker.attach(
-        args.collection, args.index, args.shard,
-        latency_seconds=args.latency_ms / 1000.0,
-        role=args.role,
+        args.collection, args.index, args.shard, role=args.role,
     )
 
     def _drain(signum, frame):  # pragma: no cover - signal delivery timing
@@ -500,7 +478,6 @@ if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
 
 
 __all__ = [
-    "LATENCY_ENV",
     "READY_PREFIX",
     "ShardWorker",
     "WorkerProcess",

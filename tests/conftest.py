@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import random
+from typing import List, Tuple
 
 import pytest
 from hypothesis import strategies as st
 
 from repro.collection.builder import build_collection
 from repro.collection.document import XmlDocument
+from repro.core.api import QueryRequest
 from repro.datasets.dblp import DblpSpec, generate_dblp
 from repro.datasets.movies import generate_movie_collection
 from repro.datasets.synthetic import generate_figure1_collection
@@ -84,6 +87,60 @@ xml_text = st.text(
     ),
     max_size=40,
 )
+
+
+# ----------------------------------------------------------------------
+# mutation documents and whole-API parity (durability / follower tests)
+# ----------------------------------------------------------------------
+
+
+def added_documents(count: int) -> List[XmlDocument]:
+    """``count`` tiny chained documents: ``incr_i`` cites ``incr_i-1``.
+
+    The chain keeps each addition small while giving compaction
+    inter-meta residual links to absorb.
+    """
+    documents = []
+    for i in range(count):
+        cite = (
+            f'<cite xlink:href="incr_{i - 1:04d}.xml"/>' if i else ""
+        )
+        documents.append(
+            XmlDocument.from_text(
+                f"incr_{i:04d}.xml",
+                f"<incremental>{cite}<title>inc {i}</title></incremental>",
+            )
+        )
+    return documents
+
+
+def parity_requests(collection) -> List[Tuple[str, QueryRequest]]:
+    """One request per ``QueryRequest`` kind/form."""
+    roots = [
+        collection.document_root(name) for name in sorted(collection.documents)
+    ]
+    a, b = roots[0], roots[1 % len(roots)]
+    return [
+        ("descendants", QueryRequest.descendants(a)),
+        ("type_query", QueryRequest.type_query("article", tag="author")),
+        ("ancestors", QueryRequest.ancestors(a + 1)),
+        ("children", QueryRequest.children(a)),
+        ("path", QueryRequest.find_path(a, ["author"])),
+        ("connections", QueryRequest.connections(a)),
+        ("cost", QueryRequest.cost(a, b)),
+        ("test", QueryRequest.test(a, b)),
+    ]
+
+
+def _response_signature(response) -> str:
+    return json.dumps(
+        {
+            "results": [repr(row) for row in response.results],
+            "value": response.value,
+            "completeness": response.completeness,
+        },
+        default=repr,
+    )
 
 
 # ----------------------------------------------------------------------

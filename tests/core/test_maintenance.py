@@ -127,6 +127,51 @@ class TestRemoveDocument:
         with pytest.raises(KeyError):
             flix.remove_document("missing.xml")
 
+    def test_failed_reindex_leaves_everything_in_place(
+        self, monkeypatch, tmp_path
+    ):
+        collection = build_collection(base_documents())
+        flix = Flix.build(
+            collection, FlixConfig.unconnected_hopi(partition_size=100)
+        )
+        wal = flix.enable_wal(tmp_path / "wal.log")
+        starts = [
+            collection.document_root(name)
+            for name in sorted(collection.documents)
+        ]
+
+        def state():
+            return (
+                sorted(collection.documents),
+                collection.node_count,
+                list(collection.unresolved_links),
+                flix.layout_generation,
+                flix.index_fingerprint(),
+                len(wal.records()[0]),
+                [descendant_nodes(flix, start) for start in starts],
+            )
+
+        before = state()
+        assert before[-1] == [
+            oracle_descendants(collection, start) for start in starts
+        ]
+
+        def failing_build(strategy, graph):
+            raise RuntimeError("injected index build failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(flix, "_build_index", failing_build)
+            with pytest.raises(RuntimeError):
+                flix.remove_document("c.xml")
+        assert state() == before
+        flix.self_check()
+
+        assert len(flix.remove_document("c.xml")) == 3
+        assert "c.xml" not in collection.documents
+        assert flix.layout_generation == before[3] + 1
+        assert len(wal.records()[0]) == before[5] + 1
+        flix.self_check()
+
     def test_residual_links_pruned(self, flix):
         flix.add_document(
             doc("d.xml", '<doc><l xlink:href="b.xml"/><p>delta</p></doc>')

@@ -17,7 +17,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.incremental import added_documents
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.core.persistence import (
@@ -27,6 +26,7 @@ from repro.core.persistence import (
     verify_flix,
 )
 from repro.datasets.dblp import DblpSpec, generate_dblp
+from tests.conftest import added_documents
 
 
 @pytest.fixture()

@@ -46,3 +46,32 @@ def test_every_doc_file_is_registered():
         assert registered == on_disk
     finally:
         sys.path.remove(str(REPO_ROOT / "tools"))
+
+
+def test_stale_paths_and_cli_verbs_are_reported(tmp_path):
+    sys.path.insert(0, str(REPO_ROOT / "tools"))
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        from check_docs import check_paths_and_verbs
+
+        doc = tmp_path / "DOC.md"
+        doc.write_text(
+            "`tools/check_docs.py:12`, `tests/wal/**`, `BENCHMARK.json`,\n"
+            "`benchmarks/bench_*.py`, `repro serve` and `from repro import\n"
+            "Flix` are fine; `tools/no_such_tool.py`, `BENCH_gone.json` and\n"
+            "`python -m repro {stats,no-such-verb}` are stale, as is\n\n"
+            "```bash\n"
+            "PYTHONPATH=src python -m repro.cli gone-bench --json\n"
+            "pytest benchmarks/bench_gone.py -q\n"
+            "```\n",
+            encoding="utf-8",
+        )
+        assert check_paths_and_verbs(docs=(doc,)) == [
+            f"{doc} names missing path 'BENCH_gone.json'",
+            f"{doc} names missing path 'benchmarks/bench_gone.py'",
+            f"{doc} names missing path 'tools/no_such_tool.py'",
+            f"{doc} names unregistered CLI verb 'gone-bench'",
+            f"{doc} names unregistered CLI verb 'no-such-verb'",
+        ]
+    finally:
+        sys.path.remove(str(REPO_ROOT / "tools"))

@@ -199,32 +199,6 @@ class TestMetrics:
         assert "pee.probe" in out
 
 
-class TestServeBench:
-    def test_json_output(self, capsys):
-        import json
-
-        assert main(
-            ["serve-bench", "--documents", "6", "--workers", "1,2",
-             "--latency-ms", "0.05", "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["all_results_identical_to_serial"] is True
-        assert {run["workers"] for run in payload["runs"]} == {1, 2}
-
-    def test_table_output(self, capsys):
-        assert main(
-            ["serve-bench", "--documents", "6", "--workers", "1",
-             "--latency-ms", "0.05"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "workers" in out
-        assert "warm" in out
-
-    def test_bad_workers_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["serve-bench", "--workers", "0,nope"])
-
-
 class TestRepair:
     @pytest.fixture()
     def index_dir(self, movie_dir, tmp_path):

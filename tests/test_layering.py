@@ -1,0 +1,41 @@
+"""Import layering: ``repro.bench`` is a leaf used by the paper-figure
+suites, never by the serving path."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def imported_modules(path):
+    """Absolute module names ``path`` imports, at any nesting depth."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            for alias in node.names:
+                yield f"{node.module}.{alias.name}"
+
+
+def within(module, package):
+    return module == package or module.startswith(package + ".")
+
+
+def test_bench_is_a_leaf_outside_the_serving_path():
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if relative.startswith("repro/bench/"):
+            forbidden = ("repro.shard", "repro.serve", "repro.wal")
+        elif relative == "repro/cli.py":  # the one outside caller: demo-dblp
+            forbidden = ()
+        else:
+            forbidden = ("repro.bench",)
+        offenders += [
+            f"{relative} imports {module}"
+            for module in imported_modules(path)
+            if any(within(module, package) for package in forbidden)
+        ]
+    assert offenders == []

@@ -2,7 +2,7 @@
 
 Every scenario starts from the same tiny saved deployment: a 6-document
 synthetic DBLP collection, built naive, snapshotted to disk.  Mutations
-are the chained ``incr_*`` documents from the incremental bench, so each
+are the chained ``incr_*`` documents of ``tests/conftest.py``, so each
 add is cheap and the whole verb history replays in well under a second.
 """
 
@@ -13,11 +13,11 @@ from typing import List
 
 import pytest
 
-from repro.bench.incremental import added_documents
 from repro.collection.io import load_collection, save_collection
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.datasets.dblp import DblpSpec, generate_dblp
+from tests.conftest import added_documents
 
 
 @pytest.fixture()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.sharding import _response_signature, parity_requests
 from repro.wal import (
     FileWalSource,
     FollowerFlix,
@@ -12,6 +11,7 @@ from repro.wal import (
     ReplicationError,
     wal_path_for,
 )
+from tests.conftest import _response_signature, parity_requests
 
 from .conftest import checkpoint, run_verbs
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Fail if the documentation names symbols that do not exist.
 
-Three checks, run from the repository root (``python tools/check_docs.py``;
+Four checks, run from the repository root (``python tools/check_docs.py``;
 CI runs it on one Python version):
 
 1. every name in ``repro.obs.__all__`` must resolve to an attribute of
@@ -14,11 +14,18 @@ CI runs it on one Python version):
    only the dotted path is checked;
 3. every ``docs/*.md`` file must be registered in ``CHECKED_DOCS`` — a
    doc added without registering it here is a doc whose references
-   nobody verifies.
+   nobody verifies;
+4. every repository path (``benchmarks/…``, ``tools/…``, ``examples/…``,
+   ``tests/…``, ``src/…``, ``BENCH*.json``; glob patterns and
+   placeholders skipped) and every ``repro <verb>`` /
+   ``python -m repro <verb>`` inside code markup of the checked files
+   plus ``PATH_CHECKED_DOCS`` must exist — as a file or directory of
+   this checkout, or as a registered sub-parser of ``repro.cli``.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import re
 import sys
@@ -43,9 +50,41 @@ CHECKED_DOCS = (
     DOCS_DIR / "SHARDING.md",
 )
 
+#: the root documents that, with ``CHECKED_DOCS``, may name only files
+#: and CLI verbs that exist (check 4)
+PATH_CHECKED_DOCS = (
+    REPO_ROOT / "README.md",
+    REPO_ROOT / "EXPERIMENTS.md",
+    REPO_ROOT / "DESIGN.md",
+)
+
 #: a backticked reference starting with ``repro.``: keep the leading
 #: dotted-identifier run, drop any call syntax or trailing prose
 REFERENCE = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)")
+
+
+#: code markup: a fenced block, or an inline backticked span (which may
+#: wrap over a line end but not over a blank line)
+CODE = re.compile(r"```.*?```|`(?:[^`\n]|\n(?!\n))+`", re.DOTALL)
+
+#: a repository path inside code markup
+REPO_PATH = re.compile(
+    r"(?<![\w/.-])"
+    r"((?:benchmarks|tools|examples|tests|src)/[^\s`'\"(),;]*"
+    r"|BENCH\w*\.json)"
+)
+
+#: what marks a path as a glob pattern or a placeholder, not one file
+NOT_ONE_PATH = re.compile(r"[*?\[\]{}<>…]")
+
+#: ``repro <verb>`` at the start of a code line, or ``-m repro <verb>``
+#: anywhere in it; the verb may be a ``{a,b,c}`` list, flags before it
+#: are skipped
+CLI_VERB = re.compile(
+    r"(?:^\W*repro|-m repro(?:\.cli)?)\s+(?:-\S+\s+)*"
+    r"(\{[^}]*\}|[a-z][a-z-]*)",
+    re.MULTILINE,
+)
 
 
 def _label(doc: Path) -> str:
@@ -112,12 +151,56 @@ def check_all_docs_registered() -> list[str]:
     return errors
 
 
+def registered_verbs() -> set[str]:
+    """The sub-parsers ``repro.cli`` registers."""
+    from repro.cli import _build_parser
+
+    return {
+        verb
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for verb in action.choices
+    }
+
+
+def check_paths_and_verbs(docs=CHECKED_DOCS + PATH_CHECKED_DOCS) -> list[str]:
+    verbs = registered_verbs()
+    errors = []
+    for doc in docs:
+        if not doc.is_file():
+            continue  # check 2 reports a registered doc that is missing
+        label = _label(doc)
+        stale_paths, stale_verbs = set(), set()
+        for code in CODE.findall(doc.read_text(encoding="utf-8")):
+            for path in REPO_PATH.findall(code):
+                # drop a pytest node id / line number and end punctuation
+                path = re.split(r"::|:\d", path)[0].rstrip(".:")
+                if not (
+                    NOT_ONE_PATH.search(path) or (REPO_ROOT / path).exists()
+                ):
+                    stale_paths.add(path)
+            for named in CLI_VERB.findall(code):
+                stale_verbs.update(
+                    set(re.split(r"[\s,]+", named.strip("{}"))) - verbs - {""}
+                )
+        errors += [
+            f"{label} names missing path {path!r}"
+            for path in sorted(stale_paths)
+        ]
+        errors += [
+            f"{label} names unregistered CLI verb {verb!r}"
+            for verb in sorted(stale_verbs)
+        ]
+    return errors
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     errors = (
         check_obs_exports()
         + check_doc_references()
         + check_all_docs_registered()
+        + check_paths_and_verbs()
     )
     for error in errors:
         print(f"ERROR: {error}", file=sys.stderr)
@@ -126,8 +209,9 @@ def main() -> int:
             str(doc.relative_to(REPO_ROOT)) for doc in CHECKED_DOCS
         )
         print(
-            "check_docs: repro.obs exports and "
-            f"{checked} references OK"
+            "check_docs: repro.obs exports, "
+            f"{checked} references, and the paths and CLI verbs they and "
+            "README.md, EXPERIMENTS.md, DESIGN.md name OK"
         )
     return 1 if errors else 0
 
