@@ -21,7 +21,7 @@ share the entry) pay for one traversal.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -47,8 +47,8 @@ class BfsFallbackIndex:
 
     Implements the read side of the :class:`~repro.indexes.base.PathIndex`
     contract (``reachable`` / ``distance`` / ``find_*_by_tag`` /
-    ``reachable_subset``); it is never persisted and owns no storage
-    backend.
+    ``reachable_subset`` / ``reaching_subset`` / ``coverage``); it is never
+    persisted and owns no storage backend.
     """
 
     strategy_name = "bfs_fallback"
@@ -161,12 +161,36 @@ class BfsFallbackIndex:
     def reachable_subset(
         self, source: NodeId, candidates: Iterable[NodeId]
     ) -> List[ScoredNode]:
-        distances = self._distances(source, forward=True)
+        return self._subset(source, candidates, forward=True)
+
+    def reaching_subset(
+        self, target: NodeId, candidates: Iterable[NodeId]
+    ) -> List[ScoredNode]:
+        return self._subset(target, candidates, forward=False)
+
+    def _subset(
+        self, node: NodeId, candidates: Iterable[NodeId], forward: bool
+    ) -> List[ScoredNode]:
+        distances = self._distances(node, forward)
         return sort_scored(
             (candidate, distances[candidate])
             for candidate in candidates
             if candidate in distances
         )
+
+    def coverage(self, previous: Sequence[NodeId], forward: bool):
+        # forward: ``node`` is below a previous entry; backward: above one
+        # — either way a lookup in that entry's (memoized) BFS map
+        reached = [
+            self._distances(entry, forward)
+            for entry in reversed(previous)
+            if entry in self._nodes
+        ]
+
+        def covers(node: NodeId) -> bool:
+            return any(node in distances for distances in reached)
+
+        return covers
 
     def prepare_link_candidates(self, candidates: frozenset) -> None:
         """No preparation: every probe is a (memoized) BFS anyway."""

@@ -162,8 +162,9 @@ class QueryStats:
     #: individual matches suppressed as descendants of an earlier entry
     #: point (per-result duplicate elimination)
     results_suppressed: int = 0
-    #: ``index.reachable`` calls made by the coverage check — the price
-    #: paid for hash-free duplicate elimination
+    #: coverage questions asked (section 5.1): one per popped entry or
+    #: match tested against a non-empty list of earlier entry points,
+    #: whatever the index spends answering it
     covered_probes: int = 0
     #: priority-queue pops, covered or not (total queue traffic)
     queue_pops: int = 0
@@ -872,8 +873,13 @@ class PathExpressionEvaluator(SearchMethods):
         stats: QueryStats,
         trace,
     ):
-        if self._covered(index, previous, entry, forward, stats):
-            return None
+        # section 5.1: one coverage question per node tested, none while
+        # the meta document has no earlier entry point
+        covers = index.coverage(previous, forward) if previous else None
+        if covers is not None:
+            stats.covered_probes += 1
+            if covers(entry):
+                return None
         matches = self._probe(index, entry, tag, forward, trace,
                               meta.meta_id, priority)
         emit: List[QueryResult] = []
@@ -883,9 +889,11 @@ class PathExpressionEvaluator(SearchMethods):
             total = priority + local_distance
             if max_distance is not None and total > max_distance:
                 continue
-            if self._covered(index, previous, node, forward, stats):
-                stats.results_suppressed += 1
-                continue
+            if covers is not None:
+                stats.covered_probes += 1
+                if covers(node):
+                    stats.results_suppressed += 1
+                    continue
             emit.append(QueryResult(node, total, meta.meta_id))
 
         # Residual links out of (forward) / into (backward) the meta
@@ -910,9 +918,7 @@ class PathExpressionEvaluator(SearchMethods):
             link_elements = index.reachable_subset(entry, meta.link_sources)
             link_map = meta.outgoing_links
         else:
-            link_elements = self._reverse_reachable_subset(
-                index, entry, meta.link_targets
-            )
+            link_elements = index.reaching_subset(entry, meta.link_targets)
             link_map = meta.incoming_links
         pushes: List[Tuple[int, NodeId]] = []
         for element, local_distance in link_elements:
@@ -1097,7 +1103,8 @@ class PathExpressionEvaluator(SearchMethods):
                 ),
                 "probes": reg.counter(
                     "flix_pee_covered_probes_total",
-                    "reachable() calls made by duplicate elimination.",
+                    "Coverage questions asked by duplicate elimination "
+                    "(one per node tested against earlier entry points).",
                 ),
                 "dupes": reg.counter(
                     "flix_pee_duplicates_eliminated_total",
@@ -1142,53 +1149,6 @@ class PathExpressionEvaluator(SearchMethods):
             inst["planner"].inc(stats.planner_pruned_pushes, kind="push")
         inst["seconds"].observe(duration, axis=axis)
         inst["completeness"].inc(level=stats.completeness)
-
-    @staticmethod
-    def _covered(
-        index,
-        previous_entries: List[NodeId],
-        node: NodeId,
-        forward: bool,
-        stats: QueryStats,
-    ) -> bool:
-        """Is ``node``'s result set already covered by an earlier entry?
-
-        Forward: a previous entry that reaches ``node`` has already returned
-        all of ``node``'s descendants.  Backward: a previous entry reachable
-        *from* ``node`` has already returned all of ``node``'s ancestors.
-
-        Entries are probed most-recently-added first: the queue pops entries
-        in ascending priority, and a popped node is far more likely to hang
-        off the subtree the evaluator just expanded than off an entry from
-        many blocks ago, so late entries resolve most positive probes in one
-        ``reachable`` call.  Every probe is counted in ``stats``.
-        """
-        if not previous_entries:
-            return False
-        for entry in reversed(previous_entries):
-            stats.covered_probes += 1
-            if forward:
-                if index.reachable(entry, node):
-                    return True
-            else:
-                if index.reachable(node, entry):
-                    return True
-        return False
-
-    @staticmethod
-    def _reverse_reachable_subset(
-        index,
-        entry: NodeId,
-        candidates,
-    ) -> List[Tuple[NodeId, int]]:
-        """Candidates that *reach* ``entry`` locally, by ascending distance."""
-        hits = []
-        for candidate in candidates:
-            d = index.distance(candidate, entry)
-            if d is not None:
-                hits.append((candidate, d))
-        hits.sort(key=lambda pair: (pair[1], pair[0]))
-        return hits
 
     # ------------------------------------------------------------------
     # connection tests (section 5.2)
@@ -1275,8 +1235,11 @@ class PathExpressionEvaluator(SearchMethods):
         previous: List[NodeId],
         stats: QueryStats,
     ):
-        if self._covered(index, previous, entry, True, stats):
-            return None
+        covers = index.coverage(previous, True) if previous else None
+        if covers is not None:
+            stats.covered_probes += 1
+            if covers(entry):
+                return None
         found: Optional[int] = None
         if meta.meta_id == target_meta:
             local = index.distance(entry, target)

@@ -181,13 +181,6 @@ class QueryLoadMonitor:
             return sum(s.queue_pops for s in self._stats) / len(self._stats)
 
     @property
-    def mean_covered_probes(self) -> float:
-        with self._lock:
-            if not self._stats:
-                return 0.0
-            return sum(s.covered_probes for s in self._stats) / len(self._stats)
-
-    @property
     def duplicate_ratio(self) -> float:
         """Dropped pops / total pops over the window: the share of
         Figure-4 loop iterations §5.1 coverage discarded."""

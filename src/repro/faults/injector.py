@@ -287,6 +287,14 @@ class FaultyIndex:
         self.site.before_read()
         return self._inner.reachable_subset(source, candidates)
 
+    def reaching_subset(self, target, candidates):
+        self.site.before_read()
+        return self._inner.reaching_subset(target, candidates)
+
+    def coverage(self, previous, forward):
+        self.site.before_read()
+        return self._inner.coverage(previous, forward)
+
     # -- pass-throughs ----------------------------------------------------
     def prepare_link_candidates(self, candidates) -> None:
         self._inner.prepare_link_candidates(candidates)

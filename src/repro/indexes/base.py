@@ -8,10 +8,17 @@ document:
 * ``find_descendants_by_tag(e, tag)`` — ``IND.findReachableElementsByName``,
   results in ascending distance to ``e``;
 * ``reachable_subset(e, candidates)`` — ``IND.findReachableLinks``, the
-  reachable members of the residual-link set ``L_i``;
-* ``reachable``/``distance`` — entry-point duplicate elimination and
-  connection tests;
-* the reverse (ancestor) variants for ``ancestors-or-self`` evaluation.
+  reachable members of the residual-link set ``L_i``
+  (``reaching_subset`` is its mirror for ``ancestors-or-self``).  Packed
+  HOPI answers both set-at-a-time from the hub inverted lists, PPO from
+  one bisect over the preorder-sorted ``L_i`` (forward) or one parent
+  walk (backward); every other strategy probes ``distance`` per member;
+* ``coverage(previous, forward)`` — the entry-point duplicate
+  elimination of section 5.1 as one question per expansion (packed HOPI:
+  one hub-set intersection per tested node; default: ``reachable`` per
+  earlier entry);
+* ``reachable``/``distance`` — connection tests;
+* the reverse (ancestor) variant of the tag enumeration.
 
 Indexes are built from a :class:`repro.graph.digraph.Digraph` over integer
 node ids plus a node -> tag mapping, and persist their payload through a
@@ -22,7 +29,18 @@ is measurable (Table 1).
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.graph.digraph import Digraph
 from repro.storage.table import StorageBackend
@@ -96,23 +114,77 @@ class PathIndex(abc.ABC):
     def reachable_subset(
         self,
         source: NodeId,
-        candidates: Iterable[NodeId],
+        candidates: Collection[NodeId],
     ) -> List[ScoredNode]:
         """Members of ``candidates`` reachable from ``source``, by distance.
 
         This implements the ``L(a)`` query of section 4.2: "the set of all
         elements in the same meta document that are descendants of ``a`` and
         have an outgoing link", computed by intersecting descendants with the
-        residual-link set.  Candidate sets are small, so per-candidate
-        distance probes beat a full descendant enumeration.
+        residual-link set (distinct node ids; the PEE passes the frozen
+        ``L_i``).  This default costs one ``distance`` probe per member of
+        ``L_i`` whatever the answer's size — hundreds per popped entry on a
+        link-rich meta document — so the served indexes override it to
+        cost what the answer costs.
         """
         hits = []
         for candidate in candidates:
             d = self.distance(source, candidate)
             if d is not None:
                 hits.append((candidate, d))
-        hits.sort(key=lambda pair: (pair[1], pair[0]))
-        return hits
+        return sort_scored(hits)
+
+    def reaching_subset(
+        self,
+        target: NodeId,
+        candidates: Collection[NodeId],
+    ) -> List[ScoredNode]:
+        """Members of ``candidates`` that *reach* ``target``, by distance.
+
+        The mirror of :meth:`reachable_subset` for ``ancestors-or-self``
+        evaluation (``candidates`` is then the set of residual-link
+        targets); same default cost, same overrides.
+        """
+        hits = []
+        for candidate in candidates:
+            d = self.distance(candidate, target)
+            if d is not None:
+                hits.append((candidate, d))
+        return sort_scored(hits)
+
+    def coverage(
+        self,
+        previous: Sequence[NodeId],
+        forward: bool,
+    ) -> Callable[[NodeId], bool]:
+        """The section 5.1 duplicate test against ``previous`` entry points.
+
+        Returns ``covers(node)``.  Forward: some previous entry reaches
+        ``node``, so it has already returned all of ``node``'s descendants.
+        Backward: ``node`` reaches some previous entry, which has already
+        returned all of ``node``'s ancestors.  One expansion asks about its
+        entry and then about every match, so whatever can be derived from
+        ``previous`` alone is derived here, once.
+
+        This default probes most-recently-added entries first: the queue
+        pops in ascending priority, and a popped node is far more likely to
+        hang off the subtree the evaluator just expanded than off an entry
+        from many blocks ago.
+        """
+        reachable = self.reachable
+        if forward:
+            def covers(node: NodeId) -> bool:
+                for entry in reversed(previous):
+                    if reachable(entry, node):
+                        return True
+                return False
+        else:
+            def covers(node: NodeId) -> bool:
+                for entry in reversed(previous):
+                    if reachable(node, entry):
+                        return True
+                return False
+        return covers
 
     def prepare_link_candidates(self, candidates: frozenset) -> None:
         """Pre-register the residual-link set ``L_i`` for repeated probing.

@@ -5,7 +5,8 @@ The 2-hop labels become four CSR-style column groups:
 * ``out_offsets``/``out_hubs``/``out_dists`` — ``L_out`` per node, hubs
   sorted ascending within each node's run (``in_*`` analogously);
 * ``hub_desc_*``/``hub_anc_*`` — the inverted lists (hub → labelled
-  nodes) the enumeration queries walk, nodes sorted within each hub run.
+  nodes) the enumeration and ``L(a)`` subset queries walk, nodes sorted
+  within each hub run.
 
 That sorted-run form is what persists and what cold attach maps; on the
 first probe the runs are promoted to per-node hub hash maps (plus a
@@ -268,8 +269,29 @@ class PackedHopiIndex(PathIndex):
                     return True
             return False
 
+        def coverage(previous, forward: bool):
+            # ∃e ∈ previous: L_out(e) ∩ L_in(node) ≠ ∅ (forward; labels
+            # swapped backward) — ``reachable`` over all of ``previous``
+            # at once: their hubs are unioned here, once per expansion,
+            # and each tested node costs one C-level pass over its own
+            # label.  Entries or nodes outside the index have no label
+            # and cover / are covered by nothing, as in ``reachable``.
+            entry_maps, node_maps = (
+                (out_maps_get, in_maps_get) if forward
+                else (in_maps_get, out_maps_get)
+            )
+            hubs = set().union(*filter(None, map(entry_maps, previous)))
+            disjoint = hubs.isdisjoint
+
+            def covers(node: NodeId) -> bool:
+                label = node_maps(node)
+                return label is not None and not disjoint(label)
+
+            return covers
+
         self.distance = distance  # type: ignore[method-assign]
         self.reachable = reachable  # type: ignore[method-assign]
+        self.coverage = coverage  # type: ignore[method-assign]
         # published last: ``_pos`` is what ``_pos_lookup`` tests without
         # the lock, so a thread that sees it set also sees the closures
         # (it would otherwise recurse through the class-level
@@ -324,13 +346,17 @@ class PackedHopiIndex(PathIndex):
         self._pos_lookup()  # installs the specialized closure
         return self.distance(source, target)
 
+    def coverage(self, previous, forward: bool):
+        self._pos_lookup()  # installs the specialized closure
+        return self.coverage(previous, forward)
+
     def _install_enumerators(self) -> None:
         """First-enumeration promotion, mirroring the probe closures.
 
-        Both directions' enumerators are bound as instance attributes
-        with every lookup (position map, inverted maps, tag tables)
-        captured in the closure — no per-call promotion checks or
-        attribute loads remain on the hot path.  Installation is
+        Both directions' enumerators and ``L(a)`` subset lookups are bound
+        as instance attributes with every lookup (position map, inverted
+        maps, tag tables) captured in the closure — no per-call promotion
+        checks or attribute loads remain on the hot path.  Installation is
         idempotent (closures over the same immutable promoted state), so
         a racing first call from two serving threads is harmless.
         """
@@ -388,14 +414,46 @@ class PackedHopiIndex(PathIndex):
                     )
                 return sort_scored(best.items())
 
-            return enumerate_
+            def subset(source: NodeId, candidates) -> List[ScoredNode]:
+                # L(a) of section 4.2: the same walk as the enumeration,
+                # restricted to ``candidates`` — per hub the smaller of
+                # inverted list and candidate set is iterated (in C)
+                # against the larger, so the cost follows the answer,
+                # not |L_i|
+                pairs = resolved_of(source)
+                if not pairs:
+                    return []
+                if not isinstance(candidates, (set, frozenset)):
+                    candidates = frozenset(candidates)
+                size = len(candidates)
+                best: Dict[NodeId, int] = {}
+                for d1, inv in pairs:
+                    common = (
+                        candidates.intersection(inv) if len(inv) < size
+                        else inv.keys() & candidates
+                    )
+                    if not best:
+                        # singleton labels dominate: no min to take
+                        best = {node: d1 + inv[node] for node in common}
+                        continue
+                    best_get = best.get
+                    for node in common:
+                        total = d1 + inv[node]
+                        current = best_get(node)
+                        if current is None or total < current:
+                            best[node] = total
+                return sort_scored(best.items())
 
-        self.find_descendants_by_tag = make(  # type: ignore[method-assign]
-            self._out_off, self._out_hubs, self._out_dists, hd_maps
-        )
-        self.find_ancestors_by_tag = make(  # type: ignore[method-assign]
-            self._in_off, self._in_hubs, self._in_dists, ha_maps
-        )
+            return enumerate_, subset
+
+        (
+            self.find_descendants_by_tag,  # type: ignore[method-assign]
+            self.reachable_subset,  # type: ignore[method-assign]
+        ) = make(self._out_off, self._out_hubs, self._out_dists, hd_maps)
+        (
+            self.find_ancestors_by_tag,  # type: ignore[method-assign]
+            self.reaching_subset,  # type: ignore[method-assign]
+        ) = make(self._in_off, self._in_hubs, self._in_dists, ha_maps)
 
     def find_descendants_by_tag(
         self,
@@ -412,6 +470,14 @@ class PackedHopiIndex(PathIndex):
     ) -> List[ScoredNode]:
         self._install_enumerators()  # installs the specialized closure
         return self.find_ancestors_by_tag(source, tag)
+
+    def reachable_subset(self, source: NodeId, candidates) -> List[ScoredNode]:
+        self._install_enumerators()  # installs the specialized closure
+        return self.reachable_subset(source, candidates)
+
+    def reaching_subset(self, target: NodeId, candidates) -> List[ScoredNode]:
+        self._install_enumerators()  # installs the specialized closure
+        return self.reaching_subset(target, candidates)
 
     # ------------------------------------------------------------------
     # diagnostics (mirrors HopiIndex.label_entry_count)

@@ -335,6 +335,15 @@ class PackedPpoIndex(PathIndex):
             for pre, node in prepared[lo:hi]
         )
 
+    def reaching_subset(self, target: NodeId, candidates) -> List[ScoredNode]:
+        # the candidates above ``target`` lie on its parent walk: O(depth),
+        # not one probe per link target of the forest
+        return [
+            pair
+            for pair in self.find_ancestors_by_tag(target, None)
+            if pair[0] in candidates
+        ]
+
     # ------------------------------------------------------------------
     # PPO extras (the interval arithmetic works unchanged on columns)
     # ------------------------------------------------------------------

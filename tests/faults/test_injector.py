@@ -169,3 +169,57 @@ class TestFaultyIndex:
         assert faulty.reachable(0, 2) is True
         assert faulty.strategy_name == "transitive_closure"
         assert faulty.contains(1)
+
+    #: every method that reads the index, with arguments for the 0 -> 1 -> 2
+    #: chain; anything else ``PathIndex`` offers is bookkeeping
+    PROBES = {
+        "reachable": (0, 2),
+        "distance": (0, 2),
+        "find_descendants_by_tag": (0, None),
+        "find_ancestors_by_tag": (2, None),
+        "reachable_subset": (0, frozenset({1, 2, 7})),
+        "reaching_subset": (2, frozenset({0, 1, 7})),
+        "coverage": ([0], True),
+    }
+    BOOKKEEPING = {
+        "strategy_name", "prepare_link_candidates", "contains", "backend",
+        "size_bytes", "node_count",
+    }
+
+    @pytest.mark.parametrize("method", sorted(PROBES))
+    def test_every_probe_is_gated_then_answers_like_the_index(self, method):
+        from repro.graph.digraph import Digraph
+        from repro.indexes.hopi import HopiIndex
+        from repro.indexes.packed import packed_clone
+
+        graph = Digraph([(0, 1), (1, 2)])
+        index = packed_clone(
+            HopiIndex.build(graph, {0: "a", 1: "b", 2: "c"}, MemoryBackend())
+        )
+        faulty = FaultyIndex(index, FaultPlan(fail_first=1))
+        args = self.PROBES[method]
+        with pytest.raises(TransientStorageError):
+            getattr(faulty, method)(*args)
+        answer = getattr(faulty, method)(*args)
+        expected = getattr(index, method)(*args)
+        if method == "coverage":
+            answer, expected = (
+                [covers(node) for node in (0, 1, 2, 7)]
+                for covers in (answer, expected)
+            )
+            assert any(answer)
+        assert answer == expected
+
+    def test_no_path_index_method_bypasses_the_proxy(self):
+        """A query method added to ``PathIndex`` must be classified here
+        (probe or bookkeeping) and delegated by ``FaultyIndex`` — the PEE
+        talks to the proxy, so a missing method is a crash and an ungated
+        one hides the index from the chaos job."""
+        from repro.indexes.base import PathIndex
+
+        public = {
+            name for name in vars(PathIndex)
+            if not name.startswith("_") and name != "build"
+        }
+        assert public == set(self.PROBES) | self.BOOKKEEPING
+        assert public <= set(vars(FaultyIndex))
