@@ -60,9 +60,11 @@ from repro.storage.table import StorageBackend
 
 
 def _packed(index):
-    """The one pack step: the FLXPACK twin (``docs/DATA_LAYOUT.md``) of a
-    built index — what every published layout serves.  An index that is
-    already packed, or whose strategy has no packed form
+    """The one pack step: the FLXPACK form (``docs/DATA_LAYOUT.md``) of a
+    built index — what every published layout serves, and from here on
+    the only copy: the object index and the tables it was built on are
+    dropped with the caller's reference.  An index that is already
+    packed, or whose strategy has no packed form
     (``transitive_closure``), is returned as is."""
     from repro.indexes.packed import packed_clone
 
@@ -281,7 +283,10 @@ class Flix:
         return self.pee.degraded_meta_ids
 
     def _attach_storage_observers(self) -> None:
-        """Count query-time storage traffic on every meta-document backend.
+        """Count query-time storage traffic on the backends that outlive
+        the build: the framework tables and the indexes with no packed
+        form (a packed index has no backend — its blob is not storage
+        traffic).
 
         Runs after the build merge, so it also covers indexes built in
         process-pool workers (whose build-time traffic is unobservable —
@@ -377,10 +382,9 @@ class Flix:
         specs = MetaDocumentBuilder(collection, config).build_specs()
         builder = IndexBuilder(collection, config, backend_factory, obs=obs)
         meta_documents, meta_of, report = builder.build(specs, jobs=jobs)
-        # the Index Builder's object indexes are the build-time
-        # intermediate (still reachable through the packed backend for
-        # persistence and fingerprinting): swap in their packed twins,
-        # handing each new index its meta document's L_i again
+        # the Index Builder's object indexes and their tables are the
+        # build-time intermediate: swap in the packed forms (the only
+        # copy from here on), handing each its meta document's L_i again
         for meta in meta_documents:
             meta.index = _packed(meta.index)
             meta.finalize_links()
@@ -640,7 +644,7 @@ class Flix:
             if meta.index is None:  # build failed past every fallback
                 digest.update(b"<unindexed>")
             else:
-                digest.update(meta.index.backend.fingerprint().encode("utf-8"))
+                digest.update(meta.index.fingerprint().encode("utf-8"))
         if self._builder is not None:
             digest.update(
                 self._builder.framework_backend.fingerprint().encode("utf-8")

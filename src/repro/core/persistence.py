@@ -1,36 +1,35 @@
 """Saving and loading a built FliX index (restart without rebuild).
 
-Layout on disk::
+Layout on disk — one file per meta document, plus two::
 
     <directory>/
       manifest.json        configuration + meta-document registry
       framework.sqlite     the residual-link table
-      meta_0000.sqlite     index tables of meta document 0
       meta_0000.pack       FLXPACK blob of meta document 0
-      meta_0001.sqlite     ...
+      meta_0001.pack       ...
+      meta_0002.sqlite     index tables of an unpackable meta document
 
-Every served index is packed (``docs/DATA_LAYOUT.md``), so a save writes
-one ``meta_NNNN.pack`` FLXPACK blob per meta document whose strategy has a
-packed form (all but ``transitive_closure``).  Loading ``mmap``-attaches
-the blobs instead of deserializing the SQLite tables — a cold attach
-parses one 64-byte header and checksums the payload, nothing more — while
-the sibling ``.sqlite`` file stays on disk as the table source of truth
-(materialized lazily only if something asks for tables).  A save from
-before packing was universal (no ``.pack`` file, ``"packed": false`` in
-the manifest entry) still loads: its tables are deserialized and packed in
+The blob is the index (``docs/DATA_LAYOUT.md``): a save writes each
+served index exactly once — its ``meta_NNNN.pack`` blob, byte for byte
+what memory holds — and loading ``mmap``-attaches the blobs: a cold
+attach parses one 64-byte header and checksums the payload, and opens no
+SQLite file but ``framework.sqlite``.  Only a strategy with no packed
+form (``transitive_closure``, the build fallback) is saved as its storage
+tables in ``meta_NNNN.sqlite`` and reconstructed through its ``load``
+classmethod.  The XML collection itself is *not* part of the index (use
+:func:`repro.collection.io.save_collection` for the documents); load
+verifies the collection matches via a fingerprint.
+
+Older saves upgrade on load.  One that wrote a ``meta_NNNN.sqlite`` twin
+beside every blob loads from the blobs alone — the twins are neither
+opened nor verified nor required, and the next save deletes them.  One
+from before packing was universal (no ``.pack`` file, ``"packed":
+false`` in the manifest entry) has its tables deserialized and packed in
 memory, and the next save writes the blob.
 
-Every index strategy persists itself through the storage layer already;
-saving copies those tables into one SQLite file per meta document (whatever
-backend the index was built on), and loading reconstructs each index via
-its strategy's ``load`` classmethod.  The XML collection itself is *not*
-part of the index (use :func:`repro.collection.io.save_collection` for the
-documents); load verifies the collection matches via a fingerprint.
-
 Supported strategies: every ISS-selectable one (ppo, hopi, apex, kindex,
-fbindex, transitive_closure).  DataGuide and Fabric persist their tables
-too, but their specialized lookup structures are rebuilt cheaper from the
-documents, so they are not reconstructed here and are rejected explicitly.
+fbindex, transitive_closure).  DataGuide and Fabric are not
+ISS-selectable and have no loader here; they are rejected explicitly.
 
 Crash safety
 ------------
@@ -48,10 +47,13 @@ renames whose staged content matches the new manifest's fingerprints
 Integrity and repair
 --------------------
 
-The manifest records a content fingerprint (SHA-256 over table schemas and
-rows for SQLite files; SHA-256 over the raw bytes for ``.pack`` blobs)
-for every file it references.  :func:`load_flix` re-computes
-them by default and refuses to load a damaged save with an
+The manifest records one fingerprint per file it references, of one of
+two kinds (``integrity.algorithm`` names them per file suffix): a
+``.pack`` blob hashes its raw bytes — SHA-256 over the whole file, which
+is also that index's share of ``Flix.index_fingerprint()`` — and a
+``.sqlite`` file hashes its *table content* — SHA-256 over schemas and
+rows, because SQLite's bytes vary with page layout.  :func:`load_flix`
+re-computes them by default and refuses to load a damaged save with an
 :class:`IntegrityError` that names the broken files.  :func:`repair_flix`
 (CLI: ``repro repair``) then re-derives the meta-document specs from the
 collection — the MDB is deterministic — and rebuilds *only* the damaged
@@ -79,6 +81,12 @@ from repro.core.meta_document import MetaDocument, MetaDocumentSpec
 from repro.indexes.apex import ApexIndex
 from repro.indexes.hopi import HopiIndex
 from repro.indexes.kindex import ForwardBackwardIndex, KBisimulationIndex
+from repro.indexes.packed import (
+    PackedBlob,
+    attach_packed_file,
+    is_packed,
+    pack_index,
+)
 from repro.indexes.ppo import PpoIndex
 from repro.indexes.registry import IndexBuildRequest, execute_build_request
 from repro.indexes.transitive import TransitiveClosureIndex
@@ -97,6 +105,15 @@ FORMAT_VERSION = 1
 #: sibling suffix under which a save stages its files before the
 #: manifest commit point (see :func:`save_flix`'s write protocol)
 TMP_SUFFIX = ".tmp"
+
+#: what ``integrity.files`` holds per file suffix (module docstring).
+#: Nothing dispatches on the label — :func:`_file_fingerprint` goes by
+#: suffix — so saves labelled with the single string
+#: ``"sha256-table-content"`` for both kinds read unchanged.
+INTEGRITY_ALGORITHMS = {
+    "pack": "sha256-raw-bytes",
+    "sqlite": "sha256-table-content",
+}
 
 
 class PersistenceError(RuntimeError):
@@ -153,44 +170,35 @@ def save_flix(flix: Flix, directory) -> Path:
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
 
-    from repro.indexes.packed import is_packed, pack_index
-
     # Phase 1 — stage: build every file the new manifest will reference
     # under a ``.tmp`` sibling name.  The files the *current* manifest
     # references are never touched here, so a crash anywhere in this
     # phase leaves the previous save fully loadable (the strays are
     # cleaned by the next save or load).
-    integrity: Dict[str, str] = {}
-    staged: List[str] = []  # final names whose .tmp is ready to swap in
+    integrity: Dict[str, str] = {}  # final name -> fingerprint
     for meta in flix.meta_documents:
-        filename = f"meta_{meta.meta_id:04d}.sqlite"
-        tmp = root / (filename + TMP_SUFFIX)
-        tmp.unlink(missing_ok=True)
-        target = SqliteBackend(str(tmp))
-        _copy_tables(meta.index.backend, target)
-        integrity[filename] = target.fingerprint()
-        target.close()
-        _fsync_file(tmp)
-        staged.append(filename)
         if is_packed(meta.index):
-            pack_name = f"meta_{meta.meta_id:04d}.pack"
-            blob_bytes = pack_index(meta.index)
-            _write_staged_bytes(root / (pack_name + TMP_SUFFIX), blob_bytes)
-            integrity[pack_name] = _raw_fingerprint(blob_bytes)
-            staged.append(pack_name)
-    framework_tmp = root / ("framework.sqlite" + TMP_SUFFIX)
-    framework_tmp.unlink(missing_ok=True)
-    framework_target = SqliteBackend(str(framework_tmp))
+            # the blob is the index: written once, as memory holds it
+            filename = f"meta_{meta.meta_id:04d}.pack"
+            _write_staged_bytes(
+                root / (filename + TMP_SUFFIX), meta.index.blob.data
+            )
+            integrity[filename] = meta.index.fingerprint()
+        else:
+            filename = f"meta_{meta.meta_id:04d}.sqlite"
+            integrity[filename] = _stage_tables(
+                root / (filename + TMP_SUFFIX), meta.index.backend
+            )
     if flix._builder is not None:
-        _copy_tables(flix._builder.framework_backend, framework_target)
+        framework = flix._builder.framework_backend
     else:
         # a Flix assembled directly from meta documents (no build
         # pipeline) carries no framework tables; write an empty one
-        framework_target.create_table(_LINKS_SCHEMA)
-    integrity["framework.sqlite"] = framework_target.fingerprint()
-    framework_target.close()
-    _fsync_file(framework_tmp)
-    staged.append("framework.sqlite")
+        framework = MemoryBackend()
+        framework.create_table(_LINKS_SCHEMA)
+    integrity["framework.sqlite"] = _stage_tables(
+        root / ("framework.sqlite" + TMP_SUFFIX), framework
+    )
     fsync_directory(root)
 
     resilience = flix.config.resilience
@@ -216,7 +224,7 @@ def save_flix(flix: Flix, directory) -> Path:
             "planner": flix.config.planner.to_dict(),
         },
         "integrity": {
-            "algorithm": "sha256-table-content",
+            "algorithm": INTEGRITY_ALGORITHMS,
             "files": integrity,
         },
         "meta_documents": [
@@ -250,12 +258,13 @@ def save_flix(flix: Flix, directory) -> Path:
     # crash mid-way is rolled forward at the next load: every reader
     # settles committed ``.tmp`` siblings first (_settle_interrupted_save
     # matches them against the manifest fingerprints).
-    for filename in staged:
+    for filename in integrity:
         os.replace(root / (filename + TMP_SUFFIX), root / filename)
     fsync_directory(root)
-    # Phase 4 — clean: drop files referenced by neither manifest — meta
-    # documents removed/compacted since the previous save, and
-    # any orphaned stage files a crashed save left behind.
+    # Phase 4 — clean: drop files the new manifest does not reference —
+    # meta documents removed/compacted since the previous save, the
+    # ``.sqlite`` twins an older save wrote beside every blob, and any
+    # orphaned stage files a crashed save left behind.
     for pattern in ("meta_*.sqlite", "meta_*.pack", "*" + TMP_SUFFIX):
         for stale in root.glob(pattern):
             if stale.name not in integrity:
@@ -289,17 +298,24 @@ def _save_planner_statistics(flix: Flix, root: Path) -> None:
         path.unlink(missing_ok=True)
 
 
-def _fsync_file(path: Path) -> None:
-    """Force a staged file's content to disk before the manifest commit
-    makes the save depend on it."""
-    fd = os.open(str(path), os.O_RDONLY)
+def _stage_tables(tmp: Path, source: StorageBackend) -> str:
+    """Copy ``source``'s tables into a fresh stage SQLite file, forced to
+    disk before the manifest commit makes the save depend on it; returns
+    its content fingerprint."""
+    tmp.unlink(missing_ok=True)
+    target = SqliteBackend(str(tmp))
+    _copy_tables(source, target)
+    fingerprint = target.fingerprint()
+    target.close()
+    fd = os.open(str(tmp), os.O_RDONLY)
     try:
         os.fsync(fd)
     finally:
         os.close(fd)
+    return fingerprint
 
 
-def _write_staged_bytes(path: Path, data: bytes) -> None:
+def _write_staged_bytes(path: Path, data) -> None:
     """Write a stage (``.tmp``) file in place, durable but *not* renamed
     — the rename happens after the manifest commit (phase 3)."""
     with open(path, "wb") as handle:
@@ -341,30 +357,17 @@ def _settle_interrupted_save(root: Path, manifest: dict) -> None:
 # ----------------------------------------------------------------------
 # integrity verification and repair
 # ----------------------------------------------------------------------
-def _raw_fingerprint(data: bytes) -> str:
-    """The integrity fingerprint of a ``.pack`` blob: its raw bytes hashed
-    (the blob *is* its serialized form, unlike a SQLite file whose bytes
-    vary with page layout)."""
-    import hashlib
-
-    return hashlib.sha256(data).hexdigest()
-
-
 def _file_fingerprint(path: Path) -> Optional[str]:
-    """Content fingerprint of one saved file; ``None`` when the file is
-    missing or too broken to read (both count as damaged).
-
-    SQLite files hash their table content; ``.pack`` blobs hash their raw
-    bytes (additionally requiring that the blob's own header checksum
-    verifies, so a pack file that matches the manifest always attaches).
+    """Fingerprint of one saved file, of the kind its suffix calls for
+    (module docstring); ``None`` when the file is missing or too broken
+    to read (both count as damaged).  A ``.pack`` must also pass its own
+    header checksum, so one that matches the manifest always attaches.
     """
     if not path.is_file():
         return None
     # a staged ``meta_NNNN.pack.tmp`` is still a blob: classify by the
     # final name, or a crashed save's packs could never roll forward
     if path.name.removesuffix(TMP_SUFFIX).endswith(".pack"):
-        from repro.indexes.packed import PackedBlob
-
         try:
             blob = PackedBlob.attach(path)
         except Exception:
@@ -414,6 +417,14 @@ def _read_manifest(root: Path, collection: XmlCollection) -> dict:
             "collection fingerprint mismatch: the index was saved for "
             f"{manifest['collection']}, got {_fingerprint(collection)}"
         )
+    # Upgrade of a save that wrote a ``meta_NNNN.sqlite`` twin beside
+    # every blob: the twin of a packed entry is forgotten here, so no
+    # reader path opens, fingerprints or requires it (the files
+    # themselves go at the next save's phase-4 clean).
+    recorded = manifest.get("integrity", {}).get("files", {})
+    for entry in manifest["meta_documents"]:
+        if entry.get("packed", False):
+            recorded.pop(f"meta_{entry['meta_id']:04d}.sqlite", None)
     # every reader path (load/verify/repair) settles an interrupted
     # save's committed-but-unrenamed stage files before looking at them
     _settle_interrupted_save(root, manifest)
@@ -431,7 +442,7 @@ def repair_flix(collection: XmlCollection, directory) -> List[str]:
 
     Re-derives the meta-document specs from the (unchanged) collection —
     the Meta Document Builder is deterministic, so spec ``i`` is the meta
-    document ``meta_iiii.sqlite`` was built from — and re-runs the
+    document ``meta_iiii.pack`` was built from — and re-runs the
     manifest-recorded strategy for each damaged file only.  The residual
     link table (``framework.sqlite``) is likewise reconstructible as the
     collection edges internal to no meta document.  Intact files are not
@@ -517,7 +528,9 @@ def _build_meta_index(
 def _rebuild_meta_file(
     path: Path, spec: MetaDocumentSpec, strategy: str, collection: XmlCollection
 ) -> None:
-    """Re-run one meta document's index build and persist it at ``path``."""
+    """Re-run one meta document's index build and persist its tables at
+    ``path`` — the save form of a strategy with no packed form (and of
+    every entry of a save from before packing was universal)."""
     index = _build_meta_index(spec, strategy, collection)
     target = SqliteBackend(str(path))
     _copy_tables(index.backend, target)
@@ -531,8 +544,6 @@ def _rebuild_pack_file(
 
     Packing is deterministic (sorted columns, sorted JSON directory), so
     the rebuilt blob is byte-identical to the original save's."""
-    from repro.indexes.packed import pack_index
-
     index = _build_meta_index(spec, strategy, collection)
     data = pack_index(index)
     if data is None:
@@ -567,7 +578,7 @@ def _rebuild_framework_file(
 def load_flix(collection: XmlCollection, directory, verify: bool = True) -> Flix:
     """Reconstruct a saved index against the (unchanged) collection.
 
-    ``verify`` (default) re-fingerprints every referenced SQLite file
+    ``verify`` (default) re-fingerprints every referenced file
     against the manifest's integrity section and raises
     :class:`IntegrityError` naming the damaged ones — pass ``False`` to
     skip the check (e.g. right after a successful :func:`repair_flix`,
@@ -614,35 +625,26 @@ def load_flix(collection: XmlCollection, directory, verify: bool = True) -> Flix
         for entry in entries
         if entry.get("incremental", False)
     )
-    recorded_files = manifest.get("integrity", {}).get("files", {})
     slots: List[Optional[MetaDocument]] = [None] * slot_count
     for entry in entries:
         meta_id = entry["meta_id"]
         strategy = entry["strategy"]
         if strategy not in loaders:
             raise PersistenceError(f"no loader for strategy {strategy!r}")
-        sqlite_path = root / f"meta_{meta_id:04d}.sqlite"
         if entry.get("packed", False):
             # mmap the FLXPACK blob: cold attach parses a 64-byte header
-            # and checksums the payload — no table deserialization.  The
-            # sibling .sqlite stays the table source of truth,
-            # materialized lazily; the manifest-recorded table
-            # fingerprint keeps index_fingerprint() answerable without
-            # opening it.
-            from repro.indexes.packed import attach_packed_file
-
-            index = attach_packed_file(
-                root / f"meta_{meta_id:04d}.pack",
-                source_factory=(
-                    lambda p=sqlite_path: SqliteBackend.attach(str(p))
-                ),
-                fingerprint=recorded_files.get(sqlite_path.name),
-            )
+            # and checksums the payload — no table deserialization, no
+            # SQLite file
+            index = attach_packed_file(root / f"meta_{meta_id:04d}.pack")
         else:
             # no blob on disk (``transitive_closure``, or a save older
             # than universal packing): deserialize, then pack in memory
-            backend = SqliteBackend.attach(str(sqlite_path))
+            backend = SqliteBackend.attach(
+                str(root / f"meta_{meta_id:04d}.sqlite")
+            )
             index = _packed(loaders[strategy](backend, tags))
+            if is_packed(index):
+                backend.close()  # the blob is the only copy now
         meta = MetaDocument(
             meta_id=meta_id,
             nodes=index._node_set(),

@@ -312,6 +312,9 @@ class FaultyIndex:
     def size_bytes(self) -> int:
         return self._inner.size_bytes()
 
+    def fingerprint(self) -> str:
+        return self._inner.fingerprint()
+
     @property
     def node_count(self) -> int:
         return self._inner.node_count

@@ -60,7 +60,8 @@ class PathIndex(abc.ABC):
     #: registry name; subclasses override.
     strategy_name = "abstract"
 
-    def __init__(self, backend: StorageBackend) -> None:
+    def __init__(self, backend: Optional[StorageBackend]) -> None:
+        # ``None`` for a packed index: its FLXPACK blob is the whole index
         self._backend = backend
 
     # ------------------------------------------------------------------
@@ -207,12 +208,18 @@ class PathIndex(abc.ABC):
     # accounting
     # ------------------------------------------------------------------
     @property
-    def backend(self) -> StorageBackend:
+    def backend(self) -> Optional[StorageBackend]:
+        """The table storage this index persists through (``None`` for a
+        packed index, which answers the two methods below from its blob)."""
         return self._backend
 
     def size_bytes(self) -> int:
         """Persisted storage of this index — the Table 1 measurement."""
         return self._backend.total_bytes()
+
+    def fingerprint(self) -> str:
+        """Content hash of this index: equal content, equal fingerprint."""
+        return self._backend.fingerprint()
 
     @property
     def node_count(self) -> int:

@@ -347,12 +347,19 @@ class PackedBlob:
             self._lists[name] = promoted
         return promoted
 
+    @property
+    def data(self) -> memoryview:
+        """The whole blob, header included, as a read-only bytes-like view
+        of the attached buffer (no copy, even of an mmap)."""
+        return memoryview(self._buffer)
+
     def raw_fingerprint(self) -> str:
         """SHA-256 hex digest of the entire blob, header included.
 
-        This is the integrity fingerprint the save manifest records for
-        ``.pack`` files (the blob *is* its serialized form), computed
-        straight off the attached buffer — no second file read.
+        This is the fingerprint of a packed index and what the save
+        manifest records for its ``.pack`` file (the blob *is* its
+        serialized form), computed straight off the attached buffer — no
+        second file read.
         """
         return hashlib.sha256(self._buffer).hexdigest()
 

@@ -20,11 +20,11 @@ identical to the object dict implementation.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional
 
-from repro.indexes.base import NodeId, PathIndex, ScoredNode, sort_scored
-from repro.indexes.packed.blob import BlobWriter, PackedBlob
+from repro.indexes.base import NodeId, ScoredNode, sort_scored
+from repro.indexes.packed.base import PackedIndex
+from repro.indexes.packed.blob import BlobWriter
 
 
 def pack_hopi(index) -> bytes:
@@ -85,7 +85,7 @@ def pack_hopi(index) -> bytes:
     return writer.to_bytes()
 
 
-class PackedHopiIndex(PathIndex):
+class PackedHopiIndex(PackedIndex):
     """Zero-copy 2-hop probes over an attached FLXPACK blob."""
 
     strategy_name = "hopi"
@@ -115,22 +115,6 @@ class PackedHopiIndex(PathIndex):
     _hd_maps: Optional[Dict[int, Dict[NodeId, int]]] = None
     _ha_maps: Optional[Dict[int, Dict[NodeId, int]]] = None
     _nodes: Optional[frozenset] = None
-
-    def __init__(self, backend, blob: Optional[PackedBlob] = None) -> None:
-        super().__init__(backend)
-        self._blob = blob if blob is not None else backend.blob
-        self._promotion = threading.Lock()
-
-    @property
-    def blob(self) -> PackedBlob:
-        return self._blob
-
-    @classmethod
-    def build(cls, graph, tags, backend):  # pragma: no cover - build-time is object-graph
-        raise NotImplementedError(
-            "packed indexes are compiled from a built HopiIndex "
-            "(repro.indexes.packed.pack_index), not built from a graph"
-        )
 
     # ------------------------------------------------------------------
     # derived lookups

@@ -21,12 +21,12 @@ asserts byte-identical answers across both layouts.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
-from repro.indexes.base import NodeId, PathIndex, ScoredNode, sort_scored
-from repro.indexes.packed.blob import BlobWriter, PackedBlob
+from repro.indexes.base import NodeId, ScoredNode, sort_scored
+from repro.indexes.packed.base import PackedIndex
+from repro.indexes.packed.blob import BlobWriter
 
 #: ceiling on total per-source distance-map entries (the sum of subtree
 #: sizes); beyond it the hot-path promotion keeps interval arithmetic
@@ -66,7 +66,7 @@ def pack_ppo(index) -> bytes:
     return writer.to_bytes()
 
 
-class PackedPpoIndex(PathIndex):
+class PackedPpoIndex(PackedIndex):
     """Zero-copy PPO probes over an attached FLXPACK blob."""
 
     strategy_name = "ppo"
@@ -88,22 +88,6 @@ class PackedPpoIndex(PathIndex):
     _nodes: Optional[frozenset] = None
     _prepared_candidates: Optional[frozenset] = None
     _prepared_pres: List[Tuple[int, NodeId]] = []
-
-    def __init__(self, backend, blob: Optional[PackedBlob] = None) -> None:
-        super().__init__(backend)
-        self._blob = blob if blob is not None else backend.blob
-        self._promotion = threading.Lock()
-
-    @property
-    def blob(self) -> PackedBlob:
-        return self._blob
-
-    @classmethod
-    def build(cls, graph, tags, backend):  # pragma: no cover - build-time is object-graph
-        raise NotImplementedError(
-            "packed indexes are compiled from a built PpoIndex "
-            "(repro.indexes.packed.pack_index), not built from a graph"
-        )
 
     # ------------------------------------------------------------------
     # derived lookups

@@ -22,7 +22,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.indexes.base import NodeId, PathIndex, ScoredNode, sort_scored
+from repro.indexes.base import NodeId, ScoredNode, sort_scored
+from repro.indexes.packed.base import PackedIndex
 from repro.indexes.packed.blob import BlobWriter, PackedBlob
 
 #: summary-family strategy names packed by this module
@@ -86,7 +87,7 @@ def pack_summary(index) -> bytes:
     return writer.to_bytes()
 
 
-class PackedSummaryIndex(PathIndex):
+class PackedSummaryIndex(PackedIndex):
     """Zero-copy structure-pruned BFS over an attached FLXPACK blob."""
 
     strategy_name = "summary"
@@ -108,21 +109,9 @@ class PackedSummaryIndex(PathIndex):
     _coreach: Optional[List[Set[int]]] = None
     _tag_classes: Optional[List[Set[int]]] = None
 
-    def __init__(self, backend, blob: Optional[PackedBlob] = None) -> None:
-        super().__init__(backend)
-        self._blob = blob if blob is not None else backend.blob
-        self.strategy_name = self._blob.strategy
-
-    @property
-    def blob(self) -> PackedBlob:
-        return self._blob
-
-    @classmethod
-    def build(cls, graph, tags, backend):  # pragma: no cover - build-time is object-graph
-        raise NotImplementedError(
-            "packed indexes are compiled from a built SummaryIndex "
-            "(repro.indexes.packed.pack_index), not built from a graph"
-        )
+    def __init__(self, blob: PackedBlob) -> None:
+        super().__init__(blob)
+        self.strategy_name = blob.strategy
 
     # ------------------------------------------------------------------
     # derived lookups

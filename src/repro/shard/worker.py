@@ -148,8 +148,9 @@ class ShardWorker:
             and shard_map.index_fingerprint != flix.index_fingerprint()
         ):
             raise ValueError(
-                "shard map was planned against a different index "
-                "(fingerprint mismatch); re-run the planner"
+                "shard map was planned against a different index, or "
+                "before index fingerprints became blob hashes "
+                "(fingerprint mismatch); re-run `repro shard-plan`"
             )
         return cls(
             flix, shard_map, shard_id,

@@ -144,6 +144,53 @@ def _response_signature(response) -> str:
 
 
 # ----------------------------------------------------------------------
+# storage backends under wrappers; old save formats (migration tests)
+# ----------------------------------------------------------------------
+
+
+def innermost_backend(backend):
+    """The raw store under whatever resilience / fault wrappers the
+    environment's fault plan (CI's chaos job) put around ``backend``."""
+    while hasattr(backend, "_inner"):
+        backend = backend._inner
+    return backend
+
+
+def write_table_twins(collection, directory) -> List[str]:
+    """Turn a fresh save of an unmutated build into the format saves had
+    while every blob carried a table twin: one ``meta_NNNN.sqlite`` beside
+    each ``meta_NNNN.pack``, both fingerprinted under ``integrity.files``
+    and one label for both hashes.  Returns the twin file names."""
+    from pathlib import Path
+
+    from repro.core import persistence
+    from repro.core.mdb import MetaDocumentBuilder
+
+    root = Path(directory)
+    manifest = json.loads((root / "manifest.json").read_text())
+    config = persistence._config_from_manifest(manifest["config"])
+    specs = {
+        spec.meta_id: spec
+        for spec in MetaDocumentBuilder(collection, config).build_specs()
+    }
+    twins = []
+    for entry in manifest["meta_documents"]:
+        path = root / f"meta_{entry['meta_id']:04d}.sqlite"
+        if path.exists():  # unpackable: the tables already are the save
+            continue
+        persistence._rebuild_meta_file(
+            path, specs[entry["meta_id"]], entry["strategy"], collection
+        )
+        manifest["integrity"]["files"][path.name] = (
+            persistence._file_fingerprint(path)
+        )
+        twins.append(path.name)
+    manifest["integrity"]["algorithm"] = "sha256-table-content"
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return twins
+
+
+# ----------------------------------------------------------------------
 # collection fixtures
 # ----------------------------------------------------------------------
 

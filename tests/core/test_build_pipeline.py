@@ -5,6 +5,7 @@ maintenance and persistence behave alike for all six presets."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 
@@ -13,6 +14,7 @@ import pytest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.core.persistence import MANIFEST_NAME
+from repro.indexes.packed import is_packed
 from repro.storage.sqlite_backend import SqliteBackend
 
 PRESETS = {
@@ -22,6 +24,9 @@ PRESETS = {
     "hybrid": lambda: FlixConfig.hybrid(60),
     "monolithic": lambda: FlixConfig.monolithic("hopi"),
     "auto_subcollections": FlixConfig.auto_subcollections,
+    # not a preset: the one layout whose index keeps its tables after the
+    # build (no packed form), so the factory's product stays inspectable
+    "unpackable": lambda: FlixConfig.monolithic("transitive_closure"),
 }
 
 #: the two layouts that had build pipelines of their own
@@ -35,10 +40,9 @@ def sqlite_factory(tmp_path):
 
 
 def _backend_chain(backend):
-    """Class names from a served backend down to the raw store: the
-    packed backend's build-time source, then each wrapper's inner."""
+    """Class names from a backend down to the raw store, through each
+    wrapper's inner."""
     chain = []
-    backend = getattr(backend, "_source", backend)
     while backend is not None:
         chain.append(type(backend).__name__)
         backend = getattr(backend, "_inner", None)
@@ -46,7 +50,15 @@ def _backend_chain(backend):
 
 
 def _all_chains(flix):
-    chains = [_backend_chain(m.index.backend) for m in flix.meta_documents]
+    """The chain of every backend that outlives the build: the framework
+    tables, and the index tables of a strategy with no packed form (a
+    packed index keeps none).  Each is a product of the one factory the
+    per-meta builds drew from."""
+    chains = [
+        _backend_chain(m.index.backend)
+        for m in flix.meta_documents
+        if m.index.backend is not None
+    ]
     chains.append(_backend_chain(flix._builder.framework_backend))
     return chains
 
@@ -66,9 +78,12 @@ def test_rebuild_is_identical_and_stays_on_its_backend(
     assert rebuilt.config == flix.config
     for built in (flix, rebuilt):
         assert all(c == ["SqliteBackend"] for c in _all_chains(built))
+        # the framework tables, plus the index tables where they outlive
+        # the build
+        assert len(_all_chains(built)) == 1 + (preset == "unpackable")
 
 
-@pytest.mark.parametrize("preset", FORMERLY_FORKED)
+@pytest.mark.parametrize("preset", FORMERLY_FORKED + ("unpackable",))
 def test_resilience_and_fault_plan_wrap_every_table(
     preset, figure1_collection, monkeypatch
 ):
@@ -119,18 +134,73 @@ def test_save_load_round_trips_the_config(config, figure1_collection, tmp_path):
     assert loaded.rebuild().index_fingerprint() == flix.index_fingerprint()
 
 
-@pytest.mark.parametrize("preset", FORMERLY_FORKED)
+@pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_damaged_save_is_repairable(preset, figure1_collection, tmp_path):
     """``repair`` re-derives the specs from ``config.mdb_strategy``; the
     forked pipelines saved a nominal ``"naive"`` there, so their saves
-    could never be repaired."""
-    flix = Flix.build(figure1_collection, PRESETS[preset]())
+    could never be repaired.  And one fingerprint however the index came
+    to be: a second build, a ``jobs=2`` build, save → load and the
+    repair of a zapped file (the blob, or the tables of the unpackable
+    layout) all answer the fresh build's."""
+    config = PRESETS[preset]()
+    flix = Flix.build(figure1_collection, config)
+    fingerprint = flix.index_fingerprint()
+    assert Flix.build(figure1_collection, config).index_fingerprint() == (
+        fingerprint
+    )
+    assert Flix.build(
+        figure1_collection, config, jobs=2
+    ).index_fingerprint() == fingerprint
     flix.save(tmp_path)
-    victim = sorted(tmp_path.glob("meta_*.pack"))[-1]
+    assert Flix.load(figure1_collection, tmp_path).index_fingerprint() == (
+        fingerprint
+    )
+    victim = sorted(tmp_path.glob("meta_*"))[-1]
+    assert victim.suffix == (".sqlite" if preset == "unpackable" else ".pack")
     victim.write_bytes(b"garbage")
     assert Flix.repair(figure1_collection, tmp_path) == [victim.name]
     repaired = Flix.load(figure1_collection, tmp_path)
-    assert repaired.index_fingerprint() == flix.index_fingerprint()
+    assert repaired.index_fingerprint() == fingerprint
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_save_holds_one_file_per_meta_document(
+    preset, figure1_collection, tmp_path
+):
+    """The blob is the index: a save is each meta document's ``.pack``
+    (written as memory holds it) — its ``.sqlite`` tables only where the
+    strategy has no packed form — plus the framework tables and the
+    manifest; the sidecar appears only under ``order="cost"``."""
+    flix = Flix.build(figure1_collection, PRESETS[preset]())
+    packed = preset != "unpackable"
+    assert all(is_packed(m.index) == packed for m in flix.meta_documents)
+    flix.save(tmp_path)
+    suffix = ".pack" if packed else ".sqlite"
+    files = {"framework.sqlite"} | {
+        f"meta_{meta.meta_id:04d}{suffix}" for meta in flix.meta_documents
+    }
+    assert {p.name for p in tmp_path.iterdir()} == files | {MANIFEST_NAME}
+    integrity = json.loads((tmp_path / MANIFEST_NAME).read_text())["integrity"]
+    assert set(integrity["files"]) == files
+    # the two hashes are labelled per file kind
+    assert integrity["algorithm"] == {
+        "pack": "sha256-raw-bytes",
+        "sqlite": "sha256-table-content",
+    }
+    for meta in flix.meta_documents if packed else ():
+        name = f"meta_{meta.meta_id:04d}.pack"
+        data = (tmp_path / name).read_bytes()
+        assert data == meta.index.blob.data
+        assert integrity["files"][name] == meta.index.fingerprint() == (
+            hashlib.sha256(data).hexdigest()
+        )
+    costed = Flix.build(
+        figure1_collection, PRESETS[preset]().with_planner(order="cost")
+    )
+    costed.save(tmp_path)
+    assert {p.name for p in tmp_path.iterdir()} == files | {
+        MANIFEST_NAME, "planner_stats.json",
+    }
 
 
 def test_manifest_without_similarity_threshold_loads(

@@ -415,9 +415,9 @@ class TestMaintenancePersistence:
         flix.save(tmp_path)
         flix.compact()
         flix.save(tmp_path)
-        names = {p.name for p in tmp_path.glob("meta_*.sqlite")}
+        names = {p.name for p in tmp_path.glob("meta_*")}
         assert names == {
-            f"meta_{meta.meta_id:04d}.sqlite"
+            f"meta_{meta.meta_id:04d}.pack"
             for meta in flix.meta_documents
         }
         loaded = Flix.load(collection, tmp_path)

@@ -56,7 +56,8 @@ class TestParity:
 
     def test_index_tables_byte_identical(self, sequential, parallel):
         for par, seq in zip(parallel.meta_documents, sequential.meta_documents):
-            assert par.index.backend.fingerprint() == seq.index.backend.fingerprint()
+            assert par.index.blob.data == seq.index.blob.data
+            assert par.index.fingerprint() == seq.index.fingerprint()
         assert parallel.index_fingerprint() == sequential.index_fingerprint()
 
     def test_residual_links_identical(self, sequential, parallel):

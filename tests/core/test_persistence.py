@@ -1,13 +1,26 @@
 """Tests for whole-index persistence (Flix.save / Flix.load)."""
 
+import gc
+import json
+import weakref
+from pathlib import Path
+
 import pytest
 
 from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
-from repro.core.persistence import PersistenceError
+from repro.core.persistence import (
+    PersistenceError,
+    load_flix,
+    repair_flix,
+    verify_flix,
+)
 from repro.datasets.dblp import DblpSpec, generate_dblp
 from repro.graph.closure import transitive_closure
+from repro.indexes.packed import is_packed
+from repro.storage.memory import MemoryBackend
+from tests.conftest import innermost_backend, write_table_twins
 
 
 @pytest.mark.parametrize(
@@ -106,3 +119,97 @@ class TestSaveLoadBehaviour:
         assert [r.node for r in loaded.query_stream(request)] == [
             r.node for r in original.query_stream(request)
         ]
+
+
+class TestOneCopy:
+    """The blob is the index: one copy of every meta document, in memory
+    and on disk (``docs/DATA_LAYOUT.md``)."""
+
+    def test_build_drops_the_build_time_tables(self, figure1_collection):
+        """No packed index holds on to a storage backend: after the build
+        only the framework tables (and an unpackable meta's) are alive."""
+        produced = []
+
+        def factory():
+            backend = MemoryBackend()
+            produced.append(weakref.ref(backend))
+            return backend
+
+        flix = Flix.build(figure1_collection, FlixConfig.hybrid(60), factory)
+        assert len(produced) > len(flix.meta_documents)  # one each + framework
+        assert all(meta.index.backend is None for meta in flix.meta_documents
+                   if is_packed(meta.index))
+        gc.collect()
+        alive = {id(ref()) for ref in produced if ref() is not None}
+        assert alive == {id(innermost_backend(flix._builder.framework_backend))} | {
+            id(innermost_backend(meta.index.backend))
+            for meta in flix.meta_documents
+            if not is_packed(meta.index)  # the chaos job's fallbacks
+        }
+
+    @pytest.mark.parametrize("twins", ["deleted", "corrupted", "intact"])
+    def test_twin_format_save_upgrades_on_load(
+        self, twins, figure1_collection, tmp_path
+    ):
+        """A save from when every blob carried a ``.sqlite`` table twin
+        (both under ``integrity.files``, one label for both hashes) loads
+        from the blobs alone: the twins are neither opened, fingerprinted
+        nor required, and the next save drops them."""
+        config = FlixConfig.hybrid(60)
+        fresh = Flix.build(figure1_collection, config)
+        old = tmp_path / "old"
+        fresh.save(old)
+        twin_names = write_table_twins(figure1_collection, old)
+        assert len(twin_names) == len(fresh.meta_documents)
+        manifest = json.loads((old / "manifest.json").read_text())
+        assert set(twin_names) < set(manifest["integrity"]["files"])
+        assert manifest["integrity"]["algorithm"] == "sha256-table-content"
+        for name in twin_names:
+            if twins == "deleted":
+                (old / name).unlink()
+            elif twins == "corrupted":
+                (old / name).write_bytes(b"not a database")
+
+        assert verify_flix(figure1_collection, old) == []
+        assert repair_flix(figure1_collection, old) == []
+        # a damaged blob of such a save is still repaired from the collection
+        victim = sorted(old.glob("meta_*.pack"))[0]
+        victim.write_bytes(b"zap")
+        assert verify_flix(figure1_collection, old) == [victim.name]
+        assert repair_flix(figure1_collection, old) == [victim.name]
+        assert verify_flix(figure1_collection, old) == []
+
+        loaded = load_flix(figure1_collection, old)  # verify=True default
+        assert loaded.index_fingerprint() == fresh.index_fingerprint()
+        for name in sorted(figure1_collection.documents)[:5]:
+            request = QueryRequest.descendants(
+                figure1_collection.document_root(name)
+            )
+            assert loaded.query(request).results == fresh.query(request).results
+
+        loaded.save(old)  # phase 4 removes the stale twins
+        assert not list(old.glob("meta_*.sqlite"))
+        resaved = json.loads((old / "manifest.json").read_text())
+        assert not set(twin_names) & set(resaved["integrity"]["files"])
+        again = load_flix(figure1_collection, old)
+        assert again.index_fingerprint() == fresh.index_fingerprint()
+
+    def test_all_packed_load_opens_only_the_framework_tables(
+        self, figure1_collection, tmp_path, monkeypatch
+    ):
+        from repro.storage.sqlite_backend import SqliteBackend
+
+        Flix.build(figure1_collection, FlixConfig.hybrid(60)).save(tmp_path)
+        opened = []
+        attach = SqliteBackend.attach.__func__
+
+        def counting(cls, path):
+            opened.append(Path(path).name)
+            return attach(cls, path)
+
+        monkeypatch.setattr(SqliteBackend, "attach", classmethod(counting))
+        load_flix(figure1_collection, tmp_path, verify=False)
+        assert opened == ["framework.sqlite"]
+        del opened[:]
+        load_flix(figure1_collection, tmp_path)  # + the verification pass
+        assert opened == ["framework.sqlite"] * 2

@@ -59,7 +59,7 @@ class TestIntegritySection:
 class TestVerificationOnLoad:
     def test_corrupted_file_rejected_by_name(self, saved):
         collection, directory, _ = saved
-        victim = sorted(directory.glob("meta_*.sqlite"))[1]
+        victim = sorted(directory.glob("meta_*.pack"))[1]
         victim.write_bytes(b"\x00garbage\x00" * 64)
         with pytest.raises(IntegrityError) as excinfo:
             load_flix(collection, directory)
@@ -74,7 +74,7 @@ class TestVerificationOnLoad:
         import sqlite3
 
         collection, directory, _ = saved
-        victim = sorted(directory.glob("meta_*.sqlite"))[0]
+        victim = directory / "framework.sqlite"  # the table-content hash
         conn = sqlite3.connect(victim)
         table = conn.execute(
             "SELECT name FROM sqlite_master WHERE type='table' LIMIT 1"
@@ -109,16 +109,14 @@ class TestVerificationOnLoad:
 class TestRepair:
     def test_repair_of_intact_save_is_a_noop(self, saved):
         collection, directory, _ = saved
-        before = {
-            p.name: p.read_bytes() for p in directory.glob("*.sqlite")
-        }
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
         assert repair_flix(collection, directory) == []
-        after = {p.name: p.read_bytes() for p in directory.glob("*.sqlite")}
+        after = {p.name: p.read_bytes() for p in directory.iterdir()}
         assert before == after
 
     def test_repair_restores_fingerprint_identical_index(self, saved):
         collection, directory, fingerprint = saved
-        victims = sorted(directory.glob("meta_*.sqlite"))[:2]
+        victims = sorted(directory.glob("meta_*.pack"))[:2]
         victims[0].write_bytes(b"ruined")
         victims[1].unlink()
         (directory / "framework.sqlite").write_bytes(b"also ruined")
@@ -135,9 +133,9 @@ class TestRepair:
 
     def test_repair_leaves_intact_files_untouched(self, saved):
         collection, directory, _ = saved
-        intact = sorted(directory.glob("meta_*.sqlite"))[1:]
+        intact = sorted(directory.glob("meta_*.pack"))[1:]
         before = {p.name: p.read_bytes() for p in intact}
-        sorted(directory.glob("meta_*.sqlite"))[0].write_bytes(b"zap")
+        sorted(directory.glob("meta_*.pack"))[0].write_bytes(b"zap")
         repair_flix(collection, directory)
         assert {p.name: p.read_bytes() for p in intact} == before
 
@@ -155,7 +153,8 @@ class TestRepair:
             ]
             for s in starts
         }
-        sorted(directory.glob("meta_*.sqlite"))[0].write_bytes(b"zap")
+        del original  # it maps the blob about to be overwritten in place
+        sorted(directory.glob("meta_*.pack"))[0].write_bytes(b"zap")
         repair_flix(collection, directory)
         repaired = load_flix(collection, directory)
         for s in starts:

@@ -41,8 +41,9 @@ def crashed_save(tmp_path):
     for doc in added_documents(2):
         flix.add_document(doc)
     # a clean save of the mutated index provides the staged content a
-    # crashed in-place save would have left (fingerprints are content
-    # hashes, so byte-level sqlite differences do not matter)
+    # crashed in-place save would have left (blobs are byte-identical,
+    # and framework.sqlite is fingerprinted by table content, so its
+    # byte-level differences do not matter)
     staging = tmp_path / "staging"
     save_flix(flix, staging)
     manifest = json.loads((staging / "manifest.json").read_text())
@@ -63,13 +64,16 @@ def test_load_rolls_a_crashed_save_forward(crashed_save):
         loaded.index_fingerprint() == crashed_save.flix.index_fingerprint()
     )
     assert loaded.layout_generation == crashed_save.flix.layout_generation
-    # the roll-forward completed every pending rename — the staged
-    # ``.pack.tmp`` blobs included
+    # the roll-forward completed every pending rename: one blob per
+    # meta document and the framework tables, nothing else
     assert not list(crashed_save.directory.glob("*" + TMP_SUFFIX))
-    named = crashed_save.manifest["integrity"]["files"]
-    packs = {name for name in named if name.endswith(".pack")}
-    assert packs and packs == {
-        path.name for path in crashed_save.directory.glob("*.pack")
+    named = set(crashed_save.manifest["integrity"]["files"])
+    assert named == {"framework.sqlite"} | {
+        f"meta_{meta.meta_id:04d}.pack"
+        for meta in crashed_save.flix.meta_documents
+    }
+    assert named | {"manifest.json"} == {
+        path.name for path in crashed_save.directory.iterdir()
     }
 
 
@@ -101,8 +105,9 @@ def test_stray_stage_files_do_not_damage_a_committed_save(tmp_path):
     save_flix(flix, directory)
     fingerprint = flix.index_fingerprint()
 
-    (directory / ("meta_0000.sqlite" + TMP_SUFFIX)).write_bytes(b"torn")
-    (directory / ("zombie.sqlite" + TMP_SUFFIX)).write_bytes(b"junk")
+    (directory / ("meta_0000.pack" + TMP_SUFFIX)).write_bytes(b"torn")
+    (directory / ("framework.sqlite" + TMP_SUFFIX)).write_bytes(b"torn")
+    (directory / ("zombie.pack" + TMP_SUFFIX)).write_bytes(b"junk")
     assert verify_flix(collection, directory) == []
     loaded = load_flix(collection, directory)
     assert loaded.index_fingerprint() == fingerprint

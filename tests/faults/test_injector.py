@@ -183,7 +183,7 @@ class TestFaultyIndex:
     }
     BOOKKEEPING = {
         "strategy_name", "prepare_link_candidates", "contains", "backend",
-        "size_bytes", "node_count",
+        "size_bytes", "fingerprint", "node_count",
     }
 
     @pytest.mark.parametrize("method", sorted(PROBES))

@@ -7,17 +7,23 @@ tag-filtered descendant sets on random inputs — and so does the FLXPACK
 twin of every strategy that has one (the representation a ``Flix``
 actually serves), held against the oracle directly rather than only
 against its object form.
+
+It also holds the premise ``index_fingerprint`` rests on since the blob
+became the only copy of an index: equal tables pack to equal blobs.
 """
 
+import pytest
 from hypothesis import given, settings
 
 from repro.graph.closure import transitive_closure
 from repro.indexes.apex import ApexIndex
 from repro.indexes.dataguide import DataGuideIndex
+from repro.indexes.fabric import FabricIndex
 from repro.indexes.hopi import HopiIndex
-from repro.indexes.kindex import KBisimulationIndex
-from repro.indexes.packed import packed_clone
+from repro.indexes.kindex import ForwardBackwardIndex, KBisimulationIndex
+from repro.indexes.packed import PACKABLE_STRATEGIES, pack_index, packed_clone
 from repro.indexes.ppo import PpoIndex
+from repro.indexes.registry import build_index
 from repro.indexes.transitive import TransitiveClosureIndex
 from repro.storage.memory import MemoryBackend
 from tests.conftest import (
@@ -107,3 +113,51 @@ def test_ancestor_descendant_duality(params):
             for v, d in index.find_descendants_by_tag(u, None):
                 ancestors = dict(index.find_ancestors_by_tag(v, None))
                 assert ancestors[u] == d
+
+
+#: how each packable strategy comes back from its storage tables, and
+#: whether it is exercised on trees (it needs, or is bounded on, one)
+TABLE_LOADERS = {
+    "ppo": (PpoIndex.load, True),
+    "hopi": (HopiIndex.load, False),
+    "apex": (lambda backend, tags: ApexIndex.load(backend, "apex"), False),
+    "kindex": (
+        lambda backend, tags: KBisimulationIndex.load(backend, "kindex"),
+        False,
+    ),
+    "fbindex": (
+        lambda backend, tags: ForwardBackwardIndex.load(backend, "fbindex"),
+        False,
+    ),
+    "dataguide": (
+        lambda backend, tags: DataGuideIndex.load(backend, "dataguide"),
+        True,
+    ),
+    "fabric": (lambda backend, tags: FabricIndex.load(backend, "fabric"), True),
+}
+
+
+def test_every_packable_strategy_has_a_table_loader_case():
+    assert set(TABLE_LOADERS) == PACKABLE_STRATEGIES
+
+
+@pytest.mark.parametrize("strategy", sorted(TABLE_LOADERS))
+@given(graph_params)
+@settings(max_examples=15, deadline=None)
+def test_equal_tables_pack_to_equal_blobs(strategy, params):
+    """A build, a second build of the same graph, and the index reloaded
+    from the first build's tables pack to the same bytes — so a packed
+    index's blob hash identifies its content exactly as the table hash
+    did, whichever way the index came to be (fresh build, worker
+    process, repair, or the upgrade of a save that only has tables)."""
+    seed, n = params
+    load, on_trees = TABLE_LOADERS[strategy]
+    graph = random_tree(seed, n) if on_trees else random_digraph(seed, n)
+    tags = random_tags(seed, n)
+    built = build_index(strategy, graph, tags, MemoryBackend())
+    blob = pack_index(built)
+    assert blob == pack_index(build_index(strategy, graph, tags, MemoryBackend()))
+    assert blob == pack_index(load(built.backend, tags))
+    assert packed_clone(built).fingerprint() == (
+        packed_clone(load(built.backend, tags)).fingerprint()
+    )

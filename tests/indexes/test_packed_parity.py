@@ -5,10 +5,11 @@ are the build-time intermediate — and this module's reference.  The pack
 step swaps the hot-path representation, nothing else, so every
 observable of the unified query API has to match the object form byte
 for byte: results, scalar values, the full :class:`QueryStats`
-(visit/traversal counters included), completeness, layout generations,
-and ``index_fingerprint``.  That contract has to survive fault
-injection, the maintenance verbs, and a save/load roundtrip, which is
-exactly what this module checks.
+(visit/traversal counters included), completeness and layout
+generations — and packing the object side must give the very blobs the
+packed side serves (the content ``index_fingerprint`` hashes).  That
+contract has to survive fault injection, the maintenance verbs, and a
+save/load roundtrip, which is exactly what this module checks.
 """
 
 import json
@@ -24,7 +25,8 @@ from repro.core.ib import IndexBuilder
 from repro.core.mdb import MetaDocumentBuilder
 from repro.core.persistence import load_flix
 from repro.faults import FaultPlan, FaultyIndex
-from repro.indexes.packed import is_packed
+from repro.indexes.packed import is_packed, pack_index
+from tests.conftest import write_table_twins
 
 
 def build_object(collection, config):
@@ -37,6 +39,12 @@ def build_object(collection, config):
     flix = Flix(collection, config, *builder.build(specs))
     flix._builder = builder
     return flix
+
+
+def blobs(flix):
+    """Each live meta document's FLXPACK bytes — what a packed index's
+    ``fingerprint()`` hashes; the object side is packed to compare."""
+    return [bytes(pack_index(meta.index)) for meta in flix.meta_documents]
 
 
 def assert_same_response(obj_response, pak_response):
@@ -143,8 +151,13 @@ class TestQueryParity:
             assert pak.query(request).stats.completeness == "complete"
 
     def test_index_fingerprints_identical(self, flix_pair):
+        """Equal tables pack to equal blobs, and a packed index's
+        fingerprint is its blob's."""
         obj, pak = flix_pair
-        assert obj.index_fingerprint() == pak.index_fingerprint()
+        assert blobs(obj) == blobs(pak)
+        assert Flix.build(
+            pak.collection, pak.config
+        ).index_fingerprint() == pak.index_fingerprint()
 
     def test_packed_layout_is_actually_packed(self, flix_pair):
         obj, pak = flix_pair
@@ -227,7 +240,8 @@ class TestMaintenanceParity:
 
     @staticmethod
     def assert_layouts_agree(obj, pak):
-        assert obj.index_fingerprint() == pak.index_fingerprint()
+        assert blobs(obj) == blobs(pak)
+        assert obj.layout.tombstones == pak.layout.tombstones
         for name in sorted(obj.collection.documents):
             root = obj.collection.document_root(name)
             for request in (
@@ -272,7 +286,7 @@ class TestPersistenceParity:
         assert list(directory.glob("*.pack")), "save must persist blobs"
         loaded = load_flix(pak.collection, directory)  # verify=True default
         assert all(is_packed(meta.index) for meta in loaded.meta_documents)
-        assert loaded.index_fingerprint() == obj.index_fingerprint()
+        assert loaded.index_fingerprint() == pak.index_fingerprint()
         for request in request_suite(obj):
             assert_same_response(obj.query(request), loaded.query(request))
 
@@ -288,6 +302,7 @@ class TestPersistenceParity:
         obj, pak = flix_pair
         old = tmp_path / "object-format-save"
         pak.save(old)
+        write_table_twins(pak.collection, old)
         manifest = json.loads((old / "manifest.json").read_text())
         manifest["config"]["packed"] = False
         for entry in manifest["meta_documents"]:
@@ -299,7 +314,7 @@ class TestPersistenceParity:
 
         loaded = load_flix(pak.collection, old)  # verify=True default
         assert all(is_packed(meta.index) for meta in loaded.meta_documents)
-        assert loaded.index_fingerprint() == obj.index_fingerprint()
+        assert loaded.index_fingerprint() == pak.index_fingerprint()
         for request in request_suite(obj):
             assert_same_response(obj.query(request), loaded.query(request))
 

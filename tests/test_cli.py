@@ -219,7 +219,7 @@ class TestRepair:
     ):
         from pathlib import Path
 
-        victim = sorted(Path(index_dir).glob("meta_*.sqlite"))[0]
+        victim = sorted(Path(index_dir).glob("meta_*.pack"))[0]
         victim.write_bytes(b"zap")
         assert main(["repair", movie_dir, index_dir, "--check"]) == 1
         assert victim.read_bytes() == b"zap"  # untouched
@@ -231,7 +231,7 @@ class TestRepair:
         from repro.collection.io import load_collection
         from repro.core.persistence import verify_flix
 
-        victim = sorted(Path(index_dir).glob("meta_*.sqlite"))[0]
+        victim = sorted(Path(index_dir).glob("meta_*.pack"))[0]
         victim.write_bytes(b"zap")
         assert main(["repair", movie_dir, index_dir]) == 0
         out = capsys.readouterr().out

@@ -1,5 +1,5 @@
 """Import layering: ``repro.bench`` is a leaf used by the paper-figure
-suites, never by the serving path."""
+suites, never by the serving path; the packed indexes know no storage."""
 
 import ast
 from pathlib import Path
@@ -38,4 +38,17 @@ def test_bench_is_a_leaf_outside_the_serving_path():
             for module in imported_modules(path)
             if any(within(module, package) for package in forbidden)
         ]
+    assert offenders == []
+
+
+def test_packed_indexes_import_no_storage():
+    """The blob is the index: nothing under ``repro/indexes/packed/``
+    touches table storage — only the error taxonomy it raises from."""
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()} imports {module}"
+        for path in sorted((SRC / "repro" / "indexes" / "packed").glob("*.py"))
+        for module in imported_modules(path)
+        if within(module, "repro.storage")
+        and not within(module, "repro.storage.errors")
+    ]
     assert offenders == []

@@ -28,6 +28,8 @@ def test_follower_tails_the_log_incrementally(deployment, primary, mutation_docs
     )
     assert follower.role == "follower"
     assert follower.poll() == 0  # nothing to replicate yet
+    # attached from the snapshot of a fresh build: same fingerprint
+    assert follower.index_fingerprint() == primary.index_fingerprint()
 
     primary.add_document(mutation_docs[0])
     primary.add_document(mutation_docs[1])

@@ -43,7 +43,11 @@ def test_recovery_without_wal_degrades_to_plain_load(deployment):
     collection = load_collection(deployment.collection_dir)
     recovered, report = recover_flix(collection, deployment.index_dir)
     assert recovered.layout_generation == deployment.flix.layout_generation
+    # the live index here is the fresh build the snapshot was taken of
     assert recovered.index_fingerprint() == deployment.flix.index_fingerprint()
+    assert recovered.index_fingerprint() == Flix.build(
+        collection, deployment.flix.config
+    ).index_fingerprint()
     assert report.records_seen == report.records_applied == 0
     assert "replayed 0/0" in report.describe()
 
