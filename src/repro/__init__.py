@@ -58,7 +58,7 @@ from repro.core import (
     ResilienceConfig,
     StreamedList,
 )
-from repro.faults import FaultPlan, FaultyBackend, FaultyFactory
+from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry, Observability, Tracer
 from repro.serve import FlixService, ShardedLRUCache
 from repro.shard import (
@@ -86,8 +86,6 @@ __all__ = [
     "QueryRequest",
     "QueryResponse",
     "FaultPlan",
-    "FaultyBackend",
-    "FaultyFactory",
     "FrontDoor",
     "ShardCoordinator",
     "ShardMap",

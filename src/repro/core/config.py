@@ -36,8 +36,8 @@ BUILD_EXECUTORS = ("auto", "process", "thread", "serial")
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Fault-tolerance knobs: storage retries, circuit breaking, query
-    budgets, and build-time fallback (see ``docs/RESILIENCE.md``).
+    """Fault-tolerance knobs: query budgets, the BFS fallback, and the
+    build failure ladder (see ``docs/RESILIENCE.md``).
 
     Attached to a configuration via :attr:`FlixConfig.resilience` (or
     :meth:`FlixConfig.with_resilience`); ``None`` there means the
@@ -45,15 +45,6 @@ class ResilienceConfig:
     before — every knob here only matters once the config is present.
     """
 
-    # -- storage retry (see repro.storage.resilient.RetryPolicy) --------
-    max_attempts: int = 4
-    backoff_base_seconds: float = 0.002
-    backoff_max_seconds: float = 0.25
-    backoff_jitter: float = 0.5
-    retry_seed: int = 0
-    # -- per-table circuit breaker --------------------------------------
-    breaker_failure_threshold: int = 5
-    breaker_reset_seconds: float = 30.0
     # -- query budgets (graceful degradation, section 5's run-time side) --
     #: wall-clock deadline per query; exceeded -> stop, flag ``truncated``
     query_deadline_seconds: Optional[float] = None
@@ -73,44 +64,12 @@ class ResilienceConfig:
     build_fallback_strategy: Optional[str] = "transitive_closure"
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base_seconds < 0 or self.backoff_max_seconds < 0:
-            raise ValueError("backoff delays must be non-negative")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError("backoff_jitter must be in [0, 1]")
-        if self.breaker_failure_threshold < 1:
-            raise ValueError("breaker_failure_threshold must be >= 1")
-        if self.breaker_reset_seconds < 0:
-            raise ValueError("breaker_reset_seconds must be non-negative")
         for name in ("query_deadline_seconds", "max_link_hops", "max_queue_pops"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive when set")
         if self.build_retry_attempts < 0:
             raise ValueError("build_retry_attempts must be non-negative")
-
-    # ------------------------------------------------------------------
-    # adapters for the storage layer
-    # ------------------------------------------------------------------
-    def retry_policy(self):
-        from repro.storage.resilient import RetryPolicy
-
-        return RetryPolicy(
-            max_attempts=self.max_attempts,
-            base_delay=self.backoff_base_seconds,
-            max_delay=self.backoff_max_seconds,
-            jitter=self.backoff_jitter,
-            seed=self.retry_seed,
-        )
-
-    def breaker_policy(self):
-        from repro.storage.resilient import BreakerPolicy
-
-        return BreakerPolicy(
-            failure_threshold=self.breaker_failure_threshold,
-            reset_timeout=self.breaker_reset_seconds,
-        )
 
     # ------------------------------------------------------------------
     # persistence (manifest round-trip)
@@ -254,9 +213,9 @@ class FlixConfig:
     #: off makes ``Flix.metrics()`` empty and skips all instrumentation
     #: branches, so disabled runs pay near-zero overhead
     observability: bool = True
-    #: fault-tolerance layer (storage retry/backoff + circuit breaker,
-    #: query budgets with graceful degradation, build fallback); ``None``
-    #: disables it entirely — see ``docs/RESILIENCE.md``
+    #: fault-tolerance layer (query budgets with graceful degradation,
+    #: BFS fallback, build failure ladder); ``None`` disables it entirely
+    #: — see ``docs/RESILIENCE.md``
     resilience: Optional[ResilienceConfig] = None
     #: shared result/connection cache for the query phase (sharded LRU
     #: with generation-based invalidation, see ``docs/SERVING.md``);

@@ -24,7 +24,6 @@ import threading
 import time
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -55,8 +54,6 @@ from repro.core.meta_document import MetaDocument
 from repro.core.pee import PathExpressionEvaluator, QueryBudget
 from repro.core.selftune import QueryLoadMonitor, TuningAdvice, with_compaction_advice
 from repro.obs import MetricsRegistry, Observability, Trace, render
-from repro.storage.memory import MemoryBackend
-from repro.storage.table import StorageBackend
 
 
 def _packed(index):
@@ -122,12 +119,6 @@ class Flix:
         # set by Flix.build / load_flix: the maintenance verbs keep the
         # framework tables (residual links) in its backend
         self._builder: Optional[IndexBuilder] = None
-        self._backend_factory: Callable[[], StorageBackend] = MemoryBackend
-        # the factory as originally passed to Flix.build, *before* fault/
-        # resilience wrapping — what rebuild() must default to so a
-        # sqlite-backed index stays sqlite-backed (and so Flix.build can
-        # re-apply its wrapping without double-wrapping)
-        self._raw_backend_factory: Callable[[], StorageBackend] = MemoryBackend
         #: the shared result/connection cache (sharded LRU, generation-
         #: invalidated); configured through ``config.cache``, or later via
         #: :meth:`configure_cache`
@@ -290,9 +281,7 @@ class Flix:
 
         Runs after the build merge, so it also covers indexes built in
         process-pool workers (whose build-time traffic is unobservable —
-        their registries die with the worker process).  Resilient wrappers
-        additionally get the metrics bundle (re)bound here: products of a
-        pickled factory arrive from workers with observability unbound.
+        their registries die with the worker process).
         """
         backends = [
             getattr(meta.index, "backend", None)
@@ -301,12 +290,8 @@ class Flix:
         if self._builder is not None:
             backends.append(self._builder.framework_backend)
         for backend in backends:
-            if backend is None:
-                continue
-            backend.attach_observer(self.obs.storage_instruments(backend))
-            bind = getattr(backend, "set_observability", None)
-            if bind is not None:
-                bind(self.obs)
+            if backend is not None:
+                backend.attach_observer(self.obs.storage_instruments(backend))
 
     # ------------------------------------------------------------------
     # build phase
@@ -316,7 +301,6 @@ class Flix:
         cls,
         collection: XmlCollection,
         config: Optional[FlixConfig] = None,
-        backend_factory: Callable[[], StorageBackend] = MemoryBackend,
         jobs: Optional[int] = None,
         workload: Optional["WorkloadProfile"] = None,
     ) -> "Flix":
@@ -342,45 +326,19 @@ class Flix:
         workload-driven retuning; see ``docs/PLANNING.md``) before the
         build runs.
 
-        Fault tolerance: when ``config.resilience`` is set, every backend
-        the factory produces is wrapped in a retrying, circuit-breaking
-        :class:`repro.storage.ResilientBackend`.  When the ``FLIX_FAULT_
-        PLAN`` / ``FAULT_PLAN`` environment variable names a fault plan
-        (CI's chaos job), a fault-injecting layer is inserted *under* the
-        resilient wrapper — and resilience is force-enabled so the injected
-        faults are actually absorbed.
+        Fault tolerance: with ``config.resilience`` set, a per-meta index
+        build that fails is retried, then rebuilt with the safe fallback
+        strategy, then left unindexed for the PEE's query-time BFS
+        (``docs/RESILIENCE.md``); without it the first failure propagates.
         """
         if config is None:
             config = FlixConfig.recommend_for(collection)
-        raw_backend_factory = backend_factory
-
         if workload is not None:
             config = workload.bias(config)
 
-        from repro.faults import plan_from_env
-
-        plan = plan_from_env()
-        if plan is not None and not plan.storage_is_noop:
-            # crash-only plans (crash_after_writes) target the WAL append
-            # path, not storage — they must not wrap every table
-            from repro.faults import FaultyFactory
-
-            backend_factory = FaultyFactory(backend_factory, plan)
-            if getattr(config, "resilience", None) is None:
-                config = config.with_resilience()
-        resilience = getattr(config, "resilience", None)
-        if resilience is not None:
-            from repro.storage.resilient import ResilientFactory
-
-            backend_factory = ResilientFactory(
-                backend_factory,
-                retry_policy=resilience.retry_policy(),
-                breaker_policy=resilience.breaker_policy(),
-            )
-
         obs = Observability(getattr(config, "observability", True))
         specs = MetaDocumentBuilder(collection, config).build_specs()
-        builder = IndexBuilder(collection, config, backend_factory, obs=obs)
+        builder = IndexBuilder(collection, config, obs=obs)
         meta_documents, meta_of, report = builder.build(specs, jobs=jobs)
         # the Index Builder's object indexes and their tables are the
         # build-time intermediate: swap in the packed forms (the only
@@ -390,8 +348,6 @@ class Flix:
             meta.finalize_links()
         flix = cls(collection, config, meta_documents, meta_of, report, obs=obs)
         flix._builder = builder
-        flix._backend_factory = backend_factory
-        flix._raw_backend_factory = raw_backend_factory
         if flix.obs.enabled:
             # rebind now that the builder (and its framework backend) is known
             flix._attach_storage_observers()
@@ -675,16 +631,10 @@ class Flix:
     def rebuild(
         self,
         config: Optional[FlixConfig] = None,
-        backend_factory: Optional[Callable[[], StorageBackend]] = None,
         jobs: Optional[int] = None,
         workload: Optional["WorkloadProfile"] = None,
     ) -> "Flix":
         """Run the build phase again (e.g. following tuning advice).
-
-        ``backend_factory`` defaults to the factory this instance was
-        built with (before fault/resilience wrapping, which ``build``
-        re-applies) — a sqlite-backed index rebuilds sqlite-backed
-        instead of silently migrating to memory.
 
         ``workload`` biases the rebuild's strategy selection toward the
         observed query mix — pass ``flix.monitor.profile()`` to close the
@@ -695,10 +645,8 @@ class Flix:
         results describe the old meta-document layout and must not survive
         a rebuild.
         """
-        if backend_factory is None:
-            backend_factory = self._raw_backend_factory
         return Flix.build(
-            self.collection, config or self.config, backend_factory,
+            self.collection, config or self.config,
             jobs=jobs, workload=workload,
         )
 
@@ -706,15 +654,18 @@ class Flix:
     # incremental maintenance (copy-on-write; see docs/MAINTENANCE.md)
     # ------------------------------------------------------------------
     def _build_index(self, strategy: str, graph: Digraph):
-        """Index one meta-document graph for a maintenance verb: a fresh
-        (observed) backend, the strategy's object build, the pack step."""
-        from repro.indexes.registry import build_index
+        """Index one meta-document graph for a maintenance verb: fresh
+        (observed) scratch tables, the strategy's object build, the pack
+        step."""
+        from repro.indexes.registry import (
+            IndexBuildRequest,
+            execute_build_request,
+        )
 
         tags = {node: self.collection.tag(node) for node in graph.nodes()}
-        backend = self._backend_factory()
-        if self.obs.enabled:
-            backend.attach_observer(self.obs.storage_instruments(backend))
-        return _packed(build_index(strategy, graph, tags, backend))
+        request = IndexBuildRequest(strategy=strategy, tags=tags)
+        index = execute_build_request(request, graph=graph, obs=self.obs)
+        return _packed(index)
 
     # ------------------------------------------------------------------
     # durability: the write-ahead mutation log (docs/DURABILITY.md)

@@ -16,14 +16,14 @@ fan them out over a worker pool (``jobs`` > 1).  Three execution modes
 exist, chosen by :attr:`repro.core.config.FlixConfig.build_executor`:
 
 * ``process`` — a ``concurrent.futures.ProcessPoolExecutor`` (the default
-  for the CPU-bound closure builds).  Tasks, config and the backend factory
-  are shipped via pickle; worker processes disable the cyclic garbage
+  for the CPU-bound closure builds).  Tasks, config and the selector are
+  shipped via pickle; worker processes disable the cyclic garbage
   collector (their allocations are overwhelmingly acyclic dict/list
   plumbing and the process exits after the build, so refcounting suffices
   — this alone is worth ~30% on allocation-heavy 2-hop builds).
 * ``thread`` — a ``ThreadPoolExecutor``; the automatic fallback whenever
-  the hand-off cannot be pickled (lambda backend factories, custom
-  selectors holding sockets, ...) or no process pool can be spawned.
+  the hand-off cannot be pickled (custom selectors holding sockets,
+  closures, ...) or no process pool can be spawned.
 * ``serial`` — the plain loop (``jobs=1``); also what ``auto`` degrades to
   when the OS grants the process a single CPU, where a pool would add
   IPC cost without parallel capacity.
@@ -43,7 +43,7 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.collection.collection import NodeId, XmlCollection
 from repro.core.config import FlixConfig
@@ -53,7 +53,7 @@ from repro.indexes.base import PathIndex
 from repro.indexes.registry import IndexBuildRequest, execute_build_request
 from repro.obs import OBS_OFF, Observability
 from repro.storage.memory import MemoryBackend
-from repro.storage.table import Column, StorageBackend, TableSchema
+from repro.storage.table import Column, TableSchema
 
 _LINKS_SCHEMA = TableSchema(
     name="flix_residual_links",
@@ -230,7 +230,6 @@ class _BuildResult:
 def _execute_task(
     task: _BuildTask,
     selector: IndexingStrategySelector,
-    backend_factory: Callable[[], StorageBackend],
     worker: str,
     obs: Optional[Observability] = None,
     resilience=None,
@@ -244,7 +243,7 @@ def _execute_task(
 
     ``resilience`` (a :class:`repro.core.config.ResilienceConfig`) turns
     build failures from fatal into absorbed: the selected strategy is
-    retried ``build_retry_attempts`` times on a fresh backend, then the
+    retried ``build_retry_attempts`` times on fresh scratch tables, then the
     safe ``build_fallback_strategy`` is tried, and if even that fails the
     meta document is returned *without* an index (the PEE answers it with
     its BFS fallback at query time).  Without ``resilience`` the first
@@ -269,7 +268,6 @@ def _execute_task(
     def attempt(strategy: str) -> PathIndex:
         return execute_build_request(
             IndexBuildRequest(strategy=strategy, tags=task.tags),
-            backend_factory,
             graph=graph,
             obs=obs,
         )
@@ -329,8 +327,8 @@ def _execute_task(
 
 
 #: per-process state installed by the pool initializer:
-#: (selector, factory, resilience)
-_WORKER_STATE: Optional[Tuple[IndexingStrategySelector, Callable, object]] = None
+#: (selector, resilience)
+_WORKER_STATE: Optional[Tuple[IndexingStrategySelector, object]] = None
 
 #: the shared build pool: ``(key, ProcessPoolExecutor)`` — forked workers
 #: are kept warm between builds so repeated builds (benchmark repeats,
@@ -345,7 +343,7 @@ def _shared_process_pool(payload: bytes, workers: int, context):
     Worker startup — fork, initializer pickle, gc tuning — used to be paid
     on every build, which on small corpora rivals the build itself.
     Builds with an identical hand-off reuse
-    the same forked workers; a different selector/factory/resilience or
+    the same forked workers; a different selector/resilience or
     worker count retires the old pool and forks a fresh one.
     """
     global _POOL_CACHE, _POOL_ATEXIT_REGISTERED
@@ -398,12 +396,10 @@ def _init_process_worker(payload: bytes) -> None:
 def _run_chunk_in_process(chunk: List[_BuildTask]) -> List[_BuildResult]:
     import gc
 
-    selector, backend_factory, resilience = _WORKER_STATE
+    selector, resilience = _WORKER_STATE
     worker = f"process-{os.getpid()}"
     results = [
-        _execute_task(
-            task, selector, backend_factory, worker, resilience=resilience
-        )
+        _execute_task(task, selector, worker, resilience=resilience)
         for task in chunk
     ]
     gc.collect()
@@ -417,18 +413,16 @@ class IndexBuilder:
         self,
         collection: XmlCollection,
         config: FlixConfig,
-        backend_factory: Callable[[], StorageBackend] = MemoryBackend,
         selector: Optional[IndexingStrategySelector] = None,
         obs: Optional[Observability] = None,
     ) -> None:
         self._collection = collection
         self._config = config
-        self._backend_factory = backend_factory
         self._selector = selector or IndexingStrategySelector(config)
         self._resilience = getattr(config, "resilience", None)
         self._obs = obs if obs is not None else OBS_OFF
         #: backend holding framework-level tables (the residual link table)
-        self.framework_backend = backend_factory()
+        self.framework_backend = MemoryBackend()
         if self._obs.enabled:
             self.framework_backend.attach_observer(
                 self._obs.storage_instruments(self.framework_backend)
@@ -589,10 +583,9 @@ class IndexBuilder:
     def _resolve_executor(self, jobs: int, task_count: int) -> str:
         """Pick the executor kind for this build.
 
-        ``process`` needs the whole hand-off — config, selector, backend
-        factory — to round-trip through pickle; anything unpicklable (a
-        lambda factory, a closure-based selector) degrades to ``thread``,
-        which shares the objects directly.
+        ``process`` needs the whole hand-off — config and selector — to
+        round-trip through pickle; anything unpicklable (a closure-based
+        selector) degrades to ``thread``, which shares the objects directly.
 
         ``auto`` also respects the CPU allowance: when the OS grants this
         process a single CPU (cgroup limits, taskset), a worker pool adds
@@ -608,7 +601,7 @@ class IndexBuilder:
         if requested == "auto" and _available_cpus() <= 1:
             return "serial"
         try:
-            pickle.dumps((self._config, self._selector, self._backend_factory))
+            pickle.dumps((self._config, self._selector))
         except Exception:
             return "thread"
         return "process"
@@ -643,8 +636,8 @@ class IndexBuilder:
             stamped = _restamp(task)
             results.append(
                 _execute_task(
-                    stamped, self._selector, self._backend_factory, "main",
-                    obs, resilience=self._resilience,
+                    stamped, self._selector, "main", obs,
+                    resilience=self._resilience,
                 )
             )
         return results
@@ -656,14 +649,13 @@ class IndexBuilder:
         import threading
 
         selector = self._selector
-        factory = self._backend_factory
         obs = self._obs if self._obs.enabled else None
         resilience = self._resilience
 
         def run_one(task: _BuildTask) -> _BuildResult:
             worker = f"thread-{threading.current_thread().name}"
             return _execute_task(
-                task, selector, factory, worker, obs, resilience=resilience
+                task, selector, worker, obs, resilience=resilience
             )
 
         with ThreadPoolExecutor(
@@ -683,9 +675,7 @@ class IndexBuilder:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
             context = multiprocessing.get_context()
-        payload = pickle.dumps(
-            (self._selector, self._backend_factory, self._resilience)
-        )
+        payload = pickle.dumps((self._selector, self._resilience))
         # More workers than granted CPUs only oversubscribes the scheduler;
         # chunking follows the worker count that will actually run.
         workers = max(1, min(jobs, _available_cpus()))

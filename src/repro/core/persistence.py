@@ -519,9 +519,7 @@ def _build_meta_index(
     graph = spec.build_graph()
     tags = {node: collection.tag(node) for node in spec.nodes}
     return execute_build_request(
-        IndexBuildRequest(strategy=strategy, tags=tags),
-        MemoryBackend,
-        graph=graph,
+        IndexBuildRequest(strategy=strategy, tags=tags), graph=graph
     )
 
 
@@ -594,7 +592,9 @@ def load_flix(collection: XmlCollection, directory, verify: bool = True) -> Flix
 
     config = _config_from_manifest(manifest["config"])
 
-    tags = {node: collection.tag(node) for node in collection.node_ids()}
+    # the all-nodes tag map only a table-format entry reads; made on the
+    # first one, so an all-packed load never walks the collection's tags
+    tags: Optional[Dict[int, str]] = None
     loaders = _loaders()
     meta_of: Dict[int, int] = {}
     report = BuildReport(config_name=config.name)
@@ -639,6 +639,11 @@ def load_flix(collection: XmlCollection, directory, verify: bool = True) -> Flix
         else:
             # no blob on disk (``transitive_closure``, or a save older
             # than universal packing): deserialize, then pack in memory
+            if tags is None:
+                tags = {
+                    node: collection.tag(node)
+                    for node in collection.node_ids()
+                }
             backend = SqliteBackend.attach(
                 str(root / f"meta_{meta_id:04d}.sqlite")
             )
@@ -672,9 +677,8 @@ def load_flix(collection: XmlCollection, directory, verify: bool = True) -> Flix
     # replay, docs/DURABILITY.md) would dirty it in place and break the
     # manifest checksums the next load verifies.  save_flix rewrites
     # framework.sqlite from this live copy at the next checkpoint.
-    builder = IndexBuilder(collection, config, SqliteBackend)
+    builder = IndexBuilder(collection, config)
     snapshot_links = SqliteBackend.attach(str(root / "framework.sqlite"))
-    builder.framework_backend = MemoryBackend()
     _copy_tables(snapshot_links, builder.framework_backend)
     snapshot_links.close()
     residual = 0
@@ -694,8 +698,6 @@ def load_flix(collection: XmlCollection, directory, verify: bool = True) -> Flix
 
     flix = Flix(collection, config, slots, meta_of, report)
     flix._builder = builder
-    flix._backend_factory = SqliteBackend
-    flix._raw_backend_factory = SqliteBackend
     if tombstones or generation or incremental:
         from repro.core.layout import IndexLayout
 

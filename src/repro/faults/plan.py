@@ -1,16 +1,19 @@
 """Fault plans: declarative, seedable descriptions of injected failures.
 
 A :class:`FaultPlan` says *what* goes wrong and *how often*; the injector
-(:mod:`repro.faults.injector`) applies it to storage tables or index
-probes.  Everything is driven by a seeded PRNG keyed on the plan's seed
-plus the injection site's name, so two runs with the same plan see the
-same faults at the same operations — which is what makes robustness
-behavior assertable in tests instead of merely hoped for.
+(:mod:`repro.faults.injector`) applies it to index probes, the WAL
+(:mod:`repro.wal.log`) to its appends.  Everything is driven by a seeded
+PRNG keyed on the plan's seed plus the injection site's name, so two runs
+with the same plan see the same faults at the same operations — which is
+what makes robustness behavior assertable in tests instead of merely
+hoped for.
 
 Plans can be written in a compact ``key=value`` spec string (the
-``FAULT_PLAN`` environment variable CI's chaos job sets)::
+``FAULT_PLAN`` environment variable CI's crash-chaos job sets, read by
+the WAL tests through :func:`plan_from_env` — production code reads no
+environment variable)::
 
-    FAULT_PLAN="read_error_rate=0.2,read_latency_rate=0.05,seed=7"
+    FAULT_PLAN="crash_after_writes=3,torn_write_bytes=11"
 """
 
 from __future__ import annotations
@@ -32,21 +35,17 @@ class FaultPlan:
     fail-N-times-then-succeed shape retry logic is tested against.
     ``break_after`` is the inverse: the site works for its first N
     operations, then fails *every* later one (a hard failure appearing
-    mid-run, e.g. a disk dying after the build) — the shape circuit
-    breakers and graceful degradation are tested against.
+    mid-run, e.g. a disk dying after the build) — the shape graceful
+    degradation is tested against.
     """
 
     seed: int = 0
-    #: probability that a read (scan / scan_eq / index probe) fails
+    #: probability that a read (an index probe) fails
     read_error_rate: float = 0.0
-    #: probability that a write (insert / insert_many) fails
-    write_error_rate: float = 0.0
     #: probability that a read is delayed by ``latency_seconds``
     read_latency_rate: float = 0.0
     #: injected delay for latency spikes (seconds)
     latency_seconds: float = 0.001
-    #: probability that a read returns corrupted rows (int values bit-flipped)
-    corrupt_rate: float = 0.0
     #: the first N operations per site fail transiently, then succeed
     fail_first: int = 0
     #: operations after the first N fail permanently (None = never)
@@ -58,16 +57,11 @@ class FaultPlan:
     #: crash (None = half the record) — the crash-point matrix tests
     #: sweep this through every offset of a record
     torn_write_bytes: Optional[int] = None
-    #: restrict injection to these table/site names (None = everywhere)
+    #: restrict injection to these site names (None = everywhere)
     tables: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        for name in (
-            "read_error_rate",
-            "write_error_rate",
-            "read_latency_rate",
-            "corrupt_rate",
-        ):
+        for name in ("read_error_rate", "read_latency_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
@@ -85,31 +79,19 @@ class FaultPlan:
     @property
     def is_noop(self) -> bool:
         """True when the plan injects nothing at all."""
-        return self.storage_is_noop and self.crash_after_writes is None
-
-    @property
-    def storage_is_noop(self) -> bool:
-        """True when the plan injects nothing into *storage* operations.
-
-        A crash-only plan (``crash_after_writes`` set, everything else
-        default) targets the WAL append path, not the storage backend —
-        ``Flix.build`` consults this so such a plan does not wrap every
-        table in a :class:`~repro.faults.injector.FaultyFactory`.
-        """
         return (
             self.read_error_rate == 0.0
-            and self.write_error_rate == 0.0
             and self.read_latency_rate == 0.0
-            and self.corrupt_rate == 0.0
             and self.fail_first == 0
             and self.break_after is None
+            and self.crash_after_writes is None
         )
 
     def applies_to(self, site: str) -> bool:
         return self.tables is None or site in self.tables
 
     def restricted_to(self, *tables: str) -> "FaultPlan":
-        """The same plan, limited to the named tables/sites."""
+        """The same plan, limited to the named sites."""
         return replace(self, tables=tuple(tables))
 
     # ------------------------------------------------------------------
@@ -117,7 +99,7 @@ class FaultPlan:
     # ------------------------------------------------------------------
     @classmethod
     def moderate(cls, seed: int = 0) -> "FaultPlan":
-        """CI's chaos plan: 20% transient read failures + latency spikes."""
+        """20% transient read failures + latency spikes."""
         return cls(
             seed=seed,
             read_error_rate=0.2,
@@ -127,8 +109,8 @@ class FaultPlan:
 
     @classmethod
     def hard_failure(cls, seed: int = 0) -> "FaultPlan":
-        """Every operation fails — a dead backend."""
-        return cls(seed=seed, read_error_rate=1.0, write_error_rate=1.0)
+        """Every probe fails — a dead index."""
+        return cls(seed=seed, read_error_rate=1.0)
 
     # ------------------------------------------------------------------
     # spec strings

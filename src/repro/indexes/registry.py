@@ -8,7 +8,7 @@ Strategy Selector picks among whatever is registered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Type
+from typing import Dict, List, Mapping, Optional, Tuple, Type
 
 from repro.graph.digraph import Digraph
 from repro.indexes.apex import ApexIndex
@@ -19,6 +19,7 @@ from repro.indexes.hopi import HopiIndex
 from repro.indexes.kindex import ForwardBackwardIndex, KBisimulationIndex
 from repro.indexes.ppo import PpoIndex
 from repro.indexes.transitive import TransitiveClosureIndex
+from repro.storage.memory import MemoryBackend
 from repro.storage.table import StorageBackend
 
 _REGISTRY: Dict[str, Type[PathIndex]] = {}
@@ -99,11 +100,11 @@ class IndexBuildRequest:
 
 def execute_build_request(
     request: IndexBuildRequest,
-    backend_factory: Callable[[], StorageBackend],
     graph: Optional[Digraph] = None,
     obs=None,
 ) -> PathIndex:
-    """Run one :class:`IndexBuildRequest` against a fresh backend.
+    """Run one :class:`IndexBuildRequest` against fresh in-memory scratch
+    tables (``docs/DATA_LAYOUT.md``: the pack step drops them).
 
     ``graph`` short-circuits the rebuild from primitives when the caller
     already materialized it (the IB's workers do, for strategy selection).
@@ -113,7 +114,7 @@ def execute_build_request(
     """
     if graph is None:
         graph = request.to_graph()
-    backend = backend_factory()
+    backend = MemoryBackend()
     if obs is not None and obs.enabled:
         backend.attach_observer(obs.storage_instruments(backend))
     return strategy_class(request.strategy).build(graph, request.tags, backend)

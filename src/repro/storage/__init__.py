@@ -6,10 +6,12 @@ with a small table abstraction and two backends:
 
 * :class:`repro.storage.memory.MemoryBackend` — rows in RAM with
   byte-accurate size accounting (ints 8 bytes, floats 8 bytes, strings UTF-8
-  length + 4-byte length prefix), used by default and by every benchmark;
+  length + 4-byte length prefix): the scratch every ``Flix`` build and
+  maintenance verb writes its object-build tables to, and every benchmark;
 * :class:`repro.storage.sqlite_backend.SqliteBackend` — a real on-disk (or
   in-memory) SQLite database, demonstrating that all indexes serialize
-  cleanly through SQL tables.
+  cleanly through SQL tables; inside ``repro`` only
+  :mod:`repro.core.persistence` opens one.
 
 All index structures persist themselves through this layer, so Table 1's
 relative sizes are apples-to-apples across strategies.
@@ -17,21 +19,12 @@ relative sizes are apples-to-apples across strategies.
 
 from repro.storage.table import Column, Table, TableSchema, StorageBackend
 from repro.storage.errors import (
-    CircuitOpenError,
     CorruptionError,
     PermanentStorageError,
     StorageError,
     TransientStorageError,
 )
 from repro.storage.memory import MemoryBackend
-from repro.storage.resilient import (
-    BreakerPolicy,
-    CircuitBreaker,
-    ResilientBackend,
-    ResilientFactory,
-    ResilientTable,
-    RetryPolicy,
-)
 from repro.storage.sqlite_backend import SqliteBackend
 from repro.storage.sizing import format_bytes, row_bytes
 
@@ -46,13 +39,6 @@ __all__ = [
     "TransientStorageError",
     "PermanentStorageError",
     "CorruptionError",
-    "CircuitOpenError",
-    "RetryPolicy",
-    "BreakerPolicy",
-    "CircuitBreaker",
-    "ResilientBackend",
-    "ResilientFactory",
-    "ResilientTable",
     "row_bytes",
     "format_bytes",
 ]

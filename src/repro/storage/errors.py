@@ -1,22 +1,16 @@
-"""Typed storage errors: the stable contract the resilience layer retries on.
+"""Typed storage errors: the stable contract callers of the storage API
+catch on.
 
-The paper targets web-scale collections whose storage is inherently
-unreliable; surviving that needs a *classification* of failures, not just an
-exception.  Every backend maps its native errors into this hierarchy so the
-retry layer (:mod:`repro.storage.resilient`) can decide mechanically:
+Every backend maps its native errors into this hierarchy, so a caller
+decides by class rather than by message:
 
-* :class:`TransientStorageError` — worth retrying (lock contention, injected
-  flakiness, I/O hiccups).  Retry with backoff; repeated transients trip the
-  per-table circuit breaker.
+* :class:`TransientStorageError` — may succeed on retry (lock contention,
+  I/O hiccups).
 * :class:`PermanentStorageError` — retrying cannot help (schema violations,
-  misuse, missing tables).  Propagated immediately.
+  misuse, missing tables).
 * :class:`CorruptionError` — the stored bytes are damaged (malformed
-  database image, checksum mismatch).  Propagated immediately; the repair
-  path (:func:`repro.core.persistence.repair_flix`) is the cure.
-* :class:`CircuitOpenError` — raised *by the resilience layer itself* when a
-  table's breaker is open: calls fail fast instead of hammering a backend
-  that has been failing persistently.  Query-side callers treat it like any
-  other :class:`StorageError` and degrade.
+  database image, checksum mismatch); the repair path
+  (:func:`repro.core.persistence.repair_flix`) is the cure.
 
 Raw backend exceptions (``sqlite3.OperationalError``, ...) must not leak to
 callers of the storage API; the SQLite backend converts them at every
@@ -40,22 +34,6 @@ class PermanentStorageError(StorageError):
 
 class CorruptionError(StorageError):
     """The stored data itself is damaged (malformed image, bad checksum)."""
-
-
-class CircuitOpenError(StorageError):
-    """Fail-fast signal: the table's circuit breaker is open.
-
-    Carries ``table`` (the protected table's name) and ``retry_after``
-    (seconds until the breaker next admits a probe call).
-    """
-
-    def __init__(self, table: str, retry_after: float) -> None:
-        super().__init__(
-            f"circuit breaker for table {table!r} is open; "
-            f"next probe in {retry_after:.3f}s"
-        )
-        self.table = table
-        self.retry_after = retry_after
 
 
 #: sqlite3.OperationalError messages that indicate a retryable condition

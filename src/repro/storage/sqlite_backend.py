@@ -23,8 +23,7 @@ _SQL_TYPES = {"int": "INTEGER", "float": "REAL", "str": "TEXT"}
 def _mapped():
     """Convert raw sqlite3 exceptions into the typed StorageError hierarchy.
 
-    Every public entry point runs under this guard so callers — above all
-    the retry layer in :mod:`repro.storage.resilient` — see a stable
+    Every public entry point runs under this guard so callers see a stable
     contract (:class:`repro.storage.errors.TransientStorageError` for
     lock/busy/I-O conditions, :class:`~repro.storage.errors.CorruptionError`
     for malformed images, permanent otherwise) instead of backend-specific

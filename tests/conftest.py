@@ -144,16 +144,40 @@ def _response_signature(response) -> str:
 
 
 # ----------------------------------------------------------------------
-# storage backends under wrappers; old save formats (migration tests)
+# failing index builds; old save formats (migration tests)
 # ----------------------------------------------------------------------
 
 
-def innermost_backend(backend):
-    """The raw store under whatever resilience / fault wrappers the
-    environment's fault plan (CI's chaos job) put around ``backend``."""
-    while hasattr(backend, "_inner"):
-        backend = backend._inner
-    return backend
+@pytest.fixture()
+def break_build(monkeypatch):
+    """``break_build(index_class, first=None)`` makes ``index_class.build``
+    raise ``TransientStorageError`` — on every call, or on its first
+    ``first`` calls only: a failure injected where a build can fail, at
+    the strategy.  Process-pool workers forked after the patch inherit
+    it."""
+    import itertools
+
+    from repro.core.ib import shutdown_build_pool
+    from repro.storage.errors import TransientStorageError
+
+    def install(index_class, first=None):
+        real = index_class.build
+        calls = itertools.count()
+
+        def build(cls, graph, tags, backend):
+            if first is None or next(calls) < first:
+                raise TransientStorageError(
+                    f"injected {cls.strategy_name} build failure"
+                )
+            return real(graph, tags, backend)
+
+        monkeypatch.setattr(index_class, "build", classmethod(build))
+        # a warm pool forked before the patch builds with the real class
+        shutdown_build_pool()
+
+    yield install
+    # ... and one forked after it would outlive the patch
+    shutdown_build_pool()
 
 
 def write_table_twins(collection, directory) -> List[str]:

@@ -8,7 +8,7 @@ from repro.core.api import QueryRequest
 from repro.core.config import CacheConfig, FlixConfig
 from repro.core.framework import Flix
 from repro.graph.closure import transitive_closure
-from tests.conftest import innermost_backend
+from repro.storage.errors import TransientStorageError
 
 
 def doc(name, text):
@@ -103,11 +103,12 @@ class TestRegisterDocumentRetryLoop:
 
 
 class TestAddDocumentRollback:
-    def test_failed_index_build_rolls_back_collection(self, base_collection):
+    def test_failed_index_build_rolls_back_collection(
+        self, base_collection, break_build
+    ):
         """``add_document`` must be atomic: an index-build failure leaves
         no trace in the collection graph or the dangling-link list."""
-        from repro.faults import FaultPlan, FaultyFactory
-        from repro.storage.memory import MemoryBackend
+        from repro.indexes.ppo import PpoIndex
 
         flix = Flix.build(base_collection, FlixConfig.naive())
         docs_before = set(base_collection.documents)
@@ -116,10 +117,8 @@ class TestAddDocumentRollback:
         unresolved_before = list(base_collection.unresolved_links)
         fingerprint_before = flix.index_fingerprint()
 
-        flix._backend_factory = FaultyFactory(
-            MemoryBackend, FaultPlan(write_error_rate=1.0)
-        )
-        with pytest.raises(Exception):
+        break_build(PpoIndex, first=1)
+        with pytest.raises(TransientStorageError):
             flix.add_document(
                 # future.xml also satisfies c.xml's dangling link, so the
                 # rollback must re-dangle it too
@@ -133,40 +132,9 @@ class TestAddDocumentRollback:
         assert flix.layout_generation == 0
 
         # the instance stays fully usable once the fault clears
-        flix._backend_factory = MemoryBackend
         flix.add_document(doc("future.xml", "<doc><p>future</p></doc>"))
         assert base_collection.unresolved_links == []
         flix.self_check()
-
-
-def table_storage(flix):
-    """The raw backend the build's factory produces, as seen on the tables
-    that outlive the build (a packed index keeps none: the residual-link
-    table)."""
-    return innermost_backend(flix._builder.framework_backend)
-
-
-class TestRebuildBackendFactory:
-    def test_rebuild_defaults_to_original_factory(
-        self, base_collection, tmp_path
-    ):
-        """A sqlite-backed index must not silently migrate to memory
-        backends on ``rebuild()``."""
-        from repro.storage.sqlite_backend import SqliteBackend
-
-        flix = Flix.build(base_collection, FlixConfig.naive())
-        flix.save(tmp_path)
-        loaded = Flix.load(base_collection, tmp_path)
-        rebuilt = loaded.rebuild()
-        assert type(table_storage(rebuilt)).__name__ == "SqliteBackend"
-        assert rebuilt._raw_backend_factory is SqliteBackend
-
-    def test_explicit_factory_still_wins(self, base_collection):
-        from repro.storage.memory import MemoryBackend
-
-        flix = Flix.build(base_collection, FlixConfig.naive())
-        rebuilt = flix.rebuild(backend_factory=MemoryBackend)
-        assert type(table_storage(rebuilt)).__name__ == "MemoryBackend"
 
 
 class TestFlixAddDocument:

@@ -1,12 +1,11 @@
 """Every index is built by one pipeline: whichever MDB strategy chose the
-specs, ``Flix.build`` applies the same backend factory, fault/resilience
-wrapping, observability bundle and builder wiring — so ``rebuild()``,
-maintenance and persistence behave alike for all six presets."""
+specs, ``Flix.build`` applies the same in-memory scratch tables,
+observability bundle and builder wiring — so ``rebuild()``, maintenance
+and persistence behave alike for all six presets."""
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 
 import pytest
@@ -15,7 +14,6 @@ from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.core.persistence import MANIFEST_NAME
 from repro.indexes.packed import is_packed
-from repro.storage.sqlite_backend import SqliteBackend
 
 PRESETS = {
     "naive": FlixConfig.naive,
@@ -25,7 +23,7 @@ PRESETS = {
     "monolithic": lambda: FlixConfig.monolithic("hopi"),
     "auto_subcollections": FlixConfig.auto_subcollections,
     # not a preset: the one layout whose index keeps its tables after the
-    # build (no packed form), so the factory's product stays inspectable
+    # build (no packed form)
     "unpackable": lambda: FlixConfig.monolithic("transitive_closure"),
 }
 
@@ -33,77 +31,58 @@ PRESETS = {
 FORMERLY_FORKED = ("monolithic", "auto_subcollections")
 
 
-@pytest.fixture()
-def sqlite_factory(tmp_path):
-    counter = itertools.count()
-    return lambda: SqliteBackend(str(tmp_path / f"t{next(counter)}.sqlite"))
-
-
-def _backend_chain(backend):
-    """Class names from a backend down to the raw store, through each
-    wrapper's inner."""
-    chain = []
-    while backend is not None:
-        chain.append(type(backend).__name__)
-        backend = getattr(backend, "_inner", None)
-    return chain
-
-
-def _all_chains(flix):
-    """The chain of every backend that outlives the build: the framework
+def _surviving_backends(flix):
+    """Class names of the backends that outlive the build: the framework
     tables, and the index tables of a strategy with no packed form (a
-    packed index keeps none).  Each is a product of the one factory the
-    per-meta builds drew from."""
-    chains = [
-        _backend_chain(m.index.backend)
+    packed index keeps none)."""
+    names = [
+        type(m.index.backend).__name__
         for m in flix.meta_documents
         if m.index.backend is not None
     ]
-    chains.append(_backend_chain(flix._builder.framework_backend))
-    return chains
+    names.append(type(flix._builder.framework_backend).__name__)
+    return names
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_rebuild_is_identical_and_stays_on_its_backend(
-    preset, figure1_collection, sqlite_factory, monkeypatch
+    preset, figure1_collection, tmp_path
 ):
-    # wrapping is checked below; pin the chaos job's injection off here
-    monkeypatch.setenv("FLIX_FAULT_PLAN", "off")
-    flix = Flix.build(figure1_collection, PRESETS[preset](), sqlite_factory)
-    rebuilt = flix.rebuild()
-    assert [m.strategy for m in rebuilt.meta_documents] == [
-        m.strategy for m in flix.meta_documents
-    ]
-    assert rebuilt.index_fingerprint() == flix.index_fingerprint()
-    assert rebuilt.config == flix.config
-    for built in (flix, rebuilt):
-        assert all(c == ["SqliteBackend"] for c in _all_chains(built))
+    """Built, rebuilt, loaded and loaded-then-rebuilt instances are the
+    same index, and what a rebuild keeps is in memory wherever the
+    instance came from."""
+    flix = Flix.build(figure1_collection, PRESETS[preset]())
+    flix.save(tmp_path)
+    loaded = Flix.load(figure1_collection, tmp_path)
+    for other in (flix.rebuild(), loaded, loaded.rebuild()):
+        assert [m.strategy for m in other.meta_documents] == [
+            m.strategy for m in flix.meta_documents
+        ]
+        assert other.index_fingerprint() == flix.index_fingerprint()
+        assert other.config == flix.config
+    for built in (flix, flix.rebuild(), loaded.rebuild()):
         # the framework tables, plus the index tables where they outlive
         # the build
-        assert len(_all_chains(built)) == 1 + (preset == "unpackable")
+        assert _surviving_backends(built) == ["MemoryBackend"] * (
+            1 + (preset == "unpackable")
+        )
 
 
 @pytest.mark.parametrize("preset", FORMERLY_FORKED + ("unpackable",))
-def test_resilience_and_fault_plan_wrap_every_table(
+def test_environment_does_not_edit_the_build(
     preset, figure1_collection, monkeypatch
 ):
-    monkeypatch.setenv("FLIX_FAULT_PLAN", "off")
-    resilient = Flix.build(
-        figure1_collection, PRESETS[preset]().with_resilience()
-    )
-    assert all(
-        c == ["ResilientBackend", "MemoryBackend"]
-        for c in _all_chains(resilient)
-    )
-    # the chaos job's plan injects under the resilient wrapper, and
-    # force-enables resilience so the faults are absorbed
+    """A fault plan in the environment is the WAL crash tests' business
+    (``repro.faults.plan_from_env``); ``Flix.build`` reads none."""
+    config = PRESETS[preset]()
+    unset = Flix.build(figure1_collection, config)
     monkeypatch.setenv("FLIX_FAULT_PLAN", "moderate")
-    chaotic = Flix.build(figure1_collection, PRESETS[preset]())
-    assert chaotic.config.resilience is not None
-    assert all(
-        c == ["ResilientBackend", "FaultyBackend", "MemoryBackend"]
-        for c in _all_chains(chaotic)
-    )
+    monkeypatch.setenv("FAULT_PLAN", "read_error_rate=1.0")
+    built = Flix.build(figure1_collection, config)
+    assert built.config == config
+    assert built.config.resilience is None
+    assert built.index_fingerprint() == unset.index_fingerprint()
+    assert _surviving_backends(built) == _surviving_backends(unset)
 
 
 @pytest.mark.parametrize("preset", FORMERLY_FORKED)
@@ -214,3 +193,34 @@ def test_manifest_without_similarity_threshold_loads(
     manifest_path.write_text(json.dumps(manifest))
     loaded = Flix.load(figure1_collection, tmp_path)
     assert loaded.config.similarity_threshold == 0.75
+
+
+def test_manifest_with_removed_resilience_keys_loads(
+    figure1_collection, tmp_path
+):
+    """Saves written while ``ResilienceConfig`` carried the storage retry
+    and circuit-breaker knobs load, keep the surviving fields, and
+    re-save without the removed ones."""
+    config = FlixConfig.naive().with_resilience(
+        max_link_hops=1000, build_retry_attempts=2
+    )
+    Flix.build(figure1_collection, config).save(tmp_path)
+    manifest_path = tmp_path / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    surviving = dict(manifest["config"]["resilience"])
+    assert len(surviving) == 6
+    manifest["config"]["resilience"].update(
+        max_attempts=4,
+        backoff_base_seconds=0.002,
+        backoff_max_seconds=0.25,
+        backoff_jitter=0.5,
+        retry_seed=0,
+        breaker_failure_threshold=5,
+        breaker_reset_seconds=30.0,
+    )
+    manifest_path.write_text(json.dumps(manifest))
+    loaded = Flix.load(figure1_collection, tmp_path)
+    assert loaded.config == config
+    loaded.save(tmp_path)
+    resaved = json.loads(manifest_path.read_text())
+    assert resaved["config"]["resilience"] == surviving

@@ -15,9 +15,9 @@ import pytest
 from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
-from repro.core.ib import BuildProfile, IndexBuilder, _available_cpus
+from repro.core.ib import BuildProfile, IndexBuilder
 from repro.core.mdb import MetaDocumentBuilder
-from repro.storage.memory import MemoryBackend
+from repro.indexes.packed import packed_clone
 
 
 def _process_config(partition_size: int = 60) -> FlixConfig:
@@ -95,23 +95,25 @@ class TestParity:
 
 
 class TestThreadFallback:
-    def test_unpicklable_factory_degrades_to_thread(
+    def test_unpicklable_handoff_degrades_to_thread(
         self, sequential, figure1_collection
     ):
-        """A lambda backend factory cannot cross a process boundary; the
-        builder must degrade to threads and still produce the same index."""
-        flix = Flix.build(
-            figure1_collection,
-            FlixConfig.unconnected_hopi(60),
-            backend_factory=lambda: MemoryBackend(),
-            jobs=4,
-        )
-        if _available_cpus() <= 1:
-            assert flix.report.executor == "serial"
-        else:
-            assert flix.report.executor == "thread"
-        assert flix.meta_of == sequential.meta_of
-        assert flix.index_fingerprint() == sequential.index_fingerprint()
+        """A selector holding a closure cannot cross a process boundary;
+        the builder must degrade to threads and still produce the same
+        index."""
+        from repro.core.iss import IndexingStrategySelector
+
+        config = _process_config()
+        selector = IndexingStrategySelector(config)
+        selector.audit = lambda choice: None
+        builder = IndexBuilder(figure1_collection, config, selector=selector)
+        specs = MetaDocumentBuilder(figure1_collection, config).build_specs()
+        metas, meta_of, report = builder.build(specs, jobs=4)
+        assert report.executor == "thread"
+        assert meta_of == sequential.meta_of
+        assert [packed_clone(m.index).fingerprint() for m in metas] == [
+            m.index.fingerprint() for m in sequential.meta_documents
+        ]
 
     def test_explicit_thread_executor(self, sequential, figure1_collection):
         config = dataclasses.replace(

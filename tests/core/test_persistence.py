@@ -20,7 +20,7 @@ from repro.datasets.dblp import DblpSpec, generate_dblp
 from repro.graph.closure import transitive_closure
 from repro.indexes.packed import is_packed
 from repro.storage.memory import MemoryBackend
-from tests.conftest import innermost_backend, write_table_twins
+from tests.conftest import write_table_twins
 
 
 @pytest.mark.parametrize(
@@ -125,26 +125,29 @@ class TestOneCopy:
     """The blob is the index: one copy of every meta document, in memory
     and on disk (``docs/DATA_LAYOUT.md``)."""
 
-    def test_build_drops_the_build_time_tables(self, figure1_collection):
+    def test_build_drops_the_build_time_tables(
+        self, figure1_collection, monkeypatch
+    ):
         """No packed index holds on to a storage backend: after the build
         only the framework tables (and an unpackable meta's) are alive."""
         produced = []
+        init = MemoryBackend.__init__
 
-        def factory():
-            backend = MemoryBackend()
+        def recording(backend):
+            init(backend)
             produced.append(weakref.ref(backend))
-            return backend
 
-        flix = Flix.build(figure1_collection, FlixConfig.hybrid(60), factory)
+        monkeypatch.setattr(MemoryBackend, "__init__", recording)
+        flix = Flix.build(figure1_collection, FlixConfig.hybrid(60))
         assert len(produced) > len(flix.meta_documents)  # one each + framework
         assert all(meta.index.backend is None for meta in flix.meta_documents
                    if is_packed(meta.index))
         gc.collect()
         alive = {id(ref()) for ref in produced if ref() is not None}
-        assert alive == {id(innermost_backend(flix._builder.framework_backend))} | {
-            id(innermost_backend(meta.index.backend))
+        assert alive == {id(flix._builder.framework_backend)} | {
+            id(meta.index.backend)
             for meta in flix.meta_documents
-            if not is_packed(meta.index)  # the chaos job's fallbacks
+            if not is_packed(meta.index)
         }
 
     @pytest.mark.parametrize("twins", ["deleted", "corrupted", "intact"])
@@ -208,8 +211,15 @@ class TestOneCopy:
             return attach(cls, path)
 
         monkeypatch.setattr(SqliteBackend, "attach", classmethod(counting))
+        # ... and never builds the all-nodes tag map only a table-format
+        # entry reads
+        tag_calls = []
+        monkeypatch.setattr(
+            figure1_collection, "tag", lambda node: tag_calls.append(node)
+        )
         load_flix(figure1_collection, tmp_path, verify=False)
         assert opened == ["framework.sqlite"]
+        assert tag_calls == []
         del opened[:]
         load_flix(figure1_collection, tmp_path)  # + the verification pass
         assert opened == ["framework.sqlite"] * 2

@@ -1,169 +1,104 @@
-"""Tests for fault injection at the storage and index layers."""
+"""Tests for probe-level fault injection (``FaultSite`` / ``FaultyIndex``)."""
 
 import pytest
 
-from repro.faults import FaultPlan, FaultyBackend, FaultyFactory, FaultyIndex
+from repro.faults import FaultPlan, FaultSite, FaultyIndex
+from repro.graph.digraph import Digraph
+from repro.indexes.transitive import TransitiveClosureIndex
 from repro.storage.errors import (
     PermanentStorageError,
     TransientStorageError,
 )
 from repro.storage.memory import MemoryBackend
-from repro.storage.table import Column, TableSchema
-
-SCHEMA = TableSchema(name="t", columns=(Column("a", "int"), Column("b", "str")))
 
 
-def make_table(plan: FaultPlan):
-    backend = FaultyBackend(MemoryBackend(), plan)
-    return backend, backend.create_table(SCHEMA)
+def make_index(plan: FaultPlan, site_name: str = "index") -> FaultyIndex:
+    """The 0 -> 1 -> 2 chain behind a fault proxy."""
+    index = TransitiveClosureIndex.build(
+        Digraph([(0, 1), (1, 2)]), {0: "a", 1: "b", 2: "c"}, MemoryBackend()
+    )
+    return FaultyIndex(index, plan, site_name)
+
+
+def outcomes(faulty: FaultyIndex, probes: int = 200):
+    out = []
+    for _ in range(probes):
+        try:
+            out.append(faulty.reachable(0, 2))
+        except TransientStorageError:
+            out.append(None)
+    return out
 
 
 class TestDeterminism:
-    def fault_signature(self, plan, operations=200):
-        backend, table = make_table(plan)
-        table_ok = []
-        for i in range(operations):
-            try:
-                table.insert((i, "x"))
-                table_ok.append(("w", i, True))
-            except TransientStorageError:
-                table_ok.append(("w", i, False))
-            try:
-                list(table.scan())
-                table_ok.append(("r", i, True))
-            except TransientStorageError:
-                table_ok.append(("r", i, False))
-        return table_ok
-
     def test_same_seed_same_faults(self):
-        plan = FaultPlan(seed=3, read_error_rate=0.3, write_error_rate=0.3)
-        assert self.fault_signature(plan) == self.fault_signature(plan)
+        plan = FaultPlan(seed=3, read_error_rate=0.3)
+        signature = outcomes(make_index(plan))
+        assert signature == outcomes(make_index(plan))
+        assert None in signature and True in signature
 
     def test_different_seed_different_faults(self):
-        a = FaultPlan(seed=1, read_error_rate=0.3, write_error_rate=0.3)
-        b = FaultPlan(seed=2, read_error_rate=0.3, write_error_rate=0.3)
-        assert self.fault_signature(a) != self.fault_signature(b)
+        a = FaultPlan(seed=1, read_error_rate=0.3)
+        b = FaultPlan(seed=2, read_error_rate=0.3)
+        assert outcomes(make_index(a)) != outcomes(make_index(b))
 
     def test_sites_are_independent(self):
         plan = FaultPlan(seed=0, read_error_rate=0.5)
-        backend = FaultyBackend(MemoryBackend(), plan)
-        t1 = backend.create_table(SCHEMA)
-        other = TableSchema(name="u", columns=(Column("a", "int"),))
-        t2 = backend.create_table(other)
-        # drawing faults on one site must not consume the other's sequence
-        for _ in range(20):
-            try:
-                list(t1.scan())
-            except TransientStorageError:
-                pass
-        solo_backend = FaultyBackend(MemoryBackend(), plan)
-        solo = solo_backend.create_table(other)
-
-        def outcomes(table):
-            out = []
-            for _ in range(20):
-                try:
-                    list(table.scan())
-                    out.append(True)
-                except TransientStorageError:
-                    out.append(False)
-            return out
-
-        assert outcomes(t2) == outcomes(solo)
+        first, second = make_index(plan, "t"), make_index(plan, "u")
+        # drawing faults on one site must not consume the other's
+        # sequence, and each site's sequence is its own
+        drawn = outcomes(first, 20)
+        assert outcomes(second, 20) == outcomes(make_index(plan, "u"), 20)
+        assert drawn != outcomes(make_index(plan, "u"), 20)
 
 
 class TestFaultShapes:
     def test_fail_first_then_succeed(self):
-        _, table = make_table(FaultPlan(fail_first=3))
+        faulty = make_index(FaultPlan(fail_first=3))
         for _ in range(3):
             with pytest.raises(TransientStorageError):
-                table.insert((1, "x"))
-        table.insert((1, "x"))  # fourth operation succeeds
-        assert table.row_count() == 1
+                faulty.distance(0, 2)
+        assert faulty.distance(0, 2) == 2  # fourth operation succeeds
 
     def test_break_after_fails_permanently(self):
-        _, table = make_table(FaultPlan(break_after=2))
-        table.insert((1, "x"))
-        table.insert((2, "y"))
+        faulty = make_index(FaultPlan(break_after=2))
+        assert faulty.reachable(0, 1)
+        assert faulty.reachable(1, 2)
         for _ in range(3):
             with pytest.raises(PermanentStorageError):
-                list(table.scan())
+                faulty.reachable(0, 2)
 
     def test_hard_failure_plan(self):
-        _, table = make_table(FaultPlan.hard_failure())
-        with pytest.raises(TransientStorageError):
-            table.insert((1, "x"))
-        with pytest.raises(TransientStorageError):
-            list(table.scan())
-
-    def test_corruption_flips_rows(self):
-        _, table = make_table(FaultPlan(seed=1, corrupt_rate=1.0))
-        table.insert((5, "hello"))
-        rows = list(table.scan())
-        assert rows != [(5, "hello")]  # deterministically corrupted
+        faulty = make_index(FaultPlan.hard_failure())
+        for _ in range(3):
+            with pytest.raises(TransientStorageError):
+                faulty.find_descendants_by_tag(0, None)
 
     def test_latency_spikes_call_sleep(self):
         plan = FaultPlan(read_latency_rate=1.0, latency_seconds=0.25)
-        backend = FaultyBackend(MemoryBackend(), plan)
         slept = []
-        site = backend.site("t")
-        site.before_read(sleep=slept.append)
+        FaultSite(plan, "t").before_read(sleep=slept.append)
         assert slept == [0.25]
 
     def test_injection_counter(self):
-        backend, table = make_table(FaultPlan(fail_first=2))
+        faulty = make_index(FaultPlan(fail_first=2))
         for _ in range(2):
             with pytest.raises(TransientStorageError):
-                table.insert((1, "x"))
-        table.insert((1, "x"))
-        assert backend.injected_total() == 2
+                faulty.reachable(0, 2)
+        faulty.reachable(0, 2)
+        assert faulty.site.injected == 2
+        assert faulty.site.reads == 3
 
     def test_table_restriction_spares_other_tables(self):
         plan = FaultPlan.hard_failure().restricted_to("other")
-        _, table = make_table(plan)
-        table.insert((1, "x"))  # "t" is not in the plan's table list
-        assert table.row_count() == 1
-
-    def test_batch_insert_fails_before_any_write(self):
-        _, table = make_table(FaultPlan(fail_first=1))
+        assert make_index(plan).reachable(0, 2)  # "index" is not listed
         with pytest.raises(TransientStorageError):
-            table.insert_many([(1, "a"), (2, "b")])
-        assert table.row_count() == 0  # nothing half-applied
-        table.insert_many([(1, "a"), (2, "b")])
-        assert table.row_count() == 2
-
-
-class TestFaultyFactory:
-    def test_products_are_faulty_and_independent(self):
-        factory = FaultyFactory(MemoryBackend, FaultPlan(fail_first=1))
-        b1, b2 = factory(), factory()
-        t1 = b1.create_table(SCHEMA)
-        t2 = b2.create_table(SCHEMA)
-        with pytest.raises(TransientStorageError):
-            t1.insert((1, "x"))
-        with pytest.raises(TransientStorageError):  # own counter, fails too
-            t2.insert((1, "x"))
-        t1.insert((1, "x"))
-        t2.insert((1, "x"))
-
-    def test_factory_is_picklable(self):
-        import pickle
-
-        factory = FaultyFactory(MemoryBackend, FaultPlan(seed=5, fail_first=1))
-        clone = pickle.loads(pickle.dumps(factory))
-        assert clone.plan == factory.plan
+            make_index(plan, "other").reachable(0, 2)
 
 
 class TestFaultyIndex:
     def test_probes_fail_per_plan(self):
-        from repro.graph.digraph import Digraph
-        from repro.indexes.transitive import TransitiveClosureIndex
-
-        graph = Digraph([(0, 1), (1, 2)])
-        index = TransitiveClosureIndex.build(
-            graph, {0: "a", 1: "b", 2: "c"}, MemoryBackend()
-        )
-        faulty = FaultyIndex(index, FaultPlan(fail_first=1))
+        faulty = make_index(FaultPlan(fail_first=1))
         with pytest.raises(TransientStorageError):
             faulty.reachable(0, 2)
         assert faulty.reachable(0, 2) is True
@@ -214,7 +149,7 @@ class TestFaultyIndex:
         """A query method added to ``PathIndex`` must be classified here
         (probe or bookkeeping) and delegated by ``FaultyIndex`` — the PEE
         talks to the proxy, so a missing method is a crash and an ungated
-        one hides the index from the chaos job."""
+        one hides the index from every fault-injection test."""
         from repro.indexes.base import PathIndex
 
         public = {

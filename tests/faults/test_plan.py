@@ -10,7 +10,7 @@ class TestFaultPlanValidation:
         with pytest.raises(ValueError):
             FaultPlan(read_error_rate=1.5)
         with pytest.raises(ValueError):
-            FaultPlan(write_error_rate=-0.1)
+            FaultPlan(read_latency_rate=-0.1)
 
     def test_counters_must_be_non_negative(self):
         with pytest.raises(ValueError):
@@ -25,6 +25,7 @@ class TestFaultPlanValidation:
         assert not FaultPlan(read_error_rate=0.1).is_noop
         assert not FaultPlan(fail_first=1).is_noop
         assert not FaultPlan(break_after=0).is_noop
+        assert not FaultPlan(crash_after_writes=2, torn_write_bytes=4).is_noop
 
     def test_table_restriction(self):
         plan = FaultPlan(read_error_rate=1.0).restricted_to("edges")
@@ -84,15 +85,6 @@ class TestCrashFaults:
             FaultPlan(crash_after_writes=-1)
         with pytest.raises(ValueError):
             FaultPlan(torn_write_bytes=-3)
-
-    def test_crash_only_plan_is_storage_noop(self):
-        plan = FaultPlan(crash_after_writes=2, torn_write_bytes=4)
-        assert plan.storage_is_noop  # must not wrap storage backends
-        assert not plan.is_noop  # but it is not a no-op overall
-
-    def test_storage_plan_is_not_storage_noop(self):
-        assert not FaultPlan(read_error_rate=0.1).storage_is_noop
-        assert FaultPlan().storage_is_noop and FaultPlan().is_noop
 
     def test_spec_round_trips_crash_fields(self):
         plan = FaultPlan.from_spec("crash_after_writes=3,torn_write_bytes=9")

@@ -5,7 +5,7 @@ import pytest
 from repro import Flix, FlixConfig, QueryRequest, XmlDocument, build_collection
 from repro.collection.stats import collect_statistics
 from repro.storage.memory import MemoryBackend
-from repro.storage.table import StorageBackend, TableSchema
+from repro.storage.table import TableSchema
 
 
 class TestEmptyAndMinimalCollections:
@@ -85,29 +85,17 @@ class TestIntraLinkFraction:
         assert config.mdb_strategy == "unconnected_hopi"
 
 
-class _ExplodingBackend(StorageBackend):
-    """Fails on table creation — simulates storage-layer faults."""
-
-    def create_table(self, schema: TableSchema):
-        raise IOError("disk on fire")
-
-    def table(self, name):
-        raise KeyError(name)
-
-    def drop_table(self, name):
-        raise KeyError(name)
-
-    def table_names(self):
-        return []
-
-
 class TestStorageFaultPropagation:
-    def test_index_build_fault_propagates_cleanly(self):
+    def test_index_build_fault_propagates_cleanly(self, monkeypatch):
+        from repro.indexes.ppo import PpoIndex
+
+        def explode(graph, tags, backend):
+            raise IOError("disk on fire")
+
+        monkeypatch.setattr(PpoIndex, "build", explode)
         collection = build_collection([XmlDocument.from_text("a.xml", "<a><b/></a>")])
         with pytest.raises(IOError):
-            Flix.build(
-                collection, FlixConfig.naive(), backend_factory=_ExplodingBackend
-            )
+            Flix.build(collection, FlixConfig.naive())
 
     def test_memory_backend_rejects_bad_rows_atomically(self):
         from repro.storage.table import Column

@@ -73,31 +73,46 @@ class TestPaperPipeline:
 
 
 class TestSqliteBackedBuild:
-    """The paper's prototype is database-backed; ours can be too."""
+    """The paper's prototype is database-backed; an index build can be
+    too: every meta document of a hybrid layout, built with the strategy
+    the ISS selects for it, on SQLite tables and on the in-memory ones."""
 
-    def test_full_build_and_query_on_sqlite(self, figure1_collection):
-        flix = Flix.build(
-            figure1_collection,
-            FlixConfig.hybrid(100),
-            backend_factory=SqliteBackend,
-        )
-        oracle = transitive_closure(figure1_collection.graph)
-        start = figure1_collection.document_root("d05.xml")
-        got = {r.node for r in flix.query_stream(QueryRequest.descendants(start))}
-        assert got == set(oracle.descendants(start)) - {start}
-        assert flix.size_bytes() > 0
-
-    def test_sqlite_and_memory_sizes_same_order(self, figure1_collection):
+    @pytest.fixture()
+    def built_pairs(self, figure1_collection):
+        from repro.core.iss import IndexingStrategySelector
+        from repro.core.mdb import MetaDocumentBuilder
+        from repro.indexes.registry import build_index
         from repro.storage.memory import MemoryBackend
 
-        memory = Flix.build(
-            figure1_collection, FlixConfig.naive(), backend_factory=MemoryBackend
-        )
-        sqlite = Flix.build(
-            figure1_collection, FlixConfig.naive(), backend_factory=SqliteBackend
-        )
+        config = FlixConfig.hybrid(100)
+        selector = IndexingStrategySelector(config)
+        pairs = []
+        for spec in MetaDocumentBuilder(figure1_collection, config).build_specs():
+            graph = spec.build_graph()
+            tags = {node: figure1_collection.tag(node) for node in spec.nodes}
+            strategy = selector.choose(graph).strategy
+            pairs.append(
+                (
+                    graph,
+                    build_index(strategy, graph, tags, MemoryBackend()),
+                    build_index(strategy, graph, tags, SqliteBackend()),
+                )
+            )
+        return pairs
+
+    def test_full_build_and_query_on_sqlite(self, built_pairs):
+        for graph, memory, sqlite in built_pairs:
+            oracle = transitive_closure(graph)
+            for node in graph:
+                answer = dict(sqlite.find_descendants_by_tag(node, None))
+                assert answer == dict(memory.find_descendants_by_tag(node, None))
+                assert set(answer) == set(oracle.descendants(node))
+
+    def test_sqlite_and_memory_sizes_same_order(self, built_pairs):
+        memory_bytes = sum(memory.size_bytes() for _, memory, _ in built_pairs)
+        sqlite_bytes = sum(sqlite.size_bytes() for _, _, sqlite in built_pairs)
         # SQLite pages add overhead but stay within an order of magnitude
-        assert sqlite.size_bytes() < 50 * memory.size_bytes()
+        assert 0 < sqlite_bytes < 50 * memory_bytes
 
 
 class TestDiskRoundTripPipeline:

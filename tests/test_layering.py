@@ -1,5 +1,7 @@
 """Import layering: ``repro.bench`` is a leaf used by the paper-figure
-suites, never by the serving path; the packed indexes know no storage."""
+suites, never by the serving path; the packed indexes know no storage;
+SQLite is persistence's business, ``repro.storage`` depends on nothing
+above it, and only ``repro.faults`` knows the fault-plan environment."""
 
 import ast
 from pathlib import Path
@@ -50,5 +52,48 @@ def test_packed_indexes_import_no_storage():
         for module in imported_modules(path)
         if within(module, "repro.storage")
         and not within(module, "repro.storage.errors")
+    ]
+    assert offenders == []
+
+
+def test_only_persistence_opens_sqlite():
+    """Object-build tables are in-memory scratch (``docs/DATA_LAYOUT.md``);
+    outside ``repro.storage`` itself, SQLite appears only where bytes are
+    durable."""
+    importers = {
+        path.relative_to(SRC).as_posix()
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if not path.relative_to(SRC).as_posix().startswith("repro/storage/")
+        for module in imported_modules(path)
+        if within(module, "repro.storage.sqlite_backend")
+        or module == "repro.storage.SqliteBackend"
+    }
+    assert importers == {"repro/core/persistence.py"}
+
+
+def test_storage_imports_nothing_above_it():
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()} imports {module}"
+        for path in sorted((SRC / "repro" / "storage").glob("*.py"))
+        for module in imported_modules(path)
+        if any(
+            within(module, package)
+            for package in ("repro.obs", "repro.faults", "repro.core")
+        )
+    ]
+    assert offenders == []
+
+
+def test_production_code_reads_no_fault_plan_environment():
+    """``plan_from_env`` is for the test side (the WAL crash-point matrix,
+    CI's ``crash-chaos`` job); no build, query or serving path calls it."""
+    offenders = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if not path.relative_to(SRC).as_posix().startswith("repro/faults/")
+        and any(
+            name in path.read_text(encoding="utf-8")
+            for name in ("plan_from_env", "FAULT_PLAN")
+        )
     ]
     assert offenders == []

@@ -9,7 +9,7 @@ Two sweeps cover the space:
   :class:`FaultPlan` that kills the process at the Nth append (with a
   torn partial frame on disk), for every N, and recover from the wreck.
 
-An env-driven variant re-reads ``FAULT_PLAN`` so the CI chaos job can
+An env-driven variant re-reads ``FAULT_PLAN`` so the CI crash-chaos job can
 pick the crash point without editing code.
 """
 
@@ -114,7 +114,7 @@ def test_injected_crash_matrix(deployment, mutation_docs, crash_after):
 
 
 def test_env_driven_crash_plan(deployment, mutation_docs, monkeypatch):
-    """The CI chaos job's path: FAULT_PLAN chooses the crash point."""
+    """The CI crash-chaos job's path: FAULT_PLAN chooses the crash point."""
     spec = os.environ.get(
         "FAULT_PLAN", "crash_after_writes=2,torn_write_bytes=7"
     )

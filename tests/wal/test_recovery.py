@@ -213,3 +213,65 @@ def test_update_document_logs_remove_then_add(deployment, mutation_docs):
     recovered, report = recover_flix(collection, deployment.index_dir)
     assert recovered.index_fingerprint() == flix.index_fingerprint()
     assert report.records_applied == 3
+
+
+@pytest.mark.parametrize("shape", ["built", "loaded", "recovered", "follower"])
+def test_every_instance_shape_maintains_alike(
+    deployment, mutation_docs, shape, monkeypatch
+):
+    """However a ``Flix`` came to be — built, loaded from a save,
+    recovered, or following a log — the maintenance verbs produce the
+    same index and answers from in-memory scratch tables: the only SQLite
+    file anyone opens is the snapshot's ``framework.sqlite``, at load."""
+    import sqlite3
+    from pathlib import Path
+
+    from repro.wal import FollowerFlix
+    from tests.conftest import _response_signature, parity_requests
+
+    def script(flix):
+        run_verbs(flix, mutation_docs)  # add x3, add_batch, remove
+        flix.update_document(mutation_docs[3])
+        assert flix.compact() is not None
+
+    opened = []
+    connect = sqlite3.connect
+
+    def recording(database, *args, **kwargs):
+        opened.append(Path(database).name)
+        return connect(database, *args, **kwargs)
+
+    primary = deployment.flix
+    primary.enable_wal(wal_path_for(deployment.index_dir))
+    if shape == "loaded":
+        subject = Flix.load(
+            load_collection(deployment.collection_dir), deployment.index_dir
+        )
+    monkeypatch.setattr(sqlite3, "connect", recording)
+    script(primary)
+    if shape == "built":
+        subject = primary
+    elif shape == "loaded":
+        script(subject)
+    elif shape == "recovered":
+        subject, _ = recover_flix(
+            load_collection(deployment.collection_dir),
+            deployment.index_dir,
+            attach=False,
+        )
+    else:
+        follower = FollowerFlix.attach(
+            deployment.collection_dir, deployment.index_dir
+        )
+        assert follower.poll() > 0
+        subject = follower.flix
+    # load_flix reads the snapshot (once to verify, once to load)
+    assert set(opened) == (
+        {"framework.sqlite"} if shape in ("recovered", "follower") else set()
+    )
+
+    assert subject.index_fingerprint() == primary.index_fingerprint()
+    for name, request in parity_requests(subject.collection):
+        assert _response_signature(subject.query(request)) == (
+            _response_signature(primary.query(request))
+        ), name
