@@ -53,10 +53,13 @@ on the evaluator.
 
 **Observability.**  When the evaluator is built with an enabled
 :class:`repro.obs.Observability` bundle, each query additionally emits a
-``pee.query`` trace (with ``pee.probe`` spans per index probe and
-``pee.link_hop`` spans per residual-link expansion) and publishes its
+``pee.query`` trace (with a ``pee.probe`` span per index probe and a
+``pee.link_hop`` span per residual-link expansion) and publishes its
 counters to the metrics registry on completion (``flix_queries_total``,
-``flix_pee_*_total``, ``flix_query_seconds``).  The :class:`QueryStats`
+``flix_pee_*_total``, ``flix_query_seconds``).  The two per-entry spans
+are recorded as :meth:`repro.obs.tracing.Trace.leaf` tuples — one append
+each, no span object — and become :class:`~repro.obs.tracing.Span`
+objects only when someone reads the trace.  The :class:`QueryStats`
 numbers are the source of truth; the registry is a cumulative view over
 them.  With observability disabled (the default for a bare evaluator)
 every instrumentation branch is skipped.
@@ -80,6 +83,10 @@ from repro.storage.errors import PermanentStorageError, StorageError
 #: completeness levels, worst-last (merging keeps the worst)
 COMPLETENESS_LEVELS = ("complete", "truncated", "degraded")
 _COMPLETENESS_RANK = {level: rank for rank, level in enumerate(COMPLETENESS_LEVELS)}
+
+#: meta keys of the two per-entry trace leaves (see ``Trace.leaf``)
+_PROBE_KEYS = ("meta_id", "priority", "matches")
+_HOP_KEYS = ("meta_id", "hops")
 
 
 @dataclass(frozen=True)
@@ -248,6 +255,12 @@ class QueryStream:
     once — even when the underlying generator was abandoned mid-iteration
     or never started at all, in which case the generator's own ``finally``
     block would not run.
+
+    ``next(stream)`` works on the stream itself, but ``iter(stream)``
+    hands out the underlying generator, not the stream (``for`` loops and
+    ``list()`` then pay no extra call per result).  Closing that generator
+    is not closing the stream: only ``stream.close()`` or ``with stream:``
+    guarantees finalize-once for a stream that may never have started.
     """
 
     __slots__ = ("_iterator", "stats", "_finalize", "_closed")
@@ -263,8 +276,11 @@ class QueryStream:
         self._finalize = finalize
         self._closed = False
 
-    def __iter__(self) -> "QueryStream":
-        return self
+    def __iter__(self) -> Iterator[QueryResult]:
+        # the underlying generator itself: ``for`` loops and ``list()``
+        # then pay no Python-level call per result; the generator's own
+        # ``finally`` still finalizes, and ``close()`` still closes it
+        return self._iterator
 
     def __next__(self) -> QueryResult:
         return next(self._iterator)
@@ -901,12 +917,17 @@ class PathExpressionEvaluator(SearchMethods):
         link_pushes: List[Tuple[int, NodeId]] = []
         link_candidates = meta.link_sources if forward else meta.link_targets
         if link_candidates:
-            if trace is not None:
-                with trace.span("pee.link_hop", meta_id=meta.meta_id) as span:
-                    link_pushes = self._link_pushes(index, meta, entry, forward)
-                    span.meta["hops"] = len(link_pushes)
-            else:
+            if trace is None:
                 link_pushes = self._link_pushes(index, meta, entry, forward)
+            else:
+                values: Tuple = (meta.meta_id,)
+                started = time.perf_counter()
+                try:
+                    link_pushes = self._link_pushes(index, meta, entry, forward)
+                    values = (meta.meta_id, len(link_pushes))
+                finally:
+                    trace.leaf("pee.link_hop", _HOP_KEYS, started,
+                               time.perf_counter(), values)
         return emit, link_pushes
 
     def _link_pushes(
@@ -1051,24 +1072,29 @@ class PathExpressionEvaluator(SearchMethods):
         meta_id: int,
         priority: int,
     ):
-        """One local-index probe, wrapped in a ``pee.probe`` span if traced."""
+        """One local-index probe, recorded as a ``pee.probe`` leaf if traced."""
         if trace is None:
             return (
                 index.find_descendants_by_tag(entry, tag)
                 if forward
                 else index.find_ancestors_by_tag(entry, tag)
             )
-        with trace.span("pee.probe", meta_id=meta_id, priority=priority) as span:
+        # as under ``with trace.span()``, a probe that raises (the entry
+        # is then retried on the BFS fallback) still leaves its span, with
+        # no ``matches``; the link-hop leaf follows the same rule
+        values: Tuple = (meta_id, priority)
+        started = time.perf_counter()
+        try:
             matches = (
                 index.find_descendants_by_tag(entry, tag)
                 if forward
                 else index.find_ancestors_by_tag(entry, tag)
             )
-            try:
-                span.meta["matches"] = len(matches)
-            except TypeError:
-                pass
-            return matches
+            values = (meta_id, priority, len(matches))
+        finally:
+            trace.leaf("pee.probe", _PROBE_KEYS, started, time.perf_counter(),
+                       values)
+        return matches
 
     def _query_instruments(self) -> Dict[str, object]:
         """Bind the per-query instruments once (one publish per query).

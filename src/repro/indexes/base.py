@@ -29,6 +29,7 @@ is measurable (Table 1).
 from __future__ import annotations
 
 import abc
+import operator
 from typing import (
     Callable,
     Collection,
@@ -229,6 +230,9 @@ class PathIndex(abc.ABC):
         return f"<{type(self).__name__} nodes={self.node_count} bytes={self.size_bytes()}>"
 
 
+_DISTANCE_THEN_NODE = operator.itemgetter(1, 0)
+
+
 def sort_scored(pairs: Iterable[ScoredNode]) -> List[ScoredNode]:
     """Canonical result ordering: ascending distance, then node id."""
-    return sorted(pairs, key=lambda pair: (pair[1], pair[0]))
+    return sorted(pairs, key=_DISTANCE_THEN_NODE)

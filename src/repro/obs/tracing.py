@@ -17,6 +17,13 @@ Design notes:
   thread-local one, so two streamed queries consumed alternately on one
   thread (a supported pattern, see ``tests/core/test_query_stats.py``)
   can never adopt each other's spans.
+* A child that is already finished when it is recorded — the evaluator's
+  per-entry ``pee.probe`` / ``pee.link_hop`` — goes through
+  :meth:`Trace.leaf`: one tuple append, no :class:`Span`, no stack push.
+  :attr:`Trace.spans` turns pending leaves into :class:`Span` objects on
+  its first read, with the ids, parents, depths and order ``span()``
+  would have given them, so an unread trace (the tracer keeps 16; most
+  are never looked at) never pays for span objects.
 * A disabled tracer hands out a shared null trace whose ``span()`` is a
   no-op context manager; hot paths additionally skip tracing entirely by
   checking ``Observability.enabled`` first.
@@ -27,7 +34,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
+
+#: serialises the first read of any trace's pending leaves (reads are rare
+#: and short, so one lock for all traces costs no per-trace allocation)
+_MATERIALIZE_LOCK = threading.Lock()
 
 
 class Span:
@@ -81,9 +92,8 @@ class Span:
 class _SpanHandle:
     """Context manager opening/closing one child span.
 
-    Hand-rolled rather than ``@contextmanager``: the evaluator opens one
-    span per priority-queue pop, and a generator-based context manager
-    costs several times more per entry than this class does.
+    Hand-rolled rather than ``@contextmanager``, which costs several times
+    more per span; per-entry hot paths use :meth:`Trace.leaf` instead.
     """
 
     __slots__ = ("_trace", "_name", "_meta", "_span")
@@ -99,13 +109,13 @@ class _SpanHandle:
         parent = trace._stack[-1]
         span = Span(
             self._name,
-            len(trace.spans),
+            len(trace._entries),
             parent.span_id,
             parent.depth + 1,
             self._meta,
             time.perf_counter(),
         )
-        trace.spans.append(span)
+        trace._entries.append(span)
         trace._stack.append(span)
         self._span = span
         return span
@@ -125,7 +135,12 @@ class Trace:
         self._tracer = tracer
         started = time.perf_counter()
         root = Span(name, 0, None, 0, meta, started)
-        self.spans: List[Span] = [root]
+        self._root = root
+        #: spans and pending leaf records, in start order; a position is
+        #: its entry's span id
+        self._entries: List[object] = [root]
+        #: leading entries known to hold no pending leaf
+        self._built = 1
         self._stack: List[Span] = [root]
         self._finished = False
 
@@ -136,6 +151,26 @@ class Trace:
         """Open a child span of the innermost open span of *this* trace."""
         return _SpanHandle(self, name, meta)
 
+    def leaf(
+        self,
+        name: str,
+        keys: Sequence[str],
+        started: float,
+        ended: float,
+        values: Tuple,
+    ) -> None:
+        """Record an already finished child of the innermost open span.
+
+        ``started`` / ``ended`` are the caller's ``perf_counter`` readings
+        around the work; the span's meta is ``zip(keys, values)``, so a
+        ``values`` tuple shorter than ``keys`` (work that raised before
+        its last annotation) drops the trailing keys.  Nothing may be
+        recorded on this trace between ``started`` and the call, which
+        keeps entries in start order.  The :class:`Span` is built when
+        :attr:`spans` is first read.
+        """
+        self._entries.append((name, keys, values, started, ended, self._stack[-1]))
+
     def finish(self) -> "Trace":
         """Close the root (and any still-open spans) and publish the trace."""
         if self._finished:
@@ -145,7 +180,7 @@ class Trace:
         for span in self._stack:
             if span.ended is None:
                 span.ended = now
-        self._stack = [self.spans[0]]
+        self._stack = [self._root]
         if self._tracer is not None:
             self._tracer._record(self)
         return self
@@ -154,16 +189,36 @@ class Trace:
     # inspection
     # ------------------------------------------------------------------
     @property
+    def spans(self) -> List[Span]:
+        """Every span in start order; pending leaves become spans once."""
+        entries = self._entries
+        if self._built != len(entries):
+            with _MATERIALIZE_LOCK:
+                end = len(entries)
+                for position in range(self._built, end):
+                    entry = entries[position]
+                    if type(entry) is tuple:
+                        name, keys, values, started, ended, parent = entry
+                        span = Span(
+                            name, position, parent.span_id, parent.depth + 1,
+                            dict(zip(keys, values)), started,
+                        )
+                        span.ended = ended
+                        entries[position] = span
+                self._built = end
+        return entries  # type: ignore[return-value]
+
+    @property
     def root(self) -> Span:
-        return self.spans[0]
+        return self._root
 
     @property
     def name(self) -> str:
-        return self.root.name
+        return self._root.name
 
     @property
     def duration_seconds(self) -> float:
-        return self.root.duration_seconds
+        return self._root.duration_seconds
 
     def find(self, name: str) -> List[Span]:
         """Every span with the given name, in start order."""
@@ -216,6 +271,9 @@ class _NullTrace(Trace):
 
     def span(self, name: str, **meta: object) -> "_NullSpanHandle":
         return self._null_span  # meta writes land on a throwaway dict
+
+    def leaf(self, name, keys, started, ended, values) -> None:
+        return None
 
     def finish(self) -> "Trace":
         return self

@@ -1,8 +1,98 @@
 """Unit tests for spans, traces, and the tracer ring buffer."""
 
+import os
+import sys
+import threading
+
 from repro.obs.tracing import NULL_TRACE, NULL_TRACER, Trace, Tracer
 
 import pytest
+
+KEYS = ("meta_id", "matches")
+
+
+def _leafy_trace(leaves: int) -> Trace:
+    """A finished trace of ``leaves`` leaf records, a nested span between
+    two of them, and one leaf inside that span."""
+    trace = Tracer().trace("pee.query")
+    for i in range(leaves):
+        trace.leaf("pee.probe", KEYS, float(i), float(i) + 0.5, (i, i % 7))
+        if i == leaves // 2:
+            with trace.span("nested", k=1):
+                trace.leaf("inner", KEYS, 0.0, 0.0, (i,))
+    return trace.finish()
+
+
+class TestLeaves:
+    def test_leaves_read_like_spans(self):
+        tracer = Tracer()
+        trace = tracer.trace("pee.query")
+        trace.leaf("pee.probe", KEYS, 1.0, 3.0, (4, 2))
+        with trace.span("pee.plan", kind="x") as nested:
+            trace.leaf("inner", KEYS, 5.0, 6.0, (9,))
+        trace.leaf("pee.link_hop", ("meta_id", "hops"), 7.0, 7.25, (4, 1))
+        trace.finish()
+
+        root, probe, plan, inner, hop = trace.spans
+        assert [s.span_id for s in trace.spans] == [0, 1, 2, 3, 4]
+        assert plan is nested
+        assert (probe.parent_id, probe.depth) == (0, 1)
+        assert (inner.parent_id, inner.depth) == (plan.span_id, 2)
+        assert (hop.parent_id, hop.depth) == (0, 1)
+        assert probe.meta == {"meta_id": 4, "matches": 2}
+        assert inner.meta == {"meta_id": 9}  # short values drop trailing keys
+        assert probe.duration_seconds == 2.0 and hop.duration_seconds == 0.25
+        assert "    inner" in trace.render()
+
+    def test_null_trace_ignores_leaves(self):
+        NULL_TRACE.leaf("pee.probe", KEYS, 0.0, 1.0, (1, 2))
+        assert len(NULL_TRACE.spans) == 1
+
+    def test_concurrent_first_reads_build_each_leaf_once(self):
+        trace = _leafy_trace(3000)
+        readers = 2 * (os.cpu_count() or 1) + 4
+        barrier = threading.Barrier(readers)
+        seen = [None] * readers
+        errors = []
+
+        def read(slot: int) -> None:
+            try:
+                barrier.wait(timeout=10)
+                how = slot % 3
+                if how == 0:
+                    spans = trace.spans
+                elif how == 1:
+                    trace.find("pee.probe")
+                    spans = trace.spans
+                else:
+                    trace.render()
+                    spans = trace.spans
+                seen[slot] = list(spans)  # holds every object it saw
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=read, args=(slot,))
+                for slot in range(readers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        spans = trace.spans
+        assert len(spans) == 1 + 3000 + 2
+        for view in seen:  # one object per leaf, whoever read first
+            assert len(view) == len(spans)
+            assert all(a is b for a, b in zip(view, spans))
+        assert [s.span_id for s in spans] == list(range(len(spans)))
+        assert len(trace.find("pee.probe")) == 3000
 
 
 class TestTrace:
