@@ -45,7 +45,16 @@ import itertools
 import socket
 import threading
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.api import (
     CacheSlot,
@@ -55,6 +64,7 @@ from repro.core.api import (
 )
 from repro.core.config import CacheConfig
 from repro.core.pee import QueryBudget, QueryStats
+from repro.core.planner import QueryPlan
 from repro.indexes.base import NodeId
 from repro.obs import Observability
 from repro.obs.export import render
@@ -62,9 +72,15 @@ from repro.serve.cache import ShardedLRUCache
 from repro.shard.distributed import DistributedEvaluator, ExpansionLost
 from repro.shard.plan import ShardMap, load_shard_map
 from repro.shard.protocol import (
+    ProtocolError,
     RemoteShardError,
     ShardUnavailable,
+    budget_to_json,
+    expansion_reply_from_json,
+    int_list,
     read_frame,
+    request_to_json,
+    response_from_json,
     write_frame,
 )
 
@@ -97,23 +113,27 @@ class ShardClient:
         self._closed = False
 
     def call(self, verb: str, payload: dict) -> Tuple[str, dict]:
-        """One request/reply round trip; raises :class:`ShardUnavailable`
-        on transport failure and re-raises remote ``KeyError`` /
-        ``ValueError`` as such."""
+        """One request/reply round trip of JSON payloads; raises
+        :class:`ShardUnavailable` on transport failure,
+        :class:`ProtocolError` on a malformed frame, and re-raises remote
+        ``KeyError`` / ``ValueError`` as such."""
         sock = self._checkout()
         try:
             write_frame(sock, (verb, payload))
             reply_verb, reply_payload = read_frame(sock)
-        except (ConnectionError, OSError) as exc:
+        except (ConnectionError, OSError, ProtocolError) as exc:
+            # the conversation is out of step: this socket is done
             try:
                 sock.close()
             except OSError:
                 pass
+            if isinstance(exc, ProtocolError):
+                raise
             raise ShardUnavailable(self.shard_id, str(exc)) from exc
         self._checkin(sock)
         if reply_verb == "error":
-            exc_type = reply_payload.get("type", "RuntimeError")
-            message = reply_payload.get("message", "")
+            exc_type = str(reply_payload.get("type", "RuntimeError"))
+            message = str(reply_payload.get("message", ""))
             if exc_type in _PASSTHROUGH_ERRORS:
                 # KeyError repr-quotes its message; strip the quoting the
                 # worker's str() added so the text matches local raises
@@ -299,12 +319,14 @@ class ShardCoordinator:
         shard's plan is authoritative).  ``None`` when no shard answers.
         """
         try:
-            _, reply = self._call(
-                self._route(request), "explain", {"request": request}
+            _, plan = self._call(
+                self._route(request), "explain",
+                {"request": request_to_json(request)},
+                lambda reply: QueryPlan.from_dict(reply["plan"]),
             )
         except ShardUnavailable:
             return None
-        return reply["plan"]
+        return plan
 
     # ------------------------------------------------------------------
     # routing
@@ -382,14 +404,21 @@ class ShardCoordinator:
         yield from (sid for sid in ring if healthy[sid])
         yield from (sid for sid in ring if not healthy[sid])
 
-    def _call(self, owner: int, verb: str, payload: dict) -> Tuple[int, dict]:
+    def _call(
+        self,
+        owner: int,
+        verb: str,
+        payload: dict,
+        decode: Callable[[dict], Any],
+    ) -> Tuple[int, Any]:
         """One RPC with replica failover — the coordinator's only failover
         loop.  Tries :meth:`_failover_order`; a shard that cannot be
         reached is marked unhealthy and skipped, the one that answers is
-        marked healthy.  Returns ``(shard_id, reply)``; raises
+        marked healthy.  Returns ``(shard_id, decode(reply))``; raises
         :class:`ShardUnavailable` when no replica answers (what that
         means — no plan, a degraded answer, no seeds, a lost expansion —
-        is the caller's to say)."""
+        is the caller's to say) and :class:`ProtocolError` when
+        ``decode`` refuses the reply."""
         for shard_id in self._failover_order(owner):
             try:
                 _, reply = self._clients[shard_id].call(verb, payload)
@@ -397,7 +426,13 @@ class ShardCoordinator:
                 self._mark_health(shard_id, False)
                 continue
             self._mark_health(shard_id, True)
-            return shard_id, reply
+            try:
+                return shard_id, decode(reply)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ProtocolError(
+                    f"shard {shard_id} sent a malformed {verb!r} reply: "
+                    f"{exc!r}"
+                ) from exc
         raise ShardUnavailable(owner, "no replica answered")
 
     def _delegate(
@@ -408,14 +443,19 @@ class ShardCoordinator:
         started: float,
     ) -> QueryResponse:
         try:
-            shard_id, reply = self._call(
-                owner, "query", {"request": request, "budget": budget}
+            shard_id, response = self._call(
+                owner, "query",
+                {
+                    "request": request_to_json(request),
+                    "budget": budget_to_json(budget),
+                },
+                lambda reply: response_from_json(reply["response"], request),
             )
         except ShardUnavailable:
             return self._degraded_response(request, started)
         if shard_id != owner:
             self._m_failovers.inc(shard=str(owner))
-        return reply["response"]
+        return response
 
     def _degraded_response(
         self, request: QueryRequest, started: float
@@ -436,21 +476,27 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     def _type_seeds(self, source_tag: str) -> List[NodeId]:
         try:
-            _, reply = self._call(0, "type_seeds", {"source_tag": source_tag})
+            _, seeds = self._call(
+                0, "type_seeds", {"source_tag": source_tag},
+                lambda reply: int_list(reply["seeds"], "seeds"),
+            )
         except ShardUnavailable:
             return []
-        return reply["seeds"]
+        return seeds
 
     def _expansion_rpc(self, verb: str, meta_id: int, payload: dict):
         """One remote expansion (``expand`` or ``connection_probe``) on
         the owning shard, failing over across its replicas."""
         owner = self._map.shard_of_meta[meta_id]
         try:
-            shard_id, reply = self._call(owner, verb, payload)
+            shard_id, expansion = self._call(
+                owner, verb, payload,
+                lambda reply: expansion_reply_from_json(verb, reply),
+            )
         except ShardUnavailable:
             raise ExpansionLost(owner) from None
         self._m_expand_rpcs.inc(shard=str(shard_id))
-        return reply["outcome"], reply["stats"]
+        return expansion
 
     # ------------------------------------------------------------------
     # health / metrics / lifecycle

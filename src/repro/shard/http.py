@@ -5,10 +5,12 @@ noted:
 
 ``POST /query``
     Body: a JSON :class:`~repro.core.api.QueryRequest` (see
-    :func:`request_from_json` for the accepted fields).  Response: the
-    materialized :class:`~repro.core.api.QueryResponse` rendered by
-    :func:`response_to_json` — results, scalar value, completeness,
-    stats, cache/layout provenance.  400 for malformed bodies (or a
+    :func:`~repro.shard.protocol.request_from_json` for the accepted
+    fields; shard workers decode the requests they receive with the same
+    function).  Response: the materialized
+    :class:`~repro.core.api.QueryResponse` rendered by
+    :func:`~repro.shard.protocol.response_to_json` — results, scalar
+    value, completeness, stats, cache/layout provenance.  400 for malformed bodies (or a
     ``Content-Length`` that is not a non-negative integer), 413 for a
     body over :data:`MAX_BODY_BYTES`, 404 for unknown nodes.  Pass ``"explain": true`` to additionally get the
     executed plan stamped under ``"plan"``.
@@ -41,101 +43,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 from urllib.parse import urlparse, parse_qs
 
-from repro.core.api import QueryRequest, QueryResponse
-from repro.core.connections import ConnectionModel
-from repro.core.pee import QueryBudget, QueryResult
 from repro.shard.coordinator import ShardCoordinator
+from repro.shard.protocol import request_from_json, response_to_json
 
 
 #: largest request body the front door reads (a JSON ``QueryRequest`` is
 #: a few hundred bytes)
 MAX_BODY_BYTES = 1 << 20
-
-
-def request_from_json(payload: Dict) -> QueryRequest:
-    """Build a :class:`QueryRequest` from its JSON rendering.
-
-    Accepted keys mirror the dataclass fields: ``kind`` (required),
-    ``source``, ``target``, ``tag``, ``source_tag``, ``path`` (list of
-    step tags), ``max_distance``, ``max_cost``, ``limit``,
-    ``include_self``, ``exact_order``, ``bidirectional``, ``model`` (a
-    dict of :class:`~repro.core.connections.ConnectionModel` fields) and
-    ``budget`` (a dict of :class:`~repro.core.pee.QueryBudget` fields).
-    Validation errors raise ``ValueError`` (rendered as HTTP 400).
-    """
-    if not isinstance(payload, dict):
-        raise ValueError("request body must be a JSON object")
-    if "kind" not in payload:
-        raise ValueError("request needs a 'kind' field")
-    known = {
-        "kind", "source", "target", "tag", "source_tag", "path",
-        "max_distance", "max_cost", "model", "limit", "include_self",
-        "exact_order", "bidirectional", "budget", "explain",
-    }
-    unknown = set(payload) - known
-    if unknown:
-        raise ValueError(f"unknown request fields: {sorted(unknown)}")
-    fields = dict(payload)
-    fields["path"] = tuple(fields.get("path") or ())
-    model = fields.get("model")
-    if model is not None:
-        try:
-            fields["model"] = ConnectionModel(**model)
-        except TypeError as exc:
-            raise ValueError(f"bad connection model: {exc}") from exc
-    budget = fields.get("budget")
-    if budget is not None:
-        try:
-            fields["budget"] = QueryBudget(**budget)
-        except TypeError as exc:
-            raise ValueError(f"bad budget: {exc}") from exc
-    for key in ("source", "target"):
-        value = fields.get(key)
-        if value is not None and (
-            isinstance(value, bool) or not isinstance(value, int)
-        ):
-            raise ValueError(f"{key!r} must be an integer node id")
-    try:
-        return QueryRequest(**fields)
-    except TypeError as exc:
-        raise ValueError(str(exc)) from exc
-
-
-def response_to_json(response: QueryResponse) -> Dict:
-    """Render a :class:`QueryResponse` as a JSON-ready dict."""
-    results = []
-    for row in response.results:
-        if isinstance(row, QueryResult):
-            results.append(
-                {"node": row.node, "distance": row.distance,
-                 "meta_id": row.meta_id}
-            )
-        else:  # (node, distance) path pairs / (node, cost) connections
-            results.append(list(row))
-    stats = response.stats
-    plan = getattr(response, "plan", None)
-    return {
-        "kind": response.request.kind,
-        "results": results,
-        "value": response.value,
-        "completeness": stats.completeness,
-        "from_cache": response.from_cache,
-        "elapsed_seconds": response.elapsed_seconds,
-        "layout_generation": response.layout_generation,
-        "stats": {
-            "meta_document_visits": stats.meta_document_visits,
-            "link_traversals": stats.link_traversals,
-            "entries_dropped": stats.entries_dropped,
-            "results_returned": stats.results_returned,
-            "results_suppressed": stats.results_suppressed,
-            "covered_probes": stats.covered_probes,
-            "queue_pops": stats.queue_pops,
-            "planner_pruned_pops": stats.planner_pruned_pops,
-            "planner_pruned_pushes": stats.planner_pruned_pushes,
-            "fallback_meta_documents": stats.fallback_meta_documents,
-        },
-        "plan": plan.to_dict() if plan is not None else None,
-    }
 
 
 class _FrontDoorHandler(BaseHTTPRequestHandler):
@@ -217,7 +131,8 @@ class _FrontDoorHandler(BaseHTTPRequestHandler):
             raw = self.rfile.read(length)
             payload = json.loads(raw) if raw else {}
             request = request_from_json(payload)
-        except (ValueError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # RecursionError: JSON nested deeper than the decoder recurses
             self._send_json(400, {"error": str(exc)})
             return
         if parsed.path == "/explain":

@@ -11,7 +11,8 @@ Verbs served:
 
 ``query``
     Full delegation: evaluate one :class:`~repro.core.api.QueryRequest`
-    with ``Flix.query`` and return the :class:`QueryResponse` verbatim.
+    with ``Flix.query`` and return the :class:`QueryResponse` as the
+    front door renders it (:func:`~repro.shard.protocol.response_to_json`).
     Every worker holds the whole (lazily-faulted) index, so a delegated
     answer is byte-identical to single-process evaluation by definition;
     *ownership* steers routing and page-cache locality, not correctness.
@@ -73,13 +74,29 @@ from repro.core.framework import Flix
 from repro.core.pee import QueryStats
 from repro.obs import Observability
 from repro.shard.plan import ShardMap, load_shard_map
-from repro.shard.protocol import read_frame, write_frame
+from repro.shard.protocol import (
+    ProtocolError,
+    budget_from_json,
+    encode_frame,
+    expansion_args,
+    expansion_reply_to_json,
+    expect,
+    read_frame,
+    request_from_json,
+    response_to_json,
+    write_frame,
+)
 
 READY_PREFIX = "FLIX-SHARD-READY"
 
 #: hard cap on records per ``wal_pull`` reply frame — followers page
 #: through longer backlogs via the reply's ``truncated`` flag
 WAL_PULL_MAX_RECORDS = 256
+
+
+def _error_reply(exc_type: str, message: str):
+    """The ``error`` frame a caller re-raises (``ShardClient.call``)."""
+    return "error", {"type": exc_type, "message": message}
 
 
 class ShardWorker:
@@ -233,36 +250,35 @@ class ShardWorker:
             while not self._stop.is_set():
                 try:
                     verb, payload = read_frame(conn)
+                except ProtocolError as exc:
+                    # the stream is out of step past a bad frame: say
+                    # why, then hang up
+                    self._refuse(conn, "ProtocolError", str(exc))
+                    return
                 except (ConnectionError, OSError):
                     return  # peer hung up
                 with self._inflight_lock:
                     if self._draining:
                         # a request racing the drain gets an explicit
                         # refusal, not a dropped connection
-                        try:
-                            write_frame(
-                                conn,
-                                ("error", {
-                                    "type": "ShardUnavailable",
-                                    "message": "worker is draining",
-                                }),
-                            )
-                        except (ConnectionError, OSError):
-                            pass
+                        self._refuse(
+                            conn, "ShardUnavailable", "worker is draining"
+                        )
                         return
                     self._inflight += 1
                 try:
                     try:
-                        reply = self._dispatch(verb, payload)
+                        # encoded here, so a reply that cannot be framed
+                        # is answered as an error like any other failure
+                        frame = encode_frame(self._dispatch(verb, payload))
                         self._requests.inc(verb=verb, status="ok")
                     except Exception as exc:  # keep the worker alive
                         self._requests.inc(verb=verb, status="error")
-                        reply = (
-                            "error",
-                            {"type": type(exc).__name__, "message": str(exc)},
+                        frame = encode_frame(
+                            _error_reply(type(exc).__name__, str(exc))
                         )
                     try:
-                        write_frame(conn, reply)
+                        conn.sendall(frame)
                     except (ConnectionError, OSError):
                         return
                 finally:
@@ -275,68 +291,71 @@ class ShardWorker:
                     self.close()
                     return
 
+    @staticmethod
+    def _refuse(conn: socket.socket, exc_type: str, message: str) -> None:
+        """Best-effort ``error`` frame before the connection is dropped."""
+        try:
+            write_frame(conn, _error_reply(exc_type, message))
+        except (ConnectionError, OSError):
+            pass
+
     # ------------------------------------------------------------------
-    # verb handlers
+    # verb handlers (payloads are decoded and checked by the protocol's
+    # codec; a bad one raises and is answered with an ``error`` frame)
     # ------------------------------------------------------------------
     def _dispatch(self, verb: str, payload: dict):
         if verb == "query":
             response = self.flix.query(
-                payload["request"], budget=payload.get("budget")
+                request_from_json(payload["request"]),
+                budget=budget_from_json(payload.get("budget")),
             )
-            return "response", {"response": response}
-        if verb == "expand":
+            return "response", {"response": response_to_json(response)}
+        if verb in ("expand", "connection_probe"):
             stats = QueryStats()
-            outcome = self.flix.pee.expand_entry(
-                payload["meta_id"], payload["entry"], payload["priority"],
-                payload["tag"], payload["forward"], payload["skip"],
-                payload["max_distance"], payload["previous"], stats,
+            expand = (
+                self.flix.pee.expand_entry if verb == "expand"
+                else self.flix.pee.connection_probe
             )
-            return "expanded", {"outcome": outcome, "stats": stats}
-        if verb == "connection_probe":
-            stats = QueryStats()
-            outcome = self.flix.pee.connection_probe(
-                payload["meta_id"], payload["entry"], payload["priority"],
-                payload["target"], payload["target_meta"],
-                payload["max_distance"], payload["previous"], stats,
+            outcome = expand(*expansion_args(verb, payload), stats)
+            return (
+                "expanded" if verb == "expand" else "probed",
+                expansion_reply_to_json(outcome, stats),
             )
-            return "probed", {"outcome": outcome, "stats": stats}
         if verb == "explain":
             # the EXPLAIN surface: every worker holds the whole index, so
             # any shard's static plan is authoritative for the deployment
-            return "plan", {"plan": self.flix.explain(payload["request"])}
+            plan = self.flix.explain(request_from_json(payload["request"]))
+            return "plan", {"plan": plan.to_dict()}
         if verb == "type_seeds":
             seeds = type_seeds(
-                self.flix.collection, self.flix.meta_of, payload["source_tag"]
+                self.flix.collection, self.flix.meta_of,
+                expect(payload["source_tag"], (str,), "'source_tag'"),
             )
             return "seeds", {"seeds": seeds}
         if verb == "wal_pull":
-            from repro.wal.log import read_wal
+            from repro.wal.follower import FileWalSource
 
             if self.wal_path is None:
                 raise ValueError("this worker serves no write-ahead log")
-            after = int(payload.get("after_generation", -1))
+            after = expect(
+                payload.get("after_generation", -1), (int,),
+                "'after_generation'",
+            )
             # page size bounds the reply frame: a single add_batch
             # record can be huge, so never serialize the whole backlog
             # into one frame — the follower iterates on ``truncated``
-            limit = int(payload.get("max_records", WAL_PULL_MAX_RECORDS))
+            limit = expect(
+                payload.get("max_records", WAL_PULL_MAX_RECORDS), (int,),
+                "'max_records'",
+            )
             limit = max(1, min(limit, WAL_PULL_MAX_RECORDS))
-            records, _discarded = read_wal(self.wal_path)
-            base = records[0].generation if records else after
-            tail = records[-1].generation if records else after
-            fresh = [r for r in records if r.generation > after]
-            page, truncated = fresh[:limit], len(fresh) > limit
+            segment = FileWalSource(self.wal_path).fetch(after)
+            page = segment.records[:limit]
             return "wal_records", {
-                "records": [
-                    {
-                        "verb": r.verb,
-                        "generation": r.generation,
-                        "payload": r.payload,
-                    }
-                    for r in page
-                ],
-                "base_generation": base,
-                "tail_generation": tail,
-                "truncated": truncated,
+                "records": [record.to_json() for record in page],
+                "base_generation": segment.base_generation,
+                "tail_generation": segment.tail_generation,
+                "truncated": len(segment.records) > limit,
             }
         if verb == "ping":
             return "pong", {

@@ -76,8 +76,8 @@ class RemoteWalSource:
     Replies are paged (``page_size`` records per frame, the server caps
     it further): one :meth:`fetch` keeps pulling with an advancing
     cursor until the server reports no remainder, so no single reply
-    frame ever carries the whole backlog.  Servers predating the
-    ``truncated`` flag simply answer everything in the first page.
+    frame ever carries the whole backlog.  Records travel as their WAL
+    JSON (:meth:`WalRecord.to_json`).
     """
 
     def __init__(
@@ -129,21 +129,14 @@ class RemoteWalSource:
         tail = after_generation
         while True:
             payload = self._pull_page(cursor)
-            page = [
-                WalRecord(
-                    verb=entry["verb"],
-                    generation=entry["generation"],
-                    payload=entry.get("payload", {}),
-                )
-                for entry in payload["records"]
-            ]
+            page = [WalRecord.from_json(entry) for entry in payload["records"]]
             if base is None:
                 base = payload["base_generation"]
             tail = payload["tail_generation"]
             records.extend(page)
             if page:
                 cursor = page[-1].generation
-            if not page or not payload.get("truncated", False):
+            if not page or not payload["truncated"]:
                 break
         return WalSegment(
             tuple(records),

@@ -1,4 +1,9 @@
-"""The WAL's on-disk record format: length-framed, CRC-checksummed.
+"""The record framing: length-framed, CRC-checksummed compact JSON.
+
+This module owns the one framing FliX writes: WAL files on disk and
+shard RPC frames on the wire (:mod:`repro.shard.protocol`) are both
+sequences of records built by :func:`encode_record` and checked by
+:func:`decode_header` / :func:`decode_body`.
 
 A log file is the 8-byte magic ``FLXWAL01`` followed by zero or more
 records::
@@ -9,7 +14,8 @@ records::
     | body length    | CRC-32 of body |                        |
     +----------------+----------------+------------------------+
 
-The body is the compact JSON rendering of one :class:`WalRecord`:
+Every body is compact JSON with sorted keys, so equal values frame to
+equal bytes.  In a log the body is one :class:`WalRecord`:
 ``{"verb": ..., "generation": ..., "payload": {...}}``.  ``generation``
 is the layout generation the verb *produces* — replay applies records
 whose generation exceeds the loaded snapshot's and verifies the layout
@@ -39,10 +45,55 @@ from typing import Any, Dict, List, Tuple
 WAL_MAGIC = b"FLXWAL01"
 
 #: a single record body above this is corruption, not data (the largest
-#: legitimate record is an ``add_batch`` of serialized documents)
+#: legitimate record is an ``add_batch`` of serialized documents; no
+#: legitimate shard reply comes near it either)
 MAX_RECORD_BYTES = 256 * 1024 * 1024
 
 _HEADER = struct.Struct(">II")
+
+#: bytes in front of every body: its length and its CRC-32
+HEADER_SIZE = _HEADER.size
+
+# one encoder for every body (``json.dumps`` with these arguments would
+# build a new one per call, a cost every shard RPC pays twice)
+_BODY_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
+def encode_record(data: Any) -> bytes:
+    """``data`` framed: header + compact, key-sorted UTF-8 JSON body.
+
+    Raises ``ValueError`` when the body exceeds :data:`MAX_RECORD_BYTES`
+    (no reader would accept it) and ``TypeError`` when ``data`` is not
+    JSON-native.
+    """
+    body = _BODY_ENCODER.encode(data).encode("utf-8")
+    if len(body) > MAX_RECORD_BYTES:
+        raise ValueError(
+            f"record body of {len(body)} bytes exceeds MAX_RECORD_BYTES"
+        )
+    return _HEADER.pack(len(body), zlib.crc32(body)) + body
+
+
+def decode_header(data: bytes, offset: int = 0) -> Tuple[int, int]:
+    """``(length, crc)`` of the header at ``offset``; ``ValueError`` when
+    the length is implausible (above :data:`MAX_RECORD_BYTES`)."""
+    length, crc = _HEADER.unpack_from(data, offset)
+    if length > MAX_RECORD_BYTES:
+        raise ValueError(
+            f"header announces {length} bytes (> MAX_RECORD_BYTES)"
+        )
+    return length, crc
+
+
+def decode_body(body: bytes, crc: int) -> Any:
+    """The JSON value of one body; ``ValueError`` when it fails its
+    CRC-32 or is not UTF-8 JSON (nesting too deep to decode included)."""
+    if zlib.crc32(body) != crc:
+        raise ValueError("body fails its CRC-32 check")
+    try:
+        return json.loads(body.decode("utf-8"))
+    except RecursionError as exc:
+        raise ValueError("body nests too deeply to decode") from exc
 
 
 class WalError(RuntimeError):
@@ -63,27 +114,29 @@ class WalRecord:
     generation: int
     payload: Dict[str, Any] = field(default_factory=dict)
 
-    def to_bytes(self) -> bytes:
-        """The full framed record (header + body), ready to append."""
-        body = json.dumps(
-            {
-                "verb": self.verb,
-                "generation": self.generation,
-                "payload": self.payload,
-            },
-            separators=(",", ":"),
-            sort_keys=True,
-        ).encode("utf-8")
-        return _HEADER.pack(len(body), zlib.crc32(body)) + body
+    def to_json(self) -> Dict[str, Any]:
+        """The record's JSON body (also what ``wal_pull`` ships)."""
+        return {
+            "verb": self.verb,
+            "generation": self.generation,
+            "payload": self.payload,
+        }
 
     @classmethod
-    def from_body(cls, body: bytes) -> "WalRecord":
-        data = json.loads(body.decode("utf-8"))
+    def from_json(cls, data: Dict[str, Any]) -> "WalRecord":
         return cls(
             verb=data["verb"],
             generation=int(data["generation"]),
             payload=data.get("payload", {}),
         )
+
+    def to_bytes(self) -> bytes:
+        """The full framed record (header + body), ready to append."""
+        return encode_record(self.to_json())
+
+    @classmethod
+    def from_body(cls, body: bytes) -> "WalRecord":
+        return cls.from_json(json.loads(body.decode("utf-8")))
 
 
 def decode_records(data: bytes) -> Tuple[List[WalRecord], int]:
@@ -103,31 +156,35 @@ def decode_records(data: bytes) -> Tuple[List[WalRecord], int]:
     offset = len(WAL_MAGIC)
     total = len(data)
     while offset < total:
-        if total - offset < _HEADER.size:
+        if total - offset < HEADER_SIZE:
             break  # torn header
-        length, crc = _HEADER.unpack_from(data, offset)
-        if length > MAX_RECORD_BYTES:
-            break  # implausible length: a bit flip in the header
-        body_start = offset + _HEADER.size
-        if total - body_start < length:
-            break  # torn body
-        body = data[body_start : body_start + length]
-        if zlib.crc32(body) != crc:
-            break  # bit-flipped body (or header CRC)
+        body_start = offset + HEADER_SIZE
         try:
-            record = WalRecord.from_body(body)
+            length, crc = decode_header(data, offset)
+            if total - body_start < length:
+                break  # torn body
+            record = WalRecord.from_json(
+                decode_body(data[body_start : body_start + length], crc)
+            )
         except (ValueError, KeyError, TypeError):
-            break  # CRC collided with garbage; do not apply it
+            # an implausible length (a bit flip in the header), a
+            # bit-flipped body, or a CRC that collided with garbage: do
+            # not apply it
+            break
         records.append(record)
         offset = body_start + length
     return records, total - offset
 
 
 __all__ = [
+    "HEADER_SIZE",
     "MAX_RECORD_BYTES",
     "WAL_MAGIC",
     "WalCorruptionError",
     "WalError",
     "WalRecord",
+    "decode_body",
+    "decode_header",
     "decode_records",
+    "encode_record",
 ]

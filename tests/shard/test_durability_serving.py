@@ -95,6 +95,7 @@ class TestWorkerDrain:
         worker.drain(timeout=5.0)
         with pytest.raises(OSError):
             _call(host, port, "ping", {})
+        worker.flix.wal.close()
         wal_path_for(deployment.index_dir).unlink()
 
     def test_sigterm_drains_subprocess_to_exit_zero(self, deployment):

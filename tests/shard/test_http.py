@@ -122,7 +122,7 @@ class TestRoutes:
                 {"kind": "descendants", "source": "matrix3.xml"},
             )
             assert status == 400
-            assert "integer node id" in body["error"]
+            assert "'source' must be an integer" in body["error"]
 
     def test_health_route(self, door):
         front, _ = door
@@ -147,6 +147,66 @@ class TestRoutes:
         front, _ = door
         status, _, _ = _get(front, "/nope")
         assert status == 404
+
+
+def _raw_post(door, body: bytes) -> bytes:
+    """``POST /query`` over a bare socket: the whole reply (read to the
+    door's hang-up), or ``socket.timeout`` when the handler thread died
+    without one."""
+    with socket.create_connection(door.address, timeout=2.0) as sock:
+        sock.sendall(
+            b"POST /query HTTP/1.1\r\nHost: flix\r\nConnection: close\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n"
+            + body
+        )
+        chunks = []
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestHostileBodies:
+    """Request fields of the wrong type are a 400 with the reason — not
+    a silently reinterpreted request, and not a handler thread that dies
+    without answering."""
+
+    @pytest.mark.parametrize(
+        "body, reason",
+        [
+            (b'{"kind":"path","source":1,"path":5}', "'path'"),
+            (b'{"kind":"path","source":1,"path":"ab"}', "'path'"),
+            (b'{"kind":"path","source":1,"path":["a",2]}', "'path'"),
+            (b'{"kind":"descendants","source":1,"tag":7}', "'tag'"),
+            (b'{"kind":"descendants","source_tag":7}', "'source_tag'"),
+            (b'{"kind":"descendants","source":1,"limit":true}', "'limit'"),
+            (b'{"kind":"descendants","source":true}', "'source'"),
+            (b'{"kind":"test","source":1,"target":false}', "'target'"),
+            (b'{"kind":"descendants","source":1,"max_distance":true}',
+             "'max_distance'"),
+            (b'{"kind":"descendants","source":1,"budget":[1]}', "budget"),
+            pytest.param(b"[" * 100_000, "recursion", id="deep-nesting"),
+        ],
+    )
+    def test_wrong_types_are_400(self, door, body, reason):
+        front, _ = door
+        reply = _raw_post(front, body)
+        assert reply.startswith(b"HTTP/1.1 400 "), reply[:200]
+        assert reason.encode() in reply
+
+    def test_the_decoder_refuses_them_directly(self):
+        for body in (
+            {"kind": "path", "source": 1, "path": "ab"},
+            {"kind": "descendants", "source": 1, "tag": 7},
+            {"kind": "descendants", "source": 1, "limit": True},
+            {"kind": "descendants", "source": 1, "explain": "yes"},
+            {"kind": "cost", "source": 1, "target": 2, "max_cost": "3"},
+            {"kind": "cost", "source": 1, "target": 2, "model": {"x": 1}},
+        ):
+            with pytest.raises(ValueError):
+                request_from_json(body)
 
 
 class TestHostileContentLength:

@@ -1,7 +1,8 @@
 """Import layering: ``repro.bench`` is a leaf used by the paper-figure
 suites, never by the serving path; the packed indexes know no storage;
 SQLite is persistence's business, ``repro.storage`` depends on nothing
-above it, and only ``repro.faults`` knows the fault-plan environment."""
+above it, nothing that reads a socket or a log unpickles, and only
+``repro.faults`` knows the fault-plan environment."""
 
 import ast
 from pathlib import Path
@@ -82,6 +83,20 @@ def test_storage_imports_nothing_above_it():
         )
     ]
     assert offenders == []
+
+
+def test_no_pickle_on_the_wire():
+    """Bytes from a socket or a log are JSON decoded by a validating
+    codec (``repro.wal.record`` framing, ``repro.shard.protocol``
+    payloads), never unpickled.  The build's process hand-off, between
+    workers this process started, is the one pickle left."""
+    importers = {
+        path.relative_to(SRC).as_posix()
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for module in imported_modules(path)
+        if within(module, "pickle")
+    }
+    assert importers == {"repro/core/ib.py"}
 
 
 def test_production_code_reads_no_fault_plan_environment():
