@@ -19,9 +19,9 @@ Commands
 ``explain <dir> <start> <tag> [--config ...] [--max-distance D]
           [--limit K] [--exact-order] [--json]``
     Print the :class:`~repro.core.planner.QueryPlan` for ``start//tag``
-    without running it: chosen probe order, per-probe cost estimates,
-    statically pruned meta documents, planner provenance (see
-    ``docs/PLANNING.md``).
+    without running it: the meta documents the query can probe, with
+    their strategy and residual-link fan-out, and the ones no residual
+    link from the source reaches (see ``docs/PLANNING.md``).
 
 ``relaxed <dir> <query> [--top-k K]``
     Evaluate a relaxed path query (e.g. ``'//~movie//actor'``) with the
@@ -173,8 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     explain = sub.add_parser(
         "explain",
-        help="print the probe plan for start//tag without running it "
-        "(docs/PLANNING.md)",
+        help="print the meta documents start//tag can probe without "
+        "running it (docs/PLANNING.md)",
     )
     explain.add_argument("directory")
     explain.add_argument("start", help="document.xml or document.xml#id")
@@ -449,7 +449,7 @@ def _cmd_explain(args) -> int:
         print(json.dumps(plan.to_dict(), indent=2))
         return 0
     print(
-        f"plan: kind={plan.kind} mode={plan.mode} order={plan.order} "
+        f"plan: kind={plan.kind} mode={plan.mode} "
         f"generation={plan.generation}"
     )
     if plan.source_metas:
@@ -458,13 +458,10 @@ def _cmd_explain(args) -> int:
             + ", ".join(str(m) for m in plan.source_metas)
         )
     if plan.probes:
-        print(f"{'rank':>4}  {'meta':>4}  {'strategy':<8}  "
-              f"{'est.matches':>11}  {'est.reach':>9}  {'fan-out':>7}")
+        print(f"{'meta':>4}  {'strategy':<8}  {'fan-out':>7}")
         for probe in plan.probes:
             print(
-                f"{probe.rank:>4}  {probe.meta_id:>4}  "
-                f"{probe.strategy:<8}  {probe.estimated_matches:>11.1f}  "
-                f"{probe.estimated_reach:>9.1f}  {probe.fan_out:>7}"
+                f"{probe.meta_id:>4}  {probe.strategy:<8}  {probe.fan_out:>7}"
             )
     if plan.pruned_metas:
         print(

@@ -23,7 +23,6 @@ from repro.core.api import (
 from repro.core.config import (
     CacheConfig,
     FlixConfig,
-    PlannerConfig,
     ResilienceConfig,
 )
 from repro.core.connections import ConnectionEvaluator, ConnectionModel
@@ -38,15 +37,10 @@ from repro.core.pee import (
     QueryResult,
     QueryStream,
 )
-from repro.core.planner import (
-    LayoutStatistics,
-    ProbePlanner,
-    QueryPlan,
-    collect_layout_statistics,
-)
+from repro.core.planner import QueryPlan
 from repro.core.results import StreamedList
 from repro.core.framework import Flix
-from repro.core.selftune import QueryLoadMonitor, TuningAdvice, WorkloadProfile
+from repro.core.selftune import QueryLoadMonitor, TuningAdvice
 from repro.core.subcollections import (
     Subcollection,
     identify_subcollections,
@@ -79,10 +73,5 @@ __all__ = [
     "StreamedList",
     "QueryLoadMonitor",
     "TuningAdvice",
-    "WorkloadProfile",
-    "PlannerConfig",
-    "ProbePlanner",
     "QueryPlan",
-    "LayoutStatistics",
-    "collect_layout_statistics",
 ]

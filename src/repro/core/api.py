@@ -118,7 +118,7 @@ class QueryRequest:
     bidirectional: bool = False
     #: per-request work limits, overriding the evaluator's default
     budget: Optional[QueryBudget] = None
-    #: stamp the probe planner's :class:`~repro.core.planner.QueryPlan`
+    #: stamp the static :class:`~repro.core.planner.QueryPlan`
     #: onto ``QueryResponse.plan`` (the EXPLAIN surface; uncacheable)
     explain: bool = False
 
@@ -334,7 +334,7 @@ class QueryResponse:
     from_cache: bool = False
     elapsed_seconds: float = 0.0
     layout_generation: int = 0
-    #: the probe planner's :class:`~repro.core.planner.QueryPlan`, stamped
+    #: the static :class:`~repro.core.planner.QueryPlan`, stamped
     #: only when the request set ``explain=True`` (``Flix.explain`` returns
     #: one without evaluating)
     plan: Optional[Any] = None

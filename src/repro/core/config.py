@@ -129,55 +129,6 @@ class CacheConfig:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
-#: probe orderings the planner understands: ``fifo`` pops same-distance
-#: entries in discovery order (the paper's order), ``cost`` reorders them
-#: by estimated selectivity where provably safe
-PLANNER_ORDERS = ("fifo", "cost")
-
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    """Probe-ordering knobs (see ``docs/PLANNING.md``).
-
-    Every configuration carries one (:attr:`FlixConfig.planner`, changed
-    via :meth:`FlixConfig.with_planner`).  Ordering never changes a
-    query's *result set* (``docs/PLANNING.md`` carries the safety
-    argument); the loop's duplicate pruning is not an option and has no
-    knob here.
-    """
-
-    #: probe ordering: ``"fifo"`` keeps the paper's exact result order;
-    #: ``"cost"`` rank-orders same-distance probes by the per-meta
-    #: selectivity statistics where that cannot change the result set
-    #: (unbounded-distance searches only), and persists those statistics
-    #: as the ``planner_stats.json`` sidecar
-    order: str = "fifo"
-    #: rounds for the Cohen TC-size estimator over the meta link graph
-    rounds: int = 8
-
-    def __post_init__(self) -> None:
-        if self.order not in PLANNER_ORDERS:
-            raise ValueError(
-                f"unknown planner order {self.order!r}; "
-                f"expected one of {PLANNER_ORDERS}"
-            )
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-
-    # ------------------------------------------------------------------
-    # persistence (manifest round-trip)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PlannerConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        return cls(**{k: v for k, v in data.items() if k in known})
-
-
 @dataclass(frozen=True)
 class FlixConfig:
     """One configuration of the framework."""
@@ -221,8 +172,6 @@ class FlixConfig:
     #: with generation-based invalidation, see ``docs/SERVING.md``);
     #: ``None`` disables caching — the classic zero-memory behaviour
     cache: Optional[CacheConfig] = None
-    #: probe ordering for the PEE's Figure-4 loop (``docs/PLANNING.md``)
-    planner: PlannerConfig = PlannerConfig()
 
     def __post_init__(self) -> None:
         if self.mdb_strategy not in MDB_STRATEGIES:
@@ -310,19 +259,6 @@ class FlixConfig:
         from dataclasses import replace
 
         return replace(self, cache=None)
-
-    def with_planner(
-        self, planner: Optional[PlannerConfig] = None, **overrides
-    ) -> "FlixConfig":
-        """This configuration with different probe-ordering knobs:
-        keyword overrides build the :class:`PlannerConfig`
-        (``with_planner(order="cost")``); no arguments restore the
-        defaults."""
-        from dataclasses import replace
-
-        if planner is None:
-            planner = PlannerConfig(**overrides)
-        return replace(self, planner=planner)
 
     # ------------------------------------------------------------------
     # the paper's predefined configurations

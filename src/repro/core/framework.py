@@ -52,6 +52,7 @@ from repro.core.layout import IndexLayout
 from repro.core.mdb import MetaDocumentBuilder
 from repro.core.meta_document import MetaDocument
 from repro.core.pee import PathExpressionEvaluator, QueryBudget
+from repro.core.planner import QueryPlan, plan
 from repro.core.selftune import QueryLoadMonitor, TuningAdvice, with_compaction_advice
 from repro.obs import MetricsRegistry, Observability, Trace, render
 
@@ -96,10 +97,6 @@ class Flix:
         # the mutation lock serializes the maintenance verbs — queries
         # never take it, they pin self._layout once and run on that.
         self._mutation_lock = threading.RLock()
-        # memoized (generation, LayoutStatistics) pair for the probe
-        # planner's cost model — must exist before the first evaluator is
-        # built, because the evaluator's planner closes over the memo
-        self._planner_stats: Optional[Tuple[int, Any]] = None
         slots = tuple(meta_documents)
         frozen_meta_of = dict(meta_of)
         self._layout = IndexLayout(
@@ -194,7 +191,6 @@ class Flix:
         keeps the classic zero-overhead behaviour)."""
         from repro.core.fallback import FallbackContext
         from repro.core.pee import QueryBudget
-        from repro.core.planner import ProbePlanner
 
         resilience = getattr(self.config, "resilience", None)
         budget = QueryBudget.from_resilience(resilience)
@@ -210,37 +206,7 @@ class Flix:
             budget=budget,
             fallback=fallback,
             generation=generation,
-            # statistics stay uncollected until cost order ranks with
-            # them or EXPLAIN asks for them
-            planner=ProbePlanner(
-                self.config.planner, statistics=self.planner_statistics
-            ),
         )
-
-    def planner_statistics(self, refresh: bool = False):
-        """Per-meta selectivity statistics for the probe planner's cost
-        model (:class:`repro.core.planner.LayoutStatistics`), collected
-        lazily over the *current* layout snapshot and memoized per
-        generation.  ``refresh=True`` discards the memo first."""
-        from repro.core.planner import collect_layout_statistics
-
-        layout = self._layout
-        cached = self._planner_stats
-        if (
-            not refresh
-            and cached is not None
-            and cached[0] == layout.generation
-        ):
-            return cached[1]
-        stats = collect_layout_statistics(
-            layout.slots,
-            layout.meta_of,
-            self.collection.tag,
-            layout.generation,
-            rounds=self.config.planner.rounds,
-        )
-        self._planner_stats = (layout.generation, stats)
-        return stats
 
     def _publish_layout(self, layout: IndexLayout, verb: str) -> None:
         """Atomically publish a new layout snapshot.
@@ -302,7 +268,6 @@ class Flix:
         collection: XmlCollection,
         config: Optional[FlixConfig] = None,
         jobs: Optional[int] = None,
-        workload: Optional["WorkloadProfile"] = None,
     ) -> "Flix":
         """Run the full build phase: MDB -> ISS -> IB.
 
@@ -320,12 +285,6 @@ class Flix:
         with results merged in spec order — the built index is identical to
         a sequential build at any ``jobs`` value.
 
-        ``workload`` is an observed :class:`repro.core.selftune
-        .WorkloadProfile` (``flix.monitor.profile()``): the ISS is biased
-        toward strategies that fit the measured query mix (APEX-style
-        workload-driven retuning; see ``docs/PLANNING.md``) before the
-        build runs.
-
         Fault tolerance: with ``config.resilience`` set, a per-meta index
         build that fails is retried, then rebuilt with the safe fallback
         strategy, then left unindexed for the PEE's query-time BFS
@@ -333,8 +292,6 @@ class Flix:
         """
         if config is None:
             config = FlixConfig.recommend_for(collection)
-        if workload is not None:
-            config = workload.bias(config)
 
         obs = Observability(getattr(config, "observability", True))
         specs = MetaDocumentBuilder(collection, config).build_specs()
@@ -443,13 +400,14 @@ class Flix:
         request: QueryRequest,
         layout: Optional["IndexLayout"] = None,
     ) -> "QueryPlan":
-        """The probe planner's static :class:`repro.core.planner.QueryPlan`
-        for ``request`` — the EXPLAIN surface — without evaluating it.
+        """The static :class:`repro.core.planner.QueryPlan` for
+        ``request`` — the EXPLAIN surface — without evaluating it.
 
-        ``mode="planned"`` plans describe the probe order the evaluator
-        applies; kinds that never enter the Figure-4 loop (children /
+        ``mode="planned"`` plans list the meta documents the Figure-4
+        loop can probe; kinds that never enter the loop (children /
         connections / cost) come back ``mode="direct"``.  ``layout`` pins
-        the snapshot explained (defaults to the current one).
+        the snapshot explained (defaults to the current one).  An unknown
+        source or target raises the evaluator's ``KeyError``.
         """
         if layout is None:
             layout = self._layout
@@ -462,7 +420,7 @@ class Flix:
             "pee.plan", kind=request.kind, generation=layout.generation
         )
         try:
-            return layout.pee.planner.plan(request, layout, seeds=seeds)
+            return plan(request, layout, seeds=seeds)
         finally:
             trace.finish()
 
@@ -632,23 +590,14 @@ class Flix:
         self,
         config: Optional[FlixConfig] = None,
         jobs: Optional[int] = None,
-        workload: Optional["WorkloadProfile"] = None,
     ) -> "Flix":
         """Run the build phase again (e.g. following tuning advice).
-
-        ``workload`` biases the rebuild's strategy selection toward the
-        observed query mix — pass ``flix.monitor.profile()`` to close the
-        APEX-style retuning loop (``rebuild(workload=flix.monitor
-        .profile())`` after ``tuning_advice`` recommends it).
 
         The returned instance starts with a cold result cache: cached
         results describe the old meta-document layout and must not survive
         a rebuild.
         """
-        return Flix.build(
-            self.collection, config or self.config,
-            jobs=jobs, workload=workload,
-        )
+        return Flix.build(self.collection, config or self.config, jobs=jobs)
 
     # ------------------------------------------------------------------
     # incremental maintenance (copy-on-write; see docs/MAINTENANCE.md)

@@ -11,14 +11,8 @@ documents".  The decision procedure encodes the paper's rules of thumb
   exactly the method the paper cites as the intended size predictor);
 * otherwise -> APEX (or whatever summary index is allowed).
 
-Workload-driven retuning (``docs/PLANNING.md``): a selector constructed
-with an observed :class:`~repro.core.selftune.WorkloadProfile` biases its
-*effective* configuration toward the measured load before applying the
-rules above — a descendants-heavy window flips ``expect_long_paths`` and
-widens the HOPI budget, exactly what ``Flix.build(workload=...)`` does
-for the whole build.  Without an explicit workload the selector is a
-pure function of the configuration and graph, which is what keeps
-parallel builds and incremental growth deterministic.
+The selector is a pure function of the configuration and the graph,
+which is what keeps parallel builds and incremental growth deterministic.
 """
 
 from __future__ import annotations
@@ -50,13 +44,7 @@ class IndexingStrategySelector:
     #: overhead isn't worth it.
     SMALL_GRAPH_NODES = 64
 
-    def __init__(self, config: FlixConfig, workload=None) -> None:
-        # ``workload`` (a repro.core.selftune.WorkloadProfile) biases the
-        # effective configuration only when passed explicitly — incremental
-        # growth and repair construct bare selectors and must stay
-        # deterministic for a given config (fingerprint stability)
-        if workload is not None:
-            config = workload.bias(config)
+    def __init__(self, config: FlixConfig) -> None:
         self._config = config
 
     def choose(self, graph: Digraph) -> StrategyChoice:

@@ -4,7 +4,8 @@ The evaluator answers ``a//b``-style queries by interleaving per-meta-
 document index lookups with run-time traversal of residual links:
 
 1. a priority queue ``IE`` of *entry elements*, keyed by the minimal
-   distance any of their descendants can have to the start node;
+   distance any of their descendants can have to the start node, ties
+   popping in discovery order;
 2. for the popped entry ``e``, the local index returns all matches inside
    ``e``'s meta document (one block, ascending local distance) and the set
    ``L(e)`` of link-carrying descendants, whose link targets are enqueued at
@@ -75,7 +76,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.meta_document import MetaDocument
-from repro.core.planner import ProbeFrontier, ProbePlanner
+from repro.core.planner import ProbeFrontier
 from repro.indexes.base import NodeId
 from repro.obs import OBS_OFF, Observability
 from repro.storage.errors import PermanentStorageError, StorageError
@@ -339,7 +340,6 @@ def figure4_search(
     max_distance: Optional[int] = None,
     exact_order: bool = False,
     budget: Optional[QueryBudget] = None,
-    rank_map: Optional[Dict[int, int]] = None,
 ) -> Iterator:
     """Figure 4: the one priority-queue loop every evaluation runs.
 
@@ -350,26 +350,23 @@ def figure4_search(
     (:class:`PathExpressionEvaluator`) or an RPC to the shard owning the
     entry (:class:`repro.shard.distributed.DistributedEvaluator`).  Both
     deployments therefore produce the same stream with the same stats by
-    construction.  ``rank_map`` (cost order) breaks equal-priority ties
-    toward high-yield meta documents; without it ties pop FIFO.
+    construction.  Equal-priority entries pop in discovery order (FIFO).
     """
     frontier = ProbeFrontier()
     # entry points already expanded, per meta document
     entries: Dict[int, List[NodeId]] = {}
-    # (priority, rank, counter, node); rank stays 0 under FIFO order
-    heap: List[Tuple[int, int, int, NodeId]] = []
-    default_rank = len(rank_map) if rank_map is not None else 0
+    # (priority, counter, node): ties pop in discovery order
+    heap: List[Tuple[int, int, NodeId]] = []
     for order, seed in enumerate(seeds):
         try:
-            meta_id = meta_of(seed)
+            meta_of(seed)
         except KeyError:
             raise KeyError(
                 f"node {seed} is not part of the collection"
             ) from None
         if not frontier.admit_push(seed, 0):
             continue  # duplicate seed
-        rank = 0 if rank_map is None else rank_map.get(meta_id, default_rank)
-        heapq.heappush(heap, (0, rank, order, seed))
+        heapq.heappush(heap, (0, order, seed))
     counter = len(seeds)
     # exact-order buffering: (distance, tiebreak, result)
     buffer: List[Tuple[int, int, object]] = []
@@ -381,7 +378,7 @@ def figure4_search(
         if budget is not None and _budget_exhausted(budget, deadline, stats):
             stats.mark_truncated()
             break
-        priority, _, _, entry = heapq.heappop(heap)
+        priority, _, entry = heapq.heappop(heap)
         stats.queue_pops += 1
         if exact_order:
             # Every later result is found through an entry of priority
@@ -429,11 +426,7 @@ def figure4_search(
                 continue
             stats.link_traversals += 1
             counter += 1
-            rank = (
-                0 if rank_map is None
-                else rank_map.get(meta_of(neighbour), default_rank)
-            )
-            heapq.heappush(heap, (push_priority, rank, counter, neighbour))
+            heapq.heappush(heap, (push_priority, counter, neighbour))
 
     while buffer:
         yield heapq.heappop(buffer)[2]
@@ -469,8 +462,7 @@ def first_connection(
     ``probe(meta_id, entry, priority, previous)`` is the connection-test
     expander: ``None`` when the entry is covered, else ``(found,
     link_pushes)`` where ``found`` is the distance to the target once the
-    target's meta document reaches it.  Ties stay FIFO — reordering would
-    change *which* path is reported.
+    target's meta document reaches it.
     """
 
     def expand(meta_id, entry, priority, previous):
@@ -691,7 +683,6 @@ class PathExpressionEvaluator(SearchMethods):
         budget: Optional[QueryBudget] = None,
         fallback: Optional["FallbackContext"] = None,
         generation: int = 0,
-        planner: Optional[ProbePlanner] = None,
     ) -> None:
         # ``meta_documents`` is positionally indexed by meta id; removed
         # or compacted ids appear as ``None`` slots (never dereferenced:
@@ -710,9 +701,6 @@ class PathExpressionEvaluator(SearchMethods):
         #: index is missing or failing (None = degradation disabled: such
         #: a meta document raises instead)
         self._fallback_ctx = fallback
-        #: probe ordering and the EXPLAIN surface (repro.core.planner); a
-        #: bare evaluator gets the default FIFO planner
-        self._planner = planner if planner is not None else ProbePlanner()
         #: activated fallbacks, per meta id (sticky for this evaluator)
         self._fallbacks: Dict[int, object] = {}
         # per-query instruments, bound lazily on the first publish
@@ -723,11 +711,6 @@ class PathExpressionEvaluator(SearchMethods):
         #: snapshot of the most recently *completed* query's counters; the
         #: live per-query counters travel on the :class:`QueryStream`
         self.last_stats = QueryStats()
-
-    @property
-    def planner(self) -> ProbePlanner:
-        """The attached :class:`repro.core.planner.ProbePlanner`."""
-        return self._planner
 
     # ------------------------------------------------------------------
     # the local driver of the Figure-4 loop
@@ -750,22 +733,6 @@ class PathExpressionEvaluator(SearchMethods):
         ``budget`` overrides the evaluator's configured default for this
         query only (per-request deadlines from the serving layer)."""
         budget = self._effective_budget(budget)
-        rank_map = None
-        if (
-            axis is not None
-            and max_distance is None
-            and budget is None
-            and not exact_order
-        ):
-            # Cost-ordered expansion (``order="cost"``; ``None`` under
-            # FIFO) is only applied where it provably preserves the result
-            # *set*: an unbudgeted, unbounded search visits the whole
-            # reachable set in any order and §5.1's coverage suppresses
-            # re-emissions, but reported distances (first-reached upper
-            # bounds) may differ — so exact_order, max_distance
-            # thresholds, budgets, and internal sub-searches (axis=None,
-            # e.g. bidirectional tests) keep FIFO ties.
-            rank_map = self._planner.rank_map(tag, forward)
         obs = self._obs
         trace = None
         started = 0.0
@@ -792,7 +759,7 @@ class PathExpressionEvaluator(SearchMethods):
             try:
                 yield from figure4_search(
                     seeds, self._meta_of.__getitem__, expand, stats,
-                    max_distance, exact_order, budget, rank_map,
+                    max_distance, exact_order, budget,
                 )
             finally:
                 finalize()

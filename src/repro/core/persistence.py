@@ -221,7 +221,6 @@ def save_flix(flix: Flix, directory) -> Path:
             "cache": (
                 flix.config.cache.to_dict() if flix.config.cache else None
             ),
-            "planner": flix.config.planner.to_dict(),
         },
         "integrity": {
             "algorithm": INTEGRITY_ALGORITHMS,
@@ -263,39 +262,16 @@ def save_flix(flix: Flix, directory) -> Path:
     fsync_directory(root)
     # Phase 4 — clean: drop files the new manifest does not reference —
     # meta documents removed/compacted since the previous save, the
-    # ``.sqlite`` twins an older save wrote beside every blob, and any
-    # orphaned stage files a crashed save left behind.
-    for pattern in ("meta_*.sqlite", "meta_*.pack", "*" + TMP_SUFFIX):
+    # ``.sqlite`` twins and ``planner_stats.json`` sidecar older saves
+    # wrote, and any orphaned stage files a crashed save left behind.
+    for pattern in (
+        "meta_*.sqlite", "meta_*.pack", "planner_stats.json",
+        "*" + TMP_SUFFIX,
+    ):
         for stale in root.glob(pattern):
             if stale.name not in integrity:
                 stale.unlink()
-    _save_planner_statistics(flix, root)
     return manifest_path
-
-
-def _save_planner_statistics(flix: Flix, root: Path) -> None:
-    """Persist the probe planner's statistics sidecar (advisory).
-
-    ``planner_stats.json`` is deliberately *outside* the manifest's
-    integrity map: repair cannot rebuild it (the Cohen estimates are
-    randomized only over the layout, but the sidecar is a cache, not
-    index content), and a damaged or stale sidecar must degrade to
-    re-collection at first use, never fail a load.  Written only for
-    ``order="cost"`` — the one consumer that reads statistics on the
-    query path; any other save removes a stale sidecar.
-    """
-    from repro.core.planner import STATISTICS_FILENAME
-
-    path = root / STATISTICS_FILENAME
-    if flix.config.planner.order != "cost":
-        path.unlink(missing_ok=True)
-        return
-    try:
-        stats = flix.planner_statistics()
-        atomic_write_text(path, stats.to_json())
-    except Exception:
-        # advisory: a failed sidecar write must not fail the save
-        path.unlink(missing_ok=True)
 
 
 def _stage_tables(tmp: Path, source: StorageBackend) -> str:
@@ -712,32 +688,11 @@ def load_flix(collection: XmlCollection, directory, verify: bool = True) -> Flix
         flix._layout = restored.with_pee(
             flix._build_evaluator(restored.slots, restored.meta_of, generation)
         )
-    _load_planner_statistics(flix, root)
     return flix
 
 
-def _load_planner_statistics(flix: Flix, root: Path) -> None:
-    """Prime the planner-statistics memo from the saved sidecar.
-
-    Best-effort: a missing, unparsable, wrong-version, or stale
-    (generation-mismatched) sidecar is simply ignored and the statistics
-    are re-collected lazily at first use."""
-    from repro.core.planner import STATISTICS_FILENAME, LayoutStatistics
-
-    path = root / STATISTICS_FILENAME
-    if not path.is_file():
-        return
-    try:
-        stats = LayoutStatistics.from_json(path.read_text(encoding="utf-8"))
-    except Exception:
-        return
-    if stats.generation == flix.layout_generation:
-        flix._planner_stats = (stats.generation, stats)
-
-
 def _config_from_manifest(config_data: dict) -> FlixConfig:
-    from repro.core.config import PlannerConfig
-
+    # keys of retired options (``"planner"``) are ignored
     resilience_data = config_data.get("resilience")
     return FlixConfig(
         name=config_data["name"],
@@ -761,8 +716,6 @@ def _config_from_manifest(config_data: dict) -> FlixConfig:
             if config_data.get("cache")
             else None
         ),
-        # saves predating the always-on loop wrote ``null`` here
-        planner=PlannerConfig.from_dict(config_data.get("planner") or {}),
     )
 
 

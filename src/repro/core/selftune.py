@@ -7,12 +7,8 @@ again, taking statistics on the query load into account."
 
 :class:`QueryLoadMonitor` aggregates the :class:`~repro.core.pee.QueryStats`
 of executed queries; :meth:`QueryLoadMonitor.advice` decides whether a
-rebuild is warranted and recommends the next configuration.
-
-The workload-driven retuning loop (APEX-style; ``docs/PLANNING.md``)
-closes over the same window: :meth:`QueryLoadMonitor.profile` condenses
-it into a :class:`WorkloadProfile` that ``Flix.build(workload=...)`` /
-``Flix.rebuild(workload=...)`` feed into the Indexing Strategy Selector.
+rebuild is warranted and recommends the next configuration, which
+``Flix.rebuild(config)`` then builds.
 """
 
 from __future__ import annotations
@@ -75,45 +71,6 @@ def with_compaction_advice(
     )
 
 
-@dataclass(frozen=True)
-class WorkloadProfile:
-    """A condensed view of the recorded query load, ready to feed back
-    into the build phase (``Flix.build(workload=...)``).
-
-    ``duplicate_ratio`` is the fraction of priority-queue pops that were
-    dropped as already covered (§5.1 duplicate elimination, by index
-    probes or by the loop's frontier).  ``descendants_heavy`` is true
-    when the load is dominated by long-range reachability (many queue
-    pops and link traversals per query), the regime HOPI-style
-    distance-aware indexes are built for.
-    """
-
-    query_count: int = 0
-    duplicate_ratio: float = 0.0
-    mean_queue_pops: float = 0.0
-    mean_link_traversals: float = 0.0
-    descendants_heavy: bool = False
-
-    def bias(self, config: FlixConfig) -> FlixConfig:
-        """``config`` adjusted toward this workload (APEX-style).
-
-        A long-path-heavy load flips ``expect_long_paths`` (biasing the
-        ISS toward HOPI over PPO for deep structures) and doubles the
-        HOPI pair budget so the selector can afford the closure where the
-        load says it pays.  A light or unobserved load returns ``config``
-        unchanged — the bias never fires on cold instances.
-        """
-        if self.query_count == 0 or not self.descendants_heavy:
-            return config
-        changes = {}
-        if not config.expect_long_paths:
-            changes["expect_long_paths"] = True
-        changes["hopi_pairs_per_node_budget"] = (
-            config.hopi_pairs_per_node_budget * 2
-        )
-        return replace(config, **changes)
-
-
 class QueryLoadMonitor:
     """Sliding-window statistics over executed queries."""
 
@@ -129,8 +86,8 @@ class QueryLoadMonitor:
     def record(self, stats: QueryStats) -> None:
         # A truncated row with zero counters never touched the index: it
         # was refused before evaluation (queue-expired admission in
-        # repro.serve builds such rows).  Recording it would dilute every
-        # mean the workload profile and the tuning advice feed on, so it is
+        # repro.serve builds such rows).  Recording it would dilute the
+        # link-traversal mean the tuning advice feeds on, so it is
         # skipped; genuinely truncated evaluations (budget ran out
         # mid-search) carry nonzero counters and are recorded normally.
         if (
@@ -156,52 +113,6 @@ class QueryLoadMonitor:
             if not self._stats:
                 return 0.0
             return sum(s.link_traversals for s in self._stats) / len(self._stats)
-
-    @property
-    def mean_meta_document_visits(self) -> float:
-        with self._lock:
-            if not self._stats:
-                return 0.0
-            return sum(s.meta_document_visits for s in self._stats) / len(
-                self._stats
-            )
-
-    @property
-    def mean_results(self) -> float:
-        with self._lock:
-            if not self._stats:
-                return 0.0
-            return sum(s.results_returned for s in self._stats) / len(self._stats)
-
-    @property
-    def mean_queue_pops(self) -> float:
-        with self._lock:
-            if not self._stats:
-                return 0.0
-            return sum(s.queue_pops for s in self._stats) / len(self._stats)
-
-    @property
-    def duplicate_ratio(self) -> float:
-        """Dropped pops / total pops over the window: the share of
-        Figure-4 loop iterations §5.1 coverage discarded."""
-        with self._lock:
-            pops = sum(s.queue_pops for s in self._stats)
-            dropped = sum(s.entries_dropped for s in self._stats)
-        return dropped / max(1, pops)
-
-    def profile(self) -> WorkloadProfile:
-        """The window condensed into a :class:`WorkloadProfile` for
-        ``Flix.build(workload=...)`` / ``Flix.rebuild(workload=...)``."""
-        count = self.query_count
-        pops = self.mean_queue_pops
-        links = self.mean_link_traversals
-        return WorkloadProfile(
-            query_count=count,
-            duplicate_ratio=self.duplicate_ratio,
-            mean_queue_pops=pops,
-            mean_link_traversals=links,
-            descendants_heavy=(links > 4.0 or pops > 16.0),
-        )
 
     def advice(
         self,

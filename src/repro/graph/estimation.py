@@ -78,26 +78,6 @@ def estimate_descendant_counts(
     return estimates
 
 
-def estimate_meta_reach(
-    graph: Digraph,
-    rounds: int = 8,
-    seed: int = 0,
-) -> Dict[Node, float]:
-    """Estimated reachable-set sizes over a *meta-level* link graph.
-
-    The probe planner (:mod:`repro.core.planner`) runs the same
-    least-element estimator over the graph whose nodes are meta documents
-    and whose edges are residual links between them: the estimate for a
-    meta document is how many metas a probe of it can eventually pull
-    into the queue.  Meta-level graphs are small, so few rounds suffice;
-    ``rounds`` below the estimator's minimum of 2 is clamped up, and an
-    empty graph returns ``{}``.
-    """
-    if graph.node_count == 0:
-        return {}
-    return estimate_descendant_counts(graph, rounds=max(2, rounds), seed=seed)
-
-
 def estimate_closure_size(
     graph: Digraph,
     rounds: int = 25,

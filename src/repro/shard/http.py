@@ -12,13 +12,15 @@ noted:
     :func:`~repro.shard.protocol.response_to_json` — results, scalar
     value, completeness, stats, cache/layout provenance.  400 for malformed bodies (or a
     ``Content-Length`` that is not a non-negative integer), 413 for a
-    body over :data:`MAX_BODY_BYTES`, 404 for unknown nodes.  Pass ``"explain": true`` to additionally get the
-    executed plan stamped under ``"plan"``.
+    body over :data:`MAX_BODY_BYTES`, 404 for unknown nodes.  Pass
+    ``"explain": true`` to additionally get the static plan stamped
+    under ``"plan"``.
 ``POST /explain``
     Same request body as ``/query`` but nothing is evaluated: the
-    routed shard plans the probe order and the response is the
-    :class:`~repro.core.planner.QueryPlan` rendered by its ``to_dict``
-    (see ``docs/PLANNING.md``).  503 when no healthy shard can plan.
+    routed shard lists the meta documents the request can probe and the
+    response is the :class:`~repro.core.planner.QueryPlan` rendered by
+    its ``to_dict`` (see ``docs/PLANNING.md``).  404 for unknown nodes,
+    503 when no healthy shard can plan.
 ``GET /health``
     Per-shard liveness (the coordinator pings every worker), overall
     healthy/total counts, and the planned generation.  Status 200 while

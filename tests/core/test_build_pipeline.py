@@ -149,7 +149,7 @@ def test_save_holds_one_file_per_meta_document(
     """The blob is the index: a save is each meta document's ``.pack``
     (written as memory holds it) — its ``.sqlite`` tables only where the
     strategy has no packed form — plus the framework tables and the
-    manifest; the sidecar appears only under ``order="cost"``."""
+    manifest, and nothing else."""
     flix = Flix.build(figure1_collection, PRESETS[preset]())
     packed = preset != "unpackable"
     assert all(is_packed(m.index) == packed for m in flix.meta_documents)
@@ -173,13 +173,10 @@ def test_save_holds_one_file_per_meta_document(
         assert integrity["files"][name] == meta.index.fingerprint() == (
             hashlib.sha256(data).hexdigest()
         )
-    costed = Flix.build(
-        figure1_collection, PRESETS[preset]().with_planner(order="cost")
-    )
-    costed.save(tmp_path)
-    assert {p.name for p in tmp_path.iterdir()} == files | {
-        MANIFEST_NAME, "planner_stats.json",
-    }
+    # a planner-statistics sidecar an older save left is cleaned away
+    (tmp_path / "planner_stats.json").write_text("{}")
+    flix.save(tmp_path)
+    assert {p.name for p in tmp_path.iterdir()} == files | {MANIFEST_NAME}
 
 
 def test_manifest_without_similarity_threshold_loads(

@@ -1,50 +1,46 @@
-"""Probe pruning, ordering and EXPLAIN (``repro.core.planner``,
-``docs/PLANNING.md``).
+"""Probe pruning and EXPLAIN (``repro.core.planner``, ``docs/PLANNING.md``).
 
 The Figure-4 loop always prunes exact duplicates through its
 ``ProbeFrontier`` (that its answers equal plain BFS is the property in
-``tests/core/test_pee_properties.py``); the one option, ``order="cost"``,
-relaxes only the stream order (node-set identity).
+``tests/core/test_pee_properties.py``).  EXPLAIN's static plan lists the
+meta documents a request can probe; here it is checked against what an
+evaluation of the same request actually returns.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.api import QueryRequest
-from repro.core.config import FlixConfig, PlannerConfig
+from repro.core.config import FlixConfig
 from repro.core.framework import Flix
-from repro.core.planner import (
-    LayoutStatistics,
-    ProbeFrontier,
-    ProbePlanner,
-    QueryPlan,
-    collect_layout_statistics,
-)
+from repro.core.planner import ProbeFrontier, QueryPlan
 from repro.datasets.dblp import DblpSpec, generate_dblp
 
 
 @pytest.fixture(scope="module")
-def linked():
-    """A citation-heavy DBLP collection under the naive configuration:
-    one meta document per document, so queries cross many residual links
-    and converging links re-discover plenty of entries — exactly the
-    work the loop's frontier must prune without changing a byte.
-    """
-    collection = generate_dblp(
+def collection():
+    """A citation-heavy DBLP collection: queries cross many residual
+    links and converging links re-discover plenty of entries — exactly
+    the work the loop's frontier must prune without changing a byte."""
+    return generate_dblp(
         DblpSpec(documents=40, mean_citations=6.0, citation_skew=0.9, seed=11)
     )
-    base = FlixConfig.naive()
+
+
+@pytest.fixture(scope="module")
+def linked(collection):
+    """The collection under the naive configuration: one meta document
+    per document."""
 
     class Fixture:
         pass
 
     fx = Fixture()
     fx.collection = collection
-    fx.on = Flix.build(collection, base)
-    fx.cost = Flix.build(
-        collection, base.with_planner(PlannerConfig(order="cost"))
-    )
+    fx.on = Flix.build(collection, FlixConfig.naive())
     return fx
 
 
@@ -70,19 +66,16 @@ def _all_kind_requests(collection):
 
 
 def _signature(response):
-    """Byte-identity: results (order included), value, completeness."""
+    """Byte-identity: results (order included), value, stats."""
     return (
         [repr(row) for row in response.results],
         response.value,
-        response.stats.completeness,
+        response.stats,
     )
 
 
-def _node_set(response):
-    nodes = []
-    for row in response.results:
-        nodes.append(row.node if hasattr(row, "node") else tuple(row)[0])
-    return sorted(nodes)
+def _first_root(collection):
+    return collection.document_root(sorted(collection.documents)[0])
 
 
 class TestProbeFrontier:
@@ -109,94 +102,8 @@ class TestProbeFrontier:
         assert not frontier.admit_push(3, priority=2)
 
 
-class TestPlannerConfig:
-    def test_round_trip(self):
-        config = PlannerConfig(order="cost", rounds=4)
-        assert PlannerConfig.from_dict(config.to_dict()) == config
-
-    def test_retired_keys_ignored(self):
-        # manifests written before pruning became the loop carry these
-        old = {"prune": False, "order": "cost", "statistics": False, "rounds": 4}
-        assert PlannerConfig.from_dict(old) == PlannerConfig("cost", 4)
-
-    def test_every_config_carries_one(self):
-        base = FlixConfig.naive()
-        assert base.planner == PlannerConfig()
-        assert base.with_planner(order="cost").planner.order == "cost"
-        assert base.with_planner(order="cost").with_planner() == base
-
-    def test_unknown_order_rejected(self):
-        with pytest.raises(ValueError):
-            PlannerConfig(order="mystery")
-
-    def test_rounds_validated(self):
-        with pytest.raises(ValueError):
-            PlannerConfig(rounds=0)
-
-
-class TestStatistics:
-    def test_collect_covers_live_metas(self, linked):
-        stats = linked.on.planner_statistics()
-        assert stats is not None
-        live = {meta.meta_id for meta in linked.on.layout.slots if meta}
-        assert set(stats.metas) == live
-        assert stats.generation == linked.on.layout_generation
-
-    def test_memoized_per_generation(self, linked):
-        first = linked.on.planner_statistics()
-        assert linked.on.planner_statistics() is first
-        assert linked.on.planner_statistics(refresh=True) is not first
-
-    def test_json_round_trip(self, linked):
-        stats = linked.on.planner_statistics()
-        loaded = LayoutStatistics.from_json(stats.to_json())
-        assert loaded == stats
-
-    def test_estimated_matches(self, linked):
-        stats = linked.on.planner_statistics()
-        meta = next(iter(stats.metas.values()))
-        # the wildcard estimate counts every node; a tag estimate never
-        # exceeds it; an unseen tag still gets a nonnegative floor
-        assert meta.estimated_matches(None) == float(meta.nodes)
-        for tag in meta.tag_counts:
-            assert 0.0 <= meta.estimated_matches(tag) <= float(meta.nodes)
-        assert meta.estimated_matches("no-such-tag") >= 0.0
-
-    def test_collected_only_when_something_reads_them(self, linked):
-        start = linked.collection.document_root(
-            sorted(linked.collection.documents)[0]
-        )
-        request = QueryRequest.descendants(start, tag="author")
-        fifo = Flix.build(linked.collection, FlixConfig.naive())
-        fifo.query(request)
-        assert fifo._planner_stats is None  # FIFO queries never rank
-        fifo.explain(request)
-        assert fifo._planner_stats is not None  # EXPLAIN asked
-        cost = Flix.build(
-            linked.collection, FlixConfig.naive().with_planner(order="cost")
-        )
-        assert cost._planner_stats is None  # nothing at build time
-        cost.query(request)
-        assert cost._planner_stats is not None  # cost order ranked
-
-
 class TestOrdering:
-    def test_cost_order_same_node_sets(self, linked):
-        for name, request in _all_kind_requests(linked.collection):
-            fifo = linked.on.query(request)
-            cost = linked.cost.query(request)
-            assert _node_set(fifo) == _node_set(cost), name
-            assert cost.stats.completeness == "complete", name
-            assert fifo.value == cost.value, name
-
-    def test_exact_order_never_reordered(self, linked):
-        start = linked.collection.document_root(
-            sorted(linked.collection.documents)[0]
-        )
-        request = QueryRequest.descendants(start, exact_order=True)
-        assert _signature(linked.on.query(request)) == _signature(
-            linked.cost.query(request)
-        )
+    """FIFO is the loop's one order; the frontier prunes under it."""
 
     def test_pruning_fires_on_linked_layout(self, linked):
         author = sorted(linked.collection.nodes_with_tag("author"))[0]
@@ -204,29 +111,24 @@ class TestOrdering:
         assert stats.planner_pruned_pops + stats.planner_pruned_pushes > 0
         assert stats.planner_pruned_pops <= stats.entries_dropped
 
-    def test_index_fingerprints_identical(self, linked):
-        # ordering is a query-time layer: the built indexes, and so the
-        # fingerprint, must not depend on it
-        assert linked.on.index_fingerprint() == linked.cost.index_fingerprint()
-
 
 class TestExplain:
     def test_planned_mode(self, linked):
-        start = linked.collection.document_root(
-            sorted(linked.collection.documents)[0]
-        )
+        start = _first_root(linked.collection)
         plan = linked.on.explain(QueryRequest.descendants(start, tag="author"))
         assert plan.mode == "planned"
         assert plan.kind == "descendants"
         assert plan.generation == linked.on.layout_generation
         assert plan.probes
-        ranks = [probe.rank for probe in plan.probes]
-        assert ranks == sorted(ranks)
+        ids = [probe.meta_id for probe in plan.probes]
+        assert ids == sorted(ids)
+        for probe in plan.probes:
+            meta = linked.on.layout.slots[probe.meta_id]
+            assert probe.strategy == meta.strategy
+            assert probe.fan_out == meta.residual_out_degree
 
     def test_direct_mode_for_graph_kinds(self, linked):
-        start = linked.collection.document_root(
-            sorted(linked.collection.documents)[0]
-        )
+        start = _first_root(linked.collection)
         title = sorted(linked.collection.nodes_with_tag("title"))[0]
         for request in (
             QueryRequest.children(start),
@@ -237,9 +139,7 @@ class TestExplain:
             assert plan.mode == "direct", request.kind
 
     def test_query_stamps_plan(self, linked):
-        start = linked.collection.document_root(
-            sorted(linked.collection.documents)[0]
-        )
+        start = _first_root(linked.collection)
         request = QueryRequest.descendants(start).with_explain()
         assert request.explain
         response = linked.on.query(request)
@@ -251,128 +151,120 @@ class TestExplain:
 
     def test_explain_bypasses_cache(self, linked):
         request = QueryRequest.descendants(
-            linked.collection.document_root(
-                sorted(linked.collection.documents)[0]
-            )
+            _first_root(linked.collection)
         ).with_explain()
         assert request.cache_key() is None
 
     def test_plan_dict_round_trip(self, linked):
-        start = linked.collection.document_root(
-            sorted(linked.collection.documents)[0]
-        )
+        start = _first_root(linked.collection)
         plan = linked.on.explain(QueryRequest.descendants(start))
         assert QueryPlan.from_dict(plan.to_dict()) == plan
 
     def test_pruned_metas_are_unreachable(self, linked):
         # every statically pruned meta is live but outside the residual-
         # link closure of the source metas: probing it could never happen
-        start = linked.collection.document_root(
-            sorted(linked.collection.documents)[0]
-        )
+        start = _first_root(linked.collection)
         plan = linked.on.explain(QueryRequest.descendants(start))
         probed = {probe.meta_id for probe in plan.probes}
         assert not probed & set(plan.pruned_metas)
+        live = {meta.meta_id for meta in linked.on.meta_documents}
+        assert probed | set(plan.pruned_metas) == live
 
     def test_explain_traced(self, linked):
-        start = linked.collection.document_root(
-            sorted(linked.collection.documents)[0]
-        )
+        start = _first_root(linked.collection)
         linked.on.explain(QueryRequest.descendants(start))
         assert linked.on.obs.tracer.last_trace("pee.plan") is not None
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FlixConfig.naive(),
+            FlixConfig.hybrid(partition_size=200),
+            FlixConfig.maximal_ppo(),
+        ],
+        ids=lambda config: config.mdb_strategy,
+    )
+    def test_plan_bounds_evaluation(self, collection, config):
+        # the static plan is an upper bound on the evaluation: every
+        # result comes from a listed probe, none from a pruned meta
+        flix = Flix.build(collection, config)
+        for name, request in _all_kind_requests(collection):
+            response = flix.query(request.with_explain())
+            plan = response.plan
+            assert plan is not None, name
+            if plan.mode != "planned":
+                continue
+            probed = {probe.meta_id for probe in plan.probes}
+            pruned = set(plan.pruned_metas)
+            for row in response.results:
+                # ``path`` rows are ``(node, distance)`` tuples
+                node = row.node if hasattr(row, "node") else row[0]
+                meta_id = flix.meta_of[node]
+                assert meta_id in probed, (name, node)
+                assert meta_id not in pruned, (name, node)
+
+    def test_unknown_node_raises_like_the_query(self, linked):
+        missing = 10**9
+        known = _first_root(linked.collection)
+        for request in (
+            QueryRequest.descendants(missing),
+            QueryRequest.ancestors(missing),
+            QueryRequest.find_path(missing, ["author"]),
+            QueryRequest.test(missing, known),
+            QueryRequest.test(known, missing),
+            QueryRequest.test(missing, known, bidirectional=True),
+            QueryRequest.test(known, missing, bidirectional=True),
+        ):
+            with pytest.raises(KeyError) as evaluated:
+                linked.on.query(request)
+            with pytest.raises(KeyError) as explained:
+                linked.on.explain(request)
+            assert str(explained.value) == str(evaluated.value), request
+
 
 class TestSidecarPersistence:
-    def test_sidecar_saved_and_loaded(self, linked, tmp_path):
-        index_dir = tmp_path / "index"
-        linked.cost.save(index_dir)
-        sidecar = index_dir / "planner_stats.json"
-        assert sidecar.is_file()
-        loaded = Flix.load(linked.collection, index_dir)
-        assert loaded.config.planner == PlannerConfig(order="cost")
-        # the sidecar primed the memo: no recollection on first use
-        assert loaded._planner_stats is not None
-        assert loaded._planner_stats[0] == loaded.layout_generation
-        start = linked.collection.document_root(
-            sorted(linked.collection.documents)[0]
-        )
-        request = QueryRequest.descendants(start)
-        assert _signature(loaded.query(request)) == _signature(
-            linked.cost.query(request)
-        )
-
-    def test_no_sidecar_unless_cost_order(self, linked, tmp_path):
-        index_dir = tmp_path / "index"
-        linked.cost.save(index_dir)
-        assert (index_dir / "planner_stats.json").is_file()
-        # a FIFO save over it removes the now-stale sidecar
-        linked.on.save(index_dir)
-        assert not (index_dir / "planner_stats.json").is_file()
-
-    def test_stale_sidecar_ignored(self, linked, tmp_path):
-        index_dir = tmp_path / "index"
-        linked.cost.save(index_dir)
-        sidecar = index_dir / "planner_stats.json"
-        stats = LayoutStatistics.from_json(sidecar.read_text())
-        import dataclasses
-
-        stale = dataclasses.replace(stats, generation=stats.generation + 99)
-        sidecar.write_text(stale.to_json())
-        loaded = Flix.load(linked.collection, index_dir)
-        assert loaded._planner_stats is None
-
-    def test_corrupt_sidecar_is_advisory(self, linked, tmp_path):
-        index_dir = tmp_path / "index"
-        linked.cost.save(index_dir)
-        (index_dir / "planner_stats.json").write_text("{not json")
-        loaded = Flix.load(linked.collection, index_dir)
-        start = linked.collection.document_root(
-            sorted(linked.collection.documents)[0]
-        )
-        request = QueryRequest.descendants(start)
-        assert _node_set(loaded.query(request)) == _node_set(
-            linked.on.query(request)
-        )
-
-    def test_manifest_round_trips_planner_config(self, linked, tmp_path):
-        index_dir = tmp_path / "index"
-        linked.cost.save(index_dir)
-        loaded = Flix.load(linked.collection, index_dir)
-        assert loaded.config.planner == PlannerConfig(order="cost")
-
-    @pytest.mark.parametrize(
-        "saved", [None, {"prune": False, "statistics": True, "order": "fifo"}]
-    )
+    @pytest.mark.parametrize("saved", [None, {"order": "cost", "rounds": 4}])
     def test_manifests_of_retired_planner_states_load(
         self, linked, tmp_path, saved
     ):
-        import json
-
+        # saves written while probe order was an option carry a
+        # ``"planner"`` manifest key and, under cost order, a statistics
+        # sidecar; both are ignored, and the next save drops the sidecar
         index_dir = tmp_path / "index"
         linked.on.save(index_dir)
         manifest_path = index_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["config"]["planner"] = saved
         manifest_path.write_text(json.dumps(manifest))
+        sidecar = index_dir / "planner_stats.json"
+        sidecar.write_text(json.dumps({"version": 1, "generation": 0}))
         loaded = Flix.load(linked.collection, index_dir)
-        assert loaded.config.planner == PlannerConfig()
-        start = linked.collection.document_root(
-            sorted(linked.collection.documents)[0]
-        )
+        assert loaded.config == linked.on.config
+        assert loaded.index_fingerprint() == linked.on.index_fingerprint()
+        for name, request in _all_kind_requests(linked.collection):
+            assert _signature(loaded.query(request)) == _signature(
+                linked.on.query(request)
+            ), name
+        loaded.save(index_dir)
+        assert not sidecar.exists()
+        assert "planner" not in json.loads(manifest_path.read_text())["config"]
+
+    @staticmethod
+    def _load_beside_sidecar(linked, tmp_path, content):
+        """A sidecar an older save left, whatever its state, is not read."""
+        index_dir = tmp_path / "index"
+        linked.on.save(index_dir)
+        (index_dir / "planner_stats.json").write_text(content)
+        loaded = Flix.load(linked.collection, index_dir)
+        start = _first_root(linked.collection)
         request = QueryRequest.descendants(start)
         assert _signature(loaded.query(request)) == _signature(
             linked.on.query(request)
         )
 
+    def test_stale_sidecar_ignored(self, linked, tmp_path):
+        stale = json.dumps({"version": 1, "generation": 99, "metas": {}})
+        self._load_beside_sidecar(linked, tmp_path, stale)
 
-class TestPlannerObject:
-    def test_statistics_provider_failures_swallowed(self):
-        def exploding():
-            raise RuntimeError("no stats today")
-
-        planner = ProbePlanner(PlannerConfig(), statistics=exploding)
-        assert planner.statistics() is None
-
-    def test_fifo_planner_does_not_reorder(self):
-        assert not ProbePlanner(PlannerConfig()).reorders
-        assert ProbePlanner(PlannerConfig(order="cost")).reorders
+    def test_corrupt_sidecar_is_advisory(self, linked, tmp_path):
+        self._load_beside_sidecar(linked, tmp_path, "{not json")

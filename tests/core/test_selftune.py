@@ -26,13 +26,10 @@ class TestMonitor:
         monitor.record(stats(links=4, visits=1, results=1))
         assert monitor.query_count == 2
         assert monitor.mean_link_traversals == 3.0
-        assert monitor.mean_meta_document_visits == 2.0
-        assert monitor.mean_results == 3.0
 
     def test_empty_means_are_zero(self):
         monitor = QueryLoadMonitor()
         assert monitor.mean_link_traversals == 0.0
-        assert monitor.mean_meta_document_visits == 0.0
 
     def test_window_slides(self):
         monitor = QueryLoadMonitor(window=3)
@@ -93,7 +90,7 @@ class TestRecordGuard:
 
     def test_truncated_rows_with_work_recorded(self):
         # a budget that ran out mid-search carries real counters and
-        # must keep contributing to the workload statistics
+        # must keep contributing to the load statistics
         monitor = QueryLoadMonitor()
         s = QueryStats(meta_document_visits=3, link_traversals=2)
         s._mark("truncated")
@@ -109,65 +106,3 @@ class TestRecordGuard:
             clean.record(row)
             diluted.record(truncated_zero_stats())
         assert diluted.mean_link_traversals == clean.mean_link_traversals
-
-
-class TestWorkloadProfile:
-    def make_monitor(self, links=10, pops=30, dropped=10, count=30):
-        monitor = QueryLoadMonitor()
-        for _ in range(count):
-            monitor.record(
-                QueryStats(
-                    meta_document_visits=2,
-                    link_traversals=links,
-                    queue_pops=pops,
-                    entries_dropped=dropped,
-                    results_returned=1,
-                )
-            )
-        return monitor
-
-    def test_profile_condenses_window(self):
-        profile = self.make_monitor().profile()
-        assert profile.query_count == 30
-        assert profile.mean_queue_pops == 30.0
-        assert profile.mean_link_traversals == 10.0
-        assert profile.duplicate_ratio == pytest.approx(10 / 30)
-        assert profile.descendants_heavy
-
-    def test_light_load_not_descendants_heavy(self):
-        profile = self.make_monitor(links=1, pops=2, dropped=0).profile()
-        assert not profile.descendants_heavy
-
-    def test_bias_flips_long_paths_and_widens_budget(self):
-        profile = self.make_monitor().profile()
-        config = FlixConfig.unconnected_hopi(1000)
-        biased = profile.bias(config)
-        assert biased.expect_long_paths
-        assert (
-            biased.hopi_pairs_per_node_budget
-            == config.hopi_pairs_per_node_budget * 2
-        )
-
-    def test_bias_inert_on_cold_or_light_profiles(self):
-        from repro.core.selftune import WorkloadProfile
-
-        config = FlixConfig.naive()
-        assert WorkloadProfile().bias(config) is config
-        light = WorkloadProfile(query_count=5, descendants_heavy=False)
-        assert light.bias(config) is config
-
-    def test_selector_biases_only_with_explicit_workload(self):
-        from repro.core.iss import IndexingStrategySelector
-
-        profile = self.make_monitor().profile()
-        config = FlixConfig.unconnected_hopi(1000)
-        plain = IndexingStrategySelector(config)
-        biased = IndexingStrategySelector(config, workload=profile)
-        assert (
-            plain._config.hopi_pairs_per_node_budget
-            == config.hopi_pairs_per_node_budget
-        )
-        assert (
-            biased._config.hopi_pairs_per_node_budget
-            == config.hopi_pairs_per_node_budget * 2
-        )

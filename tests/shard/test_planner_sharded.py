@@ -9,7 +9,10 @@ surface over the coordinator and the HTTP front door.
 from __future__ import annotations
 
 import json
+import urllib.error
 import urllib.request
+
+import pytest
 
 from repro.core.api import QueryRequest
 from repro.core.planner import QueryPlan
@@ -57,13 +60,16 @@ class TestShardedExplain:
         start = deployment.collection.document_root(
             sorted(deployment.collection.documents)[0]
         )
+        request = QueryRequest.descendants(start, tag="author")
         with in_process_cluster(deployment, 2) as (coordinator, _):
-            plan = coordinator.explain(
-                QueryRequest.descendants(start, tag="author")
-            )
-            assert plan is not None
-            assert plan.mode == "planned"
-            assert plan.probes
+            plan = coordinator.explain(request)
+        assert plan is not None
+        assert plan.mode == "planned"
+        assert plan.probes
+        ids = [probe.meta_id for probe in plan.probes]
+        assert ids == sorted(ids)
+        # every worker holds the whole index: its plan is the serial one
+        assert plan == deployment.flix.explain(request)
 
     def test_query_with_explain_stamps_plan(self, deployment):
         start = deployment.collection.document_root(
@@ -83,18 +89,28 @@ class TestShardedExplain:
         with in_process_cluster(deployment, 2) as (coordinator, _):
             with FrontDoor(coordinator) as door:
                 host, port = door.start()
-                body = json.dumps(
-                    {"kind": "descendants", "source": start, "tag": "author"}
-                ).encode()
-                request = urllib.request.Request(
-                    f"http://{host}:{port}/explain",
-                    data=body,
-                    headers={"Content-Type": "application/json"},
-                )
-                with urllib.request.urlopen(request) as raw:
-                    payload = json.loads(raw.read())
-                plan = QueryPlan.from_dict(payload)
+
+                def post(route, source):
+                    body = json.dumps(
+                        {"kind": "descendants", "source": source,
+                         "tag": "author"}
+                    ).encode()
+                    request = urllib.request.Request(
+                        f"http://{host}:{port}{route}",
+                        data=body,
+                        headers={"Content-Type": "application/json"},
+                    )
+                    with urllib.request.urlopen(request) as raw:
+                        return json.loads(raw.read())
+
+                plan = QueryPlan.from_dict(post("/explain", start))
                 assert plan.mode == "planned"
+                # an unknown node is a 404 on both routes, not an empty plan
+                for route in ("/query", "/explain"):
+                    with pytest.raises(urllib.error.HTTPError) as caught:
+                        post(route, 10**9)
+                    assert caught.value.code == 404, route
+                    caught.value.close()
 
     def test_http_query_with_explain_flag(self, deployment):
         start = deployment.collection.document_root(

@@ -75,3 +75,22 @@ def test_stale_paths_and_cli_verbs_are_reported(tmp_path):
         ]
     finally:
         sys.path.remove(str(REPO_ROOT / "tools"))
+
+
+def test_stale_export_list_entry_is_reported(monkeypatch):
+    sys.path.insert(0, str(REPO_ROOT / "tools"))
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        from check_docs import check_exports
+
+        import repro.core
+
+        assert check_exports() == []
+        monkeypatch.setattr(
+            repro.core, "__all__", [*repro.core.__all__, "GoneName"]
+        )
+        assert check_exports() == [
+            "repro.core.__all__ names missing symbol 'GoneName'"
+        ]
+    finally:
+        sys.path.remove(str(REPO_ROOT / "tools"))

@@ -319,7 +319,8 @@ class TestExplain:
         ) == 0
         out = capsys.readouterr().out
         assert "mode=planned" in out
-        assert "est.matches" in out
+        assert "strategy" in out and "fan-out" in out
+        assert "est." not in out  # the plan carries no estimates
 
     def test_json_output(self, movie_dir, capsys):
         import json

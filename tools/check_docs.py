@@ -4,10 +4,12 @@
 Four checks, run from the repository root (``python tools/check_docs.py``;
 CI runs it on one Python version):
 
-1. every name in ``repro.obs.__all__`` must resolve to an attribute of
-   the package (the observability surface is documented by name in
-   docs/OBSERVABILITY.md and docs/API.md, so a rename that forgets the
-   export list must break the build);
+1. every name in every export list — ``repro.__all__`` and the
+   ``__all__`` of each module under ``repro`` (``repro.__main__``, which
+   runs the CLI on import, is skipped) — must resolve to an attribute of
+   its module (the public surface is documented by name in docs/API.md
+   and elsewhere, so a rename or deletion that forgets an export list
+   must break the build);
 2. every backticked dotted reference matching ``repro(.module)+`` in
    the checked documentation files (``CHECKED_DOCS``) must
    import/resolve — call parentheses and argument lists are ignored,
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -115,13 +118,21 @@ def resolve(path: str) -> bool:
     return True
 
 
-def check_obs_exports() -> list[str]:
-    import repro.obs as obs
+def check_exports() -> list[str]:
+    import repro
 
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.name != "repro.__main__"
+    ]
     errors = []
-    for name in obs.__all__:
-        if not hasattr(obs, name):
-            errors.append(f"repro.obs.__all__ names missing symbol {name!r}")
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            if not hasattr(module, name):
+                errors.append(
+                    f"{module.__name__}.__all__ names missing symbol {name!r}"
+                )
     return errors
 
 
@@ -197,7 +208,7 @@ def check_paths_and_verbs(docs=CHECKED_DOCS + PATH_CHECKED_DOCS) -> list[str]:
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     errors = (
-        check_obs_exports()
+        check_exports()
         + check_doc_references()
         + check_all_docs_registered()
         + check_paths_and_verbs()
@@ -209,7 +220,7 @@ def main() -> int:
             str(doc.relative_to(REPO_ROOT)) for doc in CHECKED_DOCS
         )
         print(
-            "check_docs: repro.obs exports, "
+            "check_docs: every repro export list, "
             f"{checked} references, and the paths and CLI verbs they and "
             "README.md, EXPERIMENTS.md, DESIGN.md name OK"
         )
