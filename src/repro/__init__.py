@@ -58,9 +58,9 @@ from repro.core import (
     ResilienceConfig,
     StreamedList,
 )
+from repro.core.cache import ShardedLRUCache
 from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry, Observability, Tracer
-from repro.serve import FlixService, ShardedLRUCache
 from repro.shard import (
     FrontDoor,
     ShardCoordinator,
@@ -78,7 +78,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Flix",
     "FlixConfig",
-    "FlixService",
     "CacheConfig",
     "ShardedLRUCache",
     "ResilienceConfig",

@@ -2,10 +2,9 @@
 
 FliX understands eight query shapes (descendants, ancestors, children,
 type queries, multi-step paths, connections, connection cost, connection
-test).  One method per shape cannot be queued, cached, retried, or
-shipped to a worker pool uniformly — the serving layer needs *one* value
-that fully describes a query and *one* value that fully describes its
-answer.
+test).  One method per shape cannot be cached, retried, or shipped to
+a shard worker uniformly — serving needs *one* value that fully
+describes a query and *one* value that fully describes its answer.
 
 :class:`QueryRequest` is that description: a frozen, hashable dataclass
 naming the query ``kind`` plus every knob the kind understands.
@@ -14,9 +13,9 @@ scalar ``value`` for connection cost/test kinds), the query's private
 :class:`~repro.core.pee.QueryStats`, and the completeness flag.
 
 ``Flix.query(request)`` evaluates one request synchronously
-(``Flix.query_stream`` lazily, for the streaming kinds);
-``FlixService.submit(request)`` (:mod:`repro.serve`) queues it onto a
-worker pool.
+(``Flix.query_stream`` lazily, for the streaming kinds), on whichever
+thread calls it; ``ShardCoordinator.query(request)`` (:mod:`repro.shard`)
+answers the same request from shard worker processes.
 
 What lies between a request and the Figure-4 loop exists once, here, for
 ``Flix.query``, ``Flix.query_stream`` and ``ShardCoordinator.query``
@@ -512,7 +511,7 @@ class CacheSlot:
     """One request's pass through the result cache — the policy every
     query surface shares (``Flix.query``, ``Flix.query_stream``,
     ``ShardCoordinator.query``); the store itself is a
-    :class:`repro.serve.cache.ShardedLRUCache`.
+    :class:`repro.core.cache.ShardedLRUCache`.
 
     * **Key**: :meth:`QueryRequest.cache_key` plus the generation of the
       layout the caller pinned, so a hit can only replay an answer

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.core.cache import ShardedLRUCache
+
 #: meta-document building strategies the MDB understands (the paper's four,
 #: then the section 6 comparator layout and section 7's chooser)
 MDB_STRATEGIES = (
@@ -91,10 +93,10 @@ class CacheConfig:
 
     Attached to a configuration via :attr:`FlixConfig.cache` (or
     :meth:`FlixConfig.with_cache`); ``None`` there means no cache at all.
-    The cache itself is a :class:`repro.serve.cache.ShardedLRUCache`:
+    The cache itself is a :class:`repro.core.cache.ShardedLRUCache`:
     ``maxsize`` bounds the total entry count, ``shards`` sets how many
     independently locked LRU shards share it (1 = exact global LRU
-    order; more shards = less lock contention under concurrent serving).
+    order; more shards = less lock contention between query threads).
     """
 
     #: total cached entries across all shards (full query result lists
@@ -109,10 +111,8 @@ class CacheConfig:
         if self.shards < 1:
             raise ValueError("shards must be positive")
 
-    def build(self):
+    def build(self) -> ShardedLRUCache:
         """Materialize the configured :class:`ShardedLRUCache`."""
-        from repro.serve.cache import ShardedLRUCache
-
         return ShardedLRUCache(maxsize=self.maxsize, shards=self.shards)
 
     # ------------------------------------------------------------------

@@ -13,9 +13,9 @@ Typical use::
 
 The unified entry points are :meth:`Flix.query` (materialized
 :class:`~repro.core.api.QueryResponse`) and :meth:`Flix.query_stream`
-(lazy iteration for the streaming kinds).  For concurrent serving,
-:meth:`Flix.serve` wraps the instance in a
-:class:`repro.serve.FlixService` worker pool.
+(lazy iteration for the streaming kinds).  Both are safe to call from
+many threads at once; for serving over HTTP, ``repro.shard`` puts a
+:class:`~repro.shard.http.FrontDoor` in front of worker processes.
 """
 
 from __future__ import annotations
@@ -444,11 +444,11 @@ class Flix:
 
     @property
     def cache(self):
-        """The live :class:`repro.serve.cache.ShardedLRUCache` (or None)."""
+        """The live :class:`repro.core.cache.ShardedLRUCache` (or None)."""
         return self._result_cache
 
     def cache_stats(self):
-        """Aggregate :class:`repro.serve.cache.CacheStats` (or ``None``
+        """Aggregate :class:`repro.core.cache.CacheStats` (or ``None``
         when no cache is configured)."""
         if self._result_cache is None:
             return None
@@ -487,18 +487,6 @@ class Flix:
                     "flix_cache_misses_total",
                     "Query-cache misses, by query kind.",
                 ).inc(kind=kind)
-
-    # ------------------------------------------------------------------
-    # concurrent serving
-    # ------------------------------------------------------------------
-    def serve(self, **kwargs):
-        """Wrap this instance in a :class:`repro.serve.FlixService`
-        worker pool (``workers``, ``max_pending``, ``default_budget``,
-        … — see ``docs/SERVING.md``).  The service shares this
-        instance's cache, metrics registry, and tracer."""
-        from repro.serve import FlixService
-
-        return FlixService(self, **kwargs)
 
     # ------------------------------------------------------------------
     # observability

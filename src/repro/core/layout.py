@@ -1,8 +1,8 @@
 """Immutable index-layout snapshots for maintenance under serving.
 
 ``Flix`` used to mutate ``meta_documents``, ``meta_of``, and ``self.pee``
-in place while ``FlixService`` worker threads were evaluating queries —
-a worker could observe a half-updated ``meta_of`` (the PR-4-era race).
+in place while other threads were evaluating queries — a query could
+observe a half-updated ``meta_of``.
 :class:`IndexLayout` fixes that with copy-on-write snapshots:
 
 * the whole mutable layout — the meta-document slot list, the

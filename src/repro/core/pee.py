@@ -42,7 +42,7 @@ consumed, read its own ``.stats`` instead.  Interleaved streams each keep
 their own counters and overwrite ``last_stats`` in completion order.
 
 **Reentrancy.**  One evaluator instance may run any number of queries
-concurrently from different threads (the serving layer's worker pool does
+concurrently from different threads (threads sharing one ``Flix`` do
 exactly that).  All search state — the priority queue, the per-meta entry
 lists, the exact-order buffer, the deadline — lives in locals of the
 per-query generator; the only mutable evaluator-level structures are the
@@ -731,7 +731,7 @@ class PathExpressionEvaluator(SearchMethods):
         sub-search whose caller owns publication (no trace, no registry
         writes — ``last_stats`` is still refreshed on completion).
         ``budget`` overrides the evaluator's configured default for this
-        query only (per-request deadlines from the serving layer)."""
+        query only (a request's own budget)."""
         budget = self._effective_budget(budget)
         obs = self._obs
         trace = None

@@ -79,14 +79,15 @@ class QueryLoadMonitor:
             raise ValueError("window must be positive")
         self._window = window
         self._stats: List[QueryStats] = []
-        # serving workers record concurrently (repro.serve); the window
+        # threads calling Flix.query record concurrently; the window
         # trim is a read-modify-write that must not interleave
         self._lock = threading.Lock()
 
     def record(self, stats: QueryStats) -> None:
-        # A truncated row with zero counters never touched the index: it
-        # was refused before evaluation (queue-expired admission in
-        # repro.serve builds such rows).  Recording it would dilute the
+        # A truncated row with zero counters never touched the index: the
+        # evaluator checks the budget before its first pop, so a deadline
+        # that lapsed before the search began yields exactly such a row
+        # (figure4_search in core/pee.py).  Recording it would dilute the
         # link-traversal mean the tuning advice feeds on, so it is
         # skipped; genuinely truncated evaluations (budget ran out
         # mid-search) carry nonzero counters and are recorded normally.

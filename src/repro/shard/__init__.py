@@ -15,7 +15,7 @@ same partitioning one level up (``docs/SHARDING.md``):
   runs the PEE's one priority-queue loop with per-entry expansions
   shipped as RPCs for multi-shard closures (the remote expander,
   :class:`DistributedEvaluator`), caches results
-  in a :class:`~repro.serve.cache.ShardedLRUCache`, and degrades
+  in a :class:`~repro.core.cache.ShardedLRUCache`, and degrades
   (failover → ``truncated`` → ``degraded``) instead of failing;
 * :class:`FrontDoor` exposes ``/query``, ``/health``, and ``/metrics``
   over stdlib HTTP (the ``repro serve`` CLI).

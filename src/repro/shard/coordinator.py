@@ -33,7 +33,7 @@ Degradation ladder (completeness flags of PR 3 reused verbatim):
    an exception.
 
 Results are cached in a coordinator-level
-:class:`~repro.serve.cache.ShardedLRUCache` under the policy
+:class:`~repro.core.cache.ShardedLRUCache` under the policy
 ``Flix.query`` uses — not a copy of it, the same
 :class:`repro.core.api.CacheSlot`.
 """
@@ -62,13 +62,13 @@ from repro.core.api import (
     QueryResponse,
     evaluate_request,
 )
+from repro.core.cache import ShardedLRUCache
 from repro.core.config import CacheConfig
 from repro.core.pee import QueryBudget, QueryStats
 from repro.core.planner import QueryPlan
 from repro.indexes.base import NodeId
 from repro.obs import Observability
 from repro.obs.export import render
-from repro.serve.cache import ShardedLRUCache
 from repro.shard.distributed import DistributedEvaluator, ExpansionLost
 from repro.shard.plan import ShardMap, load_shard_map
 from repro.shard.protocol import (

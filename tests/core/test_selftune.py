@@ -1,9 +1,14 @@
 """Unit tests for the self-tuning monitor."""
 
+import time
+
 import pytest
 
+import repro.core.pee as pee_module
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
-from repro.core.pee import QueryStats
+from repro.core.framework import Flix
+from repro.core.pee import QueryBudget, QueryStats
 from repro.core.selftune import QueryLoadMonitor
 
 
@@ -75,8 +80,8 @@ class TestAdvice:
 
 
 def truncated_zero_stats():
-    """The all-zero truncated row a queue-expired admission produces
-    (``FlixService._expired_response``): refused before evaluation."""
+    """The all-zero truncated row the evaluator produces when the budget
+    is spent before its first pop (``figure4_search``): no index work."""
     s = QueryStats()
     s._mark("truncated")
     return s
@@ -106,3 +111,33 @@ class TestRecordGuard:
             clean.record(row)
             diluted.record(truncated_zero_stats())
         assert diluted.mean_link_traversals == clean.mean_link_traversals
+
+    def test_deadline_lapsed_before_first_pop_is_skipped(
+        self, figure1_collection, monkeypatch
+    ):
+        """The evaluator's own source of the all-zero row: a deadline
+        that lapses before the first pop stops the search untouched."""
+
+        class SteppingClock:
+            """Every ``monotonic()`` read is a second later than the last."""
+
+            now = 0.0
+
+            def monotonic(self):
+                self.now += 1.0
+                return self.now
+
+            def __getattr__(self, name):
+                return getattr(time, name)
+
+        flix = Flix.build(figure1_collection, FlixConfig.naive())
+        start = figure1_collection.document_root("d05.xml")
+        monkeypatch.setattr(pee_module, "time", SteppingClock())
+        response = flix.query(
+            QueryRequest.descendants(start),
+            budget=QueryBudget(deadline_seconds=0.5),
+        )
+        assert response.completeness == "truncated"
+        assert response.results == []
+        assert response.stats.queue_pops == 0
+        assert flix.monitor.query_count == 0

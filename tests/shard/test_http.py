@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
+import threading
 import urllib.error
 import urllib.request
 
@@ -147,6 +149,68 @@ class TestRoutes:
         front, _ = door
         status, _, _ = _get(front, "/nope")
         assert status == 404
+
+
+class TestConcurrentClients:
+    """``ThreadingHTTPServer`` answers each connection on its own handler
+    thread; concurrent clients must each get the serial answers."""
+
+    CLIENTS = 4
+
+    def test_keep_alive_clients_match_serial(self, door):
+        front, deployment = door
+        roots = [
+            deployment.collection.document_root(name)
+            for name in sorted(deployment.collection.documents)
+        ]
+        bodies = [{"kind": "descendants", "source": root} for root in roots]
+        bodies += [{"kind": "ancestors", "source": root + 1} for root in roots]
+        bodies += [
+            {"kind": "test", "source": roots[0], "target": root}
+            for root in roots
+        ]
+        serial = [
+            response_to_json(front.coordinator.query(request_from_json(body)))
+            for body in bodies
+        ]
+        for answer in serial:
+            del answer["elapsed_seconds"]
+        answers, statuses, errors = {}, [], []
+        barrier = threading.Barrier(self.CLIENTS)
+
+        def client(index: int) -> None:
+            connection = http.client.HTTPConnection(*front.address, timeout=30)
+            try:
+                barrier.wait()
+                got = []
+                for body in bodies:  # one keep-alive connection throughout
+                    connection.request(
+                        "POST", "/query", json.dumps(body),
+                        {"Content-Type": "application/json"},
+                    )
+                    reply = connection.getresponse()
+                    statuses.append(reply.status)
+                    answer = json.loads(reply.read())
+                    answer.pop("elapsed_seconds", None)
+                    got.append(answer)
+                answers[index] = got
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
+            finally:
+                connection.close()
+
+        threads = [
+            threading.Thread(target=client, args=(n,))
+            for n in range(self.CLIENTS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert statuses == [200] * (self.CLIENTS * len(bodies))
+        assert answers == {n: serial for n in range(self.CLIENTS)}
 
 
 def _raw_post(door, body: bytes) -> bytes:
