@@ -24,7 +24,6 @@ from repro.core.config import CacheConfig, FlixConfig
 from repro.core.framework import Flix
 from repro.datasets.dblp import DblpSpec, generate_dblp, generate_dblp_documents
 from repro.indexes.hopi import HopiIndex
-from repro.storage.memory import MemoryBackend
 
 
 def test_exact_order_tradeoff(benchmark, dblp_collection, oracle, fig5):
@@ -135,7 +134,7 @@ def test_persisted_load_vs_rebuild(benchmark, dblp_collection, tmp_path_factory)
 def test_incremental_hopi_edge_vs_rebuild(benchmark, dblp_collection):
     graph = dblp_collection.graph.copy()
     tags = {n: dblp_collection.tag(n) for n in graph}
-    index = HopiIndex.build(graph, tags, MemoryBackend())
+    index = HopiIndex.build(graph, tags)
     roots = sorted(
         dblp_collection.document_root(name) for name in dblp_collection.documents
     )
@@ -155,7 +154,7 @@ def test_incremental_hopi_edge_vs_rebuild(benchmark, dblp_collection):
     for u, v in new_edges:
         graph.add_edge(u, v)
     rebuild_started = time.perf_counter()
-    HopiIndex.build(graph, tags, MemoryBackend())
+    HopiIndex.build(graph, tags)
     rebuild_seconds = time.perf_counter() - rebuild_started
     benchmark.extra_info["incremental_ms"] = round(incremental_seconds * 1000, 2)
     benchmark.extra_info["rebuild_ms"] = round(rebuild_seconds * 1000, 2)

@@ -17,7 +17,7 @@ from repro.bench.reporting import BenchTable
 from repro.indexes.dataguide import DataGuideIndex
 from repro.indexes.fabric import FabricIndex
 from repro.indexes.kindex import ForwardBackwardIndex, KBisimulationIndex
-from repro.storage.memory import MemoryBackend
+from repro.indexes.packed import packed_clone
 
 _ROWS = {}
 
@@ -33,7 +33,8 @@ def _record(benchmark, name, build, classes_of):
     index = benchmark.pedantic(build, rounds=1, iterations=1)
     _ROWS[name] = {
         "classes": classes_of(index),
-        "bytes": index.size_bytes(),
+        # an index's stored size is its FLXPACK blob's
+        "bytes": packed_clone(index).size_bytes(),
         "seconds": benchmark.stats.stats.mean,
     }
     benchmark.extra_info.update(_ROWS[name])
@@ -45,7 +46,7 @@ def test_ak_index(benchmark, graph_and_tags, k):
     _record(
         benchmark,
         f"A({k})",
-        lambda: KBisimulationIndex.build_k(graph, tags, MemoryBackend(), k),
+        lambda: KBisimulationIndex.build_k(graph, tags, k),
         lambda index: index.class_count,
     )
 
@@ -55,7 +56,7 @@ def test_one_index(benchmark, graph_and_tags):
     _record(
         benchmark,
         "1-index",
-        lambda: KBisimulationIndex.build(graph, tags, MemoryBackend()),
+        lambda: KBisimulationIndex.build(graph, tags),
         lambda index: index.class_count,
     )
 
@@ -65,7 +66,7 @@ def test_fb_index(benchmark, graph_and_tags):
     _record(
         benchmark,
         "F&B",
-        lambda: ForwardBackwardIndex.build(graph, tags, MemoryBackend()),
+        lambda: ForwardBackwardIndex.build(graph, tags),
         lambda index: index.class_count,
     )
 
@@ -75,7 +76,7 @@ def test_dataguide(benchmark, graph_and_tags):
     _record(
         benchmark,
         "DataGuide",
-        lambda: DataGuideIndex.build(graph, tags, MemoryBackend()),
+        lambda: DataGuideIndex.build(graph, tags),
         lambda index: index.state_count,
     )
 
@@ -88,7 +89,7 @@ def test_fabric_on_tree_view(benchmark, dblp_collection):
     _record(
         benchmark,
         "Fabric",
-        lambda: FabricIndex.build(tree, tags, MemoryBackend()),
+        lambda: FabricIndex.build(tree, tags),
         lambda index: index.path_count,
     )
 
@@ -103,7 +104,7 @@ def test_fabric_blows_up_on_link_graph(benchmark, graph_and_tags):
 
     def try_build():
         try:
-            FabricIndex.build_bounded(graph, tags, MemoryBackend(), 40_000)
+            FabricIndex.build_bounded(graph, tags, 40_000)
             return False
         except IndexNotApplicableError:
             return True

@@ -47,8 +47,8 @@ class BfsFallbackIndex:
 
     Implements the read side of the :class:`~repro.indexes.base.PathIndex`
     contract (``reachable`` / ``distance`` / ``find_*_by_tag`` /
-    ``reachable_subset`` / ``reaching_subset`` / ``coverage``); it is never
-    persisted and owns no storage backend.
+    ``reachable_subset`` / ``reaching_subset`` / ``coverage``); it is
+    ephemeral by design and never persisted.
     """
 
     strategy_name = "bfs_fallback"
@@ -200,11 +200,6 @@ class BfsFallbackIndex:
 
     def _node_set(self) -> frozenset:
         return self._nodes
-
-    @property
-    def backend(self):
-        """No storage backend: the fallback is ephemeral by design."""
-        return None
 
     def size_bytes(self) -> int:
         return 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import insort
 from typing import (
     Any,
     Dict,
@@ -49,25 +50,13 @@ from repro.core.config import CacheConfig, FlixConfig
 from repro.graph.digraph import Digraph
 from repro.core.ib import BuildReport, IndexBuilder
 from repro.core.layout import IndexLayout
+from repro.core.links import links_pack_bytes, pack_links, residual_links
 from repro.core.mdb import MetaDocumentBuilder
 from repro.core.meta_document import MetaDocument
 from repro.core.pee import PathExpressionEvaluator, QueryBudget
 from repro.core.planner import QueryPlan, plan
 from repro.core.selftune import QueryLoadMonitor, TuningAdvice, with_compaction_advice
 from repro.obs import MetricsRegistry, Observability, Trace, render
-
-
-def _packed(index):
-    """The one pack step: the FLXPACK form (``docs/DATA_LAYOUT.md``) of a
-    built index — what every published layout serves, and from here on
-    the only copy: the object index and the tables it was built on are
-    dropped with the caller's reference.  An index that is already
-    packed, or whose strategy has no packed form
-    (``transitive_closure``), is returned as is."""
-    from repro.indexes.packed import packed_clone
-
-    packed = packed_clone(index)
-    return index if packed is None else packed
 
 
 class Flix:
@@ -113,9 +102,6 @@ class Flix:
         # maintenance verb appends its record here *before* publishing
         # the layout swap, and save() truncates it at snapshot time
         self._wal = None
-        # set by Flix.build / load_flix: the maintenance verbs keep the
-        # framework tables (residual links) in its backend
-        self._builder: Optional[IndexBuilder] = None
         #: the shared result/connection cache (sharded LRU, generation-
         #: invalidated); configured through ``config.cache``, or later via
         #: :meth:`configure_cache`
@@ -128,7 +114,6 @@ class Flix:
         self._retired_hits = 0
         self._retired_misses = 0
         if self.obs.enabled:
-            self._attach_storage_observers()
             self.obs.registry.gauge(
                 "flix_meta_documents",
                 "Meta documents in the current index layout.",
@@ -239,26 +224,6 @@ class Flix:
         """Meta documents currently answered by the PEE's BFS fallback."""
         return self.pee.degraded_meta_ids
 
-    def _attach_storage_observers(self) -> None:
-        """Count query-time storage traffic on the backends that outlive
-        the build: the framework tables and the indexes with no packed
-        form (a packed index has no backend — its blob is not storage
-        traffic).
-
-        Runs after the build merge, so it also covers indexes built in
-        process-pool workers (whose build-time traffic is unobservable —
-        their registries die with the worker process).
-        """
-        backends = [
-            getattr(meta.index, "backend", None)
-            for meta in self.meta_documents
-        ]
-        if self._builder is not None:
-            backends.append(self._builder.framework_backend)
-        for backend in backends:
-            if backend is not None:
-                backend.attach_observer(self.obs.storage_instruments(backend))
-
     # ------------------------------------------------------------------
     # build phase
     # ------------------------------------------------------------------
@@ -297,18 +262,7 @@ class Flix:
         specs = MetaDocumentBuilder(collection, config).build_specs()
         builder = IndexBuilder(collection, config, obs=obs)
         meta_documents, meta_of, report = builder.build(specs, jobs=jobs)
-        # the Index Builder's object indexes and their tables are the
-        # build-time intermediate: swap in the packed forms (the only
-        # copy from here on), handing each its meta document's L_i again
-        for meta in meta_documents:
-            meta.index = _packed(meta.index)
-            meta.finalize_links()
-        flix = cls(collection, config, meta_documents, meta_of, report, obs=obs)
-        flix._builder = builder
-        if flix.obs.enabled:
-            # rebind now that the builder (and its framework backend) is known
-            flix._attach_storage_observers()
-        return flix
+        return cls(collection, config, meta_documents, meta_of, report, obs=obs)
 
     # ------------------------------------------------------------------
     # query phase — the unified API
@@ -515,18 +469,16 @@ class Flix:
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:
         """Total storage of all live meta-document indexes + residual
-        links (computed from the current layout, so removals and
-        compactions are reflected immediately)."""
+        links: the bytes of the ``*.pack`` files :meth:`save` writes
+        (computed from the current layout, so removals and compactions
+        are reflected immediately)."""
+        metas = self.meta_documents
         total = sum(
-            meta.index.size_bytes()
-            for meta in self.meta_documents
-            if meta.index is not None
+            meta.index.size_bytes() for meta in metas if meta.index is not None
         )
-        if self._builder is not None:
-            total += self._builder.framework_backend.table(
-                "flix_residual_links"
-            ).size_bytes()
-        return total
+        return total + links_pack_bytes(
+            sum(meta.residual_out_degree for meta in metas)
+        )
 
     def index_fingerprint(self) -> str:
         """Content hash over every live meta-document index, the tombstone
@@ -547,10 +499,8 @@ class Flix:
                 digest.update(b"<unindexed>")
             else:
                 digest.update(meta.index.fingerprint().encode("utf-8"))
-        if self._builder is not None:
-            digest.update(
-                self._builder.framework_backend.fingerprint().encode("utf-8")
-            )
+        links = pack_links(residual_links(layout.slots))
+        digest.update(hashlib.sha256(links).hexdigest().encode("utf-8"))
         return digest.hexdigest()
 
     def meta_document_of(self, node: NodeId) -> MetaDocument:
@@ -591,9 +541,9 @@ class Flix:
     # incremental maintenance (copy-on-write; see docs/MAINTENANCE.md)
     # ------------------------------------------------------------------
     def _build_index(self, strategy: str, graph: Digraph):
-        """Index one meta-document graph for a maintenance verb: fresh
-        (observed) scratch tables, the strategy's object build, the pack
-        step."""
+        """Index one meta-document graph for a maintenance verb: the
+        strategy's object build, then the pack step."""
+        from repro.indexes.packed import packed_clone
         from repro.indexes.registry import (
             IndexBuildRequest,
             execute_build_request,
@@ -601,8 +551,7 @@ class Flix:
 
         tags = {node: self.collection.tag(node) for node in graph.nodes()}
         request = IndexBuildRequest(strategy=strategy, tags=tags)
-        index = execute_build_request(request, graph=graph, obs=self.obs)
-        return _packed(index)
+        return packed_clone(execute_build_request(request, graph=graph))
 
     # ------------------------------------------------------------------
     # durability: the write-ahead mutation log (docs/DURABILITY.md)
@@ -796,31 +745,29 @@ class Flix:
                 slots[meta_id] = clone
                 return clone
 
-            links_table = self._builder.framework_backend.table(
-                "flix_residual_links"
-            )
-            rows: List[Tuple[int, int, int, int]] = []
+            # link lists stay sorted, the order a load rebuilds them in
+            added = 0
             touched: Set[int] = {meta.meta_id for meta in new_metas}
             for u, v in new_link_edges:
                 if (u, v) in internal_all:
                     continue
-                writable(meta_of[u]).outgoing_links.setdefault(
-                    u, []
-                ).append(v)
-                writable(meta_of[v]).incoming_links.setdefault(
-                    v, []
-                ).append(u)
-                rows.append((u, v, meta_of[u], meta_of[v]))
+                insort(
+                    writable(meta_of[u]).outgoing_links.setdefault(u, []), v
+                )
+                insort(
+                    writable(meta_of[v]).incoming_links.setdefault(v, []), u
+                )
+                added += 1
                 touched.add(meta_of[u])
                 touched.add(meta_of[v])
-            if rows:
-                links_table.insert_many(rows)
             for meta_id in sorted(touched):
                 slots[meta_id].finalize_links()
 
             self.report.meta_documents.extend(new_reports)
-            self.report.residual_link_count += len(rows)
-            self.report.residual_link_bytes = links_table.size_bytes()
+            self.report.residual_link_count += added
+            self.report.residual_link_bytes = links_pack_bytes(
+                self.report.residual_link_count
+            )
 
             new_layout = IndexLayout(
                 slots=tuple(slots),
@@ -943,7 +890,6 @@ class Flix:
                 }
                 clone.finalize_links()
 
-            self._rewrite_links_table(slots, meta_of)
             self._refresh_report(slots)
 
             new_layout = IndexLayout(
@@ -1142,7 +1088,6 @@ class Flix:
             for node in merged_nodes:
                 meta_of[node] = new_id
 
-            self._rewrite_links_table(slots, meta_of)
             self.report.meta_documents.append(
                 MetaDocumentReport(
                     meta_id=new_id,
@@ -1191,46 +1136,19 @@ class Flix:
             trace.finish()
             return merged
 
-    def _rewrite_links_table(
-        self,
-        slots: Sequence[Optional[MetaDocument]],
-        meta_of: Dict[NodeId, int],
-    ) -> None:
-        """Rewrite ``flix_residual_links`` from the live metas' maps.
-
-        Removal and compaction change rows' meta ids and drop rows, which
-        append-only tables cannot express; a sorted full rewrite keeps
-        the persisted table deterministic for a given mutation sequence.
-        """
-        from repro.core.ib import _LINKS_SCHEMA
-
-        backend = self._builder.framework_backend
-        backend.drop_table("flix_residual_links")
-        table = backend.create_table(_LINKS_SCHEMA)
-        rows = sorted(
-            (source, target, meta_of[source], meta_of[target])
-            for meta in slots
-            if meta is not None
-            for source, targets in meta.outgoing_links.items()
-            for target in targets
-        )
-        if rows:
-            table.insert_many(rows)
-
     def _refresh_report(
         self, slots: Sequence[Optional[MetaDocument]]
     ) -> None:
         """Re-derive the build report's residual-link totals after a
         mutation that dropped or rewired links (remove/compact)."""
-        links_table = self._builder.framework_backend.table(
-            "flix_residual_links"
-        )
         self.report.residual_link_count = sum(
             meta.residual_out_degree
             for meta in slots
             if meta is not None
         )
-        self.report.residual_link_bytes = links_table.size_bytes()
+        self.report.residual_link_bytes = links_pack_bytes(
+            self.report.residual_link_count
+        )
 
     def save(self, directory, checkpoint: Optional[bool] = None) -> "Path":
         """Persist the built index to ``directory`` (restart without

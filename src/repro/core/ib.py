@@ -4,8 +4,11 @@ Builds one index per meta document with the ISS-selected strategy, and
 maintains, for each meta document ``M_i``, the residual-link bookkeeping:
 the set ``L_i`` of elements with outgoing links not reflected in any index,
 the per-link target lists, and the mirrored incoming side used for ancestor
-queries.  The residual links are also persisted to a table so that FliX's
-total storage (Table 1) includes them.
+queries.  The meta documents' link maps are the links' only in-memory copy;
+their stored form is the ``links.pack`` blob (:mod:`repro.core.links`),
+which FliX's total storage (Table 1) counts.  Each built index goes through
+the one pack step at merge time, so the report's ``index_bytes`` are blob
+bytes.
 
 Parallel builds
 ---------------
@@ -49,22 +52,11 @@ from repro.collection.collection import NodeId, XmlCollection
 from repro.core.config import FlixConfig
 from repro.core.iss import IndexingStrategySelector, StrategyChoice
 from repro.core.meta_document import Edge, MetaDocument, MetaDocumentSpec
+from repro.core.links import links_pack_bytes, wire_links
 from repro.indexes.base import PathIndex
+from repro.indexes.packed import packed_clone
 from repro.indexes.registry import IndexBuildRequest, execute_build_request
 from repro.obs import OBS_OFF, Observability
-from repro.storage.memory import MemoryBackend
-from repro.storage.table import Column, TableSchema
-
-_LINKS_SCHEMA = TableSchema(
-    name="flix_residual_links",
-    columns=(
-        Column("src", "int"),
-        Column("dst", "int"),
-        Column("src_meta", "int"),
-        Column("dst_meta", "int"),
-    ),
-    indexed=("src",),
-)
 
 
 @dataclass
@@ -231,19 +223,13 @@ def _execute_task(
     task: _BuildTask,
     selector: IndexingStrategySelector,
     worker: str,
-    obs: Optional[Observability] = None,
     resilience=None,
 ) -> _BuildResult:
     """Build one meta document: graph -> strategy selection -> index.
 
-    ``obs`` flows to the fresh index backend only for in-process execution
-    (serial / thread builds); process-pool workers leave it ``None`` — a
-    worker's registry cannot reach the parent, so their build-time storage
-    traffic is intentionally uncounted (the merged phase timings are not).
-
     ``resilience`` (a :class:`repro.core.config.ResilienceConfig`) turns
     build failures from fatal into absorbed: the selected strategy is
-    retried ``build_retry_attempts`` times on fresh scratch tables, then the
+    retried ``build_retry_attempts`` times with fresh builds, then the
     safe ``build_fallback_strategy`` is tried, and if even that fails the
     meta document is returned *without* an index (the PEE answers it with
     its BFS fallback at query time).  Without ``resilience`` the first
@@ -269,7 +255,6 @@ def _execute_task(
         return execute_build_request(
             IndexBuildRequest(strategy=strategy, tags=task.tags),
             graph=graph,
-            obs=obs,
         )
 
     notes: List[str] = []
@@ -421,12 +406,6 @@ class IndexBuilder:
         self._selector = selector or IndexingStrategySelector(config)
         self._resilience = getattr(config, "resilience", None)
         self._obs = obs if obs is not None else OBS_OFF
-        #: backend holding framework-level tables (the residual link table)
-        self.framework_backend = MemoryBackend()
-        if self._obs.enabled:
-            self.framework_backend.attach_observer(
-                self._obs.storage_instruments(self.framework_backend)
-            )
 
     def build(
         self,
@@ -496,10 +475,18 @@ class IndexBuilder:
                 if result.index is not None
                 else result.choice.strategy
             )
+            # the one pack step: from here on the blob is the only copy,
+            # and the object index is released before the next is packed
+            index = (
+                packed_clone(result.index)
+                if result.index is not None
+                else None
+            )
+            result.index = None
             meta = MetaDocument(
                 meta_id=spec.meta_id,
                 nodes=frozenset(spec.nodes),
-                index=result.index,
+                index=index,
                 strategy=built_strategy,
             )
             meta_documents.append(meta)
@@ -510,11 +497,7 @@ class IndexBuilder:
                     internal_edge_count=len(spec.internal_edges),
                     strategy=built_strategy,
                     rationale=result.choice.rationale,
-                    index_bytes=(
-                        result.index.size_bytes()
-                        if result.index is not None
-                        else 0
-                    ),
+                    index_bytes=index.size_bytes() if index is not None else 0,
                     build_seconds=result.profile.busy_seconds,
                     profile=result.profile,
                     fallback_from=result.fallback_from,
@@ -524,16 +507,11 @@ class IndexBuilder:
             )
             report.failures.extend(result.notes)
 
-        links_table = self.framework_backend.create_table(_LINKS_SCHEMA)
-        for u, v in residual:
-            meta_documents[meta_of[u]].outgoing_links.setdefault(u, []).append(v)
-            meta_documents[meta_of[v]].incoming_links.setdefault(v, []).append(u)
-            links_table.insert((u, v, meta_of[u], meta_of[v]))
+        wire_links(meta_documents, meta_of, residual)
         for meta in meta_documents:
             meta.finalize_links()
-
         report.residual_link_count = len(residual)
-        report.residual_link_bytes = links_table.size_bytes()
+        report.residual_link_bytes = links_pack_bytes(len(residual))
         report.total_seconds = time.perf_counter() - started
         if build_trace is not None:
             build_trace.root.meta.update(
@@ -630,13 +608,12 @@ class IndexBuilder:
         return self._run_serial(tasks), "serial"
 
     def _run_serial(self, tasks: List[_BuildTask]) -> List[_BuildResult]:
-        obs = self._obs if self._obs.enabled else None
         results = []
         for task in tasks:
             stamped = _restamp(task)
             results.append(
                 _execute_task(
-                    stamped, self._selector, "main", obs,
+                    stamped, self._selector, "main",
                     resilience=self._resilience,
                 )
             )
@@ -649,14 +626,11 @@ class IndexBuilder:
         import threading
 
         selector = self._selector
-        obs = self._obs if self._obs.enabled else None
         resilience = self._resilience
 
         def run_one(task: _BuildTask) -> _BuildResult:
             worker = f"thread-{threading.current_thread().name}"
-            return _execute_task(
-                task, selector, worker, obs, resilience=resilience
-            )
+            return _execute_task(task, selector, worker, resilience=resilience)
 
         with ThreadPoolExecutor(
             max_workers=jobs, thread_name_prefix="flix-ib"

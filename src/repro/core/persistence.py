@@ -1,35 +1,34 @@
 """Saving and loading a built FliX index (restart without rebuild).
 
-Layout on disk — one file per meta document, plus two::
+Layout on disk — one FLXPACK blob per meta document, one for the
+residual links, and the manifest::
 
     <directory>/
       manifest.json        configuration + meta-document registry
-      framework.sqlite     the residual-link table
       meta_0000.pack       FLXPACK blob of meta document 0
       meta_0001.pack       ...
-      meta_0002.sqlite     index tables of an unpackable meta document
+      links.pack           the residual links: sorted src, dst columns
 
 The blob is the index (``docs/DATA_LAYOUT.md``): a save writes each
 served index exactly once — its ``meta_NNNN.pack`` blob, byte for byte
 what memory holds — and loading ``mmap``-attaches the blobs: a cold
-attach parses one 64-byte header and checksums the payload, and opens no
-SQLite file but ``framework.sqlite``.  Only a strategy with no packed
-form (``transitive_closure``, the build fallback) is saved as its storage
-tables in ``meta_NNNN.sqlite`` and reconstructed through its ``load``
-classmethod.  The XML collection itself is *not* part of the index (use
-:func:`repro.collection.io.save_collection` for the documents); load
-verifies the collection matches via a fingerprint.
+attach parses one 64-byte header and checksums the payload.  The
+residual links are read from ``links.pack`` into the meta documents,
+their only in-memory copy.  Every strategy has a packed form, so no save
+holds anything else.  The XML collection itself is *not* part of the
+index (use :func:`repro.collection.io.save_collection` for the
+documents); load verifies the collection matches via a fingerprint.
 
-Older saves upgrade on load.  One that wrote a ``meta_NNNN.sqlite`` twin
-beside every blob loads from the blobs alone — the twins are neither
-opened nor verified nor required, and the next save deletes them.  One
-from before packing was universal (no ``.pack`` file, ``"packed":
-false`` in the manifest entry) has its tables deserialized and packed in
-memory, and the next save writes the blob.
-
-Supported strategies: every ISS-selectable one (ppo, hopi, apex, kindex,
-fbindex, transitive_closure).  DataGuide and Fabric are not
-ISS-selectable and have no loader here; they are rejected explicitly.
+Format-1 saves (``"format_version": 1``) still load, read-only through
+:mod:`repro.core.format1`, the one module that opens SQLite: their links
+come from ``framework.sqlite``, and a meta document saved as tables
+(``meta_NNNN.sqlite``: ``transitive_closure``, or any entry marked
+``"packed": false``) is re-derived from the collection the way
+:func:`repair_flix` re-derives a damaged blob and checked against its
+recorded table-content fingerprint.  A ``.sqlite`` twin beside a blob is
+neither opened nor required.  The next save writes only blobs and
+deletes the SQLite files; so does :func:`repair_flix` when it repairs a
+damaged SQLite file.
 
 Crash safety
 ------------
@@ -39,68 +38,66 @@ manifest references.  :func:`save_flix` stages every new file under a
 ``.tmp`` sibling name (durable via fsync), atomically replaces the
 manifest — the commit point — and only then renames the staged files
 over the final names and deletes stale ones.  A crash before the
-manifest replace leaves the old save intact; a crash after it is rolled
-forward at the next load/verify/repair, which completes any pending
-renames whose staged content matches the new manifest's fingerprints
-(see ``docs/DURABILITY.md``).
+manifest replace leaves the old save intact (a format-1 save included);
+a crash after it is rolled forward at the next load/verify/repair, which
+completes any pending renames whose staged content matches the new
+manifest's fingerprints (see ``docs/DURABILITY.md``).
 
 Integrity and repair
 --------------------
 
-The manifest records one fingerprint per file it references, of one of
-two kinds (``integrity.algorithm`` names them per file suffix): a
-``.pack`` blob hashes its raw bytes — SHA-256 over the whole file, which
-is also that index's share of ``Flix.index_fingerprint()`` — and a
-``.sqlite`` file hashes its *table content* — SHA-256 over schemas and
-rows, because SQLite's bytes vary with page layout.  :func:`load_flix`
-re-computes them by default and refuses to load a damaged save with an
-:class:`IntegrityError` that names the broken files.  :func:`repair_flix`
-(CLI: ``repro repair``) then re-derives the meta-document specs from the
-collection — the MDB is deterministic — and rebuilds *only* the damaged
-files, leaving intact ones untouched, so a repaired save is
-fingerprint-identical to the original.
+The manifest records one fingerprint per file it references: SHA-256
+over the whole blob, which is also that index's share of
+``Flix.index_fingerprint()`` (a format-1 ``.sqlite`` file hashes its
+table content instead).  :func:`load_flix` re-computes them by default
+and refuses to load a damaged save with an :class:`IntegrityError` that
+names the broken files.  :func:`repair_flix` (CLI: ``repro repair``)
+then re-derives the meta-document specs from the collection — the MDB is
+deterministic — and rebuilds *only* the damaged blobs, leaving intact
+ones untouched, so a repaired save is fingerprint-identical to the
+original.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.collection.collection import XmlCollection
+from repro.core import format1
 from repro.core.config import CacheConfig, FlixConfig, ResilienceConfig
-from repro.core.framework import Flix, _packed
-from repro.core.ib import (
-    _LINKS_SCHEMA,
-    BuildReport,
-    IndexBuilder,
-    MetaDocumentReport,
+from repro.core.framework import Flix
+from repro.core.ib import BuildReport, MetaDocumentReport
+from repro.core.links import (
+    LINKS_FILENAME,
+    links_pack_bytes,
+    pack_links,
+    read_links,
+    residual_links,
+    wire_links,
 )
 from repro.core.meta_document import MetaDocument, MetaDocumentSpec
-from repro.indexes.apex import ApexIndex
-from repro.indexes.hopi import HopiIndex
-from repro.indexes.kindex import ForwardBackwardIndex, KBisimulationIndex
 from repro.indexes.packed import (
     PackedBlob,
     attach_packed_file,
-    is_packed,
     pack_index,
+    packed_clone,
 )
-from repro.indexes.ppo import PpoIndex
 from repro.indexes.registry import IndexBuildRequest, execute_build_request
-from repro.indexes.transitive import TransitiveClosureIndex
 from repro.storage.atomic import (
     atomic_write_bytes,
     atomic_write_text,
     fsync_directory,
 )
-from repro.storage.memory import MemoryBackend
-from repro.storage.sqlite_backend import SqliteBackend
-from repro.storage.table import StorageBackend
 
 MANIFEST_NAME = "manifest.json"
-FORMAT_VERSION = 1
+#: written by every save; format 1 (SQLite links and table-format metas)
+#: is read too
+FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, FORMAT_VERSION)
 
 #: sibling suffix under which a save stages its files before the
 #: manifest commit point (see :func:`save_flix`'s write protocol)
@@ -108,12 +105,8 @@ TMP_SUFFIX = ".tmp"
 
 #: what ``integrity.files`` holds per file suffix (module docstring).
 #: Nothing dispatches on the label — :func:`_file_fingerprint` goes by
-#: suffix — so saves labelled with the single string
-#: ``"sha256-table-content"`` for both kinds read unchanged.
-INTEGRITY_ALGORITHMS = {
-    "pack": "sha256-raw-bytes",
-    "sqlite": "sha256-table-content",
-}
+#: suffix — so format-1 labels read unchanged.
+INTEGRITY_ALGORITHMS = {"pack": "sha256-raw-bytes"}
 
 
 class PersistenceError(RuntimeError):
@@ -137,13 +130,6 @@ class IntegrityError(PersistenceError):
         )
 
 
-def _copy_tables(source: StorageBackend, target: StorageBackend) -> None:
-    for name in source.table_names():
-        table = source.table(name)
-        clone = target.create_table(table.schema)
-        clone.insert_many(table.scan())
-
-
 def _fingerprint(collection: XmlCollection) -> Dict[str, int]:
     return {
         "documents": collection.document_count,
@@ -154,18 +140,12 @@ def _fingerprint(collection: XmlCollection) -> Dict[str, int]:
 
 def save_flix(flix: Flix, directory) -> Path:
     """Persist ``flix`` under ``directory``; returns the manifest path."""
-    loaders = _loaders()
     for meta in flix.meta_documents:
         if meta.index is None:
             raise PersistenceError(
                 f"meta document {meta.meta_id} has no index (every build "
                 "attempt failed and it is answered by the query-time BFS "
                 "fallback); rebuild it before saving"
-            )
-        if meta.strategy not in loaders:
-            raise PersistenceError(
-                f"meta document {meta.meta_id} uses strategy "
-                f"{meta.strategy!r}, which has no loader; rebuild it instead"
             )
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
@@ -176,29 +156,16 @@ def save_flix(flix: Flix, directory) -> Path:
     # phase leaves the previous save fully loadable (the strays are
     # cleaned by the next save or load).
     integrity: Dict[str, str] = {}  # final name -> fingerprint
-    for meta in flix.meta_documents:
-        if is_packed(meta.index):
-            # the blob is the index: written once, as memory holds it
-            filename = f"meta_{meta.meta_id:04d}.pack"
-            _write_staged_bytes(
-                root / (filename + TMP_SUFFIX), meta.index.blob.data
-            )
-            integrity[filename] = meta.index.fingerprint()
-        else:
-            filename = f"meta_{meta.meta_id:04d}.sqlite"
-            integrity[filename] = _stage_tables(
-                root / (filename + TMP_SUFFIX), meta.index.backend
-            )
-    if flix._builder is not None:
-        framework = flix._builder.framework_backend
-    else:
-        # a Flix assembled directly from meta documents (no build
-        # pipeline) carries no framework tables; write an empty one
-        framework = MemoryBackend()
-        framework.create_table(_LINKS_SCHEMA)
-    integrity["framework.sqlite"] = _stage_tables(
-        root / ("framework.sqlite" + TMP_SUFFIX), framework
-    )
+    metas = flix.meta_documents
+    blobs = [
+        (f"meta_{meta.meta_id:04d}.pack", pack_index(meta.index))
+        for meta in metas
+    ]
+    blobs.append((LINKS_FILENAME, pack_links(residual_links(metas))))
+    for filename, data in blobs:
+        # the blob is the index: written once, as memory holds it
+        _write_staged_bytes(root / (filename + TMP_SUFFIX), data)
+        integrity[filename] = hashlib.sha256(data).hexdigest()
     fsync_directory(root)
 
     resilience = flix.config.resilience
@@ -230,11 +197,10 @@ def save_flix(flix: Flix, directory) -> Path:
             {
                 "meta_id": meta.meta_id,
                 "strategy": meta.strategy,
-                "packed": is_packed(meta.index),
                 "incremental": meta.meta_id
                 in flix.layout.incremental_meta_ids,
             }
-            for meta in flix.meta_documents
+            for meta in metas
         ],
         # the maintenance state (docs/MAINTENANCE.md): sparse/tombstoned
         # ids and the generation counter round-trip, so a reloaded index
@@ -262,33 +228,16 @@ def save_flix(flix: Flix, directory) -> Path:
     fsync_directory(root)
     # Phase 4 — clean: drop files the new manifest does not reference —
     # meta documents removed/compacted since the previous save, the
-    # ``.sqlite`` twins and ``planner_stats.json`` sidecar older saves
-    # wrote, and any orphaned stage files a crashed save left behind.
+    # SQLite files and ``planner_stats.json`` sidecar older saves wrote,
+    # and any orphaned stage files a crashed save left behind.
     for pattern in (
-        "meta_*.sqlite", "meta_*.pack", "planner_stats.json",
-        "*" + TMP_SUFFIX,
+        "meta_*.sqlite", "meta_*.pack", format1.FRAMEWORK_FILENAME,
+        "planner_stats.json", "*" + TMP_SUFFIX,
     ):
         for stale in root.glob(pattern):
             if stale.name not in integrity:
                 stale.unlink()
     return manifest_path
-
-
-def _stage_tables(tmp: Path, source: StorageBackend) -> str:
-    """Copy ``source``'s tables into a fresh stage SQLite file, forced to
-    disk before the manifest commit makes the save depend on it; returns
-    its content fingerprint."""
-    tmp.unlink(missing_ok=True)
-    target = SqliteBackend(str(tmp))
-    _copy_tables(source, target)
-    fingerprint = target.fingerprint()
-    target.close()
-    fd = os.open(str(tmp), os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    return fingerprint
 
 
 def _write_staged_bytes(path: Path, data) -> None:
@@ -342,8 +291,9 @@ def _file_fingerprint(path: Path) -> Optional[str]:
     if not path.is_file():
         return None
     # a staged ``meta_NNNN.pack.tmp`` is still a blob: classify by the
-    # final name, or a crashed save's packs could never roll forward
-    if path.name.removesuffix(TMP_SUFFIX).endswith(".pack"):
+    # final name, or a crashed save's files could never roll forward
+    final_name = path.name.removesuffix(TMP_SUFFIX)
+    if final_name.endswith(".pack"):
         try:
             blob = PackedBlob.attach(path)
         except Exception:
@@ -352,18 +302,9 @@ def _file_fingerprint(path: Path) -> Optional[str]:
             return blob.raw_fingerprint()
         finally:
             blob.close()
-    backend = None
-    try:
-        backend = SqliteBackend.attach(str(path))
-        return backend.fingerprint()
-    except Exception:
-        return None
-    finally:
-        if backend is not None:
-            try:
-                backend.close()
-            except Exception:
-                pass
+    if final_name.endswith(".sqlite"):
+        return format1.table_fingerprint(path)
+    return None
 
 
 def _damaged_files(root: Path, manifest: dict) -> List[str]:
@@ -384,7 +325,7 @@ def _read_manifest(root: Path, collection: XmlCollection) -> dict:
     if not manifest_path.is_file():
         raise PersistenceError(f"no {MANIFEST_NAME} under {root}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("format_version") != FORMAT_VERSION:
+    if manifest.get("format_version") not in _READABLE_VERSIONS:
         raise PersistenceError(
             f"unsupported format version {manifest.get('format_version')!r}"
         )
@@ -420,11 +361,11 @@ def repair_flix(collection: XmlCollection, directory) -> List[str]:
     the Meta Document Builder is deterministic, so spec ``i`` is the meta
     document ``meta_iiii.pack`` was built from — and re-runs the
     manifest-recorded strategy for each damaged file only.  The residual
-    link table (``framework.sqlite``) is likewise reconstructible as the
-    collection edges internal to no meta document.  Intact files are not
-    touched, so the repaired save is fingerprint-identical to the
-    original.  Requires a readable manifest (a destroyed manifest means a
-    full rebuild).  Returns the repaired file names.
+    links (``links.pack``) are likewise reconstructible as the collection
+    edges internal to no meta document.  Intact files are not touched, so
+    the repaired save is fingerprint-identical to the original.  Requires
+    a readable manifest (a destroyed manifest means a full rebuild).
+    Returns the repaired file names.
 
     Saves of an index mutated after the build (``add_document`` /
     ``remove_document`` / ``compact`` — see ``docs/MAINTENANCE.md``)
@@ -432,6 +373,12 @@ def repair_flix(collection: XmlCollection, directory) -> List[str]:
     re-derivation still produces; a damaged incrementally-added or
     compacted meta file raises instead (reload the intact save, or
     rebuild).
+
+    A damaged SQLite file of a format-1 save is never rewritten: what it
+    held (the residual links, or a meta document's tables) is re-derived
+    the same way, checked against its recorded table-content fingerprint
+    (:func:`repro.core.format1.rows_fingerprint`), and the whole save is
+    upgraded to blobs by :func:`save_flix` — crash-safe like any save.
     """
     root = Path(directory)
     manifest = _read_manifest(root, collection)
@@ -439,10 +386,7 @@ def repair_flix(collection: XmlCollection, directory) -> List[str]:
     if not damaged:
         return []
 
-    config = _config_from_manifest(manifest["config"])
-    from repro.core.mdb import MetaDocumentBuilder
-
-    specs = MetaDocumentBuilder(collection, config).build_specs()
+    specs = _rederived_specs(collection, manifest)
     spec_of: Dict[int, MetaDocumentSpec] = {spec.meta_id: spec for spec in specs}
     strategy_of = {
         entry["meta_id"]: entry["strategy"]
@@ -452,13 +396,16 @@ def repair_flix(collection: XmlCollection, directory) -> List[str]:
     recorded = manifest["integrity"]["files"]
     for filename in damaged:
         path = root / filename
+        if filename.endswith(".sqlite"):
+            continue  # read only: the save is upgraded below
         if path.exists():
             path.unlink()
-        if filename == "framework.sqlite":
-            _rebuild_framework_file(path, collection, specs)
+        if filename == LINKS_FILENAME:
+            atomic_write_bytes(
+                path, pack_links(_rederived_links(collection, specs))
+            )
         else:
-            stem, _, kind = filename.rpartition(".")
-            meta_id = int(stem[len("meta_") :])
+            meta_id = int(filename[len("meta_") : -len(".pack")])
             spec = spec_of.get(meta_id)
             strategy = strategy_of.get(meta_id)
             if spec is None or strategy is None:
@@ -467,25 +414,63 @@ def repair_flix(collection: XmlCollection, directory) -> List[str]:
                     "re-derived specs know no meta document "
                     f"{meta_id}; rebuild the index instead"
                 )
-            if kind == "pack":
-                _rebuild_pack_file(path, spec, strategy, collection)
-            else:
-                _rebuild_meta_file(path, spec, strategy, collection)
-        rebuilt = _file_fingerprint(path)
-        if rebuilt is None:
-            raise PersistenceError(f"repair of {filename} produced no data")
-        if rebuilt != recorded[filename]:
-            # A strategy whose output depends on anything beyond the spec
-            # would land here; today's loaders are all deterministic.
-            raise PersistenceError(
-                f"repaired {filename} does not match its recorded "
-                "fingerprint; the collection or configuration has drifted "
-                "since the save"
+            # packing is deterministic (sorted columns, sorted JSON
+            # directory): the rebuilt blob is byte-identical
+            atomic_write_bytes(
+                path, pack_index(_build_meta_index(spec, strategy, collection))
             )
+        if _file_fingerprint(path) != recorded[filename]:
+            raise _drifted(filename)
+
+    if any(filename.endswith(".sqlite") for filename in damaged):
+        links = None
+        if format1.FRAMEWORK_FILENAME in damaged:
+            links = _rederived_links(collection, specs)
+            meta_of = {
+                node: spec.meta_id for spec in specs for node in spec.nodes
+            }
+            if format1.rows_fingerprint(
+                format1.link_rows(links, meta_of)
+            ) != recorded[format1.FRAMEWORK_FILENAME]:
+                raise _drifted(format1.FRAMEWORK_FILENAME)
+        # table entries are re-derived and checked while assembling
+        save_flix(_assemble(collection, root, manifest, links), root)
+        return damaged
 
     manifest_path = root / MANIFEST_NAME
     atomic_write_text(manifest_path, json.dumps(manifest, indent=2))
     return damaged
+
+
+def _drifted(filename: str) -> PersistenceError:
+    return PersistenceError(
+        f"repaired {filename} does not match its recorded fingerprint; "
+        "the collection or configuration has drifted since the save"
+    )
+
+
+def _rederived_specs(
+    collection: XmlCollection, manifest: dict
+) -> List[MetaDocumentSpec]:
+    """The meta-document specs the (deterministic) MDB derives for the
+    saved configuration."""
+    from repro.core.mdb import MetaDocumentBuilder
+
+    config = _config_from_manifest(manifest["config"])
+    return MetaDocumentBuilder(collection, config).build_specs()
+
+
+def _rederived_links(
+    collection: XmlCollection, specs: List[MetaDocumentSpec]
+) -> List[tuple]:
+    """The residual links exactly as the IB wires them: every collection
+    edge internal to no meta document, sorted."""
+    internal = set()
+    for spec in specs:
+        internal.update(spec.internal_edges)
+    return sorted(
+        edge for edge in collection.graph.edges() if edge not in internal
+    )
 
 
 def _build_meta_index(
@@ -497,56 +482,6 @@ def _build_meta_index(
     return execute_build_request(
         IndexBuildRequest(strategy=strategy, tags=tags), graph=graph
     )
-
-
-def _rebuild_meta_file(
-    path: Path, spec: MetaDocumentSpec, strategy: str, collection: XmlCollection
-) -> None:
-    """Re-run one meta document's index build and persist its tables at
-    ``path`` — the save form of a strategy with no packed form (and of
-    every entry of a save from before packing was universal)."""
-    index = _build_meta_index(spec, strategy, collection)
-    target = SqliteBackend(str(path))
-    _copy_tables(index.backend, target)
-    target.close()
-
-
-def _rebuild_pack_file(
-    path: Path, spec: MetaDocumentSpec, strategy: str, collection: XmlCollection
-) -> None:
-    """Re-compile one meta document's FLXPACK blob from a fresh build.
-
-    Packing is deterministic (sorted columns, sorted JSON directory), so
-    the rebuilt blob is byte-identical to the original save's."""
-    index = _build_meta_index(spec, strategy, collection)
-    data = pack_index(index)
-    if data is None:
-        raise PersistenceError(
-            f"cannot repair {path.name}: strategy {strategy!r} has no "
-            "packed form"
-        )
-    atomic_write_bytes(path, data)
-
-
-def _rebuild_framework_file(
-    path: Path, collection: XmlCollection, specs: List[MetaDocumentSpec]
-) -> None:
-    """Reconstruct the residual-link table exactly as the IB wrote it:
-    every collection edge internal to no meta document, sorted."""
-    meta_of: Dict[int, int] = {}
-    internal = set()
-    for spec in specs:
-        internal.update(spec.internal_edges)
-        for node in spec.nodes:
-            meta_of[node] = spec.meta_id
-    residual = sorted(
-        edge for edge in collection.graph.edges() if edge not in internal
-    )
-    target = SqliteBackend(str(path))
-    table = target.create_table(_LINKS_SCHEMA)
-    for u, v in residual:
-        table.insert((u, v, meta_of[u], meta_of[v]))
-    target.close()
 
 
 def load_flix(collection: XmlCollection, directory, verify: bool = True) -> Flix:
@@ -565,13 +500,21 @@ def load_flix(collection: XmlCollection, directory, verify: bool = True) -> Flix
         damaged = _damaged_files(root, manifest)
         if damaged:
             raise IntegrityError(root, damaged)
+    return _assemble(collection, root, manifest)
 
+
+def _assemble(
+    collection: XmlCollection,
+    root: Path,
+    manifest: dict,
+    links: Optional[List[tuple]] = None,
+) -> Flix:
+    """The :class:`Flix` a read manifest describes; ``links`` stands in
+    for the saved residual links (a repaired ``framework.sqlite``)."""
     config = _config_from_manifest(manifest["config"])
-
-    # the all-nodes tag map only a table-format entry reads; made on the
-    # first one, so an all-packed load never walks the collection's tags
-    tags: Optional[Dict[int, str]] = None
-    loaders = _loaders()
+    legacy = manifest["format_version"] == 1
+    # the specs only a format-1 table entry needs; derived on the first
+    specs: Optional[Dict[int, MetaDocumentSpec]] = None
     meta_of: Dict[int, int] = {}
     report = BuildReport(config_name=config.name)
     entries = sorted(manifest["meta_documents"], key=lambda e: e["meta_id"])
@@ -605,27 +548,19 @@ def load_flix(collection: XmlCollection, directory, verify: bool = True) -> Flix
     for entry in entries:
         meta_id = entry["meta_id"]
         strategy = entry["strategy"]
-        if strategy not in loaders:
-            raise PersistenceError(f"no loader for strategy {strategy!r}")
-        if entry.get("packed", False):
-            # mmap the FLXPACK blob: cold attach parses a 64-byte header
-            # and checksums the payload — no table deserialization, no
-            # SQLite file
-            index = attach_packed_file(root / f"meta_{meta_id:04d}.pack")
-        else:
-            # no blob on disk (``transitive_closure``, or a save older
-            # than universal packing): deserialize, then pack in memory
-            if tags is None:
-                tags = {
-                    node: collection.tag(node)
-                    for node in collection.node_ids()
+        if legacy and not entry.get("packed", False):
+            if specs is None:
+                specs = {
+                    spec.meta_id: spec
+                    for spec in _rederived_specs(collection, manifest)
                 }
-            backend = SqliteBackend.attach(
-                str(root / f"meta_{meta_id:04d}.sqlite")
+            index = _rederive_table_entry(
+                root, manifest, entry, specs.get(meta_id), collection
             )
-            index = _packed(loaders[strategy](backend, tags))
-            if is_packed(index):
-                backend.close()  # the blob is the only copy now
+        else:
+            # mmap the FLXPACK blob: cold attach parses a 64-byte header
+            # and checksums the payload — no deserialization
+            index = attach_packed_file(root / f"meta_{meta_id:04d}.pack")
         meta = MetaDocument(
             meta_id=meta_id,
             nodes=index._node_set(),
@@ -647,33 +582,25 @@ def load_flix(collection: XmlCollection, directory, verify: bool = True) -> Flix
             )
         )
 
-    # residual links.  The snapshot's framework.sqlite is read once and
-    # copied into memory: a loaded instance must never hold a *write*
-    # handle on a snapshot file, or incremental verbs (and WAL recovery
-    # replay, docs/DURABILITY.md) would dirty it in place and break the
-    # manifest checksums the next load verifies.  save_flix rewrites
-    # framework.sqlite from this live copy at the next checkpoint.
-    builder = IndexBuilder(collection, config)
-    snapshot_links = SqliteBackend.attach(str(root / "framework.sqlite"))
-    _copy_tables(snapshot_links, builder.framework_backend)
-    snapshot_links.close()
-    residual = 0
-    for u, v, _mu, _mv in builder.framework_backend.table(
-        "flix_residual_links"
-    ).scan():
-        slots[meta_of[u]].outgoing_links.setdefault(u, []).append(v)
-        slots[meta_of[v]].incoming_links.setdefault(v, []).append(u)
-        residual += 1
+    # residual links: read once into the meta documents, their only
+    # in-memory copy (the snapshot file is never held open or written)
+    links_name = format1.FRAMEWORK_FILENAME if legacy else LINKS_FILENAME
+    if links is None:
+        read = format1.read_links if legacy else read_links
+        links = read(root / links_name)
+    for u, v in links:
+        if u not in meta_of or v not in meta_of:
+            raise PersistenceError(
+                f"{links_name} links nodes outside every meta document"
+            )
+    wire_links(slots, meta_of, links)
+    report.residual_link_count = len(links)
+    report.residual_link_bytes = links_pack_bytes(len(links))
     for meta in slots:
         if meta is not None:
             meta.finalize_links()
-    report.residual_link_count = residual
-    report.residual_link_bytes = builder.framework_backend.table(
-        "flix_residual_links"
-    ).size_bytes()
 
     flix = Flix(collection, config, slots, meta_of, report)
-    flix._builder = builder
     if tombstones or generation or incremental:
         from repro.core.layout import IndexLayout
 
@@ -689,6 +616,40 @@ def load_flix(collection: XmlCollection, directory, verify: bool = True) -> Flix
             flix._build_evaluator(restored.slots, restored.meta_of, generation)
         )
     return flix
+
+
+def _rederive_table_entry(
+    root: Path,
+    manifest: dict,
+    entry: dict,
+    spec: Optional[MetaDocumentSpec],
+    collection: XmlCollection,
+):
+    """The packed index of a format-1 meta document saved as tables,
+    re-derived from the collection as :func:`repair_flix` re-derives a
+    damaged blob, and checked the same way: the tables the format-1
+    writer would have stored for it must hash to the file's recorded
+    fingerprint (the file's own, for a save without one)."""
+    filename = f"meta_{entry['meta_id']:04d}.sqlite"
+    if entry.get("incremental", False):
+        raise PersistenceError(
+            f"cannot load {filename}: a meta document added incrementally "
+            "is not re-derivable from the collection; rebuild the index"
+        )
+    index = None
+    if spec is not None:
+        index = _build_meta_index(spec, entry["strategy"], collection)
+    recorded = manifest.get("integrity", {}).get("files", {}).get(filename)
+    if recorded is None:
+        recorded = format1.table_fingerprint(root / filename)
+    if index is None or format1.rows_fingerprint(
+        format1.index_rows(index)
+    ) != recorded:
+        raise PersistenceError(
+            f"cannot load {filename}: the re-derived meta document differs "
+            "from the saved one; rebuild the index"
+        )
+    return packed_clone(index)
 
 
 def _config_from_manifest(config_data: dict) -> FlixConfig:
@@ -717,16 +678,3 @@ def _config_from_manifest(config_data: dict) -> FlixConfig:
             else None
         ),
     )
-
-
-def _loaders() -> Dict[str, Callable]:
-    return {
-        "ppo": PpoIndex.load,
-        "hopi": HopiIndex.load,
-        "transitive_closure": TransitiveClosureIndex.load,
-        "apex": lambda backend, tags: ApexIndex.load(backend, "apex"),
-        "kindex": lambda backend, tags: KBisimulationIndex.load(backend, "kindex"),
-        "fbindex": lambda backend, tags: ForwardBackwardIndex.load(
-            backend, "fbindex"
-        ),
-    }

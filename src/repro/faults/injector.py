@@ -134,10 +134,6 @@ class FaultyIndex:
     def _node_set(self):
         return self._inner._node_set()
 
-    @property
-    def backend(self):
-        return self._inner.backend
-
     def size_bytes(self) -> int:
         return self._inner.size_bytes()
 

@@ -21,33 +21,8 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.graph.digraph import Digraph
 from repro.indexes.base import NodeId, PathIndex, ScoredNode, sort_scored
-from repro.storage.table import Column, StorageBackend, TableSchema
 
 ClassId = int
-
-
-def _extent_schema(prefix: str) -> TableSchema:
-    return TableSchema(
-        name=f"{prefix}_extents",
-        columns=(Column("node", "int"), Column("cls", "int"), Column("tag", "str")),
-        indexed=("node", "cls"),
-    )
-
-
-def _structure_schema(prefix: str) -> TableSchema:
-    return TableSchema(
-        name=f"{prefix}_structure",
-        columns=(Column("src_cls", "int"), Column("dst_cls", "int")),
-        indexed=("src_cls",),
-    )
-
-
-def _edges_schema(prefix: str) -> TableSchema:
-    return TableSchema(
-        name=f"{prefix}_edges",
-        columns=(Column("src", "int"), Column("dst", "int")),
-        indexed=("src",),
-    )
 
 
 def refine_partition_once(
@@ -86,8 +61,7 @@ class SummaryIndex(PathIndex):
 
     strategy_name = "summary"
 
-    def __init__(self, backend: StorageBackend) -> None:
-        super().__init__(backend)
+    def __init__(self) -> None:
         self._graph: Digraph = Digraph()
         self._tags: Dict[NodeId, str] = {}
         self._class_of: Dict[NodeId, ClassId] = {}
@@ -105,8 +79,6 @@ class SummaryIndex(PathIndex):
         graph: Digraph,
         tags: Mapping[NodeId, str],
         class_of: Dict[NodeId, ClassId],
-        table_prefix: str,
-        persist: bool = True,
     ) -> None:
         self._graph = graph
         self._tags = dict(tags)
@@ -119,28 +91,6 @@ class SummaryIndex(PathIndex):
         self._compute_class_reachability()
         for node, cls in class_of.items():
             self._classes_with_tag.setdefault(self._tags[node], set()).add(cls)
-        if persist:
-            self._persist(table_prefix)
-
-    @classmethod
-    def load(cls, backend: StorageBackend, table_prefix: str) -> "SummaryIndex":
-        """Reconstruct a persisted summary index from its three tables.
-
-        Unlike PPO/HOPI loading, no external tag mapping is needed: the
-        extent table stores each node's tag alongside its class.
-        """
-        index = cls(backend)
-        class_of: Dict[NodeId, ClassId] = {}
-        tags: Dict[NodeId, str] = {}
-        graph = Digraph()
-        for node, klass, tag in backend.table(f"{table_prefix}_extents").scan():
-            class_of[node] = klass
-            tags[node] = tag
-            graph.add_node(node)
-        for src, dst in backend.table(f"{table_prefix}_edges").scan():
-            graph.add_edge(src, dst)
-        index._initialize(graph, tags, class_of, table_prefix, persist=False)
-        return index
 
     def _compute_class_reachability(self) -> None:
         """Reflexive-transitive reachability on the (small) structure graph."""
@@ -158,17 +108,6 @@ class SummaryIndex(PathIndex):
             self._class_coreach[cls] = {
                 other for other, reach in self._class_reach.items() if cls in reach
             }
-
-    def _persist(self, prefix: str) -> None:
-        extents = self._backend.create_table(_extent_schema(prefix))
-        extents.insert_many(
-            (node, self._class_of[node], self._tags[node])
-            for node in sorted(self._class_of)
-        )
-        structure = self._backend.create_table(_structure_schema(prefix))
-        structure.insert_many(sorted(self._structure.edges()))
-        edges = self._backend.create_table(_edges_schema(prefix))
-        edges.insert_many(sorted(self._graph.edges()))
 
     # ------------------------------------------------------------------
     # PathIndex interface via structure-pruned BFS

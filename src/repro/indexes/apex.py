@@ -16,7 +16,6 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 from repro.graph.digraph import Digraph
 from repro.indexes._summary import ClassId, SummaryIndex
 from repro.indexes.base import NodeId
-from repro.storage.table import StorageBackend
 
 
 class ApexIndex(SummaryIndex):
@@ -29,17 +28,15 @@ class ApexIndex(SummaryIndex):
         cls,
         graph: Digraph,
         tags: Mapping[NodeId, str],
-        backend: StorageBackend,
     ) -> "ApexIndex":
         """APEX-0: classes are the label (tag) partition."""
-        return cls.build_adaptive(graph, tags, backend, workload=())
+        return cls.build_adaptive(graph, tags, workload=())
 
     @classmethod
     def build_adaptive(
         cls,
         graph: Digraph,
         tags: Mapping[NodeId, str],
-        backend: StorageBackend,
         workload: Iterable[Sequence[str]],
     ) -> "ApexIndex":
         """APEX refined for the frequent label paths in ``workload``.
@@ -49,11 +46,11 @@ class ApexIndex(SummaryIndex):
         exact label path form their own class (split off from the rest), so
         the path is answerable from extents without touching the data graph.
         """
-        index = cls(backend)
+        index = cls()
         class_of = _label_partition(graph, tags)
         for path in workload:
             class_of = _refine_for_path(graph, tags, class_of, tuple(path))
-        index._initialize(graph, tags, _normalize(class_of), "apex")
+        index._initialize(graph, tags, _normalize(class_of))
         index._frequent_paths = [tuple(p) for p in workload]
         return index
 

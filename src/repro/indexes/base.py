@@ -21,9 +21,10 @@ document:
 * the reverse (ancestor) variant of the tag enumeration.
 
 Indexes are built from a :class:`repro.graph.digraph.Digraph` over integer
-node ids plus a node -> tag mapping, and persist their payload through a
-:class:`repro.storage.table.StorageBackend` so that their storage footprint
-is measurable (Table 1).
+node ids plus a node -> tag mapping into their own in-memory structures.
+Their one stored form is the FLXPACK blob :mod:`repro.indexes.packed`
+compiles from those structures: a packed index's size and fingerprint are
+its blob's, which is what Table 1 measures (``docs/DATA_LAYOUT.md``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from typing import (
 )
 
 from repro.graph.digraph import Digraph
-from repro.storage.table import StorageBackend
 
 NodeId = int
 Wildcard = None  # tag value meaning "any element"
@@ -61,10 +61,6 @@ class PathIndex(abc.ABC):
     #: registry name; subclasses override.
     strategy_name = "abstract"
 
-    def __init__(self, backend: Optional[StorageBackend]) -> None:
-        # ``None`` for a packed index: its FLXPACK blob is the whole index
-        self._backend = backend
-
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
@@ -74,7 +70,6 @@ class PathIndex(abc.ABC):
         cls,
         graph: Digraph,
         tags: Mapping[NodeId, str],
-        backend: StorageBackend,
     ) -> "PathIndex":
         """Index ``graph``; ``tags`` maps every node to its element name."""
 
@@ -205,29 +200,12 @@ class PathIndex(abc.ABC):
     def _node_set(self) -> frozenset:
         """The indexed node ids."""
 
-    # ------------------------------------------------------------------
-    # accounting
-    # ------------------------------------------------------------------
-    @property
-    def backend(self) -> Optional[StorageBackend]:
-        """The table storage this index persists through (``None`` for a
-        packed index, which answers the two methods below from its blob)."""
-        return self._backend
-
-    def size_bytes(self) -> int:
-        """Persisted storage of this index — the Table 1 measurement."""
-        return self._backend.total_bytes()
-
-    def fingerprint(self) -> str:
-        """Content hash of this index: equal content, equal fingerprint."""
-        return self._backend.fingerprint()
-
     @property
     def node_count(self) -> int:
         return len(self._node_set())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{type(self).__name__} nodes={self.node_count} bytes={self.size_bytes()}>"
+        return f"<{type(self).__name__} nodes={self.node_count}>"
 
 
 _DISTANCE_THEN_NODE = operator.itemgetter(1, 0)

@@ -23,26 +23,6 @@ from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 from repro.graph.digraph import Digraph
 from repro.indexes._summary import ClassId, SummaryIndex
 from repro.indexes.base import IndexNotApplicableError, NodeId
-from repro.storage.table import Column, StorageBackend, TableSchema
-
-_GUIDE_SCHEMA = TableSchema(
-    name="dataguide_target_sets",
-    columns=(
-        Column("state", "int"),
-        Column("node", "int"),
-    ),
-    indexed=("state",),
-)
-
-_GUIDE_EDGE_SCHEMA = TableSchema(
-    name="dataguide_transitions",
-    columns=(
-        Column("src_state", "int"),
-        Column("label", "str"),
-        Column("dst_state", "int"),
-    ),
-    indexed=("src_state",),
-)
 
 
 class DataGuideIndex(SummaryIndex):
@@ -52,8 +32,8 @@ class DataGuideIndex(SummaryIndex):
 
     DEFAULT_MAX_STATES = 20000
 
-    def __init__(self, backend: StorageBackend) -> None:
-        super().__init__(backend)
+    def __init__(self) -> None:
+        super().__init__()
         self._targets: List[FrozenSet[NodeId]] = []
         self._transitions: Dict[Tuple[int, str], int] = {}
         self._initial_state: int = -1
@@ -63,23 +43,20 @@ class DataGuideIndex(SummaryIndex):
         cls,
         graph: Digraph,
         tags: Mapping[NodeId, str],
-        backend: StorageBackend,
     ) -> "DataGuideIndex":
-        return cls.build_bounded(graph, tags, backend, cls.DEFAULT_MAX_STATES)
+        return cls.build_bounded(graph, tags, cls.DEFAULT_MAX_STATES)
 
     @classmethod
     def build_bounded(
         cls,
         graph: Digraph,
         tags: Mapping[NodeId, str],
-        backend: StorageBackend,
         max_states: int,
     ) -> "DataGuideIndex":
-        index = cls(backend)
+        index = cls()
         index._determinize(graph, tags, max_states)
         class_of = _label_partition(graph, tags)
-        index._initialize(graph, tags, class_of, "dataguide")
-        index._persist_guide()
+        index._initialize(graph, tags, class_of)
         return index
 
     def _determinize(
@@ -132,19 +109,6 @@ class DataGuideIndex(SummaryIndex):
                 self._transitions[(source_state, label)] = state
                 if fresh:
                     queue.append(state)
-
-    def _persist_guide(self) -> None:
-        states = self._backend.create_table(_GUIDE_SCHEMA)
-        states.insert_many(
-            (state, node)
-            for state, target in enumerate(self._targets)
-            for node in sorted(target)
-        )
-        edges = self._backend.create_table(_GUIDE_EDGE_SCHEMA)
-        edges.insert_many(
-            (src, label, dst)
-            for (src, label), dst in sorted(self._transitions.items())
-        )
 
     # ------------------------------------------------------------------
     # DataGuide-specific operations

@@ -29,16 +29,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.graph.digraph import Digraph
 from repro.indexes._summary import ClassId, SummaryIndex
 from repro.indexes.base import IndexNotApplicableError, NodeId
-from repro.storage.table import Column, StorageBackend, TableSchema
-
-_KEYS_SCHEMA = TableSchema(
-    name="fabric_keys",
-    columns=(
-        Column("key", "str"),
-        Column("node", "int"),
-    ),
-    indexed=("key",),
-)
 
 #: separator between labels in encoded keys (not a valid XML name char)
 KEY_SEPARATOR = "/"
@@ -63,8 +53,8 @@ class FabricIndex(SummaryIndex):
 
     DEFAULT_MAX_KEYS = 200_000
 
-    def __init__(self, backend: StorageBackend) -> None:
-        super().__init__(backend)
+    def __init__(self) -> None:
+        super().__init__()
         self._root = _TrieNode()
         self._key_count = 0
         self._trie_nodes = 1
@@ -77,20 +67,17 @@ class FabricIndex(SummaryIndex):
         cls,
         graph: Digraph,
         tags: Mapping[NodeId, str],
-        backend: StorageBackend,
     ) -> "FabricIndex":
-        return cls.build_bounded(graph, tags, backend, cls.DEFAULT_MAX_KEYS)
+        return cls.build_bounded(graph, tags, cls.DEFAULT_MAX_KEYS)
 
     @classmethod
     def build_bounded(
         cls,
         graph: Digraph,
         tags: Mapping[NodeId, str],
-        backend: StorageBackend,
         max_keys: int,
     ) -> "FabricIndex":
-        index = cls(backend)
-        rows: List[Tuple[str, int]] = []
+        index = cls()
         # Depth-first enumeration of root label paths.  On DAGs a node can
         # carry several paths (one per incoming route); cycles would make
         # the set infinite, so a visited-on-stack check rejects them.
@@ -106,7 +93,6 @@ class FabricIndex(SummaryIndex):
             while stack:
                 node, path, on_path = stack.pop()
                 index._insert(path, node)
-                rows.append((KEY_SEPARATOR.join(path), node))
                 if index._key_count > max_keys:
                     raise IndexNotApplicableError(
                         f"Index Fabric exceeds {max_keys} keys on this graph"
@@ -120,9 +106,7 @@ class FabricIndex(SummaryIndex):
                         (succ, path + (tags[succ],), on_path | {succ})
                     )
         class_of = _label_partition(graph, tags)
-        index._initialize(graph, tags, class_of, "fabric")
-        table = backend.create_table(_KEYS_SCHEMA)
-        table.insert_many(sorted(rows))
+        index._initialize(graph, tags, class_of)
         return index
 
     def _insert(self, path: Sequence[str], node: NodeId) -> None:

@@ -36,27 +36,14 @@ Stopping after step (2) gives the per-partition indexes that FliX's
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.graph.digraph import Digraph
 from repro.graph.partition import partition_graph
 from repro.graph.traversal import dijkstra
 from repro.indexes.base import NodeId, PathIndex, ScoredNode, sort_scored
-from repro.storage.table import Column, StorageBackend, TableSchema
 
 Label = Dict[NodeId, int]  # hub -> distance
-
-
-def _label_schema(name: str) -> TableSchema:
-    return TableSchema(
-        name=name,
-        columns=(
-            Column("node", "int"),
-            Column("hub", "int"),
-            Column("dist", "int"),
-        ),
-        indexed=("node", "hub"),
-    )
 
 
 class HopiIndex(PathIndex):
@@ -64,8 +51,7 @@ class HopiIndex(PathIndex):
 
     strategy_name = "hopi"
 
-    def __init__(self, backend: StorageBackend) -> None:
-        super().__init__(backend)
+    def __init__(self) -> None:
         self._in: Dict[NodeId, Label] = {}
         self._out: Dict[NodeId, Label] = {}
         # hub -> {node: dist} — inverted labels for enumeration
@@ -84,9 +70,8 @@ class HopiIndex(PathIndex):
         cls,
         graph: Digraph,
         tags: Mapping[NodeId, str],
-        backend: StorageBackend,
     ) -> "HopiIndex":
-        index = cls(backend)
+        index = cls()
         index._tags = dict(tags)
         index._graph = graph.copy()
         index._in = {node: {} for node in graph}
@@ -148,18 +133,15 @@ class HopiIndex(PathIndex):
         cls,
         graph: Digraph,
         tags: Mapping[NodeId, str],
-        backend: StorageBackend,
         partition_size: int,
     ) -> "HopiIndex":
         partitioning = partition_graph(graph, partition_size)
         locals_: List[HopiIndex] = []
-        from repro.storage.memory import MemoryBackend
-
         for block in partitioning.blocks:
             sub = graph.subgraph(block)
-            locals_.append(cls.build(sub, {n: tags[n] for n in block}, MemoryBackend()))
+            locals_.append(cls.build(sub, {n: tags[n] for n in block}))
 
-        index = cls(backend)
+        index = cls()
         index._tags = dict(tags)
         index._graph = graph.copy()
         # Start from the union of the partition-local labels.
@@ -255,53 +237,7 @@ class HopiIndex(PathIndex):
                             label[head] = total
 
     # ==================================================================
-    # loading a persisted index
-    # ==================================================================
-    @classmethod
-    def load(
-        cls,
-        backend: StorageBackend,
-        tags: Mapping[NodeId, str],
-        graph: Optional[Digraph] = None,
-    ) -> "HopiIndex":
-        """Reconstruct a persisted HOPI index from its label tables.
-
-        Later rows win where incremental insertions appended improved
-        distances.  ``graph`` (the element graph the labels describe) is
-        only needed to keep using :meth:`insert_edge` afterwards; queries
-        work without it.
-        """
-        index = cls(backend)
-        for node, hub, dist in backend.table("hopi_in_labels").scan():
-            current = index._in.setdefault(node, {}).get(hub)
-            if current is None or dist < current:
-                index._in[node][hub] = dist
-        for node, hub, dist in backend.table("hopi_out_labels").scan():
-            current = index._out.setdefault(node, {}).get(hub)
-            if current is None or dist < current:
-                index._out[node][hub] = dist
-        # every indexed node carries a self label, so the tables define the
-        # node set; ``tags`` may be a superset (e.g. the whole collection)
-        index._nodes = frozenset(index._in) | frozenset(index._out)
-        for node in index._nodes:
-            index._in.setdefault(node, {})
-            index._out.setdefault(node, {})
-        index._tags = {node: tags[node] for node in index._nodes}
-        for node, label in index._in.items():
-            for hub, dist in label.items():
-                index._hub_descendants.setdefault(hub, {})[node] = dist
-        for node, label in index._out.items():
-            for hub, dist in label.items():
-                index._hub_ancestors.setdefault(hub, {})[node] = dist
-        if graph is not None:
-            index._graph = graph.copy()
-        else:
-            for node in index._nodes:
-                index._graph.add_node(node)
-        return index
-
-    # ==================================================================
-    # shared finishing: inverted lists + persistence
+    # shared finishing: the inverted lists
     # ==================================================================
     def _finish(self) -> None:
         self._nodes = frozenset(self._in)
@@ -311,18 +247,6 @@ class HopiIndex(PathIndex):
         for node, label in self._out.items():
             for hub, dist in label.items():
                 self._hub_ancestors.setdefault(hub, {})[node] = dist
-        in_table = self._backend.create_table(_label_schema("hopi_in_labels"))
-        in_table.insert_many(
-            (node, hub, dist)
-            for node in sorted(self._in)
-            for hub, dist in sorted(self._in[node].items())
-        )
-        out_table = self._backend.create_table(_label_schema("hopi_out_labels"))
-        out_table.insert_many(
-            (node, hub, dist)
-            for node in sorted(self._out)
-            for hub, dist in sorted(self._out[node].items())
-        )
 
     # ==================================================================
     # queries
@@ -407,8 +331,6 @@ class HopiIndex(PathIndex):
         self._hub_descendants.setdefault(node, {})[node] = 0
         self._hub_ancestors.setdefault(node, {})[node] = 0
         self._nodes = self._nodes | {node}
-        self._backend.table("hopi_in_labels").insert((node, node, 0))
-        self._backend.table("hopi_out_labels").insert((node, node, 0))
 
     def insert_edge(self, source: NodeId, target: NodeId) -> None:
         """Add the edge ``source -> target`` and repair the 2-hop labels.
@@ -421,32 +343,20 @@ class HopiIndex(PathIndex):
         only shrink under edge insertion, so the resumed searches converge
         and all queries stay exact — the property suite verifies every
         pair against a BFS oracle after each insertion.
-
-        Label rows for new or improved entries are appended to the backing
-        tables; superseded rows are not rewritten, so the persisted size is
-        an upper bound after many insertions (a rebuild compacts it).
         """
         if source not in self._nodes or target not in self._nodes:
             raise KeyError("both endpoints must already be indexed")
         if self._graph.has_edge(source, target):
             return
         self._graph.add_edge(source, target)
-        in_rows: List[tuple] = []
-        out_rows: List[tuple] = []
         # Forward repair: hubs that reach `source` now also reach everything
         # below `target`.
         for hub, hub_to_source in sorted(self._in[source].items()):
-            self._resume_label(hub, target, hub_to_source + 1, forward=True,
-                               rows=in_rows)
+            self._resume_label(hub, target, hub_to_source + 1, forward=True)
         # Backward repair: hubs reachable from `target` are now reachable
         # from everything above `source`.
         for hub, target_to_hub in sorted(self._out[target].items()):
-            self._resume_label(hub, source, target_to_hub + 1, forward=False,
-                               rows=out_rows)
-        if in_rows:
-            self._backend.table("hopi_in_labels").insert_many(in_rows)
-        if out_rows:
-            self._backend.table("hopi_out_labels").insert_many(out_rows)
+            self._resume_label(hub, source, target_to_hub + 1, forward=False)
 
     def _resume_label(
         self,
@@ -454,7 +364,6 @@ class HopiIndex(PathIndex):
         start: NodeId,
         start_distance: int,
         forward: bool,
-        rows: List[tuple],
     ) -> None:
         """Resumed pruned BFS for one hub after an edge insertion."""
         labels = self._in if forward else self._out
@@ -469,7 +378,6 @@ class HopiIndex(PathIndex):
                 continue  # existing labels already certify <= dist
             labels[node][hub] = dist
             inverted.setdefault(hub, {})[node] = dist
-            rows.append((node, hub, dist))
             neighbours = (
                 self._graph.successors(node)
                 if forward

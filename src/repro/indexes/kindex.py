@@ -22,7 +22,6 @@ from typing import Dict, Mapping, Optional
 from repro.graph.digraph import Digraph
 from repro.indexes._summary import ClassId, SummaryIndex, refine_partition_once
 from repro.indexes.base import NodeId
-from repro.storage.table import StorageBackend
 
 
 class KBisimulationIndex(SummaryIndex):
@@ -40,22 +39,20 @@ class KBisimulationIndex(SummaryIndex):
         cls,
         graph: Digraph,
         tags: Mapping[NodeId, str],
-        backend: StorageBackend,
     ) -> "KBisimulationIndex":
         """Default instantiation: the 1-index (full bisimulation)."""
-        return cls.build_k(graph, tags, backend, k=None)
+        return cls.build_k(graph, tags, k=None)
 
     @classmethod
     def build_k(
         cls,
         graph: Digraph,
         tags: Mapping[NodeId, str],
-        backend: StorageBackend,
         k: Optional[int],
     ) -> "KBisimulationIndex":
         if k is not None and k < 0:
             raise ValueError("k must be non-negative (or None for the 1-index)")
-        index = cls(backend)
+        index = cls()
         class_of = _label_partition(graph, tags)
         rounds = 0
         while k is None or rounds < k:
@@ -67,7 +64,7 @@ class KBisimulationIndex(SummaryIndex):
                 raise AssertionError(
                     "bisimulation refinement failed to converge"
                 )  # pragma: no cover - refinement always converges
-        index._initialize(graph, tags, class_of, "kindex")
+        index._initialize(graph, tags, class_of)
         index.rounds_performed = rounds
         index.k = k
         return index
@@ -90,9 +87,8 @@ class ForwardBackwardIndex(KBisimulationIndex):
         cls,
         graph: Digraph,
         tags: Mapping[NodeId, str],
-        backend: StorageBackend,
     ) -> "ForwardBackwardIndex":
-        index = cls(backend)
+        index = cls()
         class_of = _label_partition(graph, tags)
         rounds = 0
         stable_in_a_row = 0
@@ -105,7 +101,7 @@ class ForwardBackwardIndex(KBisimulationIndex):
             direction = "forward" if direction == "backward" else "backward"
             if rounds > 2 * graph.node_count + 4:  # pragma: no cover
                 raise AssertionError("F&B refinement failed to converge")
-        index._initialize(graph, tags, class_of, "fbindex")
+        index._initialize(graph, tags, class_of)
         index.rounds_performed = rounds
         index.k = None
         return index

@@ -1,22 +1,20 @@
 """``repro.indexes.packed`` — flat columnar hot-path index layouts.
 
 The object-graph indexes (:mod:`repro.indexes.ppo`, ``hopi``, the summary
-family) are the *build-time* representation and the tests' reference;
-this package compiles a built index into an immutable FLXPACK blob
-(:mod:`.blob`) of int64 columns and serves every
+family, the transitive closure) are the *build-time* representation and
+the tests' reference; this package compiles a built index into an
+immutable FLXPACK blob (:mod:`.blob`) of int64 columns and serves every
 :class:`repro.indexes.base.PathIndex` probe straight off those columns —
 byte-identically to the object form.  The blob is the index: a packed
-index (:mod:`.base`) keeps no storage backend, and its size and content
-fingerprint are the blob's.  Every index a
-:class:`repro.core.framework.Flix` serves is one of these
-(``docs/DATA_LAYOUT.md``).
+index (:mod:`.base`) answers its size and content fingerprint from its
+blob, and every index a :class:`repro.core.framework.Flix` serves is one
+of these (``docs/DATA_LAYOUT.md``).
 
 Entry points:
 
-* :func:`pack_index` — blob bytes for a built index (``None`` when the
-  strategy has no packed form, e.g. ``transitive_closure``);
+* :func:`pack_index` — blob bytes for a built index;
 * :func:`packed_clone` — the in-memory packed form of a built index,
-  which (with its tables) can then be dropped — the framework's one
+  after which the object index can be dropped — the framework's one
   pack step;
 * :func:`attach_packed_file` / :func:`attach_packed_blob` — mmap (or
   wrap) a blob and return the matching packed index, for millisecond
@@ -24,8 +22,6 @@ Entry points:
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.indexes.base import PathIndex
 from repro.indexes.packed.base import PackedIndex
@@ -36,6 +32,11 @@ from repro.indexes.packed.blob import (
     BlobWriter,
     PackedBlob,
 )
+from repro.indexes.packed.closure import (
+    CLOSURE_BLOB_STRATEGY,
+    PackedClosureIndex,
+    pack_closure,
+)
 from repro.indexes.packed.hopi import PackedHopiIndex, pack_hopi
 from repro.indexes.packed.ppo import PackedPpoIndex, pack_ppo
 from repro.indexes.packed.summary import (
@@ -45,9 +46,10 @@ from repro.indexes.packed.summary import (
 )
 from repro.storage.errors import CorruptionError
 
-#: strategies with a packed form; others stay object-backed ("strategy
-#: permitting" — the fallback ladder's transitive_closure metas do)
-PACKABLE_STRATEGIES = frozenset(("ppo", "hopi") + SUMMARY_STRATEGIES)
+#: strategies with a packed form: every registered one
+PACKABLE_STRATEGIES = frozenset(
+    ("ppo", "hopi", "transitive_closure") + SUMMARY_STRATEGIES
+)
 
 
 def is_packed(index) -> bool:
@@ -55,14 +57,17 @@ def is_packed(index) -> bool:
     return isinstance(index, PackedIndex)
 
 
-def pack_index(index: PathIndex) -> Optional[bytes]:
-    """Blob bytes for a built index; ``None`` if the strategy is unpackable.
+def pack_index(index: PathIndex):
+    """Blob bytes for a built index.
 
     An already-packed index hands out its blob's own bytes as a read-only
-    view (:attr:`PackedBlob.data`) — nothing is re-packed or copied."""
+    view (:attr:`PackedBlob.data`) — nothing is re-packed or copied.
+    Raises ``TypeError`` for an index class with no packed form (a
+    strategy registered from outside this package)."""
     from repro.indexes._summary import SummaryIndex
     from repro.indexes.hopi import HopiIndex
     from repro.indexes.ppo import PpoIndex
+    from repro.indexes.transitive import TransitiveClosureIndex
 
     if is_packed(index):
         return index.blob.data
@@ -72,7 +77,9 @@ def pack_index(index: PathIndex) -> Optional[bytes]:
         return pack_hopi(index)
     if isinstance(index, SummaryIndex):
         return pack_summary(index)
-    return None
+    if isinstance(index, TransitiveClosureIndex):
+        return pack_closure(index)
+    raise TypeError(f"{type(index).__name__} has no packed form")
 
 
 def attach_packed_blob(blob: PackedBlob) -> PathIndex:
@@ -84,6 +91,8 @@ def attach_packed_blob(blob: PackedBlob) -> PathIndex:
         return PackedHopiIndex(blob)
     if strategy in SUMMARY_STRATEGIES:
         return PackedSummaryIndex(blob)
+    if strategy == CLOSURE_BLOB_STRATEGY:
+        return PackedClosureIndex(blob)
     raise CorruptionError(
         f"packed blob names unknown strategy {strategy!r}"
     )
@@ -98,19 +107,19 @@ def attach_packed_file(path) -> PathIndex:
     return attach_packed_blob(PackedBlob.attach(path))
 
 
-def packed_clone(index: Optional[PathIndex]) -> Optional[PathIndex]:
-    """The in-memory packed form of a built index (``None`` if unpackable).
+def packed_clone(index: PathIndex) -> PathIndex:
+    """The in-memory packed form of a built index.
 
-    The clone references neither the object index nor its storage
-    backend: once the caller drops those, the blob is the only copy.
+    The clone does not reference the object index: once the caller drops
+    it, the blob is the only copy.  An already-packed index is its own
+    packed form.
     """
-    if index is None or is_packed(index):
-        return None
-    data = pack_index(index)
-    if data is None:
-        return None
+    if is_packed(index):
+        return index
     return attach_packed_blob(
-        PackedBlob.from_bytes(data, source=f"<packed {index.strategy_name}>")
+        PackedBlob.from_bytes(
+            pack_index(index), source=f"<packed {index.strategy_name}>"
+        )
     )
 
 
@@ -122,6 +131,7 @@ __all__ = [
     "BlobWriter",
     "CorruptionError",
     "PackedBlob",
+    "PackedClosureIndex",
     "PackedHopiIndex",
     "PackedIndex",
     "PackedPpoIndex",

@@ -1,9 +1,8 @@
 """What the three packed index classes share: the blob *is* the index.
 
-A packed index holds no storage backend — every probe, its size and its
-content fingerprint are answered from the attached FLXPACK blob, the one
-copy of the meta document's index in memory and on disk
-(``docs/DATA_LAYOUT.md``).
+Every probe, the size and the content fingerprint of a packed index are
+answered from the attached FLXPACK blob, the one copy of the meta
+document's index in memory and on disk (``docs/DATA_LAYOUT.md``).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ class PackedIndex(PathIndex):
     """A :class:`PathIndex` served straight off an attached blob."""
 
     def __init__(self, blob: PackedBlob) -> None:
-        super().__init__(None)
         self._blob = blob
         # serving threads that race the first probe wait for one
         # promotion instead of each repeating it
@@ -29,7 +27,7 @@ class PackedIndex(PathIndex):
         return self._blob
 
     @classmethod
-    def build(cls, graph, tags, backend):  # pragma: no cover - build-time is object-graph
+    def build(cls, graph, tags):  # pragma: no cover - build-time is object-graph
         raise NotImplementedError(
             "packed indexes are compiled from a built object index "
             "(repro.indexes.packed.pack_index), not built from a graph"

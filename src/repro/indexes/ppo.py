@@ -29,21 +29,6 @@ from repro.indexes.base import (
     ScoredNode,
     sort_scored,
 )
-from repro.storage.table import Column, StorageBackend, TableSchema
-
-# One row per node.  post(e) is not stored: it is derivable as
-# pre + size - 1, and the paper stresses PPO's O(|V|) compactness.
-_SCHEMA = TableSchema(
-    name="ppo_nodes",
-    columns=(
-        Column("node", "int"),
-        Column("pre", "int"),
-        Column("size", "int"),
-        Column("depth", "int"),
-        Column("parent", "int"),  # -1 for roots
-    ),
-    indexed=("node",),
-)
 
 
 class PpoIndex(PathIndex):
@@ -51,8 +36,7 @@ class PpoIndex(PathIndex):
 
     strategy_name = "ppo"
 
-    def __init__(self, backend: StorageBackend) -> None:
-        super().__init__(backend)
+    def __init__(self) -> None:
         self._pre: Dict[NodeId, int] = {}
         self._size: Dict[NodeId, int] = {}
         self._depth: Dict[NodeId, int] = {}
@@ -76,25 +60,29 @@ class PpoIndex(PathIndex):
         cls,
         graph: Digraph,
         tags: Mapping[NodeId, str],
-        backend: StorageBackend,
     ) -> "PpoIndex":
         if not is_forest(graph):
             raise IndexNotApplicableError(
                 "PPO requires a forest: some node has in-degree > 1 or the "
                 "graph contains a cycle"
             )
-        index = cls(backend)
+        index = cls()
         counter = 0
         for root in forest_roots(graph):
             index._tree_starts.append(counter)
-            counter = index._number_tree(graph, root, counter)
+            counter = index._number_tree(graph, tags, root, counter)
         index._nodes = frozenset(index._pre)
-        for tag, entries in index._tag_pres.items():
+        for entries in index._tag_pres.values():
             entries.sort()
-        index._persist(tags)
         return index
 
-    def _number_tree(self, graph: Digraph, root: NodeId, counter: int) -> int:
+    def _number_tree(
+        self,
+        graph: Digraph,
+        tags: Mapping[NodeId, str],
+        root: NodeId,
+        counter: int,
+    ) -> int:
         """Assign pre ranks/sizes/depths for one tree; returns next rank."""
         # Frames: (node, depth, parent); sizes fixed up after the subtree.
         order: List[NodeId] = []
@@ -117,69 +105,10 @@ class PpoIndex(PathIndex):
             self._size[node] = size
         for node in order:
             self._node_at_pre.append(node)
-            self._tag_pres.setdefault(self._tag_hint(node), []).append(
+            self._tag_pres.setdefault(tags[node], []).append(
                 (self._pre[node], node)
             )
         return counter + len(order)
-
-    @classmethod
-    def load(
-        cls,
-        backend: StorageBackend,
-        tags: Mapping[NodeId, str],
-    ) -> "PpoIndex":
-        """Reconstruct a persisted PPO index from its ``ppo_nodes`` table.
-
-        ``tags`` must be the same node -> tag mapping the index was built
-        with (tags live in the collection, not the index tables).
-        """
-        index = cls(backend)
-        rows = list(backend.table("ppo_nodes").scan())
-        for node, pre, size, depth, parent in rows:
-            index._pre[node] = pre
-            index._size[node] = size
-            index._depth[node] = depth
-            index._parent[node] = None if parent == -1 else parent
-        index._nodes = frozenset(index._pre)
-        index._node_at_pre = [0] * len(rows)
-        for node, pre in index._pre.items():
-            index._node_at_pre[pre] = node
-        index._tree_starts = sorted(
-            index._pre[node]
-            for node, parent in index._parent.items()
-            if parent is None
-        )
-        for node in index._pre:
-            index._tag_pres.setdefault(tags[node], []).append(
-                (index._pre[node], node)
-            )
-        for entries in index._tag_pres.values():
-            entries.sort()
-        return index
-
-    def _tag_hint(self, node: NodeId) -> str:
-        # Overwritten by _persist, which knows the tags mapping; during
-        # numbering we park nodes under a placeholder bucket.
-        return "\x00pending"
-
-    def _persist(self, tags: Mapping[NodeId, str]) -> None:
-        # Re-bucket by actual tag (the numbering pass used a placeholder).
-        pending = self._tag_pres.pop("\x00pending", [])
-        for pre, node in pending:
-            self._tag_pres.setdefault(tags[node], []).append((pre, node))
-        for entries in self._tag_pres.values():
-            entries.sort()
-        table = self._backend.create_table(_SCHEMA)
-        table.insert_many(
-            (
-                node,
-                self._pre[node],
-                self._size[node],
-                self._depth[node],
-                self._parent[node] if self._parent[node] is not None else -1,
-            )
-            for node in sorted(self._pre)
-        )
 
     # ------------------------------------------------------------------
     # queries

@@ -19,8 +19,6 @@ from repro.indexes.hopi import HopiIndex
 from repro.indexes.kindex import ForwardBackwardIndex, KBisimulationIndex
 from repro.indexes.ppo import PpoIndex
 from repro.indexes.transitive import TransitiveClosureIndex
-from repro.storage.memory import MemoryBackend
-from repro.storage.table import StorageBackend
 
 _REGISTRY: Dict[str, Type[PathIndex]] = {}
 
@@ -51,10 +49,9 @@ def build_index(
     name: str,
     graph: Digraph,
     tags: Mapping[NodeId, str],
-    backend: StorageBackend,
 ) -> PathIndex:
     """Build an index of the named strategy over ``graph``."""
-    return strategy_class(name).build(graph, tags, backend)
+    return strategy_class(name).build(graph, tags)
 
 
 @dataclass(frozen=True)
@@ -101,23 +98,17 @@ class IndexBuildRequest:
 def execute_build_request(
     request: IndexBuildRequest,
     graph: Optional[Digraph] = None,
-    obs=None,
 ) -> PathIndex:
-    """Run one :class:`IndexBuildRequest` against fresh in-memory scratch
-    tables (``docs/DATA_LAYOUT.md``: the pack step drops them).
+    """Run one :class:`IndexBuildRequest`: the strategy's object build,
+    which the pack step then compiles into its blob
+    (``docs/DATA_LAYOUT.md``).
 
     ``graph`` short-circuits the rebuild from primitives when the caller
     already materialized it (the IB's workers do, for strategy selection).
-    ``obs`` (a ``repro.obs.Observability``) attaches storage instruments
-    to the fresh backend so the build's table writes are counted; only
-    useful in-process — a process-pool worker's registry dies with it.
     """
     if graph is None:
         graph = request.to_graph()
-    backend = MemoryBackend()
-    if obs is not None and obs.enabled:
-        backend.attach_observer(obs.storage_instruments(backend))
-    return strategy_class(request.strategy).build(graph, request.tags, backend)
+    return strategy_class(request.strategy).build(graph, request.tags)
 
 
 for _cls in (

@@ -15,17 +15,6 @@ from typing import Dict, List, Mapping, Optional
 from repro.graph.closure import transitive_closure
 from repro.graph.digraph import Digraph
 from repro.indexes.base import NodeId, PathIndex, ScoredNode, sort_scored
-from repro.storage.table import Column, StorageBackend, TableSchema
-
-_SCHEMA = TableSchema(
-    name="closure_pairs",
-    columns=(
-        Column("src", "int"),
-        Column("dst", "int"),
-        Column("dist", "int"),
-    ),
-    indexed=("src", "dst"),
-)
 
 
 class TransitiveClosureIndex(PathIndex):
@@ -33,8 +22,7 @@ class TransitiveClosureIndex(PathIndex):
 
     strategy_name = "transitive_closure"
 
-    def __init__(self, backend: StorageBackend) -> None:
-        super().__init__(backend)
+    def __init__(self) -> None:
         self._descendants: Dict[NodeId, Dict[NodeId, int]] = {}
         self._ancestors: Dict[NodeId, Dict[NodeId, int]] = {}
         self._tags: Dict[NodeId, str] = {}
@@ -45,9 +33,8 @@ class TransitiveClosureIndex(PathIndex):
         cls,
         graph: Digraph,
         tags: Mapping[NodeId, str],
-        backend: StorageBackend,
     ) -> "TransitiveClosureIndex":
-        index = cls(backend)
+        index = cls()
         index._tags = dict(tags)
         closure = transitive_closure(graph)
         index._descendants = {node: dict(closure.descendants(node)) for node in graph}
@@ -57,31 +44,6 @@ class TransitiveClosureIndex(PathIndex):
         for node in graph:
             index._ancestors.setdefault(node, {})
         index._nodes = frozenset(graph.nodes())
-        table = backend.create_table(_SCHEMA)
-        table.insert_many(
-            (src, dst, dist)
-            for src in sorted(index._descendants)
-            for dst, dist in sorted(index._descendants[src].items())
-        )
-        return index
-
-    @classmethod
-    def load(
-        cls,
-        backend: StorageBackend,
-        tags: Mapping[NodeId, str],
-    ) -> "TransitiveClosureIndex":
-        """Reconstruct a persisted closure from its ``closure_pairs`` table."""
-        index = cls(backend)
-        for src, dst, dist in backend.table("closure_pairs").scan():
-            index._descendants.setdefault(src, {})[dst] = dist
-            index._ancestors.setdefault(dst, {})[src] = dist
-        # self pairs exist for every node, so the table defines the node
-        # set; ``tags`` may be a superset (e.g. the whole collection)
-        index._nodes = frozenset(index._descendants)
-        for node in index._nodes:
-            index._ancestors.setdefault(node, {})
-        index._tags = {node: tags[node] for node in index._nodes}
         return index
 
     def _node_set(self) -> frozenset:

@@ -14,7 +14,7 @@ dependency-free:
   Prometheus text-format exporters (:mod:`repro.obs.export`);
 * :class:`Observability` — the bundle (one registry + one tracer) that a
   :class:`repro.core.framework.Flix` instance owns and threads through
-  the evaluator, the Index Builder and the storage backends.
+  the evaluator, the Index Builder and the write-ahead log.
 
 Everything is opt-out through ``FlixConfig.observability``: a disabled
 :class:`Observability` hands out no-op instruments and null traces, the
@@ -25,7 +25,7 @@ full metric catalog and a worked trace example.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from repro.obs.export import (
     EXPORT_FORMATS,
@@ -43,45 +43,6 @@ from repro.obs.registry import (
     NULL_REGISTRY,
 )
 from repro.obs.tracing import NULL_TRACER, Span, Trace, Tracer
-
-
-class StorageInstruments:
-    """Bound storage counters a backend records reads/writes/hits into.
-
-    One instance per backend (created by
-    :meth:`Observability.storage_instruments`); the counters themselves
-    are shared through the registry, the instance only pins the
-    ``backend`` label.  Tables call :meth:`read` on every ``scan`` /
-    ``scan_eq``, :meth:`write` per inserted row, and :meth:`hit` when a
-    point lookup was answered through an access path (a hash index in
-    memory, a B-tree in SQLite) instead of a full scan.
-    """
-
-    __slots__ = ("backend_kind", "_reads", "_writes", "_hits")
-
-    def __init__(self, registry: MetricsRegistry, backend_kind: str) -> None:
-        self.backend_kind = backend_kind
-        self._reads = registry.counter(
-            "flix_storage_reads_total",
-            "Table scans (scan + scan_eq calls) per backend and table.",
-        )
-        self._writes = registry.counter(
-            "flix_storage_writes_total",
-            "Rows inserted per backend and table.",
-        )
-        self._hits = registry.counter(
-            "flix_storage_index_hits_total",
-            "Point lookups answered through an access path (no full scan).",
-        )
-
-    def read(self, table: str) -> None:
-        self._reads.inc(backend=self.backend_kind, table=table)
-
-    def write(self, table: str, rows: int = 1) -> None:
-        self._writes.inc(rows, backend=self.backend_kind, table=table)
-
-    def hit(self, table: str) -> None:
-        self._hits.inc(backend=self.backend_kind, table=table)
 
 
 class Observability:
@@ -106,32 +67,12 @@ class Observability:
         self.registry = registry if registry is not None else MetricsRegistry(enabled)
         self.tracer = tracer if tracer is not None else Tracer(enabled)
 
-    def storage_instruments(
-        self, backend: Union[str, object]
-    ) -> Optional[StorageInstruments]:
-        """Instruments labeled for ``backend`` (``None`` when disabled).
-
-        ``backend`` may be a backend instance (the kind is derived from
-        the class name: ``MemoryBackend`` -> ``memory``) or the kind
-        string itself.
-        """
-        if not self.enabled:
-            return None
-        if isinstance(backend, str):
-            kind = backend
-        else:
-            kind = type(backend).__name__.lower()
-            if kind.endswith("backend"):
-                kind = kind[: -len("backend")] or kind
-        return StorageInstruments(self.registry, kind)
-
 
 #: shared disabled bundle — the default for bare evaluators and builders
 OBS_OFF = Observability(enabled=False, registry=NULL_REGISTRY, tracer=NULL_TRACER)
 
 __all__ = [
     "Observability",
-    "StorageInstruments",
     "MetricsRegistry",
     "Counter",
     "Gauge",

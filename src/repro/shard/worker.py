@@ -266,14 +266,17 @@ class ShardWorker:
                         )
                         return
                     self._inflight += 1
+                # a peer names the verb: one that ``_dispatch`` does not
+                # know is counted under one label, not one series each
+                label = verb if verb in _VERBS else "unknown"
                 try:
                     try:
                         # encoded here, so a reply that cannot be framed
                         # is answered as an error like any other failure
                         frame = encode_frame(self._dispatch(verb, payload))
-                        self._requests.inc(verb=verb, status="ok")
+                        self._requests.inc(verb=label, status="ok")
                     except Exception as exc:  # keep the worker alive
-                        self._requests.inc(verb=verb, status="error")
+                        self._requests.inc(verb=label, status="error")
                         frame = encode_frame(
                             _error_reply(type(exc).__name__, str(exc))
                         )
@@ -304,6 +307,10 @@ class ShardWorker:
     # codec; a bad one raises and is answered with an ``error`` frame)
     # ------------------------------------------------------------------
     def _dispatch(self, verb: str, payload: dict):
+        # the request counter labels only these verbs, so a verb missing
+        # from ``_VERBS`` is refused here rather than miscounted
+        if verb not in _VERBS:
+            raise ValueError(f"unknown verb {verb!r}")
         if verb == "query":
             response = self.flix.query(
                 request_from_json(payload["request"]),
@@ -372,7 +379,15 @@ class ShardWorker:
             return "metrics_text", {"text": render(self._obs.registry, fmt)}
         if verb == "shutdown":
             return "bye", {}
-        raise ValueError(f"unknown verb {verb!r}")
+        raise AssertionError(f"verb {verb!r} is in _VERBS but has no handler")
+
+
+#: the verbs ``ShardWorker._dispatch`` answers (and the only values of
+#: the request counter's ``verb`` label besides ``"unknown"``)
+_VERBS = frozenset((
+    "query", "expand", "connection_probe", "explain", "type_seeds",
+    "wal_pull", "ping", "metrics", "shutdown",
+))
 
 
 # ----------------------------------------------------------------------

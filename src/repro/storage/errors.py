@@ -1,20 +1,15 @@
-"""Typed storage errors: the stable contract callers of the storage API
-catch on.
+"""Typed storage errors: the stable contract callers catch on.
 
-Every backend maps its native errors into this hierarchy, so a caller
-decides by class rather than by message:
+Whatever reads stored bytes or probes an index raises into this
+hierarchy, so a caller decides by class rather than by message:
 
 * :class:`TransientStorageError` — may succeed on retry (lock contention,
   I/O hiccups).
 * :class:`PermanentStorageError` — retrying cannot help (schema violations,
   misuse, missing tables).
-* :class:`CorruptionError` — the stored bytes are damaged (malformed
-  database image, checksum mismatch); the repair path
+* :class:`CorruptionError` — the stored bytes are damaged (a truncated or
+  bit-flipped FLXPACK blob, an unreadable format-1 file); the repair path
   (:func:`repro.core.persistence.repair_flix`) is the cure.
-
-Raw backend exceptions (``sqlite3.OperationalError``, ...) must not leak to
-callers of the storage API; the SQLite backend converts them at every
-public entry point.
 """
 
 from __future__ import annotations
@@ -34,36 +29,3 @@ class PermanentStorageError(StorageError):
 
 class CorruptionError(StorageError):
     """The stored data itself is damaged (malformed image, bad checksum)."""
-
-
-#: sqlite3.OperationalError messages that indicate a retryable condition
-_TRANSIENT_SQLITE_MARKERS = (
-    "locked",
-    "busy",
-    "disk i/o error",
-    "unable to open",
-    "interrupted",
-)
-
-
-def classify_sqlite_error(exc: BaseException) -> StorageError:
-    """Map a ``sqlite3`` exception onto the typed hierarchy.
-
-    ``OperationalError`` splits on its message: lock/busy/I-O conditions are
-    transient, everything else (missing table, syntax) is permanent.
-    ``DatabaseError`` outside that — notably ``"database disk image is
-    malformed"`` — is corruption.  Anything else is permanent.
-    """
-    import sqlite3
-
-    message = str(exc)
-    lowered = message.lower()
-    if isinstance(exc, sqlite3.OperationalError):
-        if any(marker in lowered for marker in _TRANSIENT_SQLITE_MARKERS):
-            return TransientStorageError(message)
-        return PermanentStorageError(message)
-    if isinstance(exc, (sqlite3.IntegrityError, sqlite3.ProgrammingError)):
-        return PermanentStorageError(message)
-    if isinstance(exc, sqlite3.DatabaseError):
-        return CorruptionError(message)
-    return PermanentStorageError(message)

@@ -1,36 +1,6 @@
-"""Byte-size accounting shared by the storage backends.
-
-The encoding model is the one a straightforward relational row store uses:
-8 bytes per integer, 8 per float, UTF-8 bytes plus a 4-byte length prefix
-per string.  Using one fixed model across all index structures is what makes
-Table 1's *relative* sizes meaningful.
-"""
+"""Human-readable byte counts for reports."""
 
 from __future__ import annotations
-
-from typing import Any, Sequence
-
-INT_BYTES = 8
-FLOAT_BYTES = 8
-STR_LENGTH_PREFIX_BYTES = 4
-
-
-def value_bytes(value: Any) -> int:
-    """Encoded size of one primitive value."""
-    if isinstance(value, bool):  # bool is an int subclass; treat as int
-        return INT_BYTES
-    if isinstance(value, int):
-        return INT_BYTES
-    if isinstance(value, float):
-        return FLOAT_BYTES
-    if isinstance(value, str):
-        return STR_LENGTH_PREFIX_BYTES + len(value.encode("utf-8"))
-    raise TypeError(f"unsupported storage value {value!r}")
-
-
-def row_bytes(row: Sequence[Any]) -> int:
-    """Encoded size of one row."""
-    return sum(value_bytes(value) for value in row)
 
 
 def format_bytes(size: int) -> str:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import shutil
+from pathlib import Path
 from typing import List, Tuple
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from repro.collection.builder import build_collection
 from repro.collection.document import XmlDocument
 from repro.core.api import QueryRequest
+from repro.core.config import FlixConfig
 from repro.datasets.dblp import DblpSpec, generate_dblp
 from repro.datasets.movies import generate_movie_collection
 from repro.datasets.synthetic import generate_figure1_collection
@@ -144,7 +147,7 @@ def _response_signature(response) -> str:
 
 
 # ----------------------------------------------------------------------
-# failing index builds; old save formats (migration tests)
+# failing index builds; format-1 saves (migration tests)
 # ----------------------------------------------------------------------
 
 
@@ -164,12 +167,12 @@ def break_build(monkeypatch):
         real = index_class.build
         calls = itertools.count()
 
-        def build(cls, graph, tags, backend):
+        def build(cls, graph, tags):
             if first is None or next(calls) < first:
                 raise TransientStorageError(
                     f"injected {cls.strategy_name} build failure"
                 )
-            return real(graph, tags, backend)
+            return real(graph, tags)
 
         monkeypatch.setattr(index_class, "build", classmethod(build))
         # a warm pool forked before the patch builds with the real class
@@ -180,38 +183,24 @@ def break_build(monkeypatch):
     shutdown_build_pool()
 
 
-def write_table_twins(collection, directory) -> List[str]:
-    """Turn a fresh save of an unmutated build into the format saves had
-    while every blob carried a table twin: one ``meta_NNNN.sqlite`` beside
-    each ``meta_NNNN.pack``, both fingerprinted under ``integrity.files``
-    and one label for both hashes.  Returns the twin file names."""
-    from pathlib import Path
+#: saves the format-1 writer made of the figure-1 collection (their
+#: README says how): ``hybrid`` (blobs + ``framework.sqlite``),
+#: ``closure`` (a ``monolithic("transitive_closure")`` meta as tables) and
+#: ``tables`` (``hybrid`` with every entry ``"packed": false``)
+FORMAT1_FIXTURES = Path(__file__).parent / "fixtures" / "format1"
+FORMAT1_CONFIGS = {
+    "hybrid": lambda: FlixConfig.hybrid(60),
+    "closure": lambda: FlixConfig.monolithic("transitive_closure"),
+    "tables": lambda: FlixConfig.hybrid(60),
+    "summary": lambda: FlixConfig.monolithic("apex"),
+}
 
-    from repro.core import persistence
-    from repro.core.mdb import MetaDocumentBuilder
 
-    root = Path(directory)
-    manifest = json.loads((root / "manifest.json").read_text())
-    config = persistence._config_from_manifest(manifest["config"])
-    specs = {
-        spec.meta_id: spec
-        for spec in MetaDocumentBuilder(collection, config).build_specs()
-    }
-    twins = []
-    for entry in manifest["meta_documents"]:
-        path = root / f"meta_{entry['meta_id']:04d}.sqlite"
-        if path.exists():  # unpackable: the tables already are the save
-            continue
-        persistence._rebuild_meta_file(
-            path, specs[entry["meta_id"]], entry["strategy"], collection
-        )
-        manifest["integrity"]["files"][path.name] = (
-            persistence._file_fingerprint(path)
-        )
-        twins.append(path.name)
-    manifest["integrity"]["algorithm"] = "sha256-table-content"
-    (root / "manifest.json").write_text(json.dumps(manifest))
-    return twins
+def copy_format1_save(name, directory) -> Path:
+    """A writable copy of the named format-1 save under ``directory``."""
+    target = Path(directory) / name
+    shutil.copytree(FORMAT1_FIXTURES / name, target)
+    return target
 
 
 # ----------------------------------------------------------------------

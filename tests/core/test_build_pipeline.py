@@ -1,5 +1,5 @@
 """Every index is built by one pipeline: whichever MDB strategy chose the
-specs, ``Flix.build`` applies the same in-memory scratch tables,
+specs, ``Flix.build`` applies the same object build, pack step,
 observability bundle and builder wiring — so ``rebuild()``, maintenance
 and persistence behave alike for all six presets."""
 
@@ -22,8 +22,8 @@ PRESETS = {
     "hybrid": lambda: FlixConfig.hybrid(60),
     "monolithic": lambda: FlixConfig.monolithic("hopi"),
     "auto_subcollections": FlixConfig.auto_subcollections,
-    # not a preset: the one layout whose index keeps its tables after the
-    # build (no packed form)
+    # not a preset: the closure layout (its key predates the closure's
+    # packed form and is kept so the test ids stay stable)
     "unpackable": lambda: FlixConfig.monolithic("transitive_closure"),
 }
 
@@ -31,26 +31,12 @@ PRESETS = {
 FORMERLY_FORKED = ("monolithic", "auto_subcollections")
 
 
-def _surviving_backends(flix):
-    """Class names of the backends that outlive the build: the framework
-    tables, and the index tables of a strategy with no packed form (a
-    packed index keeps none)."""
-    names = [
-        type(m.index.backend).__name__
-        for m in flix.meta_documents
-        if m.index.backend is not None
-    ]
-    names.append(type(flix._builder.framework_backend).__name__)
-    return names
-
-
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_rebuild_is_identical_and_stays_on_its_backend(
     preset, figure1_collection, tmp_path
 ):
     """Built, rebuilt, loaded and loaded-then-rebuilt instances are the
-    same index, and what a rebuild keeps is in memory wherever the
-    instance came from."""
+    same index, and what any of them keeps of an index is its blob."""
     flix = Flix.build(figure1_collection, PRESETS[preset]())
     flix.save(tmp_path)
     loaded = Flix.load(figure1_collection, tmp_path)
@@ -60,12 +46,8 @@ def test_rebuild_is_identical_and_stays_on_its_backend(
         ]
         assert other.index_fingerprint() == flix.index_fingerprint()
         assert other.config == flix.config
-    for built in (flix, flix.rebuild(), loaded.rebuild()):
-        # the framework tables, plus the index tables where they outlive
-        # the build
-        assert _surviving_backends(built) == ["MemoryBackend"] * (
-            1 + (preset == "unpackable")
-        )
+    for built in (flix, flix.rebuild(), loaded, loaded.rebuild()):
+        assert all(is_packed(m.index) for m in built.meta_documents)
 
 
 @pytest.mark.parametrize("preset", FORMERLY_FORKED + ("unpackable",))
@@ -82,13 +64,11 @@ def test_environment_does_not_edit_the_build(
     assert built.config == config
     assert built.config.resilience is None
     assert built.index_fingerprint() == unset.index_fingerprint()
-    assert _surviving_backends(built) == _surviving_backends(unset)
 
 
 @pytest.mark.parametrize("preset", FORMERLY_FORKED)
 def test_builder_shares_the_observability_bundle(preset, figure1_collection):
     flix = Flix.build(figure1_collection, PRESETS[preset]())
-    assert flix.obs is flix._builder._obs
     builds = [t for t in flix.obs.tracer.traces() if t.name == "ib.build"]
     assert len(builds) == 1
     assert flix.metrics().get("flix_build_phase_seconds") is not None
@@ -119,8 +99,7 @@ def test_damaged_save_is_repairable(preset, figure1_collection, tmp_path):
     forked pipelines saved a nominal ``"naive"`` there, so their saves
     could never be repaired.  And one fingerprint however the index came
     to be: a second build, a ``jobs=2`` build, save → load and the
-    repair of a zapped file (the blob, or the tables of the unpackable
-    layout) all answer the fresh build's."""
+    repair of a zapped blob all answer the fresh build's."""
     config = PRESETS[preset]()
     flix = Flix.build(figure1_collection, config)
     fingerprint = flix.index_fingerprint()
@@ -135,7 +114,7 @@ def test_damaged_save_is_repairable(preset, figure1_collection, tmp_path):
         fingerprint
     )
     victim = sorted(tmp_path.glob("meta_*"))[-1]
-    assert victim.suffix == (".sqlite" if preset == "unpackable" else ".pack")
+    assert victim.suffix == ".pack"
     victim.write_bytes(b"garbage")
     assert Flix.repair(figure1_collection, tmp_path) == [victim.name]
     repaired = Flix.load(figure1_collection, tmp_path)
@@ -147,26 +126,19 @@ def test_save_holds_one_file_per_meta_document(
     preset, figure1_collection, tmp_path
 ):
     """The blob is the index: a save is each meta document's ``.pack``
-    (written as memory holds it) — its ``.sqlite`` tables only where the
-    strategy has no packed form — plus the framework tables and the
-    manifest, and nothing else."""
+    (written as memory holds it), the residual links' ``links.pack`` and
+    the manifest, and nothing else."""
     flix = Flix.build(figure1_collection, PRESETS[preset]())
-    packed = preset != "unpackable"
-    assert all(is_packed(m.index) == packed for m in flix.meta_documents)
+    assert all(is_packed(m.index) for m in flix.meta_documents)
     flix.save(tmp_path)
-    suffix = ".pack" if packed else ".sqlite"
-    files = {"framework.sqlite"} | {
-        f"meta_{meta.meta_id:04d}{suffix}" for meta in flix.meta_documents
+    files = {"links.pack"} | {
+        f"meta_{meta.meta_id:04d}.pack" for meta in flix.meta_documents
     }
     assert {p.name for p in tmp_path.iterdir()} == files | {MANIFEST_NAME}
     integrity = json.loads((tmp_path / MANIFEST_NAME).read_text())["integrity"]
     assert set(integrity["files"]) == files
-    # the two hashes are labelled per file kind
-    assert integrity["algorithm"] == {
-        "pack": "sha256-raw-bytes",
-        "sqlite": "sha256-table-content",
-    }
-    for meta in flix.meta_documents if packed else ():
+    assert integrity["algorithm"] == {"pack": "sha256-raw-bytes"}
+    for meta in flix.meta_documents:
         name = f"meta_{meta.meta_id:04d}.pack"
         data = (tmp_path / name).read_bytes()
         assert data == meta.index.blob.data

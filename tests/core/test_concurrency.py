@@ -12,7 +12,6 @@ from repro.core.results import StreamedList
 from repro.indexes.hopi import HopiIndex
 from repro.indexes.packed import packed_clone
 from repro.indexes.ppo import PpoIndex
-from repro.storage.memory import MemoryBackend
 from tests.conftest import random_tags, random_tree
 
 
@@ -117,7 +116,7 @@ class TestPackedPromotionRace:
     @pytest.mark.parametrize("build", [PpoIndex.build, HopiIndex.build])
     def test_first_probes_from_many_threads(self, build):
         graph = random_tree(7, 40)
-        built = build(graph, random_tags(7, 40), MemoryBackend())
+        built = build(graph, random_tags(7, 40))
         expected = built.distance(0, 39)
         workers = 8
         errors = []

@@ -21,7 +21,6 @@ from repro.core.pee import PathExpressionEvaluator, QueryStats
 from repro.graph.digraph import Digraph
 from repro.indexes.hopi import HopiIndex
 from repro.indexes.packed import packed_clone
-from repro.storage.memory import MemoryBackend
 
 PROBES = ("reachable", "distance", "reachable_subset", "reaching_subset",
           "coverage")
@@ -56,7 +55,7 @@ def link_rich_meta():
     for node in FAR:
         graph.add_edge(EARLIER, node)
     tags = {node: "e" for node in graph}
-    index = packed_clone(HopiIndex.build(graph, tags, MemoryBackend()))
+    index = packed_clone(HopiIndex.build(graph, tags))
     linked = NEAR + FAR
     meta = MetaDocument(
         meta_id=0,

@@ -16,22 +16,21 @@ class TestBuild:
     def test_build_report_exposed(self, figure1_collection):
         flix = Flix.build(figure1_collection, FlixConfig.naive())
         assert flix.report.config_name == "naive"
-        # the report accounts the build-time tables (Table 1's "DB
-        # storage") as recorded before the pack step dropped them;
-        # size_bytes() counts what is served — the blobs
+        # the report's index bytes are the packed form's, and its link
+        # bytes those of links.pack: size_bytes() is the report's total
         report = flix.report
         assert all(m.index_bytes > 0 for m in report.meta_documents)
         assert flix.size_bytes() == report.residual_link_bytes + sum(
             meta.index.blob.size_bytes() for meta in flix.meta_documents
         )
-        assert 0 < flix.size_bytes() != report.total_index_bytes
-        # an unpackable strategy still holds its tables: there the two agree
-        tables = Flix.build(
+        assert 0 < flix.size_bytes() == report.total_index_bytes
+        # the closure layout too
+        closure = Flix.build(
             figure1_collection, FlixConfig.monolithic("transitive_closure")
         )
-        assert tables.report.total_index_bytes == tables.size_bytes() == (
-            tables.meta_documents[0].index.backend.total_bytes()
-            + tables.report.residual_link_bytes
+        assert closure.report.total_index_bytes == closure.size_bytes() == (
+            closure.meta_documents[0].index.blob.size_bytes()
+            + closure.report.residual_link_bytes
         )
 
     def test_meta_document_of(self, figure1_collection):

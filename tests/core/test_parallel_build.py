@@ -16,6 +16,7 @@ from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.core.ib import BuildProfile, IndexBuilder
+from repro.core.links import residual_links
 from repro.core.mdb import MetaDocumentBuilder
 from repro.indexes.packed import packed_clone
 
@@ -65,9 +66,8 @@ class TestParity:
             parallel.report.residual_link_count
             == sequential.report.residual_link_count
         )
-        assert (
-            parallel._builder.framework_backend.fingerprint()
-            == sequential._builder.framework_backend.fingerprint()
+        assert residual_links(parallel.meta_documents) == residual_links(
+            sequential.meta_documents
         )
 
     def test_query_results_identical(self, sequential, parallel, figure1_collection):

@@ -2,8 +2,8 @@
 
 import gc
 import json
+import shutil
 import weakref
-from pathlib import Path
 
 import pytest
 
@@ -19,8 +19,7 @@ from repro.core.persistence import (
 from repro.datasets.dblp import DblpSpec, generate_dblp
 from repro.graph.closure import transitive_closure
 from repro.indexes.packed import is_packed
-from repro.storage.memory import MemoryBackend
-from tests.conftest import write_table_twins
+from tests.conftest import FORMAT1_FIXTURES, copy_format1_save
 
 
 @pytest.mark.parametrize(
@@ -128,27 +127,24 @@ class TestOneCopy:
     def test_build_drops_the_build_time_tables(
         self, figure1_collection, monkeypatch
     ):
-        """No packed index holds on to a storage backend: after the build
-        only the framework tables (and an unpackable meta's) are alive."""
+        """The object indexes the build packs are dropped: after the
+        build only the blobs are alive."""
+        from repro.core import ib
+
         produced = []
-        init = MemoryBackend.__init__
+        build = ib.execute_build_request
 
-        def recording(backend):
-            init(backend)
-            produced.append(weakref.ref(backend))
+        def recording(request, graph=None):
+            index = build(request, graph=graph)
+            produced.append(weakref.ref(index))
+            return index
 
-        monkeypatch.setattr(MemoryBackend, "__init__", recording)
+        monkeypatch.setattr(ib, "execute_build_request", recording)
         flix = Flix.build(figure1_collection, FlixConfig.hybrid(60))
-        assert len(produced) > len(flix.meta_documents)  # one each + framework
-        assert all(meta.index.backend is None for meta in flix.meta_documents
-                   if is_packed(meta.index))
+        assert len(produced) == len(flix.meta_documents)
+        assert all(is_packed(meta.index) for meta in flix.meta_documents)
         gc.collect()
-        alive = {id(ref()) for ref in produced if ref() is not None}
-        assert alive == {id(flix._builder.framework_backend)} | {
-            id(meta.index.backend)
-            for meta in flix.meta_documents
-            if not is_packed(meta.index)
-        }
+        assert [ref for ref in produced if ref() is not None] == []
 
     @pytest.mark.parametrize("twins", ["deleted", "corrupted", "intact"])
     def test_twin_format_save_upgrades_on_load(
@@ -160,9 +156,8 @@ class TestOneCopy:
         nor required, and the next save drops them."""
         config = FlixConfig.hybrid(60)
         fresh = Flix.build(figure1_collection, config)
-        old = tmp_path / "old"
-        fresh.save(old)
-        twin_names = write_table_twins(figure1_collection, old)
+        old = write_table_twins(tmp_path)
+        twin_names = sorted(p.name for p in old.glob("meta_*.sqlite"))
         assert len(twin_names) == len(fresh.meta_documents)
         manifest = json.loads((old / "manifest.json").read_text())
         assert set(twin_names) < set(manifest["integrity"]["files"])
@@ -191,7 +186,7 @@ class TestOneCopy:
             assert loaded.query(request).results == fresh.query(request).results
 
         loaded.save(old)  # phase 4 removes the stale twins
-        assert not list(old.glob("meta_*.sqlite"))
+        assert not list(old.glob("*.sqlite"))
         resaved = json.loads((old / "manifest.json").read_text())
         assert not set(twin_names) & set(resaved["integrity"]["files"])
         again = load_flix(figure1_collection, old)
@@ -200,26 +195,45 @@ class TestOneCopy:
     def test_all_packed_load_opens_only_the_framework_tables(
         self, figure1_collection, tmp_path, monkeypatch
     ):
-        from repro.storage.sqlite_backend import SqliteBackend
+        """A current save is blobs only: loading it (with or without the
+        verification pass) opens no SQLite file at all."""
+        import sqlite3
 
         Flix.build(figure1_collection, FlixConfig.hybrid(60)).save(tmp_path)
         opened = []
-        attach = SqliteBackend.attach.__func__
+        connect = sqlite3.connect
 
-        def counting(cls, path):
-            opened.append(Path(path).name)
-            return attach(cls, path)
+        def counting(*args, **kwargs):
+            opened.append(args[0] if args else kwargs.get("database"))
+            return connect(*args, **kwargs)
 
-        monkeypatch.setattr(SqliteBackend, "attach", classmethod(counting))
-        # ... and never builds the all-nodes tag map only a table-format
-        # entry reads
+        monkeypatch.setattr(sqlite3, "connect", counting)
+        # ... and never reads the collection's tags, which only the
+        # re-derivation of a format-1 table entry needs
         tag_calls = []
         monkeypatch.setattr(
             figure1_collection, "tag", lambda node: tag_calls.append(node)
         )
         load_flix(figure1_collection, tmp_path, verify=False)
-        assert opened == ["framework.sqlite"]
-        assert tag_calls == []
-        del opened[:]
         load_flix(figure1_collection, tmp_path)  # + the verification pass
-        assert opened == ["framework.sqlite"] * 2
+        assert opened == []
+        assert tag_calls == []
+
+
+def write_table_twins(directory):
+    """The format saves had while every blob carried a ``.sqlite`` table
+    twin, put together from two format-1 saves of the same build: the
+    ``hybrid`` blobs, the ``tables`` twins, both under
+    ``integrity.files`` and one label for both hashes."""
+    root = copy_format1_save("hybrid", directory)
+    tables = FORMAT1_FIXTURES / "tables"
+    manifest = json.loads((root / "manifest.json").read_text())
+    twins = json.loads((tables / "manifest.json").read_text())
+    for path in sorted(tables.glob("meta_*.sqlite")):
+        shutil.copyfile(path, root / path.name)
+        manifest["integrity"]["files"][path.name] = (
+            twins["integrity"]["files"][path.name]
+        )
+    manifest["integrity"]["algorithm"] = "sha256-table-content"
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return root

@@ -15,6 +15,7 @@ from repro.core.persistence import (
     save_flix,
     verify_flix,
 )
+from tests.conftest import copy_format1_save
 
 
 @pytest.fixture()
@@ -67,14 +68,18 @@ class TestVerificationOnLoad:
 
     def test_missing_file_rejected(self, saved):
         collection, directory, _ = saved
-        (directory / "framework.sqlite").unlink()
-        assert verify_flix(collection, directory) == ["framework.sqlite"]
+        (directory / "links.pack").unlink()
+        assert verify_flix(collection, directory) == ["links.pack"]
 
-    def test_silent_row_tamper_detected(self, saved):
+    def test_silent_row_tamper_detected(self, saved, tmp_path):
+        """A format-1 save's SQLite files are checked by their table
+        content: a deleted row is damage, whatever the file bytes."""
         import sqlite3
 
-        collection, directory, _ = saved
-        victim = directory / "framework.sqlite"  # the table-content hash
+        collection = saved[0]
+        directory = copy_format1_save("hybrid", tmp_path)
+        assert verify_flix(collection, directory) == []
+        victim = directory / "framework.sqlite"
         conn = sqlite3.connect(victim)
         table = conn.execute(
             "SELECT name FROM sqlite_master WHERE type='table' LIMIT 1"
@@ -83,6 +88,16 @@ class TestVerificationOnLoad:
         conn.commit()
         conn.close()
         assert verify_flix(collection, directory) == [victim.name]
+        with pytest.raises(IntegrityError) as excinfo:
+            load_flix(collection, directory)
+        assert excinfo.value.damaged == [victim.name]
+        # repaired by re-deriving the links and upgrading to blobs
+        assert repair_flix(collection, directory) == [victim.name]
+        assert not list(directory.glob("*.sqlite"))
+        fresh = Flix.build(collection, FlixConfig.hybrid(60))
+        assert load_flix(collection, directory).index_fingerprint() == (
+            fresh.index_fingerprint()
+        )
 
     def test_verification_can_be_skipped(self, saved):
         collection, directory, fingerprint = saved
@@ -119,11 +134,11 @@ class TestRepair:
         victims = sorted(directory.glob("meta_*.pack"))[:2]
         victims[0].write_bytes(b"ruined")
         victims[1].unlink()
-        (directory / "framework.sqlite").write_bytes(b"also ruined")
+        (directory / "links.pack").write_bytes(b"also ruined")
 
         repaired = repair_flix(collection, directory)
         assert repaired == [
-            "framework.sqlite",
+            "links.pack",
             victims[0].name,
             victims[1].name,
         ]
@@ -166,8 +181,8 @@ class TestRepair:
 
     def test_flix_repair_classmethod(self, saved):
         collection, directory, _ = saved
-        (directory / "framework.sqlite").unlink()
-        assert Flix.repair(collection, directory) == ["framework.sqlite"]
+        (directory / "links.pack").unlink()
+        assert Flix.repair(collection, directory) == ["links.pack"]
 
     def test_repair_rejects_wrong_collection(self, saved):
         from repro.datasets.dblp import DblpSpec, generate_dblp

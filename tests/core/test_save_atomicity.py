@@ -41,9 +41,7 @@ def crashed_save(tmp_path):
     for doc in added_documents(2):
         flix.add_document(doc)
     # a clean save of the mutated index provides the staged content a
-    # crashed in-place save would have left (blobs are byte-identical,
-    # and framework.sqlite is fingerprinted by table content, so its
-    # byte-level differences do not matter)
+    # crashed in-place save would have left (blobs are byte-identical)
     staging = tmp_path / "staging"
     save_flix(flix, staging)
     manifest = json.loads((staging / "manifest.json").read_text())
@@ -65,10 +63,10 @@ def test_load_rolls_a_crashed_save_forward(crashed_save):
     )
     assert loaded.layout_generation == crashed_save.flix.layout_generation
     # the roll-forward completed every pending rename: one blob per
-    # meta document and the framework tables, nothing else
+    # meta document and the links blob, nothing else
     assert not list(crashed_save.directory.glob("*" + TMP_SUFFIX))
     named = set(crashed_save.manifest["integrity"]["files"])
-    assert named == {"framework.sqlite"} | {
+    assert named == {"links.pack"} | {
         f"meta_{meta.meta_id:04d}.pack"
         for meta in crashed_save.flix.meta_documents
     }
@@ -106,7 +104,7 @@ def test_stray_stage_files_do_not_damage_a_committed_save(tmp_path):
     fingerprint = flix.index_fingerprint()
 
     (directory / ("meta_0000.pack" + TMP_SUFFIX)).write_bytes(b"torn")
-    (directory / ("framework.sqlite" + TMP_SUFFIX)).write_bytes(b"torn")
+    (directory / ("links.pack" + TMP_SUFFIX)).write_bytes(b"torn")
     (directory / ("zombie.pack" + TMP_SUFFIX)).write_bytes(b"junk")
     assert verify_flix(collection, directory) == []
     loaded = load_flix(collection, directory)

@@ -9,13 +9,12 @@ from repro.storage.errors import (
     PermanentStorageError,
     TransientStorageError,
 )
-from repro.storage.memory import MemoryBackend
 
 
 def make_index(plan: FaultPlan, site_name: str = "index") -> FaultyIndex:
     """The 0 -> 1 -> 2 chain behind a fault proxy."""
     index = TransitiveClosureIndex.build(
-        Digraph([(0, 1), (1, 2)]), {0: "a", 1: "b", 2: "c"}, MemoryBackend()
+        Digraph([(0, 1), (1, 2)]), {0: "a", 1: "b", 2: "c"}
     )
     return FaultyIndex(index, plan, site_name)
 
@@ -117,8 +116,7 @@ class TestFaultyIndex:
         "coverage": ([0], True),
     }
     BOOKKEEPING = {
-        "strategy_name", "prepare_link_candidates", "contains", "backend",
-        "size_bytes", "fingerprint", "node_count",
+        "strategy_name", "prepare_link_candidates", "contains", "node_count",
     }
 
     @pytest.mark.parametrize("method", sorted(PROBES))
@@ -129,7 +127,7 @@ class TestFaultyIndex:
 
         graph = Digraph([(0, 1), (1, 2)])
         index = packed_clone(
-            HopiIndex.build(graph, {0: "a", 1: "b", 2: "c"}, MemoryBackend())
+            HopiIndex.build(graph, {0: "a", 1: "b", 2: "c"})
         )
         faulty = FaultyIndex(index, FaultPlan(fail_first=1))
         args = self.PROBES[method]

@@ -3,12 +3,12 @@
 from repro.graph.closure import transitive_closure
 from repro.graph.digraph import Digraph
 from repro.indexes.apex import ApexIndex
-from repro.storage.memory import MemoryBackend
+from repro.indexes.packed import packed_clone
 from tests.conftest import random_digraph, random_tags
 
 
 def build(graph, tags, workload=()):
-    return ApexIndex.build_adaptive(graph, tags, MemoryBackend(), workload)
+    return ApexIndex.build_adaptive(graph, tags, workload)
 
 
 def simple_graph():
@@ -114,13 +114,11 @@ class TestLabelPathMatch:
 
 class TestPersistence:
     def test_tables_created(self):
+        """The blob holds the extents, the structure graph and the data
+        edges (the three tables of a row-store APEX)."""
         g, tags = simple_graph()
-        backend = MemoryBackend()
-        ApexIndex.build(g, tags, backend)
-        assert set(backend.table_names()) == {
-            "apex_extents",
-            "apex_structure",
-            "apex_edges",
-        }
-        assert backend.table("apex_extents").row_count() == 6
-        assert backend.table("apex_edges").row_count() == 5
+        blob = packed_clone(ApexIndex.build(g, tags)).blob
+        assert blob.strategy == "apex"
+        assert len(blob.column("extent_nodes")) == 6
+        assert len(blob.column("succ_pos")) == 5
+        assert len(blob.column("struct_src")) > 0

@@ -5,12 +5,12 @@ import pytest
 from repro.graph.digraph import Digraph
 from repro.indexes.base import IndexNotApplicableError
 from repro.indexes.dataguide import DataGuideIndex
-from repro.storage.memory import MemoryBackend
+from repro.indexes.packed import packed_clone
 from tests.conftest import random_tags, random_tree
 
 
 def build(graph, tags, max_states=20000):
-    return DataGuideIndex.build_bounded(graph, tags, MemoryBackend(), max_states)
+    return DataGuideIndex.build_bounded(graph, tags, max_states)
 
 
 def sample_tree():
@@ -97,9 +97,12 @@ class TestInheritedQueries:
                 )
 
     def test_persistence_tables(self):
+        """A DataGuide packs like the rest of the summary family."""
         g, tags = sample_tree()
-        backend = MemoryBackend()
-        DataGuideIndex.build(g, tags, backend)
-        names = set(backend.table_names())
-        assert "dataguide_target_sets" in names
-        assert "dataguide_transitions" in names
+        index = DataGuideIndex.build(g, tags)
+        packed = packed_clone(index)
+        assert packed.blob.strategy == "dataguide"
+        for node in g:
+            assert packed.find_descendants_by_tag(
+                node, None
+            ) == index.find_descendants_by_tag(node, None)

@@ -6,12 +6,12 @@ from repro.graph.closure import transitive_closure
 from repro.graph.digraph import Digraph
 from repro.indexes.base import IndexNotApplicableError
 from repro.indexes.fabric import FabricIndex
-from repro.storage.memory import MemoryBackend
+from repro.indexes.packed import packed_clone
 from tests.conftest import cycle_graph, random_tags, random_tree
 
 
 def build(graph, tags, max_keys=200000):
-    return FabricIndex.build_bounded(graph, tags, MemoryBackend(), max_keys)
+    return FabricIndex.build_bounded(graph, tags, max_keys)
 
 
 def library_tree():
@@ -109,9 +109,15 @@ class TestGenericOperations:
         assert "fabric" in available_strategies()
 
     def test_keys_persisted(self):
+        """The blob keeps what the generic probes need — the label
+        partition and the data edges — and answers like the trie's
+        object form."""
         g, tags = library_tree()
-        backend = MemoryBackend()
-        FabricIndex.build(g, tags, backend)
-        rows = list(backend.table("fabric_keys").scan())
-        assert ("lib/book/title", 2) in rows
-        assert ("lib/book/title", 4) in rows
+        index = FabricIndex.build(g, tags)
+        assert index.match_label_path(["lib", "book", "title"]) == {2, 4}
+        packed = packed_clone(index)
+        assert packed.strategy_name == "fabric"
+        for node in g:
+            assert packed.find_descendants_by_tag(
+                node, "title"
+            ) == index.find_descendants_by_tag(node, "title")

@@ -3,16 +3,15 @@
 from repro.graph.closure import transitive_closure
 from repro.graph.digraph import Digraph
 from repro.indexes.kindex import ForwardBackwardIndex, KBisimulationIndex
-from repro.storage.memory import MemoryBackend
 from tests.conftest import random_digraph, random_tags
 
 
 def build_fb(graph, tags):
-    return ForwardBackwardIndex.build(graph, tags, MemoryBackend())
+    return ForwardBackwardIndex.build(graph, tags)
 
 
 def build_1index(graph, tags):
-    return KBisimulationIndex.build(graph, tags, MemoryBackend())
+    return KBisimulationIndex.build(graph, tags)
 
 
 class TestForwardBackward:
@@ -65,7 +64,7 @@ class TestForwardBackward:
 
         assert "fbindex" in available_strategies()
         g = Digraph([(0, 1)])
-        index = build_index("fbindex", g, {0: "a", 1: "b"}, MemoryBackend())
+        index = build_index("fbindex", g, {0: "a", 1: "b"})
         assert index.reachable(0, 1)
 
     def test_rounds_recorded(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.graph.closure import transitive_closure
 from repro.graph.digraph import Digraph
 from repro.indexes.hopi import HopiIndex
-from repro.storage.memory import MemoryBackend
+from repro.indexes.packed import packed_clone
 from tests.conftest import (
     chain_graph,
     cycle_graph,
@@ -20,7 +20,7 @@ from tests.conftest import (
 
 def build(graph, tags=None):
     tags = tags or {n: "t" for n in graph}
-    return HopiIndex.build(graph, tags, MemoryBackend())
+    return HopiIndex.build(graph, tags)
 
 
 class TestBasics:
@@ -107,7 +107,7 @@ class TestAgainstOracle:
         seed, n = params
         g = random_digraph(seed, n)
         tags = random_tags(seed, n)
-        index = HopiIndex.build(g, tags, MemoryBackend())
+        index = HopiIndex.build(g, tags)
         closure = transitive_closure(g)
         for u in g:
             assert dict(index.find_descendants_by_tag(u, None)) == closure.descendants(u)
@@ -132,7 +132,7 @@ class TestDivideAndConquer:
         g = random_digraph(seed, n)
         tags = random_tags(seed, n)
         dnc = HopiIndex.build_divide_and_conquer(
-            g, tags, MemoryBackend(), partition_size
+            g, tags, partition_size
         )
         closure = transitive_closure(g)
         for u in g:
@@ -143,7 +143,7 @@ class TestDivideAndConquer:
     def test_single_partition_degenerates_to_centralized_semantics(self):
         g = diamond_graph()
         dnc = HopiIndex.build_divide_and_conquer(
-            g, {n: "t" for n in g}, MemoryBackend(), partition_size=100
+            g, {n: "t" for n in g}, partition_size=100
         )
         assert dnc.distance(0, 3) == 2
 
@@ -151,7 +151,7 @@ class TestDivideAndConquer:
         """A cycle sliced across partitions still answers exactly."""
         g = cycle_graph(9)
         dnc = HopiIndex.build_divide_and_conquer(
-            g, {n: "t" for n in g}, MemoryBackend(), partition_size=3
+            g, {n: "t" for n in g}, partition_size=3
         )
         for u in range(9):
             for v in range(9):
@@ -161,11 +161,10 @@ class TestDivideAndConquer:
 class TestPersistence:
     def test_labels_persisted(self):
         g = diamond_graph()
-        backend = MemoryBackend()
-        index = HopiIndex.build(g, {n: "t" for n in g}, backend)
-        stored = (
-            backend.table("hopi_in_labels").row_count()
-            + backend.table("hopi_out_labels").row_count()
+        index = HopiIndex.build(g, {n: "t" for n in g})
+        packed = packed_clone(index)
+        stored = len(packed.blob.column("in_hubs")) + len(
+            packed.blob.column("out_hubs")
         )
         assert stored == index.label_entry_count
-        assert index.size_bytes() > 0
+        assert packed.size_bytes() > 0

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from repro.graph.closure import transitive_closure
 from repro.indexes.hopi import HopiIndex
-from repro.storage.memory import MemoryBackend
+from repro.indexes.packed import packed_clone
 from tests.conftest import chain_graph, diamond_graph, random_digraph, random_tags
 
 
 def build(graph, tags=None):
     tags = tags or {n: "t" for n in graph}
-    return HopiIndex.build(graph, tags, MemoryBackend())
+    return HopiIndex.build(graph, tags)
 
 
 class TestInsertEdgeBasics:
@@ -64,12 +64,12 @@ class TestInsertEdgeBasics:
         assert descendants == {0: 2, 1: 0, 2: 1}
 
     def test_rows_appended_to_tables(self):
+        """An insertion's new labels reach the index's packed form."""
         g = chain_graph(3)
-        backend = MemoryBackend()
-        index = HopiIndex.build(g, {n: "t" for n in g}, backend)
-        before = backend.table("hopi_in_labels").row_count()
+        index = HopiIndex.build(g, {n: "t" for n in g})
+        before = len(packed_clone(index).blob.column("in_hubs"))
         index.insert_edge(3, 0)
-        after = backend.table("hopi_in_labels").row_count()
+        after = len(packed_clone(index).blob.column("in_hubs"))
         assert after > before
 
 
@@ -117,7 +117,7 @@ class TestInsertEdgeProperties:
         rng = random.Random(seed)
         graph = random_digraph(seed, n, edge_factor=0.8)
         tags = random_tags(seed, n)
-        index = HopiIndex.build(graph, tags, MemoryBackend())
+        index = HopiIndex.build(graph, tags)
         for _ in range(insertions):
             u, v = rng.randrange(n), rng.randrange(n)
             if u == v or graph.has_edge(u, v):
@@ -146,13 +146,13 @@ class TestInsertEdgeProperties:
         rng = random.Random(seed)
         graph = random_digraph(seed, n, edge_factor=0.5)
         tags = random_tags(seed, n)
-        incremental = HopiIndex.build(graph, tags, MemoryBackend())
+        incremental = HopiIndex.build(graph, tags)
         for _ in range(4):
             u, v = rng.randrange(n), rng.randrange(n)
             if u != v and not graph.has_edge(u, v):
                 graph.add_edge(u, v)
                 incremental.insert_edge(u, v)
-        rebuilt = HopiIndex.build(graph, tags, MemoryBackend())
+        rebuilt = HopiIndex.build(graph, tags)
         for u in graph:
             for v in graph:
                 assert incremental.distance(u, v) == rebuilt.distance(u, v)

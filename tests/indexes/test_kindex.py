@@ -5,12 +5,12 @@ import pytest
 from repro.graph.closure import transitive_closure
 from repro.graph.digraph import Digraph
 from repro.indexes.kindex import KBisimulationIndex
-from repro.storage.memory import MemoryBackend
+from repro.indexes.packed import packed_clone
 from tests.conftest import random_digraph, random_tags
 
 
 def build_k(graph, tags, k):
-    return KBisimulationIndex.build_k(graph, tags, MemoryBackend(), k)
+    return KBisimulationIndex.build_k(graph, tags, k)
 
 
 def two_context_graph():
@@ -49,14 +49,14 @@ class TestAkIndex:
 class TestOneIndex:
     def test_default_build_is_fixpoint(self):
         g, tags = two_context_graph()
-        index = KBisimulationIndex.build(g, tags, MemoryBackend())
+        index = KBisimulationIndex.build(g, tags)
         assert index.k is None
         assert index.class_of(2) != index.class_of(3)
 
     def test_fixpoint_reached_and_stable(self):
         g = random_digraph(3, 25)
         tags = random_tags(3, 25)
-        fix = KBisimulationIndex.build(g, tags, MemoryBackend())
+        fix = KBisimulationIndex.build(g, tags)
         more = build_k(g, tags, fix.rounds_performed + 5)
         assert fix.class_count == more.class_count
 
@@ -70,7 +70,7 @@ class TestOneIndex:
         """1-index classes are precise for incoming label paths on trees."""
         g = Digraph([(0, 1), (0, 2), (1, 3), (2, 4)])
         tags = {0: "r", 1: "a", 2: "a", 3: "x", 4: "x"}
-        index = KBisimulationIndex.build(g, tags, MemoryBackend())
+        index = KBisimulationIndex.build(g, tags)
         # both x nodes have incoming path r/a/x -> same class
         assert index.class_of(3) == index.class_of(4)
         assert index.class_of(1) == index.class_of(2)
@@ -90,7 +90,12 @@ class TestQueriesMatchOracle:
                     )
 
     def test_persistence_tables(self):
+        """The blob persists the class partition: one class per node,
+        the extents grouped by class."""
         g, tags = two_context_graph()
-        backend = MemoryBackend()
-        KBisimulationIndex.build(g, tags, backend)
-        assert "kindex_extents" in backend.table_names()
+        index = KBisimulationIndex.build(g, tags)
+        blob = packed_clone(index).blob
+        assert blob.strategy == "kindex"
+        assert blob.meta["classes"] == index.class_count
+        assert len(blob.column("class_pos")) == g.node_count
+        assert sorted(blob.column("extent_nodes")) == sorted(g)

@@ -4,7 +4,6 @@ from hypothesis import given
 
 from repro.indexes.hopi import HopiIndex
 from repro.indexes.ppo import PpoIndex
-from repro.storage.memory import MemoryBackend
 from tests.conftest import random_tree, tree_params
 
 
@@ -14,7 +13,7 @@ class TestPpoFastPath:
         seed, n = params
         graph = random_tree(seed, n)
         tags = {node: "t" for node in graph}
-        index = PpoIndex.build(graph, tags, MemoryBackend())
+        index = PpoIndex.build(graph, tags)
         candidates = frozenset(node for node in graph if node % 3 == 0)
         probed = {
             node: index.reachable_subset(node, candidates) for node in graph
@@ -25,7 +24,7 @@ class TestPpoFastPath:
 
     def test_foreign_candidate_set_falls_back(self):
         graph = random_tree(1, 20)
-        index = PpoIndex.build(graph, {n: "t" for n in graph}, MemoryBackend())
+        index = PpoIndex.build(graph, {n: "t" for n in graph})
         index.prepare_link_candidates(frozenset({1, 2}))
         # a *different* set must not be answered from the prepared one
         other = frozenset({3, 4, 5})
@@ -38,7 +37,7 @@ class TestPpoFastPath:
 
     def test_candidates_outside_index_ignored(self):
         graph = random_tree(2, 10)
-        index = PpoIndex.build(graph, {n: "t" for n in graph}, MemoryBackend())
+        index = PpoIndex.build(graph, {n: "t" for n in graph})
         index.prepare_link_candidates(frozenset({0, 999}))
         result = index.reachable_subset(0, frozenset({0, 999}))
         assert [r for r, _d in result] == [0]
@@ -47,7 +46,7 @@ class TestPpoFastPath:
 class TestDefaultNoOp:
     def test_hopi_accepts_preparation(self):
         graph = random_tree(3, 15)
-        index = HopiIndex.build(graph, {n: "t" for n in graph}, MemoryBackend())
+        index = HopiIndex.build(graph, {n: "t" for n in graph})
         candidates = frozenset({1, 2, 3})
         before = index.reachable_subset(0, candidates)
         index.prepare_link_candidates(candidates)  # default: no-op

@@ -15,30 +15,44 @@ save/load roundtrip, which is exactly what this module checks.
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from repro.collection.builder import build_collection
 from repro.collection.document import XmlDocument
 from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
-from repro.core.ib import IndexBuilder
 from repro.core.mdb import MetaDocumentBuilder
 from repro.core.persistence import load_flix
 from repro.faults import FaultPlan, FaultyIndex
-from repro.indexes.packed import is_packed, pack_index
-from tests.conftest import write_table_twins
+from repro.indexes.packed import is_packed, pack_index, packed_clone
+from repro.indexes.registry import build_index
+from repro.indexes.transitive import TransitiveClosureIndex
+from tests.conftest import (
+    FORMAT1_CONFIGS,
+    copy_format1_save,
+    graph_params,
+    parity_requests,
+    random_digraph,
+    random_tags,
+)
 
 
 def build_object(collection, config):
-    """The object-side reference: what ``Flix.build`` does minus the pack
-    step — MDB specs, the Index Builder's object indexes, the plain
-    constructor.  (Metas a maintenance verb publishes later are packed on
-    this side too; the built ones stay object-backed.)"""
+    """The object-side reference: the layout ``Flix.build`` makes, each
+    meta document served by the object index its blob was packed from,
+    through the plain constructor.  (Metas a maintenance verb publishes
+    later are packed on this side too; the built ones stay
+    object-backed.)"""
+    built = Flix.build(collection, config)
     specs = MetaDocumentBuilder(collection, config).build_specs()
-    builder = IndexBuilder(collection, config)
-    flix = Flix(collection, config, *builder.build(specs))
-    flix._builder = builder
-    return flix
+    for meta, spec in zip(built.meta_documents, specs):
+        tags = {node: collection.tag(node) for node in spec.nodes}
+        meta.index = build_index(meta.strategy, spec.build_graph(), tags)
+        meta.finalize_links()
+    return Flix(
+        collection, config, built.meta_documents, built.meta_of, built.report
+    )
 
 
 def blobs(flix):
@@ -151,7 +165,7 @@ class TestQueryParity:
             assert pak.query(request).stats.completeness == "complete"
 
     def test_index_fingerprints_identical(self, flix_pair):
-        """Equal tables pack to equal blobs, and a packed index's
+        """Equal builds pack to equal blobs, and a packed index's
         fingerprint is its blob's."""
         obj, pak = flix_pair
         assert blobs(obj) == blobs(pak)
@@ -163,6 +177,35 @@ class TestQueryParity:
         obj, pak = flix_pair
         assert not any(is_packed(meta.index) for meta in obj.meta_documents)
         assert all(is_packed(meta.index) for meta in pak.meta_documents)
+
+
+class TestClosureParity:
+    """The closure, the last strategy to gain a packed form, answers
+    from its CSR columns exactly as from its dicts — on cyclic,
+    multi-parent graphs, both axes, every tag."""
+
+    @given(graph_params)
+    @settings(max_examples=25, deadline=None)
+    def test_packed_closure_answers_like_the_object_form(self, params):
+        seed, n = params
+        graph = random_digraph(seed, n)
+        tags = random_tags(seed, n)
+        obj = TransitiveClosureIndex.build(graph, tags)
+        pak = packed_clone(obj)
+        assert is_packed(pak) and pak.strategy_name == obj.strategy_name
+        assert pak._node_set() == obj._node_set()
+        foreign = n + 1
+        for u in list(graph) + [foreign]:
+            for tag in (None, "a", "b", "zz"):
+                assert pak.find_descendants_by_tag(u, tag) == (
+                    obj.find_descendants_by_tag(u, tag)
+                )
+                assert pak.find_ancestors_by_tag(u, tag) == (
+                    obj.find_ancestors_by_tag(u, tag)
+                )
+            for v in list(graph) + [foreign]:
+                assert pak.reachable(u, v) == obj.reachable(u, v)
+                assert pak.distance(u, v) == obj.distance(u, v)
 
 
 class TestFaultParity:
@@ -291,7 +334,7 @@ class TestPersistenceParity:
             assert_same_response(obj.query(request), loaded.query(request))
 
     def test_object_format_save_upgrades_on_load(
-        self, flix_pair, tmp_path, monkeypatch
+        self, figure1_collection, tmp_path, monkeypatch
     ):
         """A save from before packing was universal — ``config.packed:
         false``, per-meta ``"packed": false``, no ``.pack`` files — loads,
@@ -299,31 +342,27 @@ class TestPersistenceParity:
         save writes the blobs.  The retired environment switch (spelled
         in two pieces so a repo-wide grep for it stays empty) is inert."""
         monkeypatch.setenv("FLIX_" "PACKED", "0")
-        obj, pak = flix_pair
-        old = tmp_path / "object-format-save"
-        pak.save(old)
-        write_table_twins(pak.collection, old)
+        old = copy_format1_save("tables", tmp_path)
         manifest = json.loads((old / "manifest.json").read_text())
         manifest["config"]["packed"] = False
-        for entry in manifest["meta_documents"]:
-            entry["packed"] = False
-        for blob in old.glob("*.pack"):
-            del manifest["integrity"]["files"][blob.name]
-            blob.unlink()
+        assert not any(entry["packed"] for entry in manifest["meta_documents"])
         (old / "manifest.json").write_text(json.dumps(manifest))
 
-        loaded = load_flix(pak.collection, old)  # verify=True default
+        fresh = Flix.build(figure1_collection, FORMAT1_CONFIGS["tables"]())
+        loaded = load_flix(figure1_collection, old)  # verify=True default
         assert all(is_packed(meta.index) for meta in loaded.meta_documents)
-        assert loaded.index_fingerprint() == pak.index_fingerprint()
-        for request in request_suite(obj):
-            assert_same_response(obj.query(request), loaded.query(request))
+        assert loaded.index_fingerprint() == fresh.index_fingerprint()
+        for _, request in parity_requests(figure1_collection):
+            assert_same_response(fresh.query(request), loaded.query(request))
 
         resaved = tmp_path / "resaved"
         loaded.save(resaved)
         manifest = json.loads((resaved / "manifest.json").read_text())
         assert "packed" not in manifest["config"]
-        assert all(entry["packed"] for entry in manifest["meta_documents"])
-        assert len(list(resaved.glob("*.pack"))) == len(loaded.meta_documents)
+        assert manifest["format_version"] == 2
+        assert {p.name for p in resaved.iterdir()} == {
+            "manifest.json", "links.pack",
+        } | {f"meta_{meta.meta_id:04d}.pack" for meta in loaded.meta_documents}
 
         fresh = Flix.build(
             build_collection(maintenance_documents()), FlixConfig.naive()

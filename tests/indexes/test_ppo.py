@@ -7,7 +7,7 @@ from repro.graph.closure import transitive_closure
 from repro.graph.digraph import Digraph
 from repro.indexes.base import IndexNotApplicableError
 from repro.indexes.ppo import PpoIndex
-from repro.storage.memory import MemoryBackend
+from repro.indexes.packed import packed_clone
 from tests.conftest import (
     chain_graph,
     cycle_graph,
@@ -19,7 +19,7 @@ from tests.conftest import (
 
 def build(graph, tags=None):
     tags = tags or {n: "t" for n in graph}
-    return PpoIndex.build(graph, tags, MemoryBackend())
+    return PpoIndex.build(graph, tags)
 
 
 class TestApplicability:
@@ -80,7 +80,7 @@ class TestDistancesAndOrdering:
     def test_descendants_by_tag_filters(self):
         g = chain_graph(3)
         tags = {0: "a", 1: "b", 2: "a", 3: "b"}
-        index = PpoIndex.build(g, tags, MemoryBackend())
+        index = PpoIndex.build(g, tags)
         assert index.find_descendants_by_tag(0, "b") == [(1, 1), (3, 3)]
 
     def test_ancestors_walk(self):
@@ -92,7 +92,7 @@ class TestDistancesAndOrdering:
     def test_ancestors_by_tag(self):
         g = chain_graph(3)
         tags = {0: "a", 1: "b", 2: "a", 3: "b"}
-        index = PpoIndex.build(g, tags, MemoryBackend())
+        index = PpoIndex.build(g, tags)
         assert index.find_ancestors_by_tag(3, "a") == [(2, 1), (0, 3)]
 
     def test_reachable_subset(self):
@@ -131,7 +131,7 @@ class TestProperties:
         seed, n = params
         g = random_tree(seed, n)
         tags = random_tags(seed, n)
-        index = PpoIndex.build(g, tags, MemoryBackend())
+        index = PpoIndex.build(g, tags)
         closure = transitive_closure(g)
         for u in g:
             assert dict(index.find_descendants_by_tag(u, None)) == closure.descendants(u)
@@ -171,11 +171,13 @@ class TestProperties:
 class TestPersistence:
     def test_rows_persisted_per_node(self):
         g = random_tree(1, 12)
-        backend = MemoryBackend()
-        PpoIndex.build(g, {n: "t" for n in g}, backend)
-        assert backend.table("ppo_nodes").row_count() == 12
+        blob = packed_clone(PpoIndex.build(g, {n: "t" for n in g})).blob
+        assert len(blob.column("node_at_pre")) == 12
 
     def test_size_linear_in_nodes(self):
-        small = build(random_tree(1, 10)).size_bytes()
-        large = build(random_tree(1, 100)).size_bytes()
-        assert 8 <= large / small <= 12
+        sizes = [
+            packed_clone(build(random_tree(1, n))).size_bytes()
+            for n in (10, 100, 1000)
+        ]
+        # six int64 columns hold one value per node; the rest is fixed
+        assert (sizes[1] - sizes[0]) / 90 == (sizes[2] - sizes[1]) / 900 == 48

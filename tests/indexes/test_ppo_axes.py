@@ -5,12 +5,11 @@ from hypothesis import given
 
 from repro.graph.digraph import Digraph
 from repro.indexes.ppo import PpoIndex
-from repro.storage.memory import MemoryBackend
 from tests.conftest import random_tree, tree_params
 
 
 def build(graph):
-    return PpoIndex.build(graph, {n: "t" for n in graph}, MemoryBackend())
+    return PpoIndex.build(graph, {n: "t" for n in graph})
 
 
 def sample_tree():

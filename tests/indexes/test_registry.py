@@ -10,7 +10,6 @@ from repro.indexes.registry import (
     register_strategy,
     strategy_class,
 )
-from repro.storage.memory import MemoryBackend
 
 
 class TestRegistry:
@@ -27,11 +26,11 @@ class TestRegistry:
         with pytest.raises(KeyError):
             strategy_class("nope")
         with pytest.raises(KeyError):
-            build_index("nope", Digraph(), {}, MemoryBackend())
+            build_index("nope", Digraph(), {})
 
     def test_build_index_dispatches(self):
         g = Digraph([(0, 1)])
-        index = build_index("hopi", g, {0: "a", 1: "b"}, MemoryBackend())
+        index = build_index("hopi", g, {0: "a", 1: "b"})
         assert index.strategy_name == "hopi"
         assert index.reachable(0, 1)
 
@@ -40,8 +39,8 @@ class TestRegistry:
             strategy_name = "custom_test_strategy"
 
             @classmethod
-            def build(cls, graph, tags, backend):
-                return cls(backend)
+            def build(cls, graph, tags):
+                return cls()
 
             def reachable(self, s, t):
                 return False
@@ -67,8 +66,8 @@ class TestRegistry:
             strategy_name = "abstract"
 
             @classmethod
-            def build(cls, graph, tags, backend):  # pragma: no cover
-                return cls(backend)
+            def build(cls, graph, tags):  # pragma: no cover
+                return cls()
 
             def reachable(self, s, t):  # pragma: no cover
                 return False

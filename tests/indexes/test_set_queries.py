@@ -3,7 +3,8 @@
 ``reachable_subset`` / ``reaching_subset`` (the ``L(a)`` lookup of section
 4.2, both directions) and ``coverage`` (the section 5.1 duplicate test)
 have probe-per-member defaults on :class:`PathIndex`; packed HOPI, packed
-PPO and the BFS fallback override them to cost what the answer costs.
+PPO and the BFS fallback override them to cost what the answer costs, and
+the packed closure answers them through its bisect probes.
 The overrides change how the question is answered, never the answer:
 same pairs in the same ``(distance, node)`` order, same truth value.
 """
@@ -16,7 +17,7 @@ from repro.indexes.base import PathIndex
 from repro.indexes.hopi import HopiIndex
 from repro.indexes.packed import packed_clone
 from repro.indexes.ppo import PpoIndex
-from repro.storage.memory import MemoryBackend
+from repro.indexes.transitive import TransitiveClosureIndex
 from tests.conftest import (
     graph_params,
     random_digraph,
@@ -59,7 +60,7 @@ def assert_answers_like_defaults(index, nodes, candidate_sets, previous_lists):
 def test_packed_hopi_on_cyclic_multi_parent_graphs(params, candidates, previous):
     seed, n = params
     graph = random_digraph(seed, n)  # cycles and multi-parent nodes
-    built = HopiIndex.build(graph, random_tags(seed, n), MemoryBackend())
+    built = HopiIndex.build(graph, random_tags(seed, n))
     packed = packed_clone(built)
     foreign = n + 1
     assert_answers_like_defaults(
@@ -67,12 +68,31 @@ def test_packed_hopi_on_cyclic_multi_parent_graphs(params, candidates, previous)
     )
 
 
+@given(graph_params, candidate_sets, previous_lists)
+@settings(max_examples=40, deadline=None)
+def test_packed_closure_on_cyclic_multi_parent_graphs(
+    params, candidates, previous
+):
+    seed, n = params
+    graph = random_digraph(seed, n)
+    built = TransitiveClosureIndex.build(graph, random_tags(seed, n))
+    packed = packed_clone(built)
+    foreign = n + 1
+    assert_answers_like_defaults(
+        packed, list(range(n)) + [foreign], candidates, previous
+    )
+    for node in range(n):
+        assert packed.reachable_subset(node, frozenset(range(n))) == (
+            built.reachable_subset(node, frozenset(range(n)))
+        )
+
+
 @given(tree_params, candidate_sets, previous_lists)
 @settings(max_examples=40, deadline=None)
 def test_packed_ppo_on_trees(params, candidates, previous):
     seed, n = params
     graph = random_tree(seed, n)
-    built = PpoIndex.build(graph, random_tags(seed, n), MemoryBackend())
+    built = PpoIndex.build(graph, random_tags(seed, n))
     packed = packed_clone(built)
     if candidates:
         # the prepared forward lane answers for exactly this set object

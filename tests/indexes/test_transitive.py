@@ -2,13 +2,13 @@
 
 from repro.graph.closure import transitive_closure
 from repro.indexes.transitive import TransitiveClosureIndex
-from repro.storage.memory import MemoryBackend
+from repro.indexes.packed import packed_clone
 from tests.conftest import diamond_graph, random_digraph, random_tags
 
 
 def build(graph, tags=None):
     tags = tags or {n: "t" for n in graph}
-    return TransitiveClosureIndex.build(graph, tags, MemoryBackend())
+    return TransitiveClosureIndex.build(graph, tags)
 
 
 class TestClosureIndex:
@@ -26,7 +26,7 @@ class TestClosureIndex:
     def test_matches_oracle(self):
         g = random_digraph(4, 25)
         tags = random_tags(4, 25)
-        index = TransitiveClosureIndex.build(g, tags, MemoryBackend())
+        index = TransitiveClosureIndex.build(g, tags)
         closure = transitive_closure(g)
         for u in g:
             assert dict(index.find_descendants_by_tag(u, None)) == closure.descendants(u)
@@ -38,15 +38,16 @@ class TestClosureIndex:
     def test_tag_filter(self):
         g = diamond_graph()
         tags = {0: "a", 1: "b", 2: "b", 3: "c"}
-        index = TransitiveClosureIndex.build(g, tags, MemoryBackend())
+        index = TransitiveClosureIndex.build(g, tags)
         assert index.find_descendants_by_tag(0, "b") == [(1, 1), (2, 1)]
         assert index.find_ancestors_by_tag(3, "b") == [(1, 1), (2, 1)]
 
     def test_persisted_rows_equal_pairs(self):
         g = diamond_graph()
-        backend = MemoryBackend()
-        index = TransitiveClosureIndex.build(g, {n: "t" for n in g}, backend)
-        assert backend.table("closure_pairs").row_count() == index.pair_count
+        index = TransitiveClosureIndex.build(g, {n: "t" for n in g})
+        blob = packed_clone(index).blob
+        assert len(blob.column("dst")) == index.pair_count
+        assert len(blob.column("dist")) == index.pair_count
 
     def test_is_largest_index(self):
         """Table 1's headline: the closure dwarfs HOPI on linked data."""
@@ -54,8 +55,8 @@ class TestClosureIndex:
 
         g = random_digraph(8, 60, edge_factor=2.0)
         tags = {n: "t" for n in g}
-        closure_size = TransitiveClosureIndex.build(
-            g, tags, MemoryBackend()
+        closure_size = packed_clone(
+            TransitiveClosureIndex.build(g, tags)
         ).size_bytes()
-        hopi_size = HopiIndex.build(g, tags, MemoryBackend()).size_bytes()
+        hopi_size = packed_clone(HopiIndex.build(g, tags)).size_bytes()
         assert closure_size > hopi_size

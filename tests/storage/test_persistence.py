@@ -1,59 +1,32 @@
-"""Index persistence: build to SQLite on disk, reopen, load, query.
+"""Index persistence: pack to a FLXPACK file, attach it, query.
 
 A production deployment must survive restarts without rebuilding every
-index; these tests round-trip each loadable strategy through a database
-file and verify the reloaded index answers exactly like the original.
+index; these tests round-trip strategies through the one stored form, a
+blob file, and verify the attached index answers exactly like the
+original.
 """
-
-import pytest
 
 from repro.graph.closure import transitive_closure
 from repro.indexes.apex import ApexIndex
 from repro.indexes.hopi import HopiIndex
+from repro.indexes.packed import attach_packed_file, pack_index
 from repro.indexes.ppo import PpoIndex
 from repro.indexes.transitive import TransitiveClosureIndex
-from repro.storage.sqlite_backend import SqliteBackend
 from tests.conftest import random_digraph, random_tags, random_tree
 
 
-class TestBackendAttach:
-    def test_attach_recovers_tables_and_rows(self, tmp_path):
-        path = str(tmp_path / "db.sqlite")
-        backend = SqliteBackend(path)
-        from repro.storage.table import Column, TableSchema
-
-        table = backend.create_table(
-            TableSchema("t", (Column("a", "int"), Column("b", "str")))
-        )
-        table.insert_many([(1, "x"), (2, "y")])
-        backend.close()
-
-        reopened = SqliteBackend.attach(path)
-        assert reopened.table_names() == ["t"]
-        recovered = reopened.table("t")
-        assert list(recovered.scan()) == [(1, "x"), (2, "y")]
-        assert recovered.schema.columns[0].kind == "int"
-        assert recovered.schema.columns[1].kind == "str"
-
-    def test_attach_allows_further_inserts(self, tmp_path):
-        path = str(tmp_path / "db.sqlite")
-        backend = SqliteBackend(path)
-        from repro.storage.table import Column, TableSchema
-
-        backend.create_table(TableSchema("t", (Column("a", "int"),))).insert((1,))
-        backend.close()
-        reopened = SqliteBackend.attach(path)
-        reopened.table("t").insert((2,))
-        assert reopened.table("t").row_count() == 2
+def round_trip(index, path):
+    """Write ``index``'s blob to ``path`` and mmap-attach it again."""
+    path.write_bytes(pack_index(index))
+    return attach_packed_file(path)
 
 
 class TestIndexRoundTrips:
     def test_ppo_round_trip(self, tmp_path):
         graph = random_tree(4, 30)
         tags = random_tags(4, 30)
-        path = str(tmp_path / "ppo.sqlite")
-        original = PpoIndex.build(graph, tags, SqliteBackend(path))
-        loaded = PpoIndex.load(SqliteBackend.attach(path), tags)
+        original = PpoIndex.build(graph, tags)
+        loaded = round_trip(original, tmp_path / "ppo.pack")
         for u in graph:
             assert loaded.find_descendants_by_tag(u, None) == (
                 original.find_descendants_by_tag(u, None)
@@ -62,14 +35,12 @@ class TestIndexRoundTrips:
                 original.find_ancestors_by_tag(u, "a")
             )
             assert loaded.children(u) == original.children(u)
-            assert loaded.following(u) == original.following(u)
+            assert loaded.parent(u) == original.parent(u)
 
     def test_hopi_round_trip(self, tmp_path):
         graph = random_digraph(9, 25)
         tags = random_tags(9, 25)
-        path = str(tmp_path / "hopi.sqlite")
-        HopiIndex.build(graph, tags, SqliteBackend(path))
-        loaded = HopiIndex.load(SqliteBackend.attach(path), tags)
+        loaded = round_trip(HopiIndex.build(graph, tags), tmp_path / "hopi.pack")
         oracle = transitive_closure(graph)
         for u in graph:
             assert dict(loaded.find_descendants_by_tag(u, None)) == (
@@ -79,40 +50,24 @@ class TestIndexRoundTrips:
     def test_hopi_round_trip_after_incremental_growth(self, tmp_path):
         graph = random_digraph(2, 15, edge_factor=0.6)
         tags = random_tags(2, 15)
-        path = str(tmp_path / "hopi.sqlite")
-        index = HopiIndex.build(graph, tags, SqliteBackend(path))
+        index = HopiIndex.build(graph, tags)
         new_edges = [(0, 7), (7, 3), (3, 12)]
         for u, v in new_edges:
             if not graph.has_edge(u, v):
                 graph.add_edge(u, v)
                 index.insert_edge(u, v)
-        loaded = HopiIndex.load(SqliteBackend.attach(path), tags, graph)
+        loaded = round_trip(index, tmp_path / "hopi.pack")
         oracle = transitive_closure(graph)
         for u in graph:
             for v in graph:
                 assert loaded.distance(u, v) == oracle.distance(u, v)
 
-    def test_loaded_hopi_supports_further_insertions(self, tmp_path):
-        graph = random_digraph(3, 12, edge_factor=0.5)
-        tags = random_tags(3, 12)
-        path = str(tmp_path / "hopi.sqlite")
-        HopiIndex.build(graph, tags, SqliteBackend(path))
-        loaded = HopiIndex.load(SqliteBackend.attach(path), tags, graph)
-        if not graph.has_edge(0, 11):
-            graph.add_edge(0, 11)
-            loaded.insert_edge(0, 11)
-        oracle = transitive_closure(graph)
-        for u in graph:
-            assert dict(loaded.find_descendants_by_tag(u, None)) == (
-                oracle.descendants(u)
-            )
-
     def test_transitive_closure_round_trip(self, tmp_path):
         graph = random_digraph(6, 20)
         tags = random_tags(6, 20)
-        path = str(tmp_path / "tc.sqlite")
-        TransitiveClosureIndex.build(graph, tags, SqliteBackend(path))
-        loaded = TransitiveClosureIndex.load(SqliteBackend.attach(path), tags)
+        loaded = round_trip(
+            TransitiveClosureIndex.build(graph, tags), tmp_path / "tc.pack"
+        )
         oracle = transitive_closure(graph)
         for u in graph:
             assert dict(loaded.find_descendants_by_tag(u, None)) == (
@@ -125,9 +80,8 @@ class TestIndexRoundTrips:
     def test_apex_round_trip(self, tmp_path):
         graph = random_digraph(8, 22)
         tags = random_tags(8, 22)
-        path = str(tmp_path / "apex.sqlite")
-        original = ApexIndex.build(graph, tags, SqliteBackend(path))
-        loaded = ApexIndex.load(SqliteBackend.attach(path), "apex")
+        original = ApexIndex.build(graph, tags)
+        loaded = round_trip(original, tmp_path / "apex.pack")
         assert loaded.class_count == original.class_count
         oracle = transitive_closure(graph)
         for u in graph:

@@ -1,40 +1,6 @@
 """Unit tests for byte-size helpers."""
 
-import pytest
-
-from repro.storage.sizing import format_bytes, row_bytes, value_bytes
-
-
-class TestValueBytes:
-    def test_int(self):
-        assert value_bytes(42) == 8
-
-    def test_bool_counts_as_int(self):
-        assert value_bytes(True) == 8
-
-    def test_float(self):
-        assert value_bytes(1.5) == 8
-
-    def test_ascii_string(self):
-        assert value_bytes("abc") == 7  # 4-byte prefix + 3
-
-    def test_empty_string(self):
-        assert value_bytes("") == 4
-
-    def test_multibyte_string(self):
-        assert value_bytes("héllo") == 4 + 6
-
-    def test_unsupported_type(self):
-        with pytest.raises(TypeError):
-            value_bytes(None)
-
-
-class TestRowBytes:
-    def test_sum_of_values(self):
-        assert row_bytes((1, "ab", 0.5)) == 8 + 6 + 8
-
-    def test_empty_row(self):
-        assert row_bytes(()) == 0
+from repro.storage.sizing import format_bytes
 
 
 class TestFormatBytes:

@@ -4,8 +4,6 @@ import pytest
 
 from repro import Flix, FlixConfig, QueryRequest, XmlDocument, build_collection
 from repro.collection.stats import collect_statistics
-from repro.storage.memory import MemoryBackend
-from repro.storage.table import TableSchema
 
 
 class TestEmptyAndMinimalCollections:
@@ -89,27 +87,13 @@ class TestStorageFaultPropagation:
     def test_index_build_fault_propagates_cleanly(self, monkeypatch):
         from repro.indexes.ppo import PpoIndex
 
-        def explode(graph, tags, backend):
+        def explode(graph, tags):
             raise IOError("disk on fire")
 
         monkeypatch.setattr(PpoIndex, "build", explode)
         collection = build_collection([XmlDocument.from_text("a.xml", "<a><b/></a>")])
         with pytest.raises(IOError):
             Flix.build(collection, FlixConfig.naive())
-
-    def test_memory_backend_rejects_bad_rows_atomically(self):
-        from repro.storage.table import Column
-
-        backend = MemoryBackend()
-        table = backend.create_table(
-            TableSchema("t", (Column("a", "int"),))
-        )
-        table.insert((1,))
-        with pytest.raises(TypeError):
-            table.insert(("bad",))
-        # the failed insert left no partial state behind
-        assert table.row_count() == 1
-        assert list(table.scan()) == [(1,)]
 
 
 class TestDeepDocuments:

@@ -14,7 +14,6 @@ from repro.collection.io import load_collection, save_collection
 from repro.datasets.dblp import DblpSpec, find_aries, generate_dblp
 from repro.graph.closure import transitive_closure
 from repro.query.engine import QueryEngine
-from repro.storage.sqlite_backend import SqliteBackend
 
 
 class TestPaperPipeline:
@@ -70,49 +69,6 @@ class TestPaperPipeline:
             for v in oracle.descendants(aries)
             if corpus.tag(v) == "article" and v != aries
         }
-
-
-class TestSqliteBackedBuild:
-    """The paper's prototype is database-backed; an index build can be
-    too: every meta document of a hybrid layout, built with the strategy
-    the ISS selects for it, on SQLite tables and on the in-memory ones."""
-
-    @pytest.fixture()
-    def built_pairs(self, figure1_collection):
-        from repro.core.iss import IndexingStrategySelector
-        from repro.core.mdb import MetaDocumentBuilder
-        from repro.indexes.registry import build_index
-        from repro.storage.memory import MemoryBackend
-
-        config = FlixConfig.hybrid(100)
-        selector = IndexingStrategySelector(config)
-        pairs = []
-        for spec in MetaDocumentBuilder(figure1_collection, config).build_specs():
-            graph = spec.build_graph()
-            tags = {node: figure1_collection.tag(node) for node in spec.nodes}
-            strategy = selector.choose(graph).strategy
-            pairs.append(
-                (
-                    graph,
-                    build_index(strategy, graph, tags, MemoryBackend()),
-                    build_index(strategy, graph, tags, SqliteBackend()),
-                )
-            )
-        return pairs
-
-    def test_full_build_and_query_on_sqlite(self, built_pairs):
-        for graph, memory, sqlite in built_pairs:
-            oracle = transitive_closure(graph)
-            for node in graph:
-                answer = dict(sqlite.find_descendants_by_tag(node, None))
-                assert answer == dict(memory.find_descendants_by_tag(node, None))
-                assert set(answer) == set(oracle.descendants(node))
-
-    def test_sqlite_and_memory_sizes_same_order(self, built_pairs):
-        memory_bytes = sum(memory.size_bytes() for _, memory, _ in built_pairs)
-        sqlite_bytes = sum(sqlite.size_bytes() for _, _, sqlite in built_pairs)
-        # SQLite pages add overhead but stay within an order of magnitude
-        assert 0 < sqlite_bytes < 50 * memory_bytes
 
 
 class TestDiskRoundTripPipeline:

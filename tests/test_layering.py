@@ -1,8 +1,9 @@
 """Import layering: ``repro.bench`` is a leaf used by the paper-figure
 suites, never by the serving path; the packed indexes know no storage;
-SQLite is persistence's business, ``repro.storage`` depends on nothing
-above it, nothing that reads a socket or a log unpickles, and only
-``repro.faults`` knows the fault-plan environment."""
+SQLite is the format-1 reader's alone, ``repro.storage`` holds only what
+the blobs still need and depends on nothing above it, nothing that reads
+a socket or a log unpickles, and only ``repro.faults`` knows the
+fault-plan environment."""
 
 import ast
 from pathlib import Path
@@ -57,19 +58,27 @@ def test_packed_indexes_import_no_storage():
     assert offenders == []
 
 
-def test_only_persistence_opens_sqlite():
-    """Object-build tables are in-memory scratch (``docs/DATA_LAYOUT.md``);
-    outside ``repro.storage`` itself, SQLite appears only where bytes are
-    durable."""
+def test_only_the_format1_reader_imports_sqlite():
+    """Every index and the residual links are FLXPACK blobs
+    (``docs/DATA_LAYOUT.md``); SQLite is opened only to read a format-1
+    save, by one module."""
     importers = {
         path.relative_to(SRC).as_posix()
         for path in sorted((SRC / "repro").rglob("*.py"))
-        if not path.relative_to(SRC).as_posix().startswith("repro/storage/")
         for module in imported_modules(path)
-        if within(module, "repro.storage.sqlite_backend")
-        or module == "repro.storage.SqliteBackend"
+        if within(module, "sqlite3")
     }
-    assert importers == {"repro/core/persistence.py"}
+    assert importers == {"repro/core/format1.py"}
+
+
+def test_storage_holds_only_durable_writes_errors_and_sizes():
+    """No table abstraction, row store or SQLite backend is left."""
+    modules = {
+        path.stem
+        for path in (SRC / "repro" / "storage").glob("*.py")
+        if path.stem != "__init__"
+    }
+    assert modules == {"atomic", "errors", "sizing"}
 
 
 def test_storage_imports_nothing_above_it():

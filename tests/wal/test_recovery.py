@@ -221,8 +221,8 @@ def test_every_instance_shape_maintains_alike(
 ):
     """However a ``Flix`` came to be — built, loaded from a save,
     recovered, or following a log — the maintenance verbs produce the
-    same index and answers from in-memory scratch tables: the only SQLite
-    file anyone opens is the snapshot's ``framework.sqlite``, at load."""
+    same index and answers, and no SQLite file is opened: the snapshot
+    is blobs only."""
     import sqlite3
     from pathlib import Path
 
@@ -241,13 +241,13 @@ def test_every_instance_shape_maintains_alike(
         opened.append(Path(database).name)
         return connect(database, *args, **kwargs)
 
+    monkeypatch.setattr(sqlite3, "connect", recording)
     primary = deployment.flix
     primary.enable_wal(wal_path_for(deployment.index_dir))
     if shape == "loaded":
         subject = Flix.load(
             load_collection(deployment.collection_dir), deployment.index_dir
         )
-    monkeypatch.setattr(sqlite3, "connect", recording)
     script(primary)
     if shape == "built":
         subject = primary
@@ -265,10 +265,7 @@ def test_every_instance_shape_maintains_alike(
         )
         assert follower.poll() > 0
         subject = follower.flix
-    # load_flix reads the snapshot (once to verify, once to load)
-    assert set(opened) == (
-        {"framework.sqlite"} if shape in ("recovered", "follower") else set()
-    )
+    assert opened == []
 
     assert subject.index_fingerprint() == primary.index_fingerprint()
     for name, request in parity_requests(subject.collection):
