@@ -8,8 +8,8 @@
   repeated queries are answered from the LRU cache at a fraction of the
   evaluation cost.
 * **Incremental growth** (the HOPI follow-up work): adding a document via
-  ``Flix.add_document`` is much cheaper than rebuilding the whole index,
-  and incremental 2-hop edge insertion is much cheaper than re-labeling.
+  ``Flix.add_document`` — which builds only the touched meta document's
+  index — is much cheaper than rebuilding the whole index.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.core.api import QueryRequest
 from repro.core.config import CacheConfig, FlixConfig
 from repro.core.framework import Flix
 from repro.datasets.dblp import DblpSpec, generate_dblp, generate_dblp_documents
-from repro.indexes.hopi import HopiIndex
 
 
 def test_exact_order_tradeoff(benchmark, dblp_collection, oracle, fig5):
@@ -129,33 +128,3 @@ def test_persisted_load_vs_rebuild(benchmark, dblp_collection, tmp_path_factory)
     assert [r.node for r in loaded.query_stream(request)] == [
         r.node for r in flix.query_stream(request)
     ]
-
-
-def test_incremental_hopi_edge_vs_rebuild(benchmark, dblp_collection):
-    graph = dblp_collection.graph.copy()
-    tags = {n: dblp_collection.tag(n) for n in graph}
-    index = HopiIndex.build(graph, tags)
-    roots = sorted(
-        dblp_collection.document_root(name) for name in dblp_collection.documents
-    )
-    new_edges = [
-        (roots[i], roots[i + 1])
-        for i in range(0, 40, 2)
-        if not graph.has_edge(roots[i], roots[i + 1])
-    ]
-
-    def insert_all():
-        for u, v in new_edges:
-            index.insert_edge(u, v)
-
-    benchmark.pedantic(insert_all, rounds=1, iterations=1)
-    incremental_seconds = benchmark.stats.stats.mean
-
-    for u, v in new_edges:
-        graph.add_edge(u, v)
-    rebuild_started = time.perf_counter()
-    HopiIndex.build(graph, tags)
-    rebuild_seconds = time.perf_counter() - rebuild_started
-    benchmark.extra_info["incremental_ms"] = round(incremental_seconds * 1000, 2)
-    benchmark.extra_info["rebuild_ms"] = round(rebuild_seconds * 1000, 2)
-    assert incremental_seconds < rebuild_seconds

@@ -162,44 +162,72 @@ def rows_fingerprint(tables: Dict[str, List[tuple]]) -> str:
 
 
 def index_rows(index) -> Dict[str, List[tuple]]:
-    """The tables the format-1 writer stored for a freshly built object
-    ``index``, rows in the order it inserted them (sorted)."""
+    """The tables the format-1 writer stored for a meta document, rows in
+    the order it inserted them (sorted), read off the columns of its
+    freshly built packed ``index``: the blob holds every value the
+    writer stored."""
+    column = index.blob.column_list
     strategy = index.strategy_name
     if strategy == "ppo":
-        return {"ppo_nodes": [
+        node_at_pre = column("node_at_pre")
+        size_at_pre = column("size_at_pre")
+        depth_at_pre = column("depth_at_pre")
+        parent_at_pre = column("parent_pos_at_pre")
+        return {"ppo_nodes": sorted(
             (
-                node, index.preorder(node),
-                index.postorder(node) - index.preorder(node) + 1,
-                index.depth(node),
-                -1 if index.parent(node) is None else index.parent(node),
+                node, pre, size_at_pre[pre], depth_at_pre[pre],
+                -1 if parent_at_pre[pre] == -1
+                else node_at_pre[parent_at_pre[pre]],
             )
-            for node in sorted(index._node_set())
-        ]}
+            for pre, node in enumerate(node_at_pre)
+        )}
+    nodes = column("nodes")
     if strategy == "hopi":
         return {
-            f"hopi_{side}_labels": sorted(
-                (node, hub, dist)
-                for node, label in labels.items()
-                for hub, dist in label.items()
+            f"hopi_{side}_labels": _csr_rows(
+                nodes, column(f"{side}_offsets"), column(f"{side}_hubs"),
+                column(f"{side}_dists"),
             )
-            for side, labels in (("in", index._in), ("out", index._out))
+            for side in ("in", "out")
         }
     if strategy == "transitive_closure":
-        return {"closure_pairs": sorted(
-            (src, dst, dist)
-            for src, row in index._descendants.items()
-            for dst, dist in row.items()
+        return {"closure_pairs": _csr_rows(
+            nodes, column("offsets"), column("dst"), column("dist")
         )}
     if f"{strategy}_extents" in _SCHEMAS:
+        classes = column("classes")
+        tags = index.blob.meta["tags"]
+        offsets = column("succ_offsets")
+        targets = column("succ_pos")
         return {
             f"{strategy}_extents": sorted(
-                (node, cls, index._tags[node])
-                for node, cls in index._class_of.items()
+                (node, classes[cls], tags[tag])
+                for node, cls, tag in zip(
+                    nodes, column("class_pos"), column("tag_ids")
+                )
             ),
-            f"{strategy}_structure": sorted(index._structure.edges()),
-            f"{strategy}_edges": sorted(index._graph.edges()),
+            f"{strategy}_structure": sorted(
+                (classes[src], classes[dst])
+                for src, dst in zip(column("struct_src"), column("struct_dst"))
+            ),
+            f"{strategy}_edges": sorted(
+                (node, nodes[targets[k]])
+                for i, node in enumerate(nodes)
+                for k in range(offsets[i], offsets[i + 1])
+            ),
         }
     raise CorruptionError(f"no format-1 tables for strategy {strategy!r}")
+
+
+def _csr_rows(
+    nodes: List[int], offsets: List[int], values: List[int], dists: List[int]
+) -> List[tuple]:
+    """``(node, value, dist)`` for every entry of a per-node CSR run."""
+    return sorted(
+        (node, values[k], dists[k])
+        for i, node in enumerate(nodes)
+        for k in range(offsets[i], offsets[i + 1])
+    )
 
 
 def link_rows(

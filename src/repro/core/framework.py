@@ -541,17 +541,12 @@ class Flix:
     # incremental maintenance (copy-on-write; see docs/MAINTENANCE.md)
     # ------------------------------------------------------------------
     def _build_index(self, strategy: str, graph: Digraph):
-        """Index one meta-document graph for a maintenance verb: the
-        strategy's object build, then the pack step."""
-        from repro.indexes.packed import packed_clone
-        from repro.indexes.registry import (
-            IndexBuildRequest,
-            execute_build_request,
-        )
+        """The packed index of one meta-document graph, for a
+        maintenance verb."""
+        from repro.indexes.registry import build_index
 
         tags = {node: self.collection.tag(node) for node in graph.nodes()}
-        request = IndexBuildRequest(strategy=strategy, tags=tags)
-        return packed_clone(execute_build_request(request, graph=graph))
+        return build_index(strategy, graph, tags)
 
     # ------------------------------------------------------------------
     # durability: the write-ahead mutation log (docs/DURABILITY.md)

@@ -6,9 +6,9 @@ the set ``L_i`` of elements with outgoing links not reflected in any index,
 the per-link target lists, and the mirrored incoming side used for ancestor
 queries.  The meta documents' link maps are the links' only in-memory copy;
 their stored form is the ``links.pack`` blob (:mod:`repro.core.links`),
-which FliX's total storage (Table 1) counts.  Each built index goes through
-the one pack step at merge time, so the report's ``index_bytes`` are blob
-bytes.
+which FliX's total storage (Table 1) counts.  Every index comes out of
+:func:`repro.indexes.registry.build_index` already packed, so the report's
+``index_bytes`` are blob bytes.
 
 Parallel builds
 ---------------
@@ -20,7 +20,9 @@ exist, chosen by :attr:`repro.core.config.FlixConfig.build_executor`:
 
 * ``process`` — a ``concurrent.futures.ProcessPoolExecutor`` (the default
   for the CPU-bound closure builds).  Tasks, config and the selector are
-  shipped via pickle; worker processes disable the cyclic garbage
+  shipped via pickle, and each built index comes back as its blob's
+  bytes (:class:`repro.indexes.packed.base.PackedIndex` pickles that
+  way); worker processes disable the cyclic garbage
   collector (their allocations are overwhelmingly acyclic dict/list
   plumbing and the process exits after the build, so refcounting suffices
   — this alone is worth ~30% on allocation-heavy 2-hop builds).
@@ -54,8 +56,7 @@ from repro.core.iss import IndexingStrategySelector, StrategyChoice
 from repro.core.meta_document import Edge, MetaDocument, MetaDocumentSpec
 from repro.core.links import links_pack_bytes, wire_links
 from repro.indexes.base import PathIndex
-from repro.indexes.packed import packed_clone
-from repro.indexes.registry import IndexBuildRequest, execute_build_request
+from repro.indexes.registry import build_index
 from repro.obs import OBS_OFF, Observability
 
 
@@ -251,12 +252,6 @@ def _execute_task(
     profile.selection_seconds = now - checkpoint
     checkpoint = now
 
-    def attempt(strategy: str) -> PathIndex:
-        return execute_build_request(
-            IndexBuildRequest(strategy=strategy, tags=task.tags),
-            graph=graph,
-        )
-
     notes: List[str] = []
     attempts = 0
     index: Optional[PathIndex] = None
@@ -266,7 +261,7 @@ def _execute_task(
     for _ in range(tries):
         attempts += 1
         try:
-            index = attempt(choice.strategy)
+            index = build_index(choice.strategy, graph, task.tags)
             break
         except Exception as exc:
             if resilience is None:
@@ -281,7 +276,7 @@ def _execute_task(
         if fallback and fallback != choice.strategy:
             attempts += 1
             try:
-                index = attempt(fallback)
+                index = build_index(fallback, graph, task.tags)
                 fallback_from = choice.strategy
                 error = None
                 notes.append(
@@ -369,7 +364,7 @@ def _init_process_worker(payload: bytes) -> None:
     global _WORKER_STATE
     import gc
 
-    # Build allocations (adjacency dicts, label lists, table rows) are
+    # Build allocations (adjacency dicts, label lists, columns) are
     # acyclic: plain refcounting reclaims them, and skipping the cyclic
     # collector's generation scans is a measurable win on 2-hop builds.
     # Workers now survive between builds (warm pool), so each chunk ends
@@ -470,19 +465,12 @@ class IndexBuilder:
                     f"worker results out of order: expected meta "
                     f"{spec.meta_id}, got {result.meta_id}"
                 )
+            index = result.index
             built_strategy = (
-                result.index.strategy_name
-                if result.index is not None
+                index.strategy_name
+                if index is not None
                 else result.choice.strategy
             )
-            # the one pack step: from here on the blob is the only copy,
-            # and the object index is released before the next is packed
-            index = (
-                packed_clone(result.index)
-                if result.index is not None
-                else None
-            )
-            result.index = None
             meta = MetaDocument(
                 meta_id=spec.meta_id,
                 nodes=frozenset(spec.nodes),

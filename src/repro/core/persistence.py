@@ -80,13 +80,8 @@ from repro.core.links import (
     wire_links,
 )
 from repro.core.meta_document import MetaDocument, MetaDocumentSpec
-from repro.indexes.packed import (
-    PackedBlob,
-    attach_packed_file,
-    pack_index,
-    packed_clone,
-)
-from repro.indexes.registry import IndexBuildRequest, execute_build_request
+from repro.indexes.packed import PackedBlob, attach_packed_file, pack_index
+from repro.indexes.registry import build_index
 from repro.storage.atomic import (
     atomic_write_bytes,
     atomic_write_text,
@@ -476,12 +471,10 @@ def _rederived_links(
 def _build_meta_index(
     spec: MetaDocumentSpec, strategy: str, collection: XmlCollection
 ):
-    """Deterministically re-run one meta document's index build."""
-    graph = spec.build_graph()
+    """Deterministically re-run one meta document's index build: the
+    packed index, byte-identical to the one built before."""
     tags = {node: collection.tag(node) for node in spec.nodes}
-    return execute_build_request(
-        IndexBuildRequest(strategy=strategy, tags=tags), graph=graph
-    )
+    return build_index(strategy, spec.build_graph(), tags)
 
 
 def load_flix(collection: XmlCollection, directory, verify: bool = True) -> Flix:
@@ -649,7 +642,7 @@ def _rederive_table_entry(
             f"cannot load {filename}: the re-derived meta document differs "
             "from the saved one; rebuild the index"
         )
-    return packed_clone(index)
+    return index
 
 
 def _config_from_manifest(config_data: dict) -> FlixConfig:

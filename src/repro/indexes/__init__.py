@@ -1,7 +1,11 @@
 """Path Indexing Strategies (PIS) — the building blocks FliX composes.
 
 Section 2.2 reviews the landscape; we implement all of the strategies the
-paper works with, behind one interface (:class:`repro.indexes.base.PathIndex`):
+paper works with.  Each one is a *builder* (its construction algorithm)
+plus one *packed* class that answers the probes of
+:class:`repro.indexes.base.PathIndex` off a FLXPACK blob
+(:mod:`repro.indexes.packed`).  :func:`build_index` builds, packs and
+attaches, and returns the packed index.  The builders:
 
 * :mod:`repro.indexes.ppo` — Grust's pre/postorder scheme (trees/forests);
 * :mod:`repro.indexes.hopi` — HOPI, the 2-hop reachability+distance cover,
@@ -9,34 +13,22 @@ paper works with, behind one interface (:class:`repro.indexes.base.PathIndex`):
 * :mod:`repro.indexes.apex` — APEX, the adaptive path index (structure-graph
   guided evaluation, optional workload refinement);
 * :mod:`repro.indexes.kindex` — the Index Definition Scheme family:
-  1-index and A(k)-indexes via k-bisimulation;
+  1-index, A(k)-indexes and the F&B index via bisimulation;
 * :mod:`repro.indexes.dataguide` — strong DataGuides;
+* :mod:`repro.indexes.fabric` — the Index Fabric's trie over label paths;
 * :mod:`repro.indexes.transitive` — the materialized transitive closure
-  (the paper's size strawman and our correctness oracle).
+  (the paper's size strawman).
+
+The reference every packed index is tested against is the BFS oracle of
+:mod:`repro.graph.traversal` / :mod:`repro.graph.closure`.
 """
 
 from repro.indexes.base import IndexNotApplicableError, PathIndex
-from repro.indexes.ppo import PpoIndex
-from repro.indexes.hopi import HopiIndex
-from repro.indexes.apex import ApexIndex
-from repro.indexes.kindex import ForwardBackwardIndex, KBisimulationIndex
-from repro.indexes.dataguide import DataGuideIndex
-from repro.indexes.fabric import FabricIndex
-from repro.indexes.transitive import TransitiveClosureIndex
-from repro.indexes.registry import available_strategies, build_index, register_strategy
+from repro.indexes.registry import available_strategies, build_index
 
 __all__ = [
     "PathIndex",
     "IndexNotApplicableError",
-    "PpoIndex",
-    "HopiIndex",
-    "ApexIndex",
-    "KBisimulationIndex",
-    "ForwardBackwardIndex",
-    "DataGuideIndex",
-    "FabricIndex",
-    "TransitiveClosureIndex",
     "available_strategies",
     "build_index",
-    "register_strategy",
 ]

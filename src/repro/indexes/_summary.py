@@ -1,26 +1,28 @@
-"""Shared machinery for structure-summary indexes (APEX, 1-index, A(k), ...).
+"""Shared builder machinery for structure summaries (APEX, 1-index, A(k), ...).
 
 These indexes partition the elements into equivalence classes and keep a
 *structure graph* over the classes such that every data edge is covered by a
 class edge.  They answer path queries by traversing the (small) structure
 graph and — because class-level reachability over-approximates element-level
 reachability — verify candidates with a structure-pruned BFS over the data
-edge table.  That is how database-backed implementations of these indexes
+edges.  That is how database-backed implementations of these indexes
 evaluate the descendants axis, and it is why the paper finds none of them
 "explicitly optimized for the descendants-or-self axis" (section 2.2): long
 paths mean long guided traversals.
 
-The pruning is what the index buys: a BFS branch is abandoned as soon as its
-node's class cannot reach any class containing the requested tag.
+The builders here compute the partition and the structure graph;
+:func:`repro.indexes.packed.summary.pack_summary` stores them with the
+data edges, and :class:`repro.indexes.packed.summary.PackedSummaryIndex`
+runs the pruned BFS: a branch is abandoned as soon as its node's class
+cannot reach any class containing the requested tag.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.graph.digraph import Digraph
-from repro.indexes.base import NodeId, PathIndex, ScoredNode, sort_scored
+from repro.indexes.base import NodeId
 
 ClassId = int
 
@@ -56,8 +58,8 @@ def refine_partition_once(
     return refined, changed
 
 
-class SummaryIndex(PathIndex):
-    """Base class: class partition + structure graph + guided BFS."""
+class SummaryIndex:
+    """Builder base class: class partition + structure graph."""
 
     strategy_name = "summary"
 
@@ -66,14 +68,8 @@ class SummaryIndex(PathIndex):
         self._tags: Dict[NodeId, str] = {}
         self._class_of: Dict[NodeId, ClassId] = {}
         self._structure = Digraph()
-        self._class_reach: Dict[ClassId, Set[ClassId]] = {}
-        self._class_coreach: Dict[ClassId, Set[ClassId]] = {}
-        self._classes_with_tag: Dict[str, Set[ClassId]] = {}
         self._nodes: frozenset = frozenset()
 
-    # ------------------------------------------------------------------
-    # construction helpers for subclasses
-    # ------------------------------------------------------------------
     def _initialize(
         self,
         graph: Digraph,
@@ -88,115 +84,19 @@ class SummaryIndex(PathIndex):
             self._structure.add_node(cls)
         for u, v in graph.edges():
             self._structure.add_edge(class_of[u], class_of[v])
-        self._compute_class_reachability()
-        for node, cls in class_of.items():
-            self._classes_with_tag.setdefault(self._tags[node], set()).add(cls)
 
-    def _compute_class_reachability(self) -> None:
-        """Reflexive-transitive reachability on the (small) structure graph."""
-        for cls in self._structure:
-            reach = {cls}
-            queue = deque([cls])
-            while queue:
-                current = queue.popleft()
-                for succ in self._structure.successors(current):
-                    if succ not in reach:
-                        reach.add(succ)
-                        queue.append(succ)
-            self._class_reach[cls] = reach
-        for cls in self._structure:
-            self._class_coreach[cls] = {
-                other for other, reach in self._class_reach.items() if cls in reach
-            }
 
-    # ------------------------------------------------------------------
-    # PathIndex interface via structure-pruned BFS
-    # ------------------------------------------------------------------
-    def _node_set(self) -> frozenset:
-        return self._nodes
-
-    @property
-    def class_count(self) -> int:
-        return self._structure.node_count
-
-    def class_of(self, node: NodeId) -> ClassId:
-        return self._class_of[node]
-
-    def reachable(self, source: NodeId, target: NodeId) -> bool:
-        return self.distance(source, target) is not None
-
-    def distance(self, source: NodeId, target: NodeId) -> Optional[int]:
-        if source not in self._nodes or target not in self._nodes:
-            return None
-        target_class = self._class_of[target]
-        if target_class not in self._class_reach[self._class_of[source]]:
-            return None  # index-only negative answer: the summary refutes it
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            if node == target:
-                return dist[node]
-            for succ in self._graph.successors(node):
-                if succ in dist:
-                    continue
-                if target_class not in self._class_reach[self._class_of[succ]]:
-                    continue  # branch cannot lead to the target's class
-                dist[succ] = dist[node] + 1
-                queue.append(succ)
-        return None
-
-    def _guided_bfs(
-        self,
-        source: NodeId,
-        tag: Optional[str],
-        forward: bool,
-    ) -> List[ScoredNode]:
-        if source not in self._nodes:
-            return []
-        if tag is None:
-            goal_classes: Optional[Set[ClassId]] = None
-        else:
-            goal_classes = self._classes_with_tag.get(tag, set())
-            if not goal_classes:
-                return []
-        reach = self._class_reach if forward else self._class_coreach
-
-        def viable(node: NodeId) -> bool:
-            if goal_classes is None:
-                return True
-            return not reach[self._class_of[node]].isdisjoint(goal_classes)
-
-        results: List[ScoredNode] = []
-        if not viable(source):
-            return []
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            if tag is None or self._tags[node] == tag:
-                results.append((node, dist[node]))
-            neighbours = (
-                self._graph.successors(node)
-                if forward
-                else self._graph.predecessors(node)
-            )
-            for nxt in sorted(neighbours):
-                if nxt not in dist and viable(nxt):
-                    dist[nxt] = dist[node] + 1
-                    queue.append(nxt)
-        return sort_scored(results)
-
-    def find_descendants_by_tag(
-        self,
-        source: NodeId,
-        tag: Optional[str],
-    ) -> List[ScoredNode]:
-        return self._guided_bfs(source, tag, forward=True)
-
-    def find_ancestors_by_tag(
-        self,
-        source: NodeId,
-        tag: Optional[str],
-    ) -> List[ScoredNode]:
-        return self._guided_bfs(source, tag, forward=False)
+def label_partition(
+    graph: Digraph,
+    tags: Mapping[NodeId, str],
+) -> Dict[NodeId, ClassId]:
+    """The base partition of the family: one class per element label,
+    numbered in node-id order."""
+    class_ids: Dict[str, ClassId] = {}
+    class_of: Dict[NodeId, ClassId] = {}
+    for node in sorted(graph.nodes()):
+        tag = tags[node]
+        if tag not in class_ids:
+            class_ids[tag] = len(class_ids)
+        class_of[node] = class_ids[tag]
+    return class_of

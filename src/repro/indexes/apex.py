@@ -14,12 +14,12 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from repro.graph.digraph import Digraph
-from repro.indexes._summary import ClassId, SummaryIndex
+from repro.indexes._summary import ClassId, SummaryIndex, label_partition
 from repro.indexes.base import NodeId
 
 
 class ApexIndex(SummaryIndex):
-    """APEX structure-graph index with optional workload refinement."""
+    """Builder of the APEX structure graph, optionally workload-refined."""
 
     strategy_name = "apex"
 
@@ -47,7 +47,7 @@ class ApexIndex(SummaryIndex):
         the path is answerable from extents without touching the data graph.
         """
         index = cls()
-        class_of = _label_partition(graph, tags)
+        class_of = label_partition(graph, tags)
         for path in workload:
             class_of = _refine_for_path(graph, tags, class_of, tuple(path))
         index._initialize(graph, tags, _normalize(class_of))
@@ -89,20 +89,6 @@ class ApexIndex(SummaryIndex):
                 return set()
         return frontier
 
-
-def _label_partition(
-    graph: Digraph,
-    tags: Mapping[NodeId, str],
-) -> Dict[NodeId, ClassId]:
-    """APEX-0 base partition: one class per element label."""
-    class_ids: Dict[str, ClassId] = {}
-    class_of: Dict[NodeId, ClassId] = {}
-    for node in sorted(graph.nodes()):
-        tag = tags[node]
-        if tag not in class_ids:
-            class_ids[tag] = len(class_ids)
-        class_of[node] = class_ids[tag]
-    return class_of
 
 
 def _refine_for_path(

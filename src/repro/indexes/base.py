@@ -20,31 +20,22 @@ document:
 * ``reachable``/``distance`` — connection tests;
 * the reverse (ancestor) variant of the tag enumeration.
 
-Indexes are built from a :class:`repro.graph.digraph.Digraph` over integer
-node ids plus a node -> tag mapping into their own in-memory structures.
-Their one stored form is the FLXPACK blob :mod:`repro.indexes.packed`
-compiles from those structures: a packed index's size and fingerprint are
-its blob's, which is what Table 1 measures (``docs/DATA_LAYOUT.md``).
+Each strategy has a *builder* (``repro.indexes.ppo``, ``hopi``, the
+summary family, ``transitive``) that runs its construction algorithm over
+a :class:`repro.graph.digraph.Digraph` of integer node ids plus a node ->
+tag mapping, and one *packed* class (:mod:`repro.indexes.packed`) that
+implements this interface off the FLXPACK blob the builder's state is
+packed into.  :func:`repro.indexes.registry.build_index` joins the two:
+it builds, packs and attaches, and returns the packed index.  A packed
+index's size and fingerprint are its blob's, which is what Table 1
+measures (``docs/DATA_LAYOUT.md``).
 """
 
 from __future__ import annotations
 
 import abc
 import operator
-from typing import (
-    Callable,
-    Collection,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
-
-from repro.graph.digraph import Digraph
+from typing import Callable, Collection, Iterable, List, Optional, Sequence, Tuple
 
 NodeId = int
 Wildcard = None  # tag value meaning "any element"
@@ -56,22 +47,10 @@ class IndexNotApplicableError(ValueError):
 
 
 class PathIndex(abc.ABC):
-    """A connection index over one (meta) document graph."""
+    """The probes of a connection index over one (meta) document graph."""
 
     #: registry name; subclasses override.
     strategy_name = "abstract"
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @classmethod
-    @abc.abstractmethod
-    def build(
-        cls,
-        graph: Digraph,
-        tags: Mapping[NodeId, str],
-    ) -> "PathIndex":
-        """Index ``graph``; ``tags`` maps every node to its element name."""
 
     # ------------------------------------------------------------------
     # core queries

@@ -9,10 +9,11 @@ exponentially, so the builder enforces a state budget and raises
 reason the paper's framework picks strategies per meta document instead of
 globally.
 
-For the generic :class:`~repro.indexes.base.PathIndex` operations the class
-inherits the structure-pruned BFS of :class:`SummaryIndex` over the label
-partition; its added value is :meth:`match_label_path`, the exact root-path
-lookup DataGuides exist for.
+For the generic :class:`~repro.indexes.base.PathIndex` probes the packed
+form runs the structure-pruned BFS of
+:class:`~repro.indexes.packed.summary.PackedSummaryIndex` over the label
+partition; the builder's added value is :meth:`match_label_path`, the exact
+root-path lookup DataGuides exist for.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from collections import deque
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 from repro.graph.digraph import Digraph
-from repro.indexes._summary import ClassId, SummaryIndex
+from repro.indexes._summary import SummaryIndex, label_partition
 from repro.indexes.base import IndexNotApplicableError, NodeId
 
 
 class DataGuideIndex(SummaryIndex):
-    """Strong DataGuide with target sets, plus inherited guided BFS."""
+    """Builder of a strong DataGuide with target sets."""
 
     strategy_name = "dataguide"
 
@@ -55,7 +56,7 @@ class DataGuideIndex(SummaryIndex):
     ) -> "DataGuideIndex":
         index = cls()
         index._determinize(graph, tags, max_states)
-        class_of = _label_partition(graph, tags)
+        class_of = label_partition(graph, tags)
         index._initialize(graph, tags, class_of)
         return index
 
@@ -148,16 +149,3 @@ class DataGuideIndex(SummaryIndex):
                     queue.append((dst, extended))
         return sorted(set(paths))
 
-
-def _label_partition(
-    graph: Digraph,
-    tags: Mapping[NodeId, str],
-) -> Dict[NodeId, ClassId]:
-    class_ids: Dict[str, ClassId] = {}
-    class_of: Dict[NodeId, ClassId] = {}
-    for node in sorted(graph.nodes()):
-        tag = tags[node]
-        if tag not in class_ids:
-            class_ids[tag] = len(class_ids)
-        class_of[node] = class_ids[tag]
-    return class_of

@@ -14,12 +14,12 @@ child maps and path-compression of unary chains into edge labels), exposes
 * :meth:`FabricIndex.paths_with_prefix` — prefix enumeration,
 * :meth:`FabricIndex.path_count` / :meth:`FabricIndex.trie_node_count`,
 
-and inherits the structure-guided BFS evaluation of
-:class:`~repro.indexes._summary.SummaryIndex` for the generic
-:class:`~repro.indexes.base.PathIndex` operations, like the other summary
-indexes.  Cyclic element graphs have unbounded label-path sets, so — like
-the DataGuide — construction is guarded by a budget and refuses pathological
-inputs instead of diverging.
+and packs like the other summary indexes: the generic
+:class:`~repro.indexes.base.PathIndex` probes are the structure-guided BFS
+of :class:`~repro.indexes.packed.summary.PackedSummaryIndex`.  Cyclic
+element graphs have unbounded label-path sets, so — like the DataGuide —
+construction is guarded by a budget and refuses pathological inputs
+instead of diverging.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.graph.digraph import Digraph
-from repro.indexes._summary import ClassId, SummaryIndex
+from repro.indexes._summary import SummaryIndex, label_partition
 from repro.indexes.base import IndexNotApplicableError, NodeId
 
 #: separator between labels in encoded keys (not a valid XML name char)
@@ -47,7 +47,7 @@ class _TrieNode:
 
 
 class FabricIndex(SummaryIndex):
-    """Trie over root label paths, plus inherited guided-BFS evaluation."""
+    """Builder of the trie over root label paths."""
 
     strategy_name = "fabric"
 
@@ -105,7 +105,7 @@ class FabricIndex(SummaryIndex):
                     stack.append(
                         (succ, path + (tags[succ],), on_path | {succ})
                     )
-        class_of = _label_partition(graph, tags)
+        class_of = label_partition(graph, tags)
         index._initialize(graph, tags, class_of)
         return index
 
@@ -180,16 +180,3 @@ class FabricIndex(SummaryIndex):
     def trie_node_count(self) -> int:
         return self._trie_nodes
 
-
-def _label_partition(
-    graph: Digraph,
-    tags: Mapping[NodeId, str],
-) -> Dict[NodeId, ClassId]:
-    class_ids: Dict[str, ClassId] = {}
-    class_of: Dict[NodeId, ClassId] = {}
-    for node in sorted(graph.nodes()):
-        tag = tags[node]
-        if tag not in class_ids:
-            class_ids[tag] = len(class_ids)
-        class_of[node] = class_ids[tag]
-    return class_of

@@ -12,15 +12,19 @@ Both are built by partition refinement: start from the label partition and
 refine by predecessor-class signatures, ``k`` times or to a fixpoint.  The
 paper's rule of thumb (section 2.2): these do fine "if all paths are short
 or do not contain wildcards" — long `//` chains degrade to the guided BFS
-this class inherits from :class:`repro.indexes._summary.SummaryIndex`.
+of :class:`repro.indexes.packed.summary.PackedSummaryIndex`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.graph.digraph import Digraph
-from repro.indexes._summary import ClassId, SummaryIndex, refine_partition_once
+from repro.indexes._summary import (
+    SummaryIndex,
+    label_partition,
+    refine_partition_once,
+)
 from repro.indexes.base import NodeId
 
 
@@ -53,7 +57,7 @@ class KBisimulationIndex(SummaryIndex):
         if k is not None and k < 0:
             raise ValueError("k must be non-negative (or None for the 1-index)")
         index = cls()
-        class_of = _label_partition(graph, tags)
+        class_of = label_partition(graph, tags)
         rounds = 0
         while k is None or rounds < k:
             class_of, changed = refine_partition_once(graph, class_of)
@@ -89,7 +93,7 @@ class ForwardBackwardIndex(KBisimulationIndex):
         tags: Mapping[NodeId, str],
     ) -> "ForwardBackwardIndex":
         index = cls()
-        class_of = _label_partition(graph, tags)
+        class_of = label_partition(graph, tags)
         rounds = 0
         stable_in_a_row = 0
         direction = "backward"
@@ -106,16 +110,3 @@ class ForwardBackwardIndex(KBisimulationIndex):
         index.k = None
         return index
 
-
-def _label_partition(
-    graph: Digraph,
-    tags: Mapping[NodeId, str],
-) -> Dict[NodeId, ClassId]:
-    class_ids: Dict[str, ClassId] = {}
-    class_of: Dict[NodeId, ClassId] = {}
-    for node in sorted(graph.nodes()):
-        tag = tags[node]
-        if tag not in class_ids:
-            class_ids[tag] = len(class_ids)
-        class_of[node] = class_ids[tag]
-    return class_of

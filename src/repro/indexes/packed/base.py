@@ -1,4 +1,4 @@
-"""What the three packed index classes share: the blob *is* the index.
+"""What the four packed index classes share: the blob *is* the index.
 
 Every probe, the size and the content fingerprint of a packed index are
 answered from the attached FLXPACK blob, the one copy of the meta
@@ -26,12 +26,10 @@ class PackedIndex(PathIndex):
     def blob(self) -> PackedBlob:
         return self._blob
 
-    @classmethod
-    def build(cls, graph, tags):  # pragma: no cover - build-time is object-graph
-        raise NotImplementedError(
-            "packed indexes are compiled from a built object index "
-            "(repro.indexes.packed.pack_index), not built from a graph"
-        )
+    def __reduce__(self):
+        # a packed index crosses a process boundary (the Index Builder's
+        # worker pool) as its blob's bytes, and is attached again there
+        return (_attach_bytes, (type(self), bytes(self._blob.data)))
 
     def size_bytes(self) -> int:
         """The blob is the whole persisted state of a packed index."""
@@ -41,3 +39,7 @@ class PackedIndex(PathIndex):
         """Equal content packs to equal bytes, so the blob's hash is the
         index's content hash."""
         return self._blob.raw_fingerprint()
+
+
+def _attach_bytes(cls, data: bytes) -> PackedIndex:
+    return cls(PackedBlob.from_bytes(data, source=f"<packed {cls.strategy_name}>"))

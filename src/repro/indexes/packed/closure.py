@@ -1,7 +1,7 @@
 """Array-backed transitive closure: (src, dst, dist) CSR columns.
 
-The packed layout keeps exactly the relation the object
-:class:`repro.indexes.transitive.TransitiveClosureIndex` holds in dicts:
+The packed layout keeps exactly the relation the builder
+:class:`repro.indexes.transitive.TransitiveClosureIndex` materializes:
 
 * ``nodes`` — the indexed node ids, ascending; a node's position is its
   row number;

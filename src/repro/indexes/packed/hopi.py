@@ -14,8 +14,7 @@ composite-int lane for singleton ``L_out`` labels, the dominant shape on
 meta-document graphs), because in CPython a C-level dict probe beats an
 interpreted merge over column slices.  A probe is then Cohen et al.'s
 2-hop intersection — smaller side iterated against the larger — with
-``min`` over shared hubs, which is order-independent, so results are
-identical to the object dict implementation.
+``min`` over shared hubs, which is order-independent.
 """
 
 from __future__ import annotations
@@ -174,8 +173,7 @@ class PackedHopiIndex(PackedIndex):
         #
         # * ``out_maps``/``in_maps`` — node → {hub: dist}, the label as a
         #   hash map so the smaller side iterates at C speed into the
-        #   larger (the object probe's shape, minus its per-call
-        #   attribute and method loads);
+        #   larger;
         # * ``out_single`` — node → ``dist << 40 | hub`` for singleton
         #   ``L_out`` labels (the overwhelmingly common shape), making
         #   the frequent probe three dict operations with no loop.
@@ -218,8 +216,8 @@ class PackedHopiIndex(PackedIndex):
             inn = in_maps_get(target)
             if inn is None:
                 return None
-            # the object probe, inlined: iterate the smaller hub map,
-            # hash-probe the larger; min over shared hubs
+            # iterate the smaller hub map, hash-probe the larger; min
+            # over shared hubs
             if len(out) > len(inn):
                 best = None
                 for hub, d2 in inn.items():
@@ -288,9 +286,8 @@ class PackedHopiIndex(PackedIndex):
 
         Built lazily on the first enumeration query (the probe path never
         needs them), so cold attach and pure point-probe workloads pay
-        nothing.  Dict iteration is what the object enumeration walks —
-        promoting the runs removes the packed side's per-entry column
-        subscripts.
+        nothing.  Promoting the runs to dicts removes the per-entry
+        column subscripts from the enumeration.
         """
         maps = self._hd_maps if forward else self._ha_maps
         if maps is None:
@@ -464,10 +461,11 @@ class PackedHopiIndex(PackedIndex):
         return self.reaching_subset(target, candidates)
 
     # ------------------------------------------------------------------
-    # diagnostics (mirrors HopiIndex.label_entry_count)
+    # diagnostics
     # ------------------------------------------------------------------
     @property
     def label_entry_count(self) -> int:
+        """Total 2-hop label entries — the classic 2-hop size measure."""
         self._pos_lookup()
         return len(self._in_hubs) + len(self._out_hubs)
 

@@ -1,8 +1,8 @@
 """Array-backed PPO: preorder-sorted int64 columns + bisect interval scans.
 
-The packed layout stores exactly the interval encoding the object
-:class:`repro.indexes.ppo.PpoIndex` keeps in dicts, but laid out by
-preorder rank so every probe is integer arithmetic over flat columns:
+The packed layout stores the interval encoding the builder
+:class:`repro.indexes.ppo.PpoIndex` computes, laid out by preorder rank
+so every probe is integer arithmetic over flat columns:
 
 * ``node_at_pre``/``size_at_pre``/``depth_at_pre`` — one entry per pre
   rank; a descendant test is interval arithmetic over these columns, and
@@ -12,16 +12,13 @@ preorder rank so every probe is integer arithmetic over flat columns:
   ancestor walk never leaves the columns;
 * ``tag_id_at_pre`` + per-tag preorder runs (``tag_offsets``/``tag_pres``)
   — a tag extent scan is two ``bisect`` calls into one contiguous run;
-* ``tree_starts`` — forest bookkeeping for the extra XPath axes.
-
-Every operation reproduces the object implementation's results exactly
-(same candidates, same distances, same ordering) — the parity suite
-asserts byte-identical answers across both layouts.
+* ``tree_starts`` — the preorder rank of each tree's first node (part
+  of the format; no probe reads it).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 from repro.indexes.base import NodeId, ScoredNode, sort_scored
@@ -84,7 +81,6 @@ class PackedPpoIndex(PackedIndex):
     _tagid_col: List[int] = []
     _tag_off: List[int] = []
     _tag_pres: List[int] = []
-    _tree_starts: List[int] = []
     _nodes: Optional[frozenset] = None
     _prepared_candidates: Optional[frozenset] = None
     _prepared_pres: List[Tuple[int, NodeId]] = []
@@ -130,7 +126,6 @@ class PackedPpoIndex(PackedIndex):
         self._tagid_col = blob.column_list("tag_id_at_pre")
         self._tag_off = blob.column_list("tag_offsets")
         self._tag_pres = blob.column_list("tag_pres")
-        self._tree_starts = blob.column_list("tree_starts")
         pre_of = {node: i for i, node in enumerate(node_col)}
         # subtree end per pre rank, precomputed so the probe does one
         # list load instead of a load plus an add
@@ -287,9 +282,15 @@ class PackedPpoIndex(PackedIndex):
         return result  # parent walk is already ascending-distance
 
     # ------------------------------------------------------------------
-    # residual-link fast path (mirrors PpoIndex.prepare_link_candidates)
+    # residual-link fast path
     # ------------------------------------------------------------------
     def prepare_link_candidates(self, candidates: frozenset) -> None:
+        """Sort ``L_i`` by preorder so ``reachable_subset`` is one bisect.
+
+        With this, the Figure 4 step "compute the set L(a) of reachable
+        link elements" costs O(log n + |answer|) on PPO meta documents
+        instead of one interval probe per candidate.
+        """
         pre_of = self._pre_lookup()
         self._prepared_candidates = candidates
         self._prepared_pres = sorted(
@@ -329,7 +330,7 @@ class PackedPpoIndex(PackedIndex):
         ]
 
     # ------------------------------------------------------------------
-    # PPO extras (the interval arithmetic works unchanged on columns)
+    # PPO extras: the numbering itself
     # ------------------------------------------------------------------
     def preorder(self, node: NodeId) -> int:
         return self._pre_lookup()[node]
@@ -356,11 +357,3 @@ class PackedPpoIndex(PackedIndex):
             result.append(self._node_col[pre])
             pre += self._size_col[pre]
         return result
-
-    def _tree_span(self, node: NodeId) -> Tuple[int, int]:
-        pre = self._pre_lookup()[node]
-        starts = self._tree_starts
-        i = bisect_right(starts, pre) - 1
-        start = starts[i]
-        end = starts[i + 1] if i + 1 < len(starts) else len(self._node_col)
-        return start, end

@@ -6,15 +6,15 @@ The packed form keeps the summary family's three ingredients as columns:
   contiguous node-id runs* (``extent_offsets``/``extent_nodes``, nodes
   grouped by class), the layout APEX answers refined label paths from;
 * the data edges — forward and backward CSR adjacency over node
-  *positions*, successor runs sorted by node id (exactly the
-  ``sorted(neighbours)`` order the object guided BFS visits);
+  *positions*, neighbour runs sorted by node id (the guided BFS's
+  visit order);
 * the structure graph — class-position edge pairs, from which the
   class-reachability sets the BFS prunes with are rebuilt lazily on
   first probe (the structure graph is small by design).
 
-Queries run the same structure-pruned BFS as
-:class:`repro.indexes._summary.SummaryIndex` and return identical
-results; only the memory they walk is flat.
+Queries run the structure-pruned BFS of section 2.2's summaries over
+those flat columns; the builders in :mod:`repro.indexes._summary` and its
+subclasses only compute the partition.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class PackedSummaryIndex(PackedIndex):
 
     def _class_reachability(self) -> Tuple[List[Set[int]], List[Set[int]]]:
         """Reflexive-transitive reachability over the structure graph,
-        rebuilt once per attach (mirrors ``_compute_class_reachability``)."""
+        rebuilt once per attach."""
         if self._reach is None:
             self._pos_lookup()
             struct_src = self._blob.column_list("struct_src")
@@ -211,7 +211,7 @@ class PackedSummaryIndex(PackedIndex):
         return table[tag_id]
 
     # ------------------------------------------------------------------
-    # core queries (same pruned BFS as the object SummaryIndex)
+    # core queries: the structure-pruned BFS
     # ------------------------------------------------------------------
     def reachable(self, source: NodeId, target: NodeId) -> bool:
         return self.distance(source, target) is not None
@@ -284,8 +284,8 @@ class PackedSummaryIndex(PackedIndex):
             if want is None or tagid_col[p] == want:
                 results.append((node_col[p], dist[p]))
             base = dist[p] + 1
-            # adjacency runs are sorted by node id: the object BFS's
-            # ``sorted(neighbours)`` visit order, preserved for free
+            # adjacency runs are sorted by node id: a deterministic
+            # visit order for free
             for q in adjacency[p]:
                 if q in dist:
                     continue

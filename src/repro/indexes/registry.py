@@ -1,14 +1,18 @@
-"""Registry of Path Indexing Strategies.
+"""The Path Indexing Strategies, and the one way to build an index.
 
-FliX is "extensible and can be tailored to the needs of the application"
-(section 1.2): new strategies register themselves here, and the Indexing
-Strategy Selector picks among whatever is registered.
+Each strategy pairs a *builder* (its construction algorithm, the modules
+beside this one) with a *pack step* (:mod:`repro.indexes.packed`) that
+compiles the builder's state into a FLXPACK blob.  This module is the
+only place the two meet: :func:`build_index` builds, packs and attaches,
+and returns the packed index — the one form of an index a
+:class:`repro.core.framework.Flix` serves, saves and loads.  The builder
+is garbage as soon as its pack step has read it.  The Indexing Strategy
+Selector picks among :func:`available_strategies`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Type
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.graph.digraph import Digraph
 from repro.indexes.apex import ApexIndex
@@ -17,28 +21,40 @@ from repro.indexes.dataguide import DataGuideIndex
 from repro.indexes.fabric import FabricIndex
 from repro.indexes.hopi import HopiIndex
 from repro.indexes.kindex import ForwardBackwardIndex, KBisimulationIndex
+from repro.indexes.packed import attach_packed_blob
+from repro.indexes.packed.blob import PackedBlob
+from repro.indexes.packed.closure import pack_closure
+from repro.indexes.packed.hopi import pack_hopi
+from repro.indexes.packed.ppo import pack_ppo
+from repro.indexes.packed.summary import pack_summary
 from repro.indexes.ppo import PpoIndex
 from repro.indexes.transitive import TransitiveClosureIndex
 
-_REGISTRY: Dict[str, Type[PathIndex]] = {}
-
-
-def register_strategy(index_class: Type[PathIndex]) -> None:
-    """Register an index class under its ``strategy_name``."""
-    name = index_class.strategy_name
-    if not name or name == "abstract":
-        raise ValueError("index class must define a concrete strategy_name")
-    _REGISTRY[name] = index_class
+#: strategy name -> (builder class, pack step)
+_STRATEGIES: Dict[str, Tuple[type, Callable[[object], bytes]]] = {
+    builder.strategy_name: (builder, pack)
+    for builder, pack in (
+        (PpoIndex, pack_ppo),
+        (HopiIndex, pack_hopi),
+        (ApexIndex, pack_summary),
+        (KBisimulationIndex, pack_summary),
+        (ForwardBackwardIndex, pack_summary),
+        (DataGuideIndex, pack_summary),
+        (FabricIndex, pack_summary),
+        (TransitiveClosureIndex, pack_closure),
+    )
+}
 
 
 def available_strategies() -> List[str]:
-    """All registered strategy names, sorted."""
-    return sorted(_REGISTRY)
+    """All strategy names, sorted."""
+    return sorted(_STRATEGIES)
 
 
-def strategy_class(name: str) -> Type[PathIndex]:
+def strategy_class(name: str) -> type:
+    """The builder class of the named strategy."""
     try:
-        return _REGISTRY[name]
+        return _STRATEGIES[name][0]
     except KeyError:
         raise KeyError(
             f"unknown strategy {name!r}; available: {available_strategies()}"
@@ -50,75 +66,18 @@ def build_index(
     graph: Digraph,
     tags: Mapping[NodeId, str],
 ) -> PathIndex:
-    """Build an index of the named strategy over ``graph``."""
-    return strategy_class(name).build(graph, tags)
+    """The packed index of the named strategy over ``graph``; ``tags``
+    maps every node to its element name."""
+    return pack_built(strategy_class(name).build(graph, tags))
 
 
-@dataclass(frozen=True)
-class IndexBuildRequest:
-    """A picklable description of one index build.
+def pack_built(builder) -> PathIndex:
+    """Pack a finished builder and attach the blob.
 
-    This is the hand-off unit of the parallel Index Builder: it names the
-    strategy instead of carrying the class (worker processes resolve it
-    against their own registry after import) and describes the graph with
-    primitives, so the request crosses process boundaries cheaply.  When
-    the caller already holds a built :class:`Digraph` — the IB builds one
-    for strategy selection anyway — ``nodes``/``edges`` may stay empty and
-    the graph is passed to :func:`execute_build_request` directly.
+    :func:`build_index` runs each strategy's default construction; this
+    is also the way to serve a variant one (HOPI's divide-and-conquer
+    build, an A(k)-index, a workload-refined APEX).
     """
-
-    strategy: str
-    tags: Mapping[NodeId, str]
-    nodes: Tuple[NodeId, ...] = ()
-    edges: Tuple[Tuple[NodeId, NodeId], ...] = ()
-
-    def to_graph(self) -> Digraph:
-        graph = Digraph()
-        for node in self.nodes:
-            graph.add_node(node)
-        for u, v in self.edges:
-            graph.add_edge(u, v)
-        return graph
-
-    @classmethod
-    def from_graph(
-        cls,
-        strategy: str,
-        graph: Digraph,
-        tags: Mapping[NodeId, str],
-    ) -> "IndexBuildRequest":
-        return cls(
-            strategy=strategy,
-            tags=dict(tags),
-            nodes=tuple(graph),
-            edges=tuple(graph.edges()),
-        )
-
-
-def execute_build_request(
-    request: IndexBuildRequest,
-    graph: Optional[Digraph] = None,
-) -> PathIndex:
-    """Run one :class:`IndexBuildRequest`: the strategy's object build,
-    which the pack step then compiles into its blob
-    (``docs/DATA_LAYOUT.md``).
-
-    ``graph`` short-circuits the rebuild from primitives when the caller
-    already materialized it (the IB's workers do, for strategy selection).
-    """
-    if graph is None:
-        graph = request.to_graph()
-    return strategy_class(request.strategy).build(graph, request.tags)
-
-
-for _cls in (
-    PpoIndex,
-    HopiIndex,
-    ApexIndex,
-    KBisimulationIndex,
-    ForwardBackwardIndex,
-    DataGuideIndex,
-    FabricIndex,
-    TransitiveClosureIndex,
-):
-    register_strategy(_cls)
+    name = builder.strategy_name
+    data = _STRATEGIES[name][1](builder)
+    return attach_packed_blob(PackedBlob.from_bytes(data, source=f"<packed {name}>"))

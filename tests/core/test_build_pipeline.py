@@ -13,7 +13,7 @@ import pytest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.core.persistence import MANIFEST_NAME
-from repro.indexes.packed import is_packed
+from repro.indexes.packed import PackedIndex
 
 PRESETS = {
     "naive": FlixConfig.naive,
@@ -47,7 +47,7 @@ def test_rebuild_is_identical_and_stays_on_its_backend(
         assert other.index_fingerprint() == flix.index_fingerprint()
         assert other.config == flix.config
     for built in (flix, flix.rebuild(), loaded, loaded.rebuild()):
-        assert all(is_packed(m.index) for m in built.meta_documents)
+        assert all(isinstance(m.index, PackedIndex) for m in built.meta_documents)
 
 
 @pytest.mark.parametrize("preset", FORMERLY_FORKED + ("unpackable",))
@@ -129,7 +129,7 @@ def test_save_holds_one_file_per_meta_document(
     (written as memory holds it), the residual links' ``links.pack`` and
     the manifest, and nothing else."""
     flix = Flix.build(figure1_collection, PRESETS[preset]())
-    assert all(is_packed(m.index) for m in flix.meta_documents)
+    assert all(isinstance(m.index, PackedIndex) for m in flix.meta_documents)
     flix.save(tmp_path)
     files = {"links.pack"} | {
         f"meta_{meta.meta_id:04d}.pack" for meta in flix.meta_documents

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from functools import partial
 
 import pytest
 
@@ -9,9 +10,7 @@ from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.core.results import StreamedList
-from repro.indexes.hopi import HopiIndex
-from repro.indexes.packed import packed_clone
-from repro.indexes.ppo import PpoIndex
+from repro.indexes.registry import build_index
 from tests.conftest import random_tags, random_tree
 
 
@@ -113,11 +112,13 @@ class TestPackedPromotionRace:
     must all get an answer: whoever sees the promotion's gate set must
     also see the probe closures it installs."""
 
-    @pytest.mark.parametrize("build", [PpoIndex.build, HopiIndex.build])
+    @pytest.mark.parametrize(
+        "build", [partial(build_index, "ppo"), partial(build_index, "hopi")]
+    )
     def test_first_probes_from_many_threads(self, build):
         graph = random_tree(7, 40)
-        built = build(graph, random_tags(7, 40))
-        expected = built.distance(0, 39)
+        tags = random_tags(7, 40)
+        expected = build(graph, tags).distance(0, 39)
         workers = 8
         errors = []
 
@@ -133,7 +134,7 @@ class TestPackedPromotionRace:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(25):
-                index = packed_clone(built)  # fresh: nothing promoted yet
+                index = build(graph, tags)  # fresh: nothing promoted yet
                 barrier = threading.Barrier(workers)
                 threads = [
                     threading.Thread(target=probe, args=(index, barrier))

@@ -19,8 +19,7 @@ from repro.core.framework import Flix
 from repro.core.meta_document import MetaDocument
 from repro.core.pee import PathExpressionEvaluator, QueryStats
 from repro.graph.digraph import Digraph
-from repro.indexes.hopi import HopiIndex
-from repro.indexes.packed import packed_clone
+from repro.indexes.registry import build_index
 
 PROBES = ("reachable", "distance", "reachable_subset", "reaching_subset",
           "coverage")
@@ -55,7 +54,7 @@ def link_rich_meta():
     for node in FAR:
         graph.add_edge(EARLIER, node)
     tags = {node: "e" for node in graph}
-    index = packed_clone(HopiIndex.build(graph, tags))
+    index = build_index("hopi", graph, tags)
     linked = NEAR + FAR
     meta = MetaDocument(
         meta_id=0,

@@ -30,7 +30,7 @@ from repro.core.persistence import (
     verify_flix,
 )
 from repro.datasets.synthetic import generate_figure1_collection
-from repro.indexes.packed import is_packed
+from repro.indexes.packed import PackedIndex
 from tests.conftest import FORMAT1_CONFIGS, copy_format1_save, parity_requests
 
 SAVES = sorted(FORMAT1_CONFIGS)
@@ -76,7 +76,7 @@ class TestFormat1Saves:
         assert manifest["format_version"] == 1
         assert (directory / "framework.sqlite").is_file()
         loaded = load_flix(figure1_collection, directory)
-        assert all(is_packed(m.index) for m in loaded.meta_documents)
+        assert all(isinstance(m.index, PackedIndex) for m in loaded.meta_documents)
         assert loaded.size_bytes() == fresh.size_bytes()
         assert_answers_like(fresh, loaded, figure1_collection)
 
@@ -303,7 +303,7 @@ def test_upgrade_keeps_the_closure_packed(figure1_collection, tmp_path):
     loaded = load_flix(figure1_collection, directory)
     (meta,) = loaded.meta_documents
     assert meta.strategy == "transitive_closure"
-    assert is_packed(meta.index)
+    assert isinstance(meta.index, PackedIndex)
     loaded.save(directory)
     assert sorted(p.name for p in directory.iterdir()) == [
         "links.pack", "manifest.json", "meta_0000.pack",

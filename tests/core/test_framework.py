@@ -9,7 +9,7 @@ from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.core.results import StreamedList
 from repro.graph.closure import transitive_closure
-from repro.indexes.packed import is_packed
+from repro.indexes.packed import PackedIndex
 
 
 class TestBuild:
@@ -49,7 +49,7 @@ class TestBuild:
         flix = Flix.build(figure1_collection, FlixConfig.monolithic("hopi"))
         assert len(flix.meta_documents) == 1
         assert flix.meta_documents[0].strategy == "hopi"
-        assert is_packed(flix.meta_documents[0].index)
+        assert isinstance(flix.meta_documents[0].index, PackedIndex)
         assert flix.report.residual_link_count == 0
         oracle = transitive_closure(figure1_collection.graph)
         start = figure1_collection.document_root("d05.xml")

@@ -12,8 +12,8 @@ from repro.core.links import (
     read_links,
     residual_links,
 )
-from repro.indexes.hopi import HopiIndex
 from repro.indexes.packed import pack_index
+from repro.indexes.registry import build_index
 from repro.storage.errors import CorruptionError
 from tests.conftest import diamond_graph
 
@@ -39,7 +39,7 @@ def test_sixteen_bytes_per_link():
 def test_an_index_blob_is_not_a_links_blob(tmp_path):
     path = tmp_path / "links.pack"
     graph = diamond_graph()
-    path.write_bytes(pack_index(HopiIndex.build(graph, {n: "t" for n in graph})))
+    path.write_bytes(pack_index(build_index("hopi", graph, {n: "t" for n in graph})))
     with pytest.raises(CorruptionError, match="not residual links"):
         read_links(path)
 

@@ -18,7 +18,6 @@ from repro.core.framework import Flix
 from repro.core.ib import BuildProfile, IndexBuilder
 from repro.core.links import residual_links
 from repro.core.mdb import MetaDocumentBuilder
-from repro.indexes.packed import packed_clone
 
 
 def _process_config(partition_size: int = 60) -> FlixConfig:
@@ -111,7 +110,7 @@ class TestThreadFallback:
         metas, meta_of, report = builder.build(specs, jobs=4)
         assert report.executor == "thread"
         assert meta_of == sequential.meta_of
-        assert [packed_clone(m.index).fingerprint() for m in metas] == [
+        assert [m.index.fingerprint() for m in metas] == [
             m.index.fingerprint() for m in sequential.meta_documents
         ]
 

@@ -18,7 +18,7 @@ from repro.core.persistence import (
 )
 from repro.datasets.dblp import DblpSpec, generate_dblp
 from repro.graph.closure import transitive_closure
-from repro.indexes.packed import is_packed
+from repro.indexes.packed import PackedIndex
 from tests.conftest import FORMAT1_FIXTURES, copy_format1_save
 
 
@@ -127,22 +127,21 @@ class TestOneCopy:
     def test_build_drops_the_build_time_tables(
         self, figure1_collection, monkeypatch
     ):
-        """The object indexes the build packs are dropped: after the
-        build only the blobs are alive."""
-        from repro.core import ib
+        """The builders the build packs are dropped: after the build
+        only the blobs are alive."""
+        from repro.indexes import registry
 
         produced = []
-        build = ib.execute_build_request
+        pack = registry.pack_built
 
-        def recording(request, graph=None):
-            index = build(request, graph=graph)
-            produced.append(weakref.ref(index))
-            return index
+        def recording(builder):
+            produced.append(weakref.ref(builder))
+            return pack(builder)
 
-        monkeypatch.setattr(ib, "execute_build_request", recording)
+        monkeypatch.setattr(registry, "pack_built", recording)
         flix = Flix.build(figure1_collection, FlixConfig.hybrid(60))
         assert len(produced) == len(flix.meta_documents)
-        assert all(is_packed(meta.index) for meta in flix.meta_documents)
+        assert all(isinstance(meta.index, PackedIndex) for meta in flix.meta_documents)
         gc.collect()
         assert [ref for ref in produced if ref() is not None] == []
 

@@ -9,7 +9,8 @@ from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.core.subcollections import identify_subcollections
 from repro.graph.closure import transitive_closure
-from repro.indexes.packed import PACKABLE_STRATEGIES, is_packed
+from repro.indexes.packed import PackedIndex
+from repro.indexes.registry import available_strategies
 
 
 def mixed_collection():
@@ -105,8 +106,8 @@ class TestBuildAutoPartitioned:
         assert "ppo" in strategies  # the record family
         assert len(strategies) >= 1
         # this build path serves the packed layout like every other
-        assert strategies <= PACKABLE_STRATEGIES
-        assert all(is_packed(m.index) for m in flix.meta_documents)
+        assert strategies <= set(available_strategies())
+        assert all(isinstance(m.index, PackedIndex) for m in flix.meta_documents)
 
     def test_incremental_growth_still_works(self):
         collection = mixed_collection()

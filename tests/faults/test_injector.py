@@ -4,7 +4,7 @@ import pytest
 
 from repro.faults import FaultPlan, FaultSite, FaultyIndex
 from repro.graph.digraph import Digraph
-from repro.indexes.transitive import TransitiveClosureIndex
+from repro.indexes.registry import build_index
 from repro.storage.errors import (
     PermanentStorageError,
     TransientStorageError,
@@ -13,8 +13,8 @@ from repro.storage.errors import (
 
 def make_index(plan: FaultPlan, site_name: str = "index") -> FaultyIndex:
     """The 0 -> 1 -> 2 chain behind a fault proxy."""
-    index = TransitiveClosureIndex.build(
-        Digraph([(0, 1), (1, 2)]), {0: "a", 1: "b", 2: "c"}
+    index = build_index(
+        "transitive_closure", Digraph([(0, 1), (1, 2)]), {0: "a", 1: "b", 2: "c"}
     )
     return FaultyIndex(index, plan, site_name)
 
@@ -121,14 +121,8 @@ class TestFaultyIndex:
 
     @pytest.mark.parametrize("method", sorted(PROBES))
     def test_every_probe_is_gated_then_answers_like_the_index(self, method):
-        from repro.graph.digraph import Digraph
-        from repro.indexes.hopi import HopiIndex
-        from repro.indexes.packed import packed_clone
-
         graph = Digraph([(0, 1), (1, 2)])
-        index = packed_clone(
-            HopiIndex.build(graph, {0: "a", 1: "b", 2: "c"})
-        )
+        index = build_index("hopi", graph, {0: "a", 1: "b", 2: "c"})
         faulty = FaultyIndex(index, FaultPlan(fail_first=1))
         args = self.PROBES[method]
         with pytest.raises(TransientStorageError):
@@ -150,9 +144,6 @@ class TestFaultyIndex:
         one hides the index from every fault-injection test."""
         from repro.indexes.base import PathIndex
 
-        public = {
-            name for name in vars(PathIndex)
-            if not name.startswith("_") and name != "build"
-        }
+        public = {name for name in vars(PathIndex) if not name.startswith("_")}
         assert public == set(self.PROBES) | self.BOOKKEEPING
         assert public <= set(vars(FaultyIndex))

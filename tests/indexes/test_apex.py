@@ -3,12 +3,13 @@
 from repro.graph.closure import transitive_closure
 from repro.graph.digraph import Digraph
 from repro.indexes.apex import ApexIndex
-from repro.indexes.packed import packed_clone
+from repro.indexes.registry import pack_built
 from tests.conftest import random_digraph, random_tags
 
 
 def build(graph, tags, workload=()):
-    return ApexIndex.build_adaptive(graph, tags, workload)
+    """The packed form of an APEX refined for ``workload``."""
+    return pack_built(ApexIndex.build_adaptive(graph, tags, workload))
 
 
 def simple_graph():
@@ -93,21 +94,21 @@ class TestWorkloadRefinement:
 
     def test_frequent_paths_recorded(self):
         g, tags = simple_graph()
-        index = build(g, tags, workload=[("a", "b")])
+        index = ApexIndex.build_adaptive(g, tags, workload=[("a", "b")])
         assert index.frequent_paths == [("a", "b")]
 
 
 class TestLabelPathMatch:
     def test_exact_root_path(self):
         g, tags = simple_graph()
-        index = build(g, tags)
+        index = ApexIndex.build(g, tags)
         assert index.match_label_path(["a"]) == {0}
         assert index.match_label_path(["a", "b"]) == {1, 2}
         assert index.match_label_path(["a", "b", "c"]) == {3, 4}
 
     def test_missing_path(self):
         g, tags = simple_graph()
-        index = build(g, tags)
+        index = ApexIndex.build(g, tags)
         assert index.match_label_path(["a", "c"]) == set()
         assert index.match_label_path([]) == set()
 
@@ -117,7 +118,7 @@ class TestPersistence:
         """The blob holds the extents, the structure graph and the data
         edges (the three tables of a row-store APEX)."""
         g, tags = simple_graph()
-        blob = packed_clone(ApexIndex.build(g, tags)).blob
+        blob = build(g, tags).blob
         assert blob.strategy == "apex"
         assert len(blob.column("extent_nodes")) == 6
         assert len(blob.column("succ_pos")) == 5

@@ -5,7 +5,7 @@ import pytest
 from repro.graph.digraph import Digraph
 from repro.indexes.base import IndexNotApplicableError
 from repro.indexes.dataguide import DataGuideIndex
-from repro.indexes.packed import packed_clone
+from repro.indexes.registry import pack_built
 from tests.conftest import random_tags, random_tree
 
 
@@ -89,7 +89,7 @@ class TestInheritedQueries:
         for seed in range(5):
             g = random_tree(seed, 20)
             tags = random_tags(seed, 20)
-            index = build(g, tags)
+            index = pack_built(build(g, tags))
             closure = transitive_closure(g)
             for u in g:
                 assert dict(index.find_descendants_by_tag(u, None)) == (
@@ -98,11 +98,13 @@ class TestInheritedQueries:
 
     def test_persistence_tables(self):
         """A DataGuide packs like the rest of the summary family."""
+        from repro.graph.closure import transitive_closure
+
         g, tags = sample_tree()
-        index = DataGuideIndex.build(g, tags)
-        packed = packed_clone(index)
+        packed = pack_built(DataGuideIndex.build(g, tags))
         assert packed.blob.strategy == "dataguide"
+        oracle = transitive_closure(g)
         for node in g:
-            assert packed.find_descendants_by_tag(
-                node, None
-            ) == index.find_descendants_by_tag(node, None)
+            assert dict(packed.find_descendants_by_tag(node, None)) == (
+                oracle.descendants(node)
+            )

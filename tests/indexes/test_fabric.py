@@ -6,7 +6,7 @@ from repro.graph.closure import transitive_closure
 from repro.graph.digraph import Digraph
 from repro.indexes.base import IndexNotApplicableError
 from repro.indexes.fabric import FabricIndex
-from repro.indexes.packed import packed_clone
+from repro.indexes.registry import pack_built
 from tests.conftest import cycle_graph, random_tags, random_tree
 
 
@@ -96,7 +96,7 @@ class TestGenericOperations:
         for seed in range(5):
             g = random_tree(seed, 20)
             tags = random_tags(seed, 20)
-            index = build(g, tags)
+            index = pack_built(build(g, tags))
             oracle = transitive_closure(g)
             for u in g:
                 assert dict(index.find_descendants_by_tag(u, None)) == (
@@ -110,14 +110,18 @@ class TestGenericOperations:
 
     def test_keys_persisted(self):
         """The blob keeps what the generic probes need — the label
-        partition and the data edges — and answers like the trie's
-        object form."""
+        partition and the data edges — and answers like the oracle."""
         g, tags = library_tree()
         index = FabricIndex.build(g, tags)
         assert index.match_label_path(["lib", "book", "title"]) == {2, 4}
-        packed = packed_clone(index)
+        packed = pack_built(index)
         assert packed.strategy_name == "fabric"
+        oracle = transitive_closure(g)
         for node in g:
-            assert packed.find_descendants_by_tag(
-                node, "title"
-            ) == index.find_descendants_by_tag(node, "title")
+            assert packed.find_descendants_by_tag(node, "title") == sorted(
+                (
+                    (v, d) for v, d in oracle.descendants(node).items()
+                    if tags[v] == "title"
+                ),
+                key=lambda pair: (pair[1], pair[0]),
+            )

@@ -2,16 +2,17 @@
 
 from repro.graph.closure import transitive_closure
 from repro.graph.digraph import Digraph
-from repro.indexes.kindex import ForwardBackwardIndex, KBisimulationIndex
+from repro.indexes.kindex import ForwardBackwardIndex
+from repro.indexes.registry import build_index
 from tests.conftest import random_digraph, random_tags
 
 
 def build_fb(graph, tags):
-    return ForwardBackwardIndex.build(graph, tags)
+    return build_index("fbindex", graph, tags)
 
 
 def build_1index(graph, tags):
-    return KBisimulationIndex.build(graph, tags)
+    return build_index("kindex", graph, tags)
 
 
 class TestForwardBackward:
@@ -69,5 +70,5 @@ class TestForwardBackward:
 
     def test_rounds_recorded(self):
         g = random_digraph(3, 15)
-        fb = build_fb(g, random_tags(3, 15))
+        fb = ForwardBackwardIndex.build(g, random_tags(3, 15))
         assert fb.rounds_performed >= 2  # at least one stable check each way

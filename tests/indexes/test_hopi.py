@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.graph.closure import transitive_closure
 from repro.graph.digraph import Digraph
 from repro.indexes.hopi import HopiIndex
-from repro.indexes.packed import packed_clone
+from repro.indexes.registry import build_index, pack_built
 from tests.conftest import (
     chain_graph,
     cycle_graph,
@@ -20,7 +20,7 @@ from tests.conftest import (
 
 def build(graph, tags=None):
     tags = tags or {n: "t" for n in graph}
-    return HopiIndex.build(graph, tags)
+    return build_index("hopi", graph, tags)
 
 
 class TestBasics:
@@ -56,7 +56,7 @@ class TestBasics:
     def test_two_hop_cover_property(self):
         """Reachability is decided purely by label intersection."""
         g = random_digraph(9, 20)
-        index = build(g)
+        index = HopiIndex.build(g, {n: "t" for n in g})
         closure = transitive_closure(g)
         for u in g:
             for v in g:
@@ -107,7 +107,7 @@ class TestAgainstOracle:
         seed, n = params
         g = random_digraph(seed, n)
         tags = random_tags(seed, n)
-        index = HopiIndex.build(g, tags)
+        index = build(g, tags)
         closure = transitive_closure(g)
         for u in g:
             assert dict(index.find_descendants_by_tag(u, None)) == closure.descendants(u)
@@ -131,8 +131,10 @@ class TestDivideAndConquer:
         seed, n = params
         g = random_digraph(seed, n)
         tags = random_tags(seed, n)
-        dnc = HopiIndex.build_divide_and_conquer(
-            g, tags, partition_size
+        dnc = pack_built(
+            HopiIndex.build_divide_and_conquer(
+                g, tags, partition_size
+            )
         )
         closure = transitive_closure(g)
         for u in g:
@@ -142,16 +144,20 @@ class TestDivideAndConquer:
 
     def test_single_partition_degenerates_to_centralized_semantics(self):
         g = diamond_graph()
-        dnc = HopiIndex.build_divide_and_conquer(
-            g, {n: "t" for n in g}, partition_size=100
+        dnc = pack_built(
+            HopiIndex.build_divide_and_conquer(
+                g, {n: "t" for n in g}, partition_size=100
+            )
         )
         assert dnc.distance(0, 3) == 2
 
     def test_cross_partition_cycle(self):
         """A cycle sliced across partitions still answers exactly."""
         g = cycle_graph(9)
-        dnc = HopiIndex.build_divide_and_conquer(
-            g, {n: "t" for n in g}, partition_size=3
+        dnc = pack_built(
+            HopiIndex.build_divide_and_conquer(
+                g, {n: "t" for n in g}, partition_size=3
+            )
         )
         for u in range(9):
             for v in range(9):
@@ -161,10 +167,13 @@ class TestDivideAndConquer:
 class TestPersistence:
     def test_labels_persisted(self):
         g = diamond_graph()
-        index = HopiIndex.build(g, {n: "t" for n in g})
-        packed = packed_clone(index)
+        built = HopiIndex.build(g, {n: "t" for n in g})
+        packed = pack_built(built)
         stored = len(packed.blob.column("in_hubs")) + len(
             packed.blob.column("out_hubs")
         )
-        assert stored == index.label_entry_count
+        labels = sum(len(label) for label in built._in.values()) + sum(
+            len(label) for label in built._out.values()
+        )
+        assert stored == labels == packed.label_entry_count
         assert packed.size_bytes() > 0

@@ -5,12 +5,13 @@ import pytest
 from repro.graph.closure import transitive_closure
 from repro.graph.digraph import Digraph
 from repro.indexes.kindex import KBisimulationIndex
-from repro.indexes.packed import packed_clone
+from repro.indexes.registry import build_index, pack_built
 from tests.conftest import random_digraph, random_tags
 
 
 def build_k(graph, tags, k):
-    return KBisimulationIndex.build_k(graph, tags, k)
+    """The packed form of the A(k)-index (the 1-index for ``k=None``)."""
+    return pack_built(KBisimulationIndex.build_k(graph, tags, k))
 
 
 def two_context_graph():
@@ -25,8 +26,9 @@ class TestAkIndex:
         g, tags = two_context_graph()
         index = build_k(g, tags, 0)
         assert index.class_of(2) == index.class_of(3)
-        assert index.rounds_performed == 0
-        assert index.k == 0
+        built = KBisimulationIndex.build_k(g, tags, 0)
+        assert built.rounds_performed == 0
+        assert built.k == 0
 
     def test_a1_separates_different_parents(self):
         g, tags = two_context_graph()
@@ -49,8 +51,8 @@ class TestAkIndex:
 class TestOneIndex:
     def test_default_build_is_fixpoint(self):
         g, tags = two_context_graph()
-        index = KBisimulationIndex.build(g, tags)
-        assert index.k is None
+        assert KBisimulationIndex.build(g, tags).k is None
+        index = build_index("kindex", g, tags)
         assert index.class_of(2) != index.class_of(3)
 
     def test_fixpoint_reached_and_stable(self):
@@ -58,7 +60,7 @@ class TestOneIndex:
         tags = random_tags(3, 25)
         fix = KBisimulationIndex.build(g, tags)
         more = build_k(g, tags, fix.rounds_performed + 5)
-        assert fix.class_count == more.class_count
+        assert pack_built(fix).class_count == more.class_count
 
     def test_refinement_monotone_in_k(self):
         g = random_digraph(11, 30)
@@ -70,7 +72,7 @@ class TestOneIndex:
         """1-index classes are precise for incoming label paths on trees."""
         g = Digraph([(0, 1), (0, 2), (1, 3), (2, 4)])
         tags = {0: "r", 1: "a", 2: "a", 3: "x", 4: "x"}
-        index = KBisimulationIndex.build(g, tags)
+        index = build_index("kindex", g, tags)
         # both x nodes have incoming path r/a/x -> same class
         assert index.class_of(3) == index.class_of(4)
         assert index.class_of(1) == index.class_of(2)
@@ -93,8 +95,8 @@ class TestQueriesMatchOracle:
         """The blob persists the class partition: one class per node,
         the extents grouped by class."""
         g, tags = two_context_graph()
-        index = KBisimulationIndex.build(g, tags)
-        blob = packed_clone(index).blob
+        index = build_index("kindex", g, tags)
+        blob = index.blob
         assert blob.strategy == "kindex"
         assert blob.meta["classes"] == index.class_count
         assert len(blob.column("class_pos")) == g.node_count

@@ -2,8 +2,7 @@
 
 from hypothesis import given
 
-from repro.indexes.hopi import HopiIndex
-from repro.indexes.ppo import PpoIndex
+from repro.indexes.registry import build_index
 from tests.conftest import random_tree, tree_params
 
 
@@ -13,7 +12,7 @@ class TestPpoFastPath:
         seed, n = params
         graph = random_tree(seed, n)
         tags = {node: "t" for node in graph}
-        index = PpoIndex.build(graph, tags)
+        index = build_index("ppo", graph, tags)
         candidates = frozenset(node for node in graph if node % 3 == 0)
         probed = {
             node: index.reachable_subset(node, candidates) for node in graph
@@ -24,7 +23,7 @@ class TestPpoFastPath:
 
     def test_foreign_candidate_set_falls_back(self):
         graph = random_tree(1, 20)
-        index = PpoIndex.build(graph, {n: "t" for n in graph})
+        index = build_index("ppo", graph, {n: "t" for n in graph})
         index.prepare_link_candidates(frozenset({1, 2}))
         # a *different* set must not be answered from the prepared one
         other = frozenset({3, 4, 5})
@@ -37,7 +36,7 @@ class TestPpoFastPath:
 
     def test_candidates_outside_index_ignored(self):
         graph = random_tree(2, 10)
-        index = PpoIndex.build(graph, {n: "t" for n in graph})
+        index = build_index("ppo", graph, {n: "t" for n in graph})
         index.prepare_link_candidates(frozenset({0, 999}))
         result = index.reachable_subset(0, frozenset({0, 999}))
         assert [r for r, _d in result] == [0]
@@ -46,7 +45,7 @@ class TestPpoFastPath:
 class TestDefaultNoOp:
     def test_hopi_accepts_preparation(self):
         graph = random_tree(3, 15)
-        index = HopiIndex.build(graph, {n: "t" for n in graph})
+        index = build_index("hopi", graph, {n: "t" for n in graph})
         candidates = frozenset({1, 2, 3})
         before = index.reachable_subset(0, candidates)
         index.prepare_link_candidates(candidates)  # default: no-op

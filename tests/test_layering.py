@@ -1,5 +1,6 @@
 """Import layering: ``repro.bench`` is a leaf used by the paper-figure
-suites, never by the serving path; the packed indexes know no storage;
+suites, never by the serving path; the packed indexes know no storage
+and no builder, and only the registry builds;
 SQLite is the format-1 reader's alone, ``repro.storage`` holds only what
 the blobs still need and depends on nothing above it, nothing that reads
 a socket or a log unpickles, and only ``repro.faults`` knows the
@@ -56,6 +57,40 @@ def test_packed_indexes_import_no_storage():
         and not within(module, "repro.storage.errors")
     ]
     assert offenders == []
+
+
+#: the strategy builders: construction only, their state read once by
+#: their pack step
+BUILDER_MODULES = tuple(
+    f"repro.indexes.{name}"
+    for name in (
+        "ppo", "hopi", "transitive", "apex", "kindex", "dataguide", "fabric",
+        "_summary",
+    )
+)
+
+
+def test_only_the_registry_imports_the_builders():
+    """``repro.indexes.registry.build_index`` is the one way to an index:
+    it alone imports a builder (the summary builders share
+    ``_summary``), so every other module holds packed indexes only, and
+    nothing under ``repro/indexes/packed/`` — where each strategy's one
+    probe implementation lives — depends on a builder."""
+    importers = {
+        path.relative_to(SRC).as_posix()
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for module in imported_modules(path)
+        if any(within(module, builder) for builder in BUILDER_MODULES)
+    }
+    builders = {
+        "repro/" + module[len("repro."):].replace(".", "/") + ".py"
+        for module in BUILDER_MODULES
+    }
+    assert "repro/indexes/registry.py" in importers
+    assert importers - builders == {"repro/indexes/registry.py"}
+    assert not any(
+        importer.startswith("repro/indexes/packed/") for importer in importers
+    )
 
 
 def test_only_the_format1_reader_imports_sqlite():
