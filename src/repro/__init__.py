@@ -55,7 +55,6 @@ from repro.core import (
     QueryRequest,
     QueryResponse,
     QueryResult,
-    ResilienceConfig,
     StreamedList,
 )
 from repro.core.cache import ShardedLRUCache
@@ -80,7 +79,6 @@ __all__ = [
     "FlixConfig",
     "CacheConfig",
     "ShardedLRUCache",
-    "ResilienceConfig",
     "QueryBudget",
     "QueryRequest",
     "QueryResponse",

@@ -20,13 +20,8 @@ from repro.core.api import (
     QueryRequest,
     QueryResponse,
 )
-from repro.core.config import (
-    CacheConfig,
-    FlixConfig,
-    ResilienceConfig,
-)
+from repro.core.config import CacheConfig, FlixConfig
 from repro.core.connections import ConnectionEvaluator, ConnectionModel
-from repro.core.fallback import BfsFallbackIndex, FallbackContext
 from repro.core.meta_document import MetaDocument, MetaDocumentSpec
 from repro.core.mdb import MetaDocumentBuilder
 from repro.core.iss import IndexingStrategySelector, StrategyChoice
@@ -50,14 +45,11 @@ __all__ = [
     "Flix",
     "FlixConfig",
     "CacheConfig",
-    "ResilienceConfig",
     "QUERY_KINDS",
     "QueryRequest",
     "QueryResponse",
     "QueryBudget",
     "QueryStream",
-    "BfsFallbackIndex",
-    "FallbackContext",
     "ConnectionModel",
     "ConnectionEvaluator",
     "Subcollection",

@@ -37,57 +37,6 @@ BUILD_EXECUTORS = ("auto", "process", "thread", "serial")
 
 
 @dataclass(frozen=True)
-class ResilienceConfig:
-    """Fault-tolerance knobs: query budgets, the BFS fallback, and the
-    build failure ladder (see ``docs/RESILIENCE.md``).
-
-    Attached to a configuration via :attr:`FlixConfig.resilience` (or
-    :meth:`FlixConfig.with_resilience`); ``None`` there means the
-    resilience layer is fully disabled and FliX behaves exactly as
-    before — every knob here only matters once the config is present.
-    """
-
-    # -- query budgets (graceful degradation, section 5's run-time side) --
-    #: wall-clock deadline per query; exceeded -> stop, flag ``truncated``
-    query_deadline_seconds: Optional[float] = None
-    #: residual-link traversals allowed per query (cyclic link graphs!)
-    max_link_hops: Optional[int] = None
-    #: priority-queue pops allowed per query
-    max_queue_pops: Optional[int] = None
-    #: whether the PEE may fall back to on-the-fly BFS over the element
-    #: graph when a meta document's index is missing or failing
-    allow_query_fallback: bool = True
-    # -- build-time resilience ------------------------------------------
-    #: extra in-place attempts for a failed per-meta index build before
-    #: the strategy fallback engages
-    build_retry_attempts: int = 1
-    #: safe strategy rebuilt per-meta after the selected one fails
-    #: (``None`` disables the fallback)
-    build_fallback_strategy: Optional[str] = "transitive_closure"
-
-    def __post_init__(self) -> None:
-        for name in ("query_deadline_seconds", "max_link_hops", "max_queue_pops"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive when set")
-        if self.build_retry_attempts < 0:
-            raise ValueError("build_retry_attempts must be non-negative")
-
-    # ------------------------------------------------------------------
-    # persistence (manifest round-trip)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResilienceConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        return cls(**{k: v for k, v in data.items() if k in known})
-
-
-@dataclass(frozen=True)
 class CacheConfig:
     """Result/connection-cache knobs (see ``docs/SERVING.md``).
 
@@ -164,10 +113,6 @@ class FlixConfig:
     #: off makes ``Flix.metrics()`` empty and skips all instrumentation
     #: branches, so disabled runs pay near-zero overhead
     observability: bool = True
-    #: fault-tolerance layer (query budgets with graceful degradation,
-    #: BFS fallback, build failure ladder); ``None`` disables it entirely
-    #: — see ``docs/RESILIENCE.md``
-    resilience: Optional[ResilienceConfig] = None
     #: shared result/connection cache for the query phase (sharded LRU
     #: with generation-based invalidation, see ``docs/SERVING.md``);
     #: ``None`` disables caching — the classic zero-memory behaviour
@@ -208,29 +153,6 @@ class FlixConfig:
         from dataclasses import replace
 
         return replace(self, observability=enabled)
-
-    def with_resilience(
-        self, resilience: Optional[ResilienceConfig] = None, **overrides
-    ) -> "FlixConfig":
-        """This configuration with the fault-tolerance layer enabled.
-
-        With no arguments the defaults apply; keyword overrides build a
-        custom :class:`ResilienceConfig` (``with_resilience(max_link_hops=
-        1000)``); use :meth:`without_resilience` to disable the layer.
-        """
-        from dataclasses import replace
-
-        if resilience is None and overrides:
-            resilience = ResilienceConfig(**overrides)
-        elif resilience is None and not overrides:
-            resilience = ResilienceConfig()
-        return replace(self, resilience=resilience)
-
-    def without_resilience(self) -> "FlixConfig":
-        """This configuration with the fault-tolerance layer disabled."""
-        from dataclasses import replace
-
-        return replace(self, resilience=None)
 
     def with_packed(self) -> "FlixConfig":
         """This configuration, unchanged: every served index is packed

@@ -170,27 +170,9 @@ class Flix:
         meta_of: Dict[NodeId, int],
         generation: int,
     ) -> PathExpressionEvaluator:
-        """A fresh evaluator over one layout snapshot, with the query
-        budget and BFS-fallback context the configuration's resilience
-        settings imply (both absent without a resilience config, which
-        keeps the classic zero-overhead behaviour)."""
-        from repro.core.fallback import FallbackContext
-        from repro.core.pee import QueryBudget
-
-        resilience = getattr(self.config, "resilience", None)
-        budget = QueryBudget.from_resilience(resilience)
-        fallback = None
-        if resilience is not None and resilience.allow_query_fallback:
-            fallback = FallbackContext(
-                self.collection.graph, self.collection.tag
-            )
+        """A fresh evaluator over one layout snapshot."""
         return PathExpressionEvaluator(
-            slots,
-            meta_of,
-            self.obs,
-            budget=budget,
-            fallback=fallback,
-            generation=generation,
+            slots, meta_of, self.obs, generation=generation
         )
 
     def _publish_layout(self, layout: IndexLayout, verb: str) -> None:
@@ -219,11 +201,6 @@ class Flix:
             ).set(layout.live_count)
         self.invalidate_caches()
 
-    @property
-    def degraded_meta_ids(self) -> List[int]:
-        """Meta documents currently answered by the PEE's BFS fallback."""
-        return self.pee.degraded_meta_ids
-
     # ------------------------------------------------------------------
     # build phase
     # ------------------------------------------------------------------
@@ -248,12 +225,8 @@ class Flix:
         ``jobs`` overrides ``config.jobs`` for this build only: with more
         than one worker the per-meta-document builds run on a worker pool,
         with results merged in spec order — the built index is identical to
-        a sequential build at any ``jobs`` value.
-
-        Fault tolerance: with ``config.resilience`` set, a per-meta index
-        build that fails is retried, then rebuilt with the safe fallback
-        strategy, then left unindexed for the PEE's query-time BFS
-        (``docs/RESILIENCE.md``); without it the first failure propagates.
+        a sequential build at any ``jobs`` value.  A per-meta index build
+        that raises is a bug: its exception propagates out of this call.
         """
         if config is None:
             config = FlixConfig.recommend_for(collection)
@@ -281,8 +254,9 @@ class Flix:
         on :class:`repro.core.api.CacheSlot`; the response carries the
         query's private stats and its completeness flag.
 
-        ``budget`` overrides ``request.budget`` for this call (the serving
-        layer uses it to charge queue wait against the deadline).
+        ``budget`` overrides ``request.budget`` for this call; unlike
+        ``request.budget`` it still lets a stored complete answer be
+        replayed (see :class:`~repro.core.api.CacheSlot`).
         """
         started = time.perf_counter()
         # Pin the layout snapshot before anything else: a concurrent
@@ -495,10 +469,7 @@ class Flix:
         for meta in layout.live_metas():
             digest.update(str(meta.meta_id).encode("utf-8"))
             digest.update(meta.strategy.encode("utf-8"))
-            if meta.index is None:  # build failed past every fallback
-                digest.update(b"<unindexed>")
-            else:
-                digest.update(meta.index.fingerprint().encode("utf-8"))
+            digest.update(meta.index.fingerprint().encode("utf-8"))
         links = pack_links(residual_links(layout.slots))
         digest.update(hashlib.sha256(links).hexdigest().encode("utf-8"))
         return digest.hexdigest()

@@ -95,15 +95,6 @@ class MetaDocumentReport:
     index_bytes: int
     build_seconds: float
     profile: BuildProfile = field(default_factory=BuildProfile)
-    #: the ISS-selected strategy this meta document *should* have used,
-    #: set only when its build failed and the safe fallback strategy was
-    #: built instead
-    fallback_from: Optional[str] = None
-    #: build attempts consumed (1 = first try succeeded)
-    attempts: int = 1
-    #: the final build error when even the fallback failed (index is then
-    #: missing and the PEE serves this meta document via BFS at query time)
-    error: Optional[str] = None
 
 
 @dataclass
@@ -119,20 +110,6 @@ class BuildReport:
     jobs: int = 1
     #: executor kind actually used: "serial", "thread" or "process"
     executor: str = "serial"
-    #: human-readable build failures that were absorbed (retries that
-    #: eventually succeeded, strategy fallbacks, chunks rebuilt after a
-    #: worker crash, meta documents left without an index)
-    failures: List[str] = field(default_factory=list)
-
-    @property
-    def fallback_count(self) -> int:
-        """Meta documents built with the safe fallback strategy."""
-        return sum(1 for m in self.meta_documents if m.fallback_from)
-
-    @property
-    def unindexed_count(self) -> int:
-        """Meta documents that ended up with no index at all."""
-        return sum(1 for m in self.meta_documents if m.error)
 
     @property
     def total_index_bytes(self) -> int:
@@ -173,14 +150,11 @@ class BuildReport:
         parallel = (
             f", {self.jobs} jobs ({self.executor})" if self.jobs > 1 else ""
         )
-        trouble = (
-            f", {len(self.failures)} absorbed failures" if self.failures else ""
-        )
         return (
             f"config={self.config_name}: {len(self.meta_documents)} meta "
             f"documents ({strategies}), {self.residual_link_count} residual "
             f"links, {self.total_index_bytes} bytes, "
-            f"{self.total_seconds:.2f}s build{parallel}{trouble}"
+            f"{self.total_seconds:.2f}s build{parallel}"
         )
 
 
@@ -208,33 +182,16 @@ class _BuildTask:
 class _BuildResult:
     meta_id: int
     choice: StrategyChoice
-    index: Optional[PathIndex]
+    index: PathIndex
     profile: BuildProfile
-    #: the ISS choice that failed when the fallback strategy was built
-    fallback_from: Optional[str] = None
-    #: build attempts consumed across strategies (1 = clean first try)
-    attempts: int = 1
-    #: final error message when no index could be built at all
-    error: Optional[str] = None
-    #: absorbed-failure notes for the merged ``BuildReport.failures``
-    notes: Tuple[str, ...] = ()
 
 
 def _execute_task(
-    task: _BuildTask,
-    selector: IndexingStrategySelector,
-    worker: str,
-    resilience=None,
+    task: _BuildTask, selector: IndexingStrategySelector, worker: str
 ) -> _BuildResult:
     """Build one meta document: graph -> strategy selection -> index.
 
-    ``resilience`` (a :class:`repro.core.config.ResilienceConfig`) turns
-    build failures from fatal into absorbed: the selected strategy is
-    retried ``build_retry_attempts`` times with fresh builds, then the
-    safe ``build_fallback_strategy`` is tried, and if even that fails the
-    meta document is returned *without* an index (the PEE answers it with
-    its BFS fallback at query time).  Without ``resilience`` the first
-    failure propagates, exactly as before.
+    A strategy build that raises is a bug; its exception propagates.
     """
     started = time.perf_counter()
     profile = BuildProfile(
@@ -250,65 +207,13 @@ def _execute_task(
     choice = selector.choose(graph)
     now = time.perf_counter()
     profile.selection_seconds = now - checkpoint
-    checkpoint = now
-
-    notes: List[str] = []
-    attempts = 0
-    index: Optional[PathIndex] = None
-    fallback_from: Optional[str] = None
-    error: Optional[str] = None
-    tries = 1 + (resilience.build_retry_attempts if resilience else 0)
-    for _ in range(tries):
-        attempts += 1
-        try:
-            index = build_index(choice.strategy, graph, task.tags)
-            break
-        except Exception as exc:
-            if resilience is None:
-                raise
-            error = f"{type(exc).__name__}: {exc}"
-            notes.append(
-                f"meta {task.meta_id}: {choice.strategy} build attempt "
-                f"{attempts} failed ({error})"
-            )
-    if index is None and resilience is not None:
-        fallback = resilience.build_fallback_strategy
-        if fallback and fallback != choice.strategy:
-            attempts += 1
-            try:
-                index = build_index(fallback, graph, task.tags)
-                fallback_from = choice.strategy
-                error = None
-                notes.append(
-                    f"meta {task.meta_id}: fell back to {fallback} "
-                    f"after {choice.strategy} failed"
-                )
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                notes.append(
-                    f"meta {task.meta_id}: fallback {fallback} failed "
-                    f"too ({error}); left unindexed for query-time BFS"
-                )
-        else:
-            notes.append(
-                f"meta {task.meta_id}: left unindexed for query-time BFS"
-            )
-    profile.index_seconds = time.perf_counter() - checkpoint
-    return _BuildResult(
-        task.meta_id,
-        choice,
-        index,
-        profile,
-        fallback_from=fallback_from,
-        attempts=attempts,
-        error=error if index is None else None,
-        notes=tuple(notes),
-    )
+    index = build_index(choice.strategy, graph, task.tags)
+    profile.index_seconds = time.perf_counter() - now
+    return _BuildResult(task.meta_id, choice, index, profile)
 
 
-#: per-process state installed by the pool initializer:
-#: (selector, resilience)
-_WORKER_STATE: Optional[Tuple[IndexingStrategySelector, object]] = None
+#: per-process state installed by the pool initializer: the selector
+_WORKER_STATE: Optional[IndexingStrategySelector] = None
 
 #: the shared build pool: ``(key, ProcessPoolExecutor)`` — forked workers
 #: are kept warm between builds so repeated builds (benchmark repeats,
@@ -322,9 +227,9 @@ def _shared_process_pool(payload: bytes, workers: int, context):
 
     Worker startup — fork, initializer pickle, gc tuning — used to be paid
     on every build, which on small corpora rivals the build itself.
-    Builds with an identical hand-off reuse
-    the same forked workers; a different selector/resilience or
-    worker count retires the old pool and forks a fresh one.
+    Builds with an identical hand-off reuse the same forked workers; a
+    different selector or worker count retires the old pool and forks a
+    fresh one.
     """
     global _POOL_CACHE, _POOL_ATEXIT_REGISTERED
     from concurrent.futures import ProcessPoolExecutor
@@ -376,12 +281,8 @@ def _init_process_worker(payload: bytes) -> None:
 def _run_chunk_in_process(chunk: List[_BuildTask]) -> List[_BuildResult]:
     import gc
 
-    selector, resilience = _WORKER_STATE
     worker = f"process-{os.getpid()}"
-    results = [
-        _execute_task(task, selector, worker, resilience=resilience)
-        for task in chunk
-    ]
+    results = [_execute_task(task, _WORKER_STATE, worker) for task in chunk]
     gc.collect()
     return results
 
@@ -399,7 +300,6 @@ class IndexBuilder:
         self._collection = collection
         self._config = config
         self._selector = selector or IndexingStrategySelector(config)
-        self._resilience = getattr(config, "resilience", None)
         self._obs = obs if obs is not None else OBS_OFF
 
     def build(
@@ -466,16 +366,11 @@ class IndexBuilder:
                     f"{spec.meta_id}, got {result.meta_id}"
                 )
             index = result.index
-            built_strategy = (
-                index.strategy_name
-                if index is not None
-                else result.choice.strategy
-            )
             meta = MetaDocument(
                 meta_id=spec.meta_id,
                 nodes=frozenset(spec.nodes),
                 index=index,
-                strategy=built_strategy,
+                strategy=index.strategy_name,
             )
             meta_documents.append(meta)
             report.meta_documents.append(
@@ -483,17 +378,13 @@ class IndexBuilder:
                     meta_id=spec.meta_id,
                     node_count=len(spec.nodes),
                     internal_edge_count=len(spec.internal_edges),
-                    strategy=built_strategy,
+                    strategy=index.strategy_name,
                     rationale=result.choice.rationale,
-                    index_bytes=index.size_bytes() if index is not None else 0,
+                    index_bytes=index.size_bytes(),
                     build_seconds=result.profile.busy_seconds,
                     profile=result.profile,
-                    fallback_from=result.fallback_from,
-                    attempts=result.attempts,
-                    error=result.error,
                 )
             )
-            report.failures.extend(result.notes)
 
         wire_links(meta_documents, meta_of, residual)
         for meta in meta_documents:
@@ -596,16 +487,10 @@ class IndexBuilder:
         return self._run_serial(tasks), "serial"
 
     def _run_serial(self, tasks: List[_BuildTask]) -> List[_BuildResult]:
-        results = []
-        for task in tasks:
-            stamped = _restamp(task)
-            results.append(
-                _execute_task(
-                    stamped, self._selector, "main",
-                    resilience=self._resilience,
-                )
-            )
-        return results
+        return [
+            _execute_task(_restamp(task), self._selector, "main")
+            for task in tasks
+        ]
 
     def _run_thread_pool(
         self, tasks: List[_BuildTask], jobs: int
@@ -614,11 +499,10 @@ class IndexBuilder:
         import threading
 
         selector = self._selector
-        resilience = self._resilience
 
         def run_one(task: _BuildTask) -> _BuildResult:
             worker = f"thread-{threading.current_thread().name}"
-            return _execute_task(task, selector, worker, resilience=resilience)
+            return _execute_task(task, selector, worker)
 
         with ThreadPoolExecutor(
             max_workers=jobs, thread_name_prefix="flix-ib"
@@ -637,7 +521,7 @@ class IndexBuilder:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
             context = multiprocessing.get_context()
-        payload = pickle.dumps((self._selector, self._resilience))
+        payload = pickle.dumps(self._selector)
         # More workers than granted CPUs only oversubscribes the scheduler;
         # chunking follows the worker count that will actually run.
         workers = max(1, min(jobs, _available_cpus()))
@@ -650,31 +534,13 @@ class IndexBuilder:
             for chunk in chunks
         ]
         results: List[_BuildResult] = []
-        broken = False
-        for chunk, future in zip(chunks, futures):
-            try:
+        try:
+            for future in futures:
                 results.extend(future.result())
-            except Exception as exc:
-                broken = True
-                if self._resilience is None:
-                    shutdown_build_pool(wait=False)
-                    raise
-                # A crashed worker (OOM-killed, segfaulted C extension,
-                # broken pool) takes its whole chunk down; rebuild that
-                # chunk in the parent process instead of failing the
-                # build.  A BrokenProcessPool poisons the remaining
-                # futures too — each lands here and is rebuilt in turn.
-                rebuilt = self._run_serial(chunk)
-                for result in rebuilt:
-                    result.notes = result.notes + (
-                        f"meta {result.meta_id}: rebuilt in-parent after "
-                        f"worker chunk failure "
-                        f"({type(exc).__name__}: {exc})",
-                    )
-                results.extend(rebuilt)
-        if broken:
+        except Exception:
             # don't hand a possibly-poisoned pool to the next build
             shutdown_build_pool(wait=False)
+            raise
         return results
 
     def _check_disjoint_cover(self, specs: List[MetaDocumentSpec]) -> None:

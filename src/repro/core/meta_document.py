@@ -10,7 +10,7 @@ applicability (a link that would destroy tree shape under PPO) — are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.graph.digraph import Digraph
 from repro.indexes.base import NodeId, PathIndex
@@ -58,10 +58,7 @@ class MetaDocument:
 
     meta_id: int
     nodes: FrozenSet[NodeId]
-    #: ``None`` when every build attempt (including the resilience
-    #: fallback strategy) failed — the PEE then answers this meta document
-    #: with an on-the-fly BFS fallback and flags queries ``degraded``
-    index: Optional[PathIndex]
+    index: PathIndex
     strategy: str
     outgoing_links: Dict[NodeId, List[NodeId]] = field(default_factory=dict)
     incoming_links: Dict[NodeId, List[NodeId]] = field(default_factory=dict)

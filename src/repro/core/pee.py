@@ -46,11 +46,10 @@ concurrently from different threads (threads sharing one ``Flix`` do
 exactly that).  All search state — the priority queue, the per-meta entry
 lists, the exact-order buffer, the deadline — lives in locals of the
 per-query generator; the only mutable evaluator-level structures are the
-sticky fallback map and the lazily-bound metric instruments, both guarded
-by a lock, plus the ``last_stats`` snapshot slot, which is written by a
-single atomic reference assignment.  Per-request
-:class:`QueryBudget` overrides are passed as call arguments, never stored
-on the evaluator.
+lazily-bound metric instruments, guarded by a lock, and the ``last_stats``
+snapshot slot, which is written by a single atomic reference assignment.
+A request's :class:`QueryBudget` is passed as a call argument, never
+stored on the evaluator.
 
 **Observability.**  When the evaluator is built with an enabled
 :class:`repro.obs.Observability` bundle, each query additionally emits a
@@ -79,7 +78,6 @@ from repro.core.meta_document import MetaDocument
 from repro.core.planner import ProbeFrontier
 from repro.indexes.base import NodeId
 from repro.obs import OBS_OFF, Observability
-from repro.storage.errors import PermanentStorageError, StorageError
 
 #: completeness levels, worst-last (merging keeps the worst)
 COMPLETENESS_LEVELS = ("complete", "truncated", "degraded")
@@ -102,7 +100,7 @@ class QueryResult:
 
 @dataclass(frozen=True)
 class QueryBudget:
-    """Per-query work limits (graceful degradation, ``docs/RESILIENCE.md``).
+    """Per-query work limits (``docs/RESILIENCE.md``).
 
     A query that hits any limit stops expanding and finishes with whatever
     it found so far, flagged ``truncated`` on its :class:`QueryStats` —
@@ -122,27 +120,6 @@ class QueryBudget:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive when set")
-
-    @property
-    def is_noop(self) -> bool:
-        return (
-            self.deadline_seconds is None
-            and self.max_link_hops is None
-            and self.max_queue_pops is None
-        )
-
-    @classmethod
-    def from_resilience(cls, resilience) -> Optional["QueryBudget"]:
-        """The budget a :class:`repro.core.config.ResilienceConfig` implies
-        (``None`` when no limit is configured)."""
-        if resilience is None:
-            return None
-        budget = cls(
-            deadline_seconds=resilience.query_deadline_seconds,
-            max_link_hops=resilience.max_link_hops,
-            max_queue_pops=resilience.max_queue_pops,
-        )
-        return None if budget.is_noop else budget
 
 
 @dataclass
@@ -185,12 +162,9 @@ class QueryStats:
     planner_pruned_pops: int = 0
     #: how trustworthy the result set is: ``complete`` (everything the
     #: index knows), ``truncated`` (a query budget stopped the search
-    #: early), or ``degraded`` (at least one meta document was answered by
-    #: the BFS fallback instead of its real index)
+    #: early, or a shard's entry could not be expanded), or ``degraded``
+    #: (the sharded coordinator had no healthy shard to ask)
     completeness: str = "complete"
-    #: BFS fallback activations this query triggered (later queries reuse
-    #: a sticky fallback without re-counting; they are still ``degraded``)
-    fallback_meta_documents: int = 0
 
     def snapshot(self) -> "QueryStats":
         """An immutable-by-convention copy (what ``last_stats`` publishes).
@@ -220,14 +194,12 @@ class QueryStats:
         The loop owns the loop-level counters (queue pops, link
         traversals, visits, results); a shard worker running one
         ``expand_entry``/``connection_probe`` on its behalf only touches
-        the expansion-local counters — those are shipped back as a delta
-        and folded in here, keeping the distributed query's stats
-        identical to serial evaluation.
+        the two coverage counters — those are shipped back as a delta and
+        folded in here, keeping the distributed query's stats identical to
+        serial evaluation.
         """
         self.covered_probes += delta.covered_probes
         self.results_suppressed += delta.results_suppressed
-        self.fallback_meta_documents += delta.fallback_meta_documents
-        self._mark(delta.completeness)
 
     def merge(self, other: "QueryStats") -> None:
         """Accumulate another query's counters (multi-step evaluations)."""
@@ -240,7 +212,6 @@ class QueryStats:
         self.queue_pops += other.queue_pops
         self.planner_pruned_pushes += other.planner_pruned_pushes
         self.planner_pruned_pops += other.planner_pruned_pops
-        self.fallback_meta_documents += other.fallback_meta_documents
         self._mark(other.completeness)  # keep the worst completeness
 
 
@@ -680,8 +651,6 @@ class PathExpressionEvaluator(SearchMethods):
         meta_documents: Sequence[MetaDocument],
         meta_of: Dict[NodeId, int],
         obs: Optional[Observability] = None,
-        budget: Optional[QueryBudget] = None,
-        fallback: Optional["FallbackContext"] = None,
         generation: int = 0,
     ) -> None:
         # ``meta_documents`` is positionally indexed by meta id; removed
@@ -695,18 +664,10 @@ class PathExpressionEvaluator(SearchMethods):
         #: the observability bundle (metrics + tracing); disabled by default
         #: for a bare evaluator, supplied by ``Flix`` when configured on
         self._obs = obs if obs is not None else OBS_OFF
-        #: per-query work limits (None = unlimited, the classic behaviour)
-        self._budget = budget if budget is not None and not budget.is_noop else None
-        #: where BFS fallback indexes come from when a meta document's real
-        #: index is missing or failing (None = degradation disabled: such
-        #: a meta document raises instead)
-        self._fallback_ctx = fallback
-        #: activated fallbacks, per meta id (sticky for this evaluator)
-        self._fallbacks: Dict[int, object] = {}
         # per-query instruments, bound lazily on the first publish
         self._instruments: Optional[Dict[str, object]] = None
-        # guards the two shared mutable structures above; the search loop
-        # itself keeps all its state in per-query locals and never takes it
+        # guards the instrument binding; the search loop itself keeps all
+        # its state in per-query locals and never takes it
         self._state_lock = threading.Lock()
         #: snapshot of the most recently *completed* query's counters; the
         #: live per-query counters travel on the :class:`QueryStream`
@@ -730,9 +691,7 @@ class PathExpressionEvaluator(SearchMethods):
         """Build the query stream; ``axis=None`` marks an internal
         sub-search whose caller owns publication (no trace, no registry
         writes — ``last_stats`` is still refreshed on completion).
-        ``budget`` overrides the evaluator's configured default for this
-        query only (a request's own budget)."""
-        budget = self._effective_budget(budget)
+        ``budget`` is the request's own work limit, if any."""
         obs = self._obs
         trace = None
         started = 0.0
@@ -765,14 +724,6 @@ class PathExpressionEvaluator(SearchMethods):
                 finalize()
 
         return QueryStream(run(), stats, finalize)
-
-    def _effective_budget(
-        self, budget: Optional[QueryBudget]
-    ) -> Optional[QueryBudget]:
-        """The per-request override when given, else the configured default."""
-        if budget is not None:
-            return None if budget.is_noop else budget
-        return self._budget
 
     def _make_finalizer(
         self, stats: QueryStats, axis: Optional[str], trace, started: float
@@ -820,42 +771,10 @@ class PathExpressionEvaluator(SearchMethods):
     ):
         """Expand one popped entry: coverage check, local probe, residual-
         link lookup.  Returns ``None`` when the entry is covered, else
-        ``(results_to_emit, link_pushes)``.
-
-        Every index access for the entry runs *before* any result is
-        yielded and before any heap/``previous`` mutation, so when the real
-        index raises a :class:`StorageError` mid-expansion the whole entry
-        is retried once on the BFS fallback without duplicating emitted
-        results or queue pushes (diagnostic counters such as
-        ``covered_probes`` may over-count the aborted attempt).
+        ``(results_to_emit, link_pushes)``; the loop applies the pushes
+        after emission.
         """
-        index = self._local_index(meta, stats)
-        try:
-            return self._expand_with(
-                index, meta, entry, priority, tag, forward, skip,
-                max_distance, previous, stats, trace,
-            )
-        except StorageError as exc:
-            index = self._activate_fallback(meta, stats, exc)
-            return self._expand_with(
-                index, meta, entry, priority, tag, forward, skip,
-                max_distance, previous, stats, trace,
-            )
-
-    def _expand_with(
-        self,
-        index,
-        meta: MetaDocument,
-        entry: NodeId,
-        priority: int,
-        tag: Optional[str],
-        forward: bool,
-        skip,
-        max_distance: Optional[int],
-        previous: List[NodeId],
-        stats: QueryStats,
-        trace,
-    ):
+        index = meta.index
         # section 5.1: one coverage question per node tested, none while
         # the meta document has no earlier entry point
         covers = index.coverage(previous, forward) if previous else None
@@ -880,7 +799,7 @@ class PathExpressionEvaluator(SearchMethods):
             emit.append(QueryResult(node, total, meta.meta_id))
 
         # Residual links out of (forward) / into (backward) the meta
-        # document; pushes are applied by the caller after emission.
+        # document.
         link_pushes: List[Tuple[int, NodeId]] = []
         link_candidates = meta.link_sources if forward else meta.link_targets
         if link_candidates:
@@ -915,63 +834,6 @@ class PathExpressionEvaluator(SearchMethods):
         return pushes
 
     # ------------------------------------------------------------------
-    # graceful degradation (missing / failing meta-document indexes)
-    # ------------------------------------------------------------------
-    def _local_index(self, meta: MetaDocument, stats: QueryStats):
-        """The index to answer ``meta``'s probes with.
-
-        Prefers the real index; a meta document whose index is missing
-        (failed build) or previously failed gets its sticky BFS fallback,
-        and every query that reads through a fallback is flagged
-        ``degraded``.
-        """
-        fallback = self._fallbacks.get(meta.meta_id)
-        if fallback is not None:
-            stats.mark_degraded()
-            return fallback
-        if meta.index is None:
-            return self._activate_fallback(meta, stats, None)
-        return meta.index
-
-    def _activate_fallback(self, meta: MetaDocument, stats: QueryStats, exc):
-        """Swap ``meta`` onto a BFS fallback index (sticky), or re-raise.
-
-        ``exc`` is the triggering :class:`StorageError` (``None`` for a
-        missing index).  Without a :class:`FallbackContext` degradation is
-        disabled and the failure propagates unchanged.
-        """
-        ctx = self._fallback_ctx
-        if ctx is None:
-            if exc is not None:
-                raise exc
-            raise PermanentStorageError(
-                f"meta document {meta.meta_id} has no usable index and "
-                "query fallback is disabled (no resilience configuration)"
-            )
-        activated = False
-        with self._state_lock:
-            fallback = self._fallbacks.get(meta.meta_id)
-            if fallback is None:
-                fallback = ctx.build_for(meta)
-                self._fallbacks[meta.meta_id] = fallback
-                activated = True
-        if activated:
-            stats.fallback_meta_documents += 1
-            if self._obs.enabled:
-                self._obs.registry.counter(
-                    "flix_query_fallbacks_total",
-                    "BFS fallback activations for unusable meta-document "
-                    "indexes, by cause.",
-                ).inc(cause="missing" if exc is None else "storage_error")
-        stats.mark_degraded()
-        return fallback
-
-    @property
-    def degraded_meta_ids(self) -> List[int]:
-        """Meta documents currently served by a BFS fallback, sorted."""
-        return sorted(self._fallbacks)
-
-    # ------------------------------------------------------------------
     # remote-expansion seam (sharded serving, docs/SHARDING.md)
     # ------------------------------------------------------------------
     def expand_entry(
@@ -996,8 +858,7 @@ class PathExpressionEvaluator(SearchMethods):
         document and still produce the byte-identical result stream.  Returns ``None`` when
         the entry is covered, else ``(results_to_emit, link_pushes)``;
         counters the expansion touches (``covered_probes``,
-        ``results_suppressed``, ``fallback_meta_documents``, completeness)
-        accumulate into the caller-owned ``stats``.
+        ``results_suppressed``) accumulate into the caller-owned ``stats``.
         """
         meta = self._meta_documents[meta_id]
         return self._expand_entry(
@@ -1046,9 +907,9 @@ class PathExpressionEvaluator(SearchMethods):
                 if forward
                 else index.find_ancestors_by_tag(entry, tag)
             )
-        # as under ``with trace.span()``, a probe that raises (the entry
-        # is then retried on the BFS fallback) still leaves its span, with
-        # no ``matches``; the link-hop leaf follows the same rule
+        # as under ``with trace.span()``, a probe that raises still leaves
+        # its span, with no ``matches``; the link-hop leaf follows the same
+        # rule
         values: Tuple = (meta_id, priority)
         started = time.perf_counter()
         try:
@@ -1180,7 +1041,7 @@ class PathExpressionEvaluator(SearchMethods):
 
             return first_connection(
                 source, self._meta_of.__getitem__, probe, stats,
-                max_distance, self._effective_budget(budget),
+                max_distance, budget,
             )
         finally:
             self.last_stats = stats.snapshot()
@@ -1201,33 +1062,8 @@ class PathExpressionEvaluator(SearchMethods):
         previous: List[NodeId],
         stats: QueryStats,
     ):
-        """Connection-test expansion of one entry, with the same
-        retry-on-fallback contract as :meth:`_expand_entry`."""
-        index = self._local_index(meta, stats)
-        try:
-            return self._connection_probe_with(
-                index, meta, entry, priority, target, target_meta,
-                max_distance, previous, stats,
-            )
-        except StorageError as exc:
-            index = self._activate_fallback(meta, stats, exc)
-            return self._connection_probe_with(
-                index, meta, entry, priority, target, target_meta,
-                max_distance, previous, stats,
-            )
-
-    def _connection_probe_with(
-        self,
-        index,
-        meta: MetaDocument,
-        entry: NodeId,
-        priority: int,
-        target: NodeId,
-        target_meta: int,
-        max_distance: Optional[int],
-        previous: List[NodeId],
-        stats: QueryStats,
-    ):
+        """Connection-test expansion of one entry."""
+        index = meta.index
         covers = index.coverage(previous, True) if previous else None
         if covers is not None:
             stats.covered_probes += 1

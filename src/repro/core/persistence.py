@@ -68,7 +68,7 @@ from typing import Dict, List, Optional
 
 from repro.collection.collection import XmlCollection
 from repro.core import format1
-from repro.core.config import CacheConfig, FlixConfig, ResilienceConfig
+from repro.core.config import CacheConfig, FlixConfig
 from repro.core.framework import Flix
 from repro.core.ib import BuildReport, MetaDocumentReport
 from repro.core.links import (
@@ -135,13 +135,6 @@ def _fingerprint(collection: XmlCollection) -> Dict[str, int]:
 
 def save_flix(flix: Flix, directory) -> Path:
     """Persist ``flix`` under ``directory``; returns the manifest path."""
-    for meta in flix.meta_documents:
-        if meta.index is None:
-            raise PersistenceError(
-                f"meta document {meta.meta_id} has no index (every build "
-                "attempt failed and it is answered by the query-time BFS "
-                "fallback); rebuild it before saving"
-            )
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
 
@@ -163,7 +156,6 @@ def save_flix(flix: Flix, directory) -> Path:
         integrity[filename] = hashlib.sha256(data).hexdigest()
     fsync_directory(root)
 
-    resilience = flix.config.resilience
     manifest = {
         "format_version": FORMAT_VERSION,
         "collection": _fingerprint(flix.collection),
@@ -179,7 +171,6 @@ def save_flix(flix: Flix, directory) -> Path:
             "jobs": flix.config.jobs,
             "build_executor": flix.config.build_executor,
             "observability": flix.config.observability,
-            "resilience": resilience.to_dict() if resilience else None,
             "cache": (
                 flix.config.cache.to_dict() if flix.config.cache else None
             ),
@@ -646,8 +637,7 @@ def _rederive_table_entry(
 
 
 def _config_from_manifest(config_data: dict) -> FlixConfig:
-    # keys of retired options (``"planner"``) are ignored
-    resilience_data = config_data.get("resilience")
+    # keys of retired options (``"planner"``, ``"resilience"``) are ignored
     return FlixConfig(
         name=config_data["name"],
         mdb_strategy=config_data["mdb_strategy"],
@@ -660,11 +650,6 @@ def _config_from_manifest(config_data: dict) -> FlixConfig:
         jobs=config_data.get("jobs", 1),
         build_executor=config_data.get("build_executor", "auto"),
         observability=config_data.get("observability", True),
-        resilience=(
-            ResilienceConfig.from_dict(resilience_data)
-            if resilience_data
-            else None
-        ),
         cache=(
             CacheConfig.from_dict(config_data["cache"])
             if config_data.get("cache")

@@ -328,32 +328,3 @@ class PackedPpoIndex(PackedIndex):
             for pair in self.find_ancestors_by_tag(target, None)
             if pair[0] in candidates
         ]
-
-    # ------------------------------------------------------------------
-    # PPO extras: the numbering itself
-    # ------------------------------------------------------------------
-    def preorder(self, node: NodeId) -> int:
-        return self._pre_lookup()[node]
-
-    def postorder(self, node: NodeId) -> int:
-        pos = self._pre_lookup()[node]
-        return pos + self._size_col[pos] - 1
-
-    def depth(self, node: NodeId) -> int:
-        pos = self._pre_lookup()[node]
-        return self._depth_col[pos]
-
-    def parent(self, node: NodeId) -> Optional[NodeId]:
-        pos = self._pre_lookup()[node]
-        parent_pos = self._parent_col[pos]
-        return None if parent_pos == -1 else self._node_col[parent_pos]
-
-    def children(self, node: NodeId) -> List[NodeId]:
-        pos = self._pre_lookup()[node]
-        result: List[NodeId] = []
-        pre = pos + 1
-        end = pos + self._size_col[pos]
-        while pre < end:
-            result.append(self._node_col[pre])
-            pre += self._size_col[pre]
-        return result

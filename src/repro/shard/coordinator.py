@@ -75,7 +75,6 @@ from repro.shard.protocol import (
     ProtocolError,
     RemoteShardError,
     ShardUnavailable,
-    budget_to_json,
     expansion_reply_from_json,
     int_list,
     read_frame,
@@ -182,7 +181,6 @@ class ShardCoordinator:
         shard_map: ShardMap,
         clients: Sequence[ShardClient],
         cache: Optional[CacheConfig] = None,
-        default_budget: Optional[QueryBudget] = None,
         cross_shard: str = "delegate",
         observability: Optional[Observability] = None,
         role: str = "primary",
@@ -211,7 +209,6 @@ class ShardCoordinator:
         self._cache: Optional[ShardedLRUCache] = (
             cache.build() if cache is not None else None
         )
-        self._default_budget = default_budget
         self._cross_shard = cross_shard
         self._obs = observability if observability is not None else Observability()
         self._healthy = [True] * shard_map.shards
@@ -284,8 +281,8 @@ class ShardCoordinator:
         """Evaluate one request across the shard fleet.
 
         Same contract as ``Flix.query``: the response carries the query's
-        private stats and completeness; ``budget`` (or ``request.budget``,
-        or the coordinator's default) bounds the work; the cache policy is
+        private stats and completeness; ``budget`` (or ``request.budget``)
+        bounds the work; the cache policy is
         :class:`repro.core.api.CacheSlot`'s.
         """
         started = time.perf_counter()
@@ -295,8 +292,6 @@ class ShardCoordinator:
             return response
         if budget is None:
             budget = request.budget
-        if budget is None:
-            budget = self._default_budget
         response, mode, shard = self._evaluate(request, budget, started)
         if request.explain and response.plan is None:
             # delegated answers carry the worker's plan already; the
@@ -442,13 +437,13 @@ class ShardCoordinator:
         budget: Optional[QueryBudget],
         started: float,
     ) -> QueryResponse:
+        # the worker reads the budget off the request it is sent
+        sent = request
+        if budget is not request.budget:
+            sent = request.with_budget(budget)
         try:
             shard_id, response = self._call(
-                owner, "query",
-                {
-                    "request": request_to_json(request),
-                    "budget": budget_to_json(budget),
-                },
+                owner, "query", {"request": request_to_json(sent)},
                 lambda reply: response_from_json(reply["response"], request),
             )
         except ShardUnavailable:

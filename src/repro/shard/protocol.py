@@ -254,7 +254,7 @@ def request_from_json(payload: Dict) -> QueryRequest:
     fields["model"] = _inflate(
         fields.get("model"), ConnectionModel, "connection model"
     )
-    fields["budget"] = budget_from_json(fields.get("budget"))
+    fields["budget"] = _inflate(fields.get("budget"), QueryBudget, "budget")
     try:
         return QueryRequest(**fields)
     except TypeError as exc:
@@ -275,15 +275,6 @@ def request_to_json(request: QueryRequest) -> Dict:
     return data
 
 
-def budget_from_json(value: Any) -> Optional[QueryBudget]:
-    """A :class:`QueryBudget` from its field dict (``null`` → ``None``)."""
-    return _inflate(value, QueryBudget, "budget")
-
-
-def budget_to_json(budget: Optional[QueryBudget]) -> Optional[Dict]:
-    return None if budget is None else asdict(budget)
-
-
 # ----------------------------------------------------------------------
 # QueryResponse
 # ----------------------------------------------------------------------
@@ -292,7 +283,6 @@ _STATS_COUNTERS = (
     "meta_document_visits", "link_traversals", "entries_dropped",
     "results_returned", "results_suppressed", "covered_probes",
     "queue_pops", "planner_pruned_pops", "planner_pruned_pushes",
-    "fallback_meta_documents",
 )
 
 
@@ -416,8 +406,9 @@ def expansion_reply_to_json(outcome, stats: QueryStats) -> Dict:
     pushes]``: ``found`` holds ``[node, distance, meta_id]`` rows for
     ``expand`` and the distance (or ``null``) for ``connection_probe``;
     ``pushes`` holds ``[local_distance, neighbour]`` rows.  ``stats`` is
-    ``[covered_probes, results_suppressed, fallback_meta_documents,
-    completeness]`` — what :meth:`QueryStats.absorb_expansion` reads.
+    ``[covered_probes, results_suppressed]`` — what
+    :meth:`QueryStats.absorb_expansion` reads (an expansion cannot change
+    a query's completeness).
     """
     if outcome is not None:
         found, pushes = outcome
@@ -426,10 +417,7 @@ def expansion_reply_to_json(outcome, stats: QueryStats) -> Dict:
         outcome = [found, pushes]
     return {
         "outcome": outcome,
-        "stats": [
-            stats.covered_probes, stats.results_suppressed,
-            stats.fallback_meta_documents, stats.completeness,
-        ],
+        "stats": [stats.covered_probes, stats.results_suppressed],
     }
 
 
@@ -465,16 +453,11 @@ def expansion_reply_from_json(
         if len(links) != len(pushes):
             raise ValueError("link pushes must be integer pairs")
         outcome = (found, links)
-    covered, suppressed, fallbacks, completeness = expect(
-        reply["stats"], (list,), "stats delta"
-    )
-    if not type(covered) is type(suppressed) is type(fallbacks) is int:
+    covered, suppressed = expect(reply["stats"], (list,), "stats delta")
+    if not type(covered) is type(suppressed) is int:
         raise ValueError("the stats delta's counters must be integers")
     return outcome, QueryStats(
-        covered_probes=covered,
-        results_suppressed=suppressed,
-        fallback_meta_documents=fallbacks,
-        completeness=_completeness(completeness),
+        covered_probes=covered, results_suppressed=suppressed
     )
 
 
@@ -482,8 +465,6 @@ __all__ = [
     "ProtocolError",
     "RemoteShardError",
     "ShardUnavailable",
-    "budget_from_json",
-    "budget_to_json",
     "encode_frame",
     "expansion_args",
     "expansion_reply_from_json",

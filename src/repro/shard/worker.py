@@ -76,7 +76,6 @@ from repro.obs import Observability
 from repro.shard.plan import ShardMap, load_shard_map
 from repro.shard.protocol import (
     ProtocolError,
-    budget_from_json,
     encode_frame,
     expansion_args,
     expansion_reply_to_json,
@@ -312,10 +311,7 @@ class ShardWorker:
         if verb not in _VERBS:
             raise ValueError(f"unknown verb {verb!r}")
         if verb == "query":
-            response = self.flix.query(
-                request_from_json(payload["request"]),
-                budget=budget_from_json(payload.get("budget")),
-            )
+            response = self.flix.query(request_from_json(payload["request"]))
             return "response", {"response": response_to_json(response)}
         if verb in ("expand", "connection_probe"):
             stats = QueryStats()

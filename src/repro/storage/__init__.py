@@ -2,25 +2,17 @@
 
 * :mod:`repro.storage.atomic` — durable file writes (temp file + fsync +
   rename + directory fsync) for saves, collection layouts and the WAL;
-* :mod:`repro.storage.errors` — the typed error taxonomy
-  (:class:`StorageError` and its transient / permanent / corruption
-  kinds) that blob attach, the PEE's degrade path and the fault injector
-  speak;
+* :mod:`repro.storage.errors` — the typed errors
+  (:class:`StorageError` and its :class:`CorruptionError` kind) that blob
+  attach, ``links.pack`` and the format-1 reader raise;
 * :func:`format_bytes` — human-readable sizes for reports.
 """
 
-from repro.storage.errors import (
-    CorruptionError,
-    PermanentStorageError,
-    StorageError,
-    TransientStorageError,
-)
+from repro.storage.errors import CorruptionError, StorageError
 from repro.storage.sizing import format_bytes
 
 __all__ = [
     "StorageError",
-    "TransientStorageError",
-    "PermanentStorageError",
     "CorruptionError",
     "format_bytes",
 ]

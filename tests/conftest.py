@@ -154,14 +154,12 @@ def _response_signature(response) -> str:
 @pytest.fixture()
 def break_build(monkeypatch):
     """``break_build(index_class, first=None)`` makes ``index_class.build``
-    raise ``TransientStorageError`` — on every call, or on its first
-    ``first`` calls only: a failure injected where a build can fail, at
-    the strategy.  Process-pool workers forked after the patch inherit
-    it."""
+    raise ``RuntimeError`` — on every call, or on its first ``first``
+    calls only: a bug injected where a build can fail, at the strategy.
+    Process-pool workers forked after the patch inherit it."""
     import itertools
 
     from repro.core.ib import shutdown_build_pool
-    from repro.storage.errors import TransientStorageError
 
     def install(index_class, first=None):
         real = index_class.build
@@ -169,7 +167,7 @@ def break_build(monkeypatch):
 
         def build(cls, graph, tags):
             if first is None or next(calls) < first:
-                raise TransientStorageError(
+                raise RuntimeError(
                     f"injected {cls.strategy_name} build failure"
                 )
             return real(graph, tags)

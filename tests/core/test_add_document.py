@@ -8,7 +8,6 @@ from repro.core.api import QueryRequest
 from repro.core.config import CacheConfig, FlixConfig
 from repro.core.framework import Flix
 from repro.graph.closure import transitive_closure
-from repro.storage.errors import TransientStorageError
 
 
 def doc(name, text):
@@ -118,7 +117,7 @@ class TestAddDocumentRollback:
         fingerprint_before = flix.index_fingerprint()
 
         break_build(PpoIndex, first=1)
-        with pytest.raises(TransientStorageError):
+        with pytest.raises(RuntimeError, match="injected ppo build failure"):
             flix.add_document(
                 # future.xml also satisfies c.xml's dangling link, so the
                 # rollback must re-dangle it too

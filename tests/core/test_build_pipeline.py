@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.core.persistence import MANIFEST_NAME
@@ -58,12 +59,30 @@ def test_environment_does_not_edit_the_build(
     (``repro.faults.plan_from_env``); ``Flix.build`` reads none."""
     config = PRESETS[preset]()
     unset = Flix.build(figure1_collection, config)
-    monkeypatch.setenv("FLIX_FAULT_PLAN", "moderate")
-    monkeypatch.setenv("FAULT_PLAN", "read_error_rate=1.0")
+    monkeypatch.setenv("FLIX_FAULT_PLAN", "crash_after_writes=0")
+    monkeypatch.setenv("FAULT_PLAN", "crash_after_writes=0,torn_write_bytes=1")
     built = Flix.build(figure1_collection, config)
     assert built.config == config
-    assert built.config.resilience is None
     assert built.index_fingerprint() == unset.index_fingerprint()
+
+
+@pytest.mark.parametrize(
+    ("jobs", "executor"), [(1, "serial"), (2, "process")], ids=["1", "2"]
+)
+def test_strategy_build_that_raises_propagates(
+    jobs, executor, figure1_collection, break_build
+):
+    """A build that raises is a bug: no retry, no substitute strategy, no
+    meta document left unindexed — the exception leaves ``Flix.build``,
+    and a process pool that ran it is retired."""
+    from repro.core import ib
+    from repro.indexes.ppo import PpoIndex
+
+    break_build(PpoIndex)
+    config = FlixConfig.naive().with_jobs(jobs, build_executor=executor)
+    with pytest.raises(RuntimeError, match="injected ppo build failure"):
+        Flix.build(figure1_collection, config)
+    assert ib._POOL_CACHE is None
 
 
 @pytest.mark.parametrize("preset", FORMERLY_FORKED)
@@ -164,32 +183,36 @@ def test_manifest_without_similarity_threshold_loads(
     assert loaded.config.similarity_threshold == 0.75
 
 
-def test_manifest_with_removed_resilience_keys_loads(
+def test_manifest_resilience_block_is_ignored(
     figure1_collection, tmp_path
 ):
-    """Saves written while ``ResilienceConfig`` carried the storage retry
-    and circuit-breaker knobs load, keep the surviving fields, and
-    re-save without the removed ones."""
-    config = FlixConfig.naive().with_resilience(
-        max_link_hops=1000, build_retry_attempts=2
-    )
-    Flix.build(figure1_collection, config).save(tmp_path)
+    """Saves written while ``FlixConfig`` carried a ``resilience`` block
+    (query budgets, BFS fallback, build ladder) load with the block
+    ignored: the loaded instance limits no query, and a re-save writes
+    no ``resilience`` key."""
+    config = FlixConfig.naive()
+    built = Flix.build(figure1_collection, config)
+    built.save(tmp_path)
     manifest_path = tmp_path / MANIFEST_NAME
     manifest = json.loads(manifest_path.read_text())
-    surviving = dict(manifest["config"]["resilience"])
-    assert len(surviving) == 6
-    manifest["config"]["resilience"].update(
-        max_attempts=4,
-        backoff_base_seconds=0.002,
-        backoff_max_seconds=0.25,
-        backoff_jitter=0.5,
-        retry_seed=0,
-        breaker_failure_threshold=5,
-        breaker_reset_seconds=30.0,
-    )
+    manifest["config"]["resilience"] = {
+        "query_deadline_seconds": 1e-9,
+        "max_link_hops": 1,
+        "max_queue_pops": 1,
+        "allow_query_fallback": True,
+        "build_retry_attempts": 2,
+    }
     manifest_path.write_text(json.dumps(manifest))
     loaded = Flix.load(figure1_collection, tmp_path)
     assert loaded.config == config
+    assert loaded.index_fingerprint() == built.index_fingerprint()
+    start = figure1_collection.document_root(
+        sorted(figure1_collection.documents)[0]
+    )
+    request = QueryRequest.descendants(start)
+    response = loaded.query(request)
+    assert response.completeness == "complete"
+    assert response.results == built.query(request).results
     loaded.save(tmp_path)
     resaved = json.loads(manifest_path.read_text())
-    assert resaved["config"]["resilience"] == surviving
+    assert "resilience" not in resaved["config"]

@@ -315,29 +315,3 @@ class TestFlixCacheIntegration:
         assert not cached_flix.query(request).from_cache
         after = cached_flix.query(request)
         assert not after.from_cache  # the racy store must read as stale
-
-    def test_default_resilience_budget_answers_not_cached(
-        self, linked_collection
-    ):
-        """A budget configured at the *evaluator* level (resilience
-        defaults, no per-request budget) can truncate answers; those must
-        never be stored either."""
-        from repro.core.config import FlixConfig, CacheConfig
-        from repro.core.framework import Flix
-
-        config = (
-            FlixConfig.naive()
-            .with_cache(CacheConfig(maxsize=64, shards=4))
-            .with_resilience(max_queue_pops=1)
-        )
-        flix = Flix.build(linked_collection, config)
-        start = linked_collection.document_root("a.xml")
-        request = QueryRequest.descendants(start)
-        first = flix.query(request)
-        assert first.completeness == "truncated"
-        second = flix.query(request)
-        assert not second.from_cache  # incomplete answers are never stored
-        # the streaming path applies the same gate
-        list(flix.query_stream(request))
-        third = flix.query(request)
-        assert not third.from_cache

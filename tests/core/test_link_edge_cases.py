@@ -15,6 +15,7 @@ from repro.collection.document import XmlDocument
 from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
+from repro.core.pee import QueryBudget
 
 
 def results_of(stream):
@@ -77,10 +78,13 @@ class TestSelfLoops:
         assert len(results) == len(set(n for n, _ in results))  # no dups
 
     def test_self_loop_with_budget_stays_finite(self, loop_collection):
-        config = FlixConfig.naive().with_resilience(max_link_hops=2)
-        flix = Flix.build(loop_collection, config)
+        flix = Flix.build(loop_collection, FlixConfig.naive())
         start = loop_collection.document_root("other.xml")
-        results_of(flix.pee.find_descendants(start))  # must terminate
+        results_of(  # must terminate
+            flix.pee.find_descendants(
+                start, budget=QueryBudget(max_link_hops=2)
+            )
+        )
 
 
 class TestResidualCycles:
@@ -104,11 +108,8 @@ class TestResidualCycles:
         ]
         return build_collection(docs)
 
-    def cycle_flix(self, collection, **resilience):
-        config = FlixConfig.naive()
-        if resilience:
-            config = config.with_resilience(**resilience)
-        return Flix.build(collection, config)
+    def cycle_flix(self, collection):
+        return Flix.build(collection, FlixConfig.naive())
 
     def test_cycle_spans_three_meta_documents(self, cycle_collection):
         flix = self.cycle_flix(cycle_collection)
@@ -126,9 +127,11 @@ class TestResidualCycles:
         assert stream.completeness == "complete"
 
     def test_cycle_under_hop_budget_truncates(self, cycle_collection):
-        flix = self.cycle_flix(cycle_collection, max_link_hops=1)
+        flix = self.cycle_flix(cycle_collection)
         start = cycle_collection.document_root("a.xml")
-        stream = flix.pee.find_descendants(start, tag="item")
+        stream = flix.pee.find_descendants(
+            start, tag="item", budget=QueryBudget(max_link_hops=1)
+        )
         items = results_of(stream)
         assert stream.completeness == "truncated"
         assert 1 <= len(items) < 3  # budget stopped the walk mid-cycle

@@ -19,7 +19,6 @@ from repro.core.api import QueryRequest, open_request
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.core.results import StreamedList
-from repro.faults import FaultPlan, FaultyIndex
 from repro.obs import tracing
 
 
@@ -282,18 +281,27 @@ class TestTraceFidelity:
         ]
 
     def test_probe_that_raises_keeps_its_span(self, linked_pair):
-        flix = Flix.build(linked_pair, FlixConfig.naive().with_resilience())
+        flix = _build(linked_pair)
+
+        class Raising:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def find_descendants_by_tag(self, source, tag):
+                raise RuntimeError("probe failed")
+
         for meta in flix.meta_documents:
-            meta.index = FaultyIndex(meta.index, FaultPlan.hard_failure())
-        stats = flix.query(
-            QueryRequest.descendants(linked_pair.document_root("a.xml"))
-        ).stats
-        assert stats.completeness == "degraded"
+            meta.index = Raising(meta.index)
+        with pytest.raises(RuntimeError, match="probe failed"):
+            flix.query(
+                QueryRequest.descendants(linked_pair.document_root("a.xml"))
+            )
         probes = flix.trace_last_query().find("pee.probe")
-        failed = [s for s in probes if "matches" not in s.meta]
-        assert len(failed) == 2  # one per meta document, then the fallback
-        assert all(set(s.meta) == {"meta_id", "priority"} for s in failed)
-        assert len(probes) - len(failed) == stats.meta_document_visits
+        assert len(probes) == 1  # the query stopped at its first probe
+        assert set(probes[0].meta) == {"meta_id", "priority"}
 
     def test_to_dict_keeps_meta_key_order(self, linked_pair):
         flix = _build(linked_pair)

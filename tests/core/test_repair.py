@@ -20,7 +20,7 @@ from tests.conftest import copy_format1_save
 
 @pytest.fixture()
 def saved(figure1_collection, tmp_path):
-    config = FlixConfig.hybrid(40).with_resilience(max_link_hops=5000)
+    config = FlixConfig.hybrid(40)
     flix = Flix.build(figure1_collection, config)
     directory = tmp_path / "idx"
     save_flix(flix, directory)
@@ -44,17 +44,6 @@ class TestIntegritySection:
         collection, directory, _ = saved
         assert verify_flix(collection, directory) == []
 
-    def test_resilience_config_round_trips(self, saved):
-        collection, directory, _ = saved
-        loaded = load_flix(collection, directory)
-        assert loaded.config.resilience is not None
-        assert loaded.config.resilience.max_link_hops == 5000
-
-    def test_save_refuses_unindexed_meta(self, figure1_collection, tmp_path):
-        flix = Flix.build(figure1_collection, FlixConfig.naive())
-        flix.meta_documents[0].index = None
-        with pytest.raises(PersistenceError, match="no index"):
-            save_flix(flix, tmp_path / "broken")
 
 
 class TestVerificationOnLoad:

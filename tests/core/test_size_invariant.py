@@ -2,8 +2,7 @@
 
 One stored form means one size: every meta document's ``meta_NNNN.pack``
 plus ``links.pack``.  Held for every preset on two collections, for the
-closure layout, and for a resilience build whose broken HOPI builds fall
-back to the closure.
+closure layout, and after maintenance verbs.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import pytest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
 from repro.datasets.synthetic import generate_figure1_collection
-from repro.indexes.hopi import HopiIndex
 from tests.conftest import added_documents
 
 PRESETS = {
@@ -61,21 +59,4 @@ def test_size_after_maintenance_is_the_saved_blobs(tmp_path):
     flix.add_documents(added_documents(3))
     flix.remove_document(sorted(collection.documents)[0])
     flix.compact()
-    assert_size_is_the_saved_blobs(flix, tmp_path)
-
-
-def test_closure_fallback_is_counted_as_its_blob(
-    figure1_collection, tmp_path, break_build
-):
-    """A resilience build whose HOPI builds all fail serves those meta
-    documents from the fallback closure — packed, and saved, like any
-    other index."""
-    break_build(HopiIndex)
-    flix = Flix.build(
-        figure1_collection, FlixConfig.hybrid(60).with_resilience()
-    )
-    fallbacks = [m for m in flix.report.meta_documents if m.fallback_from]
-    assert fallbacks and all(
-        m.strategy == "transitive_closure" for m in fallbacks
-    )
     assert_size_is_the_saved_blobs(flix, tmp_path)

@@ -3,9 +3,9 @@
 ``reachable_subset`` / ``reaching_subset`` (the ``L(a)`` lookup of section
 4.2, both directions) and ``coverage`` (the section 5.1 duplicate test)
 are asked of every strategy's packed index, built through
-``build_index``, and of the BFS fallback.  Packed HOPI, packed PPO and
-the fallback answer them their own way, the rest through the
-probe-per-member defaults of ``PathIndex``; every answer is held against
+``build_index``.  Packed HOPI and packed PPO answer them their own way,
+the rest through the probe-per-member defaults of ``PathIndex``; every
+answer is held against
 ``repro.graph.closure``: same pairs in the same ``(distance, node)``
 order, same truth value — also for one node id foreign to the graph.
 """
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fallback import BfsFallbackIndex
 from repro.graph.closure import transitive_closure
 from repro.indexes.base import sort_scored
 from repro.indexes.registry import available_strategies, build_index
@@ -38,10 +37,10 @@ SUMMARIES_ON_TREES = ("dataguide", "fabric")
 
 
 def assert_answers_like_the_oracle(
-    index, graph, candidate_sets, previous_lists, foreign=True
+    index, graph, candidate_sets, previous_lists
 ):
     closure = transitive_closure(graph)
-    nodes = list(graph) + ([max(graph) + 1] if foreign else [])
+    nodes = list(graph) + [max(graph) + 1]
     everything = frozenset(graph)
     for candidates in [frozenset(), everything, *candidate_sets]:
         for form in (candidates, sorted(candidates)):
@@ -126,19 +125,3 @@ def test_packed_ppo_on_trees(params, candidates, previous):
 @settings(max_examples=40, deadline=None)
 def test_packed_summaries_on_trees(strategy, params, candidates, previous):
     check_on_tree(strategy, params, candidates, previous)
-
-
-@given(graph_params, candidate_sets, previous_lists)
-@settings(max_examples=25, deadline=None)
-def test_bfs_fallback(params, candidates, previous):
-    seed, n = params
-    graph = random_digraph(seed, n)
-    fallback = BfsFallbackIndex(
-        range(n),
-        {node: list(graph.successors(node)) for node in range(n)},
-        random_tags(seed, n),
-    )
-    # the fallback is only ever asked about its own meta document's nodes
-    assert_answers_like_the_oracle(
-        fallback, graph, candidates, previous, foreign=False
-    )

@@ -46,7 +46,6 @@ def in_process_cluster(
     shards: int,
     cross_shard: str = "delegate",
     cache: CacheConfig = None,
-    default_budget=None,
 ):
     """Plan ``shards`` shards, start that many in-process workers, and
     yield ``(coordinator, workers)``; tears everything down on exit."""
@@ -64,7 +63,6 @@ def in_process_cluster(
         endpoints,
         cache=cache,
         cross_shard=cross_shard,
-        default_budget=default_budget,
     )
     try:
         yield coordinator, workers

@@ -170,15 +170,19 @@ class TestCaching:
             assert not follow_up.from_cache
             assert follow_up.stats.is_complete
 
-    def test_default_budget_applies_and_truncates(self, deployment):
+    def test_request_budget_applies_and_truncates(self, deployment):
         start = deployment.collection.document_root(
             sorted(deployment.collection.documents)[-1]
         )
-        with in_process_cluster(
-            deployment, 2, default_budget=QueryBudget(max_queue_pops=1)
-        ) as (coordinator, _workers):
-            response = coordinator.query(QueryRequest.descendants(start))
+        request = QueryRequest.descendants(
+            start, budget=QueryBudget(max_queue_pops=1)
+        )
+        with in_process_cluster(deployment, 2) as (coordinator, _workers):
+            response = coordinator.query(request)
             assert response.stats.completeness == "truncated"
+            assert _signature(response) == _signature(
+                deployment.flix.query(request)
+            )
 
 
 class TestDegradation:

@@ -18,6 +18,7 @@ from repro.shard.plan import ShardPlanner, write_shard_map
 from repro.shard.protocol import (
     ProtocolError,
     encode_frame,
+    expansion_reply_from_json,
     read_frame,
     write_frame,
 )
@@ -294,6 +295,32 @@ class TestDecoderFuzz:
 
 
 # ----------------------------------------------------------------------
+# an expansion reply's stats delta is exactly two integer counters
+# ----------------------------------------------------------------------
+not_integers = json_values.filter(lambda value: type(value) is not int)
+
+
+class TestExpansionDeltaFuzz:
+    @pytest.mark.parametrize("verb", ["expand", "connection_probe"])
+    def test_old_four_element_delta_is_refused(self, verb):
+        outcome = [[], []] if verb == "expand" else [None, []]
+        with pytest.raises(ValueError):
+            expansion_reply_from_json(
+                verb, {"outcome": outcome, "stats": [0, 0, 0, "complete"]}
+            )
+
+    @FUZZ
+    @given(not_integers, st.sampled_from([0, 1]))
+    def test_non_integer_counter_is_refused(self, value, position):
+        delta = [0, 0]
+        delta[position] = value
+        with pytest.raises(ValueError):
+            expansion_reply_from_json(
+                "expand", {"outcome": None, "stats": delta}
+            )
+
+
+# ----------------------------------------------------------------------
 # a live worker: bad payloads get an ``error`` reply, the worker lives on
 # ----------------------------------------------------------------------
 @pytest.fixture()
@@ -337,8 +364,8 @@ class TestWorkerRefusesBadPayloads:
             ("query", {"request": {"kind": "path", "source": 1, "path": 5}}),
             ("query", {"request": {"kind": "descendants", "source": "1"}}),
             ("query", {"request": 5}),
-            ("query", {"request": {"kind": "descendants", "source": 1},
-                       "budget": {"max_queue_pops": "x"}}),
+            ("query", {"request": {"kind": "descendants", "source": 1,
+                                   "budget": {"max_queue_pops": "x"}}}),
             ("explain", {"request": {"kind": "path", "source": 1, "path": "ab"}}),
             ("type_seeds", {"source_tag": 5}),
             ("wal_pull", {"after_generation": "3"}),

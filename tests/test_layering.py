@@ -3,8 +3,9 @@ suites, never by the serving path; the packed indexes know no storage
 and no builder, and only the registry builds;
 SQLite is the format-1 reader's alone, ``repro.storage`` holds only what
 the blobs still need and depends on nothing above it, nothing that reads
-a socket or a log unpickles, and only ``repro.faults`` knows the
-fault-plan environment."""
+a socket or a log unpickles, only ``repro.faults`` knows the
+fault-plan environment, and no query, build or serving module injects
+faults."""
 
 import ast
 from pathlib import Path
@@ -154,5 +155,31 @@ def test_production_code_reads_no_fault_plan_environment():
             name in path.read_text(encoding="utf-8")
             for name in ("plan_from_env", "FAULT_PLAN")
         )
+    ]
+    assert offenders == []
+
+
+def test_fault_injection_reaches_no_query_build_or_serving_module():
+    """Resilience guards only faults that can occur: no module under
+    ``repro/core``, ``repro/indexes`` or ``repro/shard`` imports
+    ``repro.faults`` — the WAL crash hook and the package re-export are
+    its only users, the two left to move when the package leaves — and
+    the retry taxonomy of the removed read-fault layer is gone."""
+    importers = {
+        path.relative_to(SRC).as_posix()
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for module in imported_modules(path)
+        if within(module, "repro.faults")
+    }
+    outside = {
+        importer for importer in importers
+        if not importer.startswith("repro/faults/")
+    }
+    assert outside == {"repro/__init__.py", "repro/wal/log.py"}
+    retired = [kind + "StorageError" for kind in ("Transient", "Permanent")]
+    offenders = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if any(name in path.read_text(encoding="utf-8") for name in retired)
     ]
     assert offenders == []
