@@ -8,7 +8,7 @@ plot, are the reproduction target).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 Cell = Union[str, int, float]
 

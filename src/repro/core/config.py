@@ -20,7 +20,7 @@ step toward the automatic choice the paper leaves as future work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.cache import ShardedLRUCache
@@ -31,10 +31,6 @@ MDB_STRATEGIES = (
     "naive", "maximal_ppo", "unconnected_hopi", "hybrid",
     "monolithic", "auto_subcollections",
 )
-
-#: build-executor kinds the Index Builder understands
-BUILD_EXECUTORS = ("auto", "process", "thread", "serial")
-
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -102,13 +98,6 @@ class FlixConfig:
     #: self paths (the structural-vagueness scenario of section 1.1); biases
     #: the ISS toward HOPI over APEX
     expect_long_paths: bool = True
-    #: worker count for the Index Builder's per-meta-document builds
-    #: (1 = sequential); the merged result is identical at any value
-    jobs: int = 1
-    #: how jobs > 1 builds execute: "process" (CPU-bound default), "thread"
-    #: (shared-object fallback), "serial", or "auto" (process when the
-    #: hand-off pickles, thread otherwise)
-    build_executor: str = "auto"
     #: collect metrics and query traces (see ``repro.obs``); turning this
     #: off makes ``Flix.metrics()`` empty and skips all instrumentation
     #: branches, so disabled runs pay near-zero overhead
@@ -130,23 +119,6 @@ class FlixConfig:
             raise ValueError("similarity_threshold must be in (0, 1]")
         if not self.allowed_strategies:
             raise ValueError("at least one index strategy must be allowed")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if self.build_executor not in BUILD_EXECUTORS:
-            raise ValueError(
-                f"unknown build executor {self.build_executor!r}; "
-                f"expected one of {BUILD_EXECUTORS}"
-            )
-
-    def with_jobs(
-        self, jobs: int, build_executor: Optional[str] = None
-    ) -> "FlixConfig":
-        """This configuration with a different build parallelism."""
-        from dataclasses import replace
-
-        if build_executor is None:
-            return replace(self, jobs=jobs)
-        return replace(self, jobs=jobs, build_executor=build_executor)
 
     def with_observability(self, enabled: bool) -> "FlixConfig":
         """This configuration with observability on or off."""

@@ -47,12 +47,11 @@ from repro.core.api import (
     type_seeds,
 )
 from repro.core.config import CacheConfig, FlixConfig
-from repro.graph.digraph import Digraph
-from repro.core.ib import BuildReport, IndexBuilder
+from repro.core.ib import BuildReport, IndexBuilder, MetaDocumentReport
 from repro.core.layout import IndexLayout
 from repro.core.links import links_pack_bytes, pack_links, residual_links
 from repro.core.mdb import MetaDocumentBuilder
-from repro.core.meta_document import MetaDocument
+from repro.core.meta_document import MetaDocument, MetaDocumentSpec
 from repro.core.pee import PathExpressionEvaluator, QueryBudget
 from repro.core.planner import QueryPlan, plan
 from repro.core.selftune import QueryLoadMonitor, TuningAdvice, with_compaction_advice
@@ -209,7 +208,7 @@ class Flix:
         cls,
         collection: XmlCollection,
         config: Optional[FlixConfig] = None,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
     ) -> "Flix":
         """Run the full build phase: MDB -> ISS -> IB.
 
@@ -222,11 +221,12 @@ class Flix:
 
         ``config`` defaults to the automatic recommendation derived from the
         collection's statistics (the paper's future-work goal, section 4.1).
-        ``jobs`` overrides ``config.jobs`` for this build only: with more
-        than one worker the per-meta-document builds run on a worker pool,
-        with results merged in spec order — the built index is identical to
-        a sequential build at any ``jobs`` value.  A per-meta index build
-        that raises is a bug: its exception propagates out of this call.
+        With ``jobs`` > 1, more than one meta document and more than one
+        CPU granted to the process, the per-meta-document builds run on a
+        process pool, with results merged in spec order — the built index
+        is identical to a serial build at any ``jobs`` value.  A per-meta
+        index build that raises is a bug: its exception propagates out of
+        this call.
         """
         if config is None:
             config = FlixConfig.recommend_for(collection)
@@ -498,7 +498,7 @@ class Flix:
     def rebuild(
         self,
         config: Optional[FlixConfig] = None,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
     ) -> "Flix":
         """Run the build phase again (e.g. following tuning advice).
 
@@ -507,17 +507,6 @@ class Flix:
         a rebuild.
         """
         return Flix.build(self.collection, config or self.config, jobs=jobs)
-
-    # ------------------------------------------------------------------
-    # incremental maintenance (copy-on-write; see docs/MAINTENANCE.md)
-    # ------------------------------------------------------------------
-    def _build_index(self, strategy: str, graph: Digraph):
-        """The packed index of one meta-document graph, for a
-        maintenance verb."""
-        from repro.indexes.registry import build_index
-
-        tags = {node: self.collection.tag(node) for node in graph.nodes()}
-        return build_index(strategy, graph, tags)
 
     # ------------------------------------------------------------------
     # durability: the write-ahead mutation log (docs/DURABILITY.md)
@@ -604,10 +593,6 @@ class Flix:
         the layout tables followed by one atomic publish.
         """
         from repro.collection.builder import register_document
-        from repro.core.ib import MetaDocumentReport
-        from repro.core.iss import IndexingStrategySelector
-
-        import time as _time
 
         with self._mutation_lock:
             layout = self._layout
@@ -617,12 +602,6 @@ class Flix:
             new_link_edges: List[Tuple[NodeId, NodeId]] = []
             new_metas: List[MetaDocument] = []
             new_reports: List[MetaDocumentReport] = []
-            # Internal edges: each document's tree edges always; its
-            # intra-document link edges only when the configuration allows
-            # a graph index (PPO-only must leave them residual).
-            allow_graph = any(
-                s != "ppo" for s in self.config.allowed_strategies
-            )
             internal_all: Set[Tuple[NodeId, NodeId]] = set()
             meta_of = dict(layout.meta_of)
             next_id = layout.next_meta_id
@@ -636,53 +615,28 @@ class Flix:
                     registered.append(document.name)
                     new_link_edges.extend(edges)
 
-                # Stage 2: per document — internal edges, ISS choice,
-                # index build.  Nothing published yet.
+                # Stage 2: per document — internal edges, then the IB's
+                # per-meta build.  Nothing published yet.
+                builder = IndexBuilder(collection, self.config)
                 for document in documents:
-                    started = _time.perf_counter()
                     nodes = set(collection.document_nodes(document.name))
-                    internal = []
-                    for u in sorted(nodes):
-                        for v in sorted(collection.graph.successors(u)):
-                            if v not in nodes:
-                                continue
-                            if (
-                                collection.is_link_edge(u, v)
-                                and not allow_graph
-                            ):
-                                continue
-                            internal.append((u, v))
+                    internal = self._internal_edges(nodes)
                     internal_all.update(internal)
-
-                    graph = Digraph()
-                    for node in nodes:
-                        graph.add_node(node)
-                    for u, v in internal:
-                        graph.add_edge(u, v)
-                    choice = IndexingStrategySelector(self.config).choose(
-                        graph
+                    spec = MetaDocumentSpec(
+                        next_id + len(new_metas), nodes, internal
                     )
-                    index = self._build_index(choice.strategy, graph)
+                    built = builder.build_meta(spec)
                     meta = MetaDocument(
-                        meta_id=next_id + len(new_metas),
+                        meta_id=spec.meta_id,
                         nodes=frozenset(nodes),
-                        index=index,
-                        strategy=choice.strategy,
+                        index=built.index,
+                        strategy=built.choice.strategy,
                     )
                     new_metas.append(meta)
                     for node in nodes:
                         meta_of[node] = meta.meta_id
                     new_reports.append(
-                        MetaDocumentReport(
-                            meta_id=meta.meta_id,
-                            node_count=len(nodes),
-                            internal_edge_count=len(internal),
-                            strategy=choice.strategy,
-                            rationale=choice.rationale
-                            + " (added incrementally)",
-                            index_bytes=index.size_bytes(),
-                            build_seconds=_time.perf_counter() - started,
-                        )
+                        MetaDocumentReport.of(spec, built, " (added incrementally)")
                     )
             except BaseException:
                 # Nothing above touched the published layout; undoing the
@@ -905,28 +859,26 @@ class Flix:
         :meth:`remove_document` then drops entries whose far endpoint was
         removed.
         """
-        from repro.core.iss import IndexingStrategySelector
-
-        collection = self.collection
+        successors = self.collection.graph.successors
         residual_pairs = {
             (source, target)
             for source, targets in meta.outgoing_links.items()
             for target in targets
         }
-        graph = Digraph()
-        for node in remaining:
-            graph.add_node(node)
-        for u in sorted(remaining):
-            for v in sorted(collection.graph.successors(u)):
-                if v in remaining and (u, v) not in residual_pairs:
-                    graph.add_edge(u, v)
-        choice = IndexingStrategySelector(self.config).choose(graph)
-        index = self._build_index(choice.strategy, graph)
+        internal = [
+            (u, v)
+            for u in sorted(remaining)
+            for v in sorted(successors(u))
+            if v in remaining and (u, v) not in residual_pairs
+        ]
+        built = IndexBuilder(self.collection, self.config).build_meta(
+            MetaDocumentSpec(meta.meta_id, remaining, internal)
+        )
         rebuilt = MetaDocument(
             meta_id=meta.meta_id,
             nodes=frozenset(remaining),
-            index=index,
-            strategy=choice.strategy,
+            index=built.index,
+            strategy=built.choice.strategy,
             outgoing_links={
                 source: list(targets)
                 for source, targets in meta.outgoing_links.items()
@@ -942,7 +894,7 @@ class Flix:
             self.obs.registry.counter(
                 "flix_index_builds_total",
                 "Per-meta-document index builds, by chosen strategy.",
-            ).inc(strategy=choice.strategy)
+            ).inc(strategy=rebuilt.strategy)
         return rebuilt
 
     def compact(
@@ -961,11 +913,6 @@ class Flix:
         index (strategy permitting).  Returns the new meta document, or
         ``None`` when there are fewer than two candidates.
         """
-        from repro.core.ib import MetaDocumentReport
-        from repro.core.iss import IndexingStrategySelector
-
-        import time as _time
-
         with self._mutation_lock:
             layout = self._layout
             if meta_ids is None:
@@ -982,40 +929,22 @@ class Flix:
                 candidates=len(candidates),
                 generation=layout.generation,
             )
-            started = _time.perf_counter()
-            collection = self.collection
             candidate_set = set(candidates)
             merged_nodes: Set[NodeId] = set()
             for meta_id in candidates:
                 merged_nodes |= layout.slots[meta_id].nodes
 
-            with trace.span("select"):
-                allow_graph = any(
-                    s != "ppo" for s in self.config.allowed_strategies
-                )
-                internal = []
-                for u in sorted(merged_nodes):
-                    for v in sorted(collection.graph.successors(u)):
-                        if v not in merged_nodes:
-                            continue
-                        if (
-                            collection.is_link_edge(u, v)
-                            and not allow_graph
-                        ):
-                            continue
-                        internal.append((u, v))
-                internal_set = set(internal)
-                graph = Digraph()
-                for node in merged_nodes:
-                    graph.add_node(node)
-                for u, v in internal:
-                    graph.add_edge(u, v)
-                choice = IndexingStrategySelector(self.config).choose(graph)
-
-            with trace.span("index", strategy=choice.strategy):
-                index = self._build_index(choice.strategy, graph)
-
             new_id = layout.next_meta_id
+            with trace.span("select"):
+                internal = self._internal_edges(merged_nodes)
+                internal_set = set(internal)
+            spec = MetaDocumentSpec(new_id, merged_nodes, internal)
+            with trace.span("index") as span:
+                built = IndexBuilder(self.collection, self.config).build_meta(
+                    spec
+                )
+                strategy = span.meta["strategy"] = built.choice.strategy
+
             # Carry over the merged metas' residual links, minus pairs the
             # merged index absorbed as internal edges.
             outgoing: Dict[NodeId, List[NodeId]] = {}
@@ -1037,8 +966,8 @@ class Flix:
             merged = MetaDocument(
                 meta_id=new_id,
                 nodes=frozenset(merged_nodes),
-                index=index,
-                strategy=choice.strategy,
+                index=built.index,
+                strategy=strategy,
                 outgoing_links=outgoing,
                 incoming_links=incoming,
             )
@@ -1055,17 +984,12 @@ class Flix:
                 meta_of[node] = new_id
 
             self.report.meta_documents.append(
-                MetaDocumentReport(
-                    meta_id=new_id,
-                    node_count=len(merged_nodes),
-                    internal_edge_count=len(internal),
-                    strategy=choice.strategy,
-                    rationale=choice.rationale
-                    + " (compacted from metas "
+                MetaDocumentReport.of(
+                    spec,
+                    built,
+                    " (compacted from metas "
                     + ", ".join(str(m) for m in candidates)
                     + ")",
-                    index_bytes=index.size_bytes(),
-                    build_seconds=_time.perf_counter() - started,
                 )
             )
             self._refresh_report(slots)
@@ -1090,17 +1014,31 @@ class Flix:
                 self.obs.registry.counter(
                     "flix_compactions_total",
                     "Online compactions of incremental meta documents.",
-                ).inc(strategy=choice.strategy)
+                ).inc(strategy=strategy)
                 self.obs.registry.counter(
                     "flix_index_builds_total",
                     "Per-meta-document index builds, by chosen strategy.",
-                ).inc(strategy=choice.strategy)
+                ).inc(strategy=strategy)
             self._wal_append(
                 "compact", {"meta_ids": candidates}, new_layout.generation
             )
             self._publish_layout(new_layout, verb="compact")
             trace.finish()
             return merged
+
+    def _internal_edges(self, nodes: Set[NodeId]) -> List[Tuple[NodeId, NodeId]]:
+        """The edges a new meta document over ``nodes`` indexes, sorted:
+        every tree edge between two of them, and their link edges only
+        when the configuration allows a graph index (under PPO alone
+        they must stay residual)."""
+        collection = self.collection
+        allow_graph = any(s != "ppo" for s in self.config.allowed_strategies)
+        return [
+            (u, v)
+            for u in sorted(nodes)
+            for v in sorted(collection.graph.successors(u))
+            if v in nodes and (allow_graph or not collection.is_link_edge(u, v))
+        ]
 
     def _refresh_report(
         self, slots: Sequence[Optional[MetaDocument]]
@@ -1232,3 +1170,4 @@ class Flix:
                 f"  ... and {len(self.report.meta_documents) - 20} more meta documents"
             )
         return "\n".join(lines)
+

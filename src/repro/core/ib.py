@@ -10,32 +10,51 @@ which FliX's total storage (Table 1) counts.  Every index comes out of
 :func:`repro.indexes.registry.build_index` already packed, so the report's
 ``index_bytes`` are blob bytes.
 
-Parallel builds
----------------
+One per-meta build, serial or the process pool
+----------------------------------------------
 
-The per-meta-document builds are mutually independent — the closure/2-hop
-computation of one meta document never reads another's — so the builder can
-fan them out over a worker pool (``jobs`` > 1).  Three execution modes
-exist, chosen by :attr:`repro.core.config.FlixConfig.build_executor`:
+:func:`build_meta_document` is the one per-meta-document build: spec,
+element tags and selector in; the ISS choice, the packed index and the
+phase timings out.  Every path that indexes a meta document runs it — the
+whole-collection build here, and through :meth:`IndexBuilder.build_meta`
+the maintenance verbs of :class:`repro.core.framework.Flix` (growth by
+``add_document(s)``, the re-index inside ``remove_document``, and
+``compact``).
 
-* ``process`` — a ``concurrent.futures.ProcessPoolExecutor`` (the default
-  for the CPU-bound closure builds).  Tasks, config and the selector are
-  shipped via pickle, and each built index comes back as its blob's
-  bytes (:class:`repro.indexes.packed.base.PackedIndex` pickles that
-  way); worker processes disable the cyclic garbage
-  collector (their allocations are overwhelmingly acyclic dict/list
-  plumbing and the process exits after the build, so refcounting suffices
-  — this alone is worth ~30% on allocation-heavy 2-hop builds).
-* ``thread`` — a ``ThreadPoolExecutor``; the automatic fallback whenever
-  the hand-off cannot be pickled (custom selectors holding sockets,
-  closures, ...) or no process pool can be spawned.
-* ``serial`` — the plain loop (``jobs=1``); also what ``auto`` degrades to
-  when the OS grants the process a single CPU, where a pool would add
-  IPC cost without parallel capacity.
+The per-meta builds are mutually independent — the closure/2-hop
+computation of one meta document never reads another's — so
+:meth:`IndexBuilder.build` runs them on a warm ``ProcessPoolExecutor``
+when all three of these hold: ``jobs`` > 1, more than one spec, and more
+than one CPU granted to the process (:func:`_available_cpus`).  Otherwise
+it builds serially in the calling process.  No setting chooses the
+executor; the report's ``executor`` says which one ran (``"serial"`` or
+``"process"``).  Specs, tags and the selector travel by pickle, and each
+built index comes back as its blob's bytes
+(:class:`repro.indexes.packed.base.PackedIndex` pickles that way); worker
+processes disable the cyclic garbage collector (their allocations are
+overwhelmingly acyclic dict/list plumbing, so refcounting suffices — worth
+~30% on allocation-heavy 2-hop builds).
 
-Whatever the mode, results are merged back **in spec order**, so
+A task that raises retires the pool and its exception propagates at once:
+nothing is rerun.  Only a pool that cannot start — an ``OSError`` from
+creating it or from submitting to it, or a warm pool found broken at
+submission — falls back to the serial loop.
+
+Build seconds on DBLP-3105 (2-CPU container, median of 5 rounds, the same
+``index_fingerprint()`` from every build), measured when a thread pool was
+still a third executor; it was slower than serial every time and is gone:
+
+=========================  ======  ==================  ===================
+configuration              serial  threads, jobs=2     processes, jobs=2
+=========================  ======  ==================  ===================
+``maximal_ppo``            0.728   0.821               1.196
+``hybrid``                 1.507   1.710               2.224
+``unconnected_hopi(500)``  1.440   1.852               1.473
+=========================  ======  ==================  ===================
+
+Whatever runs them, results are merged back **in spec order**, so
 ``meta_of``, the strategy choices, per-meta index contents and the
-residual-link wiring are identical to a sequential build; only the timing
+residual-link wiring are identical to a serial build; only the timing
 fields of the :class:`BuildReport` differ.  Per-meta phase timings (queue
 wait, graph build, strategy selection, index build) are recorded in a
 :class:`BuildProfile` on every :class:`MetaDocumentReport` so speedups are
@@ -67,8 +86,8 @@ class BuildProfile:
     ``queue_wait_seconds`` is the time between task submission and a worker
     picking it up — the pool's scheduling latency; the remaining phases are
     the work itself.  ``worker`` names the executing context (``"main"``
-    for serial builds, ``"process-<pid>"`` / ``"thread-<name>"`` for pool
-    workers) so imbalance is visible in build reports.
+    for serial builds, ``"process-<pid>"`` for pool workers) so imbalance
+    is visible in build reports.
     """
 
     queue_wait_seconds: float = 0.0
@@ -96,6 +115,23 @@ class MetaDocumentReport:
     build_seconds: float
     profile: BuildProfile = field(default_factory=BuildProfile)
 
+    @classmethod
+    def of(
+        cls, spec: MetaDocumentSpec, built: "MetaBuild", note: str = ""
+    ) -> "MetaDocumentReport":
+        """The row for ``spec`` built as ``built``; ``note`` extends the
+        ISS rationale (how a maintenance verb came to build it)."""
+        return cls(
+            meta_id=spec.meta_id,
+            node_count=len(spec.nodes),
+            internal_edge_count=len(spec.internal_edges),
+            strategy=built.choice.strategy,
+            rationale=built.choice.rationale + note,
+            index_bytes=built.index.size_bytes(),
+            build_seconds=built.profile.busy_seconds,
+            profile=built.profile,
+        )
+
 
 @dataclass
 class BuildReport:
@@ -108,7 +144,7 @@ class BuildReport:
     total_seconds: float = 0.0
     #: worker count the build ran with (1 = sequential)
     jobs: int = 1
-    #: executor kind actually used: "serial", "thread" or "process"
+    #: executor that ran the per-meta builds: "serial" or "process"
     executor: str = "serial"
 
     @property
@@ -159,47 +195,39 @@ class BuildReport:
 
 
 # ----------------------------------------------------------------------
-# the worker-pool hand-off
+# the one per-meta-document build
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _BuildTask:
-    """Everything a worker needs to build one meta document.
-
-    Deliberately primitive (ints, strings, tuples) so the same object runs
-    unchanged in-process, on a thread, or pickled into a process-pool
-    worker.  ``nodes`` keeps the spec set's iteration order, so every
-    execution mode reconstructs an identical graph.
-    """
-
-    meta_id: int
-    nodes: Tuple[NodeId, ...]
-    internal_edges: Tuple[Edge, ...]
-    tags: Dict[NodeId, str]
-    submitted_at: float
-
-
 @dataclass
-class _BuildResult:
-    meta_id: int
+class MetaBuild:
+    """One meta document's build: the ISS choice, the packed index, and
+    what each phase cost."""
+
     choice: StrategyChoice
     index: PathIndex
     profile: BuildProfile
 
 
-def _execute_task(
-    task: _BuildTask, selector: IndexingStrategySelector, worker: str
-) -> _BuildResult:
+def build_meta_document(
+    spec: MetaDocumentSpec,
+    tags: Dict[NodeId, str],
+    selector: IndexingStrategySelector,
+    worker: str = "main",
+    submitted_at: Optional[float] = None,
+) -> MetaBuild:
     """Build one meta document: graph -> strategy selection -> index.
 
-    A strategy build that raises is a bug; its exception propagates.
+    ``tags`` maps every node of the spec to its element name;
+    ``submitted_at`` is the ``perf_counter`` reading at which a pool
+    queued the task (its profile's queue wait), ``None`` for a build
+    run where it was asked for.  A strategy build that raises is a bug;
+    its exception propagates.
     """
     started = time.perf_counter()
     profile = BuildProfile(
-        queue_wait_seconds=max(0.0, started - task.submitted_at),
+        queue_wait_seconds=(
+            0.0 if submitted_at is None else max(0.0, started - submitted_at)
+        ),
         worker=worker,
-    )
-    spec = MetaDocumentSpec(
-        task.meta_id, set(task.nodes), list(task.internal_edges)
     )
     graph = spec.build_graph()
     checkpoint = time.perf_counter()
@@ -207,17 +235,23 @@ def _execute_task(
     choice = selector.choose(graph)
     now = time.perf_counter()
     profile.selection_seconds = now - checkpoint
-    index = build_index(choice.strategy, graph, task.tags)
+    index = build_index(choice.strategy, graph, tags)
     profile.index_seconds = time.perf_counter() - now
-    return _BuildResult(task.meta_id, choice, index, profile)
+    return MetaBuild(choice, index, profile)
 
+
+# ----------------------------------------------------------------------
+# the process pool
+# ----------------------------------------------------------------------
+#: one task of a pool chunk: the spec and its element tags
+_Task = Tuple[MetaDocumentSpec, Dict[NodeId, str]]
 
 #: per-process state installed by the pool initializer: the selector
 _WORKER_STATE: Optional[IndexingStrategySelector] = None
 
 #: the shared build pool: ``(key, ProcessPoolExecutor)`` — forked workers
 #: are kept warm between builds so repeated builds (benchmark repeats,
-#: maintenance verbs, rebuilds) pay pool startup once, not per build
+#: rebuilds) pay pool startup once, not per build
 _POOL_CACHE: Optional[Tuple[tuple, object]] = None
 _POOL_ATEXIT_REGISTERED = False
 
@@ -278,11 +312,16 @@ def _init_process_worker(payload: bytes) -> None:
     _WORKER_STATE = pickle.loads(payload)
 
 
-def _run_chunk_in_process(chunk: List[_BuildTask]) -> List[_BuildResult]:
+def _run_chunk_in_process(
+    chunk: List[_Task], submitted_at: float
+) -> List[MetaBuild]:
     import gc
 
     worker = f"process-{os.getpid()}"
-    results = [_execute_task(task, _WORKER_STATE, worker) for task in chunk]
+    results = [
+        build_meta_document(spec, tags, _WORKER_STATE, worker, submitted_at)
+        for spec, tags in chunk
+    ]
     gc.collect()
     return results
 
@@ -294,23 +333,28 @@ class IndexBuilder:
         self,
         collection: XmlCollection,
         config: FlixConfig,
-        selector: Optional[IndexingStrategySelector] = None,
         obs: Optional[Observability] = None,
     ) -> None:
         self._collection = collection
         self._config = config
-        self._selector = selector or IndexingStrategySelector(config)
+        self._selector = IndexingStrategySelector(config)
         self._obs = obs if obs is not None else OBS_OFF
+
+    def build_meta(self, spec: MetaDocumentSpec) -> MetaBuild:
+        """One meta document, built in this process: the maintenance
+        verbs' way to an index."""
+        return build_meta_document(spec, self._tags(spec), self._selector)
 
     def build(
         self,
         specs: List[MetaDocumentSpec],
-        jobs: Optional[int] = None,
+        jobs: int = 1,
     ) -> Tuple[List[MetaDocument], Dict[NodeId, int], BuildReport]:
-        """Build all meta documents; ``jobs`` overrides ``config.jobs``.
+        """Build all meta documents, on the process pool when ``jobs`` > 1,
+        there is more than one spec and more than one CPU, else serially.
 
-        Whatever the worker count, the merged output is identical to a
-        sequential build (see the module docstring's determinism notes).
+        Whatever runs them, the merged output is identical to a serial
+        build (see the module docstring's determinism notes).
         """
         started = time.perf_counter()
         build_trace = (
@@ -320,10 +364,8 @@ class IndexBuilder:
         )
         collection = self._collection
         self._check_disjoint_cover(specs)
-
-        effective_jobs = self._config.jobs if jobs is None else jobs
-        if effective_jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {effective_jobs}")
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
 
         meta_of: Dict[NodeId, int] = {}
         for spec in specs:
@@ -337,54 +379,32 @@ class IndexBuilder:
             edge for edge in collection.graph.edges() if edge not in internal
         )
 
-        tasks = [
-            _BuildTask(
-                meta_id=spec.meta_id,
-                nodes=tuple(spec.nodes),
-                internal_edges=tuple(spec.internal_edges),
-                tags={node: collection.tag(node) for node in spec.nodes},
-                submitted_at=time.perf_counter(),
-            )
-            for spec in specs
-        ]
-
-        executor_kind = self._resolve_executor(effective_jobs, len(tasks))
-        results, executor_kind = self._dispatch(
-            tasks, effective_jobs, executor_kind
-        )
+        tasks = [(spec, self._tags(spec)) for spec in specs]
+        results = None
+        if jobs > 1 and len(tasks) > 1 and _available_cpus() > 1:
+            results = self._run_process_pool(tasks, jobs)
+        executor = "process"
+        if results is None:
+            executor = "serial"
+            results = [
+                build_meta_document(spec, tags, self._selector)
+                for spec, tags in tasks
+            ]
 
         report = BuildReport(
-            config_name=self._config.name,
-            jobs=effective_jobs,
-            executor=executor_kind,
+            config_name=self._config.name, jobs=jobs, executor=executor
         )
         meta_documents: List[MetaDocument] = []
-        for spec, result in zip(specs, results):
-            if result.meta_id != spec.meta_id:  # pragma: no cover - invariant
-                raise RuntimeError(
-                    f"worker results out of order: expected meta "
-                    f"{spec.meta_id}, got {result.meta_id}"
-                )
-            index = result.index
-            meta = MetaDocument(
-                meta_id=spec.meta_id,
-                nodes=frozenset(spec.nodes),
-                index=index,
-                strategy=index.strategy_name,
-            )
-            meta_documents.append(meta)
-            report.meta_documents.append(
-                MetaDocumentReport(
+        for spec, built in zip(specs, results):
+            meta_documents.append(
+                MetaDocument(
                     meta_id=spec.meta_id,
-                    node_count=len(spec.nodes),
-                    internal_edge_count=len(spec.internal_edges),
-                    strategy=index.strategy_name,
-                    rationale=result.choice.rationale,
-                    index_bytes=index.size_bytes(),
-                    build_seconds=result.profile.busy_seconds,
-                    profile=result.profile,
+                    nodes=frozenset(spec.nodes),
+                    index=built.index,
+                    strategy=built.choice.strategy,
                 )
             )
+            report.meta_documents.append(MetaDocumentReport.of(spec, built))
 
         wire_links(meta_documents, meta_of, residual)
         for meta in meta_documents:
@@ -434,86 +454,17 @@ class IndexBuilder:
             "Total index + residual-link bytes of the most recent build.",
         ).set(report.total_index_bytes)
 
-    # ------------------------------------------------------------------
-    # executor selection and dispatch
-    # ------------------------------------------------------------------
-    def _resolve_executor(self, jobs: int, task_count: int) -> str:
-        """Pick the executor kind for this build.
-
-        ``process`` needs the whole hand-off — config and selector — to
-        round-trip through pickle; anything unpicklable (a closure-based
-        selector) degrades to ``thread``, which shares the objects directly.
-
-        ``auto`` also respects the CPU allowance: when the OS grants this
-        process a single CPU (cgroup limits, taskset), a worker pool adds
-        pickle/IPC cost with zero parallel capacity, so the build stays
-        serial.  An explicit ``process``/``thread`` request is always
-        honored — that is what the determinism tests pin.
-        """
-        requested = getattr(self._config, "build_executor", "auto")
-        if jobs <= 1 or task_count <= 1 or requested == "serial":
-            return "serial"
-        if requested == "thread":
-            return "thread"
-        if requested == "auto" and _available_cpus() <= 1:
-            return "serial"
-        try:
-            pickle.dumps((self._config, self._selector))
-        except Exception:
-            return "thread"
-        return "process"
-
-    def _dispatch(
-        self,
-        tasks: List[_BuildTask],
-        jobs: int,
-        executor_kind: str,
-    ) -> Tuple[List[_BuildResult], str]:
-        """Run all tasks, returning results in task order.
-
-        Falls back process -> thread -> serial on pool failures so a build
-        never dies just because the environment cannot fork.
-        """
-        if executor_kind == "process":
-            try:
-                return self._run_process_pool(tasks, jobs), "process"
-            except Exception:
-                executor_kind = "thread"
-        if executor_kind == "thread":
-            try:
-                return self._run_thread_pool(tasks, jobs), "thread"
-            except Exception:
-                executor_kind = "serial"
-        return self._run_serial(tasks), "serial"
-
-    def _run_serial(self, tasks: List[_BuildTask]) -> List[_BuildResult]:
-        return [
-            _execute_task(_restamp(task), self._selector, "main")
-            for task in tasks
-        ]
-
-    def _run_thread_pool(
-        self, tasks: List[_BuildTask], jobs: int
-    ) -> List[_BuildResult]:
-        from concurrent.futures import ThreadPoolExecutor
-        import threading
-
-        selector = self._selector
-
-        def run_one(task: _BuildTask) -> _BuildResult:
-            worker = f"thread-{threading.current_thread().name}"
-            return _execute_task(task, selector, worker)
-
-        with ThreadPoolExecutor(
-            max_workers=jobs, thread_name_prefix="flix-ib"
-        ) as pool:
-            futures = [pool.submit(run_one, _restamp(task)) for task in tasks]
-            return [future.result() for future in futures]
+    def _tags(self, spec: MetaDocumentSpec) -> Dict[NodeId, str]:
+        tag = self._collection.tag
+        return {node: tag(node) for node in spec.nodes}
 
     def _run_process_pool(
-        self, tasks: List[_BuildTask], jobs: int
-    ) -> List[_BuildResult]:
+        self, tasks: List[_Task], jobs: int
+    ) -> Optional[List[MetaBuild]]:
+        """Run all tasks on the warm pool, returning results in task
+        order, or ``None`` when the pool cannot start (nothing ran)."""
         import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool
 
         # fork shares the parent's imported modules for free; fall back to
         # the platform default (spawn on macOS/Windows) where unavailable.
@@ -524,21 +475,28 @@ class IndexBuilder:
         payload = pickle.dumps(self._selector)
         # More workers than granted CPUs only oversubscribes the scheduler;
         # chunking follows the worker count that will actually run.
-        workers = max(1, min(jobs, _available_cpus()))
+        workers = min(jobs, _available_cpus())
         chunks = _chunk_tasks(tasks, workers)
         # The pool outlives this build (worker startup amortized across
-        # builds); it is retired on hand-off change, breakage, or atexit.
-        pool = _shared_process_pool(payload, workers, context)
-        futures = [
-            pool.submit(_run_chunk_in_process, [_restamp(t) for t in chunk])
-            for chunk in chunks
-        ]
-        results: List[_BuildResult] = []
+        # builds); it is retired on hand-off change, failure, or atexit.
+        try:
+            pool = _shared_process_pool(payload, workers, context)
+            futures = [
+                pool.submit(_run_chunk_in_process, chunk, time.perf_counter())
+                for chunk in chunks
+            ]
+        except (OSError, BrokenProcessPool):
+            # no worker could start (fork refused, or a warm pool died
+            # since the last build): retire it, the caller builds serially
+            shutdown_build_pool(wait=False)
+            return None
+        results: List[MetaBuild] = []
         try:
             for future in futures:
                 results.extend(future.result())
-        except Exception:
-            # don't hand a possibly-poisoned pool to the next build
+        except BaseException:
+            # a task raised: propagate at once, and don't hand a possibly
+            # poisoned pool to the next build
             shutdown_build_pool(wait=False)
             raise
         return results
@@ -573,16 +531,7 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _restamp(task: _BuildTask) -> _BuildTask:
-    """Refresh ``submitted_at`` to the actual dispatch moment."""
-    from dataclasses import replace
-
-    return replace(task, submitted_at=time.perf_counter())
-
-
-def _chunk_tasks(
-    tasks: Sequence[_BuildTask], jobs: int
-) -> List[List[_BuildTask]]:
+def _chunk_tasks(tasks: Sequence[_Task], jobs: int) -> List[List[_Task]]:
     """Contiguous, order-preserving chunks sized for pool throughput.
 
     Four chunks per worker balances IPC overhead against load skew: one

@@ -18,7 +18,6 @@ which is what keeps parallel builds and incremental growth deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
 
 from repro.core.config import FlixConfig
 from repro.graph.digraph import Digraph

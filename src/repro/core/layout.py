@@ -33,7 +33,7 @@ self-tuner's compaction candidates (see ``docs/MAINTENANCE.md``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.meta_document import MetaDocument

@@ -71,7 +71,7 @@ import copy
 import heapq
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.meta_document import MetaDocument

@@ -168,8 +168,6 @@ def save_flix(flix: Flix, directory) -> Path:
             "similarity_threshold": flix.config.similarity_threshold,
             "hopi_pairs_per_node_budget": flix.config.hopi_pairs_per_node_budget,
             "expect_long_paths": flix.config.expect_long_paths,
-            "jobs": flix.config.jobs,
-            "build_executor": flix.config.build_executor,
             "observability": flix.config.observability,
             "cache": (
                 flix.config.cache.to_dict() if flix.config.cache else None
@@ -637,7 +635,8 @@ def _rederive_table_entry(
 
 
 def _config_from_manifest(config_data: dict) -> FlixConfig:
-    # keys of retired options (``"planner"``, ``"resilience"``) are ignored
+    # keys of retired options (the query planner, the resilience block,
+    # the build parallelism) are ignored
     return FlixConfig(
         name=config_data["name"],
         mdb_strategy=config_data["mdb_strategy"],
@@ -647,8 +646,6 @@ def _config_from_manifest(config_data: dict) -> FlixConfig:
         similarity_threshold=config_data.get("similarity_threshold", 0.75),
         hopi_pairs_per_node_budget=config_data["hopi_pairs_per_node_budget"],
         expect_long_paths=config_data["expect_long_paths"],
-        jobs=config_data.get("jobs", 1),
-        build_executor=config_data.get("build_executor", "auto"),
         observability=config_data.get("observability", True),
         cache=(
             CacheConfig.from_dict(config_data["cache"])

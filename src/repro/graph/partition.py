@@ -18,9 +18,8 @@ refinement pass that moves nodes whose cut gain is positive
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Set, Tuple
 
 from repro.graph.digraph import Digraph
 

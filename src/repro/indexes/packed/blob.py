@@ -43,7 +43,7 @@ import struct
 import sys
 from array import array
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.storage.errors import CorruptionError
 

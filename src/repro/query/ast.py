@@ -17,8 +17,8 @@ query of section 1.1 parses to::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 AXES = ("child", "descendant")
 PREDICATE_OPS = ("=", "~=", "contains")

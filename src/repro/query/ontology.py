@@ -17,8 +17,7 @@ synonymy, the "Matrix 3" alternative title) and publications (``article`` /
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 
 class Ontology:

@@ -16,7 +16,7 @@ Examples accepted: ``/movie/actor``, ``//~movie[title ~= "Matrix 3"]//actor``,
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.query.ast import LocationStep, PathQuery, Predicate
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.storage.atomic import fsync_directory
 from repro.wal.record import (

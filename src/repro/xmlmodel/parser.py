@@ -16,7 +16,7 @@ error messages carry line/column positions.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.xmlmodel.dom import XmlElement
 

@@ -153,20 +153,26 @@ def _response_signature(response) -> str:
 
 @pytest.fixture()
 def break_build(monkeypatch):
-    """``break_build(index_class, first=None)`` makes ``index_class.build``
-    raise ``RuntimeError`` — on every call, or on its first ``first``
-    calls only: a bug injected where a build can fail, at the strategy.
-    Process-pool workers forked after the patch inherit it."""
+    """``break_build(index_class, first=None, record=None)`` makes
+    ``index_class.build`` raise ``RuntimeError`` — on every call, or on its
+    first ``first`` calls only: a bug injected where a build can fail, at
+    the strategy.  Each failing call appends the id of the process it ran
+    in to the file ``record``, when given.  Process-pool workers forked
+    after the patch inherit it."""
     import itertools
+    import os
 
     from repro.core.ib import shutdown_build_pool
 
-    def install(index_class, first=None):
+    def install(index_class, first=None, record=None):
         real = index_class.build
         calls = itertools.count()
 
         def build(cls, graph, tags):
             if first is None or next(calls) < first:
+                if record is not None:
+                    with open(record, "a") as log:
+                        log.write(f"{os.getpid()}\n")
                 raise RuntimeError(
                     f"injected {cls.strategy_name} build failure"
                 )

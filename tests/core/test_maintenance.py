@@ -5,6 +5,7 @@ import pytest
 
 from repro.collection.builder import build_collection
 from repro.collection.document import XmlDocument
+from repro.core import ib
 from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
@@ -156,11 +157,11 @@ class TestRemoveDocument:
             oracle_descendants(collection, start) for start in starts
         ]
 
-        def failing_build(strategy, graph):
+        def failing_build(strategy, graph, tags):
             raise RuntimeError("injected index build failure")
 
         with monkeypatch.context() as patch:
-            patch.setattr(flix, "_build_index", failing_build)
+            patch.setattr(ib, "build_index", failing_build)
             with pytest.raises(RuntimeError):
                 flix.remove_document("c.xml")
         assert state() == before

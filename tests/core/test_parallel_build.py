@@ -3,15 +3,18 @@
 The acceptance bar: a build with ``jobs`` > 1 must be indistinguishable
 from a sequential build in everything except timing — same ``meta_of``,
 same strategy choices, same per-meta index sizes, byte-for-byte identical
-index tables.  ``build_executor="process"`` is pinned where the process
-pool itself is under test, so the pickle round trip is exercised even on
-single-CPU CI runners (where ``auto`` rightly degrades to serial).
+index blobs.  The pool runs only when more than one CPU is granted, so
+the tests that exercise it pin ``ib._available_cpus``: single-CPU CI
+runners still cover the pickle round trip.
 """
 
 import dataclasses
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.core import ib
 from repro.core.api import QueryRequest
 from repro.core.config import FlixConfig
 from repro.core.framework import Flix
@@ -20,10 +23,10 @@ from repro.core.links import residual_links
 from repro.core.mdb import MetaDocumentBuilder
 
 
-def _process_config(partition_size: int = 60) -> FlixConfig:
-    return dataclasses.replace(
-        FlixConfig.unconnected_hopi(partition_size), build_executor="process"
-    )
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes the builder see ``n`` granted CPUs."""
+    return lambda n: monkeypatch.setattr(ib, "_available_cpus", lambda: n)
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +39,11 @@ class TestParity:
 
     @pytest.fixture(scope="class")
     def parallel(self, figure1_collection):
-        return Flix.build(figure1_collection, _process_config(), jobs=4)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ib, "_available_cpus", lambda: 2)
+            return Flix.build(
+                figure1_collection, FlixConfig.unconnected_hopi(60), jobs=4
+            )
 
     def test_meta_of_identical(self, sequential, parallel):
         assert parallel.meta_of == sequential.meta_of
@@ -93,95 +100,90 @@ class TestParity:
         assert totals["index"] > 0.0
 
 
-class TestThreadFallback:
-    def test_unpicklable_handoff_degrades_to_thread(
-        self, sequential, figure1_collection
+class TestPoolFailures:
+    def test_failing_task_never_reruns_in_the_parent(
+        self, figure1_collection, break_build, cpus, tmp_path
     ):
-        """A selector holding a closure cannot cross a process boundary;
-        the builder must degrade to threads and still produce the same
-        index."""
-        from repro.core.iss import IndexingStrategySelector
+        """A task that raises retires the pool and propagates: no serial
+        rerun in the parent, no other executor tried."""
+        from repro.indexes.ppo import PpoIndex
 
-        config = _process_config()
-        selector = IndexingStrategySelector(config)
-        selector.audit = lambda choice: None
-        builder = IndexBuilder(figure1_collection, config, selector=selector)
-        specs = MetaDocumentBuilder(figure1_collection, config).build_specs()
-        metas, meta_of, report = builder.build(specs, jobs=4)
-        assert report.executor == "thread"
-        assert meta_of == sequential.meta_of
-        assert [m.index.fingerprint() for m in metas] == [
-            m.index.fingerprint() for m in sequential.meta_documents
-        ]
+        cpus(2)
+        pids = tmp_path / "pids"
+        break_build(PpoIndex, record=pids)
+        with pytest.raises(RuntimeError, match="injected ppo build failure"):
+            Flix.build(figure1_collection, FlixConfig.naive(), jobs=2)
+        ran_in = pids.read_text().split()
+        assert ran_in, "the pool never ran the build"
+        assert str(os.getpid()) not in ran_in
+        assert ib._POOL_CACHE is None
 
-    def test_explicit_thread_executor(self, sequential, figure1_collection):
-        config = dataclasses.replace(
-            FlixConfig.unconnected_hopi(60), build_executor="thread"
+    @pytest.mark.parametrize("error", [OSError, BrokenProcessPool])
+    def test_pool_that_cannot_start_builds_serially(
+        self, error, sequential, figure1_collection, cpus, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise error("no worker can start")
+
+        cpus(2)
+        monkeypatch.setattr(ib, "_shared_process_pool", refuse)
+        flix = Flix.build(
+            figure1_collection, FlixConfig.unconnected_hopi(60), jobs=2
         )
-        flix = Flix.build(figure1_collection, config, jobs=2)
-        assert flix.report.executor == "thread"
-        for meta in flix.report.meta_documents:
-            assert meta.profile.worker.startswith("thread-")
+        assert flix.report.executor == "serial"
         assert flix.index_fingerprint() == sequential.index_fingerprint()
 
 
 class TestSerialPaths:
-    def test_jobs_one_stays_serial(self, figure1_collection):
+    def test_jobs_one_stays_serial(self, figure1_collection, cpus):
+        cpus(2)
         flix = Flix.build(figure1_collection, FlixConfig.unconnected_hopi(60))
         assert flix.report.jobs == 1
         assert flix.report.executor == "serial"
         for meta in flix.report.meta_documents:
             assert meta.profile.worker == "main"
 
-    def test_single_meta_document_skips_pool(self, figure1_collection):
-        flix = Flix.build(figure1_collection, _process_config(100_000), jobs=4)
+    def test_single_meta_document_skips_pool(self, figure1_collection, cpus):
+        cpus(2)
+        flix = Flix.build(
+            figure1_collection, FlixConfig.unconnected_hopi(100_000), jobs=4
+        )
         assert len(flix.meta_documents) == 1
         assert flix.report.executor == "serial"
 
-    def test_explicit_serial_executor_ignores_jobs(self, figure1_collection):
-        config = dataclasses.replace(
-            FlixConfig.unconnected_hopi(60), build_executor="serial"
+    def test_single_cpu_stays_serial(self, sequential, figure1_collection, cpus):
+        cpus(1)
+        flix = Flix.build(
+            figure1_collection, FlixConfig.unconnected_hopi(60), jobs=8
         )
-        flix = Flix.build(figure1_collection, config, jobs=8)
+        assert flix.report.jobs == 8
         assert flix.report.executor == "serial"
+        assert flix.index_fingerprint() == sequential.index_fingerprint()
 
 
 class TestConfigPlumbing:
-    def test_with_jobs(self):
-        config = FlixConfig.unconnected_hopi(60).with_jobs(4)
-        assert config.jobs == 4
-        assert config.build_executor == "auto"
-        forced = config.with_jobs(2, build_executor="thread")
-        assert (forced.jobs, forced.build_executor) == (2, "thread")
-
-    def test_config_jobs_used_by_default(self, figure1_collection):
-        config = FlixConfig.unconnected_hopi(60).with_jobs(3)
-        flix = Flix.build(figure1_collection, config)
-        assert flix.report.jobs == 3
-
-    def test_build_jobs_overrides_config(self, figure1_collection):
-        config = FlixConfig.unconnected_hopi(60).with_jobs(3)
-        flix = Flix.build(figure1_collection, config, jobs=1)
-        assert flix.report.jobs == 1
-        assert flix.report.executor == "serial"
+    def test_jobs_is_an_argument_of_the_build_call(
+        self, sequential, figure1_collection, cpus
+    ):
+        """The index is the same at any ``jobs``, so the configuration
+        (and its saved manifest) carries none."""
+        fields = {f.name for f in dataclasses.fields(FlixConfig)}
+        assert not fields & {"jobs", "build_executor"}
+        cpus(2)
+        config = FlixConfig.unconnected_hopi(60)
+        for jobs, executor in ((1, "serial"), (2, "process")):
+            flix = Flix.build(figure1_collection, config, jobs=jobs)
+            assert (flix.report.jobs, flix.report.executor) == (jobs, executor)
+            assert flix.index_fingerprint() == sequential.index_fingerprint()
 
     def test_invalid_jobs_rejected(self, figure1_collection):
+        config = FlixConfig.unconnected_hopi(60)
         with pytest.raises(ValueError):
-            FlixConfig.unconnected_hopi(60).with_jobs(0)
-        builder = IndexBuilder(
-            figure1_collection, FlixConfig.unconnected_hopi(60)
-        )
-        specs = MetaDocumentBuilder(
-            figure1_collection, FlixConfig.unconnected_hopi(60)
-        ).build_specs()
+            Flix.build(figure1_collection, config, jobs=0)
+        builder = IndexBuilder(figure1_collection, config)
+        specs = MetaDocumentBuilder(figure1_collection, config).build_specs()
         with pytest.raises(ValueError):
             builder.build(specs, jobs=0)
-
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError):
-            dataclasses.replace(
-                FlixConfig.unconnected_hopi(60), build_executor="gpu"
-            )
 
 
 class TestBuildProfile:

@@ -4,8 +4,9 @@ and no builder, and only the registry builds;
 SQLite is the format-1 reader's alone, ``repro.storage`` holds only what
 the blobs still need and depends on nothing above it, nothing that reads
 a socket or a log unpickles, only ``repro.faults`` knows the
-fault-plan environment, and no query, build or serving module injects
-faults."""
+fault-plan environment, no query, build or serving module injects
+faults, only the Index Builder picks index strategies, and no module
+imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -182,4 +183,76 @@ def test_fault_injection_reaches_no_query_build_or_serving_module():
         for path in sorted((SRC / "repro").rglob("*.py"))
         if any(name in path.read_text(encoding="utf-8") for name in retired)
     ]
+    assert offenders == []
+
+
+def test_only_the_index_builder_selects_strategies():
+    """Every meta document — built whole, grown, re-indexed or compacted —
+    is indexed by ``repro.core.ib.build_meta_document``, so the ISS is
+    constructed in that one module."""
+    constructors = {
+        path.relative_to(SRC).as_posix()
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "IndexingStrategySelector"
+    }
+    assert constructors == {"repro/core/ib.py"}
+
+
+def _bound_imports(tree):
+    """``(line, name)`` for every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield node.lineno, alias.asname or alias.name
+
+
+def _referenced_names(tree):
+    """Names the module reads: identifiers, quoted annotations, and the
+    entries of an ``__all__`` list (a re-export is a use)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # a quoted annotation ("Path", "Optional[Flix]") names types
+            try:
+                expression = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(
+                sub.id for sub in ast.walk(expression)
+                if isinstance(sub, ast.Name)
+            )
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            names.update(
+                element.value for element in node.value.elts
+                if isinstance(element, ast.Constant)
+            )
+    return names
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """No linter runs in CI; this is its unused-import rule.  Package
+    ``__init__`` modules are skipped: their imports are the re-exports."""
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _referenced_names(tree)
+        offenders += [
+            f"{path.relative_to(SRC).as_posix()}:{line} imports {name}"
+            for line, name in _bound_imports(tree)
+            if name not in used
+        ]
     assert offenders == []
