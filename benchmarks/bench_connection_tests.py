@@ -68,24 +68,3 @@ def test_connection_tests_cheaper_than_enumeration(benchmark, systems, fig5):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     # a single reachability probe is cheaper than enumerating everything
     assert _COSTS["HOPI"] < enumeration_cost + 1e-3
-
-
-def test_bidirectional_connection_tests(benchmark, systems, oracle, pairs):
-    """Section 5.2's optimization: bidirectional search stays correct."""
-    flix = next(s for s in systems if s.name.startswith("HOPI-")).flix
-
-    def run():
-        answers = []
-        for source, target, _expected in pairs:
-            answers.append(
-                flix.query(
-                    QueryRequest.test(
-                        source, target, max_distance=50, bidirectional=True
-                    )
-                ).value
-            )
-        return answers
-
-    answers = benchmark.pedantic(run, rounds=2, iterations=1)
-    for (source, target, expected), answer in zip(pairs, answers):
-        assert (answer is not None) == expected

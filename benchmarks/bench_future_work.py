@@ -1,9 +1,5 @@
 """Ablations for the section 7 (future work) features we implemented.
 
-* **Exactly sorted results** ("returning results exactly sorted instead of
-  approximately"): measures the cost of the ordering guarantee — time to
-  the first result grows because results are buffered until final, while
-  the total time stays comparable and the stream becomes inversion-free.
 * **Result caching** ("caching results of frequent (sub-)queries"):
   repeated queries are answered from the LRU cache at a fraction of the
   evaluation cost.
@@ -18,42 +14,10 @@ import time
 
 import pytest
 
-from repro.bench.harness import order_error_rate, time_to_k
 from repro.core.api import QueryRequest
 from repro.core.config import CacheConfig, FlixConfig
 from repro.core.framework import Flix
 from repro.datasets.dblp import DblpSpec, generate_dblp, generate_dblp_documents
-
-
-def test_exact_order_tradeoff(benchmark, dblp_collection, oracle, fig5):
-    flix = Flix.build(dblp_collection, FlixConfig.unconnected_hopi(300))
-    start, tag = fig5
-
-    approx = QueryRequest.descendants(start, tag=tag)
-    exact = QueryRequest.descendants(start, tag=tag, exact_order=True)
-
-    def run_exact():
-        return list(flix.query_stream(exact))
-
-    exact_results = benchmark.pedantic(run_exact, rounds=3, iterations=1)
-    approx_results = list(flix.query_stream(approx))
-
-    # same answers, zero inversions in the exact stream
-    assert {r.node for r in exact_results} == {r.node for r in approx_results}
-    distances = [r.distance for r in exact_results]
-    assert distances == sorted(distances)
-
-    exact_first = time_to_k(lambda: flix.query_stream(exact), [1])[1]
-    approx_first = time_to_k(lambda: flix.query_stream(approx), [1])[1]
-    benchmark.extra_info["exact_first_ms"] = round(exact_first * 1000, 3)
-    benchmark.extra_info["approx_first_ms"] = round(approx_first * 1000, 3)
-    # the ordering guarantee costs the early-first-results advantage
-    assert exact_first >= approx_first * 0.5  # never dramatically cheaper
-
-    # ordering by reported distance can only reduce the true-order error
-    assert order_error_rate(exact_results, oracle, start) <= order_error_rate(
-        approx_results, oracle, start
-    )
 
 
 def test_cache_effectiveness(benchmark, dblp_collection, fig5):

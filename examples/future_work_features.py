@@ -2,10 +2,12 @@
 
 1. automatic homogeneous-subcollection detection with per-part
    configurations;
-2. exactly sorted result streaming;
-3. result caching for frequent queries;
-4. incremental growth (adding documents without a rebuild);
-5. generalized connection models (penalized links, reversed edges).
+2. result caching for frequent queries;
+3. incremental growth (adding documents without a rebuild);
+4. generalized connection models (penalized links, reversed edges).
+
+(Exactly sorted results, the list's remaining item, were measured and
+left out: see ``docs/PAPER_MAP.md``.)
 
 Run with::
 
@@ -53,23 +55,8 @@ def main() -> None:
     print(f"  -> {flix.report.summary()}")
 
     # ------------------------------------------------------------------
-    heading("2. exactly sorted result streaming")
+    heading("2. result caching")
     start = collection.document_root(sorted(collection.documents)[-1])
-    approx = [
-        r.distance for r in flix.query_stream(QueryRequest.descendants(start))
-    ]
-    exact = [
-        r.distance
-        for r in flix.query_stream(
-            QueryRequest.descendants(start, exact_order=True)
-        )
-    ]
-    print(f"  approximate stream distances: {approx[:12]} ...")
-    print(f"  exact-order stream distances: {exact[:12]} ...")
-    assert exact == sorted(exact)
-
-    # ------------------------------------------------------------------
-    heading("3. result caching")
     flix.configure_cache(CacheConfig(maxsize=32, shards=1))
     began = time.perf_counter()
     list(flix.query_stream(QueryRequest.descendants(start)))
@@ -81,7 +68,7 @@ def main() -> None:
           f"(hits={flix.cache_hits})")
 
     # ------------------------------------------------------------------
-    heading("4. incremental growth")
+    heading("3. incremental growth")
     new_doc = XmlDocument.from_text(
         "latest.xml",
         f'<article key="new/1"><title>Fresh Results</title>'
@@ -97,7 +84,7 @@ def main() -> None:
     print(f"  its descendants now include {len(grown)} elements")
 
     # ------------------------------------------------------------------
-    heading("5. generalized connection models")
+    heading("4. generalized connection models")
     movies = generate_movie_collection()
     evaluator = ConnectionEvaluator(movies)
     (title,) = movies.find_by_text("title", "Matrix: Revolutions")

@@ -10,14 +10,13 @@ Commands
     Run the build phase and print the build report (meta documents,
     strategies, rationales, sizes).
 
-``query <dir> <start> <tag> [--config ...] [--limit K] [--max-distance D]
-        [--exact-order]``
+``query <dir> <start> <tag> [--config ...] [--limit K] [--max-distance D]``
     Evaluate ``start//tag`` and print the streamed results.  ``start`` is
     ``document.xml`` (that document's root) or ``document.xml#id`` (the
     anchored element).  ``tag`` may be ``*`` for the wildcard.
 
 ``explain <dir> <start> <tag> [--config ...] [--max-distance D]
-          [--limit K] [--exact-order] [--json]``
+          [--limit K] [--json]``
     Print the :class:`~repro.core.planner.QueryPlan` for ``start//tag``
     without running it: the meta documents the query can probe, with
     their strategy and residual-link fan-out, and the ones no residual
@@ -163,7 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_build_options(query)
     query.add_argument("--limit", type=int, default=None)
     query.add_argument("--max-distance", type=int, default=None)
-    query.add_argument("--exact-order", action="store_true")
     query.add_argument(
         "--index-dir",
         default=None,
@@ -182,7 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_build_options(explain)
     explain.add_argument("--limit", type=int, default=None)
     explain.add_argument("--max-distance", type=int, default=None)
-    explain.add_argument("--exact-order", action="store_true")
     explain.add_argument(
         "--index-dir",
         default=None,
@@ -401,7 +398,6 @@ def _cmd_query(args) -> int:
         tag=tag,
         max_distance=args.max_distance,
         limit=args.limit,
-        exact_order=args.exact_order,
     )
     count = 0
     for result in flix.query_stream(request):
@@ -442,7 +438,6 @@ def _cmd_explain(args) -> int:
         tag=tag,
         max_distance=args.max_distance,
         limit=args.limit,
-        exact_order=args.exact_order,
     )
     plan = flix.explain(request)
     if args.json:

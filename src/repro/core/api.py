@@ -57,6 +57,29 @@ SCALAR_KINDS = ("cost", "test")
 #: kinds that stream results lazily (``Flix.query_stream`` accepts these)
 STREAMING_KINDS = ("descendants", "ancestors", "connections")
 
+#: kind -> the request fields its evaluation reads, besides ``budget``
+#: and ``explain``, which every kind reads; setting any other field is
+#: an error, not a silently ignored knob
+KIND_FIELDS = {
+    "descendants": ("source", "source_tag", "tag", "max_distance", "limit",
+                    "include_self"),
+    "ancestors": ("source", "tag", "max_distance", "limit", "include_self"),
+    "children": ("source", "tag", "limit"),
+    "path": ("source", "path", "max_distance", "limit"),
+    "connections": ("source", "tag", "model", "max_cost", "limit"),
+    "cost": ("source", "target", "model", "max_cost"),
+    "test": ("source", "target", "max_distance"),
+}
+_KIND_SPECIFIC = frozenset(
+    name for names in KIND_FIELDS.values() for name in names
+)
+
+
+def is_set(value: Any) -> bool:
+    """Does a request field hold a value other than an unset default
+    (``None``, ``()`` or ``False``)?"""
+    return value is not None and value is not False and value != ()
+
 
 @dataclass(frozen=True)
 class QueryRequest:
@@ -69,21 +92,29 @@ class QueryRequest:
     ===============  =====================================================
     ``descendants``  ``a//b``: ``source`` (or ``source_tag`` for the
                      ``A//B`` type-query form), optional ``tag``,
-                     ``max_distance``, ``include_self``, ``exact_order``
-    ``ancestors``    reverse axis from ``source``
-    ``children``     direct successors of ``source``, optional ``tag``
+                     ``max_distance``, ``limit``, ``include_self`` (with
+                     ``source`` only)
+    ``ancestors``    reverse axis from ``source``: optional ``tag``,
+                     ``max_distance``, ``limit``, ``include_self``
+    ``children``     direct successors of ``source``, optional ``tag``,
+                     ``limit``
     ``path``         multi-step ``source//t1//…//tn``: ``path`` holds the
-                     step tags, ``max_distance`` bounds each step
+                     step tags, ``max_distance`` bounds each step,
+                     optional ``limit``
     ``connections``  generalized connection search from ``source`` under
-                     ``model``, bounded by ``max_cost``
+                     ``model``, bounded by ``max_cost``, optional ``tag``,
+                     ``limit``
     ``cost``         cheapest connection cost ``source`` → ``target``
+                     under ``model``, bounded by ``max_cost``
     ``test``         reachability ``source`` → ``target`` (approximate
-                     distance or None), optionally ``bidirectional``
+                     distance or None), optional ``max_distance``
     ===============  =====================================================
 
+    Every kind also reads ``budget`` and ``explain``; setting a field the
+    kind does not read (:data:`KIND_FIELDS`) raises ``ValueError``.
     ``limit`` truncates list-valued answers (top-k early stop); ``budget``
     attaches per-request work limits (deadline / link hops / queue pops)
-    that override the evaluator's configured default for this query only.
+    for this query only.
 
     Instances are frozen and hashable, which is what makes them usable as
     cache keys and queue items without copying.
@@ -110,12 +141,7 @@ class QueryRequest:
     limit: Optional[int] = None
     #: may ``source`` itself qualify (descendants / ancestors)
     include_self: bool = False
-    #: buffer results until exactly sorted by distance (descendants /
-    #: ancestors) — section 7's first future-work item
-    exact_order: bool = False
-    #: alternate a forward and a backward search (``test`` kind, §5.2)
-    bidirectional: bool = False
-    #: per-request work limits, overriding the evaluator's default
+    #: per-request work limits (deadline / link hops / queue pops)
     budget: Optional[QueryBudget] = None
     #: stamp the static :class:`~repro.core.planner.QueryPlan`
     #: onto ``QueryResponse.plan`` (the EXPLAIN surface; uncacheable)
@@ -144,10 +170,14 @@ class QueryRequest:
             raise ValueError(f"{self.kind} queries need a target element")
         if self.kind == "path" and not self.path:
             raise ValueError("path queries need at least one step tag")
-        if self.kind != "path" and self.path:
-            raise ValueError("path steps only apply to the path kind")
-        if self.bidirectional and self.kind != "test":
-            raise ValueError("bidirectional only applies to the test kind")
+        read = KIND_FIELDS[self.kind]
+        for name in sorted(_KIND_SPECIFIC.difference(read)):
+            if is_set(getattr(self, name)):
+                raise ValueError(f"{self.kind} queries do not read {name}")
+        if self.source_tag is not None and self.include_self:
+            raise ValueError(
+                "include_self only applies to descendants of a source"
+            )
 
     # ------------------------------------------------------------------
     # named constructors (one per query shape)
@@ -160,13 +190,12 @@ class QueryRequest:
         max_distance: Optional[int] = None,
         limit: Optional[int] = None,
         include_self: bool = False,
-        exact_order: bool = False,
         budget: Optional[QueryBudget] = None,
     ) -> "QueryRequest":
         return cls(
             kind="descendants", source=source, tag=tag,
             max_distance=max_distance, limit=limit, include_self=include_self,
-            exact_order=exact_order, budget=budget,
+            budget=budget,
         )
 
     @classmethod
@@ -177,13 +206,12 @@ class QueryRequest:
         max_distance: Optional[int] = None,
         limit: Optional[int] = None,
         include_self: bool = False,
-        exact_order: bool = False,
         budget: Optional[QueryBudget] = None,
     ) -> "QueryRequest":
         return cls(
             kind="ancestors", source=source, tag=tag,
             max_distance=max_distance, limit=limit, include_self=include_self,
-            exact_order=exact_order, budget=budget,
+            budget=budget,
         )
 
     @classmethod
@@ -252,13 +280,11 @@ class QueryRequest:
         source: NodeId,
         target: NodeId,
         max_distance: Optional[int] = None,
-        bidirectional: bool = False,
         budget: Optional[QueryBudget] = None,
     ) -> "QueryRequest":
         return cls(
             kind="test", source=source, target=target,
-            max_distance=max_distance, bidirectional=bidirectional,
-            budget=budget,
+            max_distance=max_distance, budget=budget,
         )
 
     # ------------------------------------------------------------------
@@ -301,8 +327,6 @@ class QueryRequest:
             self.max_cost,
             self.model,
             self.include_self,
-            self.exact_order,
-            self.bidirectional,
         )
 
 
@@ -376,9 +400,8 @@ def open_request(
     """Start evaluating ``request`` — the only place a query kind
     selects an evaluation.  Returns ``(answer, finish)``.
 
-    ``engine`` offers the evaluator's five searches (``find_descendants``,
-    ``find_ancestors``, ``evaluate_type_query``, ``connection_test``,
-    ``connection_test_bidirectional``): a
+    ``engine`` offers the evaluator's four searches (``find_descendants``,
+    ``find_ancestors``, ``evaluate_type_query``, ``connection_test``): a
     :class:`~repro.core.pee.PathExpressionEvaluator` or the coordinator's
     :class:`~repro.shard.distributed.DistributedEvaluator`.  The
     collection-graph kinds (children / connections / cost) and
@@ -387,7 +410,8 @@ def open_request(
     and delegates those kinds before they get here.
 
     ``answer`` is a lazy iterator stopping at ``request.limit`` for the
-    streaming kinds, else the finished payload (list or scalar).
+    streaming kinds, else the finished payload: a scalar, or a list cut
+    at ``request.limit`` as a cache hit would cut it.
     ``finish()``, called once consumption stops, closes a stream that was
     stopped early — so its stats are final — and returns the snapshot.
     """
@@ -415,7 +439,7 @@ def open_request(
             )
             stream = search(
                 request.source, request.tag, request.max_distance,
-                request.include_self, request.exact_order, budget=budget,
+                request.include_self, budget=budget,
             )
         answer = iter(stream)
         if request.limit is not None:
@@ -436,6 +460,7 @@ def open_request(
                 continue
             if request.tag is None or collection.tag(successor) == request.tag:
                 payload.append(QueryResult(successor, 1, meta_id))
+        payload = payload[: request.limit]
         stats = QueryStats(results_returned=len(payload))
     elif kind == "path":
         payload, stats = evaluate_path(
@@ -445,6 +470,7 @@ def open_request(
             request.source,
             request.path,
         )
+        payload = payload[: request.limit]
     elif kind == "cost":
         payload = ConnectionEvaluator(collection).connection_cost(
             request.source, request.target, model=request.model,
@@ -453,11 +479,7 @@ def open_request(
         stats = QueryStats(results_returned=0 if payload is None else 1)
     else:  # "test"; QueryRequest validated the kind
         stats = QueryStats()
-        test = (
-            engine.connection_test_bidirectional if request.bidirectional
-            else engine.connection_test
-        )
-        payload = test(
+        payload = engine.connection_test(
             request.source, request.target, request.max_distance,
             stats=stats, budget=budget,
         )
@@ -591,7 +613,9 @@ __all__ = [
     "QueryRequest",
     "QueryResponse",
     "CacheSlot",
+    "KIND_FIELDS",
     "evaluate_request",
+    "is_set",
     "open_request",
     "type_seeds",
 ]

@@ -158,9 +158,10 @@ class Flix:
 
     @pee.setter
     def pee(self, evaluator) -> None:
-        # benchmarks wrap the evaluator in place (e.g. a latency-injecting
-        # decorator); republish the same layout with the replacement —
-        # what is indexed did not change, so the generation is kept
+        # the bench spine wraps the evaluator in place (its span-recording
+        # ``TracedEvaluator``); republish the same layout with the
+        # replacement — what is indexed did not change, so the generation
+        # is kept
         self._layout = self._layout.with_pee(evaluator)
 
     def _build_evaluator(

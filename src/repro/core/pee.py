@@ -22,9 +22,8 @@ The algorithm exists once, as :func:`figure4_search`, parameterised by an
 *expander* that does one popped entry's index work: this module's
 :class:`PathExpressionEvaluator` expands against the local indexes,
 ``repro.shard.distributed`` expands by RPC to the owning shard.  The
-connection test (:func:`first_connection`), the bidirectional test
-(:func:`meet_in_the_middle`) and multi-step paths (:func:`evaluate_path`)
-are drivers over that same loop.
+connection test (:func:`first_connection`) and multi-step paths
+(:func:`evaluate_path`) are drivers over that same loop.
 
 Results therefore stream in *approximately* ascending distance: within one
 meta document they are exact, across meta documents the block-wise delivery
@@ -44,10 +43,10 @@ their own counters and overwrite ``last_stats`` in completion order.
 **Reentrancy.**  One evaluator instance may run any number of queries
 concurrently from different threads (threads sharing one ``Flix`` do
 exactly that).  All search state — the priority queue, the per-meta entry
-lists, the exact-order buffer, the deadline — lives in locals of the
-per-query generator; the only mutable evaluator-level structures are the
-lazily-bound metric instruments, guarded by a lock, and the ``last_stats``
-snapshot slot, which is written by a single atomic reference assignment.
+lists, the deadline — lives in locals of the per-query generator; the
+only mutable evaluator-level structures are the lazily-bound metric
+instruments, guarded by a lock, and the ``last_stats`` snapshot slot,
+which is written by a single atomic reference assignment.
 A request's :class:`QueryBudget` is passed as a call argument, never
 stored on the evaluator.
 
@@ -309,17 +308,16 @@ def figure4_search(
     expand: Expander,
     stats: QueryStats,
     max_distance: Optional[int] = None,
-    exact_order: bool = False,
     budget: Optional[QueryBudget] = None,
 ) -> Iterator:
     """Figure 4: the one priority-queue loop every evaluation runs.
 
     The loop owns the queue, the per-meta entry-point lists, the
-    :class:`~repro.core.planner.ProbeFrontier`, the exact-order buffer,
-    the budget and every loop-level counter of ``stats``; all index access
-    is the *expander*'s — a local index probe
-    (:class:`PathExpressionEvaluator`) or an RPC to the shard owning the
-    entry (:class:`repro.shard.distributed.DistributedEvaluator`).  Both
+    :class:`~repro.core.planner.ProbeFrontier`, the budget and every
+    loop-level counter of ``stats``; all index access is the *expander*'s
+    — a local index probe (:class:`PathExpressionEvaluator`) or an RPC to
+    the shard owning the entry
+    (:class:`repro.shard.distributed.DistributedEvaluator`).  Both
     deployments therefore produce the same stream with the same stats by
     construction.  Equal-priority entries pop in discovery order (FIFO).
     """
@@ -339,8 +337,6 @@ def figure4_search(
             continue  # duplicate seed
         heapq.heappush(heap, (0, order, seed))
     counter = len(seeds)
-    # exact-order buffering: (distance, tiebreak, result)
-    buffer: List[Tuple[int, int, object]] = []
     deadline = None
     if budget is not None and budget.deadline_seconds is not None:
         deadline = time.monotonic() + budget.deadline_seconds
@@ -351,12 +347,6 @@ def figure4_search(
             break
         priority, _, entry = heapq.heappop(heap)
         stats.queue_pops += 1
-        if exact_order:
-            # Every later result is found through an entry of priority
-            # >= this one and local distances are non-negative, so the
-            # buffered results below the current priority are final.
-            while buffer and buffer[0][0] < priority:
-                yield heapq.heappop(buffer)[2]
         if max_distance is not None and priority > max_distance:
             break  # queue head beyond the client's threshold
         if not frontier.admit_pop(entry):
@@ -383,11 +373,7 @@ def figure4_search(
 
         for result in emit:
             stats.results_returned += 1
-            if exact_order:
-                counter += 1
-                heapq.heappush(buffer, (result.distance, counter, result))
-            else:
-                yield result
+            yield result
 
         previous.append(entry)
         for local_distance, neighbour in link_pushes:
@@ -398,9 +384,6 @@ def figure4_search(
             stats.link_traversals += 1
             counter += 1
             heapq.heappush(heap, (push_priority, counter, neighbour))
-
-    while buffer:
-        yield heapq.heappop(buffer)[2]
 
 
 def _budget_exhausted(
@@ -452,42 +435,6 @@ def first_connection(
         search.close()
 
 
-def meet_in_the_middle(
-    forward: QueryStream, backward: QueryStream, max_distance: Optional[int]
-) -> Optional[int]:
-    """The optimization sketched in section 5.2: alternate steps of a
-    descendants search from the source and an ancestors search from the
-    target and stop at the first meeting element.  Depending on the data's
-    shape either direction may win, so alternation bounds the work by
-    twice the cheaper side.  Closes both streams."""
-    try:
-        seen_forward: Dict[NodeId, int] = {}
-        seen_backward: Dict[NodeId, int] = {}
-        streams = [(forward, seen_forward, seen_backward),
-                   (backward, seen_backward, seen_forward)]
-        active = [True, True]
-        while any(active):
-            for side, (stream, mine, theirs) in enumerate(streams):
-                if not active[side]:
-                    continue
-                try:
-                    result = next(stream)
-                except StopIteration:
-                    active[side] = False
-                    continue
-                node, distance = result.node, result.distance
-                if node not in mine or distance < mine[node]:
-                    mine[node] = distance
-                if node in theirs:
-                    candidate = distance + theirs[node]
-                    if max_distance is None or candidate <= max_distance:
-                        return candidate
-        return None
-    finally:
-        forward.close()
-        backward.close()
-
-
 def evaluate_path(
     descend: Callable[[NodeId, str], QueryStream],
     source: NodeId,
@@ -519,11 +466,11 @@ def evaluate_path(
 
 class SearchMethods:
     """Every search that is seeds, direction and skip set of one
-    ``_search(seeds, tag, max_distance, forward, skip_nodes, stats,
-    exact_order, axis, budget)`` — written once for the local evaluator
-    and the sharded coordinator's remote one
-    (:class:`repro.shard.distributed.DistributedEvaluator`), so the two
-    cannot drift apart in signature or in how a query seeds the loop."""
+    ``_search(seeds, tag, max_distance, forward, skip_nodes, axis, budget)``
+    — written once for the local evaluator and the sharded coordinator's
+    remote one (:class:`repro.shard.distributed.DistributedEvaluator`), so
+    the two cannot drift apart in signature or in how a query seeds the
+    loop."""
 
     def find_descendants(
         self,
@@ -531,7 +478,6 @@ class SearchMethods:
         tag: Optional[str] = None,
         max_distance: Optional[int] = None,
         include_self: bool = False,
-        exact_order: bool = False,
         budget: Optional[QueryBudget] = None,
     ) -> Iterator[QueryResult]:
         """Stream descendants of ``start`` with the given tag.
@@ -540,13 +486,6 @@ class SearchMethods:
         threshold of section 5.1: evaluation stops once the queue's head is
         beyond it.  ``include_self`` controls whether ``start`` itself may
         qualify (XPath's descendant-or-self vs. descendant).
-
-        ``exact_order`` implements the first future-work item of section 7
-        ("returning results exactly sorted instead of approximately"):
-        results are buffered and released only once the evaluator's queue
-        guarantees no later result can carry a smaller distance, so the
-        stream is non-decreasing in the reported distance — at the price of
-        the early-first-results advantage FliX otherwise has.
         """
         return self._search(
             seeds=[start],
@@ -554,8 +493,6 @@ class SearchMethods:
             max_distance=max_distance,
             forward=True,
             skip_nodes=() if include_self else (start,),
-            stats=QueryStats(),
-            exact_order=exact_order,
             axis="descendants",
             budget=budget,
         )
@@ -566,7 +503,6 @@ class SearchMethods:
         tag: Optional[str] = None,
         max_distance: Optional[int] = None,
         include_self: bool = False,
-        exact_order: bool = False,
         budget: Optional[QueryBudget] = None,
     ) -> Iterator[QueryResult]:
         """Stream ancestors of ``start`` (section 5.1: "a similar algorithm
@@ -578,8 +514,6 @@ class SearchMethods:
             max_distance=max_distance,
             forward=False,
             skip_nodes=() if include_self else (start,),
-            stats=QueryStats(),
-            exact_order=exact_order,
             axis="ancestors",
             budget=budget,
         )
@@ -603,44 +537,9 @@ class SearchMethods:
             max_distance=max_distance,
             forward=True,
             skip_nodes=(),
-            stats=QueryStats(),
             axis="type",
             budget=budget,
         )
-
-    def connection_test_bidirectional(
-        self,
-        source: NodeId,
-        target: NodeId,
-        max_distance: Optional[int] = None,
-        stats: Optional[QueryStats] = None,
-        budget: Optional[QueryBudget] = None,
-    ) -> Optional[int]:
-        """The optimization sketched in section 5.2 (see
-        :func:`meet_in_the_middle`), over a descendants search from
-        ``source`` and an ancestors search from ``target``."""
-        stats = stats if stats is not None else QueryStats()
-        started = time.perf_counter()
-        # The two sub-searches share this query's stats and publish
-        # nothing themselves (axis=None) — the single publication below
-        # covers the whole bidirectional run.
-        forward = self._search(
-            seeds=[source], tag=None, max_distance=max_distance,
-            forward=True, skip_nodes=(), stats=stats, budget=budget,
-        )
-        backward = self._search(
-            seeds=[target], tag=None, max_distance=max_distance,
-            forward=False, skip_nodes=(), stats=stats, budget=budget,
-        )
-        try:
-            return meet_in_the_middle(forward, backward, max_distance)
-        finally:
-            self._connection_done(stats, started)
-
-    def _connection_done(self, stats: QueryStats, started: float) -> None:
-        """A connection test finished (``started``: its ``perf_counter``
-        reading); the local evaluator publishes it, the remote one has
-        nowhere to."""
 
 
 class PathExpressionEvaluator(SearchMethods):
@@ -683,19 +582,16 @@ class PathExpressionEvaluator(SearchMethods):
         max_distance: Optional[int],
         forward: bool,
         skip_nodes: Tuple[NodeId, ...],
-        stats: QueryStats,
-        exact_order: bool = False,
-        axis: Optional[str] = None,
+        axis: str,
         budget: Optional[QueryBudget] = None,
     ) -> QueryStream:
-        """Build the query stream; ``axis=None`` marks an internal
-        sub-search whose caller owns publication (no trace, no registry
-        writes — ``last_stats`` is still refreshed on completion).
+        """Build the query stream; ``axis`` labels its trace and metrics,
         ``budget`` is the request's own work limit, if any."""
+        stats = QueryStats()
         obs = self._obs
         trace = None
         started = 0.0
-        if obs.enabled and axis is not None:
+        if obs.enabled:
             started = time.perf_counter()
             trace = obs.tracer.trace(
                 "pee.query",
@@ -718,7 +614,7 @@ class PathExpressionEvaluator(SearchMethods):
             try:
                 yield from figure4_search(
                     seeds, self._meta_of.__getitem__, expand, stats,
-                    max_distance, exact_order, budget,
+                    max_distance, budget,
                 )
             finally:
                 finalize()
@@ -726,7 +622,7 @@ class PathExpressionEvaluator(SearchMethods):
         return QueryStream(run(), stats, finalize)
 
     def _make_finalizer(
-        self, stats: QueryStats, axis: Optional[str], trace, started: float
+        self, stats: QueryStats, axis: str, trace, started: float
     ) -> Callable[[], None]:
         """One-shot publication of a finished query's stats.
 
@@ -1045,11 +941,10 @@ class PathExpressionEvaluator(SearchMethods):
             )
         finally:
             self.last_stats = stats.snapshot()
-            self._connection_done(stats, started)
-
-    def _connection_done(self, stats: QueryStats, started: float) -> None:
-        if self._obs.enabled:
-            self._publish(stats, "connection", time.perf_counter() - started)
+            if self._obs.enabled:
+                self._publish(
+                    stats, "connection", time.perf_counter() - started
+                )
 
     def _connection_probe(
         self,

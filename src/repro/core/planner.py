@@ -192,23 +192,16 @@ def plan(
         )
 
     meta_of = layout.meta_of
-    bidirectional = kind == "test" and getattr(request, "bidirectional", False)
     if seeds is not None:
         sources: List[NodeId] = list(seeds)
     else:
-        _require_known(request, meta_of, bidirectional)
+        _require_known(request, meta_of)
         sources = [request.source]
     source_metas = sorted({meta_of[node] for node in sources})
     successors, predecessors = _meta_adjacency(layout)
     reachable = _reachable_metas(
         source_metas, predecessors if kind == "ancestors" else successors
     )
-    if bidirectional:
-        # the backward half of the bidirectional test probes whatever
-        # reaches the target meta
-        reachable |= _reachable_metas(
-            [meta_of[request.target]], predecessors
-        )
     live_ids = {meta.meta_id for meta in layout.slots if meta is not None}
     probes = tuple(
         ProbePlanEntry(
@@ -229,20 +222,13 @@ def plan(
     )
 
 
-def _require_known(
-    request: Any, meta_of: Mapping[NodeId, int], bidirectional: bool
-) -> None:
+def _require_known(request: Any, meta_of: Mapping[NodeId, int]) -> None:
     """Raise the evaluator's ``KeyError`` for an unknown endpoint."""
-    if request.kind == "test" and not bidirectional:
+    if request.kind == "test":
         if request.source not in meta_of or request.target not in meta_of:
             raise KeyError("both endpoints must belong to the collection")
-        return
-    endpoints = [request.source]
-    if bidirectional:
-        endpoints.append(request.target)
-    for node in endpoints:
-        if node not in meta_of:
-            raise KeyError(f"node {node} is not part of the collection")
+    elif request.source not in meta_of:
+        raise KeyError(f"node {request.source} is not part of the collection")
 
 
 def _meta_adjacency(layout: Any) -> Tuple[Dict[int, Set[int]], Dict[int, Set[int]]]:

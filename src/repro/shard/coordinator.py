@@ -357,24 +357,10 @@ class ShardCoordinator:
             # type queries seed every tagged element; with >1 shard the
             # seeds (and their closures) can span the whole fleet
             return set(range(self._map.shards))
-        if kind in ("descendants", "path"):
-            return self._map.reachable_shards(
-                self._map.shard_of_node(request.source), forward=True
-            )
-        if kind == "ancestors":
-            return self._map.reachable_shards(
-                self._map.shard_of_node(request.source), forward=False
-            )
-        if kind == "test":
-            shards = self._map.reachable_shards(
-                self._map.shard_of_node(request.source), forward=True
-            )
-            if request.bidirectional:
-                shards = shards | self._map.reachable_shards(
-                    self._map.shard_of_node(request.target), forward=False
-                )
-            return shards
-        return None
+        return self._map.reachable_shards(
+            self._map.shard_of_node(request.source),
+            forward=kind != "ancestors",
+        )
 
     def _route(self, request: QueryRequest) -> int:
         """The owner shard a delegated request is sent to first."""

@@ -44,7 +44,7 @@ ExpansionRpc = Callable[[int, Dict], Tuple[Optional[tuple], QueryStats]]
 
 class DistributedEvaluator(SearchMethods):
     """Figure 4's loop over remote expansions (see module docstring),
-    behind the same five search methods as the local evaluator.
+    behind the same four search methods as the local evaluator.
 
     ``expand_rpc`` carries the ``expand`` verb (descendants / ancestors /
     type queries), ``probe_rpc`` the ``connection_probe`` verb.
@@ -89,15 +89,12 @@ class DistributedEvaluator(SearchMethods):
         max_distance: Optional[int],
         forward: bool,
         skip_nodes: Tuple[NodeId, ...],
-        stats: Optional[QueryStats] = None,
-        exact_order: bool = False,
         budget: Optional[QueryBudget] = None,
     ) -> QueryStream:
         """Descendants (``forward``), ancestors, or — with many seeds —
-        type queries.  ``stats`` lets sub-searches of one query share
-        their counters; ties pop FIFO (the coordinator holds no
-        statistics to rank by)."""
-        stats = stats if stats is not None else QueryStats()
+        type queries; ties pop FIFO (the coordinator holds no statistics
+        to rank by)."""
+        stats = QueryStats()
         expand = self._expander(
             self._expand_rpc, stats, tag=tag, forward=forward,
             skip=tuple(skip_nodes), max_distance=max_distance,
@@ -105,7 +102,7 @@ class DistributedEvaluator(SearchMethods):
         return QueryStream(
             figure4_search(
                 seeds, self._map.meta_of, expand, stats, max_distance,
-                exact_order, budget,
+                budget,
             ),
             stats,
         )

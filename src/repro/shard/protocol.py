@@ -52,7 +52,7 @@ import socket
 from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.api import QueryRequest, QueryResponse
+from repro.core.api import QueryRequest, QueryResponse, is_set
 from repro.core.connections import ConnectionModel
 from repro.core.pee import (
     COMPLETENESS_LEVELS,
@@ -218,8 +218,6 @@ _REQUEST_FIELDS = {
     "model": (dict, _NULL),
     "limit": (int, _NULL),
     "include_self": (bool,),
-    "exact_order": (bool,),
-    "bidirectional": (bool,),
     "budget": (dict, _NULL),
     "explain": (bool,),
 }
@@ -231,11 +229,12 @@ def request_from_json(payload: Dict) -> QueryRequest:
     Accepted keys mirror the dataclass fields: ``kind`` (required),
     ``source``, ``target``, ``tag``, ``source_tag``, ``path`` (list of
     step tags), ``max_distance``, ``max_cost``, ``limit``,
-    ``include_self``, ``exact_order``, ``bidirectional``, ``explain``,
-    ``model`` (a dict of :class:`~repro.core.connections.ConnectionModel`
-    fields) and ``budget`` (a dict of :class:`~repro.core.pee.QueryBudget`
-    fields).  Validation errors raise ``ValueError`` (rendered as HTTP
-    400 by the front door, as an ``error`` frame by a worker).
+    ``include_self``, ``explain``, ``model`` (a dict of
+    :class:`~repro.core.connections.ConnectionModel` fields) and
+    ``budget`` (a dict of :class:`~repro.core.pee.QueryBudget` fields);
+    which of them a kind may set is :data:`repro.core.api.KIND_FIELDS`.
+    Validation errors raise ``ValueError`` (rendered as HTTP 400 by the
+    front door, as an ``error`` frame by a worker).
     """
     if not isinstance(payload, dict):
         raise ValueError("request body must be a JSON object")
@@ -267,7 +266,7 @@ def request_to_json(request: QueryRequest) -> Dict:
     data: Dict[str, Any] = {}
     for key in _REQUEST_FIELDS:
         value = getattr(request, key)
-        if value is None or value is False or value == ():
+        if not is_set(value):
             continue
         if key in ("model", "budget"):
             value = asdict(value)

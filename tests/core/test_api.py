@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.core.api import QUERY_KINDS, QueryRequest
+from repro.core.api import KIND_FIELDS, QUERY_KINDS, QueryRequest
 from repro.core.config import CacheConfig, FlixConfig
 from repro.core.framework import Flix
 from repro.core.pee import QueryBudget
@@ -29,12 +31,39 @@ class TestRequestValidation:
     def test_path_needs_steps(self):
         with pytest.raises(ValueError, match="step tag"):
             QueryRequest(kind="path", source=0)
-        with pytest.raises(ValueError, match="path kind"):
+        with pytest.raises(ValueError, match="do not read path"):
             QueryRequest(kind="children", source=0, path=("a",))
+        with pytest.raises(ValueError, match="do not read path"):
+            QueryRequest(kind="descendants", source=0, path=("a",))
 
-    def test_bidirectional_only_for_test(self):
-        with pytest.raises(ValueError, match="bidirectional"):
-            QueryRequest(kind="descendants", source=0, bidirectional=True)
+    @pytest.mark.parametrize(
+        "fields, unread",
+        [
+            (dict(kind="ancestors", source=0, source_tag="a"), "source_tag"),
+            (dict(kind="cost", source=0, target=1, tag="a"), "tag"),
+            (dict(kind="test", source=0, target=1, tag="a"), "tag"),
+            (dict(kind="test", source=0, target=1, limit=1), "limit"),
+            (dict(kind="children", source=0, max_distance=0),
+             "max_distance"),
+            (dict(kind="descendants", source=0, target=1), "target"),
+            (dict(kind="path", source=0, path=("a",), include_self=True),
+             "include_self"),
+            (dict(kind="connections", source=0, max_distance=2),
+             "max_distance"),
+        ],
+    )
+    def test_fields_the_kind_never_reads_are_rejected(self, fields, unread):
+        with pytest.raises(ValueError, match=f"do not read {unread}$"):
+            QueryRequest(**fields)
+
+    def test_include_self_needs_a_source(self):
+        with pytest.raises(ValueError, match="include_self"):
+            QueryRequest(kind="descendants", source_tag="a", include_self=True)
+
+    def test_every_field_is_read_by_some_kind(self):
+        read = {name for names in KIND_FIELDS.values() for name in names}
+        fields = {field.name for field in dataclasses.fields(QueryRequest)}
+        assert fields - read == {"kind", "budget", "explain"}
 
     def test_bad_limits_rejected(self):
         with pytest.raises(ValueError, match="limit"):
@@ -137,3 +166,41 @@ class TestCacheConfig:
         loaded = Flix.load(cached_flix.collection, tmp_path / "index")
         assert loaded.config.cache == cached_flix.config.cache
         assert loaded.cache is not None
+
+
+@pytest.fixture(scope="module")
+def figure1_hopi(figure1_collection):
+    return Flix.build(figure1_collection, FlixConfig.unconnected_hopi(60))
+
+
+class TestChildAxis:
+    def test_children_are_direct_successors(
+        self, figure1_hopi, figure1_collection
+    ):
+        start = figure1_collection.document_root("d01.xml")
+        children = figure1_hopi.query(QueryRequest.children(start)).results
+        expected = sorted(figure1_collection.graph.successors(start))
+        assert [c.node for c in children] == expected
+        assert all(c.distance == 1 for c in children)
+
+    def test_children_tag_filter(self, figure1_hopi, figure1_collection):
+        start = figure1_collection.document_root("d01.xml")
+        request = QueryRequest.children(start, tag="item")
+        for child in figure1_hopi.query(request).results:
+            assert figure1_collection.tag(child.node) == "item"
+
+    def test_link_targets_count_as_children(
+        self, figure1_hopi, figure1_collection
+    ):
+        """'elements that are referenced through links [are treated]
+        similarly to normal child elements' (section 1.1)."""
+        link_sources = {u for u, _v in figure1_collection.link_edges}
+        source = next(iter(link_sources))
+        children = {
+            c.node
+            for c in figure1_hopi.query(QueryRequest.children(source)).results
+        }
+        targets = {
+            v for u, v in figure1_collection.link_edges if u == source
+        }
+        assert targets <= children

@@ -10,7 +10,10 @@ import pytest
 from repro.collection.document import XmlDocument
 from repro.core.api import QueryRequest
 from repro.core.cache import ShardedLRUCache
+from repro.core.config import CacheConfig, FlixConfig
+from repro.core.framework import Flix
 from repro.core.pee import QueryStream
+from repro.datasets.dblp import DblpSpec, generate_dblp
 
 
 class TestShardedLRUCacheUnit:
@@ -315,3 +318,169 @@ class TestFlixCacheIntegration:
         assert not cached_flix.query(request).from_cache
         after = cached_flix.query(request)
         assert not after.from_cache  # the racy store must read as stale
+
+
+class TestResultCache:
+    def test_cache_disabled_by_default(self, figure1_collection):
+        flix = Flix.build(figure1_collection, FlixConfig.naive())
+        start = figure1_collection.document_root("d01.xml")
+        list(flix.query_stream(QueryRequest.descendants(start)))
+        list(flix.query_stream(QueryRequest.descendants(start)))
+        assert flix.cache_hits == 0
+
+    def test_cache_hit_on_repeat(self, figure1_collection):
+        flix = Flix.build(figure1_collection, FlixConfig.naive())
+        flix.configure_cache(CacheConfig(maxsize=128, shards=1))
+        start = figure1_collection.document_root("d01.xml")
+        first = list(flix.query_stream(QueryRequest.descendants(start, tag="item")))
+        second = list(flix.query_stream(QueryRequest.descendants(start, tag="item")))
+        assert flix.cache_hits == 1
+        assert first == second
+
+    def test_cached_results_equal_fresh(self, figure1_collection):
+        plain = Flix.build(figure1_collection, FlixConfig.hybrid(60))
+        cached = Flix.build(figure1_collection, FlixConfig.hybrid(60))
+        cached.configure_cache(CacheConfig(maxsize=128, shards=1))
+        start = figure1_collection.document_root("d05.xml")
+        for _ in range(3):
+            assert list(cached.query_stream(QueryRequest.descendants(start))) == list(
+                plain.query_stream(QueryRequest.descendants(start))
+            )
+
+    def test_limited_query_served_from_cached_superset(self, figure1_collection):
+        flix = Flix.build(figure1_collection, FlixConfig.naive())
+        flix.configure_cache(CacheConfig(maxsize=128, shards=1))
+        start = figure1_collection.document_root("d01.xml")
+        full = list(flix.query_stream(QueryRequest.descendants(start)))
+        limited = list(flix.query_stream(QueryRequest.descendants(start, limit=3)))
+        assert limited == full[:3]
+        assert flix.cache_hits == 1
+
+    def test_limited_queries_not_cached_as_full(self, figure1_collection):
+        flix = Flix.build(figure1_collection, FlixConfig.naive())
+        flix.configure_cache(CacheConfig(maxsize=128, shards=1))
+        start = figure1_collection.document_root("d01.xml")
+        list(flix.query_stream(QueryRequest.descendants(start, limit=2)))
+        full = list(flix.query_stream(QueryRequest.descendants(start)))
+        assert len(full) > 2
+
+    def test_lru_eviction(self, figure1_collection):
+        flix = Flix.build(figure1_collection, FlixConfig.naive())
+        flix.configure_cache(CacheConfig(maxsize=2, shards=1))
+        roots = [
+            figure1_collection.document_root(name)
+            for name in ("d01.xml", "d02.xml", "d03.xml")
+        ]
+        for root in roots:
+            list(flix.query_stream(QueryRequest.descendants(root)))
+        list(flix.query_stream(QueryRequest.descendants(roots[0])))  # evicted -> miss
+        assert flix.cache_hits == 0
+        assert flix.cache_misses >= 4
+
+    def test_invalid_maxsize(self, figure1_collection):
+        flix = Flix.build(figure1_collection, FlixConfig.naive())
+        with pytest.raises(ValueError):
+            flix.configure_cache(CacheConfig(maxsize=0, shards=1))
+
+    def test_removing_the_cache(self, figure1_collection):
+        flix = Flix.build(figure1_collection, FlixConfig.naive())
+        flix.configure_cache(CacheConfig(maxsize=128, shards=1))
+        start = figure1_collection.document_root("d01.xml")
+        list(flix.query_stream(QueryRequest.descendants(start)))
+        flix.configure_cache(None)
+        hits_before = flix.cache_hits
+        list(flix.query_stream(QueryRequest.descendants(start)))
+        assert flix.cache_hits == hits_before
+
+    def test_add_document_invalidates_cached_results(self):
+        """Cached results describe the pre-addition reachability; serving
+        them after ``add_document`` would hide the new document."""
+        from repro.collection.builder import build_collection
+        from repro.collection.document import XmlDocument
+
+        collection = build_collection(
+            [
+                XmlDocument.from_text(
+                    "a.xml", '<doc><l xlink:href="b.xml"/><p>alpha</p></doc>'
+                ),
+                XmlDocument.from_text("b.xml", "<doc><p>beta</p></doc>"),
+            ]
+        )
+        flix = Flix.build(collection, FlixConfig.naive())
+        flix.configure_cache(CacheConfig(maxsize=128, shards=1))
+        start = collection.document_root("a.xml")
+        before = list(flix.query_stream(QueryRequest.descendants(start, tag="p")))
+        list(flix.query_stream(QueryRequest.descendants(start, tag="p")))
+        assert flix.cache_hits == 1
+
+        flix.add_document(
+            XmlDocument.from_text(
+                "c.xml", '<doc><p>gamma</p></doc>'
+            )
+        )
+        # the cache was cleared: same query is a miss, not a stale hit
+        after = list(flix.query_stream(QueryRequest.descendants(start, tag="p")))
+        assert flix.cache_hits == 1
+        assert flix.cache_misses >= 2
+        assert {r.node for r in after} == {r.node for r in before}
+
+        # a document the cached result could never contain
+        flix.add_document(
+            XmlDocument.from_text(
+                "d.xml", '<doc><l xlink:href="a.xml"/><p>delta</p></doc>'
+            )
+        )
+        start_d = collection.document_root("d.xml")
+        texts = {
+            collection.text(r.node)
+            for r in flix.query_stream(QueryRequest.descendants(start_d, tag="p"))
+        }
+        assert texts == {"alpha", "beta", "delta"}
+
+    def test_rebuild_starts_with_cold_cache(self, figure1_collection):
+        flix = Flix.build(figure1_collection, FlixConfig.hybrid(60))
+        flix.configure_cache(CacheConfig(maxsize=128, shards=1))
+        start = figure1_collection.document_root("d05.xml")
+        original = list(flix.query_stream(QueryRequest.descendants(start)))
+        list(flix.query_stream(QueryRequest.descendants(start)))
+        assert flix.cache_hits == 1
+
+        rebuilt = flix.rebuild()
+        assert rebuilt is not flix
+        assert rebuilt.cache_hits == 0 and rebuilt.cache_misses == 0
+        fresh = list(rebuilt.query_stream(QueryRequest.descendants(start)))
+        assert rebuilt.cache_hits == 0  # caching is opt-in per instance
+        assert [r.node for r in fresh] == [r.node for r in original]
+
+
+@pytest.fixture(scope="module")
+def dblp40():
+    return generate_dblp(DblpSpec(documents=40))
+
+
+@pytest.mark.parametrize("cache", ["off", "miss", "hit"])
+@pytest.mark.parametrize("kind", ["children", "path"])
+def test_limit_cuts_list_kinds_when_evaluated_and_on_a_hit(
+    dblp40, kind, cache
+):
+    """``limit`` cuts every list-valued answer alike, evaluated (cache
+    off, or a miss) or replayed (a hit)."""
+    reference = Flix.build(dblp40, FlixConfig.maximal_ppo())
+    config = FlixConfig.maximal_ppo()
+    if cache != "off":
+        config = config.with_cache(CacheConfig(maxsize=64, shards=1))
+    flix = Flix.build(dblp40, config)
+    for name in sorted(dblp40.documents):
+        root = dblp40.document_root(name)
+        unlimited = (
+            QueryRequest.children(root) if kind == "children"
+            else QueryRequest.find_path(root, ["author"])
+        )
+        full = reference.query(unlimited)
+        if len(full) > 2:
+            break
+    if cache == "hit":
+        flix.query(unlimited)
+    response = flix.query(unlimited.with_limit(2))
+    assert response.from_cache == (cache == "hit")
+    assert response.results == full.results[:2]

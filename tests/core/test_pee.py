@@ -130,14 +130,6 @@ class TestConnectionTest:
                 checked += 1
         assert checked > 10
 
-    def test_bidirectional_agrees_on_connectivity(self, flix, figure1_collection, oracle):
-        nodes = list(figure1_collection.node_ids())
-        for u in nodes[::13]:
-            for v in nodes[::17]:
-                expected = oracle.reachable(u, v)
-                got = flix.query(QueryRequest.test(u, v, bidirectional=True)).value
-                assert (got is not None) == expected
-
     def test_threshold_cuts_off(self, flix, figure1_collection, oracle):
         nodes = list(figure1_collection.node_ids())
         for u in nodes[::9]:

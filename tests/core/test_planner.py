@@ -61,7 +61,6 @@ def _all_kind_requests(collection):
         ("connections", QueryRequest.connections(roots[4], tag="title")),
         ("cost", QueryRequest.cost(roots[5], title)),
         ("test", QueryRequest.test(roots[0], title)),
-        ("test_bidi", QueryRequest.test(roots[0], title, bidirectional=True)),
     ]
 
 
@@ -212,8 +211,6 @@ class TestExplain:
             QueryRequest.find_path(missing, ["author"]),
             QueryRequest.test(missing, known),
             QueryRequest.test(known, missing),
-            QueryRequest.test(missing, known, bidirectional=True),
-            QueryRequest.test(known, missing, bidirectional=True),
         ):
             with pytest.raises(KeyError) as evaluated:
                 linked.on.query(request)

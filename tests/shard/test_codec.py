@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.api import QueryRequest
+from repro.core.api import KIND_FIELDS, QueryRequest
 from repro.core.config import CacheConfig
 from repro.core.connections import ConnectionModel
 from repro.core.framework import Flix
 from repro.core.pee import QueryBudget, QueryResult, QueryStats
 from repro.shard.protocol import (
+    _REQUEST_FIELDS,
     ProtocolError,
     expansion_reply_from_json,
     expansion_reply_to_json,
@@ -59,6 +60,17 @@ KINDS = (
 )
 
 
+#: every optional field a kind may read, with its strategy
+OPTIONAL = {
+    "tag": st.none() | tags,
+    "max_distance": st.none() | st.integers(0, 50),
+    "max_cost": st.none() | st.integers(0, 9) | positive,
+    "model": st.none() | models,
+    "limit": st.none() | st.integers(1, 100),
+    "include_self": st.booleans(),
+}
+
+
 @st.composite
 def requests(draw):
     kind = draw(st.sampled_from(KINDS))
@@ -71,21 +83,25 @@ def requests(draw):
         fields["target"] = draw(st.integers(0, 10**9))
     if kind == "path":
         fields["path"] = tuple(draw(st.lists(tags, min_size=1, max_size=4)))
-    if kind == "test":
-        fields["bidirectional"] = draw(st.booleans())
+    for name in KIND_FIELDS[kind]:
+        if name in OPTIONAL and not (
+            name == "include_self" and "source_tag" in fields
+        ):
+            fields[name] = draw(OPTIONAL[name])
     return QueryRequest(
         kind=kind,
-        tag=draw(st.none() | tags),
-        max_distance=draw(st.none() | st.integers(0, 50)),
-        max_cost=draw(st.none() | st.integers(0, 9) | positive),
-        model=draw(st.none() | models),
-        limit=draw(st.none() | st.integers(1, 100)),
-        include_self=draw(st.booleans()),
-        exact_order=draw(st.booleans()),
         budget=draw(st.none() | budgets),
         explain=draw(st.booleans()),
         **fields,
     )
+
+
+def test_codec_keys_are_the_request_fields():
+    """``request_to_json`` reads every codec key off the request: a
+    field removed from one side only would break the wire."""
+    assert list(_REQUEST_FIELDS) == [
+        field.name for field in dataclasses.fields(QueryRequest)
+    ]
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,7 +143,7 @@ def _real_responses(deployment):
         QueryRequest.connections(
             first, model=ConnectionModel.link_penalized(2.5), limit=4
         ),
-        QueryRequest.descendants(first, exact_order=True).with_explain(),
+        QueryRequest.descendants(first, include_self=True).with_explain(),
         QueryRequest.find_path(first, ["author"]).with_explain(),
         QueryRequest.descendants(last, budget=QueryBudget(max_queue_pops=1)),
     ]

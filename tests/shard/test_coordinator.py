@@ -223,14 +223,13 @@ class TestDegradation:
         self, deployment
     ):
         """The satellite scenario: one shard's expansions are lost, the
-        merged stream is flagged ``truncated`` but stays distance-ordered
-        and a strict subset of the serial answer."""
+        merged stream is flagged ``truncated`` and is a strict subset of
+        the serial answer, in the serial stream's order."""
         shard_counts = 3
         roots = sorted(deployment.collection.documents)
-        # the last document's closure spans the most shards; exact_order
-        # makes the stream's distance ordering a hard guarantee
+        # the last document's closure spans the most shards
         start = deployment.collection.document_root(roots[-1])
-        request = QueryRequest.descendants(start, exact_order=True)
+        request = QueryRequest.descendants(start)
         serial = deployment.flix.query(request)
         serial_reprs = [repr(row) for row in serial.results]
         with in_process_cluster(
@@ -256,8 +255,7 @@ class TestDegradation:
         assert response.stats.completeness == "truncated"
         rows = response.results
         assert 0 < len(rows) < len(serial.results)
-        # distance-ordered, exactly like the serial stream
-        distances = [row.distance for row in rows]
-        assert distances == sorted(distances)
-        # everything returned is correct: a subset of the serial answer
-        assert set(repr(row) for row in rows) <= set(serial_reprs)
+        # everything returned is correct: a subsequence of the serial
+        # stream, each row with its serial distance
+        positions = [serial_reprs.index(repr(row)) for row in rows]
+        assert positions == sorted(positions)

@@ -251,6 +251,17 @@ class TestHostileBodies:
             (b'{"kind":"descendants","source":1,"max_distance":true}',
              "'max_distance'"),
             (b'{"kind":"descendants","source":1,"budget":[1]}', "budget"),
+            # a field the kind never reads, and the keys of deleted modes
+            (b'{"kind":"ancestors","source":1,"source_tag":"a"}',
+             "do not read source_tag"),
+            (b'{"kind":"test","source":1,"target":2,"limit":1}',
+             "do not read limit"),
+            (b'{"kind":"children","source":1,"max_distance":2}',
+             "do not read max_distance"),
+            (b'{"kind":"test","source":1,"target":2,"bidirectional":true}',
+             "unknown request fields"),
+            (b'{"kind":"descendants","source":1,"exact_order":true}',
+             "unknown request fields"),
             pytest.param(b"[" * 100_000, "recursion", id="deep-nesting"),
         ],
     )
@@ -268,6 +279,14 @@ class TestHostileBodies:
             {"kind": "descendants", "source": 1, "explain": "yes"},
             {"kind": "cost", "source": 1, "target": 2, "max_cost": "3"},
             {"kind": "cost", "source": 1, "target": 2, "model": {"x": 1}},
+            {"kind": "ancestors", "source": 1, "source_tag": "a"},
+            {"kind": "cost", "source": 1, "target": 2, "tag": "a"},
+            {"kind": "test", "source": 1, "target": 2, "tag": "a"},
+            {"kind": "test", "source": 1, "target": 2, "limit": 1},
+            {"kind": "children", "source": 1, "max_distance": 0},
+            {"kind": "descendants", "source_tag": "a", "include_self": True},
+            {"kind": "test", "source": 1, "target": 2, "bidirectional": True},
+            {"kind": "descendants", "source": 1, "exact_order": True},
         ):
             with pytest.raises(ValueError):
                 request_from_json(body)

@@ -89,17 +89,6 @@ class TestQuery:
         out = capsys.readouterr().out
         assert "-- 3 results" in out
 
-    def test_exact_order_flag(self, movie_dir, capsys):
-        assert main(
-            ["query", movie_dir, "matrix3.xml", "*", "--exact-order"]
-        ) == 0
-        out = capsys.readouterr().out
-        distances = [
-            int(line.split()[1]) for line in out.splitlines()
-            if line.startswith("distance")
-        ]
-        assert distances == sorted(distances)
-
     def test_index_dir_builds_then_loads(self, movie_dir, tmp_path, capsys):
         index_dir = str(tmp_path / "idx")
         assert main(

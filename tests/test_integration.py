@@ -54,22 +54,6 @@ class TestPaperPipeline:
         }
         assert got == expected
 
-    def test_exact_order_mode_still_complete(self, corpus, oracle):
-        flix = Flix.build(corpus, FlixConfig.unconnected_hopi(100))
-        aries = find_aries(corpus)
-        ordered = list(
-            flix.query_stream(
-                QueryRequest.descendants(aries, tag="article", exact_order=True)
-            )
-        )
-        distances = [r.distance for r in ordered]
-        assert distances == sorted(distances)
-        assert {r.node for r in ordered} == {
-            v
-            for v in oracle.descendants(aries)
-            if corpus.tag(v) == "article" and v != aries
-        }
-
 
 class TestDiskRoundTripPipeline:
     def test_generate_save_load_index_query(self, tmp_path):
