@@ -60,10 +60,11 @@ def test_config_on_density(benchmark, config_name, density):
         return list(flix.query_stream(QueryRequest.descendants(start)))
 
     results = benchmark.pedantic(run, rounds=3, iterations=1)
+    stats = flix.query(QueryRequest.descendants(start)).stats
     _RESULTS[(config_name, density)] = {
         "bytes": flix.size_bytes(),
         "residual": flix.report.residual_link_count,
-        "link_traversals": flix.pee.last_stats.link_traversals,
+        "link_traversals": stats.link_traversals,
         "seconds": benchmark.stats.stats.mean,
         "results": len(results),
     }

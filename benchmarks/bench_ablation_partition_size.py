@@ -33,7 +33,7 @@ def test_partition_size(benchmark, dblp_collection, fig5, fraction):
 
     results = benchmark.pedantic(run, rounds=3, iterations=1)
     assert results
-    stats = flix.pee.last_stats
+    stats = flix.query(QueryRequest.descendants(start, tag=tag)).stats
     _ROWS[fraction] = {
         "partition_size": size,
         "meta_documents": len(flix.meta_documents),

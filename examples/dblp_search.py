@@ -3,7 +3,7 @@
 Builds the six-system lineup of the paper (monolithic HOPI and APEX, plus
 four FliX configurations), runs the Figure 5 query — "all article
 descendants of Mohan's VLDB 99 paper about ARIES" — and prints Table-1
-style sizes, time-to-k series, and the self-tuning verdict.
+style sizes, time-to-k series, and the first results.
 
 Run with::
 
@@ -68,13 +68,6 @@ def main() -> None:
             f"  distance {result.distance}: "
             f"{record_title.text if record_title else '?'}"
         )
-    print()
-
-    # self-tuning: after a query burst, does FliX want a rebuild?
-    for _ in range(25):
-        list(flix.query_stream(QueryRequest.descendants(start, tag=tag, limit=20)))
-    advice = flix.tuning_advice()
-    print(f"self-tuning: rebuild={advice.should_rebuild} — {advice.reason}")
 
 
 if __name__ == "__main__":

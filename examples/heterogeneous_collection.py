@@ -67,21 +67,6 @@ def main() -> None:
             break
     time.sleep(0.05)  # let the producer thread notice and wind down
     print(f"  delivered before cancellation: {len(stream)}")
-    print()
-
-    # The self-tuning loop (section 7): simulate a link-heavy query load on
-    # a deliberately bad configuration and watch FliX ask for a rebuild.
-    bad = Flix.build(collection, FlixConfig.unconnected_hopi(25))
-    for name in sorted(collection.documents):
-        root = collection.document_root(name)
-        for _ in range(3):
-            list(bad.query_stream(QueryRequest.descendants(root)))
-    advice = bad.tuning_advice(link_traversal_threshold=8.0)
-    print(f"self-tuning on 25-node partitions: rebuild={advice.should_rebuild}")
-    print(f"  reason: {advice.reason}")
-    if advice.recommended_config is not None:
-        better = bad.rebuild(advice.recommended_config)
-        print(f"  rebuilt as: {better.report.summary()}")
 
 
 if __name__ == "__main__":

@@ -51,7 +51,6 @@ from repro.core import (
     MetaDocument,
     PathExpressionEvaluator,
     QueryBudget,
-    QueryLoadMonitor,
     QueryRequest,
     QueryResponse,
     QueryResult,
@@ -96,7 +95,6 @@ __all__ = [
     "Observability",
     "PathExpressionEvaluator",
     "QueryResult",
-    "QueryLoadMonitor",
     "StreamedList",
     "Tracer",
     "XmlCollection",

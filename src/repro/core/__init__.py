@@ -35,7 +35,6 @@ from repro.core.pee import (
 from repro.core.planner import QueryPlan
 from repro.core.results import StreamedList
 from repro.core.framework import Flix
-from repro.core.selftune import QueryLoadMonitor, TuningAdvice
 from repro.core.subcollections import (
     Subcollection,
     identify_subcollections,
@@ -63,7 +62,5 @@ __all__ = [
     "PathExpressionEvaluator",
     "QueryResult",
     "StreamedList",
-    "QueryLoadMonitor",
-    "TuningAdvice",
     "QueryPlan",
 ]

@@ -148,6 +148,10 @@ class QueryRequest:
     explain: bool = False
 
     def __post_init__(self) -> None:
+        # a list of steps becomes the tuple form, so the request hashes
+        # (as a cache key) and compares equal to it
+        if not isinstance(self.path, tuple):
+            object.__setattr__(self, "path", tuple(self.path))
         if self.kind not in QUERY_KINDS:
             raise ValueError(
                 f"unknown query kind {self.kind!r}; expected one of {QUERY_KINDS}"

@@ -54,7 +54,6 @@ from repro.core.mdb import MetaDocumentBuilder
 from repro.core.meta_document import MetaDocument, MetaDocumentSpec
 from repro.core.pee import PathExpressionEvaluator, QueryBudget
 from repro.core.planner import QueryPlan, plan
-from repro.core.selftune import QueryLoadMonitor, TuningAdvice, with_compaction_advice
 from repro.obs import MetricsRegistry, Observability, Trace, render
 
 
@@ -96,7 +95,6 @@ class Flix:
         self._layout = self._layout.with_pee(
             self._build_evaluator(slots, frozen_meta_of, generation=0)
         )
-        self.monitor = QueryLoadMonitor()
         # the attached write-ahead log (docs/DURABILITY.md); every
         # maintenance verb appends its record here *before* publishing
         # the layout swap, and save() truncates it at snapshot time
@@ -276,7 +274,6 @@ class Flix:
             request, budget, layout.pee, started, layout.generation,
             self.collection, layout.meta_of,
         )
-        self.monitor.record(response.stats)
         slot.store(response.results, response.value, response.stats, budget)
         if request.explain:
             response.plan = self.explain(request, layout=layout)
@@ -320,7 +317,6 @@ class Flix:
                 yield item
         finally:
             stats = finish()
-        self.monitor.record(stats)
         if collected is not None:
             slot.store(collected, None, stats, request.budget)
 
@@ -440,7 +436,7 @@ class Flix:
         return self.obs.tracer.last_trace("pee.query")
 
     # ------------------------------------------------------------------
-    # introspection & tuning
+    # introspection
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:
         """Total storage of all live meta-document indexes + residual
@@ -478,36 +474,6 @@ class Flix:
     def meta_document_of(self, node: NodeId) -> MetaDocument:
         layout = self._layout
         return layout.slots[layout.meta_of[node]]
-
-    def tuning_advice(
-        self, compaction_threshold: int = 4, **kwargs
-    ) -> TuningAdvice:
-        """Self-tuning check over the recorded query load (section 7).
-
-        On top of the classic rebuild advice, the returned
-        :class:`TuningAdvice` flags *online compaction* when incremental
-        growth has accumulated ``compaction_threshold`` or more singleton
-        meta documents: :meth:`compact` merges them without the downtime
-        of a full rebuild."""
-        advice = self.monitor.advice(self.config, **kwargs)
-        return with_compaction_advice(
-            advice,
-            self._layout.compaction_candidates(),
-            compaction_threshold,
-        )
-
-    def rebuild(
-        self,
-        config: Optional[FlixConfig] = None,
-        jobs: int = 1,
-    ) -> "Flix":
-        """Run the build phase again (e.g. following tuning advice).
-
-        The returned instance starts with a cold result cache: cached
-        results describe the old meta-document layout and must not survive
-        a rebuild.
-        """
-        return Flix.build(self.collection, config or self.config, jobs=jobs)
 
     # ------------------------------------------------------------------
     # durability: the write-ahead mutation log (docs/DURABILITY.md)
@@ -564,8 +530,9 @@ class Flix:
         layout swap: queries already running finish on the snapshot they
         pinned, and on failure the collection is rolled back to its
         pre-call state.  After many additions the layout drifts from
-        optimal; :meth:`tuning_advice` then recommends :meth:`compact`
-        or a full rebuild.
+        optimal; :meth:`compact` merges the added meta documents
+        (``layout.compaction_candidates()``), or ``Flix.build`` runs the
+        build phase again.
         """
         return self._grow([document], verb="add")[0]
 

@@ -99,9 +99,10 @@ class IndexLayout:
     def with_pee(self, pee: object) -> "IndexLayout":
         """The same layout with a replaced evaluator (same generation).
 
-        Benchmarks wrap the evaluator (e.g. a latency-injecting decorator)
-        without changing what is indexed; the generation is deliberately
-        kept, because cached results remain valid.
+        The ``Flix.pee`` setter calls this when the bench spine wraps the
+        evaluator in its span-recording ``TracedEvaluator``: what is
+        indexed does not change, so the generation is deliberately kept,
+        because cached results remain valid.
         """
         return replace(self, pee=pee)
 

@@ -30,25 +30,14 @@ meta document they are exact, across meta documents the block-wise delivery
 can invert neighbours (the error-rate experiment of section 6 quantifies
 this at 8-13%).
 
-**Statistics and ``last_stats`` snapshot semantics.**  Every query owns a
-private :class:`QueryStats` instance that travels on its
-:class:`QueryStream` — concurrent queries never share counters.  When a
-query *completes* (its generator is exhausted or closed), the evaluator
-publishes ``stats.snapshot()`` — a frozen copy — to ``self.last_stats``.
-Reading ``last_stats`` therefore always observes a finished query's final
-numbers, never a half-updated live counter; while a stream is still being
-consumed, read its own ``.stats`` instead.  Interleaved streams each keep
-their own counters and overwrite ``last_stats`` in completion order.
-
-**Reentrancy.**  One evaluator instance may run any number of queries
-concurrently from different threads (threads sharing one ``Flix`` do
-exactly that).  All search state — the priority queue, the per-meta entry
-lists, the deadline — lives in locals of the per-query generator; the
-only mutable evaluator-level structures are the lazily-bound metric
-instruments, guarded by a lock, and the ``last_stats`` snapshot slot,
-which is written by a single atomic reference assignment.
-A request's :class:`QueryBudget` is passed as a call argument, never
-stored on the evaluator.
+**Statistics.**  Every query owns a private :class:`QueryStats` instance
+that travels on its :class:`QueryStream` (and on the ``QueryResponse``
+built from it) — concurrent queries never share counters.  The evaluator
+keeps no copy: one instance may run any number of queries concurrently
+from different threads, all search state lives in locals of the per-query
+generator, and the only mutable evaluator-level state is the lazily-bound
+metric instruments, guarded by a lock.  A request's :class:`QueryBudget`
+is passed as a call argument, never stored on the evaluator.
 
 **Observability.**  When the evaluator is built with an enabled
 :class:`repro.obs.Observability` bundle, each query additionally emits a
@@ -123,7 +112,7 @@ class QueryBudget:
 
 @dataclass
 class QueryStats:
-    """Run-time counters for one query (feeds the self-tuning monitor).
+    """Run-time counters for one query (read from ``QueryStream.stats``).
 
     The counters are plain ints mutated in the evaluator's inner loop (no
     locks, no registry calls on the hot path); when observability is on
@@ -136,7 +125,6 @@ class QueryStats:
     #: residual links followed across meta-document boundaries: pushes
     #: the frontier *admitted* to the queue (pruned ones are counted in
     #: ``planner_pruned_pushes`` instead) — what ``max_link_hops`` budgets
-    #: and the self-tuning monitor's link-traversal threshold read
     link_traversals: int = 0
     #: popped entry elements dropped because an earlier entry of the same
     #: meta document already covered them (section 5.1)
@@ -166,10 +154,11 @@ class QueryStats:
     completeness: str = "complete"
 
     def snapshot(self) -> "QueryStats":
-        """An immutable-by-convention copy (what ``last_stats`` publishes).
+        """An immutable-by-convention copy (what a finished request's
+        ``QueryResponse`` and the result cache keep).
 
         ``copy.copy`` rather than ``dataclasses.replace``: the fields are
-        all plain ints and a snapshot is taken on every query completion.
+        all plain ints.
         """
         return copy.copy(self)
 
@@ -222,10 +211,10 @@ class QueryStream:
     (or after) any point of consumption for this query's numbers.
 
     ``close()`` is idempotent and guarantees the query's stats are
-    finalized (published to ``last_stats`` / the metrics registry) exactly
-    once — even when the underlying generator was abandoned mid-iteration
-    or never started at all, in which case the generator's own ``finally``
-    block would not run.
+    finalized (its trace finished, its counters published to the metrics
+    registry) exactly once — even when the underlying generator was
+    abandoned mid-iteration or never started at all, in which case the
+    generator's own ``finally`` block would not run.
 
     ``next(stream)`` works on the stream itself, but ``iter(stream)``
     hands out the underlying generator, not the stream (``for`` loops and
@@ -568,9 +557,6 @@ class PathExpressionEvaluator(SearchMethods):
         # guards the instrument binding; the search loop itself keeps all
         # its state in per-query locals and never takes it
         self._state_lock = threading.Lock()
-        #: snapshot of the most recently *completed* query's counters; the
-        #: live per-query counters travel on the :class:`QueryStream`
-        self.last_stats = QueryStats()
 
     # ------------------------------------------------------------------
     # the local driver of the Figure-4 loop
@@ -638,9 +624,6 @@ class PathExpressionEvaluator(SearchMethods):
             if done[0]:
                 return
             done[0] = True
-            # Publish a frozen copy only: concurrent readers of last_stats
-            # must never observe another query's counters mid-mutation.
-            self.last_stats = stats.snapshot()
             if trace is not None:
                 trace.root.meta["results"] = stats.results_returned
                 trace.root.meta["completeness"] = stats.completeness
@@ -940,7 +923,6 @@ class PathExpressionEvaluator(SearchMethods):
                 max_distance, budget,
             )
         finally:
-            self.last_stats = stats.snapshot()
             if self._obs.enabled:
                 self._publish(
                     stats, "connection", time.perf_counter() - started

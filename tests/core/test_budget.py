@@ -23,6 +23,13 @@ def flix(figure1_collection):
     return Flix.build(figure1_collection, FlixConfig.naive())
 
 
+def queries_published(flix):
+    """How many finished descendant queries reached the metrics registry
+    (the fixture's index has observability on)."""
+    counter = flix.metrics().get("flix_queries_total")
+    return 0 if counter is None else counter.value(axis="descendants")
+
+
 def roots(collection, count=4):
     return [
         collection.document_root(name)
@@ -82,28 +89,28 @@ class TestStreamLifecycle:
     def test_stats_finalized_exactly_once_on_abandoned_stream(
         self, flix, figure1_collection
     ):
-        pee = flix.pee
-        marker = pee.last_stats
-        stream = pee.find_descendants(roots(figure1_collection)[0])
+        stream = flix.pee.find_descendants(roots(figure1_collection)[0])
         # never started: the generator's finally would never run on its own
         stream.close()
-        assert pee.last_stats is not marker  # finalizer published anyway
+        assert queries_published(flix) == 1  # finalizer published anyway
+        stream.close()
+        assert queries_published(flix) == 1
 
     def test_close_after_exhaustion_does_not_republish(
         self, flix, figure1_collection
     ):
-        pee = flix.pee
-        stream = pee.find_descendants(roots(figure1_collection)[0])
+        stream = flix.pee.find_descendants(roots(figure1_collection)[0])
         list(stream)
-        published = pee.last_stats
+        assert queries_published(flix) == 1
         stream.close()
-        assert pee.last_stats is published  # one-shot finalizer
+        assert queries_published(flix) == 1  # one-shot finalizer
 
     def test_context_manager_closes(self, flix, figure1_collection):
         pee = flix.pee
         with pee.find_descendants(roots(figure1_collection)[0]) as stream:
             next(stream)
-        assert pee.last_stats.queue_pops >= 1
+        assert stream.stats.queue_pops >= 1
+        assert queries_published(flix) == 1
 
     def test_completeness_counter_emitted(self, flix, figure1_collection):
         start = roots(figure1_collection)[0]

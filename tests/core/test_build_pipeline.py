@@ -1,7 +1,7 @@
 """Every index is built by one pipeline: whichever MDB strategy chose the
 specs, ``Flix.build`` applies the same object build, pack step,
-observability bundle and builder wiring — so ``rebuild()``, maintenance
-and persistence behave alike for all six presets."""
+observability bundle and builder wiring — so a rebuild, maintenance and
+persistence behave alike for all six presets."""
 
 from __future__ import annotations
 
@@ -41,13 +41,17 @@ def test_rebuild_is_identical_and_stays_on_its_backend(
     flix = Flix.build(figure1_collection, PRESETS[preset]())
     flix.save(tmp_path)
     loaded = Flix.load(figure1_collection, tmp_path)
-    for other in (flix.rebuild(), loaded, loaded.rebuild()):
+
+    def rebuild(instance):
+        return Flix.build(instance.collection, instance.config)
+
+    for other in (rebuild(flix), loaded, rebuild(loaded)):
         assert [m.strategy for m in other.meta_documents] == [
             m.strategy for m in flix.meta_documents
         ]
         assert other.index_fingerprint() == flix.index_fingerprint()
         assert other.config == flix.config
-    for built in (flix, flix.rebuild(), loaded, loaded.rebuild()):
+    for built in (flix, rebuild(flix), loaded, rebuild(loaded)):
         assert all(isinstance(m.index, PackedIndex) for m in built.meta_documents)
 
 
@@ -108,7 +112,8 @@ def test_save_load_round_trips_the_config(config, figure1_collection, tmp_path):
     assert loaded.config.mdb_strategy == config.mdb_strategy
     assert loaded.config.similarity_threshold == config.similarity_threshold
     assert loaded.index_fingerprint() == flix.index_fingerprint()
-    assert loaded.rebuild().index_fingerprint() == flix.index_fingerprint()
+    rebuilt = Flix.build(loaded.collection, loaded.config)
+    assert rebuilt.index_fingerprint() == flix.index_fingerprint()
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

@@ -151,7 +151,7 @@ class TestFlixCacheIntegration:
         request = QueryRequest.descendants(start, tag="p")
         cached_flix.query(request)
         assert cached_flix.query(request).from_cache
-        rebuilt = cached_flix.rebuild()
+        rebuilt = Flix.build(cached_flix.collection, cached_flix.config)
         assert rebuilt.cache is not None  # config.cache carries over
         assert rebuilt.cache_hits == 0 and rebuilt.cache_misses == 0
         assert not rebuilt.query(request).from_cache
@@ -337,6 +337,20 @@ class TestResultCache:
         assert flix.cache_hits == 1
         assert first == second
 
+    def test_list_path_request_is_cacheable(self, figure1_collection):
+        """A path request given its steps as a list is the tuple-form
+        request: it hashes, and answers alike on a miss and on a hit."""
+        config = FlixConfig.naive().with_cache(CacheConfig(maxsize=8, shards=1))
+        flix = Flix.build(figure1_collection, config)
+        root = figure1_collection.document_root("d01.xml")
+        listed = QueryRequest(kind="path", source=root, path=["item"])
+        assert listed == QueryRequest(kind="path", source=root, path=("item",))
+        assert hash(listed) == hash(QueryRequest.find_path(root, ["item"]))
+        miss = flix.query(listed)
+        hit = flix.query(listed)
+        assert not miss.from_cache and hit.from_cache
+        assert miss.results and hit.results == miss.results
+
     def test_cached_results_equal_fresh(self, figure1_collection):
         plain = Flix.build(figure1_collection, FlixConfig.hybrid(60))
         cached = Flix.build(figure1_collection, FlixConfig.hybrid(60))
@@ -445,7 +459,7 @@ class TestResultCache:
         list(flix.query_stream(QueryRequest.descendants(start)))
         assert flix.cache_hits == 1
 
-        rebuilt = flix.rebuild()
+        rebuilt = Flix.build(flix.collection, flix.config)
         assert rebuilt is not flix
         assert rebuilt.cache_hits == 0 and rebuilt.cache_misses == 0
         fresh = list(rebuilt.query_stream(QueryRequest.descendants(start)))

@@ -67,12 +67,6 @@ class TestBuild:
         distances = [r.distance for r in results]
         assert distances == sorted(distances)
 
-    def test_rebuild_with_other_config(self, figure1_collection):
-        flix = Flix.build(figure1_collection, FlixConfig.naive())
-        rebuilt = flix.rebuild(FlixConfig.unconnected_hopi(60))
-        assert rebuilt.config.mdb_strategy == "unconnected_hopi"
-        assert rebuilt.collection is figure1_collection
-
 
 class TestStreamedDelivery:
     """Section 3.1's "client thread reads from a list": the one producer,
@@ -138,22 +132,3 @@ class _Paced:
             if position:
                 assert self.go.wait(5)
             yield item
-
-
-class TestMonitorIntegration:
-    def test_queries_feed_the_monitor(self, figure1_collection):
-        flix = Flix.build(figure1_collection, FlixConfig.naive())
-        start = figure1_collection.document_root("d05.xml")
-        assert flix.monitor.query_count == 0
-        list(flix.query_stream(QueryRequest.descendants(start)))
-        assert flix.monitor.query_count == 1
-        flix.query(
-            QueryRequest.test(start, figure1_collection.document_root("d06.xml"))
-        ).value
-        assert flix.monitor.query_count == 2
-
-    def test_tuning_advice_needs_data(self, figure1_collection):
-        flix = Flix.build(figure1_collection, FlixConfig.naive())
-        advice = flix.tuning_advice()
-        assert not advice.should_rebuild
-        assert "queries" in advice.reason

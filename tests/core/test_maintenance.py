@@ -336,20 +336,11 @@ class TestCompact:
         span_names = {span.name for span in trace.spans}
         assert {"select", "index"} <= span_names
 
-    def test_tuning_advice_flags_compaction(self, flix):
-        self.grow(flix, 4)
-        advice = flix.tuning_advice(compaction_threshold=4)
-        assert advice.should_compact
-        assert len(advice.compaction_candidates) == 4
-        below = flix.tuning_advice(compaction_threshold=5)
-        assert not below.should_compact
-
     def test_compacted_meta_not_a_future_candidate(self, flix):
         self.grow(flix, 3)
         merged = flix.compact()
         assert merged.meta_id not in flix.layout.incremental_meta_ids
-        advice = flix.tuning_advice(compaction_threshold=2)
-        assert not advice.should_compact
+        assert flix.layout.compaction_candidates() == []
 
 
 class TestFingerprintDeterminism:

@@ -115,8 +115,8 @@ class TestDisabledObservability:
         assert json.loads(flix.export_metrics("json")) == {"metrics": []}
 
     def test_disabled_stream_still_carries_stats(self, linked_pair):
-        # QueryStats is independent of the registry: the self-tuning
-        # monitor keeps working with observability off.
+        # QueryStats is independent of the registry: every stream still
+        # counts its own work with observability off.
         flix = _build(linked_pair, observability=False)
         start = linked_pair.document_root("a.xml")
         stream = flix.pee.find_descendants(start)
@@ -372,12 +372,11 @@ class TestStreamContract:
         flix = _build(linked_pair)
         stream = flix.pee.find_descendants(linked_pair.document_root("a.xml"))
         results = list(stream)
-        assert flix.pee.last_stats.results_returned == len(results) == 4
+        assert stream.stats.results_returned == len(results) == 4
         assert _queries_total(flix) == 1
         stream.close()
         stream.close()
         assert _queries_total(flix) == 1
-        assert flix.pee.last_stats == stream.stats
 
     def test_closed_before_first_next_finalizes_once(self, linked_pair):
         flix = _build(linked_pair)
@@ -385,7 +384,7 @@ class TestStreamContract:
         stream.close()
         stream.close()
         assert _queries_total(flix) == 1
-        assert flix.pee.last_stats.results_returned == 0
+        assert stream.stats.results_returned == 0
         assert list(stream) == []
         assert _queries_total(flix) == 1
 
@@ -402,7 +401,6 @@ class TestStreamContract:
         finish()
         assert _queries_total(flix) == 1
         assert stats.results_returned == 2
-        assert flix.pee.last_stats == stats
 
     @pytest.mark.parametrize("framework_stream", [False, True])
     def test_cancelled_feed_closes_the_source_first(

@@ -169,7 +169,6 @@ class TestTypeQuery:
 class TestStats:
     def test_stats_recorded(self, flix, figure1_collection):
         start = figure1_collection.document_root("d05.xml")
-        list(flix.query_stream(QueryRequest.descendants(start)))
-        stats = flix.pee.last_stats
+        stats = flix.query(QueryRequest.descendants(start)).stats
         assert stats.meta_document_visits >= 1
         assert stats.results_returned >= 1

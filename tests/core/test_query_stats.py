@@ -1,10 +1,9 @@
-"""Per-query statistics isolation (the ``last_stats`` race fix).
+"""Per-query statistics isolation.
 
-Before the fix, ``PathExpressionEvaluator._search`` mutated a single
-shared ``self.last_stats`` while streaming, so two in-flight queries
-scrambled each other's counters.  Now every query carries its own
-:class:`QueryStats` on the returned :class:`QueryStream`; ``last_stats``
-is only a snapshot published when a query finishes.
+Every query carries its own :class:`QueryStats` on the returned
+:class:`QueryStream` (and on the ``QueryResponse`` built from it); the
+evaluator keeps no shared counters, so two in-flight queries never
+scramble each other's numbers.
 """
 
 import itertools
@@ -60,14 +59,15 @@ class TestPerQueryStats:
             assert stream.stats.link_traversals == baseline[root].link_traversals
 
     def test_last_stats_is_a_stable_snapshot(self, flix, roots):
+        """A finished stream's stats are final: a later query on the same
+        evaluator never mutates them."""
         first = flix.pee.find_descendants(roots[0])
         list(first)
-        published = flix.pee.last_stats
-        returned_then = published.results_returned
-        # a later query must not mutate the already-published object
-        list(flix.pee.find_descendants(roots[1]))
-        assert published.results_returned == returned_then
-        assert flix.pee.last_stats is not published
+        final = first.stats.snapshot()
+        later = flix.pee.find_descendants(roots[1])
+        list(later)
+        assert first.stats == final
+        assert later.stats is not first.stats
 
     def test_covered_probes_counted(self, flix, roots):
         """Duplicate elimination probes previously visited entries; on the
@@ -80,17 +80,15 @@ class TestPerQueryStats:
         assert total > 0
 
     def test_framework_aggregates_multi_step_stats(self, flix, figure1_collection):
-        """``find_path`` runs one search per query step; what reaches the
-        self-tuning monitor must be the merged counters of all steps, not
-        just the final step's."""
+        """``find_path`` runs one search per query step; the response's
+        stats must be the merged counters of all steps, not just the final
+        step's."""
         start = figure1_collection.document_root("d01.xml")
-        results = list(flix.query(
-            QueryRequest.find_path(start, ["item", "link"])
-        ).results)
+        response = flix.query(QueryRequest.find_path(start, ["item", "link"]))
+        results = list(response.results)
         assert results
-        recorded = flix.monitor._stats[-1]
-        assert recorded.results_returned >= len(results)
-        assert recorded.meta_document_visits >= 2  # one per step minimum
+        assert response.stats.results_returned >= len(results)
+        assert response.stats.meta_document_visits >= 2  # one per step minimum
 
     def test_merge_sums_every_counter(self):
         left = QueryStats(1, 2, 3, 4, 5, 6)

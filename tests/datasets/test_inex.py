@@ -83,6 +83,5 @@ class TestPaperRoleOfInex:
         flix = Flix.build(inex_collection, FlixConfig.naive())
         name = next(iter(inex_collection.documents))
         start = inex_collection.document_root(name)
-        list(flix.query_stream(QueryRequest.descendants(start, tag="p")))
-        stats = flix.pee.last_stats
+        stats = flix.query(QueryRequest.descendants(start, tag="p")).stats
         assert stats.meta_document_visits <= 3

@@ -94,3 +94,34 @@ def test_stale_export_list_entry_is_reported(monkeypatch):
         ]
     finally:
         sys.path.remove(str(REPO_ROOT / "tools"))
+
+
+def test_export_members_resolve_or_are_reported(tmp_path):
+    sys.path.insert(0, str(REPO_ROOT / "tools"))
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        from check_docs import check_member_references
+
+        fine = tmp_path / "FINE.md"
+        fine.write_text(
+            "`Flix.build(collection, config)`, `Flix.layout`, "
+            "`QueryRequest.kind` (a field with no default), "
+            "`QueryResponse.stats`, `FlixConfig.naive()` and "
+            "`PathExpressionEvaluator._expand_entry`; `Unexported.gone` "
+            "and `flix.rebuild()` are not export members.\n",
+            encoding="utf-8",
+        )
+        assert check_member_references(docs=(fine,)) == []
+        stale = tmp_path / "STALE.md"
+        stale.write_text(
+            "`Flix.rebuild(config)` and "
+            "`PathExpressionEvaluator._expand_with` are gone.\n",
+            encoding="utf-8",
+        )
+        assert check_member_references(docs=(stale,)) == [
+            f"{stale} names missing member 'Flix.rebuild'",
+            f"{stale} names missing member "
+            "'PathExpressionEvaluator._expand_with'",
+        ]
+    finally:
+        sys.path.remove(str(REPO_ROOT / "tools"))

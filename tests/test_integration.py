@@ -94,24 +94,6 @@ class TestHeterogeneousScenario:
         assert got == set(oracle.descendants(start)) - {start}
 
 
-class TestSelfTuningLoop:
-    def test_monitor_rebuild_improves_link_traversals(self):
-        """Run the §7 loop: bad config -> advice -> rebuild -> fewer hops."""
-        corpus = generate_dblp(DblpSpec(documents=120))
-        bad = Flix.build(corpus, FlixConfig.unconnected_hopi(30))
-        aries = find_aries(corpus)
-        for _ in range(25):
-            list(bad.query_stream(QueryRequest.descendants(aries)))
-        advice = bad.tuning_advice(link_traversal_threshold=5.0)
-        assert advice.should_rebuild
-        better = bad.rebuild(advice.recommended_config)
-        list(better.query_stream(QueryRequest.descendants(aries)))
-        assert (
-            better.pee.last_stats.link_traversals
-            < bad.pee.last_stats.link_traversals
-        )
-
-
 class TestRelaxedQueryOverDblp:
     def test_ontology_bridges_article_and_inproceedings(self):
         corpus = generate_dblp(DblpSpec(documents=80))

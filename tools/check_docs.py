@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Fail if the documentation names symbols that do not exist.
 
-Four checks, run from the repository root (``python tools/check_docs.py``;
+Five checks, run from the repository root (``python tools/check_docs.py``;
 CI runs it on one Python version):
 
 1. every name in every export list — ``repro.__all__`` and the
@@ -22,7 +22,11 @@ CI runs it on one Python version):
    placeholders skipped) and every ``repro <verb>`` /
    ``python -m repro <verb>`` inside code markup of the checked files
    plus ``PATH_CHECKED_DOCS`` must exist — as a file or directory of
-   this checkout, or as a registered sub-parser of ``repro.cli``.
+   this checkout, or as a registered sub-parser of ``repro.cli``;
+5. every backticked ``Name.attr`` in the same files whose ``Name`` is in
+   ``repro.__all__`` must name a member of that export — an attribute, or
+   an annotation (which covers every dataclass field); call parentheses
+   are ignored.
 """
 
 from __future__ import annotations
@@ -205,6 +209,36 @@ def check_paths_and_verbs(docs=CHECKED_DOCS + PATH_CHECKED_DOCS) -> list[str]:
     return errors
 
 
+def has_member(obj, attr: str) -> bool:
+    """Is ``attr`` an attribute of ``obj``, or annotated on it or a base
+    (dataclass fields without a default are only annotations)?"""
+    return hasattr(obj, attr) or any(
+        attr in vars(klass).get("__annotations__", {})
+        for klass in getattr(obj, "__mro__", ())
+    )
+
+
+def check_member_references(
+    docs=CHECKED_DOCS + PATH_CHECKED_DOCS,
+) -> list[str]:
+    import repro
+
+    exports = sorted(name for name in repro.__all__ if not name.startswith("_"))
+    member = re.compile(
+        r"`(%s)\.([A-Za-z_][A-Za-z0-9_]*)" % "|".join(exports)
+    )
+    errors = []
+    for doc in docs:
+        if not doc.is_file():
+            continue  # check 2 reports a registered doc that is missing
+        label = _label(doc)
+        text = doc.read_text(encoding="utf-8")
+        for name, attr in sorted(set(member.findall(text))):
+            if not has_member(getattr(repro, name), attr):
+                errors.append(f"{label} names missing member '{name}.{attr}'")
+    return errors
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     errors = (
@@ -212,6 +246,7 @@ def main() -> int:
         + check_doc_references()
         + check_all_docs_registered()
         + check_paths_and_verbs()
+        + check_member_references()
     )
     for error in errors:
         print(f"ERROR: {error}", file=sys.stderr)
@@ -221,8 +256,8 @@ def main() -> int:
         )
         print(
             "check_docs: every repro export list, "
-            f"{checked} references, and the paths and CLI verbs they and "
-            "README.md, EXPERIMENTS.md, DESIGN.md name OK"
+            f"{checked} references, and the paths, CLI verbs and export "
+            "members they and README.md, EXPERIMENTS.md, DESIGN.md name OK"
         )
     return 1 if errors else 0
 
